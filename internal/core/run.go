@@ -296,7 +296,13 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 		flows[i] = f
 	}
 
-	net := netsim.FromGraph(s, g, cfg.Net, observers)
+	// A lone collector observes directly: one dispatch per event, and
+	// netsim sees its route filter without the fan-out in between.
+	var observer netsim.Observer = observers
+	if len(observers) == 1 {
+		observer = observers[0]
+	}
+	net := netsim.FromGraph(s, g, cfg.Net, observer)
 	net.Instrument(met, tl)
 	var flowSet *netsim.FlowSet
 	if len(fluidPairs) > 0 {
@@ -597,7 +603,26 @@ func (r *Result) aggregate() {
 // multiObserver fans events out to several observers.
 type multiObserver []netsim.Observer
 
-var _ netsim.Observer = multiObserver(nil)
+var _ netsim.RouteFilter = multiObserver(nil)
+
+// WatchesRoutes implements netsim.RouteFilter as the union of the members'
+// interests; a member that is no RouteFilter watches everything.
+func (m multiObserver) WatchesRoutes(dst netsim.NodeID) bool {
+	for _, o := range m {
+		if f, ok := o.(netsim.RouteFilter); !ok || f.WatchesRoutes(dst) {
+			return true
+		}
+	}
+	return false
+}
+
+// RoutesElided implements netsim.RouteFilter. Nothing is elided unless
+// every member is a RouteFilter (see WatchesRoutes).
+func (m multiObserver) RoutesElided(n int, last time.Duration) {
+	for _, o := range m {
+		o.(netsim.RouteFilter).RoutesElided(n, last)
+	}
+}
 
 // RouteChanged implements netsim.Observer.
 func (m multiObserver) RouteChanged(at time.Duration, node, dst, nextHop netsim.NodeID, removed bool) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"routeconv/internal/netsim"
+	"routeconv/internal/obs"
 	"routeconv/internal/scenario"
 	"routeconv/internal/topology"
 )
@@ -115,6 +116,73 @@ func TestScenarioNodeFailureConservation(t *testing.T) {
 	}
 	if m["scenario.link_fails"] == 0 {
 		t.Error("scenario.link_fails = 0 — the node failure took no links down")
+	}
+}
+
+// TestScenarioOverlappingHolds runs scripts whose link, node and churn events
+// overlap on the adjacent mesh routers 24 and 25, and checks the end state
+// through the trace's network: a link is down exactly while something still
+// holds it — an explicit failure awaiting its restore, or a failed endpoint —
+// whoever took it down first. (The first case left 24-25 down forever when
+// node recovery restored per-node "links I took" lists.)
+func TestScenarioOverlappingHolds(t *testing.T) {
+	e := topology.NewEdge(24, 25)
+	cases := []struct {
+		name, script string
+		stillDown    bool // 24-25 at the end of the run
+		churn        bool // also check when 24-25 came up, in the timeline
+	}{
+		{name: "adjacent node outages",
+			script: "fail node 24 @400s; fail node 25 @405s; recover node 24 @410s; recover node 25 @415s"},
+		{name: "fail link inside a node outage", stillDown: true,
+			script: "fail node 24 @400s; fail link 24-25 @405s; recover node 24 @410s"},
+		{name: "fail link inside a node outage, restored",
+			script: "fail node 24 @400s; fail link 24-25 @405s; recover node 24 @410s; restore link 24-25 @420s"},
+		{name: "churn victim adjacent to a failed node", churn: true,
+			script: "churn links 24-25 rate=5/s down=1s @400s..401s; fail node 24 @400.5s; recover node 24 @430s"},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := goldenConfig(ProtoRIP)
+			cfg.Scenario = tc.script
+			tl := obs.NewTimeline()
+			_, c, err := TraceObserved(cfg, 0, tl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range c.Network().Links() {
+				if want := l.Edge() != e || !tc.stillDown; l.Up() != want {
+					t.Errorf("link %v up = %v at the end of the run, want %v", l.Edge(), l.Up(), want)
+				}
+			}
+			if !tc.churn {
+				return
+			}
+			// The churn failure lands before the node outage and its repair
+			// inside it: the repair must not bring the link up under the
+			// failed node, and the node's recovery must.
+			var ups []time.Duration
+			heldAtOutage := false
+			for _, r := range tl.Records() {
+				if topology.NewEdge(topology.NodeID(r.Node), topology.NodeID(r.Peer)) != e {
+					continue
+				}
+				switch {
+				case r.Kind == obs.KindLinkDown && r.At < 400500*time.Millisecond:
+					heldAtOutage = true
+				case r.Kind == obs.KindLinkUp:
+					ups = append(ups, r.At)
+				}
+			}
+			if !heldAtOutage {
+				t.Fatal("churn did not fail 24-25 before the node outage; the script no longer exercises the case")
+			}
+			if len(ups) != 1 || ups[0] != 430*time.Second {
+				t.Errorf("24-25 came up at %v, want once, at the node's recovery (430s)", ups)
+			}
+		})
 	}
 }
 

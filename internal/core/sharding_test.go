@@ -138,7 +138,10 @@ func compareTrajectories(t *testing.T, shards int, ref, got []trace.RouteChange)
 // TestShardedHybridConservation re-runs the hybrid conservation check under
 // sharded execution: the combined packet+fluid accounting identity must
 // hold with per-shard counters folded at the end, and the sharding metrics
-// must show the machinery actually engaged.
+// must show the machinery actually engaged. The barrier also settles
+// deferred FIB changes for the fluid engine, reading the tables the replay
+// has put back; eliding unwatched route events must not disturb that, so
+// the compact trial (Run's path) equals the full-record one field for field.
 func TestShardedHybridConservation(t *testing.T) {
 	cfg := goldenConfig(ProtoRIP)
 	cfg.Flows = 32
@@ -152,6 +155,10 @@ func TestShardedHybridConservation(t *testing.T) {
 	m := tr.Metrics
 	if m == nil {
 		t.Fatal("Metrics enabled but TrialResult.Metrics is nil")
+	}
+	compact, _ := runCompact(t, cfg)
+	if got, want := fmt.Sprintf("%+v", compact), fmt.Sprintf("%+v", tr); got != want {
+		t.Errorf("compact sharded hybrid trial differs from the full-record one:\n full:    %s\n compact: %s", want, got)
 	}
 	accounted := m["packets.delivered"] + m["drops.no_route"] +
 		m["drops.ttl_expired"] + m["drops.queue_overflow"] +
@@ -168,5 +175,78 @@ func TestShardedHybridConservation(t *testing.T) {
 	}
 	if m["shard.cross_msgs"] == 0 {
 		t.Error("shard.cross_msgs = 0, want > 0 — no packet ever crossed a shard boundary")
+	}
+}
+
+// runCompact runs trial 0 the way Run does — compact collectors, which is
+// what lets a sharded run elide the route changes nobody watches — but
+// keeps the primary flow's collector for inspection.
+func runCompact(t *testing.T, cfg Config) (TrialResult, *trace.Collector) {
+	t.Helper()
+	for _, prepare := range []func() error{cfg.ResolveTopology, cfg.ResolveScenario, cfg.Validate} {
+		if err := prepare(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, c, err := runTrial(&cfg, 0, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.RouteChanges) != 0 {
+		t.Fatalf("compact collector kept %d route-change records", len(c.RouteChanges))
+	}
+	return tr, c
+}
+
+// TestShardedCompactEquivalence is TestShardedGoldenEquivalence for the
+// path Run takes. A compact collector watches only its own destination's
+// route changes (netsim.RouteFilter); a sharded run buffers, rewinds and
+// replays only those and folds the rest in as a count and a latest time per
+// barrier. None of that may show: the TrialResult, the path samples, and
+// the route-change count and last-change time (a maximum over shards and
+// replayed events, not whichever was reported last) must equal the
+// sequential run's exactly, on every golden, with one collector and with
+// three.
+func TestShardedCompactEquivalence(t *testing.T) {
+	scenarios := goldenScenarios()
+	scenarios = append(scenarios, struct {
+		name   string
+		config func() Config
+	}{"rip-3flows", func() Config {
+		cfg := goldenConfig(ProtoRIP)
+		cfg.Flows = 3 // packet mode: three collectors, three watched destinations
+		return cfg
+	}})
+	for _, sc := range scenarios {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			t.Parallel()
+			ref, refC := runCompact(t, sc.config())
+			want := fmt.Sprintf("%+v", ref)
+			if full, _, err := Trace(sc.config(), 0); err != nil {
+				t.Fatal(err)
+			} else if got := fmt.Sprintf("%+v", full); got != want {
+				t.Errorf("compact trial differs from the full-record one:\n full:    %s\n compact: %s", got, want)
+			}
+			for _, shards := range []int{2, 4} {
+				cfg := sc.config()
+				cfg.Shards = shards
+				tr, c := runCompact(t, cfg)
+				if got := fmt.Sprintf("%+v", tr); got != want {
+					t.Errorf("shards=%d compact trial differs from sequential:\n seq:    %s\n shards: %s",
+						shards, want, got)
+				}
+				if !reflect.DeepEqual(refC.PathHistory, c.PathHistory) {
+					t.Errorf("shards=%d: path-sample streams differ (%d vs %d records)",
+						shards, len(refC.PathHistory), len(c.PathHistory))
+				}
+				if a, b := refC.NumRouteChanges(), c.NumRouteChanges(); a != b {
+					t.Errorf("shards=%d: %d route changes counted, sequential counted %d", shards, b, a)
+				}
+				if a, b := refC.RoutingConvergence(0), c.RoutingConvergence(0); a != b {
+					t.Errorf("shards=%d: last route change at %v, sequential at %v", shards, b, a)
+				}
+			}
+		})
 	}
 }

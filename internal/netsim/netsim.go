@@ -93,10 +93,6 @@ type Network struct {
 	// flows is the optional fluid/hybrid traffic engine (see fluid.go);
 	// nil when every flow is packet-simulated.
 	flows *FlowSet
-	// nodeDown maps a failed node to the links its failure took down, so
-	// RecoverNode restores exactly those (and only those) that no other
-	// failed node still holds down. Nil until the first FailNode.
-	nodeDown map[NodeID][]topology.Edge
 	// root is the sequential/coordinator execution context; it aliases
 	// the fields above, so non-sharded runs behave exactly as before.
 	root *exec
@@ -105,9 +101,9 @@ type Network struct {
 	assign       []int32
 	coord        *sim.Coordinator
 	windowActive bool
-	obsIdx       []int    // scratch for the observer replay k-way merge
-	obsSeq       []obsRef // scratch for the merged replay order (rewind + step)
-	drainIdx     []int    // scratch for the outbox drain k-way merge
+	filter       RouteFilter // the observer, when it elides some route events
+	obsSeq       []obsRef    // scratch for the merged replay order (rewind + step)
+	drainIdx     []int       // scratch for the outbox drain k-way merge
 }
 
 // New returns an empty network using the given engine and link parameters.
@@ -266,105 +262,101 @@ func (n *Network) Start() {
 	}
 }
 
-// FailLink takes the a-b link down immediately. Packets in flight or
-// subsequently transmitted onto it are lost; after DetectDelay both ends'
-// protocols receive LinkDown.
-func (n *Network) FailLink(a, b NodeID) {
+// mustLink returns the a-b link; a missing link is a model bug.
+func (n *Network) mustLink(op string, a, b NodeID) *Link {
 	l := n.links[topology.NewEdge(a, b)]
 	if l == nil {
-		panic(fmt.Sprintf("netsim: FailLink(%d,%d): no such link", a, b))
+		panic(fmt.Sprintf("netsim: %s(%d,%d): no such link", op, a, b))
 	}
-	if l.down {
-		return
+	return l
+}
+
+// FailLink takes the a-b link down immediately, until RestoreLink. Packets
+// in flight or subsequently transmitted onto it are lost; after DetectDelay
+// both ends' protocols receive LinkDown.
+func (n *Network) FailLink(a, b NodeID) {
+	l := n.mustLink("FailLink", a, b)
+	l.failed = true
+	n.syncLink(l)
+}
+
+// RestoreLink undoes FailLink: the link comes back up unless a failed
+// endpoint holds it down; after DetectDelay both ends' protocols get LinkUp.
+func (n *Network) RestoreLink(a, b NodeID) {
+	l := n.mustLink("RestoreLink", a, b)
+	l.failed = false
+	n.syncLink(l)
+}
+
+// syncLink brings the link's up/down state in line with its holds — down
+// while explicitly failed or an endpoint is — and reports whether it
+// flipped. A flip settles fluid traffic first, is recorded in the timeline,
+// and reaches the protocols after DetectDelay unless undone by then.
+func (n *Network) syncLink(l *Link) bool {
+	down := l.failed || l.endsDown > 0
+	if down == l.down {
+		return false
 	}
+	a, b := l.edge.A, l.edge.B
 	if n.flows != nil {
 		// Settle fluid traffic against the graph that carried it before
 		// the link state flips (and demote crossing flows in hybrid mode).
 		n.flows.linkChanged(a, b)
 	}
-	l.down = true
-	n.tl.Link(n.sim.Now(), obs.KindLinkDown, int(a), int(b))
+	l.down = down
+	kind, detected := obs.KindLinkUp, obs.KindLinkUpDetected
+	if down {
+		kind, detected = obs.KindLinkDown, obs.KindLinkDownDetected
+	}
+	n.tl.Link(n.sim.Now(), kind, int(a), int(b))
 	n.sim.Schedule(n.cfg.DetectDelay, func() {
-		if !l.down || l.detectedDown {
-			return // recovered before detection, or already detected
+		if l.down != down || l.detectedDown == down {
+			return // flipped back before detection, or nothing to report
 		}
-		l.detectedDown = true
-		n.tl.Link(n.sim.Now(), obs.KindLinkDownDetected, int(a), int(b))
-		n.notifyLink(l, false)
+		l.detectedDown = down
+		n.tl.Link(n.sim.Now(), detected, int(a), int(b))
+		n.notifyLink(l, !down)
 	})
+	return true
 }
 
-// RestoreLink brings the a-b link back up; after DetectDelay both ends'
-// protocols receive LinkUp.
-func (n *Network) RestoreLink(a, b NodeID) {
-	l := n.links[topology.NewEdge(a, b)]
-	if l == nil {
-		panic(fmt.Sprintf("netsim: RestoreLink(%d,%d): no such link", a, b))
-	}
-	if !l.down {
-		return
-	}
-	if n.flows != nil {
-		n.flows.linkChanged(a, b)
-	}
-	l.down = false
-	n.tl.Link(n.sim.Now(), obs.KindLinkUp, int(a), int(b))
-	n.sim.Schedule(n.cfg.DetectDelay, func() {
-		if l.down || !l.detectedDown {
-			return // failed again before detection, or failure never detected
-		}
-		l.detectedDown = false
-		n.tl.Link(n.sim.Now(), obs.KindLinkUpDetected, int(a), int(b))
-		n.notifyLink(l, true)
-	})
-}
-
-// FailNode fails the node: every incident link that is currently up goes
-// down (with the usual detection delay at both ends). The node's protocol
-// keeps running but is isolated — a simplification documented in
-// SCENARIOS.md. FailNode on an already-failed node is a no-op. It returns
-// the number of links the failure took down.
+// FailNode fails the node: every incident link goes down (with the usual
+// detection delay at both ends) and stays down until RecoverNode. The
+// node's protocol keeps running but is isolated — a simplification
+// documented in SCENARIOS.md. FailNode on an already-failed node is a
+// no-op. It returns the number of links the failure took down.
 func (n *Network) FailNode(id NodeID) int {
-	if n.nodeDown == nil {
-		n.nodeDown = make(map[NodeID][]topology.Edge)
-	}
-	if _, dup := n.nodeDown[id]; dup {
+	node := n.nodes[id]
+	if node.failed {
 		return 0
 	}
-	node := n.nodes[id]
-	var took []topology.Edge
+	node.failed = true
+	took := 0
 	for _, nb := range node.neighbors {
-		if l := node.portTo(nb).link; !l.down {
-			n.FailLink(id, nb)
-			took = append(took, topology.NewEdge(id, nb))
+		l := node.portTo(nb).link
+		l.endsDown++
+		if n.syncLink(l) {
+			took++
 		}
 	}
-	n.nodeDown[id] = took
 	n.tl.Node(n.sim.Now(), obs.KindNodeDown, int(id))
-	return len(took)
+	return took
 }
 
-// RecoverNode recovers a failed node: the links its failure took down come
-// back up, except links whose other endpoint is itself still failed (those
-// return when that node recovers). A no-op for nodes not failed by
-// FailNode.
+// RecoverNode recovers a failed node: its incident links come back up,
+// except those another hold keeps down — a still-failed node at the other
+// end, or an explicit FailLink awaiting its RestoreLink. A no-op for nodes
+// not failed by FailNode.
 func (n *Network) RecoverNode(id NodeID) {
-	took, ok := n.nodeDown[id]
-	if !ok {
+	node := n.nodes[id]
+	if !node.failed {
 		return
 	}
-	delete(n.nodeDown, id)
-	for _, e := range took {
-		other := e.A
-		if other == id {
-			other = e.B
-		}
-		if _, stillDown := n.nodeDown[other]; stillDown {
-			continue
-		}
-		if l := n.links[e]; l != nil && l.down {
-			n.RestoreLink(e.A, e.B)
-		}
+	node.failed = false
+	for _, nb := range node.neighbors {
+		l := node.portTo(nb).link
+		l.endsDown--
+		n.syncLink(l)
 	}
 	n.tl.Node(n.sim.Now(), obs.KindNodeUp, int(id))
 }
@@ -381,10 +373,7 @@ const lossSalt = 0x6c6f7373796c6e6b // "lossylnk"
 // only on that port's own transmission order — sharded runs stay
 // bit-for-bit identical to sequential ones.
 func (n *Network) SetLinkLoss(a, b NodeID, p float64) {
-	l := n.links[topology.NewEdge(a, b)]
-	if l == nil {
-		panic(fmt.Sprintf("netsim: SetLinkLoss(%d,%d): no such link", a, b))
-	}
+	l := n.mustLink("SetLinkLoss", a, b)
 	for _, pt := range l.dir {
 		pt.lossP = p
 		if p > 0 && !pt.lossSeeded {
@@ -402,10 +391,7 @@ func (n *Network) SetLinkLoss(a, b NodeID, p float64) {
 // queued packets still deliver. A no-op if the link is already down or
 // costed out.
 func (n *Network) CostOutLink(a, b NodeID) {
-	l := n.links[topology.NewEdge(a, b)]
-	if l == nil {
-		panic(fmt.Sprintf("netsim: CostOutLink(%d,%d): no such link", a, b))
-	}
+	l := n.mustLink("CostOutLink", a, b)
 	if l.down || l.detectedDown {
 		return
 	}
@@ -419,10 +405,7 @@ func (n *Network) CostOutLink(a, b NodeID) {
 // (A physical failure and repair cycle clears a cost-out: the repair's
 // detection restores the protocols' view.)
 func (n *Network) CostInLink(a, b NodeID) {
-	l := n.links[topology.NewEdge(a, b)]
-	if l == nil {
-		panic(fmt.Sprintf("netsim: CostInLink(%d,%d): no such link", a, b))
-	}
+	l := n.mustLink("CostInLink", a, b)
 	if l.down || !l.detectedDown {
 		return
 	}
@@ -527,7 +510,12 @@ type Link struct {
 	net  *Network
 	edge topology.Edge
 	dir  [2]*port
-	down bool
+	// down is derived (syncLink) from the two holds below it. Holds
+	// compose, so link failures, node outages and churn never need to know
+	// who took a link down.
+	down     bool
+	failed   bool  // FailLink without its RestoreLink
+	endsDown uint8 // endpoints currently failed by FailNode
 	// detectedDown tracks whether the attached protocols currently believe
 	// the link is down, so that flaps shorter than the detection window
 	// produce no notifications at all.

@@ -652,3 +652,95 @@ func TestFailAndRestoreIdempotent(t *testing.T) {
 		t.Errorf("down=%v up=%v, want exactly one each", pa.downFrom, pa.upFrom)
 	}
 }
+
+// A link's up/down state is derived from its holds — explicitly failed, or
+// a failed endpoint — so overlapping link, node and repair events compose in
+// any order. Each case runs ops on the line 0-1-2 and states whether links
+// 0-1 and 1-2 are up after every step.
+func TestLinkHoldsCompose(t *testing.T) {
+	type step struct {
+		op       string
+		a, b     NodeID
+		up01     bool
+		up12     bool
+		tookDown int // FailNode's return value
+	}
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"adjacent nodes, first-failed recovers first", []step{
+			{op: "failnode", a: 0, up01: false, up12: true, tookDown: 1},
+			{op: "failnode", a: 1, up01: false, up12: false, tookDown: 1},
+			{op: "recovernode", a: 0, up01: false, up12: false},
+			{op: "recovernode", a: 1, up01: true, up12: true},
+		}},
+		{"adjacent nodes, last-failed recovers first", []step{
+			{op: "failnode", a: 0, up01: false, up12: true, tookDown: 1},
+			{op: "failnode", a: 1, up01: false, up12: false, tookDown: 1},
+			{op: "recovernode", a: 1, up01: false, up12: true},
+			{op: "recovernode", a: 0, up01: true, up12: true},
+		}},
+		{"fail link inside a node outage outlives the recovery", []step{
+			{op: "failnode", a: 1, up01: false, up12: false, tookDown: 2},
+			{op: "faillink", a: 0, b: 1, up01: false, up12: false},
+			{op: "recovernode", a: 1, up01: false, up12: true},
+			{op: "restorelink", a: 0, b: 1, up01: true, up12: true},
+		}},
+		{"link repair inside a node outage waits for the node", []step{
+			{op: "faillink", a: 1, b: 2, up01: true, up12: false},
+			{op: "failnode", a: 2, up01: true, up12: false, tookDown: 0},
+			{op: "restorelink", a: 1, b: 2, up01: true, up12: false},
+			{op: "recovernode", a: 2, up01: true, up12: true},
+		}},
+		{"repeats are no-ops", []step{
+			{op: "failnode", a: 1, up01: false, up12: false, tookDown: 2},
+			{op: "failnode", a: 1, up01: false, up12: false, tookDown: 0},
+			{op: "recovernode", a: 1, up01: true, up12: true},
+			{op: "recovernode", a: 1, up01: true, up12: true},
+			{op: "restorelink", a: 0, b: 1, up01: true, up12: true},
+			{op: "faillink", a: 0, b: 1, up01: false, up12: true},
+			{op: "faillink", a: 0, b: 1, up01: false, up12: true},
+			{op: "restorelink", a: 0, b: 1, up01: true, up12: true},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, n := lineNet(t, DefaultConfig(), nil)
+			protos := make([]*testProto, 3)
+			for i := range protos {
+				protos[i] = &testProto{}
+				n.Node(NodeID(i)).AttachProtocol(protos[i])
+			}
+			n.Start()
+			for i, st := range tc.steps {
+				switch st.op {
+				case "failnode":
+					if got := n.FailNode(st.a); got != st.tookDown {
+						t.Errorf("step %d: FailNode(%d) took %d links down, want %d", i, st.a, got, st.tookDown)
+					}
+				case "recovernode":
+					n.RecoverNode(st.a)
+				case "faillink":
+					n.FailLink(st.a, st.b)
+				case "restorelink":
+					n.RestoreLink(st.a, st.b)
+				}
+				if got := n.Link(0, 1).Up(); got != st.up01 {
+					t.Errorf("step %d (%s): link 0-1 up = %v, want %v", i, st.op, got, st.up01)
+				}
+				if got := n.Link(1, 2).Up(); got != st.up12 {
+					t.Errorf("step %d (%s): link 1-2 up = %v, want %v", i, st.op, got, st.up12)
+				}
+				s.RunUntil(s.Now() + time.Second) // let detection fire
+			}
+			// Every case ends all-up, so each endpoint saw as many LinkUp
+			// as LinkDown notifications.
+			for i, p := range protos {
+				if len(p.downFrom) != len(p.upFrom) {
+					t.Errorf("node %d: %d LinkDown vs %d LinkUp notifications", i, len(p.downFrom), len(p.upFrom))
+				}
+			}
+		})
+	}
+}

@@ -53,6 +53,8 @@ type Node struct {
 	// protocols; flows hash across them.
 	multi map[NodeID][]NodeID
 	proto Protocol
+	// failed marks a node taken down by FailNode, until RecoverNode.
+	failed bool
 }
 
 // ID returns the node's identifier.

@@ -121,6 +121,24 @@ type Observer interface {
 	PacketDropped(at time.Duration, where NodeID, pkt *Packet, reason DropReason)
 }
 
+// RouteFilter is an Observer that needs only some destinations' RouteChanged
+// events one by one. A sharded run asks it once (EnableSharding), buffers and
+// replays only the watched destinations' events, and reports the rest in
+// bulk at each window barrier. A plain Observer watches every destination;
+// sequential runs deliver every event and never call these methods.
+type RouteFilter interface {
+	Observer
+	// WatchesRoutes reports whether RouteChanged events toward dst must be
+	// delivered individually. Only watched destinations' forwarding entries
+	// are replayed, so an observer must watch every destination it walks
+	// toward from a callback. The answer must not change during a run.
+	WatchesRoutes(dst NodeID) bool
+	// RoutesElided accounts n route changes toward unwatched destinations
+	// that were not delivered; last is the time of the latest of them, which
+	// may lie before events already delivered.
+	RoutesElided(n int, last time.Duration)
+}
+
 // NopObserver is an Observer that ignores every event. Embed it to
 // implement only the events of interest.
 type NopObserver struct{}

@@ -46,10 +46,18 @@ type exec struct {
 	// serCache memoizes serialization delay per shard so shards never
 	// write shared memory mid-window.
 	serCache []time.Duration
-	// events buffers observer callbacks raised during a window, replayed
-	// by the coordinator at the barrier in merged (at, shard, idx) order.
-	// Root exec calls the observer directly instead.
-	events []obsEvent
+	// routes and pkts buffer observer callbacks raised during a window,
+	// replayed by the coordinator at the barrier in merged (at, shard, seq)
+	// order (cursors routeAt, pktAt). Root exec calls the observer directly.
+	routes         []routeEvent
+	pkts           []pktEvent
+	routeAt, pktAt int
+	// watch[dst] marks the destinations whose route changes the observer
+	// needs one by one (nil: all, see RouteFilter). The rest are only
+	// counted: elided of them this window, the latest at elidedAt.
+	watch    []bool
+	elided   int
+	elidedAt time.Duration
 	// outbox[d] holds packets that finished serialization here but arrive
 	// on shard d; the coordinator drains them at the barrier.
 	outbox [][]crossMsg
@@ -75,38 +83,41 @@ type crossMsg struct {
 	pkt *Packet
 }
 
-// Buffered observer event kinds.
-const (
-	obsRoute uint8 = iota
-	obsDelivered
-	obsDropped
-)
-
-// obsEvent is one buffered observer callback. Packets are snapshotted by
-// value: a dropped control packet's pooled payload may be recycled before
-// the replay, but the scalar fields observers read stay intact. Route
-// events additionally carry the entry's previous next hop (prev), which
-// lets the barrier replay rewind the FIBs to their start-of-window state
-// and step them forward change by change — observers that walk forwarding
-// tables (path sampling) then see exactly the intermediate states a
-// sequential run would have.
-type obsEvent struct {
-	kind    uint8
-	removed bool
-	reason  DropReason
-	node    NodeID // route: node; dropped: losing node
+// routeEvent is one buffered RouteChanged callback, 32 bytes. prev, the
+// entry's previous next hop, lets the barrier replay rewind the FIBs to
+// their start-of-window state and step them forward change by change, so
+// observers that walk forwarding tables (path sampling) see the intermediate
+// states a sequential run would have. seq is the event's position among its
+// shard's buffered events, route and packet, in execution order.
+type routeEvent struct {
+	at      time.Duration
+	node    NodeID
 	dst     NodeID
 	nh      NodeID
-	prev    NodeID // route: the entry's value before the change
-	at      time.Duration
-	pkt     Packet
+	prev    NodeID // the entry's value before the change
+	seq     uint32
+	removed bool
+}
+
+// pktEvent is one buffered PacketDelivered or PacketDropped callback
+// (reason 0: delivered). The packet is snapshotted by value: a dropped
+// control packet's pooled payload may be recycled before the replay, but the
+// scalar fields observers read stay intact.
+type pktEvent struct {
+	at     time.Duration
+	seq    uint32
+	reason DropReason
+	where  NodeID // dropped: the losing node
+	pkt    Packet
 }
 
 // obsRef locates one buffered observer event: shard index and position in
-// that shard's buffer. The barrier replay materializes the k-way merge as
-// a slice of refs so it can walk the window's events in both directions.
+// that shard's routes (or, when pkt is set, pkts). The barrier replay
+// materializes the k-way merge as a slice of refs so it can walk the
+// window's events in both directions.
 type obsRef struct {
 	shard, idx int32
+	pkt        bool
 }
 
 // ctx returns the execution context for an action on the node right now:
@@ -141,15 +152,20 @@ func (ex *exec) serialization(size int) time.Duration {
 	return d
 }
 
-// routeChanged raises or buffers the RouteChanged observer callback. prev
-// is the FIB entry's value before the change (noRoute if absent), recorded
-// for the barrier replay's rewind; the root context ignores it.
+// routeChanged raises, buffers or just counts the RouteChanged callback.
+// prev is the FIB entry's value before the change (noRoute if absent),
+// recorded for the barrier replay's rewind; the root context ignores it.
 func (ex *exec) routeChanged(at time.Duration, node, dst, nextHop, prev NodeID, removed bool) {
 	if ex.id < 0 {
 		ex.net.observer.RouteChanged(at, node, dst, nextHop, removed)
 		return
 	}
-	ex.events = append(ex.events, obsEvent{kind: obsRoute, at: at, node: node, dst: dst, nh: nextHop, prev: prev, removed: removed})
+	if ex.watch != nil && !ex.watch[dst] {
+		ex.elided++
+		ex.elidedAt = at // a shard's clock never runs backwards
+		return
+	}
+	ex.routes = append(ex.routes, routeEvent{at: at, node: node, dst: dst, nh: nextHop, prev: prev, seq: uint32(len(ex.routes) + len(ex.pkts)), removed: removed})
 }
 
 // packetDelivered raises or buffers the PacketDelivered observer callback.
@@ -158,7 +174,7 @@ func (ex *exec) packetDelivered(at time.Duration, pkt *Packet) {
 		ex.net.observer.PacketDelivered(at, pkt)
 		return
 	}
-	ex.events = append(ex.events, obsEvent{kind: obsDelivered, at: at, pkt: *pkt})
+	ex.pkts = append(ex.pkts, pktEvent{at: at, seq: uint32(len(ex.routes) + len(ex.pkts)), pkt: *pkt})
 }
 
 // packetDropped raises or buffers the PacketDropped observer callback.
@@ -167,7 +183,20 @@ func (ex *exec) packetDropped(at time.Duration, where NodeID, pkt *Packet, reaso
 		ex.net.observer.PacketDropped(at, where, pkt, reason)
 		return
 	}
-	ex.events = append(ex.events, obsEvent{kind: obsDropped, at: at, node: where, reason: reason, pkt: *pkt})
+	ex.pkts = append(ex.pkts, pktEvent{at: at, seq: uint32(len(ex.routes) + len(ex.pkts)), reason: reason, where: where, pkt: *pkt})
+}
+
+// head returns the time of the shard's next unreplayed buffered event, and
+// whether it is a packet event.
+func (ex *exec) head() (at time.Duration, pkt, ok bool) {
+	r, p := ex.routeAt < len(ex.routes), ex.pktAt < len(ex.pkts)
+	switch {
+	case r && (!p || ex.routes[ex.routeAt].seq < ex.pkts[ex.pktAt].seq):
+		return ex.routes[ex.routeAt].at, false, true
+	case p:
+		return ex.pkts[ex.pktAt].at, true, true
+	}
+	return 0, false, false
 }
 
 // releasePooled returns a packet's pooled payload to its owner's free
@@ -228,7 +257,21 @@ func (n *Network) EnableSharding(assign []int32, k int) {
 		}
 		nd.exec = n.shards[s]
 	}
-	n.obsIdx = make([]int, k)
+	if f, ok := n.observer.(RouteFilter); ok {
+		// Resolved once into a dense mask: one load per route change.
+		watch := make([]bool, len(n.nodes))
+		all := true
+		for d := range watch {
+			watch[d] = f.WatchesRoutes(NodeID(d))
+			all = all && watch[d]
+		}
+		if !all {
+			n.filter = f
+			for _, ex := range n.shards {
+				ex.watch = watch
+			}
+		}
+	}
 	n.drainIdx = make([]int, k)
 	n.Links() // prebuild the cached link list before goroutines exist
 	n.coord = sim.NewCoordinator(sims)
@@ -312,76 +355,97 @@ func (n *Network) flushWindow(t time.Duration) {
 	n.drainOutboxes()
 }
 
-// flushObs replays every buffered observer event, k-way merged across
-// shards by (time, shard). Within one shard the buffer is already in
+// flushObs replays the window's buffered observer events, then reports in
+// bulk the route changes the observer does not watch (counted per shard,
+// never buffered); their latest may predate the last replayed event.
+func (n *Network) flushObs() {
+	n.replayObs()
+	if n.filter == nil {
+		return
+	}
+	elided, last := 0, time.Duration(0)
+	for _, ex := range n.shards {
+		if ex.elided > 0 && ex.elidedAt > last {
+			last = ex.elidedAt
+		}
+		elided += ex.elided
+		ex.elided = 0
+	}
+	if elided > 0 {
+		n.filter.RoutesElided(elided, last)
+	}
+}
+
+// replayObs replays every buffered observer event, k-way merged across
+// shards by (time, shard). Within one shard the buffers are already in
 // execution order.
 //
 // Replay is rewind-then-step: the merged sequence is first walked
 // backwards restoring each changed FIB entry to its pre-change value, then
 // forwards re-applying every change just before its observer callback
 // fires. Observers that walk forwarding tables (the trace collector's
-// path sampler) therefore see the exact intermediate FIB state at each
-// event's timestamp — not the end-of-window state the shards left behind —
-// and the walk matches a sequential run's, because link up/down state only
-// changes at barriers and is constant within the window. The forward pass
-// ends with every entry back at its end-of-window value.
-func (n *Network) flushObs() {
-	for i := range n.obsIdx {
-		n.obsIdx[i] = 0
-	}
+// path sampler) therefore see the exact intermediate state of every watched
+// entry at each event's timestamp — not the end-of-window state the shards
+// left behind — and the walk matches a sequential run's, because link
+// up/down state only changes at barriers and is constant within the window.
+// Unwatched entries keep their end-of-window value; a walk toward a watched
+// destination never reads them. The forward pass ends with every entry back
+// at its end-of-window value.
+func (n *Network) replayObs() {
 	n.obsSeq = n.obsSeq[:0]
 	for {
-		best := -1
+		var best *exec
 		var bestAt time.Duration
-		for si, ex := range n.shards {
-			i := n.obsIdx[si]
-			if i >= len(ex.events) {
-				continue
-			}
-			if at := ex.events[i].at; best < 0 || at < bestAt {
-				best, bestAt = si, at
+		var bestPkt bool
+		for _, ex := range n.shards {
+			if at, pkt, ok := ex.head(); ok && (best == nil || at < bestAt) {
+				best, bestAt, bestPkt = ex, at, pkt
 			}
 		}
-		if best < 0 {
+		if best == nil {
 			break
 		}
-		n.obsSeq = append(n.obsSeq, obsRef{shard: int32(best), idx: int32(n.obsIdx[best])})
-		n.obsIdx[best]++
+		if bestPkt {
+			n.obsSeq = append(n.obsSeq, obsRef{shard: best.id, idx: int32(best.pktAt), pkt: true})
+			best.pktAt++
+		} else {
+			n.obsSeq = append(n.obsSeq, obsRef{shard: best.id, idx: int32(best.routeAt)})
+			best.routeAt++
+		}
+	}
+	if len(n.obsSeq) == 0 {
+		return
 	}
 	for i := len(n.obsSeq) - 1; i >= 0; i-- {
-		r := n.obsSeq[i]
-		e := &n.shards[r.shard].events[r.idx]
-		if e.kind == obsRoute {
+		if r := n.obsSeq[i]; !r.pkt {
+			e := &n.shards[r.shard].routes[r.idx]
 			n.nodes[e.node].fibSet(e.dst, e.prev)
 		}
 	}
 	for _, r := range n.obsSeq {
-		e := &n.shards[r.shard].events[r.idx]
-		switch e.kind {
-		case obsRoute:
-			nh := e.nh
-			if e.removed {
-				nh = noRoute
+		if r.pkt {
+			e := &n.shards[r.shard].pkts[r.idx]
+			if e.reason == 0 {
+				n.observer.PacketDelivered(e.at, &e.pkt)
+			} else {
+				n.observer.PacketDropped(e.at, e.where, &e.pkt, e.reason)
 			}
-			n.nodes[e.node].fibSet(e.dst, nh)
-			n.observer.RouteChanged(e.at, e.node, e.dst, e.nh, e.removed)
-		case obsDelivered:
-			n.observer.PacketDelivered(e.at, &e.pkt)
-		case obsDropped:
-			n.observer.PacketDropped(e.at, e.node, &e.pkt, e.reason)
+			continue
 		}
+		e := &n.shards[r.shard].routes[r.idx]
+		nh := e.nh
+		if e.removed {
+			nh = noRoute
+		}
+		n.nodes[e.node].fibSet(e.dst, nh)
+		n.observer.RouteChanged(e.at, e.node, e.dst, e.nh, e.removed)
 	}
 	for _, ex := range n.shards {
-		clearObsEvents(ex.events)
-		ex.events = ex.events[:0]
-	}
-}
-
-// clearObsEvents zeroes replayed events so buffered packet snapshots do
-// not pin payloads or hop traces past the barrier.
-func clearObsEvents(evs []obsEvent) {
-	for i := range evs {
-		evs[i] = obsEvent{}
+		// Packet snapshots must not pin payloads or hop traces past the
+		// barrier; route events hold no pointers.
+		clear(ex.pkts)
+		ex.routes, ex.pkts = ex.routes[:0], ex.pkts[:0]
+		ex.routeAt, ex.pktAt = 0, 0
 	}
 }
 
@@ -479,6 +543,7 @@ func (n *Network) FinishSharding() {
 	}
 	n.shards = nil
 	n.assign = nil
+	n.filter = nil
 	for _, nd := range n.nodes {
 		nd.exec = n.root
 	}

@@ -1,8 +1,12 @@
 package netsim
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"routeconv/internal/sim"
 )
@@ -73,5 +77,180 @@ func TestShardedCrossTrafficAllocs(t *testing.T) {
 	net.FinishSharding()
 	if got := net.Stats().DataDelivered; got < runs {
 		t.Fatalf("delivered %d packets across the shard cut, want ≥ %d", got, runs)
+	}
+}
+
+// A full-trace sharded run buffers one record per FIB change — tens of
+// millions per window-heavy trial — so the record must stay two to a cache
+// line and free of pointers (nothing to zero after replay).
+func TestRouteEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(routeEvent{}); got != 32 {
+		t.Errorf("routeEvent is %d bytes, want 32", got)
+	}
+}
+
+// routeFlipper is an allocation-free source of route changes: every period
+// it points node's entry for dst at the other of two neighbors.
+type routeFlipper struct {
+	node   *Node
+	dst    NodeID
+	via    [2]NodeID
+	period time.Duration
+	n      int
+}
+
+func (f *routeFlipper) HandleEvent(int32, any) {
+	f.n++
+	f.node.SetRoute(f.dst, f.via[f.n%2])
+	f.node.Sim().ScheduleHandler(f.period, f, 0, nil)
+}
+
+// elidingObserver watches route changes toward one destination only and
+// counts what a sharded run reports in bulk instead.
+type elidingObserver struct {
+	recorder
+	watched NodeID
+	elided  int
+	last    time.Duration
+}
+
+func (o *elidingObserver) WatchesRoutes(dst NodeID) bool { return dst == o.watched }
+func (o *elidingObserver) RoutesElided(n int, last time.Duration) {
+	o.elided += n
+	if last > o.last {
+		o.last = last
+	}
+}
+
+// Route changes nobody watches must cost a sharded window nothing: they are
+// counted on the shard, never buffered, and reported once per barrier. Two
+// flippers (one per shard) rewrite entries toward unwatched destinations
+// ten times per window; the route buffers never come into existence and the
+// barrier stays allocation-free, while the observer still learns the exact
+// count and the time of the latest change.
+func TestShardedElidedRoutesAllocs(t *testing.T) {
+	s := sim.New(1)
+	o := &elidingObserver{watched: 3}
+	net := New(s, DefaultConfig(), o)
+	for i := 0; i < 4; i++ {
+		net.AddNode()
+	}
+	for i := 0; i < 3; i++ {
+		net.Connect(NodeID(i), NodeID(i+1))
+	}
+	net.EnableSharding([]int32{0, 0, 1, 1}, 2)
+	net.Start()
+	const period = 100 * time.Microsecond
+	flippers := []*routeFlipper{
+		{node: net.Node(1), dst: 0, via: [2]NodeID{0, 2}, period: period},
+		{node: net.Node(2), dst: 1, via: [2]NodeID{1, 3}, period: period},
+	}
+	for i, f := range flippers {
+		f.node.Sim().ScheduleHandlerAt(time.Duration(i+1)*period/4, f, 0, nil)
+	}
+	cur := time.Duration(0)
+	advance := func() {
+		cur += time.Millisecond
+		net.RunSharded(cur)
+	}
+	for i := 0; i < 16; i++ {
+		advance()
+	}
+	if avg := testing.AllocsPerRun(1000, advance); avg != 0 {
+		t.Errorf("a sharded window of unwatched route changes allocates %.1f objects, want 0", avg)
+	}
+	for _, ex := range net.shards {
+		if cap(ex.routes) != 0 || cap(ex.pkts) != 0 {
+			t.Errorf("shard %d buffered observer events (cap %d routes, %d packets) though nothing was watched",
+				ex.id, cap(ex.routes), cap(ex.pkts))
+		}
+	}
+	net.FinishSharding()
+	if want := flippers[0].n + flippers[1].n; o.elided != want || o.routes != 0 {
+		t.Errorf("observer saw %d elided and %d individual route changes, want %d and 0", o.elided, o.routes, want)
+	}
+	// The last flip fired at or just before the final barrier.
+	if o.last <= cur-period || o.last > cur {
+		t.Errorf("latest elided change reported at %v, want within (%v, %v]", o.last, cur-period, cur)
+	}
+}
+
+// routeLog records every observer callback with the forwarding state it
+// can see at that moment.
+type routeLog struct {
+	net *Network
+	log []string
+}
+
+func (r *routeLog) RouteChanged(at time.Duration, node, dst, nh NodeID, removed bool) {
+	cur, ok := r.net.Node(node).NextHop(dst)
+	path, walkOK := r.net.WalkPath(0, 3)
+	r.log = append(r.log, fmt.Sprintf("%v route %d->%d via %d removed=%v fib=(%d,%v) walk=%v/%v",
+		at, node, dst, nh, removed, cur, ok, path, walkOK))
+}
+
+func (r *routeLog) PacketDelivered(at time.Duration, pkt *Packet) {
+	r.log = append(r.log, fmt.Sprintf("%v delivered %d->%d hops=%d", at, pkt.Src, pkt.Dst, pkt.HopCount))
+}
+
+func (r *routeLog) PacketDropped(at time.Duration, where NodeID, pkt *Packet, reason DropReason) {
+	r.log = append(r.log, fmt.Sprintf("%v dropped at %d: %v", at, where, reason))
+}
+
+// An observer that declares no route interest is owed the old contract in
+// full: under sharding it receives every route, delivery and drop event in
+// merged time order, each against the forwarding state of its instant
+// (rewind-replay) — the same log a sequential run of the same schedule
+// writes. The schedule packs route changes on both shards, a delivery and a
+// no-route drop into single windows.
+func TestShardedUnfilteredObserverSeesEverything(t *testing.T) {
+	run := func(sharded bool) []string {
+		s := sim.New(1)
+		rec := &routeLog{}
+		net := New(s, DefaultConfig(), rec)
+		rec.net = net
+		for i := 0; i < 4; i++ {
+			net.AddNode()
+		}
+		for i := 0; i < 3; i++ {
+			net.Connect(NodeID(i), NodeID(i+1))
+		}
+		if sharded {
+			net.EnableSharding([]int32{0, 0, 1, 1}, 2)
+		}
+		net.Start()
+		const us = time.Microsecond
+		at := func(node NodeID, t time.Duration, fn func(nd *Node)) {
+			nd := net.Node(node)
+			nd.Sim().ScheduleAt(t, func() { fn(nd) })
+		}
+		at(0, 100*us, func(nd *Node) { nd.SetRoute(3, 1) })
+		at(2, 150*us, func(nd *Node) { nd.SetRoute(3, 3) })
+		at(1, 200*us, func(nd *Node) { nd.SetRoute(3, 2) }) // walk 0→3 completes
+		at(2, 250*us, func(nd *Node) { nd.SetRoute(0, 1) })
+		at(0, 300*us, func(nd *Node) { nd.SendData(3, 100, 64) })
+		at(1, 350*us, func(nd *Node) { nd.ClearRoute(3) }) // walk breaks again
+		at(3, 400*us, func(nd *Node) { nd.SetRoute(0, 2) })
+		at(1, 450*us, func(nd *Node) { nd.SetRoute(3, 2) })
+		at(2, 5000*us, func(nd *Node) { nd.ClearRoute(3) })
+		at(3, 5050*us, func(nd *Node) { nd.SetRoute(1, 2) })
+		at(1, 5100*us, func(nd *Node) { nd.SendData(3, 100, 64) }) // dropped at 2: no route
+		at(2, 7000*us, func(nd *Node) { nd.SetRoute(3, 3) })
+		if sharded {
+			net.RunSharded(10 * time.Millisecond)
+			net.FinishSharding()
+		} else {
+			s.RunUntil(10 * time.Millisecond)
+		}
+		return rec.log
+	}
+	want, got := run(false), run(true)
+	if len(want) != 12 {
+		t.Fatalf("sequential run logged %d events, want 12 (10 route changes, a delivery, a drop):\n%s",
+			len(want), strings.Join(want, "\n"))
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("sharded observer log differs from sequential:\n seq:\n%s\n sharded:\n%s",
+			strings.Join(want, "\n"), strings.Join(got, "\n"))
 	}
 }

@@ -67,7 +67,8 @@ type Collector struct {
 	src, dst netsim.NodeID
 
 	// compact drops the per-event RouteChanges record, keeping only the
-	// count and the time of the last change (see SetCompact).
+	// count and the time of the last change (see SetCompact), and narrows
+	// the collector's netsim.RouteFilter to its own destination.
 	compact         bool
 	routeChangeN    int
 	lastRouteChange time.Duration
@@ -96,7 +97,7 @@ type Collector struct {
 	Drops        []Drop
 }
 
-var _ netsim.Observer = (*Collector)(nil)
+var _ netsim.RouteFilter = (*Collector)(nil)
 
 // NewCollector returns a collector for the flow src→dst.
 func NewCollector(src, dst netsim.NodeID) *Collector {
@@ -111,6 +112,21 @@ func NewCollector(src, dst netsim.NodeID) *Collector {
 // full record. Path sampling, deliveries and drops are unaffected.
 func (c *Collector) SetCompact(on bool) { c.compact = on }
 
+// WatchesRoutes implements netsim.RouteFilter. The full record needs every
+// route change; a compact collector only counts them, except those toward
+// its own destination, which re-sample the forwarding walk — and that walk
+// reads no entry for any other destination.
+func (c *Collector) WatchesRoutes(dst netsim.NodeID) bool { return !c.compact || dst == c.dst }
+
+// RoutesElided implements netsim.RouteFilter: n route changes happened
+// without a RouteChanged call, the latest of them at time last.
+func (c *Collector) RoutesElided(n int, last time.Duration) {
+	c.routeChangeN += n
+	if last > c.lastRouteChange {
+		c.lastRouteChange = last
+	}
+}
+
 // NumRouteChanges returns the number of route changes observed, in either
 // mode.
 func (c *Collector) NumRouteChanges() int { return c.routeChangeN }
@@ -119,6 +135,10 @@ func (c *Collector) NumRouteChanges() int { return c.routeChangeN }
 // before any event fires, because path sampling walks the network's
 // forwarding tables.
 func (c *Collector) SetNetwork(n *netsim.Network) { c.net = n }
+
+// Network returns the observed network (nil before SetNetwork), so that a
+// trace's reader can inspect the end-of-run link and forwarding state.
+func (c *Collector) Network() *netsim.Network { return c.net }
 
 // Flow returns the observed sender and receiver.
 func (c *Collector) Flow() (src, dst netsim.NodeID) { return c.src, c.dst }

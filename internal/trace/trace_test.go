@@ -185,3 +185,40 @@ func TestControlDropsExcluded(t *testing.T) {
 type sizeMsg struct{}
 
 func (sizeMsg) SizeBytes() int { return 100 }
+
+// A compact collector declares, through netsim.RouteFilter, that it needs
+// only its own destination's route changes one by one; a full-record
+// collector needs them all. What a sharded run then reports in bulk must add
+// to the count and can only move the last-change time forwards: the latest
+// elided change of a window may be older than a watched change already
+// delivered from the same window.
+func TestRouteFilterAndElidedFold(t *testing.T) {
+	full := NewCollector(0, 2)
+	for dst := netsim.NodeID(0); dst < 3; dst++ {
+		if !full.WatchesRoutes(dst) {
+			t.Errorf("full-record collector does not watch destination %d", dst)
+		}
+	}
+	c := NewCollector(0, 2)
+	c.SetCompact(true)
+	for dst := netsim.NodeID(0); dst < 3; dst++ {
+		if got, want := c.WatchesRoutes(dst), dst == 2; got != want {
+			t.Errorf("compact collector watches destination %d = %v, want %v", dst, got, want)
+		}
+	}
+	c.RouteChanged(7*time.Second, 1, 2, 2, false)
+	c.RoutesElided(40, 5*time.Second) // same window, older than the watched change
+	if got := c.NumRouteChanges(); got != 41 {
+		t.Errorf("NumRouteChanges = %d, want 41", got)
+	}
+	if got := c.RoutingConvergence(time.Second); got != 6*time.Second {
+		t.Errorf("RoutingConvergence = %v after an older elided batch, want 6s", got)
+	}
+	c.RoutesElided(2, 9*time.Second)
+	if got := c.RoutingConvergence(time.Second); got != 8*time.Second {
+		t.Errorf("RoutingConvergence = %v after a newer elided batch, want 8s", got)
+	}
+	if got := c.NumRouteChanges(); got != 43 {
+		t.Errorf("NumRouteChanges = %d, want 43", got)
+	}
+}
