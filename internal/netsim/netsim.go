@@ -494,6 +494,7 @@ func (n *Network) drop(ex *exec, where NodeID, pkt *Packet, reason DropReason) {
 	}
 	ex.packetDropped(ex.sim.Now(), where, pkt, reason)
 	ex.releasePooled(pkt)
+	ex.recycle(pkt)
 }
 
 func insertSorted(s []NodeID, v NodeID) []NodeID {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -33,10 +34,12 @@ type testMsg struct{ size int }
 
 func (m testMsg) SizeBytes() int { return m.size }
 
-// recorder captures observer events.
+// recorder captures observer events. Packets are only valid during the
+// callback (the network recycles them), so deliveries are kept by value with
+// their own copy of the hop trace.
 type recorder struct {
 	NopObserver
-	delivered []*Packet
+	delivered []Packet
 	deliverAt []time.Duration
 	drops     []DropReason
 	dropAt    []NodeID
@@ -44,7 +47,9 @@ type recorder struct {
 }
 
 func (r *recorder) PacketDelivered(at time.Duration, pkt *Packet) {
-	r.delivered = append(r.delivered, pkt)
+	cp := *pkt
+	cp.Trace = slices.Clone(pkt.Trace)
+	r.delivered = append(r.delivered, cp)
 	r.deliverAt = append(r.deliverAt, at)
 }
 

@@ -292,15 +292,10 @@ func (nd *Node) SendControl(to NodeID, msg Message) {
 		panic(fmt.Sprintf("netsim: node %d: SendControl to non-neighbor %d", nd.id, to))
 	}
 	ex := nd.ctx()
-	pkt := &Packet{
-		ID:      ex.nextID,
-		Src:     nd.id,
-		Dst:     to,
-		Size:    msg.SizeBytes(),
-		Payload: msg,
-		Created: ex.sim.Now(),
-	}
-	ex.nextID++
+	pkt := ex.newPacket()
+	pkt.Src, pkt.Dst = nd.id, to
+	pkt.Size = msg.SizeBytes()
+	pkt.Payload = msg
 	ex.stats.ControlSent++
 	ex.stats.ControlBytes += uint64(pkt.Size)
 	ex.met.Inc(obs.ControlSent)
@@ -312,15 +307,10 @@ func (nd *Node) SendControl(to NodeID, msg Message) {
 // according to the node's FIB.
 func (nd *Node) SendData(dst NodeID, size, ttl int) {
 	ex := nd.ctx()
-	pkt := &Packet{
-		ID:      ex.nextID,
-		Src:     nd.id,
-		Dst:     dst,
-		TTL:     ttl,
-		Size:    size,
-		Created: ex.sim.Now(),
-	}
-	ex.nextID++
+	pkt := ex.newPacket()
+	pkt.Src, pkt.Dst = nd.id, dst
+	pkt.TTL = ttl
+	pkt.Size = size
 	ex.stats.DataSent++
 	ex.met.Inc(obs.PacketsSent)
 	ex.met.PacketIn()
@@ -340,6 +330,7 @@ func (nd *Node) receive(from NodeID, pkt *Packet) {
 			nd.proto.HandleMessage(from, pkt.Payload)
 		}
 		ex.releasePooled(pkt)
+		ex.recycle(pkt)
 		return
 	}
 	pkt.HopCount++
@@ -351,6 +342,7 @@ func (nd *Node) receive(from NodeID, pkt *Packet) {
 		ex.met.Inc(obs.PacketsDelivered)
 		ex.met.PacketOut()
 		ex.packetDelivered(ex.sim.Now(), pkt)
+		ex.recycle(pkt)
 		return
 	}
 	pkt.TTL--

@@ -84,6 +84,11 @@ type PooledMessage interface {
 
 // Packet is a unit of transmission, either a data packet or a link-local
 // control packet carrying a routing Message.
+//
+// The network owns every packet and recycles it the moment its flight ends
+// — delivered, consumed by the receiving protocol, or dropped — so a
+// *Packet handed to an Observer or seen by model code is valid only for the
+// duration of that call. Copy the struct, and clone Trace, to keep anything.
 type Packet struct {
 	// ID is unique per network, in send order.
 	ID uint64
@@ -108,7 +113,9 @@ type Packet struct {
 func (p *Packet) Control() bool { return p.Payload != nil }
 
 // Observer receives simulation events. All methods are called synchronously
-// from the event loop; implementations must not retain the packet.
+// from the event loop. Implementations must not retain the packet, nor its
+// Trace slice or Payload, past the call: the packet is zeroed and reused for
+// a later send as soon as the callback returns (see Packet).
 type Observer interface {
 	// RouteChanged fires when a node's forwarding entry for dst changes.
 	// removed means the entry was deleted; otherwise nextHop is the new

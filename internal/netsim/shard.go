@@ -43,6 +43,10 @@ type exec struct {
 	// nextID is the packet ID sequence. Per-shard spaces overlap; nothing
 	// semantic reads Packet.ID.
 	nextID uint64
+	// pktFree is the context's Packet free list: packets whose flight ended
+	// here (delivered, consumed by a protocol, or dropped), zeroed and ready
+	// for the next send. Only the goroutine running the context touches it.
+	pktFree []*Packet
 	// serCache memoizes serialization delay per shard so shards never
 	// write shared memory mid-window.
 	serCache []time.Duration
@@ -130,6 +134,38 @@ func (nd *Node) ctx() *exec {
 		return nd.exec
 	}
 	return nd.net.root
+}
+
+// pktFreeMax bounds a context's free list. A shard that only ever receives
+// a flow recycles packets another shard allocated; past the bound they are
+// left to the garbage collector instead of accumulating.
+const pktFreeMax = 4096
+
+// newPacket returns a zeroed packet, from the free list when it has one,
+// stamped with the context's next ID and the current time.
+func (ex *exec) newPacket() *Packet {
+	var pkt *Packet
+	if n := len(ex.pktFree); n > 0 {
+		pkt = ex.pktFree[n-1]
+		ex.pktFree = ex.pktFree[:n-1]
+	} else {
+		pkt = new(Packet)
+	}
+	pkt.ID = ex.nextID
+	ex.nextID++
+	pkt.Created = ex.sim.Now()
+	return pkt
+}
+
+// recycle ends a packet's life: called once its flight is over, after the
+// observer callbacks and the payload's release. The struct is zeroed, so
+// the hop trace's storage is dropped, not reused — the by-value snapshots
+// buffered for a barrier replay (pktEvent) keep theirs.
+func (ex *exec) recycle(pkt *Packet) {
+	*pkt = Packet{}
+	if len(ex.pktFree) < pktFreeMax {
+		ex.pktFree = append(ex.pktFree, pkt)
+	}
 }
 
 // serialization returns the time to clock size bytes onto a link,

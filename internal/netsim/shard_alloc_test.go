@@ -51,8 +51,10 @@ func TestShardedQuietWindowAllocs(t *testing.T) {
 	}
 }
 
-// Steady-state cross-shard forwarding must cost exactly what sequential
-// forwarding costs: one object per packet, the Packet itself. The
+// Steady-state cross-shard forwarding must cost at most one object per
+// packet, the Packet itself: a one-way flow is allocated on the sending
+// shard and recycled into the receiving shard's free list (bounded by
+// pktFreeMax), so it is the one path the free lists do not close. The
 // per-pair outboxes, the barrier hand-off into the destination shard,
 // and the buffered observer events all reuse warmed storage.
 func TestShardedCrossTrafficAllocs(t *testing.T) {
@@ -252,5 +254,53 @@ func TestShardedUnfilteredObserverSeesEverything(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("sharded observer log differs from sequential:\n seq:\n%s\n sharded:\n%s",
 			strings.Join(want, "\n"), strings.Join(got, "\n"))
+	}
+}
+
+// traceLog records the hop trace each delivery shows its observer.
+type traceLog struct {
+	NopObserver
+	traces []string
+}
+
+func (l *traceLog) PacketDelivered(_ time.Duration, pkt *Packet) {
+	l.traces = append(l.traces, fmt.Sprint(pkt.Trace))
+}
+
+// A sharded window buffers each observer callback's packet by value and
+// replays it at the barrier — by which time the packet itself may have been
+// recycled and sent again. The snapshot must keep its own hop trace: a
+// packet delivered at node 2 is reused 40 µs later, inside the same window,
+// for a send in the opposite direction, and the first delivery must still
+// replay with the path it took.
+func TestShardedSnapshotKeepsTraceAfterRecycle(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RecordHops = true
+	rec := &traceLog{}
+	net := New(sim.New(1), cfg, rec)
+	for i := 0; i < 4; i++ {
+		net.AddNode()
+	}
+	for i := 0; i < 3; i++ {
+		net.Connect(NodeID(i), NodeID(i+1))
+	}
+	net.EnableSharding([]int32{0, 0, 0, 1}, 2)
+	net.Node(0).SetRoute(2, 1)
+	net.Node(1).SetRoute(2, 2)
+	net.Node(2).SetRoute(0, 1)
+	net.Node(1).SetRoute(0, 0)
+	net.Start()
+	const us = time.Microsecond
+	// 100 bytes: 80 µs on the wire, 1 ms propagation, so 0→2 arrives at 2160 µs.
+	net.Node(0).Sim().ScheduleAt(0, func() { net.Node(0).SendData(2, 100, 64) })
+	net.Node(2).Sim().ScheduleAt(2200*us, func() { net.Node(2).SendData(0, 100, 64) })
+	net.RunSharded(10 * time.Millisecond)
+	shard := net.shards[0]
+	net.FinishSharding()
+	if want := []string{"[0 1 2]", "[2 1 0]"}; !reflect.DeepEqual(rec.traces, want) {
+		t.Errorf("replayed delivery traces %v, want %v", rec.traces, want)
+	}
+	if got := len(shard.pktFree); got != 1 {
+		t.Errorf("shard free list holds %d packets, want 1 (the second send must reuse the first packet)", got)
 	}
 }

@@ -41,6 +41,46 @@ func TestCancelRecyclesSlots(t *testing.T) {
 	}
 }
 
+// Cancelling everything from inside a handler — while the firing event's
+// root entry is only marked vacated — must leave an empty heap and every
+// slot free once the step returns, whether or not the handler also
+// scheduled into the vacated root first.
+func TestCancelEverythingWithDeferredRoot(t *testing.T) {
+	for _, scheduleFirst := range []bool{false, true} {
+		s := New(1)
+		events := make([]Event, 50)
+		s.Schedule(0, func() {
+			if scheduleFirst {
+				events = append(events, s.Schedule(time.Millisecond, func() { t.Error("cancelled successor fired") }))
+			}
+			if got, want := s.Pending(), len(events); got != want {
+				t.Errorf("Pending() = %d inside the handler, want %d (the firing event is not pending)", got, want)
+			}
+			for i, e := range events {
+				e.Cancel()
+				if got, want := s.Pending(), len(events)-i-1; got != want {
+					t.Fatalf("Pending() = %d after %d cancels inside the handler, want %d", got, i+1, want)
+				}
+			}
+		})
+		for i := range events {
+			events[i] = s.Schedule(time.Duration(i%7+1)*time.Second, func() { t.Error("cancelled event fired") })
+		}
+		if !s.Step() {
+			t.Fatal("nothing fired")
+		}
+		if len(s.heap) != 0 || s.vacant {
+			t.Errorf("scheduleFirst=%v: heap holds %d entries (vacant=%v) after cancelling everything", scheduleFirst, len(s.heap), s.vacant)
+		}
+		if len(s.free) != len(s.slots) {
+			t.Errorf("scheduleFirst=%v: %d of %d slots free", scheduleFirst, len(s.free), len(s.slots))
+		}
+		if s.Step() {
+			t.Errorf("scheduleFirst=%v: an event fired from an empty queue", scheduleFirst)
+		}
+	}
+}
+
 // A handle whose slot has been recycled by a later event must be inert:
 // its Cancel must not touch the new tenant.
 func TestStaleHandleIsInert(t *testing.T) {
@@ -66,8 +106,8 @@ func TestStaleHandleIsInert(t *testing.T) {
 }
 
 // Cancelling events out of order exercises heapRemove's interior-deletion
-// path (swap with last, sift both ways); the survivors must still fire in
-// time order.
+// path (the last leaf takes the hole and sifts whichever way it must); the
+// survivors must still fire in time order.
 func TestCancelInteriorKeepsOrder(t *testing.T) {
 	s := New(1)
 	const n = 64

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -32,6 +33,34 @@ func BenchmarkEngineDepth(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Schedule(time.Duration(s.Rand().Int63n(int64(time.Second))), fn)
+				s.Step()
+			}
+		})
+	}
+}
+
+// holdChain is BenchmarkEngineHold's event: each firing schedules its one
+// successor a millisecond ahead.
+type holdChain struct{ s *Simulator }
+
+func (c *holdChain) HandleEvent(int32, any) { c.s.ScheduleHandler(time.Millisecond, c, 0, nil) }
+
+// BenchmarkEngineHold measures the pattern trials actually have, which
+// BenchmarkEngineDepth's uniform draws never produce: N far-future protocol
+// timers resident at the heap's leaves while one chain of events fires,
+// each scheduling a near-term successor from inside its handler (a packet's
+// serialization scheduling its propagation, a CBR tick scheduling the next).
+func BenchmarkEngineHold(b *testing.B) {
+	for _, resident := range []int{64, 256} {
+		b.Run(fmt.Sprintf("resident%d", resident), func(b *testing.B) {
+			s := New(1)
+			for i := 0; i < resident; i++ {
+				s.Schedule(1000*time.Hour+time.Duration(i)*time.Second, func() {})
+			}
+			s.ScheduleHandler(0, &holdChain{s}, 0, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				s.Step()
 			}
 		})

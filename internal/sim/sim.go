@@ -8,9 +8,27 @@
 //
 // The engine is allocation-free in steady state: events live in a pooled
 // arena whose slots are recycled through a free list as events fire or are
-// cancelled, ordered by an inlined 4-ary index heap. Hot-path model code
-// should prefer ScheduleHandler over Schedule — a typed event carries its
-// receiver and payload in the slot itself, where a closure would allocate.
+// cancelled. The queue is a 4-ary min-heap whose entries carry their own
+// (time, sequence) key next to the slot index, so sift comparisons never
+// leave the heap array, and sifts move a hole rather than swapping. Because
+// (time, sequence) is a strict total order, the firing sequence is a
+// property of the schedule alone, not of the heap's shape.
+//
+// Step defers the removal of the event it fires: the root is only marked
+// vacated while the handler runs. A simulation's dominant pattern is an
+// event scheduling its own near-term successor (a packet's serialization
+// scheduling its propagation, a traffic tick scheduling the next), and that
+// successor drops straight into the vacated root and sifts down a level or
+// two — instead of a far-future timer being dragged from the last leaf to
+// the root and back, and the successor then sifting up past it. Only when
+// the handler schedules nothing, or something reads the heap's head first
+// (NextEventTime, a nested run), is the root filled the classic way from
+// the last leaf. Cancel works around the hole: the fired event's stale
+// entry still holds the minimum key, so the array stays a valid heap.
+//
+// Hot-path model code should prefer ScheduleHandler over Schedule — a typed
+// event carries its receiver and payload in the slot itself, where a
+// closure would allocate.
 package sim
 
 import (
@@ -36,19 +54,32 @@ const (
 	slotFired
 )
 
-// eventSlot is one arena entry. Slots are recycled through the free list;
-// gen distinguishes a slot's successive tenants so stale Event handles
-// cannot affect a later event that happens to reuse their slot.
+// eventSlot is one arena entry: an event's payload and its position in the
+// heap (its key lives in the heap entry). Slots are recycled through the
+// free list; gen distinguishes a slot's successive tenants so stale Event
+// handles cannot affect a later event that happens to reuse their slot.
 type eventSlot struct {
-	at    time.Duration
-	seq   uint64
 	fn    func()
 	h     Handler
 	data  any
 	kind  int32
 	gen   uint32
-	pos   int32 // index in the heap; -1 once removed
+	pos   int32 // index in the heap, while pending
 	state uint8
+}
+
+// heapEntry is one queued event: its (at, seq) key inline, so ordering the
+// heap never dereferences the arena, and the slot holding its payload.
+type heapEntry struct {
+	at  time.Duration
+	seq uint64
+	idx int32
+}
+
+// before orders entries by (time, sequence): the sequence tie-break makes
+// same-instant events fire in scheduling order.
+func (a *heapEntry) before(b *heapEntry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Event is a handle to a scheduled callback, returned by the Schedule
@@ -76,7 +107,7 @@ func (e Event) Cancel() {
 	if sl.gen != e.gen || sl.state != slotPending {
 		return
 	}
-	e.s.heapRemove(sl.pos)
+	e.s.heapRemove(int(sl.pos))
 	sl.state = slotCancelled
 	sl.fn, sl.h, sl.data = nil, nil, nil
 	e.s.free = append(e.s.free, e.idx)
@@ -108,11 +139,14 @@ type Simulator struct {
 	now   time.Duration
 	slots []eventSlot // event arena; slots are recycled via free
 	free  []int32     // indices of reusable slots
-	heap  []int32     // 4-ary min-heap of slot indices, keyed by (at, seq)
-	seq   uint64
-	rng   *rand.Rand
-	seed  int64
-	fired uint64
+	heap  []heapEntry // 4-ary min-heap keyed by (at, seq)
+	// vacant marks heap[0] as a hole: the event there is the one being
+	// dispatched. The next schedule fills it; settle does otherwise.
+	vacant bool
+	seq    uint64
+	rng    *rand.Rand
+	seed   int64
+	fired  uint64
 }
 
 // New returns a Simulator whose random source is seeded with seed.
@@ -135,8 +169,14 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events currently scheduled. Cancelled
-// events leave the queue immediately and are not counted.
-func (s *Simulator) Pending() int { return len(s.heap) }
+// events leave the queue immediately and are not counted, nor is the event
+// being dispatched.
+func (s *Simulator) Pending() int {
+	if s.vacant {
+		return len(s.heap) - 1
+	}
+	return len(s.heap)
+}
 
 // Schedule runs fn after delay of virtual time. A negative delay is an
 // error in the model; it panics to surface the bug immediately.
@@ -196,38 +236,63 @@ func (s *Simulator) alloc(at time.Duration) (Event, *eventSlot) {
 		s.slots = append(s.slots, eventSlot{})
 		idx = int32(len(s.slots) - 1)
 	}
-	sl := &s.slots[idx]
-	sl.at = at
-	sl.seq = s.seq
-	sl.state = slotPending
+	e := heapEntry{at: at, seq: s.seq, idx: idx}
 	s.seq++
-	s.heapPush(idx)
+	if s.vacant {
+		// Replace-top: the first event a handler schedules takes the root
+		// its own event vacated.
+		s.vacant = false
+		s.siftDown(0, e)
+	} else {
+		s.heap = append(s.heap, e)
+		s.siftUp(len(s.heap)-1, e)
+	}
+	sl := &s.slots[idx]
+	sl.state = slotPending
 	return Event{s: s, at: at, idx: idx, gen: sl.gen}, sl
 }
 
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (s *Simulator) Step() bool {
+	s.settle() // a handler stepping the simulator it runs in
 	if len(s.heap) == 0 {
 		return false
 	}
-	idx := s.heap[0]
-	s.heapRemove(0)
-	sl := &s.slots[idx]
-	s.now = sl.at
+	top := s.heap[0]
+	s.vacant = true
+	sl := &s.slots[top.idx]
+	s.now = top.at
 	s.fired++
 	fn, h, kind, data := sl.fn, sl.h, sl.kind, sl.data
 	sl.fn, sl.h, sl.data = nil, nil, nil
 	sl.state = slotFired
 	// Free before dispatch: an event that reschedules itself (timers, CBR
 	// ticks) recycles its own slot.
-	s.free = append(s.free, idx)
+	s.free = append(s.free, top.idx)
 	if fn != nil {
 		fn()
 	} else {
 		h.HandleEvent(kind, data)
 	}
+	s.settle() // the handler scheduled nothing
 	return true
+}
+
+// settle fills a vacated root from the last leaf, restoring a heap with no
+// hole. Everything that reads the heap's head settles first; after Step
+// returns the heap is always settled.
+func (s *Simulator) settle() {
+	if !s.vacant {
+		return
+	}
+	s.vacant = false
+	last := len(s.heap) - 1
+	e := s.heap[last]
+	s.heap = s.heap[:last]
+	if last > 0 {
+		s.siftDown(0, e)
+	}
 }
 
 // Run executes events until the queue is empty.
@@ -239,7 +304,8 @@ func (s *Simulator) Run() {
 // RunUntil executes events with time ≤ t, then advances the clock to t.
 // Events scheduled for exactly t do fire.
 func (s *Simulator) RunUntil(t time.Duration) {
-	for len(s.heap) > 0 && s.slots[s.heap[0]].at <= t {
+	s.settle()
+	for len(s.heap) > 0 && s.heap[0].at <= t {
 		s.Step()
 	}
 	if s.now < t {
@@ -252,7 +318,8 @@ func (s *Simulator) RunUntil(t time.Duration) {
 // exactly t belong to the next window, but new events may still be
 // scheduled at t once the window ends.
 func (s *Simulator) RunBefore(t time.Duration) {
-	for len(s.heap) > 0 && s.slots[s.heap[0]].at < t {
+	s.settle()
+	for len(s.heap) > 0 && s.heap[0].at < t {
 		s.Step()
 	}
 	if s.now < t {
@@ -264,69 +331,57 @@ func (s *Simulator) RunBefore(t time.Duration) {
 // one exists. The barrier coordinator uses it to size the next lockstep
 // window.
 func (s *Simulator) NextEventTime() (time.Duration, bool) {
+	s.settle()
 	if len(s.heap) == 0 {
 		return 0, false
 	}
-	return s.slots[s.heap[0]].at, true
+	return s.heap[0].at, true
 }
 
-// eventLess orders slots by (time, sequence): the sequence tie-break makes
-// same-instant events fire in scheduling order.
-func (s *Simulator) eventLess(a, b int32) bool {
-	sa, sb := &s.slots[a], &s.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
+// heapRemove deletes the entry at heap position i: the last leaf takes its
+// place and sifts whichever way restores the order. A vacated root needs no
+// settling first — its stale entry still carries the minimum key, so the
+// array is a valid heap and nothing sifts past it.
+func (s *Simulator) heapRemove(i int) {
+	last := len(s.heap) - 1
+	e := s.heap[last]
+	s.heap = s.heap[:last]
+	if i == last {
+		return
 	}
-	return sa.seq < sb.seq
-}
-
-// heapPush appends the slot to the 4-ary heap and sifts it up.
-func (s *Simulator) heapPush(idx int32) {
-	s.heap = append(s.heap, idx)
-	pos := len(s.heap) - 1
-	s.slots[idx].pos = int32(pos)
-	s.heapUp(pos)
-}
-
-// heapRemove deletes the element at heap position pos, keeping the heap
-// ordered. The removed slot's pos is set to -1.
-func (s *Simulator) heapRemove(pos int32) {
-	h := s.heap
-	last := len(h) - 1
-	i := int(pos)
-	s.slots[h[i]].pos = -1
-	if i < last {
-		h[i] = h[last]
-		s.slots[h[i]].pos = pos
-		s.heap = h[:last]
-		s.heapDown(i)
-		s.heapUp(i)
+	if i > 0 && e.before(&s.heap[(i-1)>>2]) {
+		s.siftUp(i, e)
 	} else {
-		s.heap = h[:last]
+		s.siftDown(i, e)
 	}
 }
 
-func (s *Simulator) heapUp(j int) {
+// siftUp places e at or above the hole at position j: parents that sort
+// after e move down into the hole until e fits.
+func (s *Simulator) siftUp(j int, e heapEntry) {
 	h := s.heap
 	for j > 0 {
 		parent := (j - 1) >> 2
-		if !s.eventLess(h[j], h[parent]) {
+		if !e.before(&h[parent]) {
 			break
 		}
-		h[j], h[parent] = h[parent], h[j]
-		s.slots[h[j]].pos = int32(j)
-		s.slots[h[parent]].pos = int32(parent)
+		h[j] = h[parent]
+		s.slots[h[j].idx].pos = int32(j)
 		j = parent
 	}
+	h[j] = e
+	s.slots[e.idx].pos = int32(j)
 }
 
-func (s *Simulator) heapDown(j int) {
+// siftDown places e at or below the hole at position j: the earliest child
+// moves up into the hole until none sorts before e.
+func (s *Simulator) siftDown(j int, e heapEntry) {
 	h := s.heap
 	n := len(h)
 	for {
 		first := j<<2 + 1
 		if first >= n {
-			return
+			break
 		}
 		best := first
 		end := first + 4
@@ -334,16 +389,17 @@ func (s *Simulator) heapDown(j int) {
 			end = n
 		}
 		for k := first + 1; k < end; k++ {
-			if s.eventLess(h[k], h[best]) {
+			if h[k].before(&h[best]) {
 				best = k
 			}
 		}
-		if !s.eventLess(h[best], h[j]) {
-			return
+		if !h[best].before(&e) {
+			break
 		}
-		h[j], h[best] = h[best], h[j]
-		s.slots[h[j]].pos = int32(j)
-		s.slots[h[best]].pos = int32(best)
+		h[j] = h[best]
+		s.slots[h[j].idx].pos = int32(j)
 		j = best
 	}
+	h[j] = e
+	s.slots[e.idx].pos = int32(j)
 }
