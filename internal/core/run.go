@@ -311,6 +311,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 			Stop:        cfg.End,
 			GuardWindow: cfg.GuardWindow,
 			Hybrid:      cfg.Mode == ModeHybrid,
+			Flows:       len(fluidPairs),
 		})
 		interval := cfg.PacketInterval
 		if cfg.Traffic == TrafficOnOff {

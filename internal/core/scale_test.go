@@ -22,10 +22,13 @@ import (
 // updates carry convergence), triggered-update damping is tightened so
 // convergence completes within the short horizon, and MaxEntries is raised
 // so a full table is hundreds rather than thousands of packets.
-func scaleSmokeConfig() Config {
+func scaleSmokeConfig() Config { return scaleTrialConfig(10000) }
+
+// scaleTrialConfig is the scale trial on an n-node graph.
+func scaleTrialConfig(n int) Config {
 	cfg := DefaultConfig()
 	cfg.Protocol = ProtoRIP
-	cfg.Topo = "ba:n=10000,m=2,seed=1"
+	cfg.Topo = fmt.Sprintf("ba:n=%d,m=2,seed=1", n)
 	cfg.Trials = 1
 	cfg.SenderStart = 12 * time.Second
 	cfg.FailAt = 15 * time.Second
@@ -37,6 +40,52 @@ func scaleSmokeConfig() Config {
 	cfg.Vector.MaxEntries = 5000
 	cfg.Vector.Infinity = 24 // BA diameter ~10; default 16 is too tight a margin, 64 drags out count-to-infinity
 	return cfg
+}
+
+// scaleAllocCeiling is the most a sequential scale trial on an n-node graph
+// may allocate, in bytes. What has to be n² is RIP's dense table (16-byte
+// rows plus the changed bitmap) and the FIB (4-byte ranks) on each of the
+// n+2 nodes (the probe's two hosts included); 25 % on top of that, plus 4 kB
+// per node for what is linear in nodes and edges — ports, links, protocol
+// instances, timers, the event arena — is the budget for everything else.
+// Neither burst free lists kept per node (45.2 MB at n = 1000, against the
+// 27.6 MB of one pool per execution context) nor a port table indexed by
+// neighbor ID (+4.8 MB) fits under it.
+func scaleAllocCeiling(n int) uint64 {
+	nodes := uint64(n + 2)
+	dense := nodes*nodes*(16+4) + nodes*nodes/8
+	return dense + dense/4 + 4096*nodes
+}
+
+// runScaleTrial runs the trial and returns the bytes it allocated.
+// TotalAlloc is cumulative and repeats to the byte on one host, so the
+// collector's timing does not enter.
+func runScaleTrial(t *testing.T, cfg Config) (*Result, uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestScaleTrialAllocCeiling pins what a scale trial allocates to what is
+// live: the n² tables plus slack (see scaleAllocCeiling). It is the tier-1
+// twin of the 10k-node smoke's ceiling, small enough for every test run.
+func TestScaleTrialAllocCeiling(t *testing.T) {
+	const n = 1000
+	res, alloc := runScaleTrial(t, scaleTrialConfig(n))
+	if res.WarmedUpTrials != 1 {
+		t.Errorf("trial did not warm up: %d/1", res.WarmedUpTrials)
+	}
+	ceiling := scaleAllocCeiling(n)
+	t.Logf("%d-node BA RIP trial allocated %.1f MB, ceiling %.1f MB", n, float64(alloc)/1e6, float64(ceiling)/1e6)
+	if alloc > ceiling {
+		t.Errorf("trial allocated %d bytes, over the ceiling of %d: memory no longer follows what is live", alloc, ceiling)
+	}
 }
 
 // smokeBudget reads the wall-clock budget for the scale smokes, overridable
@@ -68,14 +117,14 @@ func TestScaleSmoke10kBA(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(400))
 
 	start := time.Now()
-	res, err := Run(cfg)
+	res, alloc := runScaleTrial(t, cfg)
 	wall := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("10k-node BA RIP trial: wall=%.2fs warmed=%d delivery=%.4f fwdconv=%.2fs drops(noroute=%.0f ttl=%.0f link=%.0f)",
-		wall.Seconds(), res.WarmedUpTrials, res.DeliveryRatio,
+	t.Logf("10k-node BA RIP trial: wall=%.2fs alloc=%.0fMB warmed=%d delivery=%.4f fwdconv=%.2fs drops(noroute=%.0f ttl=%.0f link=%.0f)",
+		wall.Seconds(), float64(alloc)/1e6, res.WarmedUpTrials, res.DeliveryRatio,
 		res.MeanFwdConv, res.MeanNoRouteDrops, res.MeanTTLDrops, res.MeanLinkDrops)
+	if ceiling := scaleAllocCeiling(10000); alloc > ceiling {
+		t.Errorf("trial allocated %d bytes, over the ceiling of %d — a scale regression", alloc, ceiling)
+	}
 	if res.WarmedUpTrials != 1 {
 		t.Errorf("trial did not warm up: %d/1", res.WarmedUpTrials)
 	}

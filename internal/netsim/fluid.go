@@ -52,6 +52,11 @@ type FlowSetConfig struct {
 	// Hybrid enables demotion. When false the set is purely fluid: every
 	// epoch is evaluated analytically, including the transient.
 	Hybrid bool
+	// Flows is the number of flows the caller is about to Add, when it
+	// knows: the per-flow state is then allocated once at that size instead
+	// of append-doubling its way there. Zero, or a wrong count, only costs
+	// the regrowth.
+	Flows int
 }
 
 // FluidTotals are the aggregate counters a FlowSet maintains. All packet
@@ -77,6 +82,7 @@ type FluidTotals struct {
 
 // flowGroup indexes the flows sharing one destination: settlement walks
 // the destination's forwarding tree once per epoch, not once per flow.
+// flows is a window of FlowSet.byDst, valid once the set is indexed.
 type flowGroup struct {
 	dst        NodeID
 	flows      []int32
@@ -103,9 +109,14 @@ type FlowSet struct {
 	demotedUntil []time.Duration
 	qCarry       []float64 // fractional queue-drop remainder
 
-	// Destination groups. groupOf is dense by destination node ID.
+	// Destination groups. groupOf is dense by destination node ID. byDst
+	// lists every flow, grouped by destination and ascending within a group
+	// (the groups' flows slices window it); it covers the first indexed
+	// flows and is rebuilt by index when more have been added since.
 	groupOf []int32
 	groups  []flowGroup
+	byDst   []int32
+	indexed int
 
 	// Per-epoch evaluator scratch, presized to NetworkSize: fate/hops are
 	// the per-node memo (valid when memoEpoch matches epoch), visitTag is
@@ -154,6 +165,15 @@ func (n *Network) AttachFlows(cfg FlowSetConfig) *FlowSet {
 	fs.loadTag = make([]uint32, size)
 	fs.load = make([]float64, size)
 	fs.stack = make([]NodeID, 0, 64)
+	if k := cfg.Flows; k > 0 {
+		fs.src, fs.dst = make([]NodeID, 0, k), make([]NodeID, 0, k)
+		fs.intervalNs = make([]int64, 0, k)
+		fs.size, fs.ttl = make([]int32, 0, k), make([]int32, 0, k)
+		fs.nextTick, fs.maxTicks = make([]uint32, 0, k), make([]uint32, 0, k)
+		fs.state = make([]uint8, 0, k)
+		fs.demotedUntil = make([]time.Duration, 0, k)
+		fs.qCarry = make([]float64, 0, k)
+	}
 	n.flows = fs
 	return fs
 }
@@ -174,7 +194,6 @@ func (fs *FlowSet) Add(src, dst NodeID, interval time.Duration, size, ttl int) {
 	if int(src) >= len(fs.groupOf) || int(dst) >= len(fs.groupOf) || src < 0 || dst < 0 {
 		panic(fmt.Sprintf("netsim: flow %d->%d outside the network", src, dst))
 	}
-	i := int32(len(fs.src))
 	fs.src = append(fs.src, src)
 	fs.dst = append(fs.dst, dst)
 	fs.intervalNs = append(fs.intervalNs, interval.Nanoseconds())
@@ -186,14 +205,42 @@ func (fs *FlowSet) Add(src, dst NodeID, interval time.Duration, size, ttl int) {
 	fs.state = append(fs.state, flowFluid)
 	fs.demotedUntil = append(fs.demotedUntil, 0)
 	fs.qCarry = append(fs.qCarry, 0)
-	gi := fs.groupOf[dst]
-	if gi < 0 {
-		gi = int32(len(fs.groups))
-		fs.groupOf[dst] = gi
+	if fs.groupOf[dst] < 0 {
+		fs.groupOf[dst] = int32(len(fs.groups))
 		fs.groups = append(fs.groups, flowGroup{dst: dst})
 	}
-	fs.groups[gi].flows = append(fs.groups[gi].flows, i)
 	fs.totals.Flows++
+}
+
+// index brings the groups' flow lists up to date with the flows added so
+// far: one counting pass sizes every list exactly and one fill pass writes
+// them into a single backing array. Every entry point that reads a group's
+// flows calls it first; it is a no-op unless flows were added since.
+func (fs *FlowSet) index() {
+	if fs.indexed == len(fs.dst) {
+		return
+	}
+	fs.indexed = len(fs.dst)
+	end := make([]int32, len(fs.groups))
+	for _, d := range fs.dst {
+		end[fs.groupOf[d]]++
+	}
+	var sum int32
+	for gi, n := range end {
+		end[gi] = sum // becomes the group's fill cursor below
+		sum += n
+	}
+	fs.byDst = make([]int32, sum)
+	for i, d := range fs.dst {
+		gi := fs.groupOf[d]
+		fs.byDst[end[gi]] = int32(i)
+		end[gi]++
+	}
+	var start int32
+	for gi := range fs.groups {
+		fs.groups[gi].flows = fs.byDst[start:end[gi]]
+		start = end[gi]
+	}
 }
 
 // Len returns the number of registered flow classes.
@@ -234,6 +281,7 @@ func (fs *FlowSet) fibChanged(node, dst NodeID) {
 	if gi < 0 {
 		return
 	}
+	fs.index()
 	now := fs.net.sim.Now()
 	g := &fs.groups[gi]
 	fs.settleGroup(g, now)
@@ -246,6 +294,7 @@ func (fs *FlowSet) fibChanged(node, dst NodeID) {
 // link's state flips. A link event can reroute any destination, so every
 // group settles; in hybrid mode flows whose path crosses the link demote.
 func (fs *FlowSet) linkChanged(a, b NodeID) {
+	fs.index()
 	now := fs.net.sim.Now()
 	demote := fs.cfg.Hybrid && now >= fs.cfg.Start-fs.guard && now < fs.cfg.Stop
 	for gi := range fs.groups {
@@ -417,9 +466,9 @@ func (fs *FlowSet) egress(nd *Node, flowSrc, dst NodeID) (next NodeID, linkUp bo
 		}
 	}
 	var p *port
-	next = nd.fibGet(dst)
-	if next != noRoute {
-		p = nd.portTo(next)
+	next = noRoute
+	if r := nd.fibGet(dst); r != noPort {
+		p, next = nd.ports[r], nd.neighbors[r]
 	}
 	if p == nil || p.link.down {
 		if nd.backup != nil {
@@ -646,6 +695,7 @@ func (fs *FlowSet) HandleEvent(kind int32, _ any) {
 // are booked as in-flight, matching the packet engine's end-of-run
 // balance.
 func (fs *FlowSet) Finish() {
+	fs.index()
 	now := fs.net.sim.Now()
 	for gi := range fs.groups {
 		fs.settleGroup(&fs.groups[gi], now)

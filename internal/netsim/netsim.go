@@ -121,9 +121,9 @@ func New(s *sim.Simulator, cfg Config, o Observer) *Network {
 }
 
 // FromGraph returns a network with one node per graph node and one link per
-// graph edge. Node port tables, neighbor lists, and the link map are
-// presized from the graph's degrees, so building a 100k-node network does
-// not pay for repeated regrowth.
+// graph edge. Neighbor lists, their parallel port tables, and the link map
+// are presized from the graph's degrees, so building a 100k-node network
+// costs memory linear in its edges and does not pay for repeated regrowth.
 func FromGraph(s *sim.Simulator, g *topology.Graph, cfg Config, o Observer) *Network {
 	n := New(s, cfg, o)
 	edges := g.Edges()
@@ -131,18 +131,10 @@ func FromGraph(s *sim.Simulator, g *topology.Graph, cfg Config, o Observer) *Net
 	n.links = make(map[topology.Edge]*Link, len(edges))
 	for i := 0; i < g.Len(); i++ {
 		node := n.AddNode()
-		nbrs := g.Neighbors(topology.NodeID(i))
-		if len(nbrs) == 0 {
-			continue
+		if deg := len(g.Neighbors(topology.NodeID(i))); deg > 0 {
+			node.neighbors = make([]NodeID, 0, deg)
+			node.ports = make([]*port, 0, deg)
 		}
-		maxNbr := nbrs[0]
-		for _, v := range nbrs[1:] {
-			if v > maxNbr {
-				maxNbr = v
-			}
-		}
-		node.ports = make([]*port, int(maxNbr)+1)
-		node.neighbors = make([]NodeID, 0, len(nbrs))
 	}
 	for _, e := range edges {
 		n.Connect(e.A, e.B)
@@ -211,10 +203,8 @@ func (n *Network) Connect(a, b NodeID) *Link {
 	l := &Link{net: n, edge: e}
 	l.dir[0] = &port{owner: na, peer: nb, link: l}
 	l.dir[1] = &port{owner: nb, peer: na, link: l}
-	na.setPort(b, l.dir[0])
-	nb.setPort(a, l.dir[1])
-	na.neighbors = insertSorted(na.neighbors, b)
-	nb.neighbors = insertSorted(nb.neighbors, a)
+	na.addPort(b, l.dir[0])
+	nb.addPort(a, l.dir[1])
 	n.links[e] = l
 	n.linkList = nil
 	return l
@@ -332,8 +322,8 @@ func (n *Network) FailNode(id NodeID) int {
 	}
 	node.failed = true
 	took := 0
-	for _, nb := range node.neighbors {
-		l := node.portTo(nb).link
+	for _, p := range node.ports {
+		l := p.link
 		l.endsDown++
 		if n.syncLink(l) {
 			took++
@@ -353,8 +343,8 @@ func (n *Network) RecoverNode(id NodeID) {
 		return
 	}
 	node.failed = false
-	for _, nb := range node.neighbors {
-		l := node.portTo(nb).link
+	for _, p := range node.ports {
+		l := p.link
 		l.endsDown--
 		n.syncLink(l)
 	}
@@ -451,15 +441,11 @@ func (n *Network) WalkPath(src, dst NodeID) (path []NodeID, ok bool) {
 		}
 		n.walkSeen[cur] = epoch
 		node := n.nodes[cur]
-		nh := node.fibGet(dst)
-		if nh == noRoute {
+		r := node.fibGet(dst)
+		if r == noPort || node.ports[r].link.down {
 			return path, false
 		}
-		p := node.portTo(nh)
-		if p == nil || p.link.down {
-			return path, false
-		}
-		cur = nh
+		cur = node.neighbors[r]
 	}
 }
 
@@ -495,14 +481,6 @@ func (n *Network) drop(ex *exec, where NodeID, pkt *Packet, reason DropReason) {
 	ex.packetDropped(ex.sim.Now(), where, pkt, reason)
 	ex.releasePooled(pkt)
 	ex.recycle(pkt)
-}
-
-func insertSorted(s []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
 }
 
 // Link is a duplex link between two nodes: two independent directional

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"routeconv/internal/obs"
@@ -23,9 +24,12 @@ type Protocol interface {
 	LinkUp(neighbor NodeID)
 }
 
-// noRoute marks an empty FIB slot. Node IDs are contiguous from 0, so the
-// FIB and port table are dense slices indexed by NodeID rather than maps.
+// noRoute is the next hop reported for a destination without a forwarding
+// entry.
 const noRoute NodeID = -1
+
+// noPort marks an empty FIB slot, and is the rank of a non-neighbor.
+const noPort int32 = -1
 
 // Node is a router: it owns a forwarding table (FIB), output ports, and
 // optionally a routing protocol that maintains the FIB.
@@ -40,11 +44,16 @@ type Node struct {
 	// sees depends only on its own event order — which sharded execution
 	// preserves — rather than on the global interleaving.
 	rng sim.Stream
-	// ports is indexed by neighbor ID; nil entries are non-neighbors.
+	// neighbors is sorted ascending, which gives protocols a deterministic
+	// iteration order; ports is parallel to it. A neighbor's index in both is
+	// its rank, so the port table costs O(degree) and holds no nil slots for
+	// the collector to scan.
+	neighbors []NodeID
 	ports     []*port
-	neighbors []NodeID // sorted; gives protocols a deterministic iteration order
-	// fib is indexed by destination ID; noRoute entries are empty.
-	fib []NodeID
+	// fib is indexed by destination ID (node IDs are contiguous from 0) and
+	// holds the next hop's rank, so the data path indexes ports directly;
+	// noPort entries are empty.
+	fib []int32
 	// backup holds precomputed protection next hops (fast reroute), in
 	// preference order: used the instant the primary is unusable, without
 	// waiting for protocol convergence.
@@ -81,6 +90,17 @@ func (nd *Node) Metrics() *obs.Metrics { return nd.exec.met }
 // uninstrumented.
 func (nd *Node) Timeline() *obs.Timeline { return nd.exec.tl }
 
+// MessagePool returns the slot where the node's home execution context —
+// the root context, or the node's shard in a sharded run — keeps the free
+// lists behind the PooledMessages this node sends. It is the home context
+// even while the coordinator runs the node's events at a barrier: a pooled
+// message is released on its sender's shard or while every shard is parked
+// (releasePooled), and the sender sends from that shard or while every shard
+// is parked, so whatever is stored here is only ever touched by one
+// goroutine at a time and needs no lock. The slot lives as long as the
+// context, so pooled memory never outlives the trial.
+func (nd *Node) MessagePool() *any { return &nd.exec.msgPool }
+
 // NetworkSize returns the number of nodes in the network. Node IDs are
 // contiguous from 0, so protocols use it to size dense per-destination
 // tables up front.
@@ -90,36 +110,56 @@ func (nd *Node) NetworkSize() int { return len(nd.net.nodes) }
 // order. The slice is owned by the node; callers must not modify it.
 func (nd *Node) Neighbors() []NodeID { return nd.neighbors }
 
+// rank returns the neighbor's index in neighbors and ports, or noPort when
+// id is not a neighbor.
+func (nd *Node) rank(id NodeID) int32 {
+	if i, ok := slices.BinarySearch(nd.neighbors, id); ok {
+		return int32(i)
+	}
+	return noPort
+}
+
+// neighborAt is rank's inverse: the neighbor ID at rank r, noRoute for
+// noPort.
+func (nd *Node) neighborAt(r int32) NodeID {
+	if r == noPort {
+		return noRoute
+	}
+	return nd.neighbors[r]
+}
+
 // portTo returns the output port toward the given node, or nil when it is
 // not a neighbor.
 func (nd *Node) portTo(id NodeID) *port {
-	if int(id) < len(nd.ports) && id >= 0 {
-		return nd.ports[id]
+	if r := nd.rank(id); r != noPort {
+		return nd.ports[r]
 	}
 	return nil
 }
 
-// setPort installs the output port toward a new neighbor, doubling the
-// table so repeated growth stays amortized.
-func (nd *Node) setPort(id NodeID, p *port) {
-	if int(id) >= len(nd.ports) {
-		n := int(id) + 1
-		if n < 2*len(nd.ports) {
-			n = 2 * len(nd.ports)
-		}
-		grown := make([]*port, n)
-		copy(grown, nd.ports)
-		nd.ports = grown
+// addPort installs the output port toward a new neighbor at its sorted
+// position. An insertion below existing neighbors shifts their ranks, so
+// the FIB entries that hold those ranks move with them.
+func (nd *Node) addPort(id NodeID, p *port) {
+	i, _ := slices.BinarySearch(nd.neighbors, id)
+	nd.neighbors = slices.Insert(nd.neighbors, i, id)
+	nd.ports = slices.Insert(nd.ports, i, p)
+	if i == len(nd.ports)-1 {
+		return
 	}
-	nd.ports[id] = p
+	for dst, r := range nd.fib {
+		if r >= int32(i) {
+			nd.fib[dst] = r + 1
+		}
+	}
 }
 
-// fibGet returns the FIB entry for dst, or noRoute.
-func (nd *Node) fibGet(dst NodeID) NodeID {
+// fibGet returns the rank of the FIB entry for dst, or noPort.
+func (nd *Node) fibGet(dst NodeID) int32 {
 	if int(dst) < len(nd.fib) && dst >= 0 {
 		return nd.fib[dst]
 	}
-	return noRoute
+	return noPort
 }
 
 // fibSet writes the FIB entry for dst, growing the table on first sight of
@@ -127,7 +167,7 @@ func (nd *Node) fibGet(dst NodeID) NodeID {
 // whole network (every destination gets an entry eventually), and growth
 // past that doubles, so convergence on a large graph never pays a
 // per-destination grow-and-copy.
-func (nd *Node) fibSet(dst, nextHop NodeID) {
+func (nd *Node) fibSet(dst NodeID, rank int32) {
 	if int(dst) >= len(nd.fib) {
 		n := int(dst) + 1
 		if n < 2*len(nd.fib) {
@@ -136,14 +176,14 @@ func (nd *Node) fibSet(dst, nextHop NodeID) {
 		if full := len(nd.net.nodes); n < full {
 			n = full
 		}
-		grown := make([]NodeID, n)
+		grown := make([]int32, n)
 		copy(grown, nd.fib)
 		for i := len(nd.fib); i < len(grown); i++ {
-			grown[i] = noRoute
+			grown[i] = noPort
 		}
 		nd.fib = grown
 	}
-	nd.fib[dst] = nextHop
+	nd.fib[dst] = rank
 }
 
 // LinkUpTo reports whether the link to the neighbor is currently up.
@@ -168,19 +208,20 @@ func (nd *Node) Protocol() Protocol { return nd.proto }
 // SetRoute installs nextHop as the forwarding entry for dst. nextHop must
 // be a directly connected neighbor.
 func (nd *Node) SetRoute(dst, nextHop NodeID) {
-	if nd.portTo(nextHop) == nil {
+	r := nd.rank(nextHop)
+	if r == noPort {
 		panic(fmt.Sprintf("netsim: node %d: next hop %d is not a neighbor", nd.id, nextHop))
 	}
 	prev := nd.fibGet(dst)
-	if prev == nextHop {
+	if prev == r {
 		return
 	}
 	ex := nd.ctx()
 	nd.fluidDirty(ex, dst)
-	nd.fibSet(dst, nextHop)
+	nd.fibSet(dst, r)
 	ex.met.Inc(obs.FIBChanges)
 	ex.tl.FIBChange(ex.sim.Now(), int(nd.id), int(dst), int(nextHop))
-	ex.routeChanged(ex.sim.Now(), nd.id, dst, nextHop, prev, false)
+	ex.routeChanged(ex.sim.Now(), nd.id, dst, nextHop, nd.neighborAt(prev), false)
 }
 
 // fluidDirty settles fluid traffic for dst against the entry in force
@@ -201,20 +242,20 @@ func (nd *Node) fluidDirty(ex *exec, dst NodeID) {
 // ClearRoute removes the forwarding entry for dst, if any.
 func (nd *Node) ClearRoute(dst NodeID) {
 	prev := nd.fibGet(dst)
-	if prev == noRoute {
+	if prev == noPort {
 		return
 	}
 	ex := nd.ctx()
 	nd.fluidDirty(ex, dst)
-	nd.fib[dst] = noRoute
+	nd.fib[dst] = noPort
 	ex.met.Inc(obs.FIBRemovals)
 	ex.tl.FIBRemove(ex.sim.Now(), int(nd.id), int(dst))
-	ex.routeChanged(ex.sim.Now(), nd.id, dst, 0, prev, true)
+	ex.routeChanged(ex.sim.Now(), nd.id, dst, 0, nd.neighbors[prev], true)
 }
 
 // NextHop returns the current forwarding entry for dst.
 func (nd *Node) NextHop(dst NodeID) (NodeID, bool) {
-	nh := nd.fibGet(dst)
+	nh := nd.neighborAt(nd.fibGet(dst))
 	return nh, nh != noRoute
 }
 
@@ -375,8 +416,8 @@ func (nd *Node) forward(ex *exec, pkt *Packet) {
 		}
 	}
 	if p == nil {
-		if nh := nd.fibGet(pkt.Dst); nh != noRoute {
-			p = nd.ports[nh]
+		if r := nd.fibGet(pkt.Dst); r != noPort {
+			p = nd.ports[r]
 		}
 	}
 	if p == nil || p.link.down {

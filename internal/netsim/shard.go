@@ -50,6 +50,10 @@ type exec struct {
 	// serCache memoizes serialization delay per shard so shards never
 	// write shared memory mid-window.
 	serCache []time.Duration
+	// msgPool is the routing layer's free lists for pooled messages whose
+	// sender lives in this context (see Node.MessagePool); netsim only
+	// stores it.
+	msgPool any
 	// routes and pkts buffer observer callbacks raised during a window,
 	// replayed by the coordinator at the barrier in merged (at, shard, seq)
 	// order (cursors routeAt, pktAt). Root exec calls the observer directly.
@@ -179,7 +183,10 @@ func (ex *exec) serialization(size int) time.Duration {
 	d := time.Duration(int64(size) * 8 * int64(time.Second) / ex.net.cfg.LinkRateBps)
 	if size >= 0 && size < serCacheMax {
 		if size >= len(ex.serCache) {
-			grown := make([]time.Duration, size+1)
+			// Doubling, so a run of new maxima does not re-copy the table
+			// for each; never straight to the cap, which most trials stay
+			// far below.
+			grown := make([]time.Duration, min(max(size+1, 2*len(ex.serCache)), serCacheMax))
 			copy(grown, ex.serCache)
 			ex.serCache = grown
 		}
@@ -455,7 +462,8 @@ func (n *Network) replayObs() {
 	for i := len(n.obsSeq) - 1; i >= 0; i-- {
 		if r := n.obsSeq[i]; !r.pkt {
 			e := &n.shards[r.shard].routes[r.idx]
-			n.nodes[e.node].fibSet(e.dst, e.prev)
+			nd := n.nodes[e.node]
+			nd.fibSet(e.dst, nd.rank(e.prev))
 		}
 	}
 	for _, r := range n.obsSeq {
@@ -469,11 +477,12 @@ func (n *Network) replayObs() {
 			continue
 		}
 		e := &n.shards[r.shard].routes[r.idx]
-		nh := e.nh
-		if e.removed {
-			nh = noRoute
+		nd := n.nodes[e.node]
+		rank := noPort
+		if !e.removed {
+			rank = nd.rank(e.nh)
 		}
-		n.nodes[e.node].fibSet(e.dst, nh)
+		nd.fibSet(e.dst, rank)
 		n.observer.RouteChanged(e.at, e.node, e.dst, e.nh, e.removed)
 	}
 	for _, ex := range n.shards {

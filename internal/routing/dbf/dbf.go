@@ -42,6 +42,9 @@ type Protocol struct {
 	lastHeard map[routing.NodeID]time.Duration
 	// table is dense, indexed by destination ID; invalid slots are absent.
 	table []best
+	// nlive counts valid table slots (entries are never deleted), giving
+	// full-table stagings their burst size without a counting pass.
+	nlive int
 	// known records every destination ever present in the table or a
 	// neighbor cache. It is monotone: entries are never unlearned, which is
 	// behaviour-neutral because recompute and the update collector both
@@ -123,6 +126,7 @@ func (p *Protocol) insert(dst routing.NodeID) *best {
 		p.table = grown
 	}
 	p.table[dst] = best{valid: true}
+	p.nlive++
 	p.markKnown(dst)
 	return &p.table[dst]
 }
@@ -438,7 +442,16 @@ func (p *Protocol) broadcastChanged() {
 // advertisement, in ascending destination order, into the shared pooled
 // burst that all per-neighbor messages of this broadcast view.
 func (p *Protocol) stage(changedOnly bool) {
-	b := p.snd.Begin(p.node.ID(), int32(p.cfg.Infinity), p.ver, !changedOnly)
+	need := p.nlive
+	if changedOnly {
+		need = 0
+		for i := range p.table {
+			if p.table[i].changed {
+				need++
+			}
+		}
+	}
+	b := p.snd.Begin(p.node, need, int32(p.cfg.Infinity), p.ver, !changedOnly)
 	for dst := routing.NodeID(0); int(dst) < len(p.known); dst++ {
 		if !p.known[dst] {
 			continue

@@ -515,9 +515,8 @@ func (p *Protocol) broadcast(full bool) {
 // ascending destination order either way — into the shared pooled
 // snapshot that all per-neighbor messages of this broadcast view.
 func (p *Protocol) stage(full bool) {
-	b := p.snd.Begin(p.node.ID(), p.inf, p.ver, full)
 	if full {
-		b.Grow(p.nlive)
+		b := p.snd.Begin(p.node, p.nlive, p.inf, p.ver, true)
 		for dst := routing.NodeID(0); int(dst) < len(p.table); dst++ {
 			rt := &p.table[dst]
 			if !rt.valid {
@@ -532,7 +531,7 @@ func (p *Protocol) stage(full bool) {
 	for _, word := range p.changedBits {
 		need += bits.OnesCount64(word)
 	}
-	b.Grow(need)
+	b := p.snd.Begin(p.node, need, p.inf, p.ver, false)
 	for w, word := range p.changedBits {
 		for word != 0 {
 			bit := bits.TrailingZeros64(word)

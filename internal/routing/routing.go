@@ -94,7 +94,6 @@ type VectorUpdate struct {
 	to      NodeID // receiving neighbor, the poisoned-reverse target
 	header  int
 	entry   int
-	pool    *BurstSender
 }
 
 var _ netsim.PooledMessage = (*VectorUpdate)(nil)
@@ -147,21 +146,18 @@ func (u *VectorUpdate) LastChunk() bool {
 }
 
 // Release implements netsim.PooledMessage: burst-backed shells return to
-// their sender's free list and drop their snapshot reference. Explicit
-// updates (no pool, no burst) are unpooled and unaffected, so tests may
+// the pool their snapshot came from and drop their snapshot reference.
+// Explicit updates (no burst) are unpooled and unaffected, so tests may
 // hold them across deliveries.
 func (u *VectorUpdate) Release() {
-	b, pl := u.burst, u.pool
-	if b == nil && pl == nil {
+	b := u.burst
+	if b == nil {
 		return
 	}
+	pl := b.pool
 	*u = VectorUpdate{}
-	if pl != nil {
-		pl.shells = append(pl.shells, u)
-	}
-	if b != nil {
-		b.Release()
-	}
+	pl.putShell(u)
+	b.Release()
 }
 
 // SizeBytes implements netsim.Message.
