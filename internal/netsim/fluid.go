@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"routeconv/internal/obs"
@@ -13,9 +14,11 @@ import (
 // Between FIB changes the forwarding graph is static, so the fate of a
 // constant-rate flow — delivered, caught in a loop, blackholed, dropped
 // onto a dead link, or queue-limited — is fully determined analytically.
-// A FlowSet registers flow classes in dense slices keyed by node ID and
-// accounts for their packets in bulk at each FIB or link change (lazy
-// settlement): no per-packet events exist for a fluid flow. In hybrid
+// A FlowSet registers flow classes in dense slices, laid out destination
+// group by destination group, and accounts for their packets in bulk when
+// the forwarding graph toward their destination is about to change (lazy
+// settlement): no per-packet events exist for a fluid flow, and a change
+// costs only the groups whose forwarding tree it can reach. In hybrid
 // mode, flows whose forwarding path traverses a changed node or failed
 // link are demoted to real packet sources for a guard window around the
 // change, so loops, TTL expiry and queue contention during convergence
@@ -80,25 +83,33 @@ type FluidTotals struct {
 	Settles, Demotions, Reabsorptions uint64
 }
 
-// flowGroup indexes the flows sharing one destination: settlement walks
-// the destination's forwarding tree once per epoch, not once per flow.
-// flows is a window of FlowSet.byDst, valid once the set is indexed.
+// flowGroup is the flows sharing one destination: settlement walks the
+// destination's forwarding tree once per epoch, not once per flow. Once
+// the set is indexed the group's flows are positions [lo, hi) of the
+// per-flow slices, in the order they were added.
 type flowGroup struct {
-	dst        NodeID
-	flows      []int32
+	dst    NodeID
+	lo, hi int32
+	// limited marks a group whose aggregate rate alone can oversubscribe a
+	// link. Only then does the delivered fraction drop below 1, and only
+	// then does a settlement carry float state (qCarry) from one interval
+	// to the next — so only a limited group must settle at every link event.
+	limited    bool
 	lastSettle time.Duration
 }
 
 // FlowSet is a dense registry of (src, dst, rate, size) flow classes and
 // their fluid evaluator. Attach one to a Network with AttachFlows, Add
-// flows before the traffic window opens, and call Finish at the end of
-// the run to settle the tail.
+// every flow before Network.Start, and call Finish at the end of the run
+// to settle the tail.
 type FlowSet struct {
 	net   *Network
 	cfg   FlowSetConfig
 	guard time.Duration
 
-	// Per-flow state, parallel slices indexed by flow.
+	// Per-flow state, parallel slices indexed by flow position. index
+	// permutes them in place into (group, order added) order, so a flow's
+	// position is stable only from then on.
 	src, dst     []NodeID
 	intervalNs   []int64
 	size         []int32
@@ -109,18 +120,16 @@ type FlowSet struct {
 	demotedUntil []time.Duration
 	qCarry       []float64 // fractional queue-drop remainder
 
-	// Destination groups. groupOf is dense by destination node ID. byDst
-	// lists every flow, grouped by destination and ascending within a group
-	// (the groups' flows slices window it); it covers the first indexed
-	// flows and is rebuilt by index when more have been added since.
+	// Destination groups. groupOf is dense by destination node ID; the
+	// first indexed flows are laid out group by group.
 	groupOf []int32
 	groups  []flowGroup
-	byDst   []int32
 	indexed int
 
 	// Per-epoch evaluator scratch, presized to NetworkSize: fate/hops are
-	// the per-node memo (valid when memoEpoch matches epoch), visitTag is
-	// the walk's on-stack marker, load/surv the queue-limit passes.
+	// the per-node memo (valid when memoEpoch matches epoch) of a settle's
+	// resolve walks, and then of the demotion pass's crosses walks; visitTag
+	// is the walk's on-stack marker, load/surv the queue-limit passes.
 	epoch     uint32
 	memoEpoch []uint32
 	fate      []uint8
@@ -183,8 +192,13 @@ func (n *Network) Flows() *FlowSet { return n.flows }
 
 // Add registers one flow class emitting size-byte packets with the given
 // TTL from src to dst every interval, over the set's [Start, Stop)
-// window. Flows must be registered before the window opens.
+// window. Every flow must be added before Network.Start: indexing moves
+// flows to their group's range, and a demoted flow's pending packet tick
+// names the flow by position.
 func (fs *FlowSet) Add(src, dst NodeID, interval time.Duration, size, ttl int) {
+	if fs.net.started || fs.totals.Demotions > 0 {
+		panic(fmt.Sprintf("netsim: FlowSet.Add(%d->%d) after Start or after a demotion: pending packet ticks name flows by position, which indexing a new flow would move", src, dst))
+	}
 	if interval <= 0 {
 		panic("netsim: flow interval must be positive")
 	}
@@ -212,35 +226,75 @@ func (fs *FlowSet) Add(src, dst NodeID, interval time.Duration, size, ttl int) {
 	fs.totals.Flows++
 }
 
-// index brings the groups' flow lists up to date with the flows added so
-// far: one counting pass sizes every list exactly and one fill pass writes
-// them into a single backing array. Every entry point that reads a group's
-// flows calls it first; it is a no-op unless flows were added since.
+// index lays the flows added so far out group by group: a counting pass
+// gives every flow its position in (group, order added) order, the per-flow
+// slices are permuted there in place, and each group's queue-limit flag is
+// computed from its now contiguous range. Every entry point that reads a
+// group's flows calls it first; it is a no-op unless flows were added since.
 func (fs *FlowSet) index() {
 	if fs.indexed == len(fs.dst) {
 		return
 	}
 	fs.indexed = len(fs.dst)
-	end := make([]int32, len(fs.groups))
+	for gi := range fs.groups {
+		fs.groups[gi].hi = 0 // the group's flow count, then its fill cursor
+	}
 	for _, d := range fs.dst {
-		end[fs.groupOf[d]]++
+		fs.groups[fs.groupOf[d]].hi++
 	}
 	var sum int32
-	for gi, n := range end {
-		end[gi] = sum // becomes the group's fill cursor below
+	for gi := range fs.groups {
+		g := &fs.groups[gi]
+		n := g.hi
+		g.lo, g.hi = sum, sum
 		sum += n
 	}
-	fs.byDst = make([]int32, sum)
+	// to[i] is where the flow now at position i belongs. The sort is stable,
+	// so flows indexed earlier keep their relative order and a group's flows
+	// stay in the order they were added.
+	to := make([]int32, len(fs.dst))
 	for i, d := range fs.dst {
-		gi := fs.groupOf[d]
-		fs.byDst[end[gi]] = int32(i)
-		end[gi]++
+		g := &fs.groups[fs.groupOf[d]]
+		to[i] = g.hi
+		g.hi++
 	}
-	var start int32
+	// Every swap puts one flow in its final position, so the permutation
+	// costs at most one swap per flow and no second copy of the state.
+	for i := range to {
+		for to[i] != int32(i) {
+			j := to[i]
+			fs.swap(int32(i), j)
+			to[i], to[j] = to[j], j
+		}
+	}
+	capacity := float64(fs.net.cfg.LinkRateBps)
 	for gi := range fs.groups {
-		fs.groups[gi].flows = fs.byDst[start:end[gi]]
-		start = end[gi]
+		g := &fs.groups[gi]
+		var totalBps float64
+		for i := g.lo; i < g.hi; i++ {
+			totalBps += fs.bps(i)
+		}
+		g.limited = totalBps > capacity
 	}
+}
+
+// swap exchanges the whole per-flow state of positions i and j.
+func (fs *FlowSet) swap(i, j int32) {
+	fs.src[i], fs.src[j] = fs.src[j], fs.src[i]
+	fs.dst[i], fs.dst[j] = fs.dst[j], fs.dst[i]
+	fs.intervalNs[i], fs.intervalNs[j] = fs.intervalNs[j], fs.intervalNs[i]
+	fs.size[i], fs.size[j] = fs.size[j], fs.size[i]
+	fs.ttl[i], fs.ttl[j] = fs.ttl[j], fs.ttl[i]
+	fs.nextTick[i], fs.nextTick[j] = fs.nextTick[j], fs.nextTick[i]
+	fs.maxTicks[i], fs.maxTicks[j] = fs.maxTicks[j], fs.maxTicks[i]
+	fs.state[i], fs.state[j] = fs.state[j], fs.state[i]
+	fs.demotedUntil[i], fs.demotedUntil[j] = fs.demotedUntil[j], fs.demotedUntil[i]
+	fs.qCarry[i], fs.qCarry[j] = fs.qCarry[j], fs.qCarry[i]
+}
+
+// bps returns flow i's bit rate.
+func (fs *FlowSet) bps(i int32) float64 {
+	return float64(fs.size[i]) * 8e9 / float64(fs.intervalNs[i])
 }
 
 // Len returns the number of registered flow classes.
@@ -285,25 +339,58 @@ func (fs *FlowSet) fibChanged(node, dst NodeID) {
 	now := fs.net.sim.Now()
 	g := &fs.groups[gi]
 	fs.settleGroup(g, now)
-	if fs.cfg.Hybrid && now >= fs.cfg.Start-fs.guard && now < fs.cfg.Stop {
+	if fs.demoting(now) {
 		fs.demoteThrough(g, now, node, -1)
 	}
 }
 
+// demoting reports whether a change at now demotes the flows it touches:
+// hybrid mode, from one guard window before the traffic starts until it
+// stops.
+func (fs *FlowSet) demoting(now time.Duration) bool {
+	return fs.cfg.Hybrid && now >= fs.cfg.Start-fs.guard && now < fs.cfg.Stop
+}
+
 // linkChanged is invoked by Network.FailLink/RestoreLink before the
-// link's state flips. A link event can reroute any destination, so every
-// group settles; in hybrid mode flows whose path crosses the link demote.
+// link's state flips. The flip changes the forwarding graph toward a
+// destination only where a or b forwards to the other end, so every other
+// group is left alone: no flow of it crosses the link, every flow of it
+// meets the same fate after the flip as before, and because a flow's ticks
+// are counted in whole numbers (ticksBefore(now) - nextTick) a later
+// settlement over the longer interval books exactly the same packets, the
+// ones in flight at Stop included. A queue-limited group settles regardless:
+// its fractional drop carry is a float that depends on where the intervals
+// are cut.
 func (fs *FlowSet) linkChanged(a, b NodeID) {
 	fs.index()
 	now := fs.net.sim.Now()
-	demote := fs.cfg.Hybrid && now >= fs.cfg.Start-fs.guard && now < fs.cfg.Stop
+	demote := fs.demoting(now)
+	na, nb := fs.net.nodes[a], fs.net.nodes[b]
 	for gi := range fs.groups {
 		g := &fs.groups[gi]
+		onLink := na.forwardsVia(g.dst, b) || nb.forwardsVia(g.dst, a)
+		if !onLink && !g.limited {
+			continue
+		}
 		fs.settleGroup(g, now)
-		if demote {
+		if demote && onLink {
 			fs.demoteThrough(g, now, a, b)
 		}
 	}
+}
+
+// forwardsVia reports whether anything egress consults for dst at this
+// node — FIB entry, ECMP set, backup chain — names the neighbor nh. It is
+// the test for "can the nd-nh link's state change where nd sends dst's
+// packets", whatever the links' current states.
+func (nd *Node) forwardsVia(dst, nh NodeID) bool {
+	if r := nd.fibGet(dst); r != noPort && nd.neighbors[r] == nh {
+		return true
+	}
+	if nd.multi != nil && slices.Contains(nd.multi[dst], nh) {
+		return true
+	}
+	return nd.backup != nil && slices.Contains(nd.backup[dst], nh)
 }
 
 // settleGroup accounts every tick the group's fluid flows emitted in
@@ -315,35 +402,28 @@ func (fs *FlowSet) settleGroup(g *flowGroup, now time.Duration) {
 		return
 	}
 	g.lastSettle = now
-	if now <= fs.cfg.Start || len(g.flows) == 0 {
+	if now <= fs.cfg.Start || g.lo == g.hi {
 		return
 	}
-	final := now >= fs.cfg.Stop
 	fs.beginEpoch()
 
 	// Queue-limit pass: only when the group alone can oversubscribe a
 	// link does the delivered fraction drop below 1. Cross-group
 	// contention surfaces through the packet layer during demotion
 	// windows; see DESIGN.md.
-	var totalBps float64
-	for _, i := range g.flows {
-		totalBps += float64(fs.size[i]) * 8e9 / float64(fs.intervalNs[i])
-	}
-	limited := totalBps > float64(fs.net.cfg.LinkRateBps)
-	if limited {
-		fs.visitGen++
-		for _, i := range g.flows {
+	if g.limited {
+		for i := g.lo; i < g.hi; i++ {
 			if fs.state[i] != flowFluid || fs.nextTick[i] >= fs.maxTicks[i] {
 				continue
 			}
 			if f, _ := fs.resolve(fs.src[i], g.dst); f == fateDelivered {
-				fs.addLoad(fs.src[i], g.dst, float64(fs.size[i])*8e9/float64(fs.intervalNs[i]))
+				fs.addLoad(fs.src[i], g.dst, fs.bps(i))
 			}
 		}
 	}
 
 	worked := false
-	for _, i := range g.flows {
+	for i := g.lo; i < g.hi; i++ {
 		if fs.state[i] != flowFluid {
 			continue // demoted: its ticks are real packets
 		}
@@ -361,24 +441,21 @@ func (fs *FlowSet) settleGroup(g *flowGroup, now time.Duration) {
 		if fate == fateDelivered {
 			delivered := ticks
 			var inflight uint64
-			if final {
-				// Ticks emitted within one path latency of the horizon
-				// were still on the wire at Stop, exactly as the packet
-				// engine would leave them.
-				lat := time.Duration(int64(hops) * fs.net.serialization(int(fs.size[i])).Nanoseconds())
-				lat += time.Duration(hops) * fs.net.cfg.LinkDelay
-				cut := fs.cfg.Stop - lat
-				arrived := fs.ticksBefore(i, cut+1)
-				if arrived < n {
-					inflight = uint64(n - arrived)
-					if inflight > delivered {
-						inflight = delivered
-					}
+			// Ticks emitted within one path latency of the horizon are
+			// still on the wire at Stop, exactly as the packet engine
+			// would leave them. The cut is a property of the tick, not of
+			// the settle that books it, so it applies to any settle that
+			// reaches past it — an early and a deferred settle agree.
+			lat := time.Duration(int64(hops) * fs.net.serialization(int(fs.size[i])).Nanoseconds())
+			lat += time.Duration(hops) * fs.net.cfg.LinkDelay
+			if cut := fs.cfg.Stop - lat; now > cut {
+				if arrived := fs.ticksBefore(i, cut+1); arrived < n {
+					inflight = min(uint64(n-arrived), delivered)
 					delivered -= inflight
 				}
 			}
 			var qdrops uint64
-			if limited && delivered > 0 {
+			if g.limited && delivered > 0 {
 				surv := fs.survival(fs.src[i], g.dst)
 				if surv < 1 {
 					exact := float64(delivered)*(1-surv) + fs.qCarry[i]
@@ -447,6 +524,28 @@ func (fs *FlowSet) beginEpoch() {
 	}
 }
 
+// beginWalk returns a fresh on-stack marker for one forwarding walk.
+func (fs *FlowSet) beginWalk() uint32 {
+	fs.visitGen++
+	if fs.visitGen == 0 {
+		clear(fs.visitTag)
+		fs.visitGen = 1
+	}
+	return fs.visitGen
+}
+
+// impureCycle adjusts a walk's memo bound when the walk closes a loop at
+// on-stack node at. Nodes above lastImpure are memoized because everything
+// downstream of them is flow-independent; a cycle that runs back through a
+// flow-dependent choice (at sits at or below lastImpure) voids that for
+// the whole stack, since another flow entering the cycle may leave it there.
+func impureCycle(stack []NodeID, lastImpure int, at NodeID) int {
+	if lastImpure >= 0 && slices.Contains(stack[:lastImpure+1], at) {
+		return len(stack) - 1
+	}
+	return lastImpure
+}
+
 // egress mirrors Node.forward's next-hop selection for a packet from
 // flowSrc to dst: ECMP set (hashed by flow), then the FIB entry, then
 // the backup chain when the primary is unusable. pure reports whether
@@ -491,12 +590,7 @@ func (fs *FlowSet) egress(nd *Node, flowSrc, dst NodeID) (next NodeID, linkUp bo
 // for the current epoch.
 func (fs *FlowSet) resolve(from, dst NodeID) (uint8, int32) {
 	e := fs.epoch
-	fs.visitGen++
-	if fs.visitGen == 0 {
-		clear(fs.visitTag)
-		fs.visitGen = 1
-	}
-	gen := fs.visitGen
+	gen := fs.beginWalk()
 	stack := fs.stack[:0]
 	lastImpure := -1
 	var tFate uint8
@@ -513,6 +607,7 @@ func (fs *FlowSet) resolve(from, dst NodeID) (uint8, int32) {
 		}
 		if fs.visitTag[cur] == gen {
 			tFate, tHops = fateLoop, loopHops
+			lastImpure = impureCycle(stack, lastImpure, cur)
 			break
 		}
 		nd := fs.net.nodes[cur]
@@ -552,7 +647,8 @@ func (fs *FlowSet) resolve(from, dst NodeID) (uint8, int32) {
 }
 
 // addLoad walks a delivered flow's path adding its bit rate to every
-// transmitting node (queue-limit pass one). Callers bump visitGen first.
+// transmitting node (queue-limit pass one). A node's load is tagged with
+// the epoch, so the first flow to reach it in a settle zeroes it.
 func (fs *FlowSet) addLoad(from, dst NodeID, bps float64) {
 	cur := from
 	for cur != dst {
@@ -589,49 +685,77 @@ func (fs *FlowSet) survival(from, dst NodeID) float64 {
 	return s
 }
 
+// Memo values of a demotion pass, kept in fate beside the settle's fates.
+const (
+	crossNo uint8 = iota + 1
+	crossYes
+)
+
 // demoteThrough demotes the group's fluid flows whose current forwarding
 // walk crosses the changed region: node a (FIB change, b < 0), or the
-// a-b link in either direction (link change).
+// a-b link in either direction (link change). Flows are visited in
+// position order, and the walks share a per-node memo for the pass, so it
+// costs O(flows + nodes) rather than O(flows × path length).
 func (fs *FlowSet) demoteThrough(g *flowGroup, now time.Duration, a, b NodeID) {
-	for _, i := range g.flows {
+	fs.beginEpoch() // the settle before this pass is done with the memo
+	for i := g.lo; i < g.hi; i++ {
 		if fs.state[i] != flowFluid || fs.nextTick[i] >= fs.maxTicks[i] {
 			continue
 		}
-		if fs.pathTouches(fs.src[i], g.dst, a, b) {
+		if fs.crosses(fs.src[i], g.dst, a, b) {
 			fs.demote(i, now)
 		}
 	}
 }
 
-// pathTouches reports whether the walk from `from` to dst visits node a
-// (b < 0) or traverses the a-b link in either direction.
-func (fs *FlowSet) pathTouches(from, dst NodeID, a, b NodeID) bool {
-	fs.visitGen++
-	if fs.visitGen == 0 {
-		clear(fs.visitTag)
-		fs.visitGen = 1
-	}
-	gen := fs.visitGen
+// crosses reports whether the walk from `from` to dst visits node a
+// (b < 0) or traverses the a-b link in either direction. The answer is
+// memoized for the current epoch at every node from which the rest of the
+// walk is flow-independent — resolve's rule.
+func (fs *FlowSet) crosses(from, dst NodeID, a, b NodeID) bool {
+	e := fs.epoch
+	gen := fs.beginWalk()
+	stack := fs.stack[:0]
+	lastImpure := -1
+	hit := false
 	cur := from
 	for cur != dst {
+		if fs.memoEpoch[cur] == e {
+			hit = fs.fate[cur] == crossYes
+			break
+		}
 		if fs.visitTag[cur] == gen {
-			return false // loop not involving the changed region
+			// A loop not involving the changed region.
+			lastImpure = impureCycle(stack, lastImpure, cur)
+			break
 		}
 		fs.visitTag[cur] = gen
-		next, up, _ := fs.egress(fs.net.nodes[cur], from, dst)
-		if b < 0 {
-			if cur == a {
-				return true
-			}
-		} else if (cur == a && next == b) || (cur == b && next == a) {
-			return true
+		next, up, pure := fs.egress(fs.net.nodes[cur], from, dst)
+		if !pure {
+			lastImpure = len(stack)
 		}
-		if next == noRoute || !up {
-			return false
+		stack = append(stack, cur)
+		if b < 0 {
+			hit = cur == a
+		} else {
+			hit = (cur == a && next == b) || (cur == b && next == a)
+		}
+		if hit || next == noRoute || !up {
+			break
 		}
 		cur = next
 	}
-	return false
+	fs.stack = stack // keep any ring growth
+	memo := crossNo
+	if hit {
+		memo = crossYes
+	}
+	for j := len(stack) - 1; j > lastImpure; j-- {
+		u := stack[j]
+		fs.memoEpoch[u] = e
+		fs.fate[u] = memo
+	}
+	return hit
 }
 
 // demote switches a flow to packet emission until now+guard. A flow

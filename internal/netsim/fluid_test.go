@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,6 +23,22 @@ func fluidLine(t *testing.T, n int, fcfg FlowSetConfig) (*sim.Simulator, *Networ
 	}
 	fs := net.AttachFlows(fcfg)
 	return s, net, fs
+}
+
+// shortestPathRoutes installs, at every node and for every destination, the
+// first neighbor one hop closer to it.
+func shortestPathRoutes(net *Network, g *topology.Graph) {
+	for dst := NodeID(0); int(dst) < g.Len(); dst++ {
+		dist := g.BFS(dst)
+		for u := NodeID(0); int(u) < g.Len(); u++ {
+			for _, v := range net.Node(u).Neighbors() {
+				if dist[v] == dist[u]-1 {
+					net.Node(u).SetRoute(dst, v)
+					break
+				}
+			}
+		}
+	}
 }
 
 // TestFluidMatchesPacketQuiescent pins the tentpole's exactness claim: on
@@ -227,7 +245,8 @@ func TestHybridDemotion(t *testing.T) {
 }
 
 // TestHybridLinkFailureDemotes pins the link-event path: failing a link
-// under a hybrid FlowSet demotes exactly the flows crossing it.
+// under a hybrid FlowSet demotes exactly the flows crossing it, and settles
+// only the destination groups whose forwarding tree crosses it.
 func TestHybridLinkFailureDemotes(t *testing.T) {
 	s := sim.New(1)
 	g := topology.NewGraph(4)
@@ -248,13 +267,204 @@ func TestHybridLinkFailureDemotes(t *testing.T) {
 	})
 	fs.Add(0, 3, 50*time.Millisecond, 1000, 64) // crosses 1-3
 	fs.Add(1, 2, 50*time.Millisecond, 1000, 64) // does not
-	s.ScheduleAt(1500*time.Millisecond, func() { net.FailLink(1, 3) })
+	var settledByEvent uint64
+	s.ScheduleAt(1500*time.Millisecond, func() {
+		before := fs.Totals().Settles
+		net.FailLink(1, 3)
+		settledByEvent = fs.Totals().Settles - before
+	})
 	s.RunUntil(3 * time.Second)
 	fs.Finish()
 
 	if got := fs.Totals().Demotions; got != 1 {
 		t.Errorf("demotions = %d, want 1 (only the flow crossing the failed link)", got)
 	}
+	if settledByEvent != 1 {
+		t.Errorf("the link event settled %d groups, want 1: neither end of 1-3 forwards destination 2's packets to the other", settledByEvent)
+	}
+	// The deferred group lost nothing by waiting: all 40 ticks of 1->2 are
+	// delivered, beside the 10 that 0->3 emitted before its link failed.
+	if st := net.Stats(); st.DataSent != 80 {
+		t.Errorf("sent = %d, want 80", st.DataSent)
+	}
+	if got := fs.Totals().Delivered; got != 50 {
+		t.Errorf("fluid delivered = %d, want 50", got)
+	}
+}
+
+// TestFluidLinkEventInTail pins what a link event within one path latency of
+// Stop books for a group that does not cross the link: the tick emitted 2 ms
+// before Stop on a 3.6 ms path is in flight at Stop — as the packet engine
+// leaves it — whether the group's settle is deferred to Finish or runs at
+// the event.
+func TestFluidLinkEventInTail(t *testing.T) {
+	const (
+		interval = 50 * time.Millisecond
+		start    = time.Second
+		stop     = 1952 * time.Millisecond // 20 ticks; the last at 1.95 s
+		failAt   = 1951 * time.Millisecond
+	)
+	build := func() (*sim.Simulator, *Network) {
+		g := topology.NewGraph(4)
+		g.AddEdge(0, 1)
+		g.AddEdge(1, 3)
+		g.AddEdge(0, 2)
+		g.AddEdge(2, 3)
+		s := sim.New(1)
+		net := FromGraph(s, g, DefaultConfig(), nil)
+		net.Instrument(obs.NewMetrics(), nil)
+		net.Node(1).SetRoute(2, 0) // 1→0→2 never touches the 1-3 link
+		net.Node(0).SetRoute(2, 2)
+		return s, net
+	}
+
+	ps, pnet := build()
+	StartCBR(pnet.Node(1), 2, interval, 1000, 64, start, stop)
+	ps.ScheduleAt(failAt, func() { pnet.FailLink(1, 3) })
+	ps.RunUntil(stop)
+	want := pnet.Stats()
+	if want.DataSent != 20 || want.DataDelivered != 19 || pnet.met.InFlight() != 1 {
+		t.Fatalf("packet reference = sent %d delivered %d inflight %d, want 20/19/1", want.DataSent, want.DataDelivered, pnet.met.InFlight())
+	}
+
+	for _, eager := range []bool{false, true} {
+		s, net := build()
+		fs := net.AttachFlows(FlowSetConfig{Start: start, Stop: stop, Hybrid: true})
+		fs.Add(1, 2, interval, 1000, 64)
+		s.ScheduleAt(failAt, func() {
+			if eager {
+				refLinkChanged(fs, 1, 3) // settles every group at the event
+			}
+			net.FailLink(1, 3)
+		})
+		s.RunUntil(stop)
+		if got := fs.Totals().Settles; (got == 1) != eager {
+			t.Errorf("eager=%v: %d settles before Finish", eager, got)
+		}
+		fs.Finish()
+		if got := net.Stats(); got.DataSent != want.DataSent || got.DataDelivered != want.DataDelivered || net.met.InFlight() != 1 {
+			t.Errorf("eager=%v: sent %d delivered %d inflight %d, packet engine says %d/%d/1",
+				eager, got.DataSent, got.DataDelivered, net.met.InFlight(), want.DataSent, want.DataDelivered)
+		}
+	}
+}
+
+// TestFluidLinkEventSettlesOnlyCrossingGroups is the laziness guard at a
+// size where it matters: on a 300-node BA graph carrying 20,000 flows, one
+// link failure settles the destination groups whose shortest-path tree
+// crosses the link, plus the queue-limited ones, and nothing else. A
+// linkChanged that settles every group fails here, not in a benchmark.
+func TestFluidLinkEventSettlesOnlyCrossingGroups(t *testing.T) {
+	const n = 300
+	g := topology.BarabasiAlbert(n, 2, 1)
+	s := sim.New(1)
+	net := FromGraph(s, g, DefaultConfig(), nil)
+	shortestPathRoutes(net, g)
+	fs := net.AttachFlows(FlowSetConfig{Start: time.Second, Stop: 3 * time.Second, Hybrid: true, Flows: 20_003})
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 20_000; k++ {
+		src, dst := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+		if src == dst {
+			continue
+		}
+		fs.Add(src, dst, 100*time.Millisecond, 100, 64)
+	}
+	const hot = NodeID(n - 1) // three 6 Mb/s flows oversubscribe a 10 Mb/s link
+	for k := NodeID(0); k < 3; k++ {
+		fs.Add(k, hot, 2*time.Millisecond, 1500, 64)
+	}
+
+	// Fail the busiest of the links that at most a tenth of the destination
+	// trees cross (on this graph a link carries anywhere from 3 to 298). A
+	// group is expected to settle when it is the limited one or the FIB entry
+	// for its destination at either end of the link is the other end: there
+	// are no ECMP sets or backup chains here.
+	fs.index()
+	onLink := func(g flowGroup, a, b NodeID) bool {
+		na, _ := net.Node(a).NextHop(g.dst)
+		nb, _ := net.Node(b).NextHop(g.dst)
+		return g.dst == hot || na == b || nb == a
+	}
+	var a, b NodeID
+	var want uint64
+	for _, l := range net.Links() {
+		var c uint64
+		for _, g := range fs.groups {
+			if onLink(g, l.edge.A, l.edge.B) {
+				c++
+			}
+		}
+		if c > want && c <= uint64(len(fs.groups)/10) {
+			a, b, want = l.edge.A, l.edge.B, c
+		}
+	}
+	// The flows to demote are the ones whose path, walked hop by hop,
+	// traverses the link; all of them belong to groups expected to settle.
+	var crossing uint64
+	for _, g := range fs.groups {
+		for i := g.lo; i < g.hi; i++ {
+			if !refPathTouches(fs, fs.src[i], g.dst, a, b) {
+				continue
+			}
+			if !onLink(g, a, b) {
+				t.Fatalf("flow %d->%d crosses %d-%d, but neither end's FIB entry for %d names the other", fs.src[i], g.dst, a, b, g.dst)
+			}
+			crossing++
+		}
+	}
+	var settled, demoted uint64
+	s.ScheduleAt(1500*time.Millisecond, func() {
+		before := fs.Totals()
+		net.FailLink(a, b)
+		settled = fs.Totals().Settles - before.Settles
+		demoted = fs.Totals().Demotions - before.Demotions
+	})
+	s.RunUntil(1600 * time.Millisecond)
+
+	if !fs.groups[fs.groupOf[hot]].limited {
+		t.Fatalf("the group toward %d is not queue-limited", hot)
+	}
+	if demoted == 0 || demoted != crossing {
+		t.Fatalf("failing %d-%d demoted %d flows, want the %d (> 0) that cross it", a, b, demoted, crossing)
+	}
+	if settled != want {
+		t.Errorf("failing %d-%d settled %d groups, want %d: the trees crossing it and the queue-limited group", a, b, settled, want)
+	}
+}
+
+// TestFluidAddAfterDemotionPanics pins the registration rule: a demoted
+// flow's pending packet tick names the flow by position, and indexing a new
+// flow would move it.
+func TestFluidAddAfterDemotionPanics(t *testing.T) {
+	s, net, fs := fluidLine(t, 4, FlowSetConfig{Start: time.Second, Stop: 3 * time.Second, Hybrid: true})
+	fs.Add(0, 3, 50*time.Millisecond, 1000, 64)
+	s.RunUntil(1500 * time.Millisecond)
+	net.FailLink(1, 2)
+	if fs.Totals().Demotions != 1 {
+		t.Fatalf("demotions = %d, want 1", fs.Totals().Demotions)
+	}
+	wantAddPanic(t, fs)
+}
+
+// wantAddPanic adds one more flow and fails the test unless that panics
+// with the registration rule's diagnostic.
+func wantAddPanic(t *testing.T, fs *FlowSet) {
+	t.Helper()
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "after Start or after a demotion") {
+			t.Errorf("late Add: recovered %q, want the registration-rule panic", msg)
+		}
+	}()
+	fs.Add(1, 3, 50*time.Millisecond, 1000, 64)
+}
+
+// TestFluidAddAfterStartPanics is the same rule's predictable half: the
+// network's Start closes registration whether or not anything was demoted.
+func TestFluidAddAfterStartPanics(t *testing.T) {
+	_, net, fs := fluidLine(t, 4, FlowSetConfig{Start: time.Second, Stop: 3 * time.Second})
+	fs.Add(0, 3, 50*time.Millisecond, 1000, 64)
+	net.Start()
+	wantAddPanic(t, fs)
 }
 
 // TestFluidSettleZeroAlloc is the satellite guard: once the per-epoch
@@ -282,5 +492,46 @@ func TestFluidSettleZeroAlloc(t *testing.T) {
 	}
 	if st := net.Stats(); st.DataDelivered == 0 {
 		t.Fatalf("no traffic settled: %+v", st)
+	}
+}
+
+// TestFluidChangePassesZeroAlloc extends the guard to the change hooks: a
+// link event (crossing test, settle, memoized demotion walk over every flow
+// of the group) and a FIB-change demotion pass allocate nothing. The changed
+// region lies off every flow's path, so the passes walk without demoting — a
+// demotion schedules an event, which is the event queue's allocation to pin.
+func TestFluidChangePassesZeroAlloc(t *testing.T) {
+	// 0-1-2-3 carries the flows toward 3; 4 hangs off 2 and forwards to it,
+	// 5 hangs off 4, and neither sources a flow.
+	g := topology.Line(4)
+	g.AddNode()
+	g.AddNode()
+	g.AddEdge(2, 4)
+	g.AddEdge(4, 5)
+	s := sim.New(1)
+	net := FromGraph(s, g, DefaultConfig(), nil)
+	for i := NodeID(0); i < 3; i++ {
+		net.Node(i).SetRoute(3, i+1)
+	}
+	net.Node(4).SetRoute(3, 2)
+	net.Node(5).SetRoute(3, 4)
+	fs := net.AttachFlows(FlowSetConfig{Start: 0, Stop: time.Hour, Hybrid: true})
+	for i := NodeID(0); i < 3; i++ {
+		fs.Add(i, 3, 10*time.Millisecond, 1000, 64)
+	}
+	now := time.Duration(0)
+	step := func() {
+		now += 10 * time.Millisecond
+		s.RunUntil(now)
+		fs.linkChanged(2, 4) // 4 forwards destination 3 via 2: the group is on the link
+		fs.fibChanged(4, 3)  // a node other nodes forward through
+		fs.fibChanged(5, 3)  // a node nothing forwards through
+	}
+	step() // warm the scratch
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("a link event and two FIB-change passes allocate %.1f times, want 0", allocs)
+	}
+	if tot := fs.Totals(); tot.Settles < 100 || tot.Demotions != 0 {
+		t.Fatalf("settles = %d, demotions = %d: the passes did not run as built", tot.Settles, tot.Demotions)
 	}
 }
