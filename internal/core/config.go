@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"routeconv/internal/netsim"
@@ -401,6 +402,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: GuardWindow must not be negative")
 	case c.Shards < 0:
 		return fmt.Errorf("core: Shards must not be negative")
+	case c.usesVector() && c.Vector.MaxEntries < 1:
+		return fmt.Errorf("core: Vector.MaxEntries = %d, need ≥ 1", c.Vector.MaxEntries)
+	case c.usesVector() && (c.Vector.Infinity < 1 || c.Vector.Infinity > math.MaxInt16):
+		return fmt.Errorf("core: Vector.Infinity = %d outside [1, %d]", c.Vector.Infinity, math.MaxInt16)
 	}
 	if c.Factory == nil {
 		if _, err := c.factory(); err != nil {
@@ -476,6 +481,11 @@ func (c *Config) validateScenario() error {
 }
 
 // factory resolves the protocol constructor for this configuration.
+// usesVector reports whether the run's protocol is built from c.Vector.
+func (c *Config) usesVector() bool {
+	return c.Factory == nil && (c.Protocol == ProtoRIP || c.Protocol == ProtoDBF)
+}
+
 func (c *Config) factory() (func(*netsim.Node) netsim.Protocol, error) {
 	if c.Factory != nil {
 		return c.Factory, nil

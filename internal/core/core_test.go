@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -31,6 +32,9 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.Protocol = ProtocolKind(99) },
 		func(c *Config) { c.Degree = 1 },
 		func(c *Config) { c.ExtraFailAts = []time.Duration{c.End + time.Second} },
+		func(c *Config) { c.Vector.MaxEntries = 0 },
+		func(c *Config) { c.Vector.Infinity = 0 },
+		func(c *Config) { c.Protocol, c.Vector.Infinity = ProtoRIP, math.MaxInt16+1 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()

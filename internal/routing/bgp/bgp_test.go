@@ -6,21 +6,21 @@ import (
 	"time"
 
 	"routeconv/internal/netsim"
-	"routeconv/internal/routetest"
+	"routeconv/internal/routing/conformance"
 	"routeconv/internal/sim"
 	"routeconv/internal/topology"
 )
 
 func build(t *testing.T, seed int64, g *topology.Graph, cfg Config) (*sim.Simulator, *netsim.Network) {
 	t.Helper()
-	return routetest.Build(seed, g, netsim.DefaultConfig(), nil, Factory(cfg))
+	return conformance.Build(seed, g, netsim.DefaultConfig(), nil, Factory(cfg))
 }
 
 func TestConvergesOnLineBGP3(t *testing.T) {
 	g := topology.Line(5)
 	s, net := build(t, 1, g, BGP3Config())
 	s.RunUntil(60 * time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 }
 
 func TestConvergesOnMeshBGP3(t *testing.T) {
@@ -30,7 +30,7 @@ func TestConvergesOnMeshBGP3(t *testing.T) {
 	}
 	s, net := build(t, 2, m.Graph, BGP3Config())
 	s.RunUntil(120 * time.Second)
-	routetest.AssertShortestPaths(t, net, m.Graph)
+	conformance.AssertShortestPaths(t, net, m.Graph)
 }
 
 func TestConvergesOnMeshSlowMRAI(t *testing.T) {
@@ -40,17 +40,17 @@ func TestConvergesOnMeshSlowMRAI(t *testing.T) {
 	}
 	s, net := build(t, 3, m.Graph, DefaultConfig())
 	s.RunUntil(390 * time.Second)
-	routetest.AssertShortestPaths(t, net, m.Graph)
+	conformance.AssertShortestPaths(t, net, m.Graph)
 }
 
 func TestReroutesAfterFailure(t *testing.T) {
 	g := topology.Ring(6)
 	s, net := build(t, 4, g, BGP3Config())
 	s.RunUntil(120 * time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 	net.FailLink(0, 1)
 	s.RunUntil(s.Now() + 120*time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 }
 
 func TestRecoversAfterRestore(t *testing.T) {
@@ -61,7 +61,7 @@ func TestRecoversAfterRestore(t *testing.T) {
 	s.RunUntil(s.Now() + 120*time.Second)
 	net.RestoreLink(0, 1)
 	s.RunUntil(s.Now() + 120*time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 }
 
 func TestInstantSwitchover(t *testing.T) {
@@ -73,7 +73,7 @@ func TestInstantSwitchover(t *testing.T) {
 	g.AddEdge(1, 3)
 	g.AddEdge(2, 3)
 	cfg := netsim.DefaultConfig()
-	s, net := routetest.Build(6, g, cfg, nil, Factory(BGP3Config()))
+	s, net := conformance.Build(6, g, cfg, nil, Factory(BGP3Config()))
 	s.RunUntil(120 * time.Second)
 	nh, ok := net.Node(0).NextHop(3)
 	if !ok {

@@ -1,8 +1,11 @@
-// Package conformance is a black-box test battery that every routing
-// protocol in the study must pass: convergence to shortest paths on a
-// family of topologies, failover, repair, destination detachment, and
-// determinism. Each protocol package runs the battery from its own tests,
-// so a new protocol gets the full matrix with one call.
+// Package conformance is the routing protocols' test support: a black-box
+// battery that every protocol in the study must pass (convergence to
+// shortest paths on a family of topologies, failover, repair, destination
+// detachment, and determinism), plus the helpers it is built from —
+// building a network with a protocol on every node and checking that the
+// forwarding tables realize shortest paths. Each protocol package runs the
+// battery from its own tests, so a new protocol gets the full matrix with
+// one call.
 package conformance
 
 import (
@@ -11,16 +14,68 @@ import (
 	"time"
 
 	"routeconv/internal/netsim"
-	"routeconv/internal/routetest"
+	"routeconv/internal/sim"
 	"routeconv/internal/topology"
 )
+
+// Factory constructs a protocol instance for a node.
+type Factory func(*netsim.Node) netsim.Protocol
+
+// Build creates a simulator and network over g with a protocol from f
+// attached to every node, and starts it.
+func Build(seed int64, g *topology.Graph, cfg netsim.Config, obs netsim.Observer, f Factory) (*sim.Simulator, *netsim.Network) {
+	s := sim.New(seed)
+	net := netsim.FromGraph(s, g, cfg, obs)
+	for i := 0; i < net.Len(); i++ {
+		node := net.Node(netsim.NodeID(i))
+		node.AttachProtocol(f(node))
+	}
+	net.Start()
+	return s, net
+}
+
+// AssertShortestPaths fails the test unless, for every ordered node pair,
+// following forwarding tables from src reaches dst in exactly the
+// shortest-path hop count of g. Links that are down in net are removed from
+// the reference graph first.
+func AssertShortestPaths(t *testing.T, net *netsim.Network, g *topology.Graph) {
+	t.Helper()
+	ref := topology.NewGraph(g.Len())
+	for _, e := range g.Edges() {
+		if l := net.Link(e.A, e.B); l != nil && l.Up() {
+			ref.AddEdge(e.A, e.B)
+		}
+	}
+	for src := 0; src < g.Len(); src++ {
+		dist := ref.BFS(topology.NodeID(src))
+		for dst := 0; dst < g.Len(); dst++ {
+			if src == dst {
+				continue
+			}
+			path, ok := net.WalkPath(netsim.NodeID(src), netsim.NodeID(dst))
+			if dist[dst] < 0 {
+				if ok {
+					t.Errorf("walk %d→%d succeeded (%v) but dst is unreachable", src, dst, path)
+				}
+				continue
+			}
+			if !ok {
+				t.Errorf("walk %d→%d failed: %v", src, dst, path)
+				continue
+			}
+			if got := len(path) - 1; got != dist[dst] {
+				t.Errorf("walk %d→%d took %d hops, shortest is %d (path %v)", src, dst, got, dist[dst], path)
+			}
+		}
+	}
+}
 
 // Params adapts the battery to a protocol's convergence timescales.
 type Params struct {
 	// Name labels subtests.
 	Name string
 	// Factory constructs the protocol under test.
-	Factory routetest.Factory
+	Factory Factory
 	// Settle is how long the battery waits for the protocol to converge
 	// after start or a topology event (covering periodic cycles, damping
 	// and MRAI timers).
@@ -66,9 +121,9 @@ func convergesEverywhere(t *testing.T, p Params) {
 	for name, g := range topologies(t) {
 		name, g := name, g
 		t.Run(name, func(t *testing.T) {
-			s, net := routetest.Build(1, g, netsim.DefaultConfig(), nil, p.Factory)
+			s, net := Build(1, g, netsim.DefaultConfig(), nil, p.Factory)
 			s.RunUntil(p.Settle)
-			routetest.AssertShortestPaths(t, net, g)
+			AssertShortestPaths(t, net, g)
 		})
 	}
 }
@@ -80,11 +135,11 @@ func failover(t *testing.T, p Params) {
 	for _, e := range g.Edges() {
 		e := e
 		t.Run(fmt.Sprintf("fail%d-%d", e.A, e.B), func(t *testing.T) {
-			s, net := routetest.Build(2, g, netsim.DefaultConfig(), nil, p.Factory)
+			s, net := Build(2, g, netsim.DefaultConfig(), nil, p.Factory)
 			s.RunUntil(p.Settle)
 			net.FailLink(e.A, e.B)
 			s.RunUntil(s.Now() + p.Settle)
-			routetest.AssertShortestPaths(t, net, g)
+			AssertShortestPaths(t, net, g)
 		})
 	}
 }
@@ -93,13 +148,13 @@ func failover(t *testing.T, p Params) {
 // shortest paths.
 func repair(t *testing.T, p Params) {
 	g := topology.Ring(6)
-	s, net := routetest.Build(3, g, netsim.DefaultConfig(), nil, p.Factory)
+	s, net := Build(3, g, netsim.DefaultConfig(), nil, p.Factory)
 	s.RunUntil(p.Settle)
 	net.FailLink(0, 1)
 	s.RunUntil(s.Now() + p.Settle)
 	net.RestoreLink(0, 1)
 	s.RunUntil(s.Now() + p.Settle)
-	routetest.AssertShortestPaths(t, net, g)
+	AssertShortestPaths(t, net, g)
 }
 
 // detach: when a stub node's only link dies, every router must eventually
@@ -111,7 +166,7 @@ func detach(t *testing.T, p Params) {
 	g.AddEdge(2, 0)
 	g.AddEdge(2, 3) // triangle with stubs 3 and 4
 	g.AddEdge(0, 4)
-	s, net := routetest.Build(4, g, netsim.DefaultConfig(), nil, p.Factory)
+	s, net := Build(4, g, netsim.DefaultConfig(), nil, p.Factory)
 	s.RunUntil(p.Settle)
 	net.FailLink(2, 3)
 	s.RunUntil(s.Now() + p.Settle)
@@ -121,7 +176,7 @@ func detach(t *testing.T, p Params) {
 		}
 	}
 	// The rest of the network must still work.
-	routetest.AssertShortestPaths(t, net, g)
+	AssertShortestPaths(t, net, g)
 }
 
 // sequentialFailures: two failures separated in time, then full
@@ -132,13 +187,13 @@ func sequentialFailures(t *testing.T, p Params) {
 		t.Fatal(err)
 	}
 	g := m.Graph
-	s, net := routetest.Build(5, g, netsim.DefaultConfig(), nil, p.Factory)
+	s, net := Build(5, g, netsim.DefaultConfig(), nil, p.Factory)
 	s.RunUntil(p.Settle)
 	net.FailLink(m.ID(1, 1), m.ID(1, 2))
 	s.RunUntil(s.Now() + p.Settle)
 	net.FailLink(m.ID(2, 1), m.ID(2, 2))
 	s.RunUntil(s.Now() + p.Settle)
-	routetest.AssertShortestPaths(t, net, g)
+	AssertShortestPaths(t, net, g)
 }
 
 // deterministic: the same seed reproduces the same control-plane activity
@@ -146,7 +201,7 @@ func sequentialFailures(t *testing.T, p Params) {
 func deterministic(t *testing.T, p Params) {
 	run := func() (uint64, uint64) {
 		g := topology.Ring(8)
-		s, net := routetest.Build(42, g, netsim.DefaultConfig(), nil, p.Factory)
+		s, net := Build(42, g, netsim.DefaultConfig(), nil, p.Factory)
 		s.RunUntil(p.Settle)
 		net.FailLink(0, 1)
 		s.RunUntil(s.Now() + p.Settle)
@@ -164,7 +219,7 @@ func deterministic(t *testing.T, p Params) {
 // packets and everything is conserved.
 func delivery(t *testing.T, p Params) {
 	g := topology.Ring(8)
-	s, net := routetest.Build(6, g, netsim.DefaultConfig(), nil, p.Factory)
+	s, net := Build(6, g, netsim.DefaultConfig(), nil, p.Factory)
 	s.RunUntil(p.Settle)
 	stop := s.Now() + 2*p.Settle + 20*time.Second
 	netsim.StartCBR(net.Node(0), 4, 100*time.Millisecond, 500, 64, s.Now(), stop)

@@ -5,22 +5,22 @@ import (
 	"time"
 
 	"routeconv/internal/netsim"
-	"routeconv/internal/routetest"
 	"routeconv/internal/routing"
+	"routeconv/internal/routing/conformance"
 	"routeconv/internal/sim"
 	"routeconv/internal/topology"
 )
 
 func build(t *testing.T, seed int64, g *topology.Graph) (*sim.Simulator, *netsim.Network) {
 	t.Helper()
-	return routetest.Build(seed, g, netsim.DefaultConfig(), nil, Factory(routing.DefaultVectorConfig()))
+	return conformance.Build(seed, g, netsim.DefaultConfig(), nil, Factory(routing.DefaultVectorConfig()))
 }
 
 func TestConvergesOnLine(t *testing.T) {
 	g := topology.Line(5)
 	s, net := build(t, 1, g)
 	s.RunUntil(60 * time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 }
 
 func TestConvergesOnMesh(t *testing.T) {
@@ -30,17 +30,17 @@ func TestConvergesOnMesh(t *testing.T) {
 	}
 	s, net := build(t, 2, m.Graph)
 	s.RunUntil(120 * time.Second)
-	routetest.AssertShortestPaths(t, net, m.Graph)
+	conformance.AssertShortestPaths(t, net, m.Graph)
 }
 
 func TestReroutesAfterFailure(t *testing.T) {
 	g := topology.Ring(6)
 	s, net := build(t, 3, g)
 	s.RunUntil(120 * time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 	net.FailLink(0, 1)
 	s.RunUntil(s.Now() + 120*time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 }
 
 func TestRecoversAfterRestore(t *testing.T) {
@@ -51,7 +51,7 @@ func TestRecoversAfterRestore(t *testing.T) {
 	s.RunUntil(s.Now() + 120*time.Second)
 	net.RestoreLink(0, 1)
 	s.RunUntil(s.Now() + 120*time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 }
 
 // TestInstantSwitchover is the paper's §4.1 claim: with a cached alternate
@@ -66,7 +66,7 @@ func TestInstantSwitchover(t *testing.T) {
 	g.AddEdge(1, 3)
 	g.AddEdge(2, 3)
 	cfg := netsim.DefaultConfig()
-	s, net := routetest.Build(5, g, cfg, nil, Factory(routing.DefaultVectorConfig()))
+	s, net := conformance.Build(5, g, cfg, nil, Factory(routing.DefaultVectorConfig()))
 	s.RunUntil(120 * time.Second)
 
 	nh, ok := net.Node(0).NextHop(3)
@@ -98,7 +98,7 @@ func TestPoisonedCacheGivesNoAlternate(t *testing.T) {
 	// detection instant.
 	g := topology.Line(3)
 	cfg := netsim.DefaultConfig()
-	s, net := routetest.Build(6, g, cfg, nil, Factory(routing.DefaultVectorConfig()))
+	s, net := conformance.Build(6, g, cfg, nil, Factory(routing.DefaultVectorConfig()))
 	s.RunUntil(120 * time.Second)
 	net.FailLink(1, 2)
 	s.RunUntil(s.Now() + cfg.DetectDelay)
@@ -197,17 +197,62 @@ func TestECMPInstallsEqualCostNeighbors(t *testing.T) {
 	g.AddEdge(2, 3)
 	cfg := routing.DefaultVectorConfig()
 	cfg.ECMP = true
-	s, net := routetest.Build(10, g, netsim.DefaultConfig(), nil, Factory(cfg))
+	s, net := conformance.Build(10, g, netsim.DefaultConfig(), nil, Factory(cfg))
 	s.RunUntil(120 * time.Second)
 	set := net.Node(0).Multipath(3)
 	if len(set) != 2 {
 		t.Errorf("Multipath(3) = %v, want two equal-cost next hops", set)
 	}
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 
 	net.FailLink(1, 3)
 	s.RunUntil(s.Now() + 60*time.Second)
 	if mp := net.Node(0).Multipath(3); mp != nil {
 		t.Errorf("Multipath(3) after failure = %v, want nil", mp)
+	}
+}
+
+// silent is a neighbor that runs no routing protocol: it never
+// re-advertises, so whatever it once announced ages out.
+type silent struct{}
+
+func (silent) Start()                                      {}
+func (silent) HandleMessage(netsim.NodeID, netsim.Message) {}
+func (silent) LinkDown(netsim.NodeID)                      {}
+func (silent) LinkUp(netsim.NodeID)                        {}
+
+// TestNeighborTimeout: a neighbor that stays silent past Timeout loses its
+// cached vector, and routes through it fail over to the cached
+// alternates.
+func TestNeighborTimeout(t *testing.T) {
+	// 0-1, 0-2, 2-3. Node 1 (silent) once claims 3 at metric 0, which
+	// beats the real path via 2 (metric 2 against 1).
+	g := topology.NewGraph(4)
+	g.AddEdge(0, 1)
+	g.AddEdge(0, 2)
+	g.AddEdge(2, 3)
+	s := sim.New(1)
+	net := netsim.FromGraph(s, g, netsim.DefaultConfig(), nil)
+	cfg := routing.DefaultVectorConfig()
+	for _, id := range []netsim.NodeID{0, 2, 3} {
+		net.Node(id).AttachProtocol(New(net.Node(id), cfg))
+	}
+	net.Node(1).AttachProtocol(silent{})
+	net.Start()
+	net.Node(1).SendControl(0, cfg.PackEntries([]routing.VectorEntry{{Dst: 3, Metric: 0}})[0])
+	s.RunUntil(10 * time.Second)
+	p := net.Node(0).Protocol().(*Protocol)
+	if m, nh, ok := p.Table(3); !ok || m != 1 || nh != 1 {
+		t.Fatalf("route to 3 before the timeout = metric %d via %d (ok=%v), want 1 via 1", m, nh, ok)
+	}
+	s.RunUntil(cfg.Timeout + 2*time.Second)
+	if m, nh, ok := p.Table(3); !ok || m != 2 || nh != 2 {
+		t.Errorf("route to 3 after the timeout = metric %d via %d (ok=%v), want 2 via 2", m, nh, ok)
+	}
+	if nh, ok := net.Node(0).NextHop(3); !ok || nh != 2 {
+		t.Errorf("FIB next hop to 3 after the timeout = %d (ok=%v), want 2", nh, ok)
+	}
+	if _, ok := p.cacheGet(1, 3); ok {
+		t.Error("silent neighbor's cached vector survived the timeout")
 	}
 }

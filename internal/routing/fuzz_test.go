@@ -16,10 +16,16 @@ func FuzzDecodeVectorUpdate(f *testing.F) {
 		header:  cfg.HeaderBytes,
 		entry:   cfg.EntryBytes,
 	}).Encode())
+	f.Add(metricPayload(-1)) // 0xFFFFFFFF: must be rejected, not read as -1
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, err := DecodeVectorUpdate(data, &cfg)
 		if err != nil {
 			return
+		}
+		for i, e := range u.Entries {
+			if e.Metric < 0 || int(e.Metric) > cfg.Infinity {
+				t.Fatalf("entry %d accepted with metric %d outside [0, %d]", i, e.Metric, cfg.Infinity)
+			}
 		}
 		// Accepted input must round-trip to itself (the encoding writes
 		// canonical values for the fields the decoder reads).

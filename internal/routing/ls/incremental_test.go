@@ -7,8 +7,8 @@ import (
 
 	"routeconv/internal/netsim"
 	"routeconv/internal/obs"
-	"routeconv/internal/routetest"
 	"routeconv/internal/routing"
+	"routeconv/internal/routing/conformance"
 	"routeconv/internal/sim"
 	"routeconv/internal/topology"
 )
@@ -163,7 +163,7 @@ func TestIncrementalMatchesFullSPF(t *testing.T) {
 				checkSPT(t, trial, p)
 			}
 		}
-		routetest.AssertShortestPaths(t, net, g)
+		conformance.AssertShortestPaths(t, net, g)
 	}
 }
 
@@ -192,5 +192,5 @@ func TestIncrementalFastPathTaken(t *testing.T) {
 	if met.Get(obs.ProtoSPFIncremental) >= met.Get(obs.ProtoDecisionRuns) {
 		t.Fatal("incremental count should be a strict subset of decision runs (full SPFs still happen)")
 	}
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 }

@@ -5,21 +5,21 @@ import (
 	"time"
 
 	"routeconv/internal/netsim"
-	"routeconv/internal/routetest"
+	"routeconv/internal/routing/conformance"
 	"routeconv/internal/sim"
 	"routeconv/internal/topology"
 )
 
 func build(t *testing.T, seed int64, g *topology.Graph) (*sim.Simulator, *netsim.Network) {
 	t.Helper()
-	return routetest.Build(seed, g, netsim.DefaultConfig(), nil, Factory(DefaultConfig()))
+	return conformance.Build(seed, g, netsim.DefaultConfig(), nil, Factory(DefaultConfig()))
 }
 
 func TestConvergesOnLine(t *testing.T) {
 	g := topology.Line(5)
 	s, net := build(t, 1, g)
 	s.RunUntil(10 * time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 }
 
 func TestConvergesOnMesh(t *testing.T) {
@@ -29,7 +29,7 @@ func TestConvergesOnMesh(t *testing.T) {
 	}
 	s, net := build(t, 2, m.Graph)
 	s.RunUntil(10 * time.Second)
-	routetest.AssertShortestPaths(t, net, m.Graph)
+	conformance.AssertShortestPaths(t, net, m.Graph)
 }
 
 func TestConvergesFast(t *testing.T) {
@@ -38,7 +38,7 @@ func TestConvergesFast(t *testing.T) {
 	g := topology.Ring(10)
 	s, net := build(t, 3, g)
 	s.RunUntil(time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 }
 
 func TestReroutesAfterFailure(t *testing.T) {
@@ -47,7 +47,7 @@ func TestReroutesAfterFailure(t *testing.T) {
 	s.RunUntil(5 * time.Second)
 	net.FailLink(0, 1)
 	s.RunUntil(s.Now() + 5*time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 }
 
 func TestRecoversAfterRestore(t *testing.T) {
@@ -58,7 +58,7 @@ func TestRecoversAfterRestore(t *testing.T) {
 	s.RunUntil(s.Now() + 5*time.Second)
 	net.RestoreLink(0, 1)
 	s.RunUntil(s.Now() + 5*time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 }
 
 func TestDetachedDestinationCleared(t *testing.T) {
@@ -152,7 +152,7 @@ func TestECMPInstallsAllFirstHops(t *testing.T) {
 	g.AddEdge(2, 3)
 	cfg := DefaultConfig()
 	cfg.ECMP = true
-	s, net := routetest.Build(7, g, netsim.DefaultConfig(), nil, Factory(cfg))
+	s, net := conformance.Build(7, g, netsim.DefaultConfig(), nil, Factory(cfg))
 	s.RunUntil(5 * time.Second)
 	set := net.Node(0).Multipath(3)
 	if len(set) != 2 || set[0] != 1 || set[1] != 2 {
@@ -162,7 +162,7 @@ func TestECMPInstallsAllFirstHops(t *testing.T) {
 	if mp := net.Node(0).Multipath(1); mp != nil {
 		t.Errorf("Multipath(1) = %v, want nil", mp)
 	}
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 }
 
 func TestECMPShrinksAfterFailure(t *testing.T) {
@@ -173,7 +173,7 @@ func TestECMPShrinksAfterFailure(t *testing.T) {
 	g.AddEdge(2, 3)
 	cfg := DefaultConfig()
 	cfg.ECMP = true
-	s, net := routetest.Build(8, g, netsim.DefaultConfig(), nil, Factory(cfg))
+	s, net := conformance.Build(8, g, netsim.DefaultConfig(), nil, Factory(cfg))
 	s.RunUntil(5 * time.Second)
 	net.FailLink(1, 3)
 	s.RunUntil(s.Now() + 5*time.Second)

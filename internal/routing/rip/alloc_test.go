@@ -30,14 +30,14 @@ func TestSkippedAdvertisementAllocs(t *testing.T) {
 	s.RunUntil(120 * time.Second)
 
 	ns, ok := p0.seen[1]
-	if !ok || ns.tv != p0.ver {
-		t.Fatalf("skip watermark not armed (ok=%v tv=%d ver=%d)", ok, ns.tv, p0.ver)
+	if !ok || ns.tv != p0.Ver {
+		t.Fatalf("skip watermark not armed (ok=%v tv=%d ver=%d)", ok, ns.tv, p0.Ver)
 	}
 
 	// Re-send node 1's full table exactly as broadcastFull stages it.
-	p1.stage(true)
-	defer p1.snd.End()
-	views := p1.snd.Views(nil, &p1.cfg, 0)
+	p1.Stage(true)
+	defer p1.Snd.End()
+	views := p1.Snd.Views(nil, &p1.Cfg, 0)
 	if len(views) != 1 {
 		t.Fatalf("staged full packed into %d chunks, want 1", len(views))
 	}

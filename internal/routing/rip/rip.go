@@ -7,40 +7,24 @@
 // information heard from other neighbors, which is what gives it the long
 // path switch-over period of §4.1: after a failure it must wait for a
 // neighbor's next periodic update to learn an alternate path.
+//
+// The table, staging and broadcasts are the shared routing.Vector core;
+// this package holds what is RIP's own: the RFC 2453 §3.9.2 entry rule,
+// the via-list whole-chunk skip, route expiry and garbage collection, and
+// a LinkDown that poisons every route through the lost neighbor.
 package rip
 
 import (
 	"math"
-	"math/bits"
 	"time"
 
 	"routeconv/internal/netsim"
 	"routeconv/internal/obs"
 	"routeconv/internal/routing"
-	"routeconv/internal/sim"
 )
-
-// housekeepInterval is how often expired routes are scanned for. The scan
-// is an implementation detail; any value well under the timeout works.
-const housekeepInterval = time.Second
 
 // noDeadline marks a table with no pending expire/gc deadline at all.
 const noDeadline = time.Duration(math.MaxInt64)
-
-// route is one RIP table entry, packed to 16 bytes so a dense 10k-node
-// table fits in 160 kB and the receive loop's sequential row scans stay
-// bandwidth-friendly. The metric is 16 bits (hop counts clamp at the
-// configured infinity, 16 by default; New rejects an infinity that would
-// not fit), and the timeout and garbage-collection deadlines share one
-// field: a reachable route only ever awaits expiry, an unreachable one
-// only deletion, so the two are never live at once.
-type route struct {
-	deadline time.Duration // expiry while reachable, deletion while not
-	nextHop  routing.NodeID
-	metric   int16
-	changed  bool // included in the next triggered update
-	valid    bool // slot holds a live entry
-}
 
 // viaCap bounds the cached per-neighbor list of destinations routed via
 // that neighbor. The whole-chunk skip must keep refreshing exactly those
@@ -66,43 +50,18 @@ type nbrSeen struct {
 	via  [viaCap]routing.NodeID // routed via the neighbor (excluding itself)
 }
 
-// Protocol is a RIP speaker bound to one node.
+// Protocol is a RIP speaker bound to one node. The embedded
+// routing.Vector holds the table and sends every advertisement; each row's
+// Deadline is the route's expiry while reachable and its deletion time
+// while not.
 type Protocol struct {
-	node *netsim.Node
-	cfg  routing.VectorConfig
-	inf  int32 // cfg.Infinity in the table's metric width
-	// table is dense, indexed by destination ID (node IDs are contiguous
-	// from 0); invalid slots are absent entries. Ascending index iteration
-	// gives the same deterministic order a sorted key list would.
-	table []route
-	// changedBits mirrors the entries' changed flags, one bit per
-	// destination, so a triggered update visits only the changed routes
-	// instead of scanning the full table per neighbor — the dominant cost
-	// of a converging large network, where each burst touches a handful of
-	// the N table entries.
-	changedBits []uint64
-	// nlive counts valid table slots, giving full-table stagings their
-	// exact burst size without a counting pass.
-	nlive int
-	// ver is the monotone change-version clock: it advances on every
-	// decision-relevant table change (route inserted, metric or next hop
-	// updated, entry deleted). Advertisement bursts are stamped with it,
-	// and received stamps drive the whole-chunk skip below.
-	ver uint64
+	routing.Vector
 	// seen holds the per-neighbor incorporation watermarks for the skip.
 	seen map[routing.NodeID]nbrSeen
 	// nextDeadline is a lower bound on the earliest expire/gc deadline in
 	// the table (0 = unknown, scan to find out), letting housekeep skip its
 	// full scan on the overwhelmingly common tick where nothing can expire.
 	nextDeadline time.Duration
-	up           map[routing.NodeID]bool
-	adv          *routing.Advertiser
-	hk           *sim.Timer
-	// snd stages advertisement bursts once per broadcast into a shared
-	// pooled snapshot; per-neighbor messages are index views with
-	// read-time poisoned reverse, so a steady-state broadcast allocates
-	// nothing and copies nothing per neighbor.
-	snd routing.BurstSender
 }
 
 var _ netsim.Protocol = (*Protocol)(nil)
@@ -110,18 +69,8 @@ var _ netsim.Protocol = (*Protocol)(nil)
 // New returns a RIP instance for the node. It must be attached with
 // node.AttachProtocol before the network starts.
 func New(node *netsim.Node, cfg routing.VectorConfig) *Protocol {
-	if cfg.Infinity > math.MaxInt16 {
-		panic("rip: Infinity exceeds the 16-bit table metric")
-	}
-	p := &Protocol{
-		node: node,
-		cfg:  cfg,
-		inf:  int32(cfg.Infinity),
-		up:   make(map[routing.NodeID]bool),
-		seen: make(map[routing.NodeID]nbrSeen),
-	}
-	p.adv = routing.NewAdvertiser(node, &p.cfg, p.broadcastFull, p.broadcastChanged)
-	p.hk = sim.NewTimer(node.Sim(), p.housekeep)
+	p := &Protocol{seen: make(map[routing.NodeID]nbrSeen)}
+	p.Init(node, cfg, p.housekeep)
 	return p
 }
 
@@ -131,95 +80,11 @@ func Factory(cfg routing.VectorConfig) func(*netsim.Node) netsim.Protocol {
 	return func(n *netsim.Node) netsim.Protocol { return New(n, cfg) }
 }
 
-// Table returns the current metric and next hop for dst, with ok reporting
-// whether a route (reachable or not) exists. Exposed for tests and tools.
-func (p *Protocol) Table(dst routing.NodeID) (metric int, nextHop routing.NodeID, ok bool) {
-	rt := p.route(dst)
-	if rt == nil {
-		return 0, 0, false
-	}
-	return int(rt.metric), rt.nextHop, true
-}
-
-// route returns the live entry for dst, or nil.
-func (p *Protocol) route(dst routing.NodeID) *route {
-	if dst >= 0 && int(dst) < len(p.table) && p.table[dst].valid {
-		return &p.table[dst]
-	}
-	return nil
-}
-
-// insert claims the slot for dst, growing the table on demand, and returns
-// it zeroed with valid set. Start presizes the table to the network, so
-// growth here only triggers for unit tests that inject out-of-range IDs;
-// it doubles anyway so repeated single-destination growth stays amortized.
-func (p *Protocol) insert(dst routing.NodeID) *route {
-	if int(dst) >= len(p.table) {
-		n := int(dst) + 1
-		if n < 2*len(p.table) {
-			n = 2 * len(p.table)
-		}
-		grown := make([]route, n)
-		copy(grown, p.table)
-		p.table = grown
-	}
-	p.table[dst] = route{valid: true}
-	p.nlive++
-	return &p.table[dst]
-}
-
-// setChanged flags the entry for the next triggered update, in both the
-// entry and the bitmap (the invariant the bitmap iteration relies on:
-// changed entries always have their bit set), and advances the version
-// clock — every call site is a decision-relevant table change.
-func (p *Protocol) setChanged(dst routing.NodeID, rt *route) {
-	p.ver++
-	rt.changed = true
-	w := int(dst) >> 6
-	if w >= len(p.changedBits) {
-		n := w + 1
-		if n < 2*len(p.changedBits) {
-			n = 2 * len(p.changedBits)
-		}
-		grown := make([]uint64, n)
-		copy(grown, p.changedBits)
-		p.changedBits = grown
-	}
-	p.changedBits[w] |= 1 << (uint(dst) & 63)
-}
-
 // noteDeadline lowers the housekeeping deadline bound to d.
 func (p *Protocol) noteDeadline(d time.Duration) {
 	if p.nextDeadline == 0 || d < p.nextDeadline {
 		p.nextDeadline = d
 	}
-}
-
-// Start implements netsim.Protocol.
-func (p *Protocol) Start() {
-	// Node IDs are contiguous from 0, so size the dense table and its
-	// changed bitmap to the network up front; growing them one new maximum
-	// destination at a time is quadratic memory traffic on a 10k-node
-	// graph (the same idiom as ls and bgp).
-	if n := p.node.NetworkSize(); n > len(p.table) {
-		grown := make([]route, n)
-		copy(grown, p.table)
-		p.table = grown
-		bits := make([]uint64, (n+63)/64)
-		copy(bits, p.changedBits)
-		p.changedBits = bits
-	}
-	self := p.node.ID()
-	rt := p.insert(self)
-	rt.metric, rt.nextHop = 0, self
-	for _, n := range p.node.Neighbors() {
-		p.up[n] = true
-	}
-	p.adv.Start()
-	p.hk.Reset(housekeepInterval)
-	// Announce ourselves right away so the network learns new attachments
-	// without waiting a full period.
-	p.broadcastFull()
 }
 
 // HandleMessage implements netsim.Protocol.
@@ -228,11 +93,11 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 	if !ok {
 		return // not a RIP message; ignore
 	}
-	met := p.node.Metrics()
+	met := p.Node.Metrics()
 	met.Inc(obs.ProtoUpdatesReceived)
 	n := u.Len()
 	met.Add(obs.ProtoDecisionRuns, uint64(n))
-	now := p.node.Sim().Now()
+	now := p.Node.Sim().Now()
 	b := u.Burst()
 	if b != nil {
 		// Whole-chunk skip: the sender re-advertises a snapshot version we
@@ -240,7 +105,7 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 		// changed since — every entry decision would repeat its earlier
 		// no-op. The only live effect, the timeout refresh of routes via
 		// the sender, is applied directly from the cached via-list.
-		if ns, ok := p.seen[from]; ok && b.Ver <= ns.ver && p.ver == ns.tv {
+		if ns, ok := p.seen[from]; ok && b.Ver <= ns.ver && p.Ver == ns.tv {
 			if ns.nvia == viaUnknown {
 				// The table is bit-identical to when the watermark was
 				// recorded (our clock has not moved), so resolving the
@@ -264,7 +129,7 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 	// the read-time poisoned reverse EntryAt applies is inlined here (nhs
 	// is nil for explicit updates, which carry literal entries).
 	ents, nhs, origin, binf := u.View()
-	self := p.node.ID()
+	self := p.Node.ID()
 	for i, e := range ents {
 		if nhs != nil && nhs[i] == self && e.Dst != origin {
 			e.Metric = binf
@@ -274,16 +139,16 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 		// leaves the route untouched). On a converging large network the
 		// bulk of received entries land here, so skipping the full decision
 		// is the dominant receive-side saving.
-		if int(e.Dst) < len(p.table) && e.Dst >= 0 {
-			rt := &p.table[e.Dst]
-			if rt.valid && from != rt.nextHop {
-				metric := e.Metric + 1
-				if metric > p.inf {
-					metric = p.inf
-				}
-				if metric >= int32(rt.metric) {
-					continue
-				}
+		if uint(e.Dst) >= uint(len(p.Rows)) {
+			continue // outside the network
+		}
+		if rt := &p.Rows[e.Dst]; rt.Valid && from != rt.NextHop {
+			metric := e.Metric + 1
+			if metric > p.Inf {
+				metric = p.Inf
+			}
+			if metric >= int32(rt.Metric) {
+				continue
 			}
 		}
 		if p.processEntry(from, e, now) {
@@ -293,10 +158,10 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 	if b != nil && b.Full && u.LastChunk() {
 		// The sender's whole table at b.Ver is now incorporated. The
 		// via-list resolves lazily on the first skip attempt.
-		p.seen[from] = nbrSeen{ver: b.Ver, tv: p.ver, nvia: viaUnknown}
+		p.seen[from] = nbrSeen{ver: b.Ver, tv: p.Ver, nvia: viaUnknown}
 	}
 	if changedAny {
-		p.adv.RouteChanged()
+		p.Adv.RouteChanged()
 	}
 }
 
@@ -305,9 +170,9 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 // marking it over-cap.
 func (p *Protocol) resolveVia(from routing.NodeID, ns nbrSeen) nbrSeen {
 	ns.nvia = 0
-	for dst := routing.NodeID(0); int(dst) < len(p.table); dst++ {
-		rt := &p.table[dst]
-		if !rt.valid || rt.nextHop != from || dst == from {
+	for dst := routing.NodeID(0); int(dst) < len(p.Rows); dst++ {
+		rt := &p.Rows[dst]
+		if !rt.Valid || rt.NextHop != from || dst == from {
 			continue
 		}
 		if ns.nvia == viaCap {
@@ -342,75 +207,75 @@ func (p *Protocol) refreshVia(u *routing.VectorUpdate, from, dst routing.NodeID,
 		return
 	}
 	metric := e.Metric + 1
-	if metric > p.inf {
-		metric = p.inf
+	if metric > p.Inf {
+		metric = p.Inf
 	}
-	if metric >= p.inf {
+	if metric >= p.Inf {
 		return // poisoned or unreachable: processing would not refresh
 	}
-	rt := p.route(dst)
-	if rt == nil || rt.nextHop != from || int32(rt.metric) >= p.inf {
+	rt := p.Live(dst)
+	if rt == nil || rt.NextHop != from || int32(rt.Metric) >= p.Inf {
 		return
 	}
-	rt.deadline = now + p.cfg.Timeout
-	p.noteDeadline(rt.deadline)
+	rt.Deadline = now + p.Cfg.Timeout
+	p.noteDeadline(rt.Deadline)
 }
 
 // processEntry applies one received (dst, metric) pair per RFC 2453 §3.9.2
 // and reports whether the route changed.
 func (p *Protocol) processEntry(from routing.NodeID, e routing.VectorEntry, now time.Duration) bool {
-	if e.Dst == p.node.ID() {
+	if e.Dst == p.Node.ID() {
 		return false
 	}
 	metric := e.Metric + 1 // link cost is 1 everywhere in the study
-	if metric > p.inf {
-		metric = p.inf
+	if metric > p.Inf {
+		metric = p.Inf
 	}
-	rt := p.route(e.Dst)
+	rt := p.Live(e.Dst)
 	switch {
 	case rt == nil:
-		if metric >= p.inf {
+		if metric >= p.Inf {
 			return false
 		}
-		rt = p.insert(e.Dst)
-		rt.metric, rt.nextHop, rt.deadline = int16(metric), from, now+p.cfg.Timeout
-		p.setChanged(e.Dst, rt)
-		p.noteDeadline(rt.deadline)
-		p.node.SetRoute(e.Dst, from)
+		rt = p.Insert(e.Dst)
+		rt.Metric, rt.NextHop, rt.Deadline = int16(metric), from, now+p.Cfg.Timeout
+		p.SetChanged(e.Dst, rt)
+		p.noteDeadline(rt.Deadline)
+		p.Node.SetRoute(e.Dst, from)
 		return true
 
-	case from == rt.nextHop:
+	case from == rt.NextHop:
 		// News from the current next hop is always believed, even if worse.
-		if metric < p.inf {
-			rt.deadline = now + p.cfg.Timeout
-			p.noteDeadline(rt.deadline)
+		if metric < p.Inf {
+			rt.Deadline = now + p.Cfg.Timeout
+			p.noteDeadline(rt.Deadline)
 		}
-		if metric == int32(rt.metric) {
+		if metric == int32(rt.Metric) {
 			return false
 		}
-		wasReachable := int32(rt.metric) < p.inf
-		rt.metric = int16(metric)
-		p.setChanged(e.Dst, rt)
-		if metric >= p.inf {
+		wasReachable := int32(rt.Metric) < p.Inf
+		rt.Metric = int16(metric)
+		p.SetChanged(e.Dst, rt)
+		if metric >= p.Inf {
 			if wasReachable {
-				rt.deadline = now + p.cfg.GCTime
-				p.noteDeadline(rt.deadline)
-				p.node.ClearRoute(e.Dst)
+				rt.Deadline = now + p.Cfg.GCTime
+				p.noteDeadline(rt.Deadline)
+				p.Node.ClearRoute(e.Dst)
 			}
 		} else {
 			// The route may be coming back from unreachable via the same
 			// next hop; (re)install the forwarding entry either way.
-			p.node.SetRoute(e.Dst, from)
+			p.Node.SetRoute(e.Dst, from)
 		}
 		return true
 
-	case metric < int32(rt.metric):
-		rt.metric = int16(metric)
-		rt.nextHop = from
-		rt.deadline = now + p.cfg.Timeout
-		p.setChanged(e.Dst, rt)
-		p.noteDeadline(rt.deadline)
-		p.node.SetRoute(e.Dst, from)
+	case metric < int32(rt.Metric):
+		rt.Metric = int16(metric)
+		rt.NextHop = from
+		rt.Deadline = now + p.Cfg.Timeout
+		p.SetChanged(e.Dst, rt)
+		p.noteDeadline(rt.Deadline)
+		p.Node.SetRoute(e.Dst, from)
 		return true
 	}
 	return false
@@ -420,33 +285,24 @@ func (p *Protocol) processEntry(from routing.NodeID, e routing.VectorEntry, now 
 // neighbor becomes unreachable until some other neighbor advertises an
 // alternative (RIP keeps no alternates — §4.1).
 func (p *Protocol) LinkDown(neighbor routing.NodeID) {
-	p.up[neighbor] = false
-	now := p.node.Sim().Now()
+	p.Up[neighbor] = false
+	now := p.Node.Sim().Now()
 	changedAny := false
-	for dst := routing.NodeID(0); int(dst) < len(p.table); dst++ {
-		rt := &p.table[dst]
-		if !rt.valid || rt.nextHop != neighbor || int32(rt.metric) >= p.inf {
+	for dst := routing.NodeID(0); int(dst) < len(p.Rows); dst++ {
+		rt := &p.Rows[dst]
+		if !rt.Valid || rt.NextHop != neighbor || int32(rt.Metric) >= p.Inf {
 			continue
 		}
-		rt.metric = int16(p.inf)
-		rt.deadline = now + p.cfg.GCTime
-		p.setChanged(dst, rt)
-		p.noteDeadline(rt.deadline)
-		p.node.ClearRoute(dst)
+		rt.Metric = int16(p.Inf)
+		rt.Deadline = now + p.Cfg.GCTime
+		p.SetChanged(dst, rt)
+		p.noteDeadline(rt.Deadline)
+		p.Node.ClearRoute(dst)
 		changedAny = true
 	}
 	if changedAny {
-		p.adv.RouteChanged()
+		p.Adv.RouteChanged()
 	}
-}
-
-// LinkUp implements netsim.Protocol: the restored neighbor immediately
-// receives our full table (standing in for RIP's request/response exchange).
-func (p *Protocol) LinkUp(neighbor routing.NodeID) {
-	p.up[neighbor] = true
-	p.stage(true)
-	p.sendStaged(neighbor)
-	p.snd.End()
 }
 
 // housekeep expires timed-out routes and garbage-collects dead ones. The
@@ -454,141 +310,36 @@ func (p *Protocol) LinkUp(neighbor routing.NodeID) {
 // otherwise the tick is O(1) — on a quiet tick (the overwhelmingly common
 // case) nothing could have expired, so skipping the scan changes nothing.
 func (p *Protocol) housekeep() {
-	now := p.node.Sim().Now()
+	now := p.Node.Sim().Now()
 	if p.nextDeadline != 0 && now < p.nextDeadline {
-		p.hk.Reset(housekeepInterval)
 		return
 	}
 	changedAny := false
 	next := noDeadline
-	self := p.node.ID()
-	for dst := routing.NodeID(0); int(dst) < len(p.table); dst++ {
-		rt := &p.table[dst]
-		if !rt.valid || dst == self {
+	self := p.Node.ID()
+	for dst := routing.NodeID(0); int(dst) < len(p.Rows); dst++ {
+		rt := &p.Rows[dst]
+		if !rt.Valid || dst == self {
 			continue
 		}
-		if int32(rt.metric) < p.inf && now >= rt.deadline {
-			rt.metric = int16(p.inf)
-			rt.deadline = now + p.cfg.GCTime
-			p.setChanged(dst, rt)
-			p.node.ClearRoute(dst)
+		if int32(rt.Metric) < p.Inf && now >= rt.Deadline {
+			rt.Metric = int16(p.Inf)
+			rt.Deadline = now + p.Cfg.GCTime
+			p.SetChanged(dst, rt)
+			p.Node.ClearRoute(dst)
 			changedAny = true
 		}
-		if int32(rt.metric) >= p.inf && rt.deadline > 0 && now >= rt.deadline {
-			rt.valid = false
-			p.nlive--
-			p.ver++ // deletions drop out of the advertised table too
+		if int32(rt.Metric) >= p.Inf && rt.Deadline > 0 && now >= rt.Deadline {
+			p.Delete(dst)
 			continue
 		}
 		// Track the surviving entry's next deadline for the skip bound.
-		if rt.deadline > 0 && rt.deadline < next {
-			next = rt.deadline
+		if rt.Deadline > 0 && rt.Deadline < next {
+			next = rt.Deadline
 		}
 	}
 	p.nextDeadline = next
 	if changedAny {
-		p.adv.RouteChanged()
-	}
-	p.hk.Reset(housekeepInterval)
-}
-
-// broadcastFull sends the whole table to every up neighbor.
-func (p *Protocol) broadcastFull() { p.broadcast(true) }
-
-// broadcastChanged sends only routes with the changed flag (a triggered
-// update) to every up neighbor.
-func (p *Protocol) broadcastChanged() { p.broadcast(false) }
-
-func (p *Protocol) broadcast(full bool) {
-	p.stage(full)
-	for _, n := range p.node.Neighbors() {
-		if p.up[n] {
-			p.sendStaged(n)
-		}
-	}
-	p.snd.End()
-	p.clearChanged()
-}
-
-// stage snapshots one advertisement burst — the whole table, or only
-// routes with the changed flag (iterating the changed bitmap), in
-// ascending destination order either way — into the shared pooled
-// snapshot that all per-neighbor messages of this broadcast view.
-func (p *Protocol) stage(full bool) {
-	if full {
-		b := p.snd.Begin(p.node, p.nlive, p.inf, p.ver, true)
-		for dst := routing.NodeID(0); int(dst) < len(p.table); dst++ {
-			rt := &p.table[dst]
-			if !rt.valid {
-				continue
-			}
-			b.Entries = append(b.Entries, routing.VectorEntry{Dst: dst, Metric: int32(rt.metric)})
-			b.NextHop = append(b.NextHop, rt.nextHop)
-		}
-		return
-	}
-	need := 0
-	for _, word := range p.changedBits {
-		need += bits.OnesCount64(word)
-	}
-	b := p.snd.Begin(p.node, need, p.inf, p.ver, false)
-	for w, word := range p.changedBits {
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			word &^= 1 << uint(bit)
-			dst := routing.NodeID(w<<6 + bit)
-			if int(dst) >= len(p.table) {
-				break
-			}
-			rt := &p.table[dst]
-			if !rt.valid || !rt.changed {
-				continue // stale bit (entry replaced or garbage-collected)
-			}
-			b.Entries = append(b.Entries, routing.VectorEntry{Dst: dst, Metric: int32(rt.metric)})
-			b.NextHop = append(b.NextHop, rt.nextHop)
-		}
-	}
-}
-
-// sendStaged transmits the staged burst to one neighbor. With poisoned
-// reverse the per-neighbor wire images differ only in poisoned metric
-// values, so the messages are zero-copy views of the shared snapshot;
-// plain split horizon (§4.2 ablation) omits entries instead, changing
-// per-neighbor lengths, so that path materializes an explicit list
-// exactly as before.
-func (p *Protocol) sendStaged(to routing.NodeID) {
-	b := p.snd.Staged()
-	if len(b.Entries) == 0 {
-		return
-	}
-	if p.cfg.PoisonReverse {
-		sent := p.snd.SendTo(p.node, &p.cfg, to)
-		p.node.Metrics().Add(obs.ProtoUpdatesSent, uint64(sent))
-		return
-	}
-	entries := make([]routing.VectorEntry, 0, len(b.Entries))
-	self := p.node.ID()
-	for i, e := range b.Entries {
-		if b.NextHop[i] == to && e.Dst != self {
-			continue // plain split horizon: stay silent
-		}
-		entries = append(entries, e)
-	}
-	for _, msg := range p.cfg.PackEntries(entries) {
-		p.node.Metrics().Inc(obs.ProtoUpdatesSent)
-		p.node.SendControl(to, msg)
-	}
-}
-
-func (p *Protocol) clearChanged() {
-	for w, word := range p.changedBits {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			if dst := w<<6 + b; dst < len(p.table) {
-				p.table[dst].changed = false
-			}
-		}
-		p.changedBits[w] = 0
+		p.Adv.RouteChanged()
 	}
 }

@@ -5,22 +5,23 @@ import (
 	"time"
 
 	"routeconv/internal/netsim"
-	"routeconv/internal/routetest"
 	"routeconv/internal/routing"
+	"routeconv/internal/routing/conformance"
+	"routeconv/internal/routing/dbf"
 	"routeconv/internal/sim"
 	"routeconv/internal/topology"
 )
 
 func build(t *testing.T, seed int64, g *topology.Graph) (*sim.Simulator, *netsim.Network) {
 	t.Helper()
-	return routetest.Build(seed, g, netsim.DefaultConfig(), nil, Factory(routing.DefaultVectorConfig()))
+	return conformance.Build(seed, g, netsim.DefaultConfig(), nil, Factory(routing.DefaultVectorConfig()))
 }
 
 func TestConvergesOnLine(t *testing.T) {
 	g := topology.Line(5)
 	s, net := build(t, 1, g)
 	s.RunUntil(60 * time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 }
 
 func TestConvergesOnMesh(t *testing.T) {
@@ -30,19 +31,19 @@ func TestConvergesOnMesh(t *testing.T) {
 	}
 	s, net := build(t, 2, m.Graph)
 	s.RunUntil(120 * time.Second)
-	routetest.AssertShortestPaths(t, net, m.Graph)
+	conformance.AssertShortestPaths(t, net, m.Graph)
 }
 
 func TestReroutesAfterFailure(t *testing.T) {
 	g := topology.Ring(6)
 	s, net := build(t, 3, g)
 	s.RunUntil(120 * time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 
 	net.FailLink(0, 1)
 	// RIP may need a full periodic cycle to find alternates.
 	s.RunUntil(s.Now() + 200*time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 }
 
 func TestRecoversAfterRestore(t *testing.T) {
@@ -53,7 +54,7 @@ func TestRecoversAfterRestore(t *testing.T) {
 	s.RunUntil(s.Now() + 200*time.Second)
 	net.RestoreLink(0, 1)
 	s.RunUntil(s.Now() + 200*time.Second)
-	routetest.AssertShortestPaths(t, net, g)
+	conformance.AssertShortestPaths(t, net, g)
 }
 
 func TestRecoveryViaSameNextHopReinstallsFIB(t *testing.T) {
@@ -129,52 +130,70 @@ func (s *sniffer) entryFor(dst routing.NodeID) (int, bool) {
 	return metric, found
 }
 
-func TestPoisonReverse(t *testing.T) {
-	// Line 0-1-2 where node 2 is a sniffer. Node 1 routes to 2 via 2, so
-	// its updates to 2 must advertise destination 2 at infinity.
+// vectorFactories are the two distance-vector strategies over the shared
+// routing.Vector core; the advertisement tests below run against both.
+var vectorFactories = []struct {
+	name string
+	new  func(routing.VectorConfig) func(*netsim.Node) netsim.Protocol
+}{
+	{"rip", Factory},
+	{"dbf", dbf.Factory},
+}
+
+// teachAndSniff builds line 0-1-2 with the protocol on nodes 0 and 1 and a
+// sniffer on node 2, which announces itself to node 1 once at t = 1 s, and
+// runs 90 s. Node 1 then routes to 2 via 2.
+func teachAndSniff(cfg routing.VectorConfig, factory func(routing.VectorConfig) func(*netsim.Node) netsim.Protocol) *sniffer {
 	s := sim.New(1)
 	net := netsim.FromGraph(s, topology.Line(3), netsim.DefaultConfig(), nil)
-	cfg := routing.DefaultVectorConfig()
-	net.Node(0).AttachProtocol(New(net.Node(0), cfg))
-	net.Node(1).AttachProtocol(New(net.Node(1), cfg))
+	f := factory(cfg)
+	net.Node(0).AttachProtocol(f(net.Node(0)))
+	net.Node(1).AttachProtocol(f(net.Node(1)))
 	sn := &sniffer{}
 	net.Node(2).AttachProtocol(sn)
 	net.Start()
-	// Teach node 1 a route to "2" by sending it an update from node 2.
 	s.Schedule(time.Second, func() {
 		net.Node(2).SendControl(1, cfg.PackEntries([]routing.VectorEntry{{Dst: 2, Metric: 0}})[0])
 	})
 	s.RunUntil(90 * time.Second)
+	return sn
+}
 
-	metric, found := sn.entryFor(2)
-	if !found {
-		t.Fatal("node 1 never advertised destination 2 back to node 2")
-	}
-	if metric != cfg.Infinity {
-		t.Errorf("poisoned reverse metric = %d, want %d", metric, cfg.Infinity)
-	}
-	// Sanity: destination 0 must be advertised to 2 with a real metric.
-	if metric, found := sn.entryFor(0); !found || metric != 1 {
-		t.Errorf("metric for dst 0 advertised to node 2 = %d (found=%v), want 1", metric, found)
+func TestPoisonReverse(t *testing.T) {
+	// Node 1 routes to 2 via 2, so its updates to 2 must advertise
+	// destination 2 at infinity.
+	cfg := routing.DefaultVectorConfig()
+	for _, tc := range vectorFactories {
+		t.Run(tc.name, func(t *testing.T) {
+			sn := teachAndSniff(cfg, tc.new)
+			metric, found := sn.entryFor(2)
+			if !found {
+				t.Fatal("node 1 never advertised destination 2 back to node 2")
+			}
+			if metric != cfg.Infinity {
+				t.Errorf("poisoned reverse metric = %d, want %d", metric, cfg.Infinity)
+			}
+			// Sanity: destination 0 must be advertised to 2 with a real metric.
+			if metric, found := sn.entryFor(0); !found || metric != 1 {
+				t.Errorf("metric for dst 0 advertised to node 2 = %d (found=%v), want 1", metric, found)
+			}
+		})
 	}
 }
 
 func TestSplitHorizonWithoutPoison(t *testing.T) {
-	s := sim.New(1)
-	net := netsim.FromGraph(s, topology.Line(3), netsim.DefaultConfig(), nil)
 	cfg := routing.DefaultVectorConfig()
 	cfg.PoisonReverse = false
-	net.Node(0).AttachProtocol(New(net.Node(0), cfg))
-	net.Node(1).AttachProtocol(New(net.Node(1), cfg))
-	sn := &sniffer{}
-	net.Node(2).AttachProtocol(sn)
-	net.Start()
-	s.Schedule(time.Second, func() {
-		net.Node(2).SendControl(1, cfg.PackEntries([]routing.VectorEntry{{Dst: 2, Metric: 0}})[0])
-	})
-	s.RunUntil(90 * time.Second)
-	if _, found := sn.entryFor(2); found {
-		t.Error("plain split horizon still advertised destination 2 back to its next hop")
+	for _, tc := range vectorFactories {
+		t.Run(tc.name, func(t *testing.T) {
+			sn := teachAndSniff(cfg, tc.new)
+			if _, found := sn.entryFor(2); found {
+				t.Error("plain split horizon still advertised destination 2 back to its next hop")
+			}
+			if metric, found := sn.entryFor(0); !found || metric != 1 {
+				t.Errorf("metric for dst 0 advertised to node 2 = %d (found=%v), want 1", metric, found)
+			}
+		})
 	}
 }
 

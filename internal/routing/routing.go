@@ -1,7 +1,8 @@
 // Package routing holds the pieces shared by the study's routing protocols
-// (RIP, DBF, BGP): distance-vector message formats, update packing, the
-// periodic/triggered advertisement machinery with damping, and the
-// configuration knobs the paper's §3 describes.
+// (RIP, DBF, BGP): Vector, the distance-vector speaker RIP and DBF embed;
+// distance-vector message formats, update packing, the periodic/triggered
+// advertisement machinery with damping, and the configuration knobs the
+// paper's §3 describes.
 package routing
 
 import (
@@ -45,8 +46,9 @@ type VectorConfig struct {
 	// Disabling it is an ablation (§4.2): plain split horizon is used.
 	PoisonReverse bool
 	// ECMP makes DBF install every neighbor achieving the minimum metric
-	// as an equal-cost multipath set (an extension, off by default; RIP
-	// ignores it — it keeps a single route by design).
+	// as an equal-cost multipath set (an extension, off by default). Only
+	// DBF's recompute reads it; the shared Vector core and RIP, which
+	// keeps a single route by design, ignore it.
 	ECMP bool
 }
 
@@ -183,7 +185,7 @@ func (cfg *VectorConfig) PackEntries(entries []VectorEntry) []*VectorUpdate {
 }
 
 // Advertiser drives the periodic full-table updates and the damped
-// triggered updates shared by RIP and DBF (§3, §4.3). The owning protocol
+// triggered updates shared by RIP and DBF (§3, §4.3). Its owner (Vector)
 // supplies the two broadcast callbacks.
 type Advertiser struct {
 	cfg  *VectorConfig

@@ -75,9 +75,13 @@ func DecodeVectorUpdate(buf []byte, cfg *VectorConfig) (*VectorUpdate, error) {
 		if afi := binary.BigEndian.Uint16(body[off:]); afi != ripAFIInet {
 			return nil, fmt.Errorf("routing: entry %d has AFI %d, want %d", i, afi, ripAFIInet)
 		}
+		metric := binary.BigEndian.Uint32(body[off+16:])
+		if metric > uint32(cfg.Infinity) {
+			return nil, fmt.Errorf("routing: entry %d has metric %d outside [0, %d]", i, metric, cfg.Infinity)
+		}
 		u.Entries[i] = VectorEntry{
 			Dst:    nodeForAddr(binary.BigEndian.Uint32(body[off+4:])),
-			Metric: int32(binary.BigEndian.Uint32(body[off+16:])),
+			Metric: int32(metric),
 		}
 	}
 	return u, nil

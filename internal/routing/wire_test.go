@@ -68,6 +68,8 @@ func TestDecodeVectorUpdateErrors(t *testing.T) {
 		"ragged body": good[:len(good)-3],
 		"bad AFI":     concat(good[:4], []byte{0, 9}, good[6:]...),
 		"over limit":  overLimitPayload(&cfg),
+		"metric -1":   metricPayload(-1),
+		"metric 17":   metricPayload(int32(cfg.Infinity) + 1),
 	}
 	for name, buf := range cases {
 		if _, err := DecodeVectorUpdate(buf, &cfg); err == nil {
@@ -80,6 +82,12 @@ func concat(a, b []byte, rest ...byte) []byte {
 	out := append([]byte{}, a...)
 	out = append(out, b...)
 	return append(out, rest...)
+}
+
+// metricPayload encodes a one-entry update carrying metric as its
+// unsigned 32-bit wire value (-1 is 0xFFFFFFFF).
+func metricPayload(metric int32) []byte {
+	return (&VectorUpdate{Entries: []VectorEntry{{Dst: 1, Metric: metric}}, header: 32, entry: 20}).Encode()
 }
 
 func overLimitPayload(cfg *VectorConfig) []byte {
