@@ -284,7 +284,8 @@ func BenchmarkExtensionMultiFlow(b *testing.B) {
 // on the primary one (§6 future work).
 func BenchmarkExtensionMultiFailure(b *testing.B) {
 	cfg := benchConfig(ProtoDBF, 6)
-	cfg.ExtraFailAts = []time.Duration{cfg.FailAt + 5*time.Second, cfg.FailAt + 15*time.Second}
+	cfg.Script = NewScenario().FailPath(cfg.FailAt, 0, 0).
+		FailRandom(cfg.FailAt + 5*time.Second).FailRandom(cfg.FailAt + 15*time.Second).Script()
 	runTrialBench(b, cfg, func(r *Result) map[string]float64 {
 		return map[string]float64{
 			"delivery-ratio": r.DeliveryRatio,
@@ -305,8 +306,7 @@ func BenchmarkExtensionFlapDamping(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			cfg := benchConfig(ProtoBGP3, 4)
-			cfg.RestoreAfter = 3 * time.Second
-			cfg.Flaps = 5
+			cfg.Script = NewScenario().FailPath(cfg.FailAt, 3*time.Second, 5).Script()
 			if withDamping {
 				dcfg := DefaultDampingConfig()
 				dcfg.HalfLife = 60 * time.Second
@@ -503,8 +503,7 @@ func BenchmarkConvergence(b *testing.B) {
 // setup of BenchmarkExtensionFlapDamping, shortened).
 func benchDampingConfig() Config {
 	cfg := benchConfig(ProtoBGP3, 4)
-	cfg.RestoreAfter = 3 * time.Second
-	cfg.Flaps = 5
+	cfg.Script = NewScenario().FailPath(cfg.FailAt, 3*time.Second, 5).Script()
 	dcfg := DefaultDampingConfig()
 	dcfg.HalfLife = 60 * time.Second
 	cfg.BGP3.Damping = &dcfg

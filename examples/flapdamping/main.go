@@ -20,8 +20,8 @@ func main() {
 	base := routeconv.DefaultConfig()
 	base.Protocol = routeconv.ProtoBGP3
 	base.Trials = 10
-	base.RestoreAfter = 3 * time.Second // up/down cycle of 6 s
-	base.Flaps = 5                      // link is permanently up after ~30 s
+	// Up/down cycle of 6 s; the link is permanently up after ~30 s.
+	base.Scenario = "failpath @400s restore=3s flaps=5"
 
 	fmt.Fprintln(os.Stderr, "running BGP3 with a 5-flap link, 10 trials per variant...")
 

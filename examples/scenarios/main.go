@@ -1,8 +1,9 @@
 // Scenarios demonstrates the composable disturbance-script engine: instead
-// of the paper's single hard-coded on-path failure, an experiment takes a
-// declarative schedule of failures, repairs, flap storms, random loss, and
-// continuous churn — written either with the builder API or in the compact
-// text grammar (full reference: SCENARIOS.md).
+// of the default schedule — the paper's single on-path failure, "failpath
+// @FailAt" — an experiment takes a declarative schedule of failures,
+// repairs, flap storms, random loss, and continuous churn — written either
+// with the builder API or in the compact text grammar (full reference:
+// SCENARIOS.md).
 //
 // The demo runs BGP through two schedules on the default 7×7 mesh:
 //

@@ -25,15 +25,14 @@ const canonVersion = "core.Config/v1"
 // function pointer has no stable content — and return an error; such
 // experiments are simply uncacheable.
 //
-// A Topo spec is resolved (on a copy) before encoding, so a config carrying
-// "ba:n=100,m=2" and one carrying the identical pre-built graph
-// canonicalize — and therefore cache — the same.
+// The config is resolved and validated (on a copy) before encoding, so a
+// config carrying "ba:n=100,m=2" and one carrying the identical pre-built
+// graph canonicalize — and therefore cache — the same, as do a default
+// config and one carrying its explicit "failpath @FailAt" script. An
+// invalid config has no canonical form.
 func (c *Config) CanonicalString() (string, error) {
 	r := *c
-	if err := r.ResolveTopology(); err != nil {
-		return "", fmt.Errorf("core: canonicalize config: %w", err)
-	}
-	if err := r.ResolveScenario(); err != nil {
+	if err := r.resolve(); err != nil {
 		return "", fmt.Errorf("core: canonicalize config: %w", err)
 	}
 	var sb strings.Builder

@@ -45,8 +45,9 @@ func TestCanonicalStringSeparatesConfigs(t *testing.T) {
 		func(c *Config) { c.Net.QueueLimit = 21 },
 		func(c *Config) { c.Vector.PoisonReverse = !c.Vector.PoisonReverse },
 		func(c *Config) { c.BGP.MRAI = time.Second },
-		func(c *Config) { c.ExtraFailAts = []time.Duration{500 * time.Second} },
-		func(c *Config) { c.RestoreAfter = time.Second },
+		func(c *Config) { c.Scenario = "failpath @400s; failrandom @500s" },
+		func(c *Config) { c.Scenario = "failpath @400s restore=1s" },
+		func(c *Config) { c.FailAt += time.Second },
 	}
 	want, err := base.CanonicalString()
 	if err != nil {

@@ -75,13 +75,6 @@ func (e *ExperimentFlags) Config() (Config, error) {
 		cfg.Mode = mode
 	}
 	cfg.Shards = e.Shards
-	if e.Scenario != "" {
-		cfg.Scenario = e.Scenario
-		// A script replaces the default failure schedule wholesale; clear
-		// the legacy knobs so Validate doesn't reject the combination.
-		cfg.RestoreAfter = 0
-		cfg.Flaps = 0
-		cfg.ExtraFailAts = nil
-	}
+	cfg.Scenario = e.Scenario
 	return cfg, nil
 }

@@ -179,8 +179,10 @@ type Config struct {
 	Seed int64
 	// SenderStart is when the constant-rate flow begins (paper: 390 s).
 	SenderStart time.Duration
-	// FailAt is when one link on the flow's forwarding path fails
-	// (paper: 400 s).
+	// FailAt is when the default schedule fails one link on the flow's
+	// forwarding path (paper: 400 s), and the measurement anchor of every
+	// trial, scripted or not: post-failure drop windows, convergence times
+	// and timeline summaries count from it.
 	FailAt time.Duration
 	// End is the end of the simulation (paper: 800 s).
 	End time.Duration
@@ -211,37 +213,24 @@ type Config struct {
 	// packet-level simulation after a forwarding change on its path.
 	// Zero defaults to one second.
 	GuardWindow time.Duration
-	// ExtraFailAts schedules additional failures of random live mesh links
-	// (the §6 multiple-failure extension). Empty for the paper's setup.
-	ExtraFailAts []time.Duration
 	// FastReroute precomputes loop-free-alternate protection next hops at
 	// every router (the paper's related work [1], [27]): packets deflect
 	// to the backup the instant the primary's link is down, before any
 	// protocol reaction. An extension; off in the paper's setup.
 	FastReroute bool
-	// RestoreAfter, when positive, restores the primary failed link this
-	// long after each failure (link repair / flap experiments).
-	RestoreAfter time.Duration
-	// Flaps is how many times the primary link fails. 0 or 1 is the
-	// paper's single permanent failure; with RestoreAfter set, cycle i
-	// fails at FailAt + i·2·RestoreAfter. Used by the route-flap-damping
-	// experiments.
-	Flaps int
 	// Scenario, when non-empty, is a disturbance script in the scenario
 	// text grammar ("fail link 3-7 @400s; loss link 1-2 p=0.01 @410s";
 	// full reference in SCENARIOS.md) that replaces the default failure
 	// schedule. ResolveScenario parses it into Script and clears it, so
 	// the canonical config — and thus sweep cache keys — depends only on
 	// the event list, never on the script text. Mutually exclusive with a
-	// non-nil Script and with the legacy RestoreAfter/Flaps/ExtraFailAts
-	// knobs. FailAt remains the measurement anchor (post-failure drop
-	// windows, convergence times, timeline summaries) for scripted runs.
+	// non-nil Script.
 	Scenario string
-	// Script, when non-nil, is the parsed disturbance schedule executed
-	// by the trial (built with scenario.NewBuilder or scenario.Parse).
-	// When both Scenario and Script are empty, the legacy
-	// FailAt/RestoreAfter/Flaps/ExtraFailAts fields compile to an
-	// equivalent script — bit-for-bit, the golden fixtures pin it.
+	// Script, when non-nil, is the trial's disturbance schedule (built
+	// with scenario.NewBuilder or scenario.Parse). When both Scenario and
+	// Script are empty the schedule is the paper's single on-path failure,
+	// "failpath @FailAt". ResolveScenario stores whichever applies here,
+	// so a resolved config carries its whole schedule in Script.
 	Script *scenario.Script
 	// Metrics enables the obs counter layer: each trial carries a
 	// TrialResult.Metrics snapshot (and the Result sums them). Counting is
@@ -328,42 +317,46 @@ func (c *Config) ResolveTopology() error {
 	return nil
 }
 
-// ResolveScenario parses a Scenario script string into Script, then clears
-// Scenario: the resolved config — canonical hash included — depends only on
-// the parsed event list. It is a no-op when Scenario is empty, and an error
-// when both Scenario and Script are set.
+// ResolveScenario stores the trial's disturbance schedule in Script and
+// clears Scenario: the resolved config — canonical hash included — depends
+// only on the event list, so a default config and one carrying an explicit
+// "failpath @FailAt" resolve alike. It is an error when both Scenario and
+// Script are set.
 func (c *Config) ResolveScenario() error {
-	if c.Scenario == "" {
-		return nil
-	}
-	if c.Script != nil {
-		return fmt.Errorf("core: Scenario %q and Script are mutually exclusive", c.Scenario)
-	}
-	sc, err := scenario.Parse(c.Scenario)
+	sc, err := c.script()
 	if err != nil {
 		return err
 	}
-	c.Script = sc
-	c.Scenario = ""
+	c.Script, c.Scenario = sc, ""
 	return nil
 }
 
-// effectiveScript returns the trial's disturbance schedule: the explicit
-// Script when set, otherwise the legacy FailAt/RestoreAfter/Flaps/
-// ExtraFailAts fields compiled to their equivalent script (one failpath
-// event plus one failrandom per extra failure). The compiled script's
-// executor reproduces the original hard-coded schedule bit-for-bit: same
-// closures, same randomness draws, same scheduling order.
-func (c *Config) effectiveScript() *scenario.Script {
-	if c.Script != nil {
-		return c.Script
+// script returns the trial's disturbance schedule: the explicit Script, the
+// parsed Scenario text, or — when both are empty — the paper's single
+// on-path failure, failpath @FailAt.
+func (c *Config) script() (*scenario.Script, error) {
+	switch {
+	case c.Scenario != "" && c.Script != nil:
+		return nil, fmt.Errorf("core: Scenario %q and Script are mutually exclusive", c.Scenario)
+	case c.Scenario != "":
+		return scenario.Parse(c.Scenario)
+	case c.Script != nil:
+		return c.Script, nil
 	}
-	b := scenario.NewBuilder()
-	b.FailPath(c.FailAt, c.RestoreAfter, c.Flaps)
-	for _, at := range c.ExtraFailAts {
-		b.FailRandom(at)
+	return scenario.NewBuilder().FailPath(c.FailAt, 0, 0).Script(), nil
+}
+
+// resolve is the one preparation step before a config is run or
+// canonicalized: build any Topo spec, move the disturbance schedule into
+// Script, and validate the result.
+func (c *Config) resolve() error {
+	if err := c.ResolveTopology(); err != nil {
+		return err
 	}
-	return b.Script()
+	if err := c.ResolveScenario(); err != nil {
+		return err
+	}
+	return c.Validate()
 }
 
 // Validate reports the first problem with the configuration, or nil.
@@ -412,11 +405,6 @@ func (c *Config) Validate() error {
 			return err
 		}
 	}
-	for _, at := range c.ExtraFailAts {
-		if at >= c.End {
-			return fmt.Errorf("core: extra failure at %v not before End %v", at, c.End)
-		}
-	}
 	if c.Topology != nil {
 		if len(c.SenderRouters) == 0 || len(c.ReceiverRouters) == 0 {
 			return fmt.Errorf("core: custom Topology requires SenderRouters and ReceiverRouters")
@@ -430,49 +418,18 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: custom Topology is disconnected")
 		}
 	}
-	if c.Flaps > 1 && c.RestoreAfter <= 0 {
-		return fmt.Errorf("core: Flaps = %d requires RestoreAfter > 0", c.Flaps)
-	}
-	if c.RestoreAfter < 0 {
-		return fmt.Errorf("core: RestoreAfter must not be negative")
-	}
-	if err := c.validateScenario(); err != nil {
+	// The disturbance schedule, against the horizon and — when the script
+	// names links or nodes and the topology is known — the actual link and
+	// node set. A resolved Topology has the graph; the default mesh is
+	// cheap to build; an unresolved Topo spec defers reference checks to
+	// the resolve step's post-ResolveTopology Validate (building the spec
+	// here could read files).
+	script, err := c.script()
+	if err != nil {
 		return err
 	}
-	return nil
-}
-
-// validateScenario checks the scripted disturbance schedule: the
-// Scenario/Script exclusivity rules, and every scripted event against the
-// horizon and — when the topology is known — the actual link and node set,
-// plus cross-event ordering (no restore before a fail). See the bug the
-// original Validate had: it cross-checked only FailAt against
-// SenderStart/End, so a script could silently reference links that never
-// existed or fire after the run ended.
-func (c *Config) validateScenario() error {
-	script := c.Script
-	if c.Scenario != "" {
-		if script != nil {
-			return fmt.Errorf("core: Scenario %q and Script are mutually exclusive", c.Scenario)
-		}
-		parsed, err := scenario.Parse(c.Scenario)
-		if err != nil {
-			return err
-		}
-		script = parsed
-	}
-	if script == nil {
-		return nil
-	}
-	if c.RestoreAfter != 0 || c.Flaps != 0 || len(c.ExtraFailAts) > 0 {
-		return fmt.Errorf("core: a scenario script and the legacy RestoreAfter/Flaps/ExtraFailAts knobs are mutually exclusive; script the schedule instead (see SCENARIOS.md)")
-	}
-	// Reference checks need the graph. A resolved Topology has it; the
-	// default mesh is cheap to build; an unresolved Topo spec defers
-	// reference checks to the post-ResolveTopology Validate in
-	// RunContext/TraceObserved (building the spec here could read files).
 	g := c.Topology
-	if g == nil && c.Topo == "" {
+	if g == nil && c.Topo == "" && script.NamesTopology() {
 		if mesh, err := topology.NewMesh(c.Rows, c.Cols, c.Degree); err == nil {
 			g = mesh.Graph
 		}
@@ -480,12 +437,12 @@ func (c *Config) validateScenario() error {
 	return script.Validate(c.End, g)
 }
 
-// factory resolves the protocol constructor for this configuration.
 // usesVector reports whether the run's protocol is built from c.Vector.
 func (c *Config) usesVector() bool {
 	return c.Factory == nil && (c.Protocol == ProtoRIP || c.Protocol == ProtoDBF)
 }
 
+// factory resolves the protocol constructor for this configuration.
 func (c *Config) factory() (func(*netsim.Node) netsim.Protocol, error) {
 	if c.Factory != nil {
 		return c.Factory, nil

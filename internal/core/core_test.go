@@ -31,7 +31,7 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.TTL = 0 },
 		func(c *Config) { c.Protocol = ProtocolKind(99) },
 		func(c *Config) { c.Degree = 1 },
-		func(c *Config) { c.ExtraFailAts = []time.Duration{c.End + time.Second} },
+		func(c *Config) { c.Scenario = "failpath @400s; failrandom @801s" },
 		func(c *Config) { c.Vector.MaxEntries = 0 },
 		func(c *Config) { c.Vector.Infinity = 0 },
 		func(c *Config) { c.Protocol, c.Vector.Infinity = ProtoRIP, math.MaxInt16+1 },
@@ -260,7 +260,7 @@ func TestExtraFailures(t *testing.T) {
 	cfg := shortConfig()
 	cfg.Protocol = ProtoDBF
 	cfg.Trials = 1
-	cfg.ExtraFailAts = []time.Duration{cfg.FailAt + 5*time.Second, cfg.FailAt + 10*time.Second}
+	cfg.Scenario = "failpath @200s; failrandom @205s; failrandom @210s"
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -28,8 +28,7 @@ func goldenConfig(k ProtocolKind) Config {
 // too.
 func goldenDampingConfig() Config {
 	cfg := goldenConfig(ProtoBGP3)
-	cfg.RestoreAfter = 3 * time.Second
-	cfg.Flaps = 5
+	cfg.Scenario = "failpath @400s restore=3s flaps=5"
 	dcfg := bgp.DefaultDampingConfig()
 	dcfg.HalfLife = 60 * time.Second
 	cfg.BGP3.Damping = &dcfg

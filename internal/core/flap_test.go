@@ -11,7 +11,7 @@ func TestRestoreAfterRepairsPath(t *testing.T) {
 	cfg := shortConfig()
 	cfg.Protocol = ProtoDBF
 	cfg.Trials = 2
-	cfg.RestoreAfter = 20 * time.Second
+	cfg.Scenario = "failpath @200s restore=20s"
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -30,14 +30,13 @@ func TestRestoreAfterRepairsPath(t *testing.T) {
 
 func TestFlapsValidation(t *testing.T) {
 	cfg := shortConfig()
-	cfg.Flaps = 3 // no RestoreAfter
+	cfg.Scenario = "failpath @200s flaps=3" // no restore
 	if _, err := Run(cfg); err == nil {
-		t.Error("Flaps without RestoreAfter accepted")
+		t.Error("flaps without restore accepted")
 	}
-	cfg = shortConfig()
-	cfg.RestoreAfter = -time.Second
+	cfg.Scenario = "failpath @200s restore=-1s"
 	if _, err := Run(cfg); err == nil {
-		t.Error("negative RestoreAfter accepted")
+		t.Error("negative restore accepted")
 	}
 }
 
@@ -45,8 +44,7 @@ func TestFlappingLinkRuns(t *testing.T) {
 	cfg := shortConfig()
 	cfg.Protocol = ProtoBGP3
 	cfg.Trials = 2
-	cfg.RestoreAfter = 5 * time.Second
-	cfg.Flaps = 4
+	cfg.Scenario = "failpath @200s restore=5s flaps=4"
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +54,7 @@ func TestFlappingLinkRuns(t *testing.T) {
 	}
 	// Flapping must produce more transient paths than a single failure.
 	single := cfg
-	single.Flaps = 0
-	single.RestoreAfter = 0
+	single.Scenario = ""
 	sres, err := Run(single)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +76,7 @@ func TestFlapDampingHurtsDelivery(t *testing.T) {
 	base := shortConfig()
 	base.Protocol = ProtoBGP3
 	base.Trials = 3
-	base.RestoreAfter = 3 * time.Second
-	base.Flaps = 5
+	base.Scenario = "failpath @200s restore=3s flaps=5"
 
 	plain, err := Run(base)
 	if err != nil {

@@ -110,16 +110,9 @@ func Run(cfg Config) (*Result, error) {
 // a cancelled experiment stops promptly instead of finishing its whole trial
 // batch. It returns ctx.Err() when cancelled.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	// Resolve any Topo spec and Scenario script once, up front: the workers
-	// share cfg, and each trial then only clones the already-built graph
-	// and installs the already-parsed script.
-	if err := cfg.ResolveTopology(); err != nil {
-		return nil, err
-	}
-	if err := cfg.ResolveScenario(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
+	// Resolve once, up front: the workers share cfg, and each trial then
+	// only clones the already-built graph and installs the resolved script.
+	if err := cfg.resolve(); err != nil {
 		return nil, err
 	}
 	res := &Result{Config: cfg, Trials: make([]TrialResult, cfg.Trials)}
@@ -212,13 +205,7 @@ func Trace(cfg Config, trial int) (TrialResult, *trace.Collector, error) {
 // runs against the configured failure time). Recording is passive — the
 // trial's results are bit-for-bit those of Trace.
 func TraceObserved(cfg Config, trial int, tl *obs.Timeline) (TrialResult, *trace.Collector, error) {
-	if err := cfg.ResolveTopology(); err != nil {
-		return TrialResult{}, nil, err
-	}
-	if err := cfg.ResolveScenario(); err != nil {
-		return TrialResult{}, nil, err
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.resolve(); err != nil {
 		return TrialResult{}, nil, err
 	}
 	if trial < 0 || trial >= cfg.Trials {
@@ -367,9 +354,8 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 		}
 	}
 
-	// The disturbance schedule: the explicit scenario script when set,
-	// otherwise the legacy fields compiled to their equivalent script —
-	// whose failpath event is the paper's §5 random on-path failure.
+	// The disturbance schedule: the resolved script, by default the
+	// failpath event that is the paper's §5 random on-path failure.
 	primary := flows[0]
 	var failedLink topology.Edge
 	warmedUp := false
@@ -378,7 +364,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 		flows: flows, tl: tl, met: met,
 		failedLink: &failedLink, warmedUp: &warmedUp,
 	}
-	runner.install(cfg.effectiveScript())
+	runner.install(cfg.Script)
 
 	if net.Sharded() {
 		net.RunSharded(cfg.End)

@@ -45,8 +45,8 @@ func (r *scenarioRunner) samplePaths() {
 
 // install schedules every event of the script. Events are scheduled in
 // script order (time-sorted, ties in insertion order), which the simulator
-// preserves for same-instant events — the property that keeps compiled
-// legacy schedules bit-for-bit identical to the original hard-coded code.
+// preserves for same-instant events — the property that keeps the default
+// failpath schedule bit-for-bit identical to the original hard-coded code.
 func (r *scenarioRunner) install(sc *scenario.Script) {
 	for i, ev := range sc.Events {
 		ev := ev
@@ -125,9 +125,9 @@ func (r *scenarioRunner) failLink(e topology.Edge) {
 // installFailPath schedules the paper's original event: fail one random
 // recoverable link on the measured flow's forwarding path, with the
 // optional repair/flap cycle. The body is the harness's original failure
-// code, verbatim — same probe, same randomness draws from the shared
-// simulator RNG, same schedule structure — so legacy configs compiled to a
-// failpath event reproduce the golden fixtures bit-for-bit.
+// code — same probe, same randomness draws from the shared simulator RNG,
+// same schedule structure — so the golden fixtures pinned before scripts
+// existed still hold bit-for-bit.
 func (r *scenarioRunner) installFailPath(ev scenario.Event) {
 	primary := r.flows[0]
 	net, s := r.net, r.s
@@ -151,8 +151,7 @@ func (r *scenarioRunner) installFailPath(ev scenario.Event) {
 		}
 		failedLink := candidates[s.Rand().Intn(len(candidates))]
 		*r.failedLink = failedLink
-		r.met.Inc(obs.ScenarioLinkFails)
-		net.FailLink(failedLink.A, failedLink.B)
+		r.failLink(failedLink)
 		r.samplePaths()
 		if ev.Restore <= 0 {
 			return
@@ -172,7 +171,7 @@ func (r *scenarioRunner) installFailPath(ev scenario.Event) {
 			})
 			if i > 0 {
 				s.ScheduleAt(downAt, func() {
-					net.FailLink(failedLink.A, failedLink.B)
+					r.failLink(failedLink)
 					r.samplePaths()
 				})
 			}
@@ -180,8 +179,8 @@ func (r *scenarioRunner) installFailPath(ev scenario.Event) {
 	})
 }
 
-// installFailRandom schedules the legacy ExtraFailAts event: fail one
-// random currently-up router link. The body is the original code verbatim
+// installFailRandom schedules a failrandom event: fail one random
+// currently-up router link. The body is the original multiple-failure code
 // (same shared-RNG draw).
 func (r *scenarioRunner) installFailRandom(ev scenario.Event) {
 	net, s := r.net, r.s

@@ -4,82 +4,79 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"routeconv/internal/netsim"
 	"routeconv/internal/obs"
+	"routeconv/internal/routing/rip"
 	"routeconv/internal/scenario"
 	"routeconv/internal/topology"
 )
 
 // TestLegacyScriptEquivalence is the scenario engine's compatibility
-// contract: a legacy config (FailAt/RestoreAfter/Flaps) and the explicit
-// script it compiles to must produce bit-for-bit identical trials — same
-// TrialResult, same drop, route-change, and path-sample streams — on every
-// golden scenario. This is what lets the engine replace the hard-coded
-// failure schedule without regenerating a single golden fixture.
+// contract: the default schedule — the harness's original hard-coded
+// failure, now "failpath @FailAt" — and the script a config resolves to
+// must produce bit-for-bit identical trials, whether that script is handed
+// over built or as text: same TrialResult, same drop, route-change, and
+// path-sample streams, on every golden scenario.
 func TestLegacyScriptEquivalence(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			legacy := sc.config()
-			ref, refC, err := Trace(legacy, 0)
+			ref, refC, err := Trace(sc.config(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			scripted := sc.config()
-			b := scenario.NewBuilder()
-			b.FailPath(scripted.FailAt, scripted.RestoreAfter, scripted.Flaps)
-			for _, at := range scripted.ExtraFailAts {
-				b.FailRandom(at)
-			}
-			scripted.Script = b.Script()
-			scripted.RestoreAfter = 0
-			scripted.Flaps = 0
-			scripted.ExtraFailAts = nil
-
-			tr, c, err := Trace(scripted, 0)
-			if err != nil {
+			resolved := sc.config()
+			if err := resolved.ResolveScenario(); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := fmt.Sprintf("%+v", tr), fmt.Sprintf("%+v", ref); got != want {
-				t.Errorf("scripted trial differs from legacy:\n legacy:   %s\n scripted: %s", want, got)
-			}
-			if !reflect.DeepEqual(refC.Drops, c.Drops) {
-				t.Error("drop vectors differ")
-			}
-			if !reflect.DeepEqual(refC.RouteChanges, c.RouteChanges) {
-				t.Error("route-change streams differ")
-			}
-			if !reflect.DeepEqual(refC.PathHistory, c.PathHistory) {
-				t.Error("path-sample streams differ")
+			built, text := sc.config(), sc.config()
+			built.Scenario, built.Script = "", resolved.Script
+			text.Scenario, text.Script = resolved.Script.String(), nil
+			for name, cfg := range map[string]Config{"built": built, "text": text} {
+				tr, c, err := Trace(cfg, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := fmt.Sprintf("%+v", tr), fmt.Sprintf("%+v", ref); got != want {
+					t.Errorf("%s script trial differs from the golden:\n golden: %s\n %s: %s", name, want, name, got)
+				}
+				if !reflect.DeepEqual(refC.Drops, c.Drops) {
+					t.Errorf("%s script: drop vectors differ", name)
+				}
+				if !reflect.DeepEqual(refC.RouteChanges, c.RouteChanges) {
+					t.Errorf("%s script: route-change streams differ", name)
+				}
+				if !reflect.DeepEqual(refC.PathHistory, c.PathHistory) {
+					t.Errorf("%s script: path-sample streams differ", name)
+				}
 			}
 		})
 	}
 }
 
 // TestScenarioTextEquivalence checks the text grammar against the builder:
-// the damping golden's schedule written as a script string produces the
-// same trial as the legacy config.
+// the damping golden's schedule, written as text, produces the same trial
+// as the same schedule composed with a Builder.
 func TestScenarioTextEquivalence(t *testing.T) {
-	legacy := goldenDampingConfig()
-	ref, refC, err := Trace(legacy, 0)
+	text := goldenDampingConfig()
+	ref, refC, err := Trace(text, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scripted := goldenDampingConfig()
-	scripted.Scenario = "failpath @400s restore=3s flaps=5"
-	scripted.RestoreAfter = 0
-	scripted.Flaps = 0
-	tr, c, err := Trace(scripted, 0)
+	built := goldenDampingConfig()
+	built.Scenario = ""
+	built.Script = scenario.NewBuilder().FailPath(built.FailAt, 3*time.Second, 5).Script()
+	tr, c, err := Trace(built, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := fmt.Sprintf("%+v", tr), fmt.Sprintf("%+v", ref); got != want {
-		t.Errorf("text-scripted trial differs from legacy:\n legacy: %s\n script: %s", want, got)
+		t.Errorf("built trial differs from text:\n text:  %s\n built: %s", want, got)
 	}
 	if !reflect.DeepEqual(refC.Drops, c.Drops) {
 		t.Error("drop vectors differ")
@@ -101,13 +98,7 @@ func TestScenarioNodeFailureConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := tr.Metrics
-	accounted := m["packets.delivered"] + m["drops.no_route"] +
-		m["drops.ttl_expired"] + m["drops.queue_overflow"] +
-		m["drops.link_failure"] + m["drops.random_loss"] +
-		m["packets.in_flight_end"]
-	if accounted != m["packets.sent"] {
-		t.Errorf("conservation violated: accounted %d, sent %d\nsnapshot: %v", accounted, m["packets.sent"], m)
-	}
+	checkConservation(t, m)
 	if m["scenario.events"] != 2 {
 		t.Errorf("scenario.events = %d, want 2", m["scenario.events"])
 	}
@@ -214,12 +205,57 @@ func TestScenarioLossConservation(t *testing.T) {
 	if uint64(tr.RandomLossDrops) > m["drops.random_loss"] {
 		t.Errorf("TrialResult.RandomLossDrops = %d > counter %d", tr.RandomLossDrops, m["drops.random_loss"])
 	}
+	checkConservation(t, m)
+}
+
+// checkConservation checks the packet-conservation identity on a trial's
+// obs snapshot: every sent packet is delivered, dropped for exactly one
+// cause, or in flight at the end.
+func checkConservation(t *testing.T, m obs.Snapshot) {
+	t.Helper()
 	accounted := m["packets.delivered"] + m["drops.no_route"] +
 		m["drops.ttl_expired"] + m["drops.queue_overflow"] +
 		m["drops.link_failure"] + m["drops.random_loss"] +
 		m["packets.in_flight_end"]
 	if accounted != m["packets.sent"] {
 		t.Errorf("conservation violated: accounted %d, sent %d\nsnapshot: %v", accounted, m["packets.sent"], m)
+	}
+}
+
+// TestScenarioEventKinds runs one short trial per event kind the other
+// tests leave out and checks, for each, packet conservation and the exact
+// scenario counters: a flap storm counts as one event and one link failure
+// per cycle, a failpath flap likewise, a group as one event per statement
+// and one failure per member link, and a cost-out takes no link down.
+func TestScenarioEventKinds(t *testing.T) {
+	cases := []struct {
+		script            string
+		events, linkFails uint64
+	}{
+		{"costout link 24-25 @400s; costin link 24-25 @420s", 2, 0},
+		{"flap link 24-25 every 6s x3 @400s", 1, 3},
+		{"fail group 17-24,24-25 @400s; restore group 17-24,24-25 @420s", 2, 2},
+		{"failpath @400s restore=3s flaps=5", 1, 5},
+		{"failpath @400s; failrandom @410s", 2, 2},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.script, func(t *testing.T) {
+			t.Parallel()
+			cfg := goldenConfig(ProtoRIP)
+			cfg.Metrics = true
+			cfg.Scenario = tc.script
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := res.Trials[0].Metrics
+			checkConservation(t, m)
+			got := [4]uint64{m["scenario.events"], m["scenario.link_fails"], m["scenario.node_fails"], m["scenario.churn_cycles"]}
+			if want := [4]uint64{tc.events, tc.linkFails, 0, 0}; got != want {
+				t.Errorf("scenario events/link_fails/node_fails/churn_cycles = %v, want %v", got, want)
+			}
+		})
 	}
 }
 
@@ -283,6 +319,28 @@ func TestScenarioShardedChurn(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonFiniteChurn: an infinite churn rate makes every
+// inter-failure gap round to the 1 ns floor, so even a 10 ms window fires
+// millions of events. Run must refuse the script before building a single
+// router.
+func TestRunRejectsNonFiniteChurn(t *testing.T) {
+	cfg := goldenConfig(ProtoRIP)
+	cfg.Scenario = "failpath @400s; churn links rate=inf/s @400s..400.01s"
+	var built atomic.Int64
+	cfg.Factory = func(n *netsim.Node) netsim.Protocol {
+		built.Add(1)
+		return rip.Factory(cfg.Vector)(n)
+	}
+	res, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "event 1 (churn links rate=+Inf/s") ||
+		!strings.Contains(err.Error(), "rate must be positive and finite") {
+		t.Fatalf("Run = %v, %v; want the churn event rejected", res, err)
+	}
+	if n := built.Load(); n != 0 {
+		t.Errorf("%d routers built before the script was rejected", n)
+	}
+}
+
 // TestValidateScenario pins the config-level script validation added with
 // the engine (the original Validate cross-checked only FailAt, so a script
 // could reference absent links or fire after the horizon without complaint).
@@ -298,10 +356,6 @@ func TestValidateScenario(t *testing.T) {
 			c.Scenario = "failrandom @400s"
 			c.Script = scenario.NewBuilder().FailRandom(400 * time.Second).Script()
 		}, "mutually exclusive"},
-		{"script with legacy knobs", func(c *Config) {
-			c.Script = scenario.NewBuilder().FailRandom(400 * time.Second).Script()
-			c.RestoreAfter = 3 * time.Second
-		}, "legacy RestoreAfter/Flaps/ExtraFailAts"},
 		{"past horizon", func(c *Config) {
 			c.Script = scenario.NewBuilder().FailRandom(c.End + time.Second).Script()
 		}, "not before"},
@@ -337,5 +391,13 @@ func TestValidateScenario(t *testing.T) {
 	}
 	if cfg.Scenario != "" || cfg.Script == nil || len(cfg.Script.Events) != 2 {
 		t.Errorf("ResolveScenario left %q / %+v", cfg.Scenario, cfg.Script)
+	}
+	// Without a script, the resolved schedule is the paper's failure.
+	cfg = base()
+	if err := cfg.ResolveScenario(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cfg.Script.String(); got != "failpath @6m40s" {
+		t.Errorf("default schedule resolved to %q, want failpath @FailAt", got)
 	}
 }

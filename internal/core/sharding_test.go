@@ -183,10 +183,8 @@ func TestShardedHybridConservation(t *testing.T) {
 // keeps the primary flow's collector for inspection.
 func runCompact(t *testing.T, cfg Config) (TrialResult, *trace.Collector) {
 	t.Helper()
-	for _, prepare := range []func() error{cfg.ResolveTopology, cfg.ResolveScenario, cfg.Validate} {
-		if err := prepare(); err != nil {
-			t.Fatal(err)
-		}
+	if err := cfg.resolve(); err != nil {
+		t.Fatal(err)
 	}
 	tr, c, err := runTrial(&cfg, 0, nil, true)
 	if err != nil {

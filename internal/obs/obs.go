@@ -108,7 +108,7 @@ const (
 	// the barrier inbox exchange.
 	ShardCrossMsgs
 	// ScenarioEvents counts scripted scenario events executed (one per
-	// event, including the compiled legacy failure events).
+	// event, including the default failpath event).
 	ScenarioEvents
 	// ScenarioLinkFails counts link failures injected by scenario events
 	// (explicit, group, node-incident, flap-down, and churn failures).

@@ -349,7 +349,7 @@ func nodeAndAt(f []string) (topology.NodeID, time.Duration, error) {
 	if len(f) != 2 {
 		return 0, 0, fmt.Errorf("usage: fail|recover node N @T")
 	}
-	n, err := strconv.Atoi(f[0])
+	n, err := strconv.ParseInt(f[0], 10, 32)
 	if err != nil || n < 0 {
 		return 0, 0, fmt.Errorf("bad node %q", f[0])
 	}
@@ -369,8 +369,8 @@ func parseEdges(tok string) ([]topology.Edge, error) {
 		if !ok {
 			return nil, fmt.Errorf("bad link %q (expected A-B)", part)
 		}
-		a, err1 := strconv.Atoi(lo)
-		bb, err2 := strconv.Atoi(hi)
+		a, err1 := strconv.ParseInt(lo, 10, 32)
+		bb, err2 := strconv.ParseInt(hi, 10, 32)
 		if err1 != nil || err2 != nil || a < 0 || bb < 0 {
 			return nil, fmt.Errorf("bad link %q (expected A-B)", part)
 		}

@@ -1,6 +1,7 @@
 // Package scenario is the composable failure/churn event-script layer: a
-// declarative, time-ordered list of typed disturbance events that replaces
-// the harness's original hard-coded FailAt/RestoreAfter/ExtraFailAts trio.
+// declarative, time-ordered list of typed disturbance events. A script is
+// the only representation of a trial's disturbances; the paper's single
+// on-path failure is the one-event script "failpath @FailAt".
 //
 // A Script is built either programmatically (Builder) or from the compact
 // text grammar (Parse; full reference in SCENARIOS.md at the repository
@@ -12,13 +13,14 @@
 // vocabulary and never touches the simulator — so scripts canonicalize
 // cleanly into sweep cache keys and validate without running anything.
 // Execution lives in internal/core, which schedules each event on the trial
-// simulator; the two legacy kinds (KindFailPath, KindFailRandom) reproduce
-// the original harness behaviour bit-for-bit, which is how legacy configs
-// compile to equivalent scripts without disturbing the golden fixtures.
+// simulator; KindFailPath and KindFailRandom run the harness's original
+// failure code, so the golden fixtures pinned before scripts existed still
+// hold bit-for-bit.
 package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -68,11 +70,11 @@ const (
 	KindChurn
 	// KindFailPath is the paper's original event: at At, fail one random
 	// recoverable link on the measured flow's forwarding path, with the
-	// optional Restore/Flaps repair-and-flap schedule. Legacy configs
-	// compile to exactly this event.
+	// optional Restore/Flaps repair-and-flap schedule. A config without a
+	// script runs exactly this event at its FailAt.
 	KindFailPath
 	// KindFailRandom fails one random currently-up router link at At (the
-	// legacy ExtraFailAts extension).
+	// §6 multiple-failure extension).
 	KindFailRandom
 )
 
@@ -125,7 +127,7 @@ type Event struct {
 	MeanDown time.Duration
 	// Until ends the churn window (KindChurn).
 	Until time.Duration
-	// Restore and Flaps carry the legacy repair schedule (KindFailPath).
+	// Restore and Flaps carry the repair-and-flap schedule (KindFailPath).
 	Restore time.Duration
 	Flaps   int
 }
@@ -153,15 +155,13 @@ func (e Event) String() string {
 		fmt.Fprintf(&sb, " rate=%g/s down=%v @%v..%v", e.Rate, e.MeanDown, e.At, e.Until)
 	case KindFailPath:
 		fmt.Fprintf(&sb, "%s @%v", e.Kind, e.At)
-		if e.Restore > 0 {
+		if e.Restore != 0 {
 			fmt.Fprintf(&sb, " restore=%v", e.Restore)
 		}
-		if e.Flaps > 1 {
+		if e.Flaps != 0 {
 			fmt.Fprintf(&sb, " flaps=%d", e.Flaps)
 		}
-	case KindFailRandom:
-		fmt.Fprintf(&sb, "%s @%v", e.Kind, e.At)
-	default:
+	default: // KindFailRandom, or an unknown kind
 		fmt.Fprintf(&sb, "%s @%v", e.Kind, e.At)
 	}
 	return sb.String()
@@ -259,7 +259,7 @@ func (s *Script) Validate(horizon time.Duration, g *topology.Graph) error {
 			if len(e.Links) != 1 {
 				return bad("loss needs exactly one link")
 			}
-			if e.Rate < 0 || e.Rate > 1 {
+			if math.IsNaN(e.Rate) || e.Rate < 0 || e.Rate > 1 {
 				return bad("loss probability %g outside [0, 1]", e.Rate)
 			}
 		case KindCostOut:
@@ -277,8 +277,8 @@ func (s *Script) Validate(horizon time.Duration, g *topology.Graph) error {
 			delete(costed, e.Links[0])
 		case KindChurn:
 			switch {
-			case e.Rate <= 0:
-				return bad("churn rate must be positive")
+			case math.IsNaN(e.Rate) || e.Rate <= 0 || math.IsInf(e.Rate, 1):
+				return bad("churn rate must be positive and finite")
 			case e.MeanDown < 0:
 				return bad("churn mean downtime must not be negative")
 			case e.Until <= e.At:
@@ -300,6 +300,17 @@ func (s *Script) Validate(horizon time.Duration, g *topology.Graph) error {
 		}
 	}
 	return nil
+}
+
+// NamesTopology reports whether any event names a link or a node, that is,
+// whether Validate has references to check against a graph.
+func (s *Script) NamesTopology() bool {
+	for _, e := range s.Events {
+		if len(e.Links) > 0 || e.Kind == KindFailNode || e.Kind == KindRecoverNode {
+			return true
+		}
+	}
+	return false
 }
 
 // validateRefs checks the event's link and node references against the

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -77,6 +78,8 @@ func TestParseDiagnostics(t *testing.T) {
 		{"fail link 3-7 @fourhundred", `bad time "@fourhundred"`},
 		{"restore node 12 @400s", `use "recover node" to bring a node back`},
 		{"fail node twelve @400s", `bad node "twelve"`},
+		{"fail node 2147483648 @400s", `bad node "2147483648"`}, // NodeID is 32-bit
+		{"fail link 0-4294967296 @400s", `bad link "0-4294967296"`},
 		{"flap link 3-7 every 6s @400s", "usage: flap link A-B every D xN @T"},
 		{"flap link 3-7 every 6s five @400s", `bad cycle count "five"`},
 		{"loss link 1-2 0.01 @410s", `bad loss probability "0.01" (expected p=P)`},
@@ -172,6 +175,10 @@ func TestValidate(t *testing.T) {
 		{"churn empty window", ok(NewBuilder().Churn(450*time.Second, 450*time.Second, 0.1, 0)), "window @7m30s..7m30s is empty"},
 		{"churn past horizon", ok(NewBuilder().Churn(450*time.Second, 900*time.Second, 0.1, 0)), "after the 13m20s horizon"},
 		{"churn zero rate", ok(NewBuilder().Churn(450*time.Second, 600*time.Second, 0, 0)), "rate must be positive"},
+		{"churn infinite rate", ok(NewBuilder().Churn(450*time.Second, 600*time.Second, math.Inf(1), 0)), "rate must be positive and finite"},
+		{"churn NaN rate", ok(NewBuilder().Churn(450*time.Second, 600*time.Second, math.NaN(), 0)), "rate must be positive and finite"},
+		{"loss NaN", ok(NewBuilder().Loss(400*time.Second, 0, 1, math.NaN())), "loss probability NaN outside [0, 1]"},
+		{"loss infinite", ok(NewBuilder().Loss(400*time.Second, 0, 1, math.Inf(1))), "outside [0, 1]"},
 		{"failpath flaps need restore", ok(NewBuilder().FailPath(400*time.Second, 0, 5)), "requires restore > 0"},
 		{"out of order", &Script{Events: []Event{
 			{At: 410 * time.Second, Kind: KindFailLink, Links: []topology.Edge{edge(0, 1)}},

@@ -36,8 +36,9 @@ var moduleVersion = sync.OnceValue(func() string {
 func Version() string { return moduleVersion() }
 
 // CellKey returns the cell's content-addressed cache key: a SHA-256 over
-// the config's canonical rendering and the module version, in hex. Configs
-// with a Factory override are uncacheable and return an error.
+// the config's canonical rendering and the module version, in hex. Invalid
+// configs, and configs with a Factory override (uncacheable), return an
+// error.
 func CellKey(cfg *core.Config) (string, error) {
 	return CellKeyAt(cfg, Version())
 }

@@ -54,23 +54,16 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 }
 
 // FailureMode names one failure schedule of the grid: the paper's single
-// permanent on-path failure by default, or repair/flap/multi-failure
-// variants (the §6 extensions).
+// permanent on-path failure by default, or any scenario script — repair,
+// flaps, multiple failures (the §6 extensions) and the rest of SCENARIOS.md.
 type FailureMode struct {
 	// Name labels the mode in cell IDs, journals and manifests.
 	Name string `json:"name"`
-	// RestoreAfter repairs the failed link this long after each failure.
-	RestoreAfter Duration `json:"restore_after,omitempty"`
-	// Flaps is how many times the primary link fails (needs RestoreAfter).
-	Flaps int `json:"flaps,omitempty"`
-	// ExtraFailAts schedules additional random live-link failures.
-	ExtraFailAts []Duration `json:"extra_fail_ats,omitempty"`
 	// FastReroute precomputes loop-free-alternate protection.
 	FastReroute bool `json:"fast_reroute,omitempty"`
 	// Scenario, when non-empty, is a scenario script in the text grammar
-	// (SCENARIOS.md) replacing the default failure schedule. Mutually
-	// exclusive with the legacy RestoreAfter/Flaps/ExtraFailAts knobs
-	// (cell validation rejects the combination).
+	// (SCENARIOS.md) replacing the default schedule, "failpath @FailAt";
+	// e.g. "failpath @400s restore=3s flaps=5" for a flapping link.
 	Scenario string `json:"scenario,omitempty"`
 }
 
@@ -80,13 +73,7 @@ func SingleFailure() FailureMode { return FailureMode{Name: "single"} }
 
 // apply overlays the failure mode on a config.
 func (f FailureMode) apply(cfg *core.Config) {
-	cfg.RestoreAfter = time.Duration(f.RestoreAfter)
-	cfg.Flaps = f.Flaps
 	cfg.FastReroute = f.FastReroute
-	cfg.ExtraFailAts = nil
-	for _, at := range f.ExtraFailAts {
-		cfg.ExtraFailAts = append(cfg.ExtraFailAts, time.Duration(at))
-	}
 	cfg.Scenario = f.Scenario
 	cfg.Script = nil
 }
@@ -262,10 +249,7 @@ func (s *Spec) Expand() ([]Cell, error) {
 		if c.Flows > 0 {
 			c.Config.Flows = c.Flows
 		}
-		if err := c.Config.Validate(); err != nil {
-			return fmt.Errorf("sweep: cell %s: %w", c.ID(), err)
-		}
-		key, err := CellKey(&c.Config)
+		key, err := CellKey(&c.Config) // resolves and validates the config
 		if err != nil {
 			return fmt.Errorf("sweep: cell %s: %w", c.ID(), err)
 		}

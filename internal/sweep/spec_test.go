@@ -2,10 +2,12 @@ package sweep
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"routeconv/internal/core"
+	"routeconv/internal/scenario"
 )
 
 func TestParseSpecJSON(t *testing.T) {
@@ -18,8 +20,8 @@ func TestParseSpecJSON(t *testing.T) {
 		"end": "500s",
 		"failures": [
 			{"name": "single"},
-			{"name": "flap", "restore_after": "3s", "flaps": 5},
-			{"name": "multi", "extra_fail_ats": ["405s", 410000000000]}
+			{"name": "flap", "scenario": "failpath @400s restore=3s flaps=5"},
+			{"name": "multi", "scenario": "failpath @400s; failrandom @405s; failrandom @410s"}
 		]
 	}`))
 	if err != nil {
@@ -34,11 +36,12 @@ func TestParseSpecJSON(t *testing.T) {
 	if len(spec.Failures) != 3 {
 		t.Fatalf("failures = %d", len(spec.Failures))
 	}
-	if d := time.Duration(spec.Failures[1].RestoreAfter); d != 3*time.Second {
-		t.Errorf("restore_after = %v", d)
+	if s := spec.Failures[1].Scenario; s != "failpath @400s restore=3s flaps=5" {
+		t.Errorf("scenario = %q", s)
 	}
-	if d := time.Duration(spec.Failures[2].ExtraFailAts[1]); d != 410*time.Second {
-		t.Errorf("numeric extra_fail_at = %v", d)
+	var d Duration
+	if err := d.UnmarshalJSON([]byte("410000000000")); err != nil || time.Duration(d) != 410*time.Second {
+		t.Errorf("numeric duration = %v, %v", time.Duration(d), err)
 	}
 
 	cells, err := spec.Expand()
@@ -153,15 +156,22 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"protocols":["rip"],"degrees":[3],"trials":1,"bogus":true}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	// The failure knobs a scenario script replaced are unknown fields too.
+	for _, knob := range []string{`"restore_after":"3s"`, `"flaps":5`, `"extra_fail_ats":["405s"]`} {
+		spec := `{"protocols":["rip"],"degrees":[3],"trials":1,"failures":[{"name":"f",` + knob + `}]}`
+		if _, err := ParseSpec([]byte(spec)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: err = %v, want an unknown-field error", knob, err)
+		}
+	}
 }
 
 func TestExpandValidates(t *testing.T) {
 	for _, spec := range []Spec{
-		{Degrees: []int{3}, Trials: 1},                                                                             // no protocols
-		{Protocols: []string{"rip"}, Trials: 1},                                                                    // no degrees
-		{Protocols: []string{"nonesuch"}, Degrees: []int{3}, Trials: 1},                                            // bad protocol
-		{Protocols: []string{"rip"}, Degrees: []int{3}, Trials: 1, Failures: []FailureMode{{}}},                    // unnamed failure
-		{Protocols: []string{"rip"}, Degrees: []int{3}, Trials: 1, Failures: []FailureMode{{Name: "f", Flaps: 3}}}, // flaps without restore
+		{Degrees: []int{3}, Trials: 1},                                                          // no protocols
+		{Protocols: []string{"rip"}, Trials: 1},                                                 // no degrees
+		{Protocols: []string{"nonesuch"}, Degrees: []int{3}, Trials: 1},                         // bad protocol
+		{Protocols: []string{"rip"}, Degrees: []int{3}, Trials: 1, Failures: []FailureMode{{}}}, // unnamed failure
+		{Protocols: []string{"rip"}, Degrees: []int{3}, Trials: 1, Failures: []FailureMode{{Name: "f", Scenario: "failpath @400s flaps=3"}}}, // flaps without restore
 	} {
 		if _, err := spec.Expand(); err == nil {
 			t.Errorf("Expand(%+v) succeeded, want error", spec)
@@ -183,10 +193,12 @@ func TestCellKeysGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Updated when core.Config gained the Topo spec field (PR 6), the
-	// Mode/GuardWindow fields (PR 7), and the Scenario/Script fields
-	// (PR 10).
-	const want = "bb38c8ede01cf6df55d6e699e6b3b971ddf291b269ed16aa3adc0ad7db294ec4"
+	// Updated when core.Config gained the Topo spec field, the
+	// Mode/GuardWindow fields, and the Scenario/Script fields; and once
+	// more when Config lost its RestoreAfter/Flaps/ExtraFailAts failure
+	// knobs and a default config began to carry its resolved
+	// "failpath @FailAt" script.
+	const want = "7b274570a0ca15dd6ff401fff016b10445b8a8625451485380be2b85cde6f719"
 	if key != want {
 		t.Errorf("golden dbf key changed:\n got %s\nwant %s\n(an intentional Config or encoding change must update this golden)", key, want)
 	}
@@ -195,9 +207,21 @@ func TestCellKeysGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantRIP = "0a23475eb6f2f997ba87242e1c0661517aa50ba2d8661f75fe21a6c0cd693975"
+	const wantRIP = "8b1d890598478ea4074b9224693c39e9de5e33a1639f6ee2a8f980664c5bcc28"
 	if key2 != wantRIP {
 		t.Errorf("golden rip key changed:\n got %s\nwant %s", key2, wantRIP)
+	}
+	// The default schedule is "failpath @FailAt": spelling it out, as text
+	// or as a built script, is the same experiment and the same key.
+	for _, explicit := range []func(*core.Config){
+		func(c *core.Config) { c.Scenario = "failpath @400s" },
+		func(c *core.Config) { c.Script = scenario.NewBuilder().FailPath(c.FailAt, 0, 0).Script() },
+	} {
+		same := cfg
+		explicit(&same)
+		if k, err := CellKeyAt(&same, "golden-v1"); err != nil || k != wantRIP {
+			t.Errorf("explicit failpath @FailAt key = %s, %v; want the default's %s", k, err, wantRIP)
+		}
 	}
 	// Version participates in the key: a new module version invalidates.
 	key3, err := CellKeyAt(&cfg, "golden-v2")

@@ -241,10 +241,13 @@ func RunSweep(sc SweepConfig, progress func(string)) (*SweepResult, error) {
 func DefaultSweep(trials int) SweepConfig { return core.DefaultSweep(trials) }
 
 // ScenarioScript is a parsed disturbance script: a time-ordered list of
-// failure, repair, flap, loss, cost-out and churn events replacing the
-// default single-link failure schedule. Set it on Config.Script, or set the
-// text form on Config.Scenario. Grammar and exact per-event semantics:
-// SCENARIOS.md.
+// failure, repair, flap, loss, cost-out and churn events. It is the only
+// form a trial's disturbances take: set it on Config.Script, or set the
+// text form on Config.Scenario; a config with neither runs the paper's
+// single on-path failure, "failpath @FailAt". Repairs, flaps and extra
+// failures of that link are script options too
+// ("failpath @400s restore=3s flaps=5; failrandom @405s"). Grammar and
+// exact per-event semantics: SCENARIOS.md.
 type ScenarioScript = scenario.Script
 
 // ScenarioBuilder composes a ScenarioScript programmatically; see
@@ -258,8 +261,8 @@ type ScenarioEvent = scenario.Event
 // call Script() to get the time-sorted script:
 //
 //	s := routeconv.NewScenario().
-//		FailLink(400*time.Second, routeconv.Edge{A: 3, B: 7}).
-//		Loss(410*time.Second, routeconv.Edge{A: 1, B: 2}, 0.01).
+//		FailLink(400*time.Second, 3, 7).
+//		Loss(410*time.Second, 1, 2, 0.01).
 //		Script()
 func NewScenario() *ScenarioBuilder { return scenario.NewBuilder() }
 
