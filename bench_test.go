@@ -468,7 +468,7 @@ func BenchmarkTopology(b *testing.B) {
 // BenchmarkConvergence measures one full trial of the paper's experiment
 // on the degree-4 mesh — topology build, protocol warm-up, failure,
 // convergence, measurement — per protocol. It is the headline number for
-// the hot-path perf trajectory (BENCH_pr3.json, BENCH_pr4.json). Beyond
+// the hot-path perf trajectory (PR 3 and 4 in bench/trajectory.json). Beyond
 // the paper's four protocols it covers the two previously unmeasured
 // configurations: BGP3 with RFC 2439 flap damping on a flapping link, and
 // the link-state extension.

@@ -414,6 +414,11 @@ func (c *Config) Validate() error {
 				return fmt.Errorf("core: attachment router %d outside topology (%d nodes)", id, c.Topology.Len())
 			}
 		}
+		for id := 0; id < c.Topology.Len(); id++ {
+			if d := c.Topology.Degree(topology.NodeID(id)); d > netsim.MaxDegree {
+				return fmt.Errorf("core: node %d has %d neighbors, over the %d a 16-bit forwarding rank can name", id, d, netsim.MaxDegree)
+			}
+		}
 		if !c.Topology.Connected() {
 			return fmt.Errorf("core: custom Topology is disconnected")
 		}

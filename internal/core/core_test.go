@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"routeconv/internal/netsim"
+	"routeconv/internal/topology"
 )
 
 // shortConfig compresses the schedule for tests that do not involve the
@@ -52,6 +53,28 @@ func TestDegreeValidationSurfacesTopologyError(t *testing.T) {
 		// Degree errors surface from the mesh builder inside Run.
 		if _, err := Run(cfg); err == nil {
 			t.Error("degree 99 accepted")
+		}
+	}
+}
+
+// A node whose degree does not fit a 16-bit forwarding rank is a config
+// error naming the node, reported by validation alone: the star is never
+// simulated.
+func TestValidateRejectsDegreeOverRankWidth(t *testing.T) {
+	for _, leaves := range []int{netsim.MaxDegree, netsim.MaxDegree + 1} {
+		g := topology.NewGraph(leaves + 1)
+		for v := 1; v <= leaves; v++ {
+			g.AddEdgeUnique(0, topology.NodeID(v))
+		}
+		cfg := DefaultConfig()
+		cfg.Topology = g
+		cfg.SenderRouters, cfg.ReceiverRouters = []netsim.NodeID{1}, []netsim.NodeID{2}
+		err := cfg.Validate()
+		if fits := leaves <= netsim.MaxDegree; fits != (err == nil) {
+			t.Errorf("star with %d leaves: Validate = %v", leaves, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), "node 0 ") {
+			t.Errorf("star with %d leaves: error %q does not name node 0", leaves, err)
 		}
 	}
 }

@@ -8,7 +8,10 @@ import (
 	"strconv"
 	"testing"
 	"time"
+	"unsafe"
 
+	"routeconv/internal/netsim"
+	"routeconv/internal/routing"
 	"routeconv/internal/scenario"
 )
 
@@ -43,18 +46,30 @@ func scaleTrialConfig(n int) Config {
 }
 
 // scaleAllocCeiling is the most a sequential scale trial on an n-node graph
-// may allocate, in bytes. What has to be n² is RIP's dense table (16-byte
-// rows plus the changed bitmap) and the FIB (4-byte ranks) on each of the
-// n+2 nodes (the probe's two hosts included); 25 % on top of that, plus 4 kB
-// per node for what is linear in nodes and edges — ports, links, protocol
-// instances, timers, the event arena — is the budget for everything else.
-// Neither burst free lists kept per node (45.2 MB at n = 1000, against the
-// 27.6 MB of one pool per execution context) nor a port table indexed by
-// neighbor ID (+4.8 MB) fits under it.
+// may allocate, in bytes. What has to be n² is RIP's dense table (8-byte
+// rows plus the changed bitmap) and the FIB (2-byte ranks) on each of the
+// n+2 nodes (the probe's two hosts included). Half of that again covers
+// what grows with the tables — advertisement bursts carry table-sized
+// updates — and 4 kB per node what is linear in nodes and edges: ports,
+// links, protocol instances, timers, the event arena. At n = 1000 the trial
+// allocates 17.4 MB against 19.4 MB; 16-byte rows (27.6 MB), burst free
+// lists kept per node, or a port table indexed by neighbor ID do not fit.
+// TestRoutingStateWidths pins the two widths.
 func scaleAllocCeiling(n int) uint64 {
 	nodes := uint64(n + 2)
-	dense := nodes*nodes*(16+4) + nodes*nodes/8
-	return dense + dense/4 + 4096*nodes
+	dense := nodes*nodes*(8+2) + nodes*nodes/8
+	return dense + dense/2 + 4096*nodes
+}
+
+// TestRoutingStateWidths pins the per-destination widths scaleAllocCeiling
+// budgets for: a distance-vector row and a FIB slot.
+func TestRoutingStateWidths(t *testing.T) {
+	if got := unsafe.Sizeof(routing.Row{}); got != 8 {
+		t.Errorf("routing.Row is %d bytes, want 8", got)
+	}
+	if netsim.FIBSlotBytes != 2 {
+		t.Errorf("a FIB slot is %d bytes, want 2", netsim.FIBSlotBytes)
+	}
 }
 
 // runScaleTrial runs the trial and returns the bytes it allocated.

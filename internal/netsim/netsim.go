@@ -177,8 +177,13 @@ func (n *Network) Stats() Stats {
 // Len returns the number of nodes.
 func (n *Network) Len() int { return len(n.nodes) }
 
-// AddNode creates a new node and returns it.
+// AddNode creates a new node and returns it. The topology is frozen once
+// the network starts: protocols size their tables to it and store neighbor
+// ranks, which a later node or link would invalidate.
 func (n *Network) AddNode() *Node {
+	if n.started {
+		panic("netsim: AddNode after Start")
+	}
 	node := &Node{
 		id:   NodeID(len(n.nodes)),
 		net:  n,
@@ -193,8 +198,12 @@ func (n *Network) AddNode() *Node {
 func (n *Network) Node(id NodeID) *Node { return n.nodes[id] }
 
 // Connect creates a duplex link between a and b with the network's link
-// parameters. Connecting an existing pair panics (a model bug).
+// parameters. Connecting an existing pair, or connecting after Start (see
+// AddNode), panics (a model bug).
 func (n *Network) Connect(a, b NodeID) *Link {
+	if n.started {
+		panic("netsim: Connect after Start")
+	}
 	e := topology.NewEdge(a, b)
 	if _, dup := n.links[e]; dup {
 		panic(fmt.Sprintf("netsim: duplicate link %d-%d", a, b))

@@ -412,6 +412,30 @@ func TestDuplicateConnectPanics(t *testing.T) {
 	n.Connect(1, 0)
 }
 
+// Protocols store neighbor ranks and size their tables to the network, so
+// the topology is frozen once the network starts.
+func TestTopologyFrozenAfterStart(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(*Network)
+		want string
+	}{
+		{"Connect", func(n *Network) { n.Connect(0, 2) }, "netsim: Connect after Start"},
+		{"AddNode", func(n *Network) { n.AddNode() }, "netsim: AddNode after Start"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := FromGraph(sim.New(1), topology.Line(3), DefaultConfig(), nil)
+			n.Start()
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("panic = %v, want %q", got, tc.want)
+				}
+			}()
+			tc.call(n)
+		})
+	}
+}
+
 func TestLinksSorted(t *testing.T) {
 	s := sim.New(1)
 	n := FromGraph(s, topology.Ring(4), DefaultConfig(), nil)

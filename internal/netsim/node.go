@@ -2,8 +2,10 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
+	"unsafe"
 
 	"routeconv/internal/obs"
 	"routeconv/internal/sim"
@@ -31,6 +33,21 @@ const noRoute NodeID = -1
 // noPort marks an empty FIB slot, and is the rank of a non-neighbor.
 const noPort int32 = -1
 
+// MaxDegree is the most neighbors a node may have. Forwarding state holds
+// a neighbor's rank in 16 bits: the FIB stores rank+1 with 0 for an empty
+// slot, and routing's distance-vector rows keep the top value for a node's
+// own row. A graph near the cap would need n² tables of tens of GB, so no
+// runnable trial reaches it.
+const MaxDegree = math.MaxUint16 - 1
+
+// fibSlot is one FIB entry: the next hop's rank plus one, 0 when empty, so
+// a freshly made table is all empty.
+type fibSlot uint16
+
+// FIBSlotBytes is the size of one FIB entry; every node holds one per
+// destination.
+const FIBSlotBytes = int(unsafe.Sizeof(fibSlot(0)))
+
 // Node is a router: it owns a forwarding table (FIB), output ports, and
 // optionally a routing protocol that maintains the FIB.
 type Node struct {
@@ -51,9 +68,9 @@ type Node struct {
 	neighbors []NodeID
 	ports     []*port
 	// fib is indexed by destination ID (node IDs are contiguous from 0) and
-	// holds the next hop's rank, so the data path indexes ports directly;
-	// noPort entries are empty.
-	fib []int32
+	// holds the next hop's rank as a fibSlot, so the data path indexes
+	// ports directly.
+	fib []fibSlot
 	// backup holds precomputed protection next hops (fast reroute), in
 	// preference order: used the instant the primary is unusable, without
 	// waiting for protocol convergence.
@@ -141,15 +158,18 @@ func (nd *Node) portTo(id NodeID) *port {
 // position. An insertion below existing neighbors shifts their ranks, so
 // the FIB entries that hold those ranks move with them.
 func (nd *Node) addPort(id NodeID, p *port) {
+	if len(nd.neighbors) == MaxDegree {
+		panic(fmt.Sprintf("netsim: node %d: more than %d neighbors", nd.id, MaxDegree))
+	}
 	i, _ := slices.BinarySearch(nd.neighbors, id)
 	nd.neighbors = slices.Insert(nd.neighbors, i, id)
 	nd.ports = slices.Insert(nd.ports, i, p)
 	if i == len(nd.ports)-1 {
 		return
 	}
-	for dst, r := range nd.fib {
-		if r >= int32(i) {
-			nd.fib[dst] = r + 1
+	for dst, s := range nd.fib {
+		if s > fibSlot(i) { // rank ≥ i
+			nd.fib[dst] = s + 1
 		}
 	}
 }
@@ -157,7 +177,7 @@ func (nd *Node) addPort(id NodeID, p *port) {
 // fibGet returns the rank of the FIB entry for dst, or noPort.
 func (nd *Node) fibGet(dst NodeID) int32 {
 	if int(dst) < len(nd.fib) && dst >= 0 {
-		return nd.fib[dst]
+		return int32(nd.fib[dst]) - 1
 	}
 	return noPort
 }
@@ -176,14 +196,11 @@ func (nd *Node) fibSet(dst NodeID, rank int32) {
 		if full := len(nd.net.nodes); n < full {
 			n = full
 		}
-		grown := make([]int32, n)
+		grown := make([]fibSlot, n)
 		copy(grown, nd.fib)
-		for i := len(nd.fib); i < len(grown); i++ {
-			grown[i] = noPort
-		}
 		nd.fib = grown
 	}
-	nd.fib[dst] = rank
+	nd.fib[dst] = fibSlot(rank + 1)
 }
 
 // LinkUpTo reports whether the link to the neighbor is currently up.
@@ -247,7 +264,7 @@ func (nd *Node) ClearRoute(dst NodeID) {
 	}
 	ex := nd.ctx()
 	nd.fluidDirty(ex, dst)
-	nd.fib[dst] = noPort
+	nd.fibSet(dst, noPort)
 	ex.met.Inc(obs.FIBRemovals)
 	ex.tl.FIBRemove(ex.sim.Now(), int(nd.id), int(dst))
 	ex.routeChanged(ex.sim.Now(), nd.id, dst, 0, nd.neighbors[prev], true)

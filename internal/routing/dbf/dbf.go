@@ -166,16 +166,18 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 
 // recompute re-runs the Bellman-Ford minimization for dst over all cached
 // neighbor vectors and reports whether the advertised metric changed.
-// The current next hop is preferred among ties so routes do not oscillate.
+// The current next hop is preferred among ties so routes do not oscillate;
+// rows store next hops as neighbor ranks, so the loop compares its index.
 func (p *Protocol) recompute(dst routing.NodeID) bool {
 	if dst == p.Node.ID() {
 		return false
 	}
 	p.Node.Metrics().Inc(obs.ProtoDecisionRuns)
 	cur := p.Live(dst)
+	nbrs := p.Node.Neighbors()
 	bestMetric := p.Inf
-	bestNext := routing.NodeID(-1)
-	for _, n := range p.Node.Neighbors() {
+	best := -1 // the best neighbor's rank; valid whenever bestMetric < Inf
+	for r, n := range nbrs {
 		if !p.Up[n] {
 			continue
 		}
@@ -184,9 +186,9 @@ func (p *Protocol) recompute(dst routing.NodeID) bool {
 			continue
 		}
 		m := min(heard+1, p.Inf) // unit link cost
-		if m < bestMetric || (m == bestMetric && cur != nil && n == cur.NextHop) {
+		if m < bestMetric || (m == bestMetric && cur != nil && routing.RankHop(r) == cur.Hop) {
 			bestMetric = m
-			bestNext = n
+			best = r
 		}
 	}
 	if p.Cfg.ECMP {
@@ -198,32 +200,33 @@ func (p *Protocol) recompute(dst routing.NodeID) bool {
 			return false
 		}
 		cur.Metric = int16(p.Inf)
-		p.SetChanged(dst, cur)
+		p.SetChanged(dst)
 		p.Node.ClearRoute(dst)
 		return true
 
 	case cur == nil:
-		cur = p.Insert(dst)
-		cur.Metric, cur.NextHop = int16(bestMetric), bestNext
-		p.SetChanged(dst, cur)
-		p.Node.SetRoute(dst, bestNext)
+		cur = p.Insert(dst, routing.RankHop(best))
+		cur.Metric = int16(bestMetric)
+		p.SetChanged(dst)
+		p.Node.SetRoute(dst, nbrs[best])
 		return true
 
 	default:
+		hop := routing.RankHop(best)
 		metricChanged := int32(cur.Metric) != bestMetric
-		if cur.NextHop != bestNext || int32(cur.Metric) >= p.Inf {
-			p.Node.SetRoute(dst, bestNext)
+		if cur.Hop != hop || int32(cur.Metric) >= p.Inf {
+			p.Node.SetRoute(dst, nbrs[best])
 		}
 		if metricChanged {
-			p.SetChanged(dst, cur)
-		} else if cur.NextHop != bestNext {
+			p.SetChanged(dst)
+		} else if cur.Hop != hop {
 			// Next-hop-only tie switches change no advertised metric, but
 			// they flip the poisoned-reverse pattern of the next full
 			// update, so the version clock must advance for them too.
 			p.Ver++
 		}
 		cur.Metric = int16(bestMetric)
-		cur.NextHop = bestNext
+		cur.Hop = hop
 		return metricChanged
 	}
 }

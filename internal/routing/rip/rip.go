@@ -16,7 +16,6 @@ package rip
 
 import (
 	"math"
-	"time"
 
 	"routeconv/internal/netsim"
 	"routeconv/internal/obs"
@@ -24,7 +23,7 @@ import (
 )
 
 // noDeadline marks a table with no pending expire/gc deadline at all.
-const noDeadline = time.Duration(math.MaxInt64)
+const noDeadline = uint32(math.MaxUint32)
 
 // viaCap bounds the cached per-neighbor list of destinations routed via
 // that neighbor. The whole-chunk skip must keep refreshing exactly those
@@ -52,16 +51,17 @@ type nbrSeen struct {
 
 // Protocol is a RIP speaker bound to one node. The embedded
 // routing.Vector holds the table and sends every advertisement; each row's
-// Deadline is the route's expiry while reachable and its deletion time
-// while not.
+// Deadline is the housekeeping tick of the route's expiry while reachable
+// and of its deletion while not.
 type Protocol struct {
 	routing.Vector
 	// seen holds the per-neighbor incorporation watermarks for the skip.
 	seen map[routing.NodeID]nbrSeen
-	// nextDeadline is a lower bound on the earliest expire/gc deadline in
-	// the table (0 = unknown, scan to find out), letting housekeep skip its
-	// full scan on the overwhelmingly common tick where nothing can expire.
-	nextDeadline time.Duration
+	// nextDeadline is a lower bound on the earliest expire/gc deadline tick
+	// in the table (0 = unknown, scan to find out), letting housekeep skip
+	// its full scan on the overwhelmingly common tick where nothing can
+	// expire.
+	nextDeadline uint32
 }
 
 var _ netsim.Protocol = (*Protocol)(nil)
@@ -80,8 +80,8 @@ func Factory(cfg routing.VectorConfig) func(*netsim.Node) netsim.Protocol {
 	return func(n *netsim.Node) netsim.Protocol { return New(n, cfg) }
 }
 
-// noteDeadline lowers the housekeeping deadline bound to d.
-func (p *Protocol) noteDeadline(d time.Duration) {
+// noteDeadline lowers the housekeeping deadline bound to tick d.
+func (p *Protocol) noteDeadline(d uint32) {
 	if p.nextDeadline == 0 || d < p.nextDeadline {
 		p.nextDeadline = d
 	}
@@ -97,7 +97,8 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 	met.Inc(obs.ProtoUpdatesReceived)
 	n := u.Len()
 	met.Add(obs.ProtoDecisionRuns, uint64(n))
-	now := p.Node.Sim().Now()
+	hop := p.HopOf(from)
+	expire := p.TickAfter(p.Cfg.Timeout)
 	b := u.Burst()
 	if b != nil {
 		// Whole-chunk skip: the sender re-advertises a snapshot version we
@@ -111,14 +112,14 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 				// recorded (our clock has not moved), so resolving the
 				// via-list lazily here is exact — and start-of-run fulls
 				// that are never re-sent never pay the table scan.
-				ns = p.resolveVia(from, ns)
+				ns = p.resolveVia(from, hop, ns)
 				p.seen[from] = ns
 			}
 			if ns.nvia >= 0 {
 				for i := int8(0); i < ns.nvia; i++ {
-					p.refreshVia(u, from, ns.via[i], now)
+					p.refreshVia(u, hop, ns.via[i], expire)
 				}
-				p.refreshVia(u, from, from, now)
+				p.refreshVia(u, hop, from, expire)
 				met.Add(obs.ProtoAdvSkipped, uint64(n))
 				return
 			}
@@ -142,7 +143,7 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 		if uint(e.Dst) >= uint(len(p.Rows)) {
 			continue // outside the network
 		}
-		if rt := &p.Rows[e.Dst]; rt.Valid && from != rt.NextHop {
+		if rt := &p.Rows[e.Dst]; rt.Valid() && hop != rt.Hop {
 			metric := e.Metric + 1
 			if metric > p.Inf {
 				metric = p.Inf
@@ -151,7 +152,7 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 				continue
 			}
 		}
-		if p.processEntry(from, e, now) {
+		if p.processEntry(from, hop, e, expire) {
 			changedAny = true
 		}
 	}
@@ -166,14 +167,13 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 }
 
 // resolveVia scans the table for destinations routed via the neighbor
-// (excluding the neighbor itself), filling the watermark's via-list or
-// marking it over-cap.
-func (p *Protocol) resolveVia(from routing.NodeID, ns nbrSeen) nbrSeen {
+// from, whose Hop is hop (excluding the neighbor itself), filling the
+// watermark's via-list or marking it over-cap.
+func (p *Protocol) resolveVia(from routing.NodeID, hop routing.Hop, ns nbrSeen) nbrSeen {
 	ns.nvia = 0
 	for dst := routing.NodeID(0); int(dst) < len(p.Rows); dst++ {
-		rt := &p.Rows[dst]
-		if !rt.Valid || rt.NextHop != from || dst == from {
-			continue
+		if p.Rows[dst].Hop != hop || dst == from {
+			continue // an empty row's Hop matches no neighbor
 		}
 		if ns.nvia == viaCap {
 			ns.nvia = viaMany
@@ -186,10 +186,11 @@ func (p *Protocol) resolveVia(from routing.NodeID, ns nbrSeen) nbrSeen {
 }
 
 // refreshVia re-arms the timeout of the route to dst (next hop: the
-// sending neighbor) exactly as full processing of this chunk would: if the
-// chunk carries dst at a finite metric, the deadline resets. Entries are
-// sorted by destination, so a binary search finds the slot.
-func (p *Protocol) refreshVia(u *routing.VectorUpdate, from, dst routing.NodeID, now time.Duration) {
+// sending neighbor, hop) exactly as full processing of this chunk would:
+// if the chunk carries dst at a finite metric, the deadline resets to
+// expire. Entries are sorted by destination, so a binary search finds the
+// slot.
+func (p *Protocol) refreshVia(u *routing.VectorUpdate, hop routing.Hop, dst routing.NodeID, expire uint32) {
 	lo, hi := 0, u.Len()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -214,16 +215,17 @@ func (p *Protocol) refreshVia(u *routing.VectorUpdate, from, dst routing.NodeID,
 		return // poisoned or unreachable: processing would not refresh
 	}
 	rt := p.Live(dst)
-	if rt == nil || rt.NextHop != from || int32(rt.Metric) >= p.Inf {
+	if rt == nil || rt.Hop != hop || int32(rt.Metric) >= p.Inf {
 		return
 	}
-	rt.Deadline = now + p.Cfg.Timeout
-	p.noteDeadline(rt.Deadline)
+	rt.Deadline = expire
+	p.noteDeadline(expire)
 }
 
-// processEntry applies one received (dst, metric) pair per RFC 2453 §3.9.2
-// and reports whether the route changed.
-func (p *Protocol) processEntry(from routing.NodeID, e routing.VectorEntry, now time.Duration) bool {
+// processEntry applies one received (dst, metric) pair from neighbor from,
+// whose Hop is hop, per RFC 2453 §3.9.2 and reports whether the route
+// changed. expire is the timeout tick of a route refreshed now.
+func (p *Protocol) processEntry(from routing.NodeID, hop routing.Hop, e routing.VectorEntry, expire uint32) bool {
 	if e.Dst == p.Node.ID() {
 		return false
 	}
@@ -237,28 +239,28 @@ func (p *Protocol) processEntry(from routing.NodeID, e routing.VectorEntry, now 
 		if metric >= p.Inf {
 			return false
 		}
-		rt = p.Insert(e.Dst)
-		rt.Metric, rt.NextHop, rt.Deadline = int16(metric), from, now+p.Cfg.Timeout
-		p.SetChanged(e.Dst, rt)
-		p.noteDeadline(rt.Deadline)
+		rt = p.Insert(e.Dst, hop)
+		rt.Metric, rt.Deadline = int16(metric), expire
+		p.SetChanged(e.Dst)
+		p.noteDeadline(expire)
 		p.Node.SetRoute(e.Dst, from)
 		return true
 
-	case from == rt.NextHop:
+	case hop == rt.Hop:
 		// News from the current next hop is always believed, even if worse.
 		if metric < p.Inf {
-			rt.Deadline = now + p.Cfg.Timeout
-			p.noteDeadline(rt.Deadline)
+			rt.Deadline = expire
+			p.noteDeadline(expire)
 		}
 		if metric == int32(rt.Metric) {
 			return false
 		}
 		wasReachable := int32(rt.Metric) < p.Inf
 		rt.Metric = int16(metric)
-		p.SetChanged(e.Dst, rt)
+		p.SetChanged(e.Dst)
 		if metric >= p.Inf {
 			if wasReachable {
-				rt.Deadline = now + p.Cfg.GCTime
+				rt.Deadline = p.TickAfter(p.Cfg.GCTime)
 				p.noteDeadline(rt.Deadline)
 				p.Node.ClearRoute(e.Dst)
 			}
@@ -271,10 +273,10 @@ func (p *Protocol) processEntry(from routing.NodeID, e routing.VectorEntry, now 
 
 	case metric < int32(rt.Metric):
 		rt.Metric = int16(metric)
-		rt.NextHop = from
-		rt.Deadline = now + p.Cfg.Timeout
-		p.SetChanged(e.Dst, rt)
-		p.noteDeadline(rt.Deadline)
+		rt.Hop = hop
+		rt.Deadline = expire
+		p.SetChanged(e.Dst)
+		p.noteDeadline(expire)
 		p.Node.SetRoute(e.Dst, from)
 		return true
 	}
@@ -286,17 +288,18 @@ func (p *Protocol) processEntry(from routing.NodeID, e routing.VectorEntry, now 
 // alternative (RIP keeps no alternates — §4.1).
 func (p *Protocol) LinkDown(neighbor routing.NodeID) {
 	p.Up[neighbor] = false
-	now := p.Node.Sim().Now()
+	hop := p.HopOf(neighbor)
+	gc := p.TickAfter(p.Cfg.GCTime)
 	changedAny := false
 	for dst := routing.NodeID(0); int(dst) < len(p.Rows); dst++ {
 		rt := &p.Rows[dst]
-		if !rt.Valid || rt.NextHop != neighbor || int32(rt.Metric) >= p.Inf {
-			continue
+		if rt.Hop != hop || int32(rt.Metric) >= p.Inf {
+			continue // an empty row's Hop matches no neighbor
 		}
 		rt.Metric = int16(p.Inf)
-		rt.Deadline = now + p.Cfg.GCTime
-		p.SetChanged(dst, rt)
-		p.noteDeadline(rt.Deadline)
+		rt.Deadline = gc
+		p.SetChanged(dst)
+		p.noteDeadline(gc)
 		p.Node.ClearRoute(dst)
 		changedAny = true
 	}
@@ -305,31 +308,34 @@ func (p *Protocol) LinkDown(neighbor routing.NodeID) {
 	}
 }
 
-// housekeep expires timed-out routes and garbage-collects dead ones. The
-// full scan runs only when the earliest tracked deadline has passed;
-// otherwise the tick is O(1) — on a quiet tick (the overwhelmingly common
-// case) nothing could have expired, so skipping the scan changes nothing.
+// housekeep expires timed-out routes and garbage-collects dead ones,
+// comparing tick indices only: a deadline is due at the first housekeeping
+// tick at or after its instant (routing.Vector.TickAfter). The full scan
+// runs only when the earliest tracked deadline is due; otherwise the tick
+// is O(1) — on a quiet tick (the overwhelmingly common case) nothing could
+// have expired, so skipping the scan changes nothing.
 func (p *Protocol) housekeep() {
-	now := p.Node.Sim().Now()
-	if p.nextDeadline != 0 && now < p.nextDeadline {
+	tick := p.Tick()
+	if p.nextDeadline != 0 && tick < p.nextDeadline {
 		return
 	}
+	gc := p.TickAfter(p.Cfg.GCTime)
 	changedAny := false
 	next := noDeadline
 	self := p.Node.ID()
 	for dst := routing.NodeID(0); int(dst) < len(p.Rows); dst++ {
 		rt := &p.Rows[dst]
-		if !rt.Valid || dst == self {
+		if !rt.Valid() || dst == self {
 			continue
 		}
-		if int32(rt.Metric) < p.Inf && now >= rt.Deadline {
+		if int32(rt.Metric) < p.Inf && tick >= rt.Deadline {
 			rt.Metric = int16(p.Inf)
-			rt.Deadline = now + p.Cfg.GCTime
-			p.SetChanged(dst, rt)
+			rt.Deadline = gc
+			p.SetChanged(dst)
 			p.Node.ClearRoute(dst)
 			changedAny = true
 		}
-		if int32(rt.Metric) >= p.Inf && rt.Deadline > 0 && now >= rt.Deadline {
+		if int32(rt.Metric) >= p.Inf && rt.Deadline > 0 && tick >= rt.Deadline {
 			p.Delete(dst)
 			continue
 		}

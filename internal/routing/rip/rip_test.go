@@ -231,6 +231,67 @@ func TestRouteTimeout(t *testing.T) {
 	}
 }
 
+// A deadline is stored as the first housekeeping tick at or after it, so a
+// route must go at exactly the tick whose instant reaches its deadline: the
+// tick itself when the deadline lands on one, the next when it lands 1 ns
+// past. The network starts off the second (ticks at start + k s), so tick
+// indices counted from time 0 instead of from start fail the on-tick
+// cases, and a deadline rounded down fails the 1 ns cases. Expiry is read
+// from the FIB; deletion, GCTime after a poison from the next hop, from
+// the table.
+func TestExpiryTickBoundary(t *testing.T) {
+	const start = 300 * time.Millisecond
+	tickAt := func(k int) time.Duration { return start + time.Duration(k)*time.Second }
+	cfg := routing.DefaultVectorConfig() // Timeout 180 s, GCTime 120 s: whole ticks
+	for _, tc := range []struct {
+		name   string
+		learn  time.Duration // node 1 advertises destination 9
+		poison time.Duration // node 1 withdraws it (0: never)
+		tick   int           // the route expires (or is deleted) at this tick
+	}{
+		{"expiry on a tick", tickAt(5), 0, 5 + 180},
+		{"expiry 1ns after a tick", tickAt(5) + 1, 0, 6 + 180},
+		{"deletion on a tick", tickAt(5), tickAt(10), 10 + 120},
+		{"deletion 1ns after a tick", tickAt(5), tickAt(10) + 1, 11 + 120},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(1)
+			g := topology.NewGraph(10)
+			g.AddEdge(0, 1)
+			net := netsim.FromGraph(s, g, netsim.DefaultConfig(), nil)
+			p := New(net.Node(0), cfg)
+			net.Node(0).AttachProtocol(p)
+			net.Node(1).AttachProtocol(&sniffer{})
+			advertise := func(metric int32) func() {
+				return func() {
+					p.HandleMessage(1, cfg.PackEntries([]routing.VectorEntry{{Dst: 9, Metric: metric}})[0])
+				}
+			}
+			s.ScheduleAt(start, net.Start)
+			s.ScheduleAt(tc.learn, advertise(3))
+			if tc.poison > 0 {
+				s.ScheduleAt(tc.poison, advertise(int32(cfg.Infinity)))
+			}
+			present := func() bool {
+				if tc.poison > 0 {
+					_, _, ok := p.Table(9)
+					return ok
+				}
+				_, ok := net.Node(0).NextHop(9)
+				return ok
+			}
+			s.RunUntil(tickAt(tc.tick - 1))
+			if !present() {
+				t.Errorf("route to 9 gone at tick %d, want it kept until tick %d", tc.tick-1, tc.tick)
+			}
+			s.RunUntil(tickAt(tc.tick))
+			if present() {
+				t.Errorf("route to 9 still there at tick %d", tc.tick)
+			}
+		})
+	}
+}
+
 func TestTriggeredUpdatePropagatesFailureFast(t *testing.T) {
 	// On a line, a link failure at one end must poison routes at the other
 	// end within a few damping intervals — far faster than the periodic

@@ -1,8 +1,10 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"routeconv/internal/netsim"
@@ -15,20 +17,38 @@ import (
 // detail; any value well under the timeout works.
 const housekeepInterval = time.Second
 
-// Row is one distance-vector table entry, packed to 16 bytes so a dense
-// 10k-node table fits in 160 kB and receive loops' sequential row scans
-// stay bandwidth-friendly. The metric is 16 bits: hop counts clamp at the
-// configured infinity, and Init rejects an infinity that would not fit.
+// Hop is a row's next hop: the neighbor's rank in Node.Neighbors() — the
+// index netsim's FIB stores — plus one, so that the zero Row is an empty
+// one. HopSelf marks the node's own row; netsim.MaxDegree keeps every
+// neighbor's Hop below it.
+type Hop uint16
+
+const (
+	hopNone Hop = 0
+	// HopSelf is the next hop of the node's own row.
+	HopSelf Hop = math.MaxUint16
+)
+
+// RankHop returns the Hop of the neighbor at index rank of Node.Neighbors().
+func RankHop(rank int) Hop { return Hop(rank + 1) }
+
+// Row is one distance-vector table entry, packed to 8 bytes: a network
+// holds n² of them, the largest allocation of a scale trial, and receive
+// loops' sequential row scans stay bandwidth-friendly. The metric is 16
+// bits: hop counts clamp at the configured infinity, and Init rejects an
+// infinity that would not fit. The zero value is an empty row, so make is
+// the table's only initialization.
 type Row struct {
-	// Deadline is RIP's pending timer: expiry while the route is
-	// reachable, deletion while it is not (the two are never live at
-	// once). DBF leaves it zero.
-	Deadline time.Duration
-	NextHop  NodeID
+	// Deadline is RIP's pending timer as a housekeeping tick index (see
+	// Vector.TickAfter): expiry while the route is reachable, deletion
+	// while it is not (the two are never live at once). DBF leaves it zero.
+	Deadline uint32
 	Metric   int16
-	changed  bool // included in the next triggered update
-	Valid    bool // slot holds a live entry
+	Hop      Hop // hopNone for an empty row
 }
+
+// Valid reports whether the row holds a live entry.
+func (r *Row) Valid() bool { return r.Hop != hopNone }
 
 // Vector is the distance-vector speaker RIP and DBF share: the dense
 // table, the advertisement machinery, burst staging and the broadcast
@@ -56,15 +76,21 @@ type Vector struct {
 	// read-time poisoned reverse (see BurstSender), so a steady-state
 	// broadcast allocates nothing and copies nothing per neighbor.
 	Snd BurstSender
-	// changedBits mirrors the rows' changed flags, one bit per
-	// destination, so a triggered update visits only the changed routes
-	// instead of scanning the full table — the dominant cost of a
-	// converging large network, where each burst touches a handful of the
-	// N rows.
+	// changedBits flags the rows to include in the next triggered update,
+	// one bit per destination, so a triggered update visits only the
+	// changed routes instead of scanning the full table — the dominant cost
+	// of a converging large network, where each burst touches a handful of
+	// the N rows. Only valid rows carry a bit.
 	changedBits []uint64
 	// nlive counts valid rows, giving full-table stagings their exact
 	// burst size without a counting pass.
-	nlive     int
+	nlive int
+	// start is the instant Start armed the housekeeping timer, and tick the
+	// index of the latest housekeeping run: run k fires at exactly
+	// start + k·housekeepInterval, since the timer re-arms from its own
+	// firing instant.
+	start     time.Duration
+	tick      uint32
 	hk        *sim.Timer
 	housekeep func()
 }
@@ -79,12 +105,47 @@ func (v *Vector) Init(node *netsim.Node, cfg VectorConfig, housekeep func()) {
 	v.Up = make(map[NodeID]bool)
 	v.housekeep = housekeep
 	v.Adv = NewAdvertiser(node, &v.Cfg, v.broadcastFull, v.broadcastChanged)
-	v.hk = sim.NewTimer(node.Sim(), v.tick)
+	v.hk = sim.NewTimer(node.Sim(), v.onHousekeep)
 }
 
-func (v *Vector) tick() {
+func (v *Vector) onHousekeep() {
+	v.tick++
 	v.housekeep()
 	v.hk.Reset(housekeepInterval)
+}
+
+// Tick returns the index of the housekeeping run in progress: the k-th run
+// after Start returns k.
+func (v *Vector) Tick() uint32 { return v.tick }
+
+// TickAfter returns the first housekeeping tick at or after now + d. Since
+// run k fires at exactly start + k·housekeepInterval, "tick ≥ TickAfter(d)"
+// at a run is the same test as "now ≥ deadline" for the instant deadline
+// now + d: this is the one place a deadline is rounded. The result is at
+// least 1, the first run, so 0 stays free to mean "no deadline".
+func (v *Vector) TickAfter(d time.Duration) uint32 {
+	since := v.Node.Sim().Now() + d - v.start
+	return uint32(max(1, (since+housekeepInterval-1)/housekeepInterval))
+}
+
+// HopOf returns the Hop of id, which must be the node itself or one of its
+// neighbors.
+func (v *Vector) HopOf(id NodeID) Hop {
+	if id == v.Node.ID() {
+		return HopSelf
+	}
+	if r, ok := slices.BinarySearch(v.Node.Neighbors(), id); ok {
+		return RankHop(r)
+	}
+	panic(fmt.Sprintf("routing: node %d: %d is not a neighbor", v.Node.ID(), id))
+}
+
+// hopID is HopOf's inverse: the node ID a valid row's next hop names.
+func (v *Vector) hopID(h Hop) NodeID {
+	if h == HopSelf {
+		return v.Node.ID()
+	}
+	return v.Node.Neighbors()[h-1]
 }
 
 // Table returns the current metric and next hop for dst, with ok reporting
@@ -94,40 +155,39 @@ func (v *Vector) Table(dst NodeID) (metric int, nextHop NodeID, ok bool) {
 	if rt == nil {
 		return 0, 0, false
 	}
-	return int(rt.Metric), rt.NextHop, true
+	return int(rt.Metric), v.hopID(rt.Hop), true
 }
 
 // Live returns the valid row for dst, or nil.
 func (v *Vector) Live(dst NodeID) *Row {
-	if uint(dst) < uint(len(v.Rows)) && v.Rows[dst].Valid {
+	if uint(dst) < uint(len(v.Rows)) && v.Rows[dst].Valid() {
 		return &v.Rows[dst]
 	}
 	return nil
 }
 
-// Insert claims the (invalid) row for dst and returns it zeroed with Valid
-// set.
-func (v *Vector) Insert(dst NodeID) *Row {
-	v.Rows[dst] = Row{Valid: true}
+// Insert claims the (invalid) row for dst and returns it zeroed but for its
+// next hop h.
+func (v *Vector) Insert(dst NodeID, h Hop) *Row {
+	v.Rows[dst] = Row{Hop: h}
 	v.nlive++
 	return &v.Rows[dst]
 }
 
-// Delete drops the row for dst; deletions leave the advertised table too,
-// so the version clock advances.
+// Delete drops the row for dst and its changed bit; deletions leave the
+// advertised table too, so the version clock advances.
 func (v *Vector) Delete(dst NodeID) {
-	v.Rows[dst].Valid = false
+	v.Rows[dst] = Row{}
+	v.changedBits[dst>>6] &^= 1 << (uint(dst) & 63)
 	v.nlive--
 	v.Ver++
 }
 
-// SetChanged flags the row for the next triggered update, in both the row
-// and the bitmap (the invariant the bitmap walks rely on: a row's changed
-// flag and its bit are set and cleared together), and advances the
-// version clock — every call site is a change to an advertised metric.
-func (v *Vector) SetChanged(dst NodeID, rt *Row) {
+// SetChanged flags the valid row for dst for the next triggered update and
+// advances the version clock — every call site is a change to an
+// advertised metric.
+func (v *Vector) SetChanged(dst NodeID) {
 	v.Ver++
-	rt.changed = true
 	v.changedBits[dst>>6] |= 1 << (uint(dst) & 63)
 }
 
@@ -137,12 +197,12 @@ func (v *Vector) Start() {
 	n := v.Node.NetworkSize()
 	v.Rows = make([]Row, n)
 	v.changedBits = make([]uint64, (n+63)/64)
-	self := v.Node.ID()
-	v.Insert(self).NextHop = self
+	v.Insert(v.Node.ID(), HopSelf)
 	for _, nb := range v.Node.Neighbors() {
 		v.Up[nb] = true
 	}
 	v.Adv.Start()
+	v.start = v.Node.Sim().Now()
 	v.hk.Reset(housekeepInterval)
 	// Announce ourselves right away so the network learns new attachments
 	// without waiting a full period.
@@ -173,7 +233,7 @@ func (v *Vector) broadcast(full bool) {
 		}
 	}
 	v.Snd.End()
-	v.clearChanged()
+	clear(v.changedBits)
 }
 
 // Stage snapshots one advertisement burst — the whole table, or only the
@@ -181,14 +241,15 @@ func (v *Vector) broadcast(full bool) {
 // order either way — into the shared pooled snapshot that all
 // per-neighbor messages of this broadcast view. The burst is sized by the
 // live-row count for a full and the bitmap's popcount for a triggered
-// update. The caller ends it with Snd.End.
+// update. Next hops are staged as node IDs, the form receivers and the
+// wire see. The caller ends it with Snd.End.
 func (v *Vector) Stage(full bool) {
 	if full {
 		b := v.Snd.Begin(v.Node, v.nlive, v.Inf, v.Ver, true)
 		for dst := range v.Rows {
-			if rt := &v.Rows[dst]; rt.Valid {
+			if rt := &v.Rows[dst]; rt.Valid() {
 				b.Entries = append(b.Entries, VectorEntry{Dst: NodeID(dst), Metric: int32(rt.Metric)})
-				b.NextHop = append(b.NextHop, rt.NextHop)
+				b.NextHop = append(b.NextHop, v.hopID(rt.Hop))
 			}
 		}
 		return
@@ -203,11 +264,9 @@ func (v *Vector) Stage(full bool) {
 			bit := bits.TrailingZeros64(word)
 			word &^= 1 << uint(bit)
 			dst := w<<6 + bit
-			// A stale bit (row deleted and re-inserted since) stays silent.
-			if rt := &v.Rows[dst]; rt.Valid && rt.changed {
-				b.Entries = append(b.Entries, VectorEntry{Dst: NodeID(dst), Metric: int32(rt.Metric)})
-				b.NextHop = append(b.NextHop, rt.NextHop)
-			}
+			rt := &v.Rows[dst]
+			b.Entries = append(b.Entries, VectorEntry{Dst: NodeID(dst), Metric: int32(rt.Metric)})
+			b.NextHop = append(b.NextHop, v.hopID(rt.Hop))
 		}
 	}
 }
@@ -238,16 +297,5 @@ func (v *Vector) sendStaged(to NodeID) {
 	for _, msg := range v.Cfg.PackEntries(entries) {
 		met.Inc(obs.ProtoUpdatesSent)
 		v.Node.SendControl(to, msg)
-	}
-}
-
-func (v *Vector) clearChanged() {
-	for w, word := range v.changedBits {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			v.Rows[w<<6+b].changed = false
-		}
-		v.changedBits[w] = 0
 	}
 }

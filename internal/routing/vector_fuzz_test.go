@@ -29,7 +29,8 @@ const vectorN = 6
 
 var vectorNeighbors = [...]netsim.NodeID{1, 2, 3}
 
-// FuzzVectorReceive drives RIP and DBF (plain and ECMP) through one
+// FuzzVectorReceive drives RIP and DBF (poisoned reverse, plain split
+// horizon, and DBF with ECMP) through one
 // program of received updates, link events and elapsed time, checking the
 // shared core's bookkeeping and the installed forwarding state after every
 // step. A program is a byte string read as (op, arg) pairs:
@@ -43,17 +44,28 @@ var vectorNeighbors = [...]netsim.NodeID{1, 2, 3}
 //	           route expiry and neighbor timeouts
 //
 // The committed corpus (testdata/fuzz/FuzzVectorReceive) covers
-// out-of-range destinations, poisoning, link flaps, and expiry.
+// out-of-range destinations, poisoning, link flaps, expiry, and a route
+// garbage-collected and then learned again. The split variants run plain
+// split horizon, whose send path reads the staged next hops per neighbor;
+// rip-fastgc deletes a poisoned route before the triggered update that
+// would announce the poison, so Delete meets a pending changed bit.
 func FuzzVectorReceive(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		ecmp := routing.DefaultVectorConfig()
 		ecmp.ECMP = true
+		split := routing.DefaultVectorConfig()
+		split.PoisonReverse = false
+		fastgc := routing.DefaultVectorConfig()
+		fastgc.GCTime = time.Second
 		for _, tc := range []struct {
 			name string
 			f    func(*netsim.Node) netsim.Protocol
 		}{
 			{"rip", rip.Factory(routing.DefaultVectorConfig())},
+			{"rip-split", rip.Factory(split)},
+			{"rip-fastgc", rip.Factory(fastgc)},
 			{"dbf", dbf.Factory(routing.DefaultVectorConfig())},
+			{"dbf-split", dbf.Factory(split)},
 			{"dbf-ecmp", dbf.Factory(ecmp)},
 		} {
 			if err := runVectorProgram(tc.f, prog); err != nil {
