@@ -2,7 +2,10 @@ package routeconv
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -83,7 +86,10 @@ func TestPublicDefaultsMatchPaper(t *testing.T) {
 }
 
 func TestPublicSweep(t *testing.T) {
-	sc := DefaultSweep(1)
+	sc := DefaultSweep(7)
+	if sc.Base.Trials != 7 {
+		t.Errorf("DefaultSweep trials = %d, want 7", sc.Base.Trials)
+	}
 	if len(sc.Degrees) != 14 || sc.Degrees[0] != 3 || sc.Degrees[13] != 16 {
 		t.Errorf("DefaultSweep degrees = %v, want 3..16", sc.Degrees)
 	}
@@ -105,6 +111,73 @@ func TestPublicSweep(t *testing.T) {
 	}
 	if !strings.HasPrefix(sb.String(), "degree,dbf_drops") {
 		t.Errorf("figure 3 CSV header = %q", strings.SplitN(sb.String(), "\n", 2)[0])
+	}
+}
+
+// TestRunSweepMatchesRun pins the facade to Run: every cell RunSweep
+// returns is exactly Run of Base at that protocol and degree, whichever
+// disturbance Base carries — none, a text scenario with fast reroute, or a
+// builder script.
+func TestRunSweepMatchesRun(t *testing.T) {
+	plain := fastConfig(ProtoDBF)
+	plain.Trials = 1
+	text := plain
+	text.FastReroute = true
+	text.Scenario = "failpath @200s restore=3s flaps=2"
+	built := plain
+	built.Script = NewScenario().FailPath(200*time.Second, 0, 0).FailRandom(203 * time.Second).Script()
+
+	for _, tc := range []struct {
+		name string
+		base Config
+	}{{"default", plain}, {"text", text}, {"builder", built}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := SweepConfig{Base: tc.base, Degrees: []int{4, 6}, Protocols: []ProtocolKind{ProtoDBF, ProtoBGP3}}
+			var (
+				mu       sync.Mutex
+				progress []string
+			)
+			sr, err := RunSweep(sc, func(line string) {
+				mu.Lock()
+				defer mu.Unlock()
+				progress = append(progress, line)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range sc.Protocols {
+				for _, d := range sc.Degrees {
+					cfg := tc.base
+					cfg.Protocol, cfg.Degree = p, d
+					want, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := sr.Cells[p][d]
+					if got == nil {
+						t.Fatalf("%v degree %d: no cell", p, d)
+					}
+					// The facade hands the schedule to the sweep as text, so
+					// the two resolved scripts are compared by their text.
+					if g, w := got.Config.Script.String(), want.Config.Script.String(); g != w {
+						t.Errorf("%v degree %d: schedule %q, want %q", p, d, g, w)
+					}
+					// The rest is compared as printed: %v renders a float
+					// exactly (shortest round-trip form), and the delay
+					// series' NaN bins match where reflect.DeepEqual's
+					// NaN != NaN would not.
+					g, w := *got, *want
+					g.Config.Script, w.Config.Script = nil, nil
+					if gs, ws := fmt.Sprintf("%+v", g), fmt.Sprintf("%+v", w); gs != ws {
+						t.Errorf("%v degree %d: RunSweep's cell differs from Run:\n got %s\nwant %s", p, d, gs, ws)
+					}
+					id := fmt.Sprintf("%v/d%d/", p, d)
+					if !slices.ContainsFunc(progress, func(line string) bool { return strings.HasPrefix(line, id) }) {
+						t.Errorf("no progress line for cell %s in %q", id, progress)
+					}
+				}
+			}
+		})
 	}
 }
 

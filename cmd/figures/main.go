@@ -28,6 +28,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -61,11 +62,11 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 
-	degrees, err := parseDegrees(*degreesFlag)
+	degrees, err := sweep.ParseDegrees(*degreesFlag)
 	if err != nil {
 		return err
 	}
-	seriesDegrees, err := parseDegrees(*seriesFlag)
+	seriesDegrees, err := sweep.ParseDegrees(*seriesFlag)
 	if err != nil {
 		return err
 	}
@@ -124,7 +125,7 @@ func run(ctx context.Context, args []string) error {
 		{"summary", sr.SummaryTable()},
 	}
 	for _, d := range seriesDegrees {
-		if !containsInt(degrees, d) {
+		if !slices.Contains(degrees, d) {
 			continue
 		}
 		outputs = append(outputs,
@@ -145,7 +146,7 @@ func run(ctx context.Context, args []string) error {
 		fmt.Printf("wrote %s.{txt,csv}\n", filepath.Join(*outDir, o.name))
 	}
 	for _, d := range seriesDegrees {
-		if !containsInt(degrees, d) {
+		if !slices.Contains(degrees, d) {
 			continue
 		}
 		path := filepath.Join(*outDir, fmt.Sprintf("fig5_fig7_deg%d.plot.txt", d))
@@ -175,18 +176,6 @@ func run(ctx context.Context, args []string) error {
 		fmt.Printf("wrote %s\n", *report)
 	}
 	return nil
-}
-
-// parseDegrees accepts "3-8" or "3,4,5" (or a mix like "3-5,8").
-func parseDegrees(s string) ([]int, error) { return sweep.ParseDegrees(s) }
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // writeTable renders a table and writes the .txt and .csv files atomically,

@@ -8,53 +8,6 @@ import (
 	"testing"
 )
 
-func TestParseDegrees(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []int
-		err  bool
-	}{
-		{"3-6", []int{3, 4, 5, 6}, false},
-		{"4", []int{4}, false},
-		{"3,5,8", []int{3, 5, 8}, false},
-		{"3-5,8", []int{3, 4, 5, 8}, false},
-		{" 3 , 4 ", []int{3, 4}, false},
-		{"", nil, true},
-		{"6-3", nil, true},
-		{"abc", nil, true},
-		{"3-x", nil, true},
-	}
-	for _, c := range cases {
-		got, err := parseDegrees(c.in)
-		if c.err {
-			if err == nil {
-				t.Errorf("parseDegrees(%q) succeeded with %v, want error", c.in, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("parseDegrees(%q): %v", c.in, err)
-			continue
-		}
-		if len(got) != len(c.want) {
-			t.Errorf("parseDegrees(%q) = %v, want %v", c.in, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("parseDegrees(%q) = %v, want %v", c.in, got, c.want)
-				break
-			}
-		}
-	}
-}
-
-func TestContainsInt(t *testing.T) {
-	if !containsInt([]int{1, 2, 3}, 2) || containsInt([]int{1, 3}, 2) {
-		t.Error("containsInt wrong")
-	}
-}
-
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	err := run(context.Background(), []string{

@@ -310,26 +310,30 @@ func TestLinkStateProtocol(t *testing.T) {
 	}
 }
 
+// sweepOf runs every (protocol, degree) cell of base with Run and
+// assembles the figure renderer's input from the results.
+func sweepOf(t *testing.T, base Config, protocols []ProtocolKind, degrees []int) *SweepResult {
+	t.Helper()
+	sr := &SweepResult{Base: base, Degrees: degrees, Protocols: protocols, Cells: map[ProtocolKind]map[int]*Result{}}
+	for _, p := range protocols {
+		sr.Cells[p] = map[int]*Result{}
+		for _, d := range degrees {
+			cfg := base
+			cfg.Protocol, cfg.Degree = p, d
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr.Cells[p][d] = res
+		}
+	}
+	return sr
+}
+
 func TestSweepAndTables(t *testing.T) {
-	sc := SweepConfig{
-		Base:      shortConfig(),
-		Degrees:   []int{4, 6},
-		Protocols: []ProtocolKind{ProtoDBF, ProtoBGP3},
-	}
-	sc.Base.Trials = 1
-	var progress []string
-	sr, err := RunSweep(sc, func(s string) { progress = append(progress, s) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(progress) != 4 {
-		t.Errorf("progress lines = %d, want 4", len(progress))
-	}
-	for _, tab := range []interface {
-		WriteText(w interface{ Write([]byte) (int, error) }) error
-	}{} {
-		_ = tab // (tables are exercised below)
-	}
+	base := shortConfig()
+	base.Trials = 1
+	sr := sweepOf(t, base, []ProtocolKind{ProtoDBF, ProtoBGP3}, []int{4, 6})
 	var sb strings.Builder
 	if err := sr.Figure3Table().WriteText(&sb); err != nil {
 		t.Fatal(err)

@@ -7,67 +7,17 @@ import (
 	"routeconv/internal/stats"
 )
 
-// SweepConfig describes the paper's full evaluation grid: every protocol at
-// every node degree, Trials runs each. One sweep yields the data behind
-// Figures 3–7.
-type SweepConfig struct {
-	// Base is the per-experiment template; its Protocol and Degree fields
-	// are overwritten by the sweep.
-	Base Config
-	// Degrees lists the mesh degrees to sweep (paper: 3–16).
-	Degrees []int
-	// Protocols lists the protocols to sweep (paper: RIP, DBF, BGP, BGP3).
-	Protocols []ProtocolKind
-}
-
-// DefaultSweep returns the paper's §5 evaluation grid at a configurable
-// trial count.
-func DefaultSweep(trials int) SweepConfig {
-	base := DefaultConfig()
-	base.Trials = trials
-	degrees := make([]int, 0, 14)
-	for d := 3; d <= 16; d++ {
-		degrees = append(degrees, d)
-	}
-	return SweepConfig{Base: base, Degrees: degrees, Protocols: Protocols()}
-}
-
-// SweepResult holds one Result per (protocol, degree) cell.
+// SweepResult holds one Result per (protocol, degree) cell of the paper's
+// evaluation grid and renders Figures 3–7 from them. The sweep package
+// builds it (sweep.Outcome.SweepResult).
 type SweepResult struct {
-	Config    SweepConfig
+	// Base is the per-cell template the grid was run from; the renderer
+	// reads its flow, failure and horizon parameters.
+	Base      Config
 	Degrees   []int
 	Protocols []ProtocolKind
 	// Cells is indexed by protocol, then degree.
 	Cells map[ProtocolKind]map[int]*Result
-}
-
-// RunSweep executes every cell of the grid. progress, when non-nil, is
-// called with a human-readable line as each cell completes.
-func RunSweep(sc SweepConfig, progress func(string)) (*SweepResult, error) {
-	sr := &SweepResult{
-		Config:    sc,
-		Degrees:   sc.Degrees,
-		Protocols: sc.Protocols,
-		Cells:     make(map[ProtocolKind]map[int]*Result),
-	}
-	for _, p := range sc.Protocols {
-		sr.Cells[p] = make(map[int]*Result)
-		for _, d := range sc.Degrees {
-			cfg := sc.Base
-			cfg.Protocol = p
-			cfg.Degree = d
-			res, err := Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("sweep %v degree %d: %w", p, d, err)
-			}
-			sr.Cells[p][d] = res
-			if progress != nil {
-				progress(fmt.Sprintf("%-5s degree %-2d  no-route %.1f  ttl %.1f  fwd-conv %.1fs  routing-conv %.1fs",
-					p, d, res.MeanNoRouteDrops, res.MeanTTLDrops, res.MeanFwdConv, res.MeanRoutingConv))
-			}
-		}
-	}
-	return sr, nil
 }
 
 // cell returns the result for (p, degree), or nil.
@@ -126,7 +76,7 @@ func (sr *SweepResult) Figure6bTable() *stats.Table {
 // seriesWindow bounds the Figure 5/7 time series: the paper plots from the
 // sender start through one minute past the failure.
 func (sr *SweepResult) seriesWindow() (nBins int, failBin int) {
-	base := sr.Config.Base
+	base := sr.Base
 	failBin = int((base.FailAt - base.SenderStart) / time.Second)
 	nBins = failBin + 60
 	max := int((base.End - base.SenderStart) / time.Second)
@@ -187,8 +137,8 @@ func (sr *SweepResult) Figure7Plot(degree int) *stats.Plot {
 }
 
 func (sr *SweepResult) seriesPlot(degree int, title string, series func(*Result) []float64) *stats.Plot {
-	p := stats.NewPlot(title, "seconds since sender start (failure at 10)")
-	nBins, _ := sr.seriesWindow()
+	nBins, failBin := sr.seriesWindow()
+	p := stats.NewPlot(title, fmt.Sprintf("seconds since sender start (failure at %d)", failBin))
 	for _, proto := range sr.Protocols {
 		c := sr.cell(proto, degree)
 		if c == nil {

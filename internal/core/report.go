@@ -12,12 +12,12 @@ import (
 // summary. cmd/figures writes it with -report; EXPERIMENTS.md is derived
 // from it.
 func (sr *SweepResult) WriteReport(w io.Writer) error {
-	base := sr.Config.Base
+	base := sr.Base
 	if _, err := fmt.Fprintf(w, "# Reproduction report\n\n"+
 		"Protocols: %v. Node degrees: %v. %d trials per cell, base seed %d.\n"+
-		"Mesh %d×%d; flow %v→ %d pkt intervals; failure at %v; horizon %v.\n\n",
+		"Mesh %d×%d; flow of %d-byte packets every %v; failure at %v; horizon %v.\n\n",
 		sr.Protocols, sr.Degrees, base.Trials, base.Seed,
-		base.Rows, base.Cols, base.PacketInterval, base.PacketSize, base.FailAt, base.End); err != nil {
+		base.Rows, base.Cols, base.PacketSize, base.PacketInterval, base.FailAt, base.End); err != nil {
 		return err
 	}
 

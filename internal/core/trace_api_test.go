@@ -53,33 +53,10 @@ func TestTraceValidation(t *testing.T) {
 	}
 }
 
-func TestDefaultSweepShape(t *testing.T) {
-	sc := DefaultSweep(7)
-	if sc.Base.Trials != 7 {
-		t.Errorf("Trials = %d, want 7", sc.Base.Trials)
-	}
-	if len(sc.Degrees) != 14 || sc.Degrees[0] != 3 || sc.Degrees[13] != 16 {
-		t.Errorf("Degrees = %v", sc.Degrees)
-	}
-	if len(sc.Protocols) != 4 {
-		t.Errorf("Protocols = %v", sc.Protocols)
-	}
-	if len(Protocols()) != 4 {
-		t.Errorf("Protocols() = %v", Protocols())
-	}
-}
-
 func TestWriteReportAndPlots(t *testing.T) {
-	sc := SweepConfig{
-		Base:      shortConfig(),
-		Degrees:   []int{4},
-		Protocols: []ProtocolKind{ProtoDBF, ProtoLS},
-	}
-	sc.Base.Trials = 1
-	sr, err := RunSweep(sc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := shortConfig()
+	base.Trials = 1
+	sr := sweepOf(t, base, []ProtocolKind{ProtoDBF, ProtoLS}, []int{4})
 	var sb strings.Builder
 	if err := sr.WriteReport(&sb); err != nil {
 		t.Fatal(err)

@@ -34,7 +34,8 @@ type Options struct {
 	Force bool
 	// Progress, when non-nil, receives human-readable status lines: one
 	// per completed cell and a periodic summary with throughput, ETA and
-	// cache hit-rate.
+	// cache hit-rate. It is called from several goroutines, possibly at
+	// once.
 	Progress func(string)
 	// ProgressEvery sets the periodic summary interval (default 5 s).
 	ProgressEvery time.Duration
@@ -287,7 +288,6 @@ func (o *Outcome) SweepResult() *core.SweepResult {
 	seenDeg := map[int]bool{}
 	failure := ""
 	cells := make(map[core.ProtocolKind]map[int]*core.Result)
-	base := o.Spec.base()
 	for i := range o.Cells {
 		c := &o.Cells[i]
 		if c.Result == nil || c.Cell.Topo != "" {
@@ -313,7 +313,7 @@ func (o *Outcome) SweepResult() *core.SweepResult {
 		cells[c.Cell.Protocol][c.Cell.Degree] = c.Result
 	}
 	return &core.SweepResult{
-		Config:    core.SweepConfig{Base: base, Degrees: degrees, Protocols: protocols},
+		Base:      o.Spec.base(),
 		Degrees:   degrees,
 		Protocols: protocols,
 		Cells:     cells,

@@ -115,7 +115,7 @@ type Spec struct {
 	// Scenarios lists scenario scripts (text grammar, SCENARIOS.md) swept
 	// as additional failure modes alongside Failures: script i becomes a
 	// mode named "scn<i>". Scenario becomes a grid axis next to protocol
-	// and degree, as ROADMAP item 5 asks.
+	// and degree.
 	Scenarios []string `json:"scenarios,omitempty"`
 	// End shortens or extends the simulation horizon (default: the
 	// paper's 800 s).

@@ -39,6 +39,7 @@ import (
 	"routeconv/internal/routing/ls"
 	"routeconv/internal/scenario"
 	"routeconv/internal/stats"
+	"routeconv/internal/sweep"
 	"routeconv/internal/topology"
 )
 
@@ -128,9 +129,6 @@ type TrialResult = core.TrialResult
 // Result aggregates an experiment's trials; see its Mean* fields for the
 // figures' quantities.
 type Result = core.Result
-
-// SweepConfig describes the full evaluation grid (protocols × degrees).
-type SweepConfig = core.SweepConfig
 
 // SweepResult holds one Result per grid cell and renders the paper's
 // figures as tables.
@@ -230,15 +228,62 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return core.RunContext(ctx, cfg)
 }
 
-// RunSweep executes a protocol × degree grid; progress (optional) receives
-// one line per completed cell.
-func RunSweep(sc SweepConfig, progress func(string)) (*SweepResult, error) {
-	return core.RunSweep(sc, progress)
+// SweepConfig describes the full evaluation grid: every protocol at every
+// node degree, Base.Trials runs each. One sweep yields the data behind
+// Figures 3–7.
+type SweepConfig struct {
+	// Base is the per-cell template; the sweep overwrites its Protocol and
+	// Degree fields.
+	Base Config
+	// Degrees lists the mesh degrees to sweep (paper: 3–16).
+	Degrees []int
+	// Protocols lists the protocols to sweep (paper: RIP, DBF, BGP, BGP3).
+	Protocols []ProtocolKind
 }
 
 // DefaultSweep returns the paper's full evaluation grid (all four
 // protocols, degrees 3–16) at the given trial count per cell.
-func DefaultSweep(trials int) SweepConfig { return core.DefaultSweep(trials) }
+func DefaultSweep(trials int) SweepConfig {
+	base := DefaultConfig()
+	base.Trials = trials
+	var degrees []int
+	for d := 3; d <= 16; d++ {
+		degrees = append(degrees, d)
+	}
+	return SweepConfig{Base: base, Degrees: degrees, Protocols: Protocols()}
+}
+
+// RunSweep executes a protocol × degree grid on the sweep orchestrator
+// (the engine behind cmd/sweep and cmd/figures), uncached: cells run in
+// parallel on GOMAXPROCS workers, and each cell's Result is exactly what
+// Run returns for Base with that protocol and degree. Base's disturbance
+// schedule (Scenario or Script) and FastReroute apply to every cell; a
+// Base with a Factory override is rejected, because cells are keyed by
+// their configuration's content. progress (optional) receives the
+// orchestrator's status lines — one per completed cell
+// ("dbf/d4/base  ran  …"), a periodic summary and a closing total — from
+// several goroutines, possibly at once.
+func RunSweep(sc SweepConfig, progress func(string)) (*SweepResult, error) {
+	// A sweep failure mode replaces its cells' schedule, so Base's own
+	// schedule travels as the one mode, in text form.
+	base := sc.Base
+	if err := base.ResolveScenario(); err != nil {
+		return nil, err
+	}
+	spec := sweep.Spec{
+		Base:     &sc.Base,
+		Degrees:  sc.Degrees,
+		Failures: []sweep.FailureMode{{Name: "base", FastReroute: base.FastReroute, Scenario: base.Script.String()}},
+	}
+	for _, p := range sc.Protocols {
+		spec.Protocols = append(spec.Protocols, p.String())
+	}
+	out, err := sweep.Run(context.Background(), spec, sweep.Options{Progress: progress})
+	if err != nil {
+		return nil, err
+	}
+	return out.SweepResult(), nil
+}
 
 // ScenarioScript is a parsed disturbance script: a time-ordered list of
 // failure, repair, flap, loss, cost-out and churn events. It is the only
