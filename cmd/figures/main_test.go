@@ -4,9 +4,46 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"routeconv/internal/sweep"
 )
+
+// TestParseDegrees pins the grammar the -degrees and -series-degrees flags
+// accept.
+func TestParseDegrees(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []int
+		err  bool
+	}{
+		{"3-6", []int{3, 4, 5, 6}, false},
+		{"4", []int{4}, false},
+		{"3,5,8", []int{3, 5, 8}, false},
+		{"3-5,8", []int{3, 4, 5, 8}, false},
+		{" 3 , 4 ", []int{3, 4}, false},
+		{"", nil, true},
+		{"6-3", nil, true},
+		{"abc", nil, true},
+		{"3-x", nil, true},
+	}
+	for _, c := range cases {
+		got, err := sweep.ParseDegrees(c.in)
+		if c.err {
+			if err == nil {
+				t.Errorf("ParseDegrees(%q) succeeded with %v, want error", c.in, got)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseDegrees(%q): %v", c.in, err)
+		} else if !slices.Equal(got, c.want) {
+			t.Errorf("ParseDegrees(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
 
 func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()

@@ -53,6 +53,24 @@ func TestTraceValidation(t *testing.T) {
 	}
 }
 
+// TestDefaultSweepShape checks the paper's evaluation grid on core's
+// defaults: four protocols, and every protocol × degree 3–16 cell a valid
+// configuration.
+func TestDefaultSweepShape(t *testing.T) {
+	if len(Protocols()) != 4 {
+		t.Errorf("Protocols() = %v", Protocols())
+	}
+	for _, p := range Protocols() {
+		for d := 3; d <= 16; d++ {
+			cfg := DefaultConfig()
+			cfg.Protocol, cfg.Degree = p, d
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("%v degree %d: %v", p, d, err)
+			}
+		}
+	}
+}
+
 func TestWriteReportAndPlots(t *testing.T) {
 	base := shortConfig()
 	base.Trials = 1
