@@ -35,6 +35,46 @@ func TestPublicRun(t *testing.T) {
 	}
 }
 
+// TestPublicTraceTimeline: tracing one trial to a timeline returns the
+// trial Run computed and the one traced without a timeline, and the
+// timeline closes with its convergence_complete summary.
+func TestPublicTraceTimeline(t *testing.T) {
+	cfg := fastConfig(ProtoBGP3)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := TraceTimeline(cfg, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := NewTimeline()
+	traced, err := TraceTimeline(cfg, 1, tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%+v", res.Trials[1])
+	for name, tr := range map[string]TrialResult{"without a timeline": plain, "with a timeline": traced} {
+		if got := fmt.Sprintf("%+v", tr); got != want {
+			t.Errorf("TraceTimeline %s differs from Run's trial:\n run:   %s\n trace: %s", name, want, got)
+		}
+	}
+	var sb strings.Builder
+	if err := tl.WriteNDJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	if n := tl.Len(); n < 3 || len(lines) != n {
+		t.Fatalf("timeline holds %d records and renders %d lines", n, len(lines))
+	}
+	if first := lines[0]; !strings.Contains(first, `"event":"trial_start"`) {
+		t.Errorf("timeline opens with %s, want trial_start", first)
+	}
+	if last := lines[len(lines)-1]; !strings.Contains(last, `"event":"convergence_complete"`) {
+		t.Errorf("timeline ends with %s, want convergence_complete", last)
+	}
+}
+
 func TestPublicRunContext(t *testing.T) {
 	res, err := RunContext(context.Background(), fastConfig(ProtoDBF))
 	if err != nil {

@@ -465,51 +465,6 @@ func BenchmarkTopology(b *testing.B) {
 	}
 }
 
-// BenchmarkConvergence measures one full trial of the paper's experiment
-// on the degree-4 mesh — topology build, protocol warm-up, failure,
-// convergence, measurement — per protocol. It is the headline number for
-// the hot-path perf trajectory (PR 3 and 4 in bench/trajectory.json). Beyond
-// the paper's four protocols it covers the two previously unmeasured
-// configurations: BGP3 with RFC 2439 flap damping on a flapping link, and
-// the link-state extension.
-func BenchmarkConvergence(b *testing.B) {
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"rip", benchConfig(ProtoRIP, 4)},
-		{"dbf", benchConfig(ProtoDBF, 4)},
-		{"bgp", benchConfig(ProtoBGP, 4)},
-		{"bgp3", benchConfig(ProtoBGP3, 4)},
-		{"bgp-damping", benchDampingConfig()},
-		{"ls", benchConfig(ProtoLS, 4)},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			cfg := c.cfg
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg.Seed = int64(i + 1)
-				if _, err := Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// benchDampingConfig is the flap-damping convergence case: BGP3 with
-// RFC 2439 damping on a link that flaps five times (the Mao et al. [15]
-// setup of BenchmarkExtensionFlapDamping, shortened).
-func benchDampingConfig() Config {
-	cfg := benchConfig(ProtoBGP3, 4)
-	cfg.Script = NewScenario().FailPath(cfg.FailAt, 3*time.Second, 5).Script()
-	dcfg := DefaultDampingConfig()
-	dcfg.HalfLife = 60 * time.Second
-	cfg.BGP3.Damping = &dcfg
-	return cfg
-}
-
 // BenchmarkSimulatorEvents measures the raw event-loop throughput
 // underlying every experiment.
 func BenchmarkSimulatorEvents(b *testing.B) {

@@ -194,7 +194,7 @@ type Config struct {
 	// TrafficCBR (the paper's constant-rate workload).
 	Traffic TrafficPattern
 	// OnMean and OffMean set TrafficOnOff's mean burst and silence
-	// durations; zero values default to one second each.
+	// durations; zero values default to one second each (onOffMeans).
 	OnMean, OffMean time.Duration
 	// PacketSize is the data packet size in bytes.
 	PacketSize int
@@ -357,6 +357,20 @@ func (c *Config) resolve() error {
 		return err
 	}
 	return c.Validate()
+}
+
+// onOffMeans returns the on/off burst and silence means with their
+// one-second defaults applied. The defaults are resolved here, at run time,
+// not stored into the Config, whose fields feed the cache keys.
+func (c *Config) onOffMeans() (on, off time.Duration) {
+	on, off = c.OnMean, c.OffMean
+	if on <= 0 {
+		on = time.Second
+	}
+	if off <= 0 {
+		off = time.Second
+	}
+	return on, off
 }
 
 // Validate reports the first problem with the configuration, or nil.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 // goldenScenarios are the six pinned reference configurations shared with
@@ -142,5 +143,42 @@ func TestHybridConservation(t *testing.T) {
 	}
 	if m["fluid.delivered_bytes"] == 0 {
 		t.Error("fluid.delivered_bytes = 0, want > 0")
+	}
+}
+
+// TestFluidOnOffDutyCycle: the fluid engine runs an on/off background class
+// as CBR at its long-run mean rate, the burst spacing stretched by the duty
+// cycle (on+off)/on. A fluid trial of on/off flows must therefore account
+// the bytes of a CBR trial whose interval is already stretched — with the
+// one-second defaults (factor 2) and with explicit means (factor 4).
+func TestFluidOnOffDutyCycle(t *testing.T) {
+	fluidBytes := func(cfg Config) uint64 {
+		cfg.Flows = 8
+		cfg.Mode = ModeFluid
+		cfg.Metrics = true
+		tr, _, err := Trace(cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr.Metrics["fluid.delivered_bytes"] + tr.Metrics["fluid.dropped_bytes"]
+	}
+	for _, tc := range []struct {
+		on, off time.Duration
+		factor  int64
+	}{
+		{0, 0, 2},
+		{time.Second, 3 * time.Second, 4},
+	} {
+		onOff := goldenConfig(ProtoDBF)
+		onOff.Traffic = TrafficOnOff
+		onOff.OnMean, onOff.OffMean = tc.on, tc.off
+		cbr := goldenConfig(ProtoDBF)
+		cbr.PacketInterval *= time.Duration(tc.factor)
+		// The probe flows differ (on/off vs CBR); the fluid classes' offered
+		// load, delivered plus dropped, must not.
+		if got, want := fluidBytes(onOff), fluidBytes(cbr); want == 0 || got != want {
+			t.Errorf("on=%v off=%v: on/off fluid classes carried %d bytes, CBR at %d× the interval %d",
+				tc.on, tc.off, got, tc.factor, want)
+		}
 	}
 }

@@ -199,11 +199,17 @@ func Trace(cfg Config, trial int) (TrialResult, *trace.Collector, error) {
 	return TraceObserved(cfg, trial, nil)
 }
 
-// TraceObserved is Trace with an optional convergence timeline: when tl is
-// non-nil, the trial's link, FIB, withdrawal, and flap-damping events are
-// recorded into it and the summary records synthesized (obs.Timeline.Finish
-// runs against the configured failure time). Recording is passive — the
-// trial's results are bit-for-bit those of Trace.
+// TraceObserved is Trace with an optional convergence timeline. When tl is
+// non-nil it receives trial_start (with the seed) before the run; then,
+// read off netsim's observer stream, every link_down/link_up and its
+// link_down_detected/link_up_detected, fib_change and fib_remove,
+// withdrawal, route_flap/route_reuse, fluid_demote/fluid_absorb,
+// node_down/node_up, link_loss, cost_out/cost_in and churn_start/churn_end
+// record; and last the summary records fib_first_change/fib_last_change per
+// node and convergence_complete, synthesized by obs.Timeline.Finish against
+// the configured failure time. OBSERVABILITY.md documents each record's
+// fields. Recording is passive — the trial's results are bit-for-bit those
+// of Trace.
 func TraceObserved(cfg Config, trial int, tl *obs.Timeline) (TrialResult, *trace.Collector, error) {
 	if err := cfg.resolve(); err != nil {
 		return TrialResult{}, nil, err
@@ -229,7 +235,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 	if cfg.Metrics {
 		met = obs.NewMetrics()
 	}
-	tl.TrialStart(0, seed)
+	tl.Add(obs.Record{Kind: obs.KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: seed})
 
 	// The router topology: the paper's mesh by default, or a caller-
 	// supplied graph (cloned, because each trial adds its own host nodes).
@@ -282,6 +288,9 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 		observers = append(observers, f.collector)
 		flows[i] = f
 	}
+	if tl != nil {
+		observers = append(observers, netsim.TimelineObserver(tl))
+	}
 
 	// A lone collector observes directly: one dispatch per event, and
 	// netsim sees its route filter without the fan-out in between.
@@ -290,7 +299,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 		observer = observers[0]
 	}
 	net := netsim.FromGraph(s, g, cfg.Net, observer)
-	net.Instrument(met, tl)
+	net.Instrument(met)
 	var flowSet *netsim.FlowSet
 	if len(fluidPairs) > 0 {
 		flowSet = net.AttachFlows(netsim.FlowSetConfig{
@@ -304,13 +313,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 		if cfg.Traffic == TrafficOnOff {
 			// The fluid evaluator models an on/off class as CBR at its
 			// long-run mean rate: interval scaled by the duty cycle.
-			on, off := cfg.OnMean, cfg.OffMean
-			if on <= 0 {
-				on = time.Second
-			}
-			if off <= 0 {
-				off = time.Second
-			}
+			on, off := cfg.onOffMeans()
 			interval = time.Duration(int64(interval) * int64(on+off) / int64(on))
 		}
 		for _, p := range fluidPairs {
@@ -341,13 +344,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 		case TrafficPoisson:
 			netsim.StartPoisson(src, f.dstHost, cfg.PacketInterval, cfg.PacketSize, cfg.TTL, cfg.SenderStart, cfg.End)
 		case TrafficOnOff:
-			on, off := cfg.OnMean, cfg.OffMean
-			if on <= 0 {
-				on = time.Second
-			}
-			if off <= 0 {
-				off = time.Second
-			}
+			on, off := cfg.onOffMeans()
 			netsim.StartOnOff(src, f.dstHost, cfg.PacketInterval, on, off, cfg.PacketSize, cfg.TTL, cfg.SenderStart, cfg.End)
 		default:
 			netsim.StartCBR(src, f.dstHost, cfg.PacketInterval, cfg.PacketSize, cfg.TTL, cfg.SenderStart, cfg.End)
@@ -361,7 +358,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 	warmedUp := false
 	runner := &scenarioRunner{
 		cfg: cfg, s: s, net: net, g: g, meshEdges: meshEdges,
-		flows: flows, tl: tl, met: met,
+		flows: flows, met: met,
 		failedLink: &failedLink, warmedUp: &warmedUp,
 	}
 	runner.install(cfg.Script)
@@ -615,6 +612,13 @@ func (m multiObserver) RoutesElided(n int, last time.Duration) {
 func (m multiObserver) RouteChanged(at time.Duration, node, dst, nextHop netsim.NodeID, removed bool) {
 	for _, o := range m {
 		o.RouteChanged(at, node, dst, nextHop, removed)
+	}
+}
+
+// Note implements netsim.Observer.
+func (m multiObserver) Note(r obs.Record) {
+	for _, o := range m {
+		o.Note(r)
 	}
 }
 

@@ -28,7 +28,6 @@ type scenarioRunner struct {
 	g         *topology.Graph
 	meshEdges []topology.Edge
 	flows     []*flow
-	tl        *obs.Timeline
 	met       *obs.Metrics
 	// failedLink and warmedUp receive the failpath event's probe results
 	// (they stay zero for scripts without one).
@@ -263,11 +262,11 @@ func (r *scenarioRunner) installChurn(ev scenario.Event, idx int) {
 	}
 	r.s.ScheduleAt(ev.At, func() {
 		r.event()
-		r.tl.Churn(r.s.Now(), obs.KindChurnStart, ev.Rate)
+		r.net.Note(obs.Record{At: r.s.Now(), Kind: obs.KindChurnStart, Node: -1, Peer: -1, Dst: -1, Rate: ev.Rate})
 		tick()
 	})
 	r.s.ScheduleAt(ev.Until, func() {
-		r.tl.Churn(r.s.Now(), obs.KindChurnEnd, ev.Rate)
+		r.net.Note(obs.Record{At: r.s.Now(), Kind: obs.KindChurnEnd, Node: -1, Peer: -1, Dst: -1})
 	})
 }
 

@@ -1,22 +1,31 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"routeconv/internal/netsim"
+	"routeconv/internal/obs"
 	"routeconv/internal/trace"
 )
 
 // TestShardedGoldenEquivalence is the sharding correctness contract: every
-// golden scenario, run with Shards ∈ {2, 4}, must reproduce the sequential
-// trial bit-for-bit — the same TrialResult (compared textually so NaN delay
-// bins compare equal) and the same drop, route-change, and path-sample
-// streams. Conservative windows with the link delay as lookahead never
-// reorder anything observable; per-node and per-source random streams make
-// the schedule independent of how nodes are distributed over simulators.
+// golden scenario, run with Shards ∈ {2, 4} and traced to a convergence
+// timeline, must reproduce the sequential trial run without one
+// bit-for-bit — the same TrialResult (compared textually so NaN delay bins
+// compare equal) and the same drop, route-change, and path-sample streams.
+// Conservative windows with the link delay as lookahead never reorder
+// anything observable; per-node and per-source random streams make the
+// schedule independent of how nodes are distributed over simulators.
+//
+// The timeline itself holds the same records per instant as the sequential
+// one; within an instant its order is the barrier replay's merge, not the
+// sequential execution order. For ls the records are the same but their
+// times are not (see the route-change check below).
 func TestShardedGoldenEquivalence(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		sc := sc
@@ -27,16 +36,26 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := fmt.Sprintf("%+v", ref)
+			refTL := obs.NewTimeline()
+			if tr, _, err := TraceObserved(sc.config(), 0, refTL); err != nil {
+				t.Fatal(err)
+			} else if got := fmt.Sprintf("%+v", tr); got != want {
+				t.Errorf("a timeline changed the sequential trial:\n off: %s\n on:  %s", want, got)
+			}
 			for _, shards := range []int{2, 4} {
 				cfg := sc.config()
 				cfg.Shards = shards
-				tr, c, err := Trace(cfg, 0)
+				tl := obs.NewTimeline()
+				tr, c, err := TraceObserved(cfg, 0, tl)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
 				if got := fmt.Sprintf("%+v", tr); got != want {
 					t.Errorf("shards=%d trial differs from sequential:\n seq:    %s\n shards: %s",
 						shards, want, got)
+				}
+				if diff := timelineDiff(refTL.Records(), tl.Records(), sc.name == "ls"); diff != "" {
+					t.Errorf("shards=%d: timeline differs from sequential: %s", shards, diff)
 				}
 				// Drops must agree record for record in place, reason and
 				// kind. Timestamps get a small tolerance: a data packet
@@ -87,6 +106,35 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// timelineDiff describes the first difference between two timelines'
+// records taken per instant, in no particular order within an instant, or
+// returns "". ignoreTime compares the records with their times dropped.
+func timelineDiff(ref, got []obs.Record, ignoreTime bool) string {
+	canon := func(recs []obs.Record) []obs.Record {
+		out := slices.Clone(recs)
+		if ignoreTime {
+			for i := range out {
+				out[i].At = 0
+			}
+		}
+		slices.SortFunc(out, func(a, b obs.Record) int {
+			return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Node, b.Node),
+				cmp.Compare(a.Peer, b.Peer), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Seed, b.Seed), cmp.Compare(a.Rate, b.Rate))
+		})
+		return out
+	}
+	a, b := canon(ref), canon(got)
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return fmt.Sprintf("sorted record %d is %+v sequentially, %+v sharded", i, a[i], b[i])
+		}
+	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("%d records sequentially, %d sharded", len(a), len(b))
+	}
+	return ""
 }
 
 // compareTrajectories checks that every forwarding entry passes through

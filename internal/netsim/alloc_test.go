@@ -38,7 +38,7 @@ func TestForwardingOneHopAllocs(t *testing.T) {
 func TestForwardingInstrumentedAllocs(t *testing.T) {
 	s, net := benchLine(2)
 	met := obs.NewMetrics()
-	net.Instrument(met, nil)
+	net.Instrument(met)
 	src := net.Node(0)
 	for i := 0; i < 16; i++ {
 		src.SendData(1, 1000, 64)

@@ -773,7 +773,7 @@ func (fs *FlowSet) demote(i int32, now time.Duration) {
 	fs.demotedUntil[i] = until
 	fs.totals.Demotions++
 	fs.net.met.Inc(obs.FluidDemotions)
-	fs.net.tl.FluidFlow(now, obs.KindFluidDemote, int(fs.src[i]), int(fs.dst[i]))
+	fs.net.note(obs.KindFluidDemote, fs.src[i], -1, fs.dst[i])
 	at := fs.tickTime(i, fs.nextTick[i])
 	if at < now {
 		at = now // settlement ran to now, so only a same-instant tick remains
@@ -783,11 +783,11 @@ func (fs *FlowSet) demote(i int32, now time.Duration) {
 
 // absorb returns a demoted flow to the fluid: subsequent ticks are
 // settled analytically again.
-func (fs *FlowSet) absorb(i int32, now time.Duration) {
+func (fs *FlowSet) absorb(i int32) {
 	fs.state[i] = flowFluid
 	fs.totals.Reabsorptions++
 	fs.net.met.Inc(obs.FluidReabsorptions)
-	fs.net.tl.FluidFlow(now, obs.KindFluidAbsorb, int(fs.src[i]), int(fs.dst[i]))
+	fs.net.note(obs.KindFluidAbsorb, fs.src[i], -1, fs.dst[i])
 }
 
 // HandleEvent implements sim.Handler: one demoted flow's packet tick.
@@ -800,14 +800,14 @@ func (fs *FlowSet) HandleEvent(kind int32, _ any) {
 	}
 	now := fs.net.sim.Now()
 	if now >= fs.demotedUntil[i] || now >= fs.cfg.Stop {
-		fs.absorb(i, now)
+		fs.absorb(i)
 		return
 	}
 	nd := fs.net.nodes[fs.src[i]]
 	nd.SendData(fs.dst[i], int(fs.size[i]), int(fs.ttl[i]))
 	fs.nextTick[i]++
 	if fs.nextTick[i] >= fs.maxTicks[i] {
-		fs.absorb(i, now) // emission window exhausted
+		fs.absorb(i) // emission window exhausted
 		return
 	}
 	fs.net.sim.ScheduleHandlerAt(fs.tickTime(i, fs.nextTick[i]), fs, i, nil)

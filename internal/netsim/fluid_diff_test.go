@@ -169,8 +169,8 @@ func newFluidRun(t *testing.T, prog []byte, ref bool) *fluidRun {
 		}
 	}
 	run := &fluidRun{s: sim.New(1), ref: ref, t: t, tl: obs.NewTimeline()}
-	run.net = FromGraph(run.s, g, DefaultConfig(), nil)
-	run.net.Instrument(obs.NewMetrics(), run.tl)
+	run.net = FromGraph(run.s, g, DefaultConfig(), TimelineObserver(run.tl))
+	run.net.Instrument(obs.NewMetrics())
 	node := func() *Node { return run.net.Node(NodeID(r.next() % n)) }
 	// pick returns 1..k distinct neighbors of nd, starting at a program-chosen
 	// rank.

@@ -60,7 +60,7 @@ func TestFluidMatchesPacketQuiescent(t *testing.T) {
 	ps := sim.New(1)
 	pnet := FromGraph(ps, topology.Line(4), DefaultConfig(), nil)
 	pmet := obs.NewMetrics()
-	pnet.Instrument(pmet, nil)
+	pnet.Instrument(pmet)
 	for i := 0; i < 3; i++ {
 		pnet.Node(NodeID(i)).SetRoute(3, NodeID(i+1))
 	}
@@ -70,7 +70,7 @@ func TestFluidMatchesPacketQuiescent(t *testing.T) {
 	// Fluid run of the same flow class.
 	fs, fnet, flows := fluidLine(t, 4, FlowSetConfig{Start: start, Stop: stop})
 	fmet := obs.NewMetrics()
-	fnet.Instrument(fmet, nil)
+	fnet.Instrument(fmet)
 	flows.Add(0, 3, interval, size, ttl)
 	fs.RunUntil(stop)
 	flows.Finish()
@@ -159,7 +159,7 @@ func TestFluidConservation(t *testing.T) {
 	s := sim.New(1)
 	net := FromGraph(s, topology.Line(4), DefaultConfig(), nil)
 	met := obs.NewMetrics()
-	net.Instrument(met, nil)
+	net.Instrument(met)
 	for i := 0; i < 3; i++ {
 		net.Node(NodeID(i)).SetRoute(3, NodeID(i+1))
 	}
@@ -192,10 +192,10 @@ func TestHybridDemotion(t *testing.T) {
 	g.AddEdge(1, 3)
 	g.AddEdge(0, 2)
 	g.AddEdge(2, 3)
-	net := FromGraph(s, g, DefaultConfig(), nil)
-	met := obs.NewMetrics()
 	tl := obs.NewTimeline()
-	net.Instrument(met, tl)
+	net := FromGraph(s, g, DefaultConfig(), TimelineObserver(tl))
+	met := obs.NewMetrics()
+	net.Instrument(met)
 	net.Node(0).SetRoute(3, 1)
 	net.Node(1).SetRoute(3, 3)
 	net.Node(2).SetRoute(3, 3)
@@ -312,7 +312,7 @@ func TestFluidLinkEventInTail(t *testing.T) {
 		g.AddEdge(2, 3)
 		s := sim.New(1)
 		net := FromGraph(s, g, DefaultConfig(), nil)
-		net.Instrument(obs.NewMetrics(), nil)
+		net.Instrument(obs.NewMetrics())
 		net.Node(1).SetRoute(2, 0) // 1→0→2 never touches the 1-3 link
 		net.Node(0).SetRoute(2, 2)
 		return s, net

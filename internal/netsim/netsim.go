@@ -81,10 +81,9 @@ type Network struct {
 	linkList []*Link // sorted by edge; nil when invalidated by Connect
 	observer Observer
 	stats    Stats
-	// met and tl are the optional obs instrumentation; both are nil-safe
-	// no-ops when the network is not Instrumented.
+	// met is the optional obs counter set; a nil-safe no-op when the
+	// network is not Instrumented.
 	met     *obs.Metrics
-	tl      *obs.Timeline
 	started bool
 	// walkSeen/walkEpoch are WalkPath's loop-detection scratch; the epoch
 	// makes reuse O(1) instead of clearing per walk.
@@ -145,23 +144,29 @@ func FromGraph(s *sim.Simulator, g *topology.Graph, cfg Config, o Observer) *Net
 // Sim returns the driving simulator.
 func (n *Network) Sim() *sim.Simulator { return n.sim }
 
-// Instrument attaches an obs metrics set and/or convergence timeline to the
-// network. Either may be nil; instrumentation is strictly passive (no
-// events scheduled, no randomness consumed), so attaching it never changes
-// simulation outcomes. Call before Start.
-func (n *Network) Instrument(m *obs.Metrics, tl *obs.Timeline) {
+// Instrument attaches an obs metrics set to the network (nil detaches it).
+// Counting is strictly passive (no events scheduled, no randomness
+// consumed), so attaching it never changes simulation outcomes. Call
+// before Start. The convergence timeline is written by an Observer
+// (TimelineObserver).
+func (n *Network) Instrument(m *obs.Metrics) {
 	n.met = m
-	n.tl = tl
 	n.root.met = m
-	n.root.tl = tl
 }
 
 // Metrics returns the attached obs counter set (nil when uninstrumented).
 func (n *Network) Metrics() *obs.Metrics { return n.met }
 
-// Timeline returns the attached convergence timeline (nil when
-// uninstrumented).
-func (n *Network) Timeline() *obs.Timeline { return n.tl }
+// Note raises a timeline record through the observer stream. Harness code
+// (scenario events, fluid ticks) runs on the control simulator, whose
+// context calls the observer at once.
+func (n *Network) Note(r obs.Record) { n.root.note(r) }
+
+// note raises a harness record stamped with the current time; -1 marks an
+// unused node field.
+func (n *Network) note(kind obs.Kind, node, peer, dst NodeID) {
+	n.Note(obs.Record{At: n.sim.Now(), Kind: kind, Node: int(node), Peer: int(peer), Dst: int(dst)})
+}
 
 // Stats returns the network-wide counters accumulated so far. In a
 // sharded run the per-shard counters are folded in; call only between
@@ -289,7 +294,7 @@ func (n *Network) RestoreLink(a, b NodeID) {
 
 // syncLink brings the link's up/down state in line with its holds — down
 // while explicitly failed or an endpoint is — and reports whether it
-// flipped. A flip settles fluid traffic first, is recorded in the timeline,
+// flipped. A flip settles fluid traffic first, is noted to the observer,
 // and reaches the protocols after DetectDelay unless undone by then.
 func (n *Network) syncLink(l *Link) bool {
 	down := l.failed || l.endsDown > 0
@@ -307,13 +312,13 @@ func (n *Network) syncLink(l *Link) bool {
 	if down {
 		kind, detected = obs.KindLinkDown, obs.KindLinkDownDetected
 	}
-	n.tl.Link(n.sim.Now(), kind, int(a), int(b))
+	n.note(kind, a, b, -1)
 	n.sim.Schedule(n.cfg.DetectDelay, func() {
 		if l.down != down || l.detectedDown == down {
 			return // flipped back before detection, or nothing to report
 		}
 		l.detectedDown = down
-		n.tl.Link(n.sim.Now(), detected, int(a), int(b))
+		n.note(detected, a, b, -1)
 		n.notifyLink(l, !down)
 	})
 	return true
@@ -338,7 +343,7 @@ func (n *Network) FailNode(id NodeID) int {
 			took++
 		}
 	}
-	n.tl.Node(n.sim.Now(), obs.KindNodeDown, int(id))
+	n.note(obs.KindNodeDown, id, -1, -1)
 	return took
 }
 
@@ -357,7 +362,7 @@ func (n *Network) RecoverNode(id NodeID) {
 		l.endsDown--
 		n.syncLink(l)
 	}
-	n.tl.Node(n.sim.Now(), obs.KindNodeUp, int(id))
+	n.note(obs.KindNodeUp, id, -1, -1)
 }
 
 // lossSalt decorrelates the per-port packet-loss streams from the per-node
@@ -381,7 +386,7 @@ func (n *Network) SetLinkLoss(a, b NodeID, p float64) {
 				uint64(uint32(pt.owner.id))<<32|uint64(uint32(pt.peer.id)))
 		}
 	}
-	n.tl.LinkLoss(n.sim.Now(), int(a), int(b), p)
+	n.Note(obs.Record{At: n.sim.Now(), Kind: obs.KindLinkLoss, Node: int(a), Peer: int(b), Dst: -1, Rate: p})
 }
 
 // CostOutLink gracefully removes the a-b link from service: both ends'
@@ -395,7 +400,7 @@ func (n *Network) CostOutLink(a, b NodeID) {
 		return
 	}
 	l.detectedDown = true
-	n.tl.Link(n.sim.Now(), obs.KindCostOut, int(a), int(b))
+	n.note(obs.KindCostOut, a, b, -1)
 	n.notifyLink(l, false)
 }
 
@@ -409,7 +414,7 @@ func (n *Network) CostInLink(a, b NodeID) {
 		return
 	}
 	l.detectedDown = false
-	n.tl.Link(n.sim.Now(), obs.KindCostIn, int(a), int(b))
+	n.note(obs.KindCostIn, a, b, -1)
 	n.notifyLink(l, true)
 }
 

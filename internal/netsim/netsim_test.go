@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"routeconv/internal/obs"
 	"routeconv/internal/sim"
 	"routeconv/internal/topology"
 )
@@ -44,6 +45,7 @@ type recorder struct {
 	drops     []DropReason
 	dropAt    []NodeID
 	routes    int
+	notes     []obs.Record
 }
 
 func (r *recorder) PacketDelivered(at time.Duration, pkt *Packet) {
@@ -59,6 +61,8 @@ func (r *recorder) PacketDropped(_ time.Duration, where NodeID, _ *Packet, reaso
 }
 
 func (r *recorder) RouteChanged(time.Duration, NodeID, NodeID, NodeID, bool) { r.routes++ }
+
+func (r *recorder) Note(rec obs.Record) { r.notes = append(r.notes, rec) }
 
 // lineNet builds a 3-node line 0-1-2 with static routes toward node 2.
 func lineNet(t *testing.T, cfg Config, obs Observer) (*sim.Simulator, *Network) {

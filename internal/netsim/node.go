@@ -102,10 +102,14 @@ func (nd *Node) Jitter(lo, hi time.Duration) time.Duration { return nd.rng.Jitte
 // nil (a no-op recorder) when the network is uninstrumented.
 func (nd *Node) Metrics() *obs.Metrics { return nd.exec.met }
 
-// Timeline returns the convergence timeline this node's events record
-// into, for protocol-level records (withdrawals, flap damping). Nil when
-// uninstrumented.
-func (nd *Node) Timeline() *obs.Timeline { return nd.exec.tl }
+// Note raises a protocol timeline record for this node at the current
+// time — a withdrawal sent to peer for dst, a damping transition of the
+// route to dst learned from peer — through the observer stream, in the
+// same order as the node's FIB changes.
+func (nd *Node) Note(kind obs.Kind, peer, dst NodeID) {
+	ex := nd.ctx()
+	ex.note(obs.Record{At: ex.sim.Now(), Kind: kind, Node: int(nd.id), Peer: int(peer), Dst: int(dst)})
+}
 
 // MessagePool returns the slot where the node's home execution context —
 // the root context, or the node's shard in a sharded run — keeps the free
@@ -237,7 +241,6 @@ func (nd *Node) SetRoute(dst, nextHop NodeID) {
 	nd.fluidDirty(ex, dst)
 	nd.fibSet(dst, r)
 	ex.met.Inc(obs.FIBChanges)
-	ex.tl.FIBChange(ex.sim.Now(), int(nd.id), int(dst), int(nextHop))
 	ex.routeChanged(ex.sim.Now(), nd.id, dst, nextHop, nd.neighborAt(prev), false)
 }
 
@@ -266,7 +269,6 @@ func (nd *Node) ClearRoute(dst NodeID) {
 	nd.fluidDirty(ex, dst)
 	nd.fibSet(dst, noPort)
 	ex.met.Inc(obs.FIBRemovals)
-	ex.tl.FIBRemove(ex.sim.Now(), int(nd.id), int(dst))
 	ex.routeChanged(ex.sim.Now(), nd.id, dst, 0, nd.neighbors[prev], true)
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"routeconv/internal/obs"
 	"routeconv/internal/topology"
 )
 
@@ -112,10 +113,13 @@ type Packet struct {
 // Control reports whether the packet carries a routing message.
 func (p *Packet) Control() bool { return p.Payload != nil }
 
-// Observer receives simulation events. All methods are called synchronously
-// from the event loop. Implementations must not retain the packet, nor its
-// Trace slice or Payload, past the call: the packet is zeroed and reused for
-// a later send as soon as the callback returns (see Packet).
+// Observer receives simulation events: the one event stream out of the
+// network, which the trace collector and the convergence timeline both
+// read. All methods are called synchronously from the event loop, or from
+// a sharded run's barrier replay in the same merged order as every other
+// event. Implementations must not retain the packet, nor its Trace slice or
+// Payload, past the call: the packet is zeroed and reused for a later send
+// as soon as the callback returns (see Packet).
 type Observer interface {
 	// RouteChanged fires when a node's forwarding entry for dst changes.
 	// removed means the entry was deleted; otherwise nextHop is the new
@@ -126,6 +130,11 @@ type Observer interface {
 	// PacketDropped fires when any packet is lost, with the node that lost
 	// it and the cause.
 	PacketDropped(at time.Duration, where NodeID, pkt *Packet, reason DropReason)
+	// Note fires for every convergence-timeline event that is not a FIB
+	// change: link and node state changes, link loss, cost-out/in,
+	// protocol withdrawals and damping transitions, fluid demotions, and
+	// the harness's churn windows.
+	Note(r obs.Record)
 }
 
 // RouteFilter is an Observer that needs only some destinations' RouteChanged
@@ -159,4 +168,30 @@ func (NopObserver) PacketDelivered(time.Duration, *Packet) {}
 // PacketDropped implements Observer.
 func (NopObserver) PacketDropped(time.Duration, NodeID, *Packet, DropReason) {}
 
+// Note implements Observer.
+func (NopObserver) Note(obs.Record) {}
+
 var _ Observer = NopObserver{}
+
+// TimelineObserver returns the Observer that writes tl: each route change
+// becomes a fib_change or fib_remove record, each note is appended as it
+// is, and packets are ignored. It is no RouteFilter, so a sharded run
+// replays every destination's route changes to it.
+func TimelineObserver(tl *obs.Timeline) Observer { return timelineObserver{tl: tl} }
+
+type timelineObserver struct {
+	NopObserver
+	tl *obs.Timeline
+}
+
+// RouteChanged implements Observer.
+func (o timelineObserver) RouteChanged(at time.Duration, node, dst, nextHop NodeID, removed bool) {
+	r := obs.Record{At: at, Kind: obs.KindFIBChange, Node: int(node), Peer: int(nextHop), Dst: int(dst)}
+	if removed {
+		r.Kind, r.Peer = obs.KindFIBRemove, -1
+	}
+	o.tl.Add(r)
+}
+
+// Note implements Observer.
+func (o timelineObserver) Note(r obs.Record) { o.tl.Add(r) }

@@ -36,10 +36,9 @@ type exec struct {
 	// stats aliases Network.stats on the root exec; shard execs own a
 	// private set merged by Network.Stats.
 	stats *Stats
-	// met and tl are per-shard instrumentation (nil-safe), absorbed into
-	// the root set at FinishSharding.
+	// met is the per-shard counter set (nil-safe), absorbed into the root
+	// set at FinishSharding.
 	met *obs.Metrics
-	tl  *obs.Timeline
 	// nextID is the packet ID sequence. Per-shard spaces overlap; nothing
 	// semantic reads Packet.ID.
 	nextID uint64
@@ -54,9 +53,10 @@ type exec struct {
 	// sender lives in this context (see Node.MessagePool); netsim only
 	// stores it.
 	msgPool any
-	// routes and pkts buffer observer callbacks raised during a window,
-	// replayed by the coordinator at the barrier in merged (at, shard, seq)
-	// order (cursors routeAt, pktAt). Root exec calls the observer directly.
+	// routes and pkts buffer observer callbacks raised during a window
+	// (routes also holds notes), replayed by the coordinator at the
+	// barrier in merged (at, shard, seq) order (cursors routeAt, pktAt).
+	// Root exec calls the observer directly.
 	routes         []routeEvent
 	pkts           []pktEvent
 	routeAt, pktAt int
@@ -91,12 +91,14 @@ type crossMsg struct {
 	pkt *Packet
 }
 
-// routeEvent is one buffered RouteChanged callback, 32 bytes. prev, the
-// entry's previous next hop, lets the barrier replay rewind the FIBs to
+// routeEvent is one buffered RouteChanged or Note callback, 32 bytes. prev,
+// the entry's previous next hop, lets the barrier replay rewind the FIBs to
 // their start-of-window state and step them forward change by change, so
 // observers that walk forwarding tables (path sampling) see the intermediate
 // states a sequential run would have. seq is the event's position among its
-// shard's buffered events, route and packet, in execution order.
+// shard's buffered events, route and packet, in execution order. A note
+// (note set) keeps its record's Kind, Node, Peer (in nh) and Dst: only
+// Node.Note raises notes in a window, and those carry no Seed or Rate.
 type routeEvent struct {
 	at      time.Duration
 	node    NodeID
@@ -105,6 +107,8 @@ type routeEvent struct {
 	prev    NodeID // the entry's value before the change
 	seq     uint32
 	removed bool
+	note    bool
+	kind    obs.Kind
 }
 
 // pktEvent is one buffered PacketDelivered or PacketDropped callback
@@ -211,6 +215,16 @@ func (ex *exec) routeChanged(at time.Duration, node, dst, nextHop, prev NodeID, 
 	ex.routes = append(ex.routes, routeEvent{at: at, node: node, dst: dst, nh: nextHop, prev: prev, seq: uint32(len(ex.routes) + len(ex.pkts)), removed: removed})
 }
 
+// note raises or buffers the Note observer callback. Notes are never
+// elided: the route filter speaks only for FIB changes.
+func (ex *exec) note(r obs.Record) {
+	if ex.id < 0 {
+		ex.net.observer.Note(r)
+		return
+	}
+	ex.routes = append(ex.routes, routeEvent{at: r.At, node: NodeID(r.Node), dst: NodeID(r.Dst), nh: NodeID(r.Peer), seq: uint32(len(ex.routes) + len(ex.pkts)), note: true, kind: r.Kind})
+}
+
 // packetDelivered raises or buffers the PacketDelivered observer callback.
 func (ex *exec) packetDelivered(at time.Duration, pkt *Packet) {
 	if ex.id < 0 {
@@ -287,9 +301,6 @@ func (n *Network) EnableSharding(assign []int32, k int) {
 		}
 		if n.met != nil {
 			ex.met = obs.NewMetrics()
-		}
-		if n.tl != nil {
-			ex.tl = obs.NewTimeline()
 		}
 		n.shards[i] = ex
 	}
@@ -426,8 +437,9 @@ func (n *Network) flushObs() {
 // Replay is rewind-then-step: the merged sequence is first walked
 // backwards restoring each changed FIB entry to its pre-change value, then
 // forwards re-applying every change just before its observer callback
-// fires. Observers that walk forwarding tables (the trace collector's
-// path sampler) therefore see the exact intermediate state of every watched
+// fires (notes touch no FIB entry; both passes step over them). Observers
+// that walk forwarding tables (the trace collector's path sampler)
+// therefore see the exact intermediate state of every watched
 // entry at each event's timestamp — not the end-of-window state the shards
 // left behind — and the walk matches a sequential run's, because link
 // up/down state only changes at barriers and is constant within the window.
@@ -461,9 +473,10 @@ func (n *Network) replayObs() {
 	}
 	for i := len(n.obsSeq) - 1; i >= 0; i-- {
 		if r := n.obsSeq[i]; !r.pkt {
-			e := &n.shards[r.shard].routes[r.idx]
-			nd := n.nodes[e.node]
-			nd.fibSet(e.dst, nd.rank(e.prev))
+			if e := &n.shards[r.shard].routes[r.idx]; !e.note {
+				nd := n.nodes[e.node]
+				nd.fibSet(e.dst, nd.rank(e.prev))
+			}
 		}
 	}
 	for _, r := range n.obsSeq {
@@ -477,6 +490,10 @@ func (n *Network) replayObs() {
 			continue
 		}
 		e := &n.shards[r.shard].routes[r.idx]
+		if e.note {
+			n.observer.Note(obs.Record{At: e.at, Kind: e.kind, Node: int(e.node), Peer: int(e.nh), Dst: int(e.dst)})
+			continue
+		}
 		nd := n.nodes[e.node]
 		rank := noPort
 		if !e.removed {
@@ -567,7 +584,7 @@ func (n *Network) drainOutboxes() {
 }
 
 // FinishSharding stops the coordinator goroutines and folds per-shard
-// statistics, metrics, and timelines into the root set. Call once after
+// statistics and metrics into the root set. Call once after
 // RunSharded; the network must not run further afterwards.
 func (n *Network) FinishSharding() {
 	if n.coord == nil {
@@ -578,13 +595,6 @@ func (n *Network) FinishSharding() {
 	for _, ex := range n.shards {
 		n.stats.add(ex.stats)
 		n.met.Absorb(ex.met)
-	}
-	if n.tl != nil {
-		tls := make([]*obs.Timeline, len(n.shards))
-		for i, ex := range n.shards {
-			tls[i] = ex.tl
-		}
-		n.tl.AbsorbSorted(tls...)
 	}
 	n.shards = nil
 	n.assign = nil

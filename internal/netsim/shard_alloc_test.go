@@ -8,6 +8,7 @@ import (
 	"time"
 	"unsafe"
 
+	"routeconv/internal/obs"
 	"routeconv/internal/sim"
 )
 
@@ -177,6 +178,35 @@ func TestShardedElidedRoutesAllocs(t *testing.T) {
 	}
 }
 
+// The route filter speaks only for FIB changes: a note raised in a window
+// next to an elided route change toward an unwatched destination is still
+// buffered and replayed.
+func TestShardedFilterKeepsNotes(t *testing.T) {
+	o := &elidingObserver{watched: 3}
+	net := New(sim.New(1), DefaultConfig(), o)
+	for i := 0; i < 4; i++ {
+		net.AddNode()
+	}
+	for i := 0; i < 3; i++ {
+		net.Connect(NodeID(i), NodeID(i+1))
+	}
+	net.EnableSharding([]int32{0, 0, 1, 1}, 2)
+	net.Start()
+	const at = 100 * time.Microsecond
+	nd := net.Node(2)
+	nd.Sim().ScheduleAt(at, func() {
+		nd.SetRoute(0, 1)
+		nd.Note(obs.KindWithdrawal, 1, 0)
+	})
+	net.RunSharded(time.Millisecond)
+	net.FinishSharding()
+	want := []obs.Record{{At: at, Kind: obs.KindWithdrawal, Node: 2, Peer: 1, Dst: 0}}
+	if o.elided != 1 || o.routes != 0 || !reflect.DeepEqual(o.notes, want) {
+		t.Errorf("observer saw %d elided and %d individual route changes and notes %+v, want 1, 0 and %+v",
+			o.elided, o.routes, o.notes, want)
+	}
+}
+
 // routeLog records every observer callback with the forwarding state it
 // can see at that moment.
 type routeLog struct {
@@ -199,12 +229,18 @@ func (r *routeLog) PacketDropped(at time.Duration, where NodeID, pkt *Packet, re
 	r.log = append(r.log, fmt.Sprintf("%v dropped at %d: %v", at, where, reason))
 }
 
+func (r *routeLog) Note(rec obs.Record) {
+	r.log = append(r.log, fmt.Sprintf("%v note %v %d/%d/%d", rec.At, rec.Kind, rec.Node, rec.Peer, rec.Dst))
+}
+
 // An observer that declares no route interest is owed the old contract in
-// full: under sharding it receives every route, delivery and drop event in
-// merged time order, each against the forwarding state of its instant
-// (rewind-replay) — the same log a sequential run of the same schedule
-// writes. The schedule packs route changes on both shards, a delivery and a
-// no-route drop into single windows.
+// full: under sharding it receives every route, delivery, drop and note
+// event in merged time order, each against the forwarding state of its
+// instant (rewind-replay) — the same log a sequential run of the same
+// schedule writes. The schedule packs route changes on both shards, a
+// delivery, a no-route drop and protocol notes (one right after a route
+// change on the same node, one at the same instant as another shard's
+// change) into single windows.
 func TestShardedUnfilteredObserverSeesEverything(t *testing.T) {
 	run := func(sharded bool) []string {
 		s := sim.New(1)
@@ -227,8 +263,9 @@ func TestShardedUnfilteredObserverSeesEverything(t *testing.T) {
 			nd.Sim().ScheduleAt(t, func() { fn(nd) })
 		}
 		at(0, 100*us, func(nd *Node) { nd.SetRoute(3, 1) })
-		at(2, 150*us, func(nd *Node) { nd.SetRoute(3, 3) })
+		at(2, 150*us, func(nd *Node) { nd.SetRoute(3, 3); nd.Note(obs.KindWithdrawal, 1, 3) })
 		at(1, 200*us, func(nd *Node) { nd.SetRoute(3, 2) }) // walk 0→3 completes
+		at(3, 200*us, func(nd *Node) { nd.Note(obs.KindRouteFlap, 2, 0) })
 		at(2, 250*us, func(nd *Node) { nd.SetRoute(0, 1) })
 		at(0, 300*us, func(nd *Node) { nd.SendData(3, 100, 64) })
 		at(1, 350*us, func(nd *Node) { nd.ClearRoute(3) }) // walk breaks again
@@ -247,8 +284,8 @@ func TestShardedUnfilteredObserverSeesEverything(t *testing.T) {
 		return rec.log
 	}
 	want, got := run(false), run(true)
-	if len(want) != 12 {
-		t.Fatalf("sequential run logged %d events, want 12 (10 route changes, a delivery, a drop):\n%s",
+	if len(want) != 14 {
+		t.Fatalf("sequential run logged %d events, want 14 (10 route changes, a delivery, a drop, two notes):\n%s",
 			len(want), strings.Join(want, "\n"))
 	}
 	if !reflect.DeepEqual(want, got) {

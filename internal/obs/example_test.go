@@ -39,9 +39,9 @@ func ExampleMetrics() {
 func ExampleTimeline() {
 	tl := obs.NewTimeline()
 	failAt := 10 * time.Second
-	tl.TrialStart(0, 1)
-	tl.Link(failAt, obs.KindLinkDown, 24, 25)
-	tl.FIBChange(failAt+52*time.Millisecond, 24, 48, 17)
+	tl.Add(obs.Record{Kind: obs.KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: 1})
+	tl.Add(obs.Record{At: failAt, Kind: obs.KindLinkDown, Node: 24, Peer: 25, Dst: -1})
+	tl.Add(obs.Record{At: failAt + 52*time.Millisecond, Kind: obs.KindFIBChange, Node: 24, Peer: 17, Dst: 48})
 	tl.Finish(failAt)
 	tl.WriteNDJSON(os.Stdout)
 	// Output:

@@ -92,14 +92,17 @@ func TestSnapshotMerge(t *testing.T) {
 
 func TestTimelineFinish(t *testing.T) {
 	tl := NewTimeline()
-	tl.TrialStart(0, 1)
+	fib := func(at time.Duration, node, dst, nh int) {
+		tl.Add(Record{At: at, Kind: KindFIBChange, Node: node, Peer: nh, Dst: dst})
+	}
+	tl.Add(Record{Kind: KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: 1})
 	failAt := 10 * time.Second
 	// Pre-failure FIB churn must not count toward convergence.
-	tl.FIBChange(1*time.Second, 3, 48, 4)
-	tl.Link(failAt, KindLinkDown, 24, 25)
-	tl.FIBChange(failAt+50*time.Millisecond, 24, 48, 17)
-	tl.FIBRemove(failAt+60*time.Millisecond, 25, 48)
-	tl.FIBChange(failAt+2*time.Second, 24, 48, 31)
+	fib(1*time.Second, 3, 48, 4)
+	tl.Add(Record{At: failAt, Kind: KindLinkDown, Node: 24, Peer: 25, Dst: -1})
+	fib(failAt+50*time.Millisecond, 24, 48, 17)
+	tl.Add(Record{At: failAt + 60*time.Millisecond, Kind: KindFIBRemove, Node: 25, Peer: -1, Dst: 48})
+	fib(failAt+2*time.Second, 24, 48, 31)
 	tl.Finish(failAt)
 	tl.Finish(failAt) // idempotent
 
@@ -128,43 +131,91 @@ func TestTimelineFinish(t *testing.T) {
 	}
 }
 
+// TestTimelineNDJSON pins the NDJSON schema of OBSERVABILITY.md: one record
+// of every Kind renders as exactly its documented line, with the event name
+// Kind.String gives.
 func TestTimelineNDJSON(t *testing.T) {
+	const s = time.Second
+	cases := []struct {
+		r    Record
+		line string
+	}{
+		{Record{At: 0, Kind: KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: 7},
+			`{"t_ns":0,"event":"trial_start","seed":7}`},
+		{Record{At: 10 * s, Kind: KindLinkDown, Node: 24, Peer: 25, Dst: -1},
+			`{"t_ns":10000000000,"event":"link_down","node":24,"peer":25}`},
+		{Record{At: 10*s + 50*time.Millisecond, Kind: KindLinkDownDetected, Node: 24, Peer: 25, Dst: -1},
+			`{"t_ns":10050000000,"event":"link_down_detected","node":24,"peer":25}`},
+		{Record{At: 10*s + 52*time.Millisecond, Kind: KindFIBChange, Node: 24, Peer: 17, Dst: 48},
+			`{"t_ns":10052000000,"event":"fib_change","node":24,"dst":48,"next_hop":17}`},
+		{Record{At: 10*s + 60*time.Millisecond, Kind: KindFIBRemove, Node: 25, Peer: -1, Dst: 48},
+			`{"t_ns":10060000000,"event":"fib_remove","node":25,"dst":48}`},
+		{Record{At: 10*s + 100*time.Millisecond, Kind: KindWithdrawal, Node: 25, Peer: 24, Dst: 48},
+			`{"t_ns":10100000000,"event":"withdrawal","node":25,"neighbor":24,"dst":48}`},
+		{Record{At: 11 * s, Kind: KindRouteFlap, Node: 5, Peer: 9, Dst: 48},
+			`{"t_ns":11000000000,"event":"route_flap","node":5,"neighbor":9,"dst":48,"state":"suppressed"}`},
+		{Record{At: 12 * s, Kind: KindRouteReuse, Node: 5, Peer: 9, Dst: 48},
+			`{"t_ns":12000000000,"event":"route_reuse","node":5,"neighbor":9,"dst":48,"state":"reused"}`},
+		{Record{At: 12 * s, Kind: KindFluidDemote, Node: 3, Peer: -1, Dst: 45},
+			`{"t_ns":12000000000,"event":"fluid_demote","node":3,"dst":45}`},
+		{Record{At: 13 * s, Kind: KindFluidAbsorb, Node: 3, Peer: -1, Dst: 45},
+			`{"t_ns":13000000000,"event":"fluid_absorb","node":3,"dst":45}`},
+		{Record{At: 14 * s, Kind: KindLinkLoss, Node: 17, Peer: 24, Dst: -1, Rate: 0.05},
+			`{"t_ns":14000000000,"event":"link_loss","node":17,"peer":24,"rate":0.05}`},
+		{Record{At: 15 * s, Kind: KindLinkLoss, Node: 17, Peer: 24, Dst: -1},
+			`{"t_ns":15000000000,"event":"link_loss","node":17,"peer":24,"rate":0}`},
+		{Record{At: 16 * s, Kind: KindCostOut, Node: 3, Peer: 4, Dst: -1},
+			`{"t_ns":16000000000,"event":"cost_out","node":3,"peer":4}`},
+		{Record{At: 17 * s, Kind: KindCostIn, Node: 3, Peer: 4, Dst: -1},
+			`{"t_ns":17000000000,"event":"cost_in","node":3,"peer":4}`},
+		{Record{At: 18 * s, Kind: KindNodeDown, Node: 12, Peer: -1, Dst: -1},
+			`{"t_ns":18000000000,"event":"node_down","node":12}`},
+		{Record{At: 19 * s, Kind: KindNodeUp, Node: 12, Peer: -1, Dst: -1},
+			`{"t_ns":19000000000,"event":"node_up","node":12}`},
+		{Record{At: 19 * s, Kind: KindLinkUp, Node: 12, Peer: 13, Dst: -1},
+			`{"t_ns":19000000000,"event":"link_up","node":12,"peer":13}`},
+		{Record{At: 19*s + 50*time.Millisecond, Kind: KindLinkUpDetected, Node: 12, Peer: 13, Dst: -1},
+			`{"t_ns":19050000000,"event":"link_up_detected","node":12,"peer":13}`},
+		{Record{At: 20 * s, Kind: KindChurnStart, Node: -1, Peer: -1, Dst: -1, Rate: 0.5},
+			`{"t_ns":20000000000,"event":"churn_start","rate":0.5}`},
+		{Record{At: 30 * s, Kind: KindChurnEnd, Node: -1, Peer: -1, Dst: -1, Rate: 0.5},
+			`{"t_ns":30000000000,"event":"churn_end"}`},
+		{Record{At: 10*s + 52*time.Millisecond, Kind: KindFirstFIBChange, Node: 24, Peer: -1, Dst: -1},
+			`{"t_ns":10052000000,"event":"fib_first_change","node":24}`},
+		{Record{At: 10*s + 52*time.Millisecond, Kind: KindLastFIBChange, Node: 24, Peer: -1, Dst: -1},
+			`{"t_ns":10052000000,"event":"fib_last_change","node":24}`},
+		{Record{At: 10*s + 60*time.Millisecond, Kind: KindConvergenceComplete, Node: -1, Peer: -1, Dst: -1},
+			`{"t_ns":10060000000,"event":"convergence_complete"}`},
+	}
 	tl := NewTimeline()
-	tl.TrialStart(0, 7)
-	tl.Link(10*time.Second, KindLinkDown, 24, 25)
-	tl.FIBChange(10*time.Second+52*time.Millisecond, 24, 48, 17)
-	tl.Withdrawal(10*time.Second+100*time.Millisecond, 25, 24, 48)
-	tl.RouteFlap(11*time.Second, KindRouteFlap, 5, 9, 48)
-	tl.Finish(10 * time.Second)
-
+	var want strings.Builder
+	seen := make(map[Kind]bool)
+	for _, c := range cases {
+		tl.Add(c.r)
+		want.WriteString(c.line + "\n")
+		seen[c.r.Kind] = true
+		if ev := `"event":"` + c.r.Kind.String() + `"`; !strings.Contains(c.line, ev) {
+			t.Errorf("Kind %d String() = %q, want the event of %s", c.r.Kind, c.r.Kind.String(), c.line)
+		}
+	}
+	for k := Kind(0); k < numKinds; k++ {
+		if !seen[k] {
+			t.Errorf("no NDJSON case for kind %d (%s)", k, k)
+		}
+	}
 	var sb strings.Builder
 	if err := tl.WriteNDJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
-	got := sb.String()
-	for _, want := range []string{
-		`{"t_ns":0,"event":"trial_start","seed":7}`,
-		`{"t_ns":10000000000,"event":"link_down","node":24,"peer":25}`,
-		`{"t_ns":10052000000,"event":"fib_change","node":24,"dst":48,"next_hop":17}`,
-		`{"t_ns":10100000000,"event":"withdrawal","node":25,"neighbor":24,"dst":48}`,
-		`{"t_ns":11000000000,"event":"route_flap","node":5,"neighbor":9,"dst":48,"state":"suppressed"}`,
-		`{"t_ns":10052000000,"event":"fib_first_change","node":24}`,
-		`{"t_ns":10052000000,"event":"convergence_complete"}`,
-	} {
-		if !strings.Contains(got, want+"\n") {
-			t.Errorf("NDJSON output missing line %s\ngot:\n%s", want, got)
-		}
+	if got := sb.String(); got != want.String() {
+		t.Errorf("NDJSON output:\n%s\nwant:\n%s", got, want.String())
 	}
 }
 
 func TestNilTimelineSafe(t *testing.T) {
 	var tl *Timeline
-	tl.TrialStart(0, 1)
-	tl.Link(0, KindLinkDown, 1, 2)
-	tl.FIBChange(0, 1, 2, 3)
-	tl.FIBRemove(0, 1, 2)
-	tl.Withdrawal(0, 1, 2, 3)
-	tl.RouteFlap(0, KindRouteFlap, 1, 2, 3)
+	tl.Add(Record{Kind: KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: 1})
+	tl.Add(Record{Kind: KindFIBChange, Node: 1, Peer: 3, Dst: 2})
 	tl.Finish(0)
 	if tl.Len() != 0 || tl.Records() != nil {
 		t.Error("nil Timeline accumulated records")
@@ -204,9 +255,8 @@ func TestMetricsOpsAllocFree(t *testing.T) {
 func TestNilTimelineAllocFree(t *testing.T) {
 	var tl *Timeline
 	allocs := testing.AllocsPerRun(1000, func() {
-		tl.FIBChange(0, 1, 2, 3)
-		tl.Link(0, KindLinkDown, 1, 2)
-		tl.Withdrawal(0, 1, 2, 3)
+		tl.Add(Record{Kind: KindFIBChange, Node: 1, Peer: 3, Dst: 2})
+		tl.Add(Record{Kind: KindWithdrawal, Node: 1, Peer: 2, Dst: 3})
 	})
 	if allocs != 0 {
 		t.Errorf("nil timeline ops: %v allocs/run, want 0", allocs)

@@ -128,65 +128,11 @@ func NewTimeline() *Timeline {
 	return &Timeline{recs: make([]Record, 0, 256)}
 }
 
-func (t *Timeline) add(r Record) {
+// Add appends one record to the log.
+func (t *Timeline) Add(r Record) {
 	if t != nil {
 		t.recs = append(t.recs, r)
 	}
-}
-
-// TrialStart records the trial's opening, carrying its RNG seed.
-func (t *Timeline) TrialStart(at time.Duration, seed int64) {
-	t.add(Record{At: at, Kind: KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: seed})
-}
-
-// Link records a physical link event between a and b: down/up, and later
-// the detected variants when the endpoints learn of it.
-func (t *Timeline) Link(at time.Duration, kind Kind, a, b int) {
-	t.add(Record{At: at, Kind: kind, Node: a, Peer: b, Dst: -1})
-}
-
-// FIBChange records node installing nextHop as its forwarding entry for dst.
-func (t *Timeline) FIBChange(at time.Duration, node, dst, nextHop int) {
-	t.add(Record{At: at, Kind: KindFIBChange, Node: node, Peer: nextHop, Dst: dst})
-}
-
-// FIBRemove records node deleting its forwarding entry for dst.
-func (t *Timeline) FIBRemove(at time.Duration, node, dst int) {
-	t.add(Record{At: at, Kind: KindFIBRemove, Node: node, Peer: -1, Dst: dst})
-}
-
-// Withdrawal records node sending neighbor a BGP withdrawal for dst.
-func (t *Timeline) Withdrawal(at time.Duration, node, neighbor, dst int) {
-	t.add(Record{At: at, Kind: KindWithdrawal, Node: node, Peer: neighbor, Dst: dst})
-}
-
-// RouteFlap records flap damping suppressing (KindRouteFlap) or releasing
-// (KindRouteReuse) the route to dst learned from neighbor at node.
-func (t *Timeline) RouteFlap(at time.Duration, kind Kind, node, neighbor, dst int) {
-	t.add(Record{At: at, Kind: kind, Node: node, Peer: neighbor, Dst: dst})
-}
-
-// FluidFlow records the hybrid engine demoting (KindFluidDemote) or
-// re-absorbing (KindFluidAbsorb) the node→dst flow class.
-func (t *Timeline) FluidFlow(at time.Duration, kind Kind, node, dst int) {
-	t.add(Record{At: at, Kind: kind, Node: node, Peer: -1, Dst: dst})
-}
-
-// Node records a scenario node event: node down (KindNodeDown) or back up
-// (KindNodeUp).
-func (t *Timeline) Node(at time.Duration, kind Kind, node int) {
-	t.add(Record{At: at, Kind: kind, Node: node, Peer: -1, Dst: -1})
-}
-
-// LinkLoss records the a–b link's random loss probability being set to p.
-func (t *Timeline) LinkLoss(at time.Duration, a, b int, p float64) {
-	t.add(Record{At: at, Kind: KindLinkLoss, Node: a, Peer: b, Dst: -1, Rate: p})
-}
-
-// Churn records a scripted churn window opening (KindChurnStart, with the
-// failure arrival rate) or closing (KindChurnEnd).
-func (t *Timeline) Churn(at time.Duration, kind Kind, rate float64) {
-	t.add(Record{At: at, Kind: kind, Node: -1, Peer: -1, Dst: -1, Rate: rate})
 }
 
 // Len returns the number of records logged so far.
@@ -203,52 +149,6 @@ func (t *Timeline) Records() []Record {
 		return nil
 	}
 	return t.recs
-}
-
-// AbsorbSorted merges the records of the given timelines into t, keeping
-// the combined log ordered by time. Every input log must already be
-// time-nondecreasing (append-only logs are). Ties are stable: t's own
-// records come first, then the others in argument order — the rule a
-// sharded run uses to fold per-shard logs into the trial timeline. Nil
-// entries are skipped. Call before Finish.
-func (t *Timeline) AbsorbSorted(others ...*Timeline) {
-	if t == nil {
-		return
-	}
-	srcs := make([][]Record, 0, len(others)+1)
-	total := len(t.recs)
-	srcs = append(srcs, t.recs)
-	for _, o := range others {
-		if o == nil || len(o.recs) == 0 {
-			continue
-		}
-		srcs = append(srcs, o.recs)
-		total += len(o.recs)
-	}
-	if len(srcs) == 1 {
-		return
-	}
-	merged := make([]Record, 0, total)
-	idx := make([]int, len(srcs))
-	for {
-		best := -1
-		var bestAt time.Duration
-		for si, src := range srcs {
-			i := idx[si]
-			if i >= len(src) {
-				continue
-			}
-			if at := src[i].At; best < 0 || at < bestAt {
-				best, bestAt = si, at
-			}
-		}
-		if best < 0 {
-			break
-		}
-		merged = append(merged, srcs[best][idx[best]])
-		idx[best]++
-	}
-	t.recs = merged
 }
 
 // Finish synthesizes the summary records from the raw log: per node that
@@ -284,11 +184,11 @@ func (t *Timeline) Finish(failAt time.Duration) {
 	}
 	sort.Ints(nodes)
 	for _, n := range nodes {
-		t.add(Record{At: first[n], Kind: KindFirstFIBChange, Node: n, Peer: -1, Dst: -1})
-		t.add(Record{At: last[n], Kind: KindLastFIBChange, Node: n, Peer: -1, Dst: -1})
+		t.Add(Record{At: first[n], Kind: KindFirstFIBChange, Node: n, Peer: -1, Dst: -1})
+		t.Add(Record{At: last[n], Kind: KindLastFIBChange, Node: n, Peer: -1, Dst: -1})
 	}
 	if any {
-		t.add(Record{At: complete, Kind: KindConvergenceComplete, Node: -1, Peer: -1, Dst: -1})
+		t.Add(Record{At: complete, Kind: KindConvergenceComplete, Node: -1, Peer: -1, Dst: -1})
 	}
 }
 

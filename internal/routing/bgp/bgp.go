@@ -580,10 +580,8 @@ func (p *Protocol) flush(n routing.NodeID) {
 		u := p.pool.get()
 		u.Withdrawn = append(u.Withdrawn, withdrawals...)
 		p.node.Metrics().Add(obs.ProtoWithdrawalsSent, uint64(len(withdrawals)))
-		if tl := p.node.Timeline(); tl != nil {
-			for _, dst := range withdrawals {
-				tl.Withdrawal(now, int(p.node.ID()), int(n), int(dst))
-			}
+		for _, dst := range withdrawals {
+			p.node.Note(obs.KindWithdrawal, n, dst)
 		}
 		p.node.SendControl(n, u)
 		for _, dst := range withdrawals {
@@ -668,7 +666,7 @@ func (p *Protocol) advertise(n, dst routing.NodeID) {
 		u.Withdrawn = append(u.Withdrawn, dst)
 		p.ribOut[n][dst] = noPath
 		p.node.Metrics().Inc(obs.ProtoWithdrawalsSent)
-		p.node.Timeline().Withdrawal(p.node.Sim().Now(), int(p.node.ID()), int(n), int(dst))
+		p.node.Note(obs.KindWithdrawal, n, dst)
 	} else {
 		u.Dst = dst
 		u.Path = p.intern.path(best)

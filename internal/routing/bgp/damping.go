@@ -64,17 +64,16 @@ type damper struct {
 	// reallocated by growth, so nothing long-lived may hold a *flapState —
 	// the reuse callback re-resolves its entry by (neighbor, dst).
 	state [][]flapState
-	// node, when set, routes suppression/reuse transitions to the
-	// network's convergence timeline; nil in unit tests.
+	// node, when set, notes suppression/reuse transitions to the network's
+	// observer stream; nil in unit tests.
 	node *netsim.Node
 }
 
-// record logs a suppression/reuse transition to the owning node's
-// convergence timeline; a no-op for node-less dampers (unit tests) and
-// uninstrumented networks.
+// record notes a suppression/reuse transition through the owning node; a
+// no-op for node-less dampers (unit tests).
 func (d *damper) record(kind obs.Kind, neighbor, dst routing.NodeID) {
 	if d.node != nil {
-		d.node.Timeline().RouteFlap(d.sim.Now(), kind, int(d.node.ID()), int(neighbor), int(dst))
+		d.node.Note(kind, neighbor, dst)
 	}
 }
 

@@ -175,7 +175,7 @@ func TestIncrementalFastPathTaken(t *testing.T) {
 	s := sim.New(11)
 	net := netsim.FromGraph(s, g, netsim.DefaultConfig(), nil)
 	met := obs.NewMetrics()
-	net.Instrument(met, nil)
+	net.Instrument(met)
 	for i := 0; i < net.Len(); i++ {
 		node := net.Node(routing.NodeID(i))
 		node.AttachProtocol(New(node, DefaultConfig()))

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"routeconv/internal/netsim"
+	"routeconv/internal/obs"
 )
 
 // RouteChange is one forwarding-table modification.
@@ -290,6 +291,9 @@ func (c *Collector) PacketDropped(at time.Duration, where netsim.NodeID, pkt *ne
 	c.dropAt = at
 	c.pendDrop = append(c.pendDrop, Drop{At: at, Where: where, Reason: reason, Control: pkt.Control()})
 }
+
+// Note implements netsim.Observer. The collector keeps no timeline notes.
+func (c *Collector) Note(obs.Record) {}
 
 // flushDropInstant commits the pending drop instant in canonical order.
 func (c *Collector) flushDropInstant() {
