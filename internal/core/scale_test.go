@@ -45,19 +45,47 @@ func scaleTrialConfig(n int) Config {
 	return cfg
 }
 
-// scaleAllocCeiling is the most a sequential scale trial on an n-node graph
-// may allocate, in bytes. What has to be n² is RIP's dense table (8-byte
-// rows plus the changed bitmap) and the FIB (2-byte ranks) on each of the
-// n+2 nodes (the probe's two hosts included). Half of that again covers
-// what grows with the tables — advertisement bursts carry table-sized
-// updates — and 4 kB per node what is linear in nodes and edges: ports,
-// links, protocol instances, timers, the event arena. At n = 1000 the trial
-// allocates 17.4 MB against 19.4 MB; 16-byte rows (27.6 MB), burst free
+// scaleAllocCeiling is the most a sequential scale trial may allocate, in
+// bytes. What has to be dense is the protocol's state — per router pair,
+// and per (neighbor, destination) pair for the per-neighbor tables — plus
+// the FIB (2-byte ranks), on each of the n+2 nodes (the probe's two hosts
+// and their links included):
+//
+//   - rip: 8-byte rows and the changed bitmap;
+//   - dbf: rip's table, the known set, and an int32 cache entry per
+//     neighbor and destination;
+//   - bgp: a best-path ID and a dirty flag per destination, and per
+//     neighbor and destination two path IDs (Adj-RIB-In and -Out) and a
+//     pending flag.
+//
+// Half of that again covers what grows with the tables — advertisement
+// bursts carry table-sized updates, BGP's intern table holds the paths —
+// and 4 kB per node what is linear in nodes and edges: ports, links,
+// protocol instances, timers, the event arena. At n = 1000 the rip trial
+// allocates 16.8 MB against 19.4 MB; 16-byte rows (27.6 MB), burst free
 // lists kept per node, or a port table indexed by neighbor ID do not fit.
-// TestRoutingStateWidths pins the two widths.
-func scaleAllocCeiling(n int) uint64 {
-	nodes := uint64(n + 2)
-	dense := nodes*nodes*(8+2) + nodes*nodes/8
+// dbf allocates 34.4 MB against 44.9 MB and bgp 61.1 MB against 68.7 MB;
+// per-neighbor state indexed by node ID (59.3 MB and 200.9 MB) does not
+// fit. TestRoutingStateWidths pins the row and FIB widths.
+func scaleAllocCeiling(t *testing.T, cfg Config) uint64 {
+	t.Helper()
+	if err := cfg.ResolveTopology(); err != nil {
+		t.Fatal(err)
+	}
+	nodes := uint64(cfg.Topology.Len() + 2)
+	adj := 2 * uint64(cfg.Topology.NumEdges()+2) // neighbor slots, both ends of every link
+	var dense uint64
+	switch cfg.Protocol {
+	case ProtoRIP:
+		dense = nodes*nodes*8 + nodes*nodes/8
+	case ProtoDBF:
+		dense = nodes*nodes*(8+1) + nodes*nodes/8 + adj*nodes*4
+	case ProtoBGP:
+		dense = nodes*nodes*(4+1) + adj*nodes*(4+4+1)
+	default:
+		t.Fatalf("no allocation ceiling for %v", cfg.Protocol)
+	}
+	dense += nodes * nodes * 2 // the FIB
 	return dense + dense/2 + 4096*nodes
 }
 
@@ -88,18 +116,33 @@ func runScaleTrial(t *testing.T, cfg Config) (*Result, uint64) {
 }
 
 // TestScaleTrialAllocCeiling pins what a scale trial allocates to what is
-// live: the n² tables plus slack (see scaleAllocCeiling). It is the tier-1
-// twin of the 10k-node smoke's ceiling, small enough for every test run.
+// live, per protocol: the dense state plus slack (see scaleAllocCeiling).
+// It is the tier-1 twin of the 10k-node smoke's ceiling, small enough for
+// every test run. BGP's 30 s MRAI outlasts the trial's warm-up, so only
+// the vector protocols are held to warming up.
 func TestScaleTrialAllocCeiling(t *testing.T) {
 	const n = 1000
-	res, alloc := runScaleTrial(t, scaleTrialConfig(n))
-	if res.WarmedUpTrials != 1 {
-		t.Errorf("trial did not warm up: %d/1", res.WarmedUpTrials)
-	}
-	ceiling := scaleAllocCeiling(n)
-	t.Logf("%d-node BA RIP trial allocated %.1f MB, ceiling %.1f MB", n, float64(alloc)/1e6, float64(ceiling)/1e6)
-	if alloc > ceiling {
-		t.Errorf("trial allocated %d bytes, over the ceiling of %d: memory no longer follows what is live", alloc, ceiling)
+	for _, tc := range []struct {
+		proto ProtocolKind
+		warms bool
+	}{
+		{ProtoRIP, true},
+		{ProtoDBF, true},
+		{ProtoBGP, false},
+	} {
+		t.Run(tc.proto.String(), func(t *testing.T) {
+			cfg := scaleTrialConfig(n)
+			cfg.Protocol = tc.proto
+			res, alloc := runScaleTrial(t, cfg)
+			if tc.warms && res.WarmedUpTrials != 1 {
+				t.Errorf("trial did not warm up: %d/1", res.WarmedUpTrials)
+			}
+			ceiling := scaleAllocCeiling(t, cfg)
+			t.Logf("%d-node BA %v trial allocated %.1f MB, ceiling %.1f MB", n, tc.proto, float64(alloc)/1e6, float64(ceiling)/1e6)
+			if alloc > ceiling {
+				t.Errorf("trial allocated %d bytes, over the ceiling of %d: memory no longer follows what is live", alloc, ceiling)
+			}
+		})
 	}
 }
 
@@ -130,7 +173,7 @@ func TestScaleSmoke10k(t *testing.T) {
 			name:   "sequential",
 			config: func(*testing.T, *Config) {},
 			check: func(t *testing.T, res *Result, alloc uint64) {
-				if ceiling := scaleAllocCeiling(10000); alloc > ceiling {
+				if ceiling := scaleAllocCeiling(t, scaleSmokeConfig()); alloc > ceiling {
 					t.Errorf("trial allocated %d bytes, over the ceiling of %d — a scale regression", alloc, ceiling)
 				}
 				if res.WarmedUpTrials != 1 {

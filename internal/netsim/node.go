@@ -131,16 +131,17 @@ func (nd *Node) NetworkSize() int { return len(nd.net.nodes) }
 // order. The slice is owned by the node; callers must not modify it.
 func (nd *Node) Neighbors() []NodeID { return nd.neighbors }
 
-// rank returns the neighbor's index in neighbors and ports, or noPort when
-// id is not a neighbor.
-func (nd *Node) rank(id NodeID) int32 {
+// Rank returns the neighbor's rank — its index in Neighbors(), the index
+// of its port and of every per-neighbor table a protocol keeps — or -1
+// when id is not a neighbor. Ascending rank is ascending ID.
+func (nd *Node) Rank(id NodeID) int32 {
 	if i, ok := slices.BinarySearch(nd.neighbors, id); ok {
 		return int32(i)
 	}
 	return noPort
 }
 
-// neighborAt is rank's inverse: the neighbor ID at rank r, noRoute for
+// neighborAt is Rank's inverse: the neighbor ID at rank r, noRoute for
 // noPort.
 func (nd *Node) neighborAt(r int32) NodeID {
 	if r == noPort {
@@ -152,7 +153,7 @@ func (nd *Node) neighborAt(r int32) NodeID {
 // portTo returns the output port toward the given node, or nil when it is
 // not a neighbor.
 func (nd *Node) portTo(id NodeID) *port {
-	if r := nd.rank(id); r != noPort {
+	if r := nd.Rank(id); r != noPort {
 		return nd.ports[r]
 	}
 	return nil
@@ -229,7 +230,7 @@ func (nd *Node) Protocol() Protocol { return nd.proto }
 // SetRoute installs nextHop as the forwarding entry for dst. nextHop must
 // be a directly connected neighbor.
 func (nd *Node) SetRoute(dst, nextHop NodeID) {
-	r := nd.rank(nextHop)
+	r := nd.Rank(nextHop)
 	if r == noPort {
 		panic(fmt.Sprintf("netsim: node %d: next hop %d is not a neighbor", nd.id, nextHop))
 	}

@@ -475,7 +475,7 @@ func (n *Network) replayObs() {
 		if r := n.obsSeq[i]; !r.pkt {
 			if e := &n.shards[r.shard].routes[r.idx]; !e.note {
 				nd := n.nodes[e.node]
-				nd.fibSet(e.dst, nd.rank(e.prev))
+				nd.fibSet(e.dst, nd.Rank(e.prev))
 			}
 		}
 	}
@@ -497,7 +497,7 @@ func (n *Network) replayObs() {
 		nd := n.nodes[e.node]
 		rank := noPort
 		if !e.removed {
-			rank = nd.rank(e.nh)
+			rank = nd.Rank(e.nh)
 		}
 		nd.fibSet(e.dst, rank)
 		n.observer.RouteChanged(e.at, e.node, e.dst, e.nh, e.removed)

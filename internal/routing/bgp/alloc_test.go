@@ -43,9 +43,11 @@ func TestIdleFlushAllocs(t *testing.T) {
 // A flush with announcements held back by a pending MRAI timer must not
 // allocate either: classification walks the per-neighbor pending list in
 // the reusable scratch buffers, and the list rebuild reuses its capacity.
+// Nodes 3–139 stand idle: they put the injected destinations 100–138 in
+// the network.
 func TestHeldFlushAllocs(t *testing.T) {
 	s := sim.New(1)
-	g := topology.NewGraph(3)
+	g := topology.NewGraph(140)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
 	net := netsim.FromGraph(s, g, netsim.DefaultConfig(), nil)
@@ -59,7 +61,7 @@ func TestHeldFlushAllocs(t *testing.T) {
 		net.Node(2).SendControl(0, &Update{Dst: netsim.NodeID(100 + i), Path: []netsim.NodeID{2, netsim.NodeID(100 + i)}})
 	}
 	s.RunUntil(s.Now() + 100*time.Millisecond) // deliveries leave announcements pending behind the MRAI timer
-	if p.pendingCount[1] == 0 || !p.mrai[1].Pending() {
+	if ss := &p.sess[net.Node(0).Rank(1)]; ss.pendingCount == 0 || !ss.mrai.Pending() {
 		t.Fatal("test setup: expected announcements held by a pending MRAI timer")
 	}
 	for i := 0; i < 8; i++ {
@@ -83,7 +85,7 @@ func protoAt(net *netsim.Network, id netsim.NodeID) *Protocol {
 // speaker per half-cycle).
 func TestUpdateCycleAllocBudget(t *testing.T) {
 	s := sim.New(1)
-	g := topology.NewGraph(3)
+	g := topology.NewGraph(10) // idle nodes 3–9 put destination 9 in the network
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
 	net := netsim.FromGraph(s, g, netsim.DefaultConfig(), nil)

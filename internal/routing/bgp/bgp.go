@@ -11,8 +11,10 @@
 // and §5.2 notes results would differ with a per-(neighbor, destination)
 // MRAI — both are supported.
 //
-// Performance: all per-neighbor RIBs are dense slices outer-indexed by
-// neighbor ID and inner-indexed by contiguous destination ID, and every
+// Performance: every per-neighbor table (Adj-RIB-In, Adj-RIB-Out, pending
+// flags, MRAI state, damping history) lives in a session indexed by the
+// neighbor's rank in Node.Neighbors() and sized to the node's degree; its
+// rows are dense slices indexed by contiguous destination ID, and every
 // stored path is a 32-bit ID into a per-speaker intern table (intern.go).
 // Ascending-index iteration over the dense tables produces exactly the
 // order the previous map+sort implementation produced, so trial results
@@ -143,42 +145,22 @@ func (u *Update) Release() {
 
 // Protocol is a BGP speaker bound to one node.
 //
-// All per-neighbor state lives in dense slices outer-indexed by neighbor
-// ID (rows exist only for live sessions) and inner-indexed by destination
-// ID; destinations are contiguous from 0, so ascending-index iteration
-// visits them in exactly the sorted order the previous map-based
+// Per-destination state is dense, indexed by destination ID and sized to
+// the network at Start; per-neighbor state is one session per neighbor
+// rank (Node.Rank), sized to the node's degree at Start. Destinations are
+// contiguous from 0 and ascending rank is ascending ID, so ascending-index
+// iteration visits both in exactly the sorted order the previous map-based
 // implementation produced.
 type Protocol struct {
 	node *netsim.Node
 	cfg  Config
 	// intern hash-conses every path this speaker stores or originates.
 	intern *internTable
-	// adjIn holds, per neighbor, the latest valid path heard per
-	// destination (noPath = none). Paths that contain this node are never
-	// stored (loop = withdrawal). A nil row means no session.
-	adjIn [][]pathID
 	// best holds the selected path per destination, starting with this
 	// node (noPath = unreachable).
 	best []pathID
-	// ribOut holds, per neighbor, the path last advertised (noPath after a
-	// withdrawal).
-	ribOut [][]pathID
-	// pending flags, per neighbor, destinations whose state changed since
-	// the last flush; pendingCount tracks how many flags are set per
-	// neighbor so an idle flush is O(1). pendList mirrors the flagged set
-	// as an explicit list so a flush touches only pending destinations:
-	// outside flush flags are only ever set (setPending appends on each
-	// false→true flip, so the list holds no duplicates), and every flush
-	// ends by rebuilding the list from what stayed flagged, restoring
-	// sorted order.
-	pending      [][]bool
-	pendingCount []int
-	pendList     [][]routing.NodeID
-	// deadline holds, in per-destination MRAI mode, the earliest time each
-	// (neighbor, destination) may next be advertised.
-	deadline [][]time.Duration
-	mrai     []*sim.Timer
-	up       []bool
+	// sess holds the per-neighbor state, indexed by rank.
+	sess []session
 	// dirty flags destinations changed while processing one event;
 	// dirtyList holds the same set explicitly so propagating them to the
 	// neighbors' pending sets walks only what changed.
@@ -192,23 +174,41 @@ type Protocol struct {
 	damper *damper
 }
 
+// session is the state kept for one neighbor. Its rows are indexed by
+// destination and allocated once at Start; a session reset clears them.
+type session struct {
+	// adjIn holds the latest valid path heard per destination (noPath =
+	// none). Paths that contain this node are never stored (loop =
+	// withdrawal).
+	adjIn []pathID
+	// ribOut holds the path last advertised (noPath after a withdrawal).
+	ribOut []pathID
+	// pending flags destinations whose state changed since the last
+	// flush; pendingCount tracks how many flags are set so an idle flush
+	// is O(1). pendList mirrors the flagged set as an explicit list so a
+	// flush touches only pending destinations: outside flush flags are
+	// only ever set (setPending appends on each false→true flip, so the
+	// list holds no duplicates), and every flush ends by rebuilding the
+	// list from what stayed flagged, restoring sorted order.
+	pending      []bool
+	pendingCount int
+	pendList     []routing.NodeID
+	// deadline holds, in per-destination MRAI mode, the earliest time each
+	// destination may next be advertised.
+	deadline []time.Duration
+	mrai     *sim.Timer
+	up       bool
+}
+
 var _ netsim.Protocol = (*Protocol)(nil)
 
 // New returns a BGP instance for the node.
 func New(node *netsim.Node, cfg Config) *Protocol {
-	p := &Protocol{
+	return &Protocol{
 		node:   node,
 		cfg:    cfg,
 		intern: newInternTable(),
 	}
-	if cfg.Damping != nil {
-		p.damper = newDamper(*cfg.Damping, node.Sim(), func(_, dst routing.NodeID) {
-			p.recompute(dst)
-			p.flushAll()
-		})
-		p.damper.node = node
-	}
-	return p
 }
 
 // Factory returns a constructor suitable for attaching BGP to every node.
@@ -225,77 +225,18 @@ func newPathRow(n int) []pathID {
 	return row
 }
 
-// ids returns the current destination-universe size.
-func (p *Protocol) ids() int { return len(p.best) }
-
-// ensureDst grows every dense table so dst is a valid index. The universe
-// is sized to the network at Start, so this only triggers for unit tests
-// that inject out-of-range destinations.
-func (p *Protocol) ensureDst(dst routing.NodeID) {
-	if int(dst) < p.ids() {
-		return
-	}
-	n := int(dst) + 1
-	grow := func(row []pathID) []pathID {
-		grown := newPathRow(n)
-		copy(grown, row)
-		return grown
-	}
-	p.best = grow(p.best)
-	grownDirty := make([]bool, n)
-	copy(grownDirty, p.dirty)
-	p.dirty = grownDirty
-	for i := range p.adjIn {
-		if p.adjIn[i] != nil {
-			p.adjIn[i] = grow(p.adjIn[i])
-		}
-		if p.ribOut[i] != nil {
-			p.ribOut[i] = grow(p.ribOut[i])
-		}
-		if p.pending[i] != nil {
-			grown := make([]bool, n)
-			copy(grown, p.pending[i])
-			p.pending[i] = grown
-		}
-		if p.deadline[i] != nil {
-			grown := make([]time.Duration, n)
-			copy(grown, p.deadline[i])
-			p.deadline[i] = grown
-		}
-	}
-}
-
-// bestID returns the selected path ID for dst (noPath when unreachable or
-// unknown).
-func (p *Protocol) bestID(dst routing.NodeID) pathID {
-	if dst >= 0 && int(dst) < len(p.best) {
-		return p.best[dst]
-	}
-	return noPath
-}
-
-// adjInGet returns the Adj-RIB-In entry for (neighbor, dst), or noPath.
-func (p *Protocol) adjInGet(n, dst routing.NodeID) pathID {
-	if int(n) >= len(p.adjIn) {
-		return noPath
-	}
-	row := p.adjIn[n]
-	if row == nil || dst < 0 || int(dst) >= len(row) {
-		return noPath
-	}
-	return row[dst]
-}
-
-// upTo reports whether the session to neighbor n is up.
-func (p *Protocol) upTo(n routing.NodeID) bool {
-	return int(n) < len(p.up) && p.up[n]
-}
+// rowOf returns row r of a flat table of n-wide rows.
+func rowOf[T any](flat []T, r, n int) []T { return flat[r*n : (r+1)*n : (r+1)*n] }
 
 // BestPath returns the selected path to dst (starting with this node), or
-// nil when the destination is unreachable. The slice aliases the intern
-// table and must not be modified. Exposed for tests and tools.
+// nil when the destination is unreachable or outside the network. The
+// slice aliases the intern table and must not be modified. Exposed for
+// tests and tools.
 func (p *Protocol) BestPath(dst routing.NodeID) []routing.NodeID {
-	return p.intern.path(p.bestID(dst))
+	if uint(dst) >= uint(len(p.best)) {
+		return nil
+	}
+	return p.intern.path(p.best[dst])
 }
 
 // DebugState renders the speaker's complete state for one destination —
@@ -304,15 +245,11 @@ func (p *Protocol) BestPath(dst routing.NodeID) []routing.NodeID {
 func (p *Protocol) DebugState(dst routing.NodeID) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "node %d dst %d best=%v\n", p.node.ID(), dst, p.BestPath(dst))
-	for _, n := range p.node.Neighbors() {
-		var out pathID = noPath
-		if int(n) < len(p.ribOut) && p.ribOut[n] != nil && int(dst) < len(p.ribOut[n]) {
-			out = p.ribOut[n][dst]
-		}
-		pend := int(n) < len(p.pending) && p.pending[n] != nil && int(dst) < len(p.pending[n]) && p.pending[n][dst]
+	for r, n := range p.node.Neighbors() {
+		s := &p.sess[r]
 		fmt.Fprintf(&sb, "  nbr %d up=%v in=%v out=%v pending=%v mrai=%v",
-			n, p.upTo(n), p.intern.path(p.adjInGet(n, dst)), p.intern.path(out), pend, p.mrai[n].Pending())
-		if p.damper != nil && p.damper.Suppressed(n, dst) {
+			n, s.up, p.intern.path(s.adjIn[dst]), p.intern.path(s.ribOut[dst]), s.pending[dst], s.mrai.Pending())
+		if p.damper != nil && p.damper.Suppressed(r, dst) {
 			sb.WriteString(" SUPPRESSED")
 		}
 		sb.WriteString("\n")
@@ -320,101 +257,101 @@ func (p *Protocol) DebugState(dst routing.NodeID) string {
 	return sb.String()
 }
 
-// Start implements netsim.Protocol.
+// Start implements netsim.Protocol: the per-destination tables are sized
+// to the network, and one session per neighbor opens with its rows cut
+// from shared allocations.
 func (p *Protocol) Start() {
 	self := p.node.ID()
 	n := p.node.NetworkSize()
-	if int(self) >= n {
-		n = int(self) + 1
-	}
+	deg := len(p.node.Neighbors())
 	p.best = newPathRow(n)
 	p.dirty = make([]bool, n)
-	p.adjIn = make([][]pathID, n)
-	p.ribOut = make([][]pathID, n)
-	p.pending = make([][]bool, n)
-	p.pendingCount = make([]int, n)
-	p.pendList = make([][]routing.NodeID, n)
-	p.deadline = make([][]time.Duration, n)
-	p.mrai = make([]*sim.Timer, n)
-	p.up = make([]bool, n)
+	p.sess = make([]session, deg)
+	adjIn, ribOut := newPathRow(deg*n), newPathRow(deg*n)
+	pending := make([]bool, deg*n)
+	var deadline []time.Duration
+	if p.cfg.PerDestMRAI {
+		deadline = make([]time.Duration, deg*n)
+	}
+	if p.cfg.Damping != nil {
+		p.damper = newDamper(*p.cfg.Damping, p.node.Sim(), deg, n, func(_ int, dst routing.NodeID) {
+			p.recompute(dst)
+			p.flushAll()
+		})
+		p.damper.node = p.node
+	}
 	p.best[self] = p.intern.intern([]routing.NodeID{self})
-	for _, nb := range p.node.Neighbors() {
-		p.sessionUp(nb)
-		p.setPending(nb, self)
+	for r := range p.sess {
+		p.sess[r] = session{
+			adjIn:   rowOf(adjIn, r, n),
+			ribOut:  rowOf(ribOut, r, n),
+			pending: rowOf(pending, r, n),
+			mrai:    sim.NewTimer(p.node.Sim(), func() { p.flush(r) }),
+			up:      true,
+		}
+		if deadline != nil {
+			p.sess[r].deadline = rowOf(deadline, r, n)
+		}
+		p.setPending(r, self)
 	}
 	p.flushAll()
 }
 
-// sessionUp initializes per-neighbor state.
-func (p *Protocol) sessionUp(n routing.NodeID) {
-	size := p.ids()
-	p.up[n] = true
-	p.adjIn[n] = newPathRow(size)
-	p.ribOut[n] = newPathRow(size)
-	p.pending[n] = make([]bool, size)
-	p.pendingCount[n] = 0
-	p.pendList[n] = p.pendList[n][:0]
-	if p.cfg.PerDestMRAI {
-		p.deadline[n] = make([]time.Duration, size)
-	}
-	if p.mrai[n] == nil {
-		n := n
-		p.mrai[n] = sim.NewTimer(p.node.Sim(), func() { p.flush(n) })
+// setPending flags dst toward the neighbor of rank r.
+func (p *Protocol) setPending(r int, dst routing.NodeID) {
+	if s := &p.sess[r]; !s.pending[dst] {
+		s.pending[dst] = true
+		s.pendingCount++
+		s.pendList = append(s.pendList, dst)
 	}
 }
 
-// setPending flags dst toward neighbor n.
-func (p *Protocol) setPending(n, dst routing.NodeID) {
-	if !p.pending[n][dst] {
-		p.pending[n][dst] = true
-		p.pendingCount[n]++
-		p.pendList[n] = append(p.pendList[n], dst)
+// clearPending unflags dst toward the neighbor of rank r.
+func (p *Protocol) clearPending(r int, dst routing.NodeID) {
+	if s := &p.sess[r]; s.pending[dst] {
+		s.pending[dst] = false
+		s.pendingCount--
 	}
 }
 
-// clearPending unflags dst toward neighbor n.
-func (p *Protocol) clearPending(n, dst routing.NodeID) {
-	if p.pending[n][dst] {
-		p.pending[n][dst] = false
-		p.pendingCount[n]--
-	}
-}
-
-// HandleMessage implements netsim.Protocol.
+// HandleMessage implements netsim.Protocol. A destination outside the
+// network is dropped here, so every table keeps its Start size.
 func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 	u, ok := msg.(*Update)
 	if !ok {
 		return
 	}
 	p.node.Metrics().Inc(obs.ProtoUpdatesReceived)
-	if int(from) >= len(p.adjIn) || p.adjIn[from] == nil {
+	r := int(p.node.Rank(from))
+	s := &p.sess[r]
+	if !s.up {
 		return // no session (e.g. message raced a link-down detection)
 	}
+	n := uint(len(p.best))
 	for _, dst := range u.Withdrawn {
-		if p.adjInGet(from, dst) != noPath {
-			p.adjIn[from][dst] = noPath
+		if uint(dst) < n && s.adjIn[dst] != noPath {
+			s.adjIn[dst] = noPath
 			if p.damper != nil {
-				p.damper.OnWithdraw(from, dst)
+				p.damper.OnWithdraw(r, dst)
 			}
 			p.recompute(dst)
 		}
 	}
-	if u.Path != nil {
-		had := p.adjInGet(from, u.Dst) != noPath
+	if u.Path != nil && uint(u.Dst) < n {
+		had := s.adjIn[u.Dst] != noPath
 		if contains(u.Path, p.node.ID()) {
 			// Loop detected: treat as withdrawal (§3).
 			if had {
-				p.adjIn[from][u.Dst] = noPath
+				s.adjIn[u.Dst] = noPath
 				if p.damper != nil {
-					p.damper.OnWithdraw(from, u.Dst)
+					p.damper.OnWithdraw(r, u.Dst)
 				}
 				p.recompute(u.Dst)
 			}
 		} else {
-			p.ensureDst(u.Dst)
-			p.adjIn[from][u.Dst] = p.intern.intern(u.Path)
+			s.adjIn[u.Dst] = p.intern.intern(u.Path)
 			if had && p.damper != nil {
-				p.damper.OnReannounce(from, u.Dst)
+				p.damper.OnReannounce(r, u.Dst)
 			}
 			p.recompute(u.Dst)
 		}
@@ -425,22 +362,26 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 // LinkDown implements netsim.Protocol: the session resets, discarding
 // everything heard from and advertised to the neighbor.
 func (p *Protocol) LinkDown(neighbor routing.NodeID) {
-	p.up[neighbor] = false
-	lost := p.adjIn[neighbor]
-	p.adjIn[neighbor] = nil
-	p.ribOut[neighbor] = nil
-	p.pending[neighbor] = nil
-	p.pendingCount[neighbor] = 0
-	p.pendList[neighbor] = nil
-	p.deadline[neighbor] = nil
-	if t := p.mrai[neighbor]; t != nil {
-		t.Stop()
+	r := int(p.node.Rank(neighbor))
+	s := &p.sess[r]
+	s.up = false
+	s.mrai.Stop()
+	for dst := range s.ribOut {
+		s.ribOut[dst] = noPath
 	}
+	clear(s.pending)
+	s.pendingCount = 0
+	s.pendList = s.pendList[:0]
+	clear(s.deadline)
 	if p.damper != nil {
-		p.damper.SessionReset(neighbor)
+		p.damper.SessionReset(r)
 	}
-	for dst, id := range lost {
+	// The session is down, so recompute no longer reads its Adj-RIB-In:
+	// clearing it one destination at a time is the same as dropping it
+	// whole before the recomputes.
+	for dst, id := range s.adjIn {
 		if id != noPath {
+			s.adjIn[dst] = noPath
 			p.recompute(routing.NodeID(dst))
 		}
 	}
@@ -450,10 +391,11 @@ func (p *Protocol) LinkDown(neighbor routing.NodeID) {
 // LinkUp implements netsim.Protocol: a fresh session; the full table is
 // advertised to the neighbor.
 func (p *Protocol) LinkUp(neighbor routing.NodeID) {
-	p.sessionUp(neighbor)
+	r := int(p.node.Rank(neighbor))
+	p.sess[r].up = true
 	for dst, id := range p.best {
 		if id != noPath {
-			p.setPending(neighbor, routing.NodeID(dst))
+			p.setPending(r, routing.NodeID(dst))
 		}
 	}
 	p.flushAll()
@@ -468,15 +410,16 @@ func (p *Protocol) recompute(dst routing.NodeID) {
 	}
 	p.node.Metrics().Inc(obs.ProtoDecisionRuns)
 	chosen, chosenLen := noPath, 0
-	for _, n := range p.node.Neighbors() {
-		if !p.upTo(n) {
+	for r := range p.sess {
+		s := &p.sess[r]
+		if !s.up {
 			continue
 		}
-		id := p.adjInGet(n, dst)
+		id := s.adjIn[dst]
 		if id == noPath {
 			continue
 		}
-		if p.damper != nil && p.damper.Suppressed(n, dst) {
+		if p.damper != nil && p.damper.Suppressed(r, dst) {
 			continue
 		}
 		if l := p.intern.pathLen(id); chosen == noPath || l < chosenLen {
@@ -487,10 +430,9 @@ func (p *Protocol) recompute(dst routing.NodeID) {
 	if chosen != noPath {
 		newBest = p.intern.prepend(p.node.ID(), chosen)
 	}
-	if p.bestID(dst) == newBest {
+	if p.best[dst] == newBest {
 		return
 	}
-	p.ensureDst(dst)
 	p.best[dst] = newBest
 	if newBest == noPath {
 		p.node.ClearRoute(dst)
@@ -512,32 +454,34 @@ func (p *Protocol) flushAll() {
 	if len(p.dirtyList) > 0 {
 		for _, dst := range p.dirtyList {
 			p.dirty[dst] = false
-			for _, n := range p.node.Neighbors() {
-				if p.upTo(n) {
-					p.setPending(n, dst)
+			for r := range p.sess {
+				if p.sess[r].up {
+					p.setPending(r, dst)
 				}
 			}
 		}
 		p.dirtyList = p.dirtyList[:0]
 	}
-	for _, n := range p.node.Neighbors() {
-		if p.upTo(n) {
-			p.flush(n)
+	for r := range p.sess {
+		if p.sess[r].up {
+			p.flush(r)
 		}
 	}
 }
 
-// flush sends what MRAI currently permits to one neighbor: withdrawals
-// immediately (unless damped), announcements when the per-neighbor timer is
-// idle (or, in per-destination mode, when each destination's deadline has
-// passed).
-func (p *Protocol) flush(n routing.NodeID) {
-	if p.pendingCount[n] == 0 {
+// flush sends what MRAI currently permits to the neighbor of rank r:
+// withdrawals immediately (unless damped), announcements when the
+// per-neighbor timer is idle (or, in per-destination mode, when each
+// destination's deadline has passed).
+func (p *Protocol) flush(r int) {
+	s := &p.sess[r]
+	if s.pendingCount == 0 {
 		return
 	}
 	now := p.node.Sim().Now()
-	pend := p.pending[n]
-	out := p.ribOut[n]
+	to := p.node.Neighbors()[r]
+	pend := s.pending
+	out := s.ribOut
 
 	// Classify pending destinations in ascending order. In damped-
 	// withdrawal mode withdrawals queue behind MRAI like announcements, so
@@ -552,7 +496,7 @@ func (p *Protocol) flush(n routing.NodeID) {
 	// the sort at the dense walk's own cost.
 	withdrawals := p.wdScratch[:0]
 	announcements := p.annScratch[:0]
-	if pl := p.pendList[n]; len(pl)*4 <= p.ids() {
+	if pl := s.pendList; len(pl)*4 <= len(p.best) {
 		for i := 1; i < len(pl); i++ {
 			d := pl[i]
 			j := i - 1
@@ -564,13 +508,13 @@ func (p *Protocol) flush(n routing.NodeID) {
 		}
 		for _, d := range pl {
 			if pend[d] {
-				withdrawals, announcements = p.classifyDst(n, d, out, withdrawals, announcements)
+				withdrawals, announcements = p.classifyDst(r, d, out, withdrawals, announcements)
 			}
 		}
 	} else {
 		for dst := range pend {
 			if pend[dst] {
-				withdrawals, announcements = p.classifyDst(n, routing.NodeID(dst), out, withdrawals, announcements)
+				withdrawals, announcements = p.classifyDst(r, routing.NodeID(dst), out, withdrawals, announcements)
 			}
 		}
 	}
@@ -581,44 +525,44 @@ func (p *Protocol) flush(n routing.NodeID) {
 		u.Withdrawn = append(u.Withdrawn, withdrawals...)
 		p.node.Metrics().Add(obs.ProtoWithdrawalsSent, uint64(len(withdrawals)))
 		for _, dst := range withdrawals {
-			p.node.Note(obs.KindWithdrawal, n, dst)
+			p.node.Note(obs.KindWithdrawal, to, dst)
 		}
-		p.node.SendControl(n, u)
+		p.node.SendControl(to, u)
 		for _, dst := range withdrawals {
 			out[dst] = noPath
-			p.clearPending(n, dst)
+			p.clearPending(r, dst)
 		}
 	}
 
 	if p.cfg.PerDestMRAI {
-		p.flushPerDest(n, announcements, now)
-	} else if !p.mrai[n].Pending() && len(announcements) > 0 {
+		p.flushPerDest(r, announcements, now)
+	} else if !s.mrai.Pending() && len(announcements) > 0 {
 		for _, dst := range announcements {
-			p.advertise(n, dst)
+			p.advertise(r, dst)
 		}
-		p.mrai[n].Reset(p.mraiInterval())
+		s.mrai.Reset(p.mraiInterval())
 	}
 
 	// Rebuild the pending list. After classification, everything still
 	// flagged is an announcement MRAI held back, so filtering the (sorted)
 	// announcement list restores the invariant: pendList = flagged set,
 	// ascending, duplicate-free.
-	pl := p.pendList[n][:0]
+	pl := s.pendList[:0]
 	for _, d := range announcements {
 		if pend[d] {
 			pl = append(pl, d)
 		}
 	}
-	p.pendList[n] = pl
+	s.pendList = pl
 }
 
 // classifyDst routes one pending destination into the withdrawal or
 // announcement list, or clears its flag when there is nothing to say.
-func (p *Protocol) classifyDst(n, d routing.NodeID, out []pathID, withdrawals, announcements []routing.NodeID) ([]routing.NodeID, []routing.NodeID) {
+func (p *Protocol) classifyDst(r int, d routing.NodeID, out []pathID, withdrawals, announcements []routing.NodeID) ([]routing.NodeID, []routing.NodeID) {
 	best := p.best[d]
 	switch {
 	case best == noPath && out[d] == noPath:
-		p.clearPending(n, d) // nothing ever advertised; nothing to say
+		p.clearPending(r, d) // nothing ever advertised; nothing to say
 	case best == noPath:
 		if p.cfg.DampWithdrawals {
 			announcements = append(announcements, d)
@@ -626,7 +570,7 @@ func (p *Protocol) classifyDst(n, d routing.NodeID, out []pathID, withdrawals, a
 			withdrawals = append(withdrawals, d)
 		}
 	case out[d] == best:
-		p.clearPending(n, d) // already current
+		p.clearPending(r, d) // already current
 	default:
 		announcements = append(announcements, d)
 	}
@@ -636,13 +580,13 @@ func (p *Protocol) classifyDst(n, d routing.NodeID, out []pathID, withdrawals, a
 // flushPerDest sends each announcement whose (neighbor, destination)
 // deadline has passed and re-arms the neighbor timer for the earliest
 // remaining one.
-func (p *Protocol) flushPerDest(n routing.NodeID, announcements []routing.NodeID, now time.Duration) {
-	dl := p.deadline[n]
+func (p *Protocol) flushPerDest(r int, announcements []routing.NodeID, now time.Duration) {
+	dl := p.sess[r].deadline
 	var earliest time.Duration = -1
 	for _, dst := range announcements {
 		d := dl[dst]
 		if now >= d {
-			p.advertise(n, dst)
+			p.advertise(r, dst)
 			dl[dst] = now + p.mraiInterval()
 			continue
 		}
@@ -651,30 +595,32 @@ func (p *Protocol) flushPerDest(n routing.NodeID, announcements []routing.NodeID
 		}
 	}
 	if earliest >= 0 {
-		t := p.mrai[n]
+		t := p.sess[r].mrai
 		if !t.Pending() || t.Deadline() > earliest {
 			t.Reset(earliest - now)
 		}
 	}
 }
 
-// advertise sends the current state of dst to n and records it in ribOut.
-func (p *Protocol) advertise(n, dst routing.NodeID) {
-	best := p.bestID(dst)
+// advertise sends the current state of dst to the neighbor of rank r and
+// records it in the session's ribOut.
+func (p *Protocol) advertise(r int, dst routing.NodeID) {
+	to := p.node.Neighbors()[r]
+	best := p.best[dst]
 	u := p.pool.get()
 	if best == noPath {
 		u.Withdrawn = append(u.Withdrawn, dst)
-		p.ribOut[n][dst] = noPath
+		p.sess[r].ribOut[dst] = noPath
 		p.node.Metrics().Inc(obs.ProtoWithdrawalsSent)
-		p.node.Note(obs.KindWithdrawal, n, dst)
+		p.node.Note(obs.KindWithdrawal, to, dst)
 	} else {
 		u.Dst = dst
 		u.Path = p.intern.path(best)
-		p.ribOut[n][dst] = best
+		p.sess[r].ribOut[dst] = best
 		p.node.Metrics().Inc(obs.ProtoUpdatesSent)
 	}
-	p.node.SendControl(n, u)
-	p.clearPending(n, dst)
+	p.node.SendControl(to, u)
+	p.clearPending(r, dst)
 }
 
 // mraiInterval draws one jittered MRAI value.

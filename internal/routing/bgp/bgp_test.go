@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"routeconv/internal/netsim"
+	"routeconv/internal/obs"
 	"routeconv/internal/routing/conformance"
 	"routeconv/internal/sim"
 	"routeconv/internal/topology"
@@ -114,7 +115,9 @@ func TestLoopedPathTreatedAsWithdrawal(t *testing.T) {
 	// Feed node 0 a path that contains node 0 itself: it must not install
 	// it, and an existing entry from that neighbor must be dropped.
 	s := sim.New(1)
-	net := netsim.FromGraph(s, topology.Line(2), netsim.DefaultConfig(), nil)
+	g := topology.NewGraph(6) // idle nodes 2–5 put destination 5 in the network
+	g.AddEdge(0, 1)
+	net := netsim.FromGraph(s, g, netsim.DefaultConfig(), nil)
 	p := New(net.Node(0), BGP3Config())
 	net.Node(0).AttachProtocol(p)
 	net.Node(1).AttachProtocol(&capture{})
@@ -169,9 +172,9 @@ func TestMRAISpacesAnnouncements(t *testing.T) {
 	// of path changes from a second neighbor must produce announcements to
 	// the capture spaced by at least the minimum MRAI.
 	s := sim.New(1)
-	g := topology.NewGraph(3)
-	g.AddEdge(0, 1) // capture
-	g.AddEdge(0, 2) // feeder
+	g := topology.NewGraph(22) // idle nodes 3–21 put every injected ID in the network
+	g.AddEdge(0, 1)            // capture
+	g.AddEdge(0, 2)            // feeder
 	net := netsim.FromGraph(s, g, netsim.DefaultConfig(), nil)
 	cfg := Config{MRAI: 10 * time.Second, MRAIJitter: 0}
 	net.Node(0).AttachProtocol(New(net.Node(0), cfg))
@@ -214,7 +217,7 @@ func TestMRAISpacesAnnouncements(t *testing.T) {
 
 func TestWithdrawalsBypassMRAI(t *testing.T) {
 	s := sim.New(1)
-	g := topology.NewGraph(3)
+	g := topology.NewGraph(10) // idle nodes 3–9 put destinations 8 and 9 in the network
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
 	net := netsim.FromGraph(s, g, netsim.DefaultConfig(), nil)
@@ -262,7 +265,7 @@ func TestWithdrawalsBypassMRAI(t *testing.T) {
 
 func TestDampedWithdrawalsWaitForMRAI(t *testing.T) {
 	s := sim.New(1)
-	g := topology.NewGraph(3)
+	g := topology.NewGraph(10) // idle nodes 3–9 put destinations 8 and 9 in the network
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
 	net := netsim.FromGraph(s, g, netsim.DefaultConfig(), nil)
@@ -302,7 +305,7 @@ func TestPerDestMRAIIndependentDestinations(t *testing.T) {
 	// With a per-(neighbor, destination) timer, a change to destination B
 	// right after an announcement of destination A goes out immediately.
 	s := sim.New(1)
-	g := topology.NewGraph(3)
+	g := topology.NewGraph(10) // idle nodes 3–9 put destinations 8 and 9 in the network
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
 	net := netsim.FromGraph(s, g, netsim.DefaultConfig(), nil)
@@ -330,6 +333,53 @@ func TestPerDestMRAIIndependentDestinations(t *testing.T) {
 	}
 	if !saw8 || !saw9 {
 		t.Errorf("per-destination MRAI blocked an independent destination: saw8=%v saw9=%v", saw8, saw9)
+	}
+}
+
+// A destination outside [0, NetworkSize) is dropped where the update is
+// received: no panic, no forwarding entry, every table keeps its Start
+// size, and the update still counts as received. The withdrawal case
+// withdraws a destination an earlier announcement named.
+func TestUpdateOutsideNetworkDropped(t *testing.T) {
+	const n = 3
+	announce := func(dst netsim.NodeID) *Update { return &Update{Dst: dst, Path: []netsim.NodeID{1, dst}} }
+	withdraw := func(dst netsim.NodeID) *Update { return &Update{Withdrawn: []netsim.NodeID{dst}} }
+	for _, tc := range []struct {
+		name string
+		bad  netsim.NodeID
+		msgs []*Update
+	}{
+		{"announcement-above", n + 4, []*Update{announce(n + 4)}},
+		{"announcement-below", -1, []*Update{announce(-1)}},
+		{"withdrawal-above", n + 4, []*Update{announce(n + 4), withdraw(n + 4)}},
+		{"withdrawal-below", -1, []*Update{announce(-1), withdraw(-1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, net := build(t, 1, topology.Line(n), BGP3Config())
+			met := obs.NewMetrics()
+			net.Instrument(met)
+			s.RunUntil(time.Minute) // converged: the network is silent
+			p := net.Node(0).Protocol().(*Protocol)
+			for i, u := range tc.msgs {
+				received := met.Get(obs.ProtoUpdatesReceived)
+				net.Node(1).SendControl(0, u)
+				s.RunUntil(s.Now() + time.Second)
+				if got := met.Get(obs.ProtoUpdatesReceived) - received; got != 1 {
+					t.Errorf("message %d: updates received went up by %d, want 1", i, got)
+				}
+				if _, ok := net.Node(0).NextHop(tc.bad); ok {
+					t.Errorf("message %d: node 0 routes to %d, outside the network", i, tc.bad)
+				}
+				if len(p.best) != n || len(p.dirty) != n || len(p.sess) != len(net.Node(0).Neighbors()) {
+					t.Errorf("message %d: tables resized: best %d, dirty %d, sessions %d", i, len(p.best), len(p.dirty), len(p.sess))
+				}
+				for r, ss := range p.sess {
+					if len(ss.adjIn) != n || len(ss.ribOut) != n || len(ss.pending) != n {
+						t.Errorf("message %d: session %d resized: adjIn %d, ribOut %d, pending %d", i, r, len(ss.adjIn), len(ss.ribOut), len(ss.pending))
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -405,7 +455,7 @@ func TestDebugState(t *testing.T) {
 
 func TestDebugStateShowsSuppression(t *testing.T) {
 	s := sim.New(1)
-	g := topology.NewGraph(2)
+	g := topology.NewGraph(10) // idle nodes 2–9 put destination 9 in the network
 	g.AddEdge(0, 1)
 	net := netsim.FromGraph(s, g, netsim.DefaultConfig(), nil)
 	cfg := BGP3Config()

@@ -53,17 +53,19 @@ type flapState struct {
 }
 
 // damper implements the flap-damping state machine for one BGP speaker.
+// Neighbors are named by rank (Node.Rank), destinations by ID.
 type damper struct {
 	cfg DampingConfig
 	sim *sim.Simulator
 	// onReuse is called when a suppressed (neighbor, destination) becomes
 	// usable again so the owner can re-run best-path selection.
-	onReuse func(neighbor, dst routing.NodeID)
-	// state holds flap histories in dense rows outer-indexed by neighbor
-	// and inner-indexed by destination, grown on demand. Rows may be
-	// reallocated by growth, so nothing long-lived may hold a *flapState —
-	// the reuse callback re-resolves its entry by (neighbor, dst).
+	onReuse func(rank int, dst routing.NodeID)
+	// state holds flap histories, one row per neighbor rank. A row is
+	// indexed by destination, dsts long, and allocated the first time the
+	// neighbor is charged; it is never reallocated, so entry pointers stay
+	// valid.
 	state [][]flapState
+	dsts  int
 	// node, when set, notes suppression/reuse transitions to the network's
 	// observer stream; nil in unit tests.
 	node *netsim.Node
@@ -71,14 +73,16 @@ type damper struct {
 
 // record notes a suppression/reuse transition through the owning node; a
 // no-op for node-less dampers (unit tests).
-func (d *damper) record(kind obs.Kind, neighbor, dst routing.NodeID) {
+func (d *damper) record(kind obs.Kind, rank int, dst routing.NodeID) {
 	if d.node != nil {
-		d.node.Note(kind, neighbor, dst)
+		d.node.Note(kind, d.node.Neighbors()[rank], dst)
 	}
 }
 
-func newDamper(cfg DampingConfig, s *sim.Simulator, onReuse func(neighbor, dst routing.NodeID)) *damper {
-	return &damper{cfg: cfg, sim: s, onReuse: onReuse}
+// newDamper returns a damper for a speaker with the given number of
+// neighbors in a network of dsts destinations.
+func newDamper(cfg DampingConfig, s *sim.Simulator, neighbors, dsts int, onReuse func(rank int, dst routing.NodeID)) *damper {
+	return &damper{cfg: cfg, sim: s, onReuse: onReuse, state: make([][]flapState, neighbors), dsts: dsts}
 }
 
 // decayed returns the penalty decayed to the current time.
@@ -90,44 +94,34 @@ func (d *damper) decayed(st *flapState) float64 {
 	return st.penalty * math.Exp2(-float64(dt)/float64(d.cfg.HalfLife))
 }
 
-// at returns the entry for (neighbor, dst), growing the dense tables as
-// needed. The pointer is only valid until the next call to at.
-func (d *damper) at(neighbor, dst routing.NodeID) *flapState {
-	if int(neighbor) >= len(d.state) {
-		grown := make([][]flapState, int(neighbor)+1)
-		copy(grown, d.state)
-		d.state = grown
+// at returns the entry for (rank, dst), allocating the neighbor's row on
+// first use.
+func (d *damper) at(rank int, dst routing.NodeID) *flapState {
+	if d.state[rank] == nil {
+		d.state[rank] = make([]flapState, d.dsts)
 	}
-	if int(dst) >= len(d.state[neighbor]) {
-		grown := make([]flapState, int(dst)+1)
-		copy(grown, d.state[neighbor])
-		d.state[neighbor] = grown
-	}
-	return &d.state[neighbor][dst]
+	return &d.state[rank][dst]
 }
 
-// peek returns the entry for (neighbor, dst) without growing, or nil.
-func (d *damper) peek(neighbor, dst routing.NodeID) *flapState {
-	if neighbor < 0 || int(neighbor) >= len(d.state) {
-		return nil
+// peek returns the entry for (rank, dst), or nil when the neighbor was
+// never charged.
+func (d *damper) peek(rank int, dst routing.NodeID) *flapState {
+	if row := d.state[rank]; row != nil {
+		return &row[dst]
 	}
-	row := d.state[neighbor]
-	if dst < 0 || int(dst) >= len(row) {
-		return nil
-	}
-	return &row[dst]
+	return nil
 }
 
 // Suppressed reports whether the (neighbor, destination) route is
 // currently suppressed.
-func (d *damper) Suppressed(neighbor, dst routing.NodeID) bool {
-	st := d.peek(neighbor, dst)
+func (d *damper) Suppressed(rank int, dst routing.NodeID) bool {
+	st := d.peek(rank, dst)
 	return st != nil && st.suppressed
 }
 
 // Penalty returns the current (decayed) penalty; exposed for tests.
-func (d *damper) Penalty(neighbor, dst routing.NodeID) float64 {
-	st := d.peek(neighbor, dst)
+func (d *damper) Penalty(rank int, dst routing.NodeID) float64 {
+	st := d.peek(rank, dst)
 	if st == nil {
 		return 0
 	}
@@ -136,44 +130,41 @@ func (d *damper) Penalty(neighbor, dst routing.NodeID) float64 {
 
 // OnWithdraw charges the withdrawal penalty. It returns true if the route
 // is suppressed afterwards.
-func (d *damper) OnWithdraw(neighbor, dst routing.NodeID) bool {
-	return d.charge(neighbor, dst, d.cfg.WithdrawPenalty)
+func (d *damper) OnWithdraw(rank int, dst routing.NodeID) bool {
+	return d.charge(rank, dst, d.cfg.WithdrawPenalty)
 }
 
 // OnReannounce charges the re-announcement penalty (the caller only
 // invokes it when an existing path was replaced).
-func (d *damper) OnReannounce(neighbor, dst routing.NodeID) bool {
-	return d.charge(neighbor, dst, d.cfg.ReannouncePenalty)
+func (d *damper) OnReannounce(rank int, dst routing.NodeID) bool {
+	return d.charge(rank, dst, d.cfg.ReannouncePenalty)
 }
 
-func (d *damper) charge(neighbor, dst routing.NodeID, penalty float64) bool {
-	st := d.at(neighbor, dst)
+func (d *damper) charge(rank int, dst routing.NodeID, penalty float64) bool {
+	st := d.at(rank, dst)
 	st.penalty = d.decayed(st) + penalty
 	st.updatedAt = d.sim.Now()
 	if !st.suppressed && st.penalty >= d.cfg.SuppressThreshold {
 		st.suppressed = true
-		d.record(obs.KindRouteFlap, neighbor, dst)
-		d.scheduleReuse(neighbor, dst, st)
+		d.record(obs.KindRouteFlap, rank, dst)
+		d.scheduleReuse(rank, dst, st)
 	} else if st.suppressed {
 		// Penalty grew: push the reuse check out.
-		d.scheduleReuse(neighbor, dst, st)
+		d.scheduleReuse(rank, dst, st)
 	}
 	return st.suppressed
 }
 
 // scheduleReuse (re)schedules the un-suppression check for the exact time
-// the penalty will have decayed to the reuse threshold. The callback
-// re-resolves the entry by coordinates: rows are value slices that may be
-// reallocated by growth, so a captured pointer could go stale.
-func (d *damper) scheduleReuse(neighbor, dst routing.NodeID, st *flapState) {
+// the penalty will have decayed to the reuse threshold.
+func (d *damper) scheduleReuse(rank int, dst routing.NodeID, st *flapState) {
 	st.reuse.Cancel()
 	wait := d.timeToReuse(st.penalty)
 	st.reuse = d.sim.Schedule(wait, func() {
-		cur := d.at(neighbor, dst)
-		cur.suppressed = false
-		cur.reuse = sim.Event{}
-		d.record(obs.KindRouteReuse, neighbor, dst)
-		d.onReuse(neighbor, dst)
+		st.suppressed = false
+		st.reuse = sim.Event{}
+		d.record(obs.KindRouteReuse, rank, dst)
+		d.onReuse(rank, dst)
 	})
 }
 
@@ -188,14 +179,11 @@ func (d *damper) timeToReuse(penalty float64) time.Duration {
 }
 
 // SessionReset drops all flap history for the neighbor (the session — and
-// with it the damping context — is gone).
-func (d *damper) SessionReset(neighbor routing.NodeID) {
-	if int(neighbor) >= len(d.state) {
-		return
-	}
-	row := d.state[neighbor]
+// with it the damping context — is gone), cancelling its reuse checks.
+func (d *damper) SessionReset(rank int) {
+	row := d.state[rank]
 	for i := range row {
 		row[i].reuse.Cancel()
 	}
-	d.state[neighbor] = nil
+	clear(row)
 }

@@ -22,7 +22,7 @@ func testDampingConfig() DampingConfig {
 
 func TestDamperPenaltyAccumulatesAndDecays(t *testing.T) {
 	s := sim.New(1)
-	d := newDamper(testDampingConfig(), s, func(n, dst netsim.NodeID) {})
+	d := newDamper(testDampingConfig(), s, 3, 10, func(n int, dst netsim.NodeID) {})
 	d.OnWithdraw(1, 9)
 	if got := d.Penalty(1, 9); got != 1000 {
 		t.Fatalf("penalty after one withdrawal = %v, want 1000", got)
@@ -40,7 +40,7 @@ func TestDamperPenaltyAccumulatesAndDecays(t *testing.T) {
 
 func TestDamperSuppressesAtThreshold(t *testing.T) {
 	s := sim.New(1)
-	d := newDamper(testDampingConfig(), s, func(n, dst netsim.NodeID) {})
+	d := newDamper(testDampingConfig(), s, 3, 10, func(n int, dst netsim.NodeID) {})
 	d.OnWithdraw(1, 9)
 	if d.Suppressed(1, 9) {
 		t.Fatal("suppressed after a single withdrawal")
@@ -56,7 +56,7 @@ func TestDamperSuppressesAtThreshold(t *testing.T) {
 func TestDamperReuseCallback(t *testing.T) {
 	s := sim.New(1)
 	var reusedAt time.Duration = -1
-	d := newDamper(testDampingConfig(), s, func(n, dst netsim.NodeID) {
+	d := newDamper(testDampingConfig(), s, 3, 10, func(n int, dst netsim.NodeID) {
 		if n == 1 && dst == 9 {
 			reusedAt = s.Now()
 		}
@@ -79,7 +79,7 @@ func TestDamperReuseCallback(t *testing.T) {
 
 func TestDamperReannouncePenaltyLighter(t *testing.T) {
 	s := sim.New(1)
-	d := newDamper(testDampingConfig(), s, func(n, dst netsim.NodeID) {})
+	d := newDamper(testDampingConfig(), s, 3, 10, func(n int, dst netsim.NodeID) {})
 	d.OnReannounce(1, 9)
 	d.OnReannounce(1, 9)
 	d.OnReannounce(1, 9)
@@ -95,7 +95,7 @@ func TestDamperReannouncePenaltyLighter(t *testing.T) {
 func TestDamperSessionReset(t *testing.T) {
 	s := sim.New(1)
 	fired := false
-	d := newDamper(testDampingConfig(), s, func(n, dst netsim.NodeID) { fired = true })
+	d := newDamper(testDampingConfig(), s, 3, 10, func(n int, dst netsim.NodeID) { fired = true })
 	d.OnWithdraw(1, 9)
 	d.OnWithdraw(1, 9)
 	d.SessionReset(1)
@@ -110,7 +110,7 @@ func TestDamperSessionReset(t *testing.T) {
 
 func TestDamperIndependentPerNeighborAndDest(t *testing.T) {
 	s := sim.New(1)
-	d := newDamper(testDampingConfig(), s, func(n, dst netsim.NodeID) {})
+	d := newDamper(testDampingConfig(), s, 3, 10, func(n int, dst netsim.NodeID) {})
 	d.OnWithdraw(1, 9)
 	d.OnWithdraw(1, 9)
 	if d.Suppressed(2, 9) || d.Suppressed(1, 8) {
@@ -123,7 +123,7 @@ func TestDamperIndependentPerNeighborAndDest(t *testing.T) {
 // reusable after decay.
 func TestFlapDampingEndToEnd(t *testing.T) {
 	s := sim.New(1)
-	g := topology.NewGraph(2)
+	g := topology.NewGraph(10) // idle nodes 2–9 put destination 9 in the network
 	g.AddEdge(0, 1)
 	net := netsim.FromGraph(s, g, netsim.DefaultConfig(), nil)
 	cfg := BGP3Config()

@@ -12,7 +12,7 @@ import (
 )
 
 // A skipped re-advertisement must not allocate: the liveness refresh
-// rewrites an existing map key, and the watermark comparison plus the
+// writes the neighbor's slot, and the watermark comparison plus the
 // skip counter touch only persistent state.
 func TestSkippedAdvertisementAllocs(t *testing.T) {
 	s := sim.New(1)
@@ -26,9 +26,9 @@ func TestSkippedAdvertisementAllocs(t *testing.T) {
 	net.Start()
 	s.RunUntil(120 * time.Second)
 
-	sv, ok := p0.seen[1]
-	if !ok || sv != p1.Ver {
-		t.Fatalf("skip watermark not armed (ok=%v seen=%d sender ver=%d)", ok, sv, p1.Ver)
+	nb := p0.nbrs[net.Node(0).Rank(1)]
+	if !nb.seenOK || nb.seen != p1.Ver {
+		t.Fatalf("skip watermark not armed (ok=%v seen=%d sender ver=%d)", nb.seenOK, nb.seen, p1.Ver)
 	}
 
 	// Re-send node 1's full table exactly as broadcastFull stages it.

@@ -30,37 +30,42 @@ const cacheAbsent = -1
 // Deadline field is unused.
 type Protocol struct {
 	routing.Vector
-	// cache holds, per neighbor, the latest metric heard per destination
-	// (after the neighbor's split-horizon processing). Both dimensions are
-	// dense, indexed by node ID and sized to the network; a neighbor's row
-	// is allocated when it is first heard, with cacheAbsent marking unheard
-	// entries.
-	cache     [][]int32
-	lastHeard map[routing.NodeID]time.Duration
+	// nbrs holds the per-neighbor state, indexed by neighbor rank
+	// (Node.Rank) and sized to the node's degree at Start.
+	nbrs []neighbor
 	// known records every destination ever present in a neighbor cache. It
 	// is monotone: entries are never unlearned, which is behaviour-neutral
 	// because recompute no-ops for a destination with no table entry and
 	// no cached vector.
 	known []bool
-	// seen holds, per neighbor, the version stamp of the last FULL
-	// advertisement incorporated into the cache; map presence means the
-	// cache mirrored the neighbor's table exactly at that stamp (torn
-	// down whenever clearCache forgets the neighbor). Only fulls advance
-	// it: triggered updates omit next-hop-only tie switches, which change
-	// the poison pattern the stamp vouches for. A re-advertisement at or
-	// below the stamp can only repeat cache-equal entries, so the
-	// receiver skips the whole chunk.
-	seen map[routing.NodeID]uint64
+}
+
+// neighbor is what DBF remembers of one neighbor.
+type neighbor struct {
+	// cache holds the latest metric heard per destination (after the
+	// neighbor's split-horizon processing), indexed by destination ID and
+	// sized to the network, with cacheAbsent marking unheard entries. The
+	// rows of all neighbors share one allocation.
+	cache []int32
+	// heard is when the neighbor was last heard, valid while heardOK.
+	heard time.Duration
+	// seen is the version stamp of the last FULL advertisement
+	// incorporated into the cache; seenOK means the cache mirrored the
+	// neighbor's table exactly at that stamp (torn down whenever
+	// clearCache forgets the neighbor). Only fulls advance it: triggered
+	// updates omit next-hop-only tie switches, which change the poison
+	// pattern the stamp vouches for. A re-advertisement at or below the
+	// stamp can only repeat cache-equal entries, so the receiver skips the
+	// whole chunk.
+	seen            uint64
+	heardOK, seenOK bool
 }
 
 var _ netsim.Protocol = (*Protocol)(nil)
 
 // New returns a DBF instance for the node.
 func New(node *netsim.Node, cfg routing.VectorConfig) *Protocol {
-	p := &Protocol{
-		lastHeard: make(map[routing.NodeID]time.Duration),
-		seen:      make(map[routing.NodeID]uint64),
-	}
+	p := &Protocol{}
 	p.Init(node, cfg, p.housekeep)
 	return p
 }
@@ -70,45 +75,36 @@ func Factory(cfg routing.VectorConfig) func(*netsim.Node) netsim.Protocol {
 	return func(n *netsim.Node) netsim.Protocol { return New(n, cfg) }
 }
 
-// cacheGet returns the metric last heard from neighbor n for dst.
-func (p *Protocol) cacheGet(n, dst routing.NodeID) (int32, bool) {
-	if c := p.cache[n]; c != nil && c[dst] != cacheAbsent {
-		return c[dst], true
+// cacheGet returns the metric last heard from the neighbor of rank r for
+// dst.
+func (p *Protocol) cacheGet(r int, dst routing.NodeID) (int32, bool) {
+	if m := p.nbrs[r].cache[dst]; m != cacheAbsent {
+		return m, true
 	}
 	return 0, false
 }
 
-// cacheSet records the metric heard from neighbor n for dst. A neighbor
-// that announces one destination will announce most of them, so its row is
-// sized to the whole network on first use.
-func (p *Protocol) cacheSet(n, dst routing.NodeID, m int32) {
-	c := p.cache[n]
-	if c == nil {
-		c = make([]int32, len(p.cache))
-		for i := range c {
-			c[i] = cacheAbsent
-		}
-		p.cache[n] = c
-	}
-	c[dst] = m
-	p.known[dst] = true
-}
-
-// clearCache forgets everything heard from neighbor n, keeping the
-// allocation for reuse.
-func (p *Protocol) clearCache(n routing.NodeID) {
-	delete(p.seen, n)
-	c := p.cache[n]
-	for i := range c {
-		c[i] = cacheAbsent
+// clearCache forgets everything heard from the neighbor of rank r.
+func (p *Protocol) clearCache(r int) {
+	nb := &p.nbrs[r]
+	nb.seenOK = false
+	for i := range nb.cache {
+		nb.cache[i] = cacheAbsent
 	}
 }
 
-// Start implements netsim.Protocol: the neighbor cache and the known set
-// are sized to the network alongside the table.
+// Start implements netsim.Protocol: the neighbor caches (degree rows of
+// network-wide length) and the known set are sized alongside the table.
 func (p *Protocol) Start() {
 	n := p.Node.NetworkSize()
-	p.cache = make([][]int32, n)
+	p.nbrs = make([]neighbor, len(p.Node.Neighbors()))
+	flat := make([]int32, len(p.nbrs)*n)
+	for i := range flat {
+		flat[i] = cacheAbsent
+	}
+	for r := range p.nbrs {
+		p.nbrs[r].cache = flat[r*n : (r+1)*n : (r+1)*n]
+	}
 	p.known = make([]bool, n)
 	p.Vector.Start()
 }
@@ -121,7 +117,9 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 	}
 	met := p.Node.Metrics()
 	met.Inc(obs.ProtoUpdatesReceived)
-	p.lastHeard[from] = p.Node.Sim().Now()
+	r := int(p.Node.Rank(from))
+	nb := &p.nbrs[r]
+	nb.heard, nb.heardOK = p.Node.Sim().Now(), true
 	n := u.Len()
 	b := u.Burst()
 	if b != nil {
@@ -129,7 +127,7 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 		// whose content the cache already mirrors, so every entry would
 		// hit the cache-equality continue below. The liveness refresh
 		// above is the only remaining effect and has already happened.
-		if sv, ok := p.seen[from]; ok && b.Ver <= sv {
+		if nb.seenOK && b.Ver <= nb.seen {
 			met.Add(obs.ProtoAdvSkipped, uint64(n))
 			return
 		}
@@ -148,16 +146,17 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 			e.Metric = binf
 		}
 		m := min(e.Metric, p.Inf)
-		if old, seen := p.cacheGet(from, e.Dst); seen && old == m {
+		if old, seen := p.cacheGet(r, e.Dst); seen && old == m {
 			continue
 		}
-		p.cacheSet(from, e.Dst, m)
+		nb.cache[e.Dst] = m
+		p.known[e.Dst] = true
 		if p.recompute(e.Dst) {
 			changedAny = true
 		}
 	}
 	if b != nil && b.Full && u.LastChunk() {
-		p.seen[from] = b.Ver
+		nb.seen, nb.seenOK = b.Ver, true
 	}
 	if changedAny {
 		p.Adv.RouteChanged()
@@ -177,11 +176,11 @@ func (p *Protocol) recompute(dst routing.NodeID) bool {
 	nbrs := p.Node.Neighbors()
 	bestMetric := p.Inf
 	best := -1 // the best neighbor's rank; valid whenever bestMetric < Inf
-	for r, n := range nbrs {
-		if !p.Up[n] {
+	for r := range nbrs {
+		if !p.Up[r] {
 			continue
 		}
-		heard, ok := p.cacheGet(n, dst)
+		heard, ok := p.cacheGet(r, dst)
 		if !ok {
 			continue
 		}
@@ -239,11 +238,11 @@ func (p *Protocol) installMultipath(dst routing.NodeID, bestMetric int32) {
 		return
 	}
 	var set []routing.NodeID
-	for _, n := range p.Node.Neighbors() {
-		if !p.Up[n] {
+	for r, n := range p.Node.Neighbors() {
+		if !p.Up[r] {
 			continue
 		}
-		if heard, ok := p.cacheGet(n, dst); ok && heard+1 == bestMetric {
+		if heard, ok := p.cacheGet(r, dst); ok && heard+1 == bestMetric {
 			set = append(set, n)
 		}
 	}
@@ -254,15 +253,16 @@ func (p *Protocol) installMultipath(dst routing.NodeID, bestMetric int32) {
 // discarded and every destination is recomputed, switching instantly to
 // alternates where the cache holds any.
 func (p *Protocol) LinkDown(neighbor routing.NodeID) {
-	p.Up[neighbor] = false
-	p.clearCache(neighbor)
+	r := int(p.Node.Rank(neighbor))
+	p.Up[r] = false
+	p.clearCache(r)
 	p.recomputeAll()
 }
 
 // LinkUp implements netsim.Protocol: the restored neighbor starts from an
 // empty cache and receives our full table.
 func (p *Protocol) LinkUp(neighbor routing.NodeID) {
-	p.clearCache(neighbor)
+	p.clearCache(int(p.Node.Rank(neighbor)))
 	p.Vector.LinkUp(neighbor)
 }
 
@@ -282,14 +282,10 @@ func (p *Protocol) recomputeAll() {
 // housekeep expires neighbors that have been silent past the timeout.
 func (p *Protocol) housekeep() {
 	now := p.Node.Sim().Now()
-	for _, n := range p.Node.Neighbors() {
-		if !p.Up[n] {
-			continue
-		}
-		heard, ok := p.lastHeard[n]
-		if ok && now-heard > p.Cfg.Timeout {
-			p.clearCache(n)
-			delete(p.lastHeard, n)
+	for r := range p.nbrs {
+		if nb := &p.nbrs[r]; p.Up[r] && nb.heardOK && now-nb.heard > p.Cfg.Timeout {
+			p.clearCache(r)
+			nb.heardOK = false
 			p.recomputeAll()
 		}
 	}

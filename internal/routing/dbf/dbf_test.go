@@ -252,7 +252,7 @@ func TestNeighborTimeout(t *testing.T) {
 	if nh, ok := net.Node(0).NextHop(3); !ok || nh != 2 {
 		t.Errorf("FIB next hop to 3 after the timeout = %d (ok=%v), want 2", nh, ok)
 	}
-	if _, ok := p.cacheGet(1, 3); ok {
+	if _, ok := p.cacheGet(int(net.Node(0).Rank(1)), 3); ok {
 		t.Error("silent neighbor's cached vector survived the timeout")
 	}
 }

@@ -17,8 +17,8 @@ import (
 // SetRoute calls in ascending (distance, ID) order followed by ClearRoute
 // calls in ascending ID order, both relying on the FIB's idempotence so
 // untouched destinations stay silent. Any situation the patch cannot
-// handle exactly (first run, ECMP, multi-edge deltas, out-of-range IDs,
-// affected regions past maxAffected) falls back to the full SPF, which
+// handle exactly (first run, ECMP, multi-edge deltas, affected regions
+// past maxAffected) falls back to the full SPF, which
 // rewrites the persistent tree wholesale; a partially patched tree is
 // therefore never observed. TestIncrementalMatchesFullSPF checks the
 // equivalence against an independent oracle on randomized histories.
@@ -47,21 +47,12 @@ type incrScratch struct {
 	delBuf []routing.NodeID
 }
 
-// next starts a patch: bump the epoch, clearing marks on wraparound, and
-// make sure the dense arrays cover n nodes.
+// next starts a patch: bump the epoch, clearing marks on wraparound. The
+// first patch sizes the dense arrays to the network's n nodes.
 func (ic *incrScratch) next(n int) {
-	if len(ic.orph) < n {
-		grow := func(a []uint32) []uint32 {
-			g := make([]uint32, n)
-			copy(g, a)
-			return g
-		}
-		ic.orph = grow(ic.orph)
-		ic.fixed = grow(ic.fixed)
-		ic.inAff = grow(ic.inAff)
-		g := make([]int32, n)
-		copy(g, ic.cand)
-		ic.cand = g
+	if ic.orph == nil {
+		ic.orph, ic.fixed, ic.inAff = make([]uint32, n), make([]uint32, n), make([]uint32, n)
+		ic.cand = make([]int32, n)
 	}
 	ic.epoch++
 	if ic.epoch == 0 {
@@ -85,10 +76,6 @@ func (p *Protocol) tryIncremental(origin routing.NodeID, old LSA, hadOld bool) b
 	if !p.haveSPT || p.cfg.ECMP {
 		return false
 	}
-	n := len(p.db)
-	if len(p.spf.pdist) < n || len(p.spf.firstHops) < n {
-		return false // database grew past the persisted tree
-	}
 	var oldN []routing.NodeID
 	if hadOld {
 		oldN = old.Neighbors
@@ -99,15 +86,12 @@ func (p *Protocol) tryIncremental(origin routing.NodeID, old LSA, hadOld bool) b
 	}
 
 	// Effective-edge delta: a listed neighbor only forms an edge when it
-	// is in range, has an LSA, and lists origin back (the two-way check) —
+	// has an LSA and lists origin back (the two-way check) —
 	// the same conditions the full CSR build applies. The other side's LSA
 	// is unchanged by this event, so one check covers before and after.
 	ic := &p.incr
 	add, del := ic.addBuf[:0], ic.delBuf[:0]
 	for _, v := range newN {
-		if int(v) >= n {
-			continue
-		}
 		if !containsID(oldN, v) && p.have[v] && containsID(p.db[v].Neighbors, origin) {
 			add = append(add, v)
 			if len(add) > 1 {
@@ -117,9 +101,6 @@ func (p *Protocol) tryIncremental(origin routing.NodeID, old LSA, hadOld bool) b
 		}
 	}
 	for _, v := range oldN {
-		if int(v) >= n {
-			continue
-		}
 		if !containsID(newN, v) && p.have[v] && containsID(p.db[v].Neighbors, origin) {
 			del = append(del, v)
 			if len(add)+len(del) > 1 {
@@ -159,16 +140,16 @@ func (p *Protocol) tryIncremental(origin routing.NodeID, old LSA, hadOld bool) b
 
 // effParent reports whether u currently parents v in the SPT: effective
 // edge plus distance exactly one less.
-func (p *Protocol) effParent(v, u routing.NodeID, n int) bool {
-	return int(u) < n && p.have[u] && p.spf.pdist[u] != distInf &&
+func (p *Protocol) effParent(v, u routing.NodeID) bool {
+	return p.have[u] && p.spf.pdist[u] != distInf &&
 		p.spf.pdist[u] == p.spf.pdist[v]-1 && containsID(p.db[u].Neighbors, v)
 }
 
 // hasNonOrphanParent reports whether v keeps at least one parent outside
 // the current orphan set.
-func (p *Protocol) hasNonOrphanParent(v routing.NodeID, n int) bool {
+func (p *Protocol) hasNonOrphanParent(v routing.NodeID) bool {
 	for _, u := range p.db[v].Neighbors {
-		if p.effParent(v, u, n) && p.incr.orph[u] != p.incr.epoch {
+		if p.effParent(v, u) && p.incr.orph[u] != p.incr.epoch {
 			return true
 		}
 	}
@@ -208,7 +189,7 @@ func (p *Protocol) patchRemove(a, b routing.NodeID) bool {
 	}
 	ic.next(n)
 
-	if p.hasParentAt(b, db-1, n) {
+	if p.hasParentAt(b, db-1) {
 		// b keeps its distance; only its first-hop set can shrink.
 		p.addAffected(b)
 		return p.hopPhase()
@@ -225,13 +206,13 @@ func (p *Protocol) patchRemove(a, b routing.NodeID) bool {
 		x := ic.queue[i]
 		dx := s.pdist[x]
 		for _, u := range p.db[x].Neighbors {
-			if int(u) >= n || !p.have[u] || s.pdist[u] != dx+1 || !containsID(p.db[u].Neighbors, x) {
+			if !p.have[u] || s.pdist[u] != dx+1 || !containsID(p.db[u].Neighbors, x) {
 				continue
 			}
 			if ic.orph[u] == ic.epoch {
 				continue
 			}
-			if p.hasNonOrphanParent(u, n) {
+			if p.hasNonOrphanParent(u) {
 				// u survives at its distance but loses parent x.
 				p.addAffected(u)
 				continue
@@ -253,7 +234,7 @@ func (p *Protocol) patchRemove(a, b routing.NodeID) bool {
 	for _, x := range orphans {
 		best := distInf
 		for _, u := range p.db[x].Neighbors {
-			if int(u) >= n || !p.have[u] || ic.orph[u] == ic.epoch || s.pdist[u] == distInf {
+			if !p.have[u] || ic.orph[u] == ic.epoch || s.pdist[u] == distInf {
 				continue
 			}
 			if d := s.pdist[u] + 1; d < best && containsID(p.db[u].Neighbors, x) {
@@ -284,7 +265,7 @@ func (p *Protocol) patchRemove(a, b routing.NodeID) bool {
 		s.pdist[pick] = bestC
 		remaining--
 		for _, u := range p.db[pick].Neighbors {
-			if int(u) >= n || !p.have[u] || ic.orph[u] != ic.epoch || ic.fixed[u] == ic.epoch {
+			if !p.have[u] || ic.orph[u] != ic.epoch || ic.fixed[u] == ic.epoch {
 				continue
 			}
 			if bestC+1 < ic.cand[u] && containsID(p.db[u].Neighbors, pick) {
@@ -304,7 +285,7 @@ func (p *Protocol) patchRemove(a, b routing.NodeID) bool {
 			continue
 		}
 		for _, u := range p.db[x].Neighbors {
-			if int(u) < n && p.have[u] && s.pdist[u] == dx+1 && containsID(p.db[u].Neighbors, x) {
+			if p.have[u] && s.pdist[u] == dx+1 && containsID(p.db[u].Neighbors, x) {
 				p.addAffected(u)
 			}
 		}
@@ -317,9 +298,9 @@ func (p *Protocol) patchRemove(a, b routing.NodeID) bool {
 
 // hasParentAt reports whether v has an effective neighbor at exactly
 // distance d.
-func (p *Protocol) hasParentAt(v routing.NodeID, d int32, n int) bool {
+func (p *Protocol) hasParentAt(v routing.NodeID, d int32) bool {
 	for _, u := range p.db[v].Neighbors {
-		if int(u) < n && p.have[u] && p.spf.pdist[u] == d && containsID(p.db[u].Neighbors, v) {
+		if p.have[u] && p.spf.pdist[u] == d && containsID(p.db[u].Neighbors, v) {
 			return true
 		}
 	}
@@ -357,7 +338,7 @@ func (p *Protocol) patchInsert(a, b routing.NodeID) bool {
 		x := ic.queue[i]
 		dx := s.pdist[x]
 		for _, u := range p.db[x].Neighbors {
-			if int(u) >= n || !p.have[u] || !containsID(p.db[u].Neighbors, x) {
+			if !p.have[u] || !containsID(p.db[u].Neighbors, x) {
 				continue
 			}
 			if s.pdist[u] > dx+1 {
@@ -385,7 +366,6 @@ func (p *Protocol) patchInsert(a, b routing.NodeID) bool {
 // when it runs.
 func (p *Protocol) hopPhase() bool {
 	s, ic := &p.spf, &p.incr
-	n := len(p.db)
 
 	// Insertion sort by (pdist, ID); unreachable (distInf) entries sort
 	// last, in ascending ID order — exactly the emission order needed.
@@ -406,7 +386,7 @@ func (p *Protocol) hopPhase() bool {
 		if v == self {
 			continue
 		}
-		if !p.rebuildHops(v, n, self) {
+		if !p.rebuildHops(v, self) {
 			continue
 		}
 		// The set changed: children must re-derive theirs. Insertions keep
@@ -417,7 +397,7 @@ func (p *Protocol) hopPhase() bool {
 			continue
 		}
 		for _, u := range p.db[v].Neighbors {
-			if int(u) >= n || !p.have[u] || s.pdist[u] != dv+1 || !containsID(p.db[u].Neighbors, v) {
+			if !p.have[u] || s.pdist[u] != dv+1 || !containsID(p.db[u].Neighbors, v) {
 				continue
 			}
 			if ic.inAff[u] == ic.epoch {
@@ -450,7 +430,7 @@ func affLess(s *spfScratch, a, b routing.NodeID) bool {
 // rebuildHops recomputes the first-hop set for v from its current parents
 // — identical union/dedup/sort logic to the full SPF's resolution step —
 // and reports whether the set changed.
-func (p *Protocol) rebuildHops(v routing.NodeID, n int, self routing.NodeID) bool {
+func (p *Protocol) rebuildHops(v routing.NodeID, self routing.NodeID) bool {
 	s, ic := &p.spf, &p.incr
 	old := s.firstHops[v]
 	ic.oldRow = append(ic.oldRow[:0], old...)
@@ -458,7 +438,7 @@ func (p *Protocol) rebuildHops(v routing.NodeID, n int, self routing.NodeID) boo
 	if dv := s.pdist[v]; dv != distInf {
 		mark := s.nextHopEpoch()
 		for _, u := range p.db[v].Neighbors {
-			if int(u) >= n || !p.have[u] || s.pdist[u] != dv-1 || !containsID(p.db[u].Neighbors, v) {
+			if !p.have[u] || s.pdist[u] != dv-1 || !containsID(p.db[u].Neighbors, v) {
 				continue
 			}
 			if u == self {

@@ -150,30 +150,20 @@ func (s *spfScratch) nextHopEpoch() uint32 {
 	return s.hopEpoch
 }
 
-// size ensures every array is long enough for n nodes.
+// size allocates every array for the network's n nodes on the first run.
 func (s *spfScratch) size(n int) {
-	if len(s.dist) >= n {
+	if s.dist != nil {
 		return
 	}
-	s.adjOff = append(s.adjOff[:0], make([]int32, n+1)...)
-	grownDist := make([]int32, n)
-	copy(grownDist, s.dist)
-	s.dist = grownDist
-	grownEpoch := make([]uint32, n)
-	copy(grownEpoch, s.distEpoch)
-	s.distEpoch = grownEpoch
-	grownSeen := make([]uint32, n)
-	copy(grownSeen, s.hopSeen)
-	s.hopSeen = grownSeen
-	grownHops := make([][]routing.NodeID, n)
-	copy(grownHops, s.firstHops)
-	s.firstHops = grownHops
-	grownPDist := make([]int32, n)
-	copy(grownPDist, s.pdist)
-	for i := len(s.pdist); i < n; i++ {
-		grownPDist[i] = distInf
+	s.adjOff = make([]int32, n+1)
+	s.dist = make([]int32, n)
+	s.distEpoch = make([]uint32, n)
+	s.hopSeen = make([]uint32, n)
+	s.firstHops = make([][]routing.NodeID, n)
+	s.pdist = make([]int32, n)
+	for i := range s.pdist {
+		s.pdist[i] = distInf
 	}
-	s.pdist = grownPDist
 }
 
 // Protocol is a link-state speaker bound to one node.
@@ -185,6 +175,7 @@ type Protocol struct {
 	// old map semantics: a first-heard LSA with Seq 0 is stored.
 	db   []LSA
 	have []bool
+	// up holds, per neighbor rank (Node.Rank), whether the adjacency is up.
 	up   []bool
 	seq  uint64
 	pool floodPool
@@ -209,33 +200,15 @@ func Factory(cfg Config) func(*netsim.Node) netsim.Protocol {
 	return func(n *netsim.Node) netsim.Protocol { return New(n, cfg) }
 }
 
-// ensureOrigin grows the database so origin is a valid index. The database
-// is sized to the network at Start; this only triggers for unit tests that
-// inject LSAs with out-of-range origins.
-func (p *Protocol) ensureOrigin(origin routing.NodeID) {
-	if int(origin) < len(p.db) {
-		return
-	}
-	n := int(origin) + 1
-	grownDB := make([]LSA, n)
-	copy(grownDB, p.db)
-	p.db = grownDB
-	grownHave := make([]bool, n)
-	copy(grownHave, p.have)
-	p.have = grownHave
-}
-
-// Start implements netsim.Protocol.
+// Start implements netsim.Protocol: the database is sized to the network,
+// the adjacency states to the node's degree.
 func (p *Protocol) Start() {
 	n := p.node.NetworkSize()
-	if self := int(p.node.ID()); self >= n {
-		n = self + 1
-	}
 	p.db = make([]LSA, n)
 	p.have = make([]bool, n)
-	p.up = make([]bool, n)
-	for _, nb := range p.node.Neighbors() {
-		p.up[nb] = true
+	p.up = make([]bool, len(p.node.Neighbors()))
+	for r := range p.up {
+		p.up[r] = true
 	}
 	p.originate()
 	p.scheduleRefresh()
@@ -258,8 +231,8 @@ func (p *Protocol) scheduleRefresh() {
 func (p *Protocol) originate() {
 	p.seq++
 	var neighbors []routing.NodeID
-	for _, n := range p.node.Neighbors() {
-		if p.up[n] {
+	for r, n := range p.node.Neighbors() {
+		if p.up[r] {
 			neighbors = append(neighbors, n)
 		}
 	}
@@ -274,8 +247,8 @@ func (p *Protocol) originate() {
 
 // flood forwards an LSA to every up neighbor except the one it came from.
 func (p *Protocol) flood(lsa LSA, except routing.NodeID) {
-	for _, n := range p.node.Neighbors() {
-		if n == except || !p.up[n] {
+	for r, n := range p.node.Neighbors() {
+		if n == except || !p.up[r] {
 			continue
 		}
 		f := p.pool.get()
@@ -285,7 +258,9 @@ func (p *Protocol) flood(lsa LSA, except routing.NodeID) {
 	}
 }
 
-// HandleMessage implements netsim.Protocol.
+// HandleMessage implements netsim.Protocol. A flood whose origin or any
+// listed neighbor lies outside the network is dropped here, so the
+// database and the SPF see node IDs in [0, NetworkSize) only.
 func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 	f, ok := msg.(*Flood)
 	if !ok {
@@ -293,7 +268,14 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 	}
 	p.node.Metrics().Inc(obs.ProtoFloodsReceived)
 	origin := f.LSA.Origin
-	p.ensureOrigin(origin)
+	if !p.inNetwork(origin) {
+		return
+	}
+	for _, nb := range f.LSA.Neighbors {
+		if !p.inNetwork(nb) {
+			return
+		}
+	}
 	if p.have[origin] && p.db[origin].Seq >= f.LSA.Seq {
 		return // stale or duplicate: stop the flood
 	}
@@ -303,6 +285,9 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 	p.flood(f.LSA, from)
 	p.applyDelta(origin, old, hadOld)
 }
+
+// inNetwork reports whether id names a node of the network.
+func (p *Protocol) inNetwork(id routing.NodeID) bool { return uint(id) < uint(len(p.db)) }
 
 // applyDelta recomputes routes after the LSA for origin changed from old
 // (hadOld reports whether one existed) to the stored one: incrementally
@@ -319,14 +304,14 @@ func (p *Protocol) applyDelta(origin routing.NodeID, old LSA, hadOld bool) {
 
 // LinkDown implements netsim.Protocol.
 func (p *Protocol) LinkDown(neighbor routing.NodeID) {
-	p.up[neighbor] = false
+	p.up[p.node.Rank(neighbor)] = false
 	p.originate()
 }
 
 // LinkUp implements netsim.Protocol: the adjacency re-forms and the
 // database is synchronized to the neighbor.
 func (p *Protocol) LinkUp(neighbor routing.NodeID) {
-	p.up[neighbor] = true
+	p.up[p.node.Rank(neighbor)] = true
 	for o := range p.db {
 		if !p.have[o] {
 			continue
@@ -357,7 +342,7 @@ func (p *Protocol) recompute() {
 			continue
 		}
 		for _, nb := range p.db[o].Neighbors {
-			if int(nb) < n && p.have[nb] && containsID(p.db[nb].Neighbors, routing.NodeID(o)) {
+			if p.have[nb] && containsID(p.db[nb].Neighbors, routing.NodeID(o)) {
 				s.adjList = append(s.adjList, nb)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"routeconv/internal/netsim"
+	"routeconv/internal/obs"
 	"routeconv/internal/routing/conformance"
 	"routeconv/internal/sim"
 	"routeconv/internal/topology"
@@ -105,6 +106,48 @@ func TestTwoWayCheck(t *testing.T) {
 	s.RunUntil(2 * time.Second)
 	if _, ok := net.Node(0).NextHop(2); ok {
 		t.Error("one-way adjacency produced a route")
+	}
+}
+
+// A flood naming a node outside [0, NetworkSize) — as origin or as a
+// listed neighbor — is dropped where it is received: no panic, no
+// forwarding entry, the database keeps its Start size and its earlier LSA
+// for the origin, and the flood still counts as received.
+func TestFloodOutsideNetworkDropped(t *testing.T) {
+	const n = 3
+	for _, tc := range []struct {
+		name string
+		lsa  LSA
+		bad  netsim.NodeID
+	}{
+		{"origin-above", LSA{Origin: n + 4, Seq: 99, Neighbors: []netsim.NodeID{1}}, n + 4},
+		{"origin-below", LSA{Origin: -1, Seq: 99, Neighbors: []netsim.NodeID{1}}, -1},
+		{"neighbor-above", LSA{Origin: 1, Seq: 99, Neighbors: []netsim.NodeID{0, 2, n + 4}}, n + 4},
+		{"neighbor-below", LSA{Origin: 1, Seq: 99, Neighbors: []netsim.NodeID{-1, 0, 2}}, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, net := build(t, 1, topology.Line(n))
+			met := obs.NewMetrics()
+			net.Instrument(met)
+			s.RunUntil(time.Second)
+			p := net.Node(0).Protocol().(*Protocol)
+			before := p.db[1]
+			received := met.Get(obs.ProtoFloodsReceived)
+			net.Node(1).SendControl(0, &Flood{LSA: tc.lsa})
+			s.RunUntil(2 * time.Second)
+			if got := met.Get(obs.ProtoFloodsReceived) - received; got != 1 {
+				t.Errorf("floods received went up by %d, want 1", got)
+			}
+			if _, ok := net.Node(0).NextHop(tc.bad); ok {
+				t.Errorf("node 0 routes to %d, outside the network", tc.bad)
+			}
+			if len(p.db) != n || len(p.have) != n || len(p.up) != len(net.Node(0).Neighbors()) {
+				t.Errorf("tables resized: db %d, have %d, up %d", len(p.db), len(p.have), len(p.up))
+			}
+			if after := p.db[1]; after.Seq != before.Seq {
+				t.Errorf("origin 1's LSA went from seq %d to %d: the flood was stored", before.Seq, after.Seq)
+			}
+		})
 	}
 }
 

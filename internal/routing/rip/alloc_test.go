@@ -29,9 +29,9 @@ func TestSkippedAdvertisementAllocs(t *testing.T) {
 	// (180 s) stays ahead of the clock throughout.
 	s.RunUntil(120 * time.Second)
 
-	ns, ok := p0.seen[1]
-	if !ok || ns.tv != p0.Ver {
-		t.Fatalf("skip watermark not armed (ok=%v tv=%d ver=%d)", ok, ns.tv, p0.Ver)
+	ns := p0.seen[net.Node(0).Rank(1)]
+	if !ns.ok || ns.tv != p0.Ver {
+		t.Fatalf("skip watermark not armed (ok=%v tv=%d ver=%d)", ns.ok, ns.tv, p0.Ver)
 	}
 
 	// Re-send node 1's full table exactly as broadcastFull stages it.

@@ -37,7 +37,8 @@ const (
 
 // nbrSeen records, per neighbor, the advertisement version whose full
 // snapshot we last processed to quiescence, our own change clock at that
-// moment, and the destinations then routed via the neighbor. Together they
+// moment, and the destinations then routed via the neighbor; ok reports
+// that it holds one (a version stamp of 0 is real). Together they
 // justify the receive-side fast path: if the neighbor re-advertises at the
 // same version and our table has not changed since, re-processing every
 // entry would repeat decisions that were no-ops — except the timeout
@@ -45,6 +46,7 @@ const (
 type nbrSeen struct {
 	ver  uint64 // sender's version clock of the last incorporated full
 	tv   uint64 // our change clock when that incorporation finished
+	ok   bool
 	nvia int8
 	via  [viaCap]routing.NodeID // routed via the neighbor (excluding itself)
 }
@@ -55,8 +57,9 @@ type nbrSeen struct {
 // and of its deletion while not.
 type Protocol struct {
 	routing.Vector
-	// seen holds the per-neighbor incorporation watermarks for the skip.
-	seen map[routing.NodeID]nbrSeen
+	// seen holds the incorporation watermarks for the skip, indexed by
+	// neighbor rank.
+	seen []nbrSeen
 	// nextDeadline is a lower bound on the earliest expire/gc deadline tick
 	// in the table (0 = unknown, scan to find out), letting housekeep skip
 	// its full scan on the overwhelmingly common tick where nothing can
@@ -69,7 +72,7 @@ var _ netsim.Protocol = (*Protocol)(nil)
 // New returns a RIP instance for the node. It must be attached with
 // node.AttachProtocol before the network starts.
 func New(node *netsim.Node, cfg routing.VectorConfig) *Protocol {
-	p := &Protocol{seen: make(map[routing.NodeID]nbrSeen)}
+	p := &Protocol{}
 	p.Init(node, cfg, p.housekeep)
 	return p
 }
@@ -78,6 +81,13 @@ func New(node *netsim.Node, cfg routing.VectorConfig) *Protocol {
 // a network.
 func Factory(cfg routing.VectorConfig) func(*netsim.Node) netsim.Protocol {
 	return func(n *netsim.Node) netsim.Protocol { return New(n, cfg) }
+}
+
+// Start implements netsim.Protocol: the watermarks are sized to the
+// node's degree alongside the table.
+func (p *Protocol) Start() {
+	p.seen = make([]nbrSeen, len(p.Node.Neighbors()))
+	p.Vector.Start()
 }
 
 // noteDeadline lowers the housekeeping deadline bound to tick d.
@@ -97,7 +107,8 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 	met.Inc(obs.ProtoUpdatesReceived)
 	n := u.Len()
 	met.Add(obs.ProtoDecisionRuns, uint64(n))
-	hop := p.HopOf(from)
+	r := p.Node.Rank(from)
+	hop := routing.RankHop(int(r))
 	expire := p.TickAfter(p.Cfg.Timeout)
 	b := u.Burst()
 	if b != nil {
@@ -106,14 +117,13 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 		// changed since — every entry decision would repeat its earlier
 		// no-op. The only live effect, the timeout refresh of routes via
 		// the sender, is applied directly from the cached via-list.
-		if ns, ok := p.seen[from]; ok && b.Ver <= ns.ver && p.Ver == ns.tv {
+		if ns := &p.seen[r]; ns.ok && b.Ver <= ns.ver && p.Ver == ns.tv {
 			if ns.nvia == viaUnknown {
 				// The table is bit-identical to when the watermark was
 				// recorded (our clock has not moved), so resolving the
 				// via-list lazily here is exact — and start-of-run fulls
 				// that are never re-sent never pay the table scan.
-				ns = p.resolveVia(from, hop, ns)
-				p.seen[from] = ns
+				p.resolveVia(from, hop, ns)
 			}
 			if ns.nvia >= 0 {
 				for i := int8(0); i < ns.nvia; i++ {
@@ -159,7 +169,7 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 	if b != nil && b.Full && u.LastChunk() {
 		// The sender's whole table at b.Ver is now incorporated. The
 		// via-list resolves lazily on the first skip attempt.
-		p.seen[from] = nbrSeen{ver: b.Ver, tv: p.Ver, nvia: viaUnknown}
+		p.seen[r] = nbrSeen{ver: b.Ver, tv: p.Ver, ok: true, nvia: viaUnknown}
 	}
 	if changedAny {
 		p.Adv.RouteChanged()
@@ -169,7 +179,7 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 // resolveVia scans the table for destinations routed via the neighbor
 // from, whose Hop is hop (excluding the neighbor itself), filling the
 // watermark's via-list or marking it over-cap.
-func (p *Protocol) resolveVia(from routing.NodeID, hop routing.Hop, ns nbrSeen) nbrSeen {
+func (p *Protocol) resolveVia(from routing.NodeID, hop routing.Hop, ns *nbrSeen) {
 	ns.nvia = 0
 	for dst := routing.NodeID(0); int(dst) < len(p.Rows); dst++ {
 		if p.Rows[dst].Hop != hop || dst == from {
@@ -182,7 +192,6 @@ func (p *Protocol) resolveVia(from routing.NodeID, hop routing.Hop, ns nbrSeen) 
 		ns.via[ns.nvia] = dst
 		ns.nvia++
 	}
-	return ns
 }
 
 // refreshVia re-arms the timeout of the route to dst (next hop: the
@@ -287,8 +296,9 @@ func (p *Protocol) processEntry(from routing.NodeID, hop routing.Hop, e routing.
 // neighbor becomes unreachable until some other neighbor advertises an
 // alternative (RIP keeps no alternates — §4.1).
 func (p *Protocol) LinkDown(neighbor routing.NodeID) {
-	p.Up[neighbor] = false
-	hop := p.HopOf(neighbor)
+	r := p.Node.Rank(neighbor)
+	p.Up[r] = false
+	hop := routing.RankHop(int(r))
 	gc := p.TickAfter(p.Cfg.GCTime)
 	changedAny := false
 	for dst := routing.NodeID(0); int(dst) < len(p.Rows); dst++ {

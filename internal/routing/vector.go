@@ -1,10 +1,8 @@
 package routing
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"time"
 
 	"routeconv/internal/netsim"
@@ -69,7 +67,8 @@ type Vector struct {
 	// Advertisement bursts are stamped with it, and received stamps drive
 	// the protocols' whole-chunk skips.
 	Ver uint64
-	Up  map[NodeID]bool
+	// Up holds, per neighbor rank (Node.Rank), whether the link is up.
+	Up  []bool
 	Adv *Advertiser
 	// Snd stages advertisement bursts once per broadcast into a shared
 	// pooled snapshot; per-neighbor messages are index views with
@@ -102,7 +101,6 @@ func (v *Vector) Init(node *netsim.Node, cfg VectorConfig, housekeep func()) {
 		panic("routing: Infinity exceeds the 16-bit table metric")
 	}
 	v.Node, v.Cfg, v.Inf = node, cfg, int32(cfg.Infinity)
-	v.Up = make(map[NodeID]bool)
 	v.housekeep = housekeep
 	v.Adv = NewAdvertiser(node, &v.Cfg, v.broadcastFull, v.broadcastChanged)
 	v.hk = sim.NewTimer(node.Sim(), v.onHousekeep)
@@ -128,19 +126,7 @@ func (v *Vector) TickAfter(d time.Duration) uint32 {
 	return uint32(max(1, (since+housekeepInterval-1)/housekeepInterval))
 }
 
-// HopOf returns the Hop of id, which must be the node itself or one of its
-// neighbors.
-func (v *Vector) HopOf(id NodeID) Hop {
-	if id == v.Node.ID() {
-		return HopSelf
-	}
-	if r, ok := slices.BinarySearch(v.Node.Neighbors(), id); ok {
-		return RankHop(r)
-	}
-	panic(fmt.Sprintf("routing: node %d: %d is not a neighbor", v.Node.ID(), id))
-}
-
-// hopID is HopOf's inverse: the node ID a valid row's next hop names.
+// hopID is the node ID a valid row's next hop names.
 func (v *Vector) hopID(h Hop) NodeID {
 	if h == HopSelf {
 		return v.Node.ID()
@@ -192,14 +178,16 @@ func (v *Vector) SetChanged(dst NodeID) {
 }
 
 // Start implements netsim.Protocol. Node IDs are contiguous from 0, so the
-// table and its changed bitmap are sized to the network once, here.
+// table and its changed bitmap are sized to the network once, here, and
+// the link states to the node's degree.
 func (v *Vector) Start() {
 	n := v.Node.NetworkSize()
 	v.Rows = make([]Row, n)
 	v.changedBits = make([]uint64, (n+63)/64)
 	v.Insert(v.Node.ID(), HopSelf)
-	for _, nb := range v.Node.Neighbors() {
-		v.Up[nb] = true
+	v.Up = make([]bool, len(v.Node.Neighbors()))
+	for r := range v.Up {
+		v.Up[r] = true
 	}
 	v.Adv.Start()
 	v.start = v.Node.Sim().Now()
@@ -212,7 +200,7 @@ func (v *Vector) Start() {
 // LinkUp implements netsim.Protocol: the restored neighbor immediately
 // receives our full table (standing in for RIP's request/response exchange).
 func (v *Vector) LinkUp(neighbor NodeID) {
-	v.Up[neighbor] = true
+	v.Up[v.Node.Rank(neighbor)] = true
 	v.Stage(true)
 	v.sendStaged(neighbor)
 	v.Snd.End()
@@ -227,8 +215,8 @@ func (v *Vector) broadcastChanged() { v.broadcast(false) }
 
 func (v *Vector) broadcast(full bool) {
 	v.Stage(full)
-	for _, n := range v.Node.Neighbors() {
-		if v.Up[n] {
+	for r, n := range v.Node.Neighbors() {
+		if v.Up[r] {
 			v.sendStaged(n)
 		}
 	}
