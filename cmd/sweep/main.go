@@ -1,10 +1,11 @@
 // Command sweep orchestrates experiment grids: it expands a declarative
 // sweep specification (protocols × node degrees × failure models) into
 // independent cells and executes them on a worker pool with a
-// content-addressed result cache and a checkpoint journal. Re-running the
+// content-addressed result cache and a progress journal. Re-running the
 // same sweep serves unchanged cells from the cache; an interrupted sweep
-// (Ctrl-C, crash) resumes from its journal and re-executes only the
-// unfinished cells.
+// (Ctrl-C, crash) resumes the same way, since every finished cell is
+// already cached, and re-executes only the unfinished cells. The journal
+// logs completed cells; it does not drive the resume.
 //
 // Usage:
 //
@@ -190,7 +191,7 @@ func run(ctx context.Context, args []string) error {
 	out, err := sweep.Run(ctx, spec, opts)
 	if err != nil {
 		if ctx.Err() != nil {
-			return fmt.Errorf("interrupted — completed cells are journaled; re-run to resume: %w", err)
+			return fmt.Errorf("interrupted — completed cells are cached (unless -cache off); re-run to resume: %w", err)
 		}
 		return err
 	}

@@ -232,11 +232,13 @@ type Config struct {
 	// "failpath @FailAt". ResolveScenario stores whichever applies here,
 	// so a resolved config carries its whole schedule in Script.
 	Script *scenario.Script
-	// Metrics enables the obs counter layer: each trial carries a
-	// TrialResult.Metrics snapshot (and the Result sums them). Counting is
-	// passive — it never changes simulation outcomes — but the flag is part
-	// of the canonical config, so sweep cache keys differ between metered
-	// and unmetered runs.
+	// Metrics exports the obs counters: each trial carries a
+	// TrialResult.Metrics snapshot (and the Result sums them). The counters
+	// always run — they are the ledger Sent, Delivered and the control
+	// totals are read from — and counting never changes simulation
+	// outcomes; the flag only decides whether the snapshot is built. It is
+	// part of the canonical config, so sweep cache keys differ between
+	// exported and unexported runs.
 	Metrics bool
 	// Shards partitions the router topology into this many shards, each
 	// running its nodes' events on a private simulator goroutine under

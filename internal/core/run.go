@@ -231,10 +231,6 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 	}
 	seed := cfg.Seed + int64(trial)*seedStride
 	s := sim.New(seed)
-	var met *obs.Metrics
-	if cfg.Metrics {
-		met = obs.NewMetrics()
-	}
 	tl.Add(obs.Record{Kind: obs.KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: seed})
 
 	// The router topology: the paper's mesh by default, or a caller-
@@ -299,7 +295,6 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 		observer = observers[0]
 	}
 	net := netsim.FromGraph(s, g, cfg.Net, observer)
-	net.Instrument(met)
 	var flowSet *netsim.FlowSet
 	if len(fluidPairs) > 0 {
 		flowSet = net.AttachFlows(netsim.FlowSetConfig{
@@ -357,8 +352,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 	var failedLink topology.Edge
 	warmedUp := false
 	runner := &scenarioRunner{
-		cfg: cfg, s: s, net: net, g: g, meshEdges: meshEdges,
-		flows: flows, met: met,
+		cfg: cfg, s: s, net: net, g: g, meshEdges: meshEdges, flows: flows,
 		failedLink: &failedLink, warmedUp: &warmedUp,
 	}
 	runner.install(cfg.Script)
@@ -376,6 +370,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 		fired = net.FiredEvents() // control plus all shard simulators
 		net.FinishSharding()
 	}
+	met := net.Metrics()
 	met.Set(obs.EventsFired, fired)
 	tl.Finish(cfg.FailAt)
 	for _, f := range flows {
@@ -395,15 +390,18 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 		}
 	}
 	delaySummary := stats.Summarize(postFailDelays)
-	st := net.Stats()
+	var snap obs.Snapshot
+	if cfg.Metrics {
+		snap = met.Snapshot()
+	}
 	return TrialResult{
 		Seed:                  seed,
 		SenderRouter:          primary.srcRouter,
 		ReceiverRouter:        primary.dstRouter,
 		FailedLink:            failedLink,
 		WarmedUp:              warmedUp,
-		Sent:                  int(st.DataSent),
-		Delivered:             int(st.DataDelivered),
+		Sent:                  int(met.Get(obs.PacketsSent)),
+		Delivered:             int(met.Get(obs.PacketsDelivered)),
 		NoRouteDrops:          sumFlows(flows, cfg.FailAt, netsim.DropNoRoute),
 		TTLDrops:              sumFlows(flows, cfg.FailAt, netsim.DropTTLExpired),
 		LinkFailureDrops:      sumFlows(flows, cfg.FailAt, netsim.DropLinkFailure),
@@ -418,9 +416,9 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 		DelayP50:              delaySummary.Median,
 		DelayP95:              stats.Percentile(postFailDelays, 95),
 		DelayMax:              delaySummary.Max,
-		ControlMessages:       st.ControlSent,
-		ControlBytes:          st.ControlBytes,
-		Metrics:               met.Snapshot(),
+		ControlMessages:       met.Get(obs.ControlSent),
+		ControlBytes:          met.Get(obs.ControlBytes),
+		Metrics:               snap,
 	}, c, nil
 }
 

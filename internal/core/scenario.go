@@ -28,7 +28,6 @@ type scenarioRunner struct {
 	g         *topology.Graph
 	meshEdges []topology.Edge
 	flows     []*flow
-	met       *obs.Metrics
 	// failedLink and warmedUp receive the failpath event's probe results
 	// (they stay zero for scripts without one).
 	failedLink *topology.Edge
@@ -73,9 +72,9 @@ func (r *scenarioRunner) install(sc *scenario.Script) {
 		case scenario.KindFailNode:
 			r.s.ScheduleAt(ev.At, func() {
 				r.event()
-				r.met.Inc(obs.ScenarioNodeFails)
+				r.net.Metrics().Inc(obs.ScenarioNodeFails)
 				took := r.net.FailNode(ev.Node)
-				r.met.Add(obs.ScenarioLinkFails, uint64(took))
+				r.net.Metrics().Add(obs.ScenarioLinkFails, uint64(took))
 				r.samplePaths()
 			})
 		case scenario.KindRecoverNode:
@@ -113,11 +112,11 @@ func (r *scenarioRunner) install(sc *scenario.Script) {
 }
 
 // event accounts one executed scenario event.
-func (r *scenarioRunner) event() { r.met.Inc(obs.ScenarioEvents) }
+func (r *scenarioRunner) event() { r.net.Metrics().Inc(obs.ScenarioEvents) }
 
 // failLink fails one link with scenario accounting.
 func (r *scenarioRunner) failLink(e topology.Edge) {
-	r.met.Inc(obs.ScenarioLinkFails)
+	r.net.Metrics().Inc(obs.ScenarioLinkFails)
 	r.net.FailLink(e.A, e.B)
 }
 
@@ -250,7 +249,7 @@ func (r *scenarioRunner) installChurn(ev scenario.Event, idx int) {
 		}
 		if len(live) > 0 {
 			victim := live[st.Int63n(int64(len(live)))]
-			r.met.Inc(obs.ScenarioChurnCycles)
+			r.net.Metrics().Inc(obs.ScenarioChurnCycles)
 			r.failLink(victim)
 			r.s.Schedule(expDur(&st, ev.MeanDown), func() {
 				r.net.RestoreLink(victim.A, victim.B)

@@ -4,11 +4,14 @@ import (
 	"testing"
 
 	"routeconv/internal/obs"
+	"routeconv/internal/sim"
 )
 
 // One-hop data forwarding must not allocate: the Packet comes off the
 // execution context's free list and returns to it on delivery; port events,
-// queue slots, and FIB lookups all reuse pooled or dense storage.
+// queue slots, and FIB lookups all reuse pooled or dense storage, and
+// counting is fixed-array arithmetic on the Metrics the network allocated
+// when it was built.
 func TestForwardingOneHopAllocs(t *testing.T) {
 	s, net := benchLine(2)
 	src := net.Node(0)
@@ -17,7 +20,7 @@ func TestForwardingOneHopAllocs(t *testing.T) {
 		src.SendData(1, 1000, 64)
 		s.Run()
 	}
-	before := net.Stats().DataDelivered
+	before := net.Metrics().Get(obs.PacketsDelivered)
 	const runs = 1000
 	avg := testing.AllocsPerRun(runs, func() {
 		src.SendData(1, 1000, 64)
@@ -26,24 +29,30 @@ func TestForwardingOneHopAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("one-hop forwarding allocates %.1f objects per packet, want 0", avg)
 	}
-	if got := net.Stats().DataDelivered - before; got < runs {
+	if got := net.Metrics().Get(obs.PacketsDelivered) - before; got < runs {
 		t.Fatalf("delivered %d packets during the guard, want ≥ %d", got, runs)
 	}
 }
 
-// Enabling the obs counters must not add a single allocation to the
-// forwarding path: counting is fixed-array arithmetic on a pre-allocated
-// Metrics. (The timeline is deliberately absent here — it records only
-// control-plane events, so the data path never touches it.)
+// Forwarding with the instrumentation a traced trial attaches — the
+// convergence timeline as the network's observer — must not allocate
+// either: the timeline records only control-plane events, so the data path
+// reaches it through no-op packet callbacks and adds no record.
 func TestForwardingInstrumentedAllocs(t *testing.T) {
-	s, net := benchLine(2)
-	met := obs.NewMetrics()
-	net.Instrument(met)
+	s := sim.New(1)
+	tl := obs.NewTimeline()
+	net := New(s, DefaultConfig(), TimelineObserver(tl))
+	net.AddNode()
+	net.AddNode()
+	net.Connect(0, 1)
+	net.Node(0).SetRoute(1, 1)
+	net.Start()
 	src := net.Node(0)
 	for i := 0; i < 16; i++ {
 		src.SendData(1, 1000, 64)
 		s.Run()
 	}
+	before, records := net.Metrics().Get(obs.PacketsDelivered), tl.Len()
 	const runs = 1000
 	avg := testing.AllocsPerRun(runs, func() {
 		src.SendData(1, 1000, 64)
@@ -52,8 +61,11 @@ func TestForwardingInstrumentedAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("instrumented one-hop forwarding allocates %.1f objects per packet, want 0", avg)
 	}
-	if got := met.Get(obs.PacketsDelivered); got < runs {
+	if got := net.Metrics().Get(obs.PacketsDelivered) - before; got < runs {
 		t.Fatalf("metrics counted %d delivered packets, want ≥ %d", got, runs)
+	}
+	if got := tl.Len() - records; got != 0 {
+		t.Errorf("data forwarding added %d timeline records, want 0", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"routeconv/internal/obs"
 	"routeconv/internal/sim"
 )
 
@@ -36,7 +37,7 @@ func BenchmarkForwardingOneHop(b *testing.B) {
 		src.SendData(1, 1000, 64)
 		s.Run()
 	}
-	if got := net.Stats().DataDelivered; got != uint64(b.N) {
+	if got := net.Metrics().Get(obs.PacketsDelivered); got != uint64(b.N) {
 		b.Fatalf("delivered %d of %d", got, b.N)
 	}
 }
@@ -52,7 +53,7 @@ func BenchmarkForwardingChain(b *testing.B) {
 		src.SendData(NodeID(hops), 1000, 64)
 		s.Run()
 	}
-	if got := net.Stats().DataDelivered; got != uint64(b.N) {
+	if got := net.Metrics().Get(obs.PacketsDelivered); got != uint64(b.N) {
 		b.Fatalf("delivered %d of %d", got, b.N)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"routeconv/internal/obs"
 	"routeconv/internal/sim"
 	"routeconv/internal/topology"
 )
@@ -51,8 +52,8 @@ func TestPropertyPacketConservation(t *testing.T) {
 			s.ScheduleAt(500*time.Millisecond, func() { n.FailLink(e.A, e.B) })
 		}
 		s.Run()
-		st := n.Stats()
-		return st.DataSent == st.DataDelivered+st.DataDropped()
+		met := n.Metrics()
+		return met.Get(obs.PacketsSent) == met.Get(obs.PacketsDelivered)+dataDropped(met)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -81,8 +82,8 @@ func TestPropertyTTLBoundsHops(t *testing.T) {
 				return false
 			}
 		}
-		st := n.Stats()
-		return st.DataSent == st.DataDelivered+st.DataDropped()
+		met := n.Metrics()
+		return met.Get(obs.PacketsSent) == met.Get(obs.PacketsDelivered)+dataDropped(met)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -126,10 +127,22 @@ func TestConservationUnderChurn(t *testing.T) {
 			s.ScheduleAt(at, func() { n.Node(src).SendData(dst, 800, 16) })
 		}
 		s.Run()
-		st := n.Stats()
-		if st.DataSent != st.DataDelivered+st.DataDropped() {
+		met := n.Metrics()
+		if sent, delivered := met.Get(obs.PacketsSent), met.Get(obs.PacketsDelivered); sent != delivered+dataDropped(met) {
 			t.Errorf("seed %d: sent %d ≠ delivered %d + dropped %d",
-				seed, st.DataSent, st.DataDelivered, st.DataDropped())
+				seed, sent, delivered, dataDropped(met))
 		}
 	}
+}
+
+// inFlight returns the data packets still queued or on the wire.
+func inFlight(m *obs.Metrics) uint64 { return m.Snapshot()["packets.in_flight_end"] }
+
+// dataDropped returns the data packets lost for any reason.
+func dataDropped(m *obs.Metrics) uint64 {
+	var total uint64
+	for _, c := range dropCounter[1:] {
+		total += m.Get(c)
+	}
+	return total
 }

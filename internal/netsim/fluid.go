@@ -62,13 +62,12 @@ type FlowSetConfig struct {
 	Flows int
 }
 
-// FluidTotals are the aggregate counters a FlowSet maintains. All packet
-// counts also flow into Network.Stats and the obs counters, so the
-// conservation identity (delivered + drops + in-flight == sent) holds
-// across the packet and fluid engines combined.
+// FluidTotals split the packet fates the fluid evaluator accounted out of
+// the network's counters (Network.Metrics), which count them together with
+// the packet engine's: only these say which engine booked a packet. The
+// fluid engine's own activity (settles, demotions, byte totals) is counted
+// by the fluid.* counters.
 type FluidTotals struct {
-	// Flows is the number of registered flow classes.
-	Flows int
 	// Sent..InFlightEnd count fluid-accounted packets (demoted flows'
 	// packets are real and counted by the packet engine instead).
 	Sent, Delivered uint64
@@ -76,11 +75,6 @@ type FluidTotals struct {
 	// InFlightEnd counts packets emitted close enough to Stop that they
 	// were still on the wire at the final settlement.
 	InFlightEnd uint64
-	// DeliveredBytes and DroppedBytes are byte totals of the above.
-	DeliveredBytes, DroppedBytes uint64
-	// Settles counts group settlements that accounted at least one tick;
-	// Demotions and Reabsorptions count hybrid state transitions.
-	Settles, Demotions, Reabsorptions uint64
 }
 
 // flowGroup is the flows sharing one destination: settlement walks the
@@ -196,7 +190,7 @@ func (n *Network) Flows() *FlowSet { return n.flows }
 // flows to their group's range, and a demoted flow's pending packet tick
 // names the flow by position.
 func (fs *FlowSet) Add(src, dst NodeID, interval time.Duration, size, ttl int) {
-	if fs.net.started || fs.totals.Demotions > 0 {
+	if fs.net.started || fs.net.Metrics().Get(obs.FluidDemotions) > 0 {
 		panic(fmt.Sprintf("netsim: FlowSet.Add(%d->%d) after Start or after a demotion: pending packet ticks name flows by position, which indexing a new flow would move", src, dst))
 	}
 	if interval <= 0 {
@@ -223,7 +217,6 @@ func (fs *FlowSet) Add(src, dst NodeID, interval time.Duration, size, ttl int) {
 		fs.groupOf[dst] = int32(len(fs.groups))
 		fs.groups = append(fs.groups, flowGroup{dst: dst})
 	}
-	fs.totals.Flows++
 }
 
 // index lays the flows added so far out group by group: a counting pass
@@ -482,8 +475,7 @@ func (fs *FlowSet) settleGroup(g *flowGroup, now time.Duration) {
 		}
 	}
 	if worked {
-		fs.totals.Settles++
-		fs.net.met.Inc(obs.FluidSettles)
+		fs.net.Metrics().Inc(obs.FluidSettles)
 	}
 }
 
@@ -491,27 +483,20 @@ func (fs *FlowSet) settleGroup(g *flowGroup, now time.Duration) {
 // = delivered + dropped + inflight, keeping the conservation identity
 // exact.
 func (fs *FlowSet) account(i int32, sent, delivered, dropped uint64, reason DropReason, inflight uint64) {
-	net := fs.net
+	met := fs.net.Metrics()
 	size := uint64(fs.size[i])
-	net.stats.DataSent += sent
-	net.met.Add(obs.PacketsSent, sent)
-	net.met.PacketInN(sent)
+	met.Add(obs.PacketsSent, sent)
 	fs.totals.Sent += sent
 	if delivered > 0 {
-		net.stats.DataDelivered += delivered
-		net.met.Add(obs.PacketsDelivered, delivered)
+		met.Add(obs.PacketsDelivered, delivered)
+		met.Add(obs.FluidDeliveredBytes, delivered*size)
 		fs.totals.Delivered += delivered
-		fs.totals.DeliveredBytes += delivered * size
-		net.met.Add(obs.FluidDeliveredBytes, delivered*size)
 	}
 	if dropped > 0 {
-		net.stats.DataDrops[reason] += dropped
-		net.met.Add(dropCounter[reason], dropped)
+		met.Add(dropCounter[reason], dropped)
+		met.Add(obs.FluidDroppedBytes, dropped*size)
 		fs.totals.Drops[reason] += dropped
-		fs.totals.DroppedBytes += dropped * size
-		net.met.Add(obs.FluidDroppedBytes, dropped*size)
 	}
-	net.met.PacketOutN(delivered + dropped)
 	fs.totals.InFlightEnd += inflight
 }
 
@@ -771,8 +756,7 @@ func (fs *FlowSet) demote(i int32, now time.Duration) {
 	}
 	fs.state[i] = flowDemoted
 	fs.demotedUntil[i] = until
-	fs.totals.Demotions++
-	fs.net.met.Inc(obs.FluidDemotions)
+	fs.net.Metrics().Inc(obs.FluidDemotions)
 	fs.net.note(obs.KindFluidDemote, fs.src[i], -1, fs.dst[i])
 	at := fs.tickTime(i, fs.nextTick[i])
 	if at < now {
@@ -785,8 +769,7 @@ func (fs *FlowSet) demote(i int32, now time.Duration) {
 // settled analytically again.
 func (fs *FlowSet) absorb(i int32) {
 	fs.state[i] = flowFluid
-	fs.totals.Reabsorptions++
-	fs.net.met.Inc(obs.FluidReabsorptions)
+	fs.net.Metrics().Inc(obs.FluidReabsorptions)
 	fs.net.note(obs.KindFluidAbsorb, fs.src[i], -1, fs.dst[i])
 }
 
@@ -814,10 +797,10 @@ func (fs *FlowSet) HandleEvent(kind int32, _ any) {
 }
 
 // Finish settles every group's tail at the current instant — call it
-// once after the simulator reaches the end of the run, before reading
-// Stats or Totals. Ticks still within one path latency of the horizon
-// are booked as in-flight, matching the packet engine's end-of-run
-// balance.
+// once after the simulator reaches the end of the run, before reading the
+// network's counters or Totals. Ticks still within one path latency of
+// the horizon are booked as in-flight, matching the packet engine's
+// end-of-run balance.
 func (fs *FlowSet) Finish() {
 	fs.index()
 	now := fs.net.sim.Now()

@@ -170,7 +170,6 @@ func newFluidRun(t *testing.T, prog []byte, ref bool) *fluidRun {
 	}
 	run := &fluidRun{s: sim.New(1), ref: ref, t: t, tl: obs.NewTimeline()}
 	run.net = FromGraph(run.s, g, DefaultConfig(), TimelineObserver(run.tl))
-	run.net.Instrument(obs.NewMetrics())
 	node := func() *Node { return run.net.Node(NodeID(r.next() % n)) }
 	// pick returns 1..k distinct neighbors of nd, starting at a program-chosen
 	// rank.
@@ -328,11 +327,12 @@ func (run *fluidRun) apply(kind, x, y, z int) {
 		if run.s.Now() < fluidProgStop {
 			run.earlyInFlight += fs.totals.InFlightEnd - inflight
 		}
-		demoted := fs.totals.Demotions
+		met := run.net.Metrics()
+		demoted := met.Get(obs.FluidDemotions)
 		mutate()
-		if fs.totals.Demotions != demoted {
+		if now := met.Get(obs.FluidDemotions); now != demoted {
 			run.t.Errorf("t=%v op %d(%d,%d,%d): the production hook demoted %d flows the reference walk did not",
-				run.s.Now(), kind%8, x, y, z, fs.totals.Demotions-demoted)
+				run.s.Now(), kind%8, x, y, z, now-demoted)
 		}
 	} else {
 		mutate()
@@ -363,8 +363,8 @@ func (run *fluidRun) checkResolve() {
 
 // fluidOutcome is everything the two runs must agree on.
 type fluidOutcome struct {
-	Stats    Stats
-	Totals   FluidTotals // Settles zeroed: settling less is the point
+	Metrics  obs.Snapshot // without fluid.settles: settling less is the point
+	Totals   FluidTotals
 	NextTick []uint32
 	QCarry   []float64
 	// Moves is the sequence of demotions and re-absorptions.
@@ -375,13 +375,13 @@ func (run *fluidRun) finish() (fluidOutcome, uint64) {
 	run.s.RunUntil(fluidProgEnd)
 	run.fs.Finish()
 	out := fluidOutcome{
-		Stats:    run.net.Stats(),
+		Metrics:  run.net.Metrics().Snapshot(),
 		Totals:   run.fs.Totals(),
 		NextTick: run.fs.nextTick,
 		QCarry:   run.fs.qCarry,
 	}
-	settles := out.Totals.Settles
-	out.Totals.Settles = 0
+	settles := out.Metrics["fluid.settles"]
+	delete(out.Metrics, "fluid.settles")
 	for _, rec := range run.tl.Records() {
 		if rec.Kind == obs.KindFluidDemote || rec.Kind == obs.KindFluidAbsorb {
 			out.Moves = append(out.Moves, rec)
@@ -409,8 +409,8 @@ func checkFluidProgram(t *testing.T, prog []byte, cov *fluidCoverage) {
 		t.Errorf("lazy run settled %d groups, reference %d", lazySettles, refSettles)
 	}
 	if cov != nil {
-		cov.demotions += lazy.Totals.Demotions
-		cov.reabsorptions += lazy.Totals.Reabsorptions
+		cov.demotions += lazy.Metrics["fluid.demotions"]
+		cov.reabsorptions += lazy.Metrics["fluid.reabsorptions"]
 		cov.queueDrops += lazy.Totals.Drops[DropQueueOverflow]
 		cov.deferred += refSettles - lazySettles
 		cov.earlyInFlight += refRun.earlyInFlight
@@ -436,7 +436,7 @@ func (o fluidOutcome) String() string {
 	for i, m := range o.Moves {
 		moves[i] = fmt.Sprintf("%v:%v:%d->%d", m.At, m.Kind, m.Node, m.Dst)
 	}
-	return fmt.Sprintf("stats %+v totals %+v nextTick %v qCarry %v moves %v", o.Stats, o.Totals, o.NextTick, o.QCarry, moves)
+	return fmt.Sprintf("metrics %v totals %+v nextTick %v qCarry %v moves %v", o.Metrics, o.Totals, o.NextTick, o.QCarry, moves)
 }
 
 // randomFluidProgram draws a program: a set-up half and up to 48 ops.

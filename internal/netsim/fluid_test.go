@@ -59,8 +59,6 @@ func TestFluidMatchesPacketQuiescent(t *testing.T) {
 	// Packet reference run.
 	ps := sim.New(1)
 	pnet := FromGraph(ps, topology.Line(4), DefaultConfig(), nil)
-	pmet := obs.NewMetrics()
-	pnet.Instrument(pmet)
 	for i := 0; i < 3; i++ {
 		pnet.Node(NodeID(i)).SetRoute(3, NodeID(i+1))
 	}
@@ -69,28 +67,26 @@ func TestFluidMatchesPacketQuiescent(t *testing.T) {
 
 	// Fluid run of the same flow class.
 	fs, fnet, flows := fluidLine(t, 4, FlowSetConfig{Start: start, Stop: stop})
-	fmet := obs.NewMetrics()
-	fnet.Instrument(fmet)
 	flows.Add(0, 3, interval, size, ttl)
 	fs.RunUntil(stop)
 	flows.Finish()
 
-	p, f := pnet.Stats(), fnet.Stats()
-	if p.DataSent != f.DataSent {
-		t.Errorf("sent: packet %d, fluid %d", p.DataSent, f.DataSent)
+	p, f := pnet.Metrics(), fnet.Metrics()
+	if p.Get(obs.PacketsSent) != f.Get(obs.PacketsSent) {
+		t.Errorf("sent: packet %d, fluid %d", p.Get(obs.PacketsSent), f.Get(obs.PacketsSent))
 	}
-	if p.DataDelivered != f.DataDelivered {
-		t.Errorf("delivered: packet %d, fluid %d", p.DataDelivered, f.DataDelivered)
+	if p.Get(obs.PacketsDelivered) != f.Get(obs.PacketsDelivered) {
+		t.Errorf("delivered: packet %d, fluid %d", p.Get(obs.PacketsDelivered), f.Get(obs.PacketsDelivered))
 	}
-	if p.DataDropped() != 0 || f.DataDropped() != 0 {
-		t.Errorf("drops: packet %d, fluid %d, want 0", p.DataDropped(), f.DataDropped())
+	if dataDropped(p) != 0 || dataDropped(f) != 0 {
+		t.Errorf("drops: packet %d, fluid %d, want 0", dataDropped(p), dataDropped(f))
 	}
-	if pmet.InFlight() != fmet.InFlight() {
-		t.Errorf("in-flight: packet %d, fluid %d", pmet.InFlight(), fmet.InFlight())
+	if inFlight(p) != inFlight(f) {
+		t.Errorf("in-flight: packet %d, fluid %d", inFlight(p), inFlight(f))
 	}
-	if p.DataSent != 20 || p.DataDelivered != 19 || pmet.InFlight() != 1 {
+	if p.Get(obs.PacketsSent) != 20 || p.Get(obs.PacketsDelivered) != 19 || inFlight(p) != 1 {
 		t.Errorf("packet reference = sent %d delivered %d inflight %d, want 20/19/1",
-			p.DataSent, p.DataDelivered, pmet.InFlight())
+			p.Get(obs.PacketsSent), p.Get(obs.PacketsDelivered), inFlight(p))
 	}
 	if got := flows.Totals().InFlightEnd; got != 1 {
 		t.Errorf("fluid InFlightEnd = %d, want 1", got)
@@ -100,7 +96,7 @@ func TestFluidMatchesPacketQuiescent(t *testing.T) {
 // TestFluidFates classifies blackholed, looping, dead-link and
 // TTL-exhausted flows into the same drop causes the packet engine uses.
 func TestFluidFates(t *testing.T) {
-	run := func(t *testing.T, build func(*Network, *FlowSet)) Stats {
+	run := func(t *testing.T, build func(*Network, *FlowSet)) *obs.Metrics {
 		t.Helper()
 		s := sim.New(1)
 		net := FromGraph(s, topology.Line(3), DefaultConfig(), nil)
@@ -108,7 +104,7 @@ func TestFluidFates(t *testing.T) {
 		build(net, fs)
 		s.RunUntil(2 * time.Second)
 		fs.Finish()
-		return net.Stats()
+		return net.Metrics()
 	}
 
 	t.Run("blackhole", func(t *testing.T) {
@@ -116,8 +112,8 @@ func TestFluidFates(t *testing.T) {
 			net.Node(0).SetRoute(2, 1) // node 1 has no route: blackhole
 			fs.Add(0, 2, 100*time.Millisecond, 1000, 64)
 		})
-		if st.Dropped(DropNoRoute) != 10 || st.DataDelivered != 0 {
-			t.Errorf("noroute=%d delivered=%d, want 10/0", st.Dropped(DropNoRoute), st.DataDelivered)
+		if st.Get(dropCounter[DropNoRoute]) != 10 || st.Get(obs.PacketsDelivered) != 0 {
+			t.Errorf("noroute=%d delivered=%d, want 10/0", st.Get(dropCounter[DropNoRoute]), st.Get(obs.PacketsDelivered))
 		}
 	})
 	t.Run("loop", func(t *testing.T) {
@@ -126,8 +122,8 @@ func TestFluidFates(t *testing.T) {
 			net.Node(1).SetRoute(2, 0) // 0↔1 micro-loop
 			fs.Add(0, 2, 100*time.Millisecond, 1000, 64)
 		})
-		if st.Dropped(DropTTLExpired) != 10 {
-			t.Errorf("ttl drops = %d, want 10", st.Dropped(DropTTLExpired))
+		if st.Get(dropCounter[DropTTLExpired]) != 10 {
+			t.Errorf("ttl drops = %d, want 10", st.Get(dropCounter[DropTTLExpired]))
 		}
 	})
 	t.Run("deadlink", func(t *testing.T) {
@@ -137,8 +133,8 @@ func TestFluidFates(t *testing.T) {
 			net.FailLink(1, 2)
 			fs.Add(0, 2, 100*time.Millisecond, 1000, 64)
 		})
-		if st.Dropped(DropLinkFailure) != 10 {
-			t.Errorf("link drops = %d, want 10", st.Dropped(DropLinkFailure))
+		if st.Get(dropCounter[DropLinkFailure]) != 10 {
+			t.Errorf("link drops = %d, want 10", st.Get(dropCounter[DropLinkFailure]))
 		}
 	})
 	t.Run("ttlbudget", func(t *testing.T) {
@@ -147,8 +143,8 @@ func TestFluidFates(t *testing.T) {
 			net.Node(1).SetRoute(2, 2)
 			fs.Add(0, 2, 100*time.Millisecond, 1000, 1) // 2 hops > TTL 1
 		})
-		if st.Dropped(DropTTLExpired) != 10 {
-			t.Errorf("ttl drops = %d, want 10", st.Dropped(DropTTLExpired))
+		if st.Get(dropCounter[DropTTLExpired]) != 10 {
+			t.Errorf("ttl drops = %d, want 10", st.Get(dropCounter[DropTTLExpired]))
 		}
 	})
 }
@@ -158,8 +154,6 @@ func TestFluidFates(t *testing.T) {
 func TestFluidConservation(t *testing.T) {
 	s := sim.New(1)
 	net := FromGraph(s, topology.Line(4), DefaultConfig(), nil)
-	met := obs.NewMetrics()
-	net.Instrument(met)
 	for i := 0; i < 3; i++ {
 		net.Node(NodeID(i)).SetRoute(3, NodeID(i+1))
 	}
@@ -170,12 +164,12 @@ func TestFluidConservation(t *testing.T) {
 	s.RunUntil(2 * time.Second)
 	fs.Finish()
 
+	met := net.Metrics()
 	sent := met.Get(obs.PacketsSent)
-	terminal := met.Get(obs.PacketsDelivered) + met.Get(obs.DropNoRoute) +
-		met.Get(obs.DropTTLExpired) + met.Get(obs.DropQueueOverflow) + met.Get(obs.DropLinkFailure)
-	if sent != terminal+uint64(met.InFlight()) {
+	terminal := met.Get(obs.PacketsDelivered) + dataDropped(met)
+	if sent != terminal+fs.Totals().InFlightEnd {
 		t.Errorf("conservation: sent %d != delivered+drops %d + inflight %d",
-			sent, terminal, met.InFlight())
+			sent, terminal, fs.Totals().InFlightEnd)
 	}
 	if sent == 0 {
 		t.Fatal("no fluid traffic accounted")
@@ -194,8 +188,6 @@ func TestHybridDemotion(t *testing.T) {
 	g.AddEdge(2, 3)
 	tl := obs.NewTimeline()
 	net := FromGraph(s, g, DefaultConfig(), TimelineObserver(tl))
-	met := obs.NewMetrics()
-	net.Instrument(met)
 	net.Node(0).SetRoute(3, 1)
 	net.Node(1).SetRoute(3, 3)
 	net.Node(2).SetRoute(3, 3)
@@ -212,23 +204,23 @@ func TestHybridDemotion(t *testing.T) {
 	s.RunUntil(3 * time.Second)
 	fs.Finish()
 
-	tot := fs.Totals()
-	if tot.Demotions != 1 || tot.Reabsorptions != 1 {
-		t.Errorf("demotions=%d reabsorptions=%d, want 1/1", tot.Demotions, tot.Reabsorptions)
+	met := net.Metrics()
+	if d, r := met.Get(obs.FluidDemotions), met.Get(obs.FluidReabsorptions); d != 1 || r != 1 {
+		t.Errorf("demotions=%d reabsorptions=%d, want 1/1", d, r)
 	}
-	st := net.Stats()
-	if st.DataSent != 40 { // ticks at 1.00, 1.05, ..., 2.95
-		t.Errorf("sent = %d, want 40", st.DataSent)
+	sent, delivered := met.Get(obs.PacketsSent), met.Get(obs.PacketsDelivered)
+	if sent != 40 { // ticks at 1.00, 1.05, ..., 2.95
+		t.Errorf("sent = %d, want 40", sent)
 	}
-	if st.DataDelivered != st.DataSent {
-		t.Errorf("delivered = %d of %d; drops: %+v", st.DataDelivered, st.DataSent, st.DataDrops)
+	if delivered != sent {
+		t.Errorf("delivered = %d of %d; counters: %v", delivered, sent, met.Snapshot())
 	}
 	// The demoted window emitted real packets: the packet engine saw them.
-	if tot.Sent >= st.DataSent {
+	if tot := fs.Totals(); tot.Sent >= sent {
 		t.Errorf("fluid accounted all %d packets; expected a packet-simulated demotion window", tot.Sent)
 	}
-	if met.InFlight() != 0 {
-		t.Errorf("in-flight at end = %d, want 0", met.InFlight())
+	if got := inFlight(met); got != 0 {
+		t.Errorf("in-flight at end = %d, want 0", got)
 	}
 	demotes, absorbs := 0, 0
 	for _, r := range tl.Records() {
@@ -267,16 +259,17 @@ func TestHybridLinkFailureDemotes(t *testing.T) {
 	})
 	fs.Add(0, 3, 50*time.Millisecond, 1000, 64) // crosses 1-3
 	fs.Add(1, 2, 50*time.Millisecond, 1000, 64) // does not
+	met := net.Metrics()
 	var settledByEvent uint64
 	s.ScheduleAt(1500*time.Millisecond, func() {
-		before := fs.Totals().Settles
+		before := met.Get(obs.FluidSettles)
 		net.FailLink(1, 3)
-		settledByEvent = fs.Totals().Settles - before
+		settledByEvent = met.Get(obs.FluidSettles) - before
 	})
 	s.RunUntil(3 * time.Second)
 	fs.Finish()
 
-	if got := fs.Totals().Demotions; got != 1 {
+	if got := met.Get(obs.FluidDemotions); got != 1 {
 		t.Errorf("demotions = %d, want 1 (only the flow crossing the failed link)", got)
 	}
 	if settledByEvent != 1 {
@@ -284,8 +277,8 @@ func TestHybridLinkFailureDemotes(t *testing.T) {
 	}
 	// The deferred group lost nothing by waiting: all 40 ticks of 1->2 are
 	// delivered, beside the 10 that 0->3 emitted before its link failed.
-	if st := net.Stats(); st.DataSent != 80 {
-		t.Errorf("sent = %d, want 80", st.DataSent)
+	if sent := met.Get(obs.PacketsSent); sent != 80 {
+		t.Errorf("sent = %d, want 80", sent)
 	}
 	if got := fs.Totals().Delivered; got != 50 {
 		t.Errorf("fluid delivered = %d, want 50", got)
@@ -312,7 +305,6 @@ func TestFluidLinkEventInTail(t *testing.T) {
 		g.AddEdge(2, 3)
 		s := sim.New(1)
 		net := FromGraph(s, g, DefaultConfig(), nil)
-		net.Instrument(obs.NewMetrics())
 		net.Node(1).SetRoute(2, 0) // 1→0→2 never touches the 1-3 link
 		net.Node(0).SetRoute(2, 2)
 		return s, net
@@ -322,9 +314,10 @@ func TestFluidLinkEventInTail(t *testing.T) {
 	StartCBR(pnet.Node(1), 2, interval, 1000, 64, start, stop)
 	ps.ScheduleAt(failAt, func() { pnet.FailLink(1, 3) })
 	ps.RunUntil(stop)
-	want := pnet.Stats()
-	if want.DataSent != 20 || want.DataDelivered != 19 || pnet.met.InFlight() != 1 {
-		t.Fatalf("packet reference = sent %d delivered %d inflight %d, want 20/19/1", want.DataSent, want.DataDelivered, pnet.met.InFlight())
+	pmet := pnet.Metrics()
+	wantSent, wantDelivered := pmet.Get(obs.PacketsSent), pmet.Get(obs.PacketsDelivered)
+	if wantSent != 20 || wantDelivered != 19 || inFlight(pmet) != 1 {
+		t.Fatalf("packet reference = sent %d delivered %d inflight %d, want 20/19/1", wantSent, wantDelivered, inFlight(pmet))
 	}
 
 	for _, eager := range []bool{false, true} {
@@ -338,13 +331,14 @@ func TestFluidLinkEventInTail(t *testing.T) {
 			net.FailLink(1, 3)
 		})
 		s.RunUntil(stop)
-		if got := fs.Totals().Settles; (got == 1) != eager {
+		met := net.Metrics()
+		if got := met.Get(obs.FluidSettles); (got == 1) != eager {
 			t.Errorf("eager=%v: %d settles before Finish", eager, got)
 		}
 		fs.Finish()
-		if got := net.Stats(); got.DataSent != want.DataSent || got.DataDelivered != want.DataDelivered || net.met.InFlight() != 1 {
+		if sent, delivered := met.Get(obs.PacketsSent), met.Get(obs.PacketsDelivered); sent != wantSent || delivered != wantDelivered || inFlight(met) != 1 {
 			t.Errorf("eager=%v: sent %d delivered %d inflight %d, packet engine says %d/%d/1",
-				eager, got.DataSent, got.DataDelivered, net.met.InFlight(), want.DataSent, want.DataDelivered)
+				eager, sent, delivered, inFlight(met), wantSent, wantDelivered)
 		}
 	}
 }
@@ -412,12 +406,13 @@ func TestFluidLinkEventSettlesOnlyCrossingGroups(t *testing.T) {
 			crossing++
 		}
 	}
+	met := net.Metrics()
 	var settled, demoted uint64
 	s.ScheduleAt(1500*time.Millisecond, func() {
-		before := fs.Totals()
+		settled, demoted = met.Get(obs.FluidSettles), met.Get(obs.FluidDemotions)
 		net.FailLink(a, b)
-		settled = fs.Totals().Settles - before.Settles
-		demoted = fs.Totals().Demotions - before.Demotions
+		settled = met.Get(obs.FluidSettles) - settled
+		demoted = met.Get(obs.FluidDemotions) - demoted
 	})
 	s.RunUntil(1600 * time.Millisecond)
 
@@ -440,8 +435,8 @@ func TestFluidAddAfterDemotionPanics(t *testing.T) {
 	fs.Add(0, 3, 50*time.Millisecond, 1000, 64)
 	s.RunUntil(1500 * time.Millisecond)
 	net.FailLink(1, 2)
-	if fs.Totals().Demotions != 1 {
-		t.Fatalf("demotions = %d, want 1", fs.Totals().Demotions)
+	if got := net.Metrics().Get(obs.FluidDemotions); got != 1 {
+		t.Fatalf("demotions = %d, want 1", got)
 	}
 	wantAddPanic(t, fs)
 }
@@ -490,8 +485,8 @@ func TestFluidSettleZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 		t.Errorf("settle recompute allocates %.1f times per epoch, want 0", allocs)
 	}
-	if st := net.Stats(); st.DataDelivered == 0 {
-		t.Fatalf("no traffic settled: %+v", st)
+	if net.Metrics().Get(obs.PacketsDelivered) == 0 {
+		t.Fatalf("no traffic settled: %v", net.Metrics().Snapshot())
 	}
 }
 
@@ -531,7 +526,7 @@ func TestFluidChangePassesZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 		t.Errorf("a link event and two FIB-change passes allocate %.1f times, want 0", allocs)
 	}
-	if tot := fs.Totals(); tot.Settles < 100 || tot.Demotions != 0 {
-		t.Fatalf("settles = %d, demotions = %d: the passes did not run as built", tot.Settles, tot.Demotions)
+	if settles, demotions := net.Metrics().Get(obs.FluidSettles), net.Metrics().Get(obs.FluidDemotions); settles < 100 || demotions != 0 {
+		t.Fatalf("settles = %d, demotions = %d: the passes did not run as built", settles, demotions)
 	}
 }

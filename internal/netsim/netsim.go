@@ -40,33 +40,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats are the network-wide packet counters for one simulation.
-type Stats struct {
-	// DataSent counts data packets injected by traffic sources.
-	DataSent uint64
-	// DataDelivered counts data packets that reached their destination.
-	DataDelivered uint64
-	// ControlSent counts routing messages sent.
-	ControlSent uint64
-	// ControlBytes counts routing message bytes sent.
-	ControlBytes uint64
-	// DataDrops and ControlDrops count lost packets by cause.
-	DataDrops    [numDropReasons]uint64
-	ControlDrops [numDropReasons]uint64
-}
-
-// Dropped returns the number of data packets lost for the given reason.
-func (s Stats) Dropped(r DropReason) uint64 { return s.DataDrops[r] }
-
-// DataDropped returns the total data packets lost for any reason.
-func (s Stats) DataDropped() uint64 {
-	var total uint64
-	for _, n := range s.DataDrops {
-		total += n
-	}
-	return total
-}
-
 // serCacheMax bounds the memoized serialization table; packets larger than
 // this (none in the study — jumbo frames end at 9 KB) compute directly.
 const serCacheMax = 1 << 16
@@ -80,11 +53,7 @@ type Network struct {
 	links    map[topology.Edge]*Link
 	linkList []*Link // sorted by edge; nil when invalidated by Connect
 	observer Observer
-	stats    Stats
-	// met is the optional obs counter set; a nil-safe no-op when the
-	// network is not Instrumented.
-	met     *obs.Metrics
-	started bool
+	started  bool
 	// walkSeen/walkEpoch are WalkPath's loop-detection scratch; the epoch
 	// makes reuse O(1) instead of clearing per walk.
 	walkSeen  []uint32
@@ -92,8 +61,8 @@ type Network struct {
 	// flows is the optional fluid/hybrid traffic engine (see fluid.go);
 	// nil when every flow is packet-simulated.
 	flows *FlowSet
-	// root is the sequential/coordinator execution context; it aliases
-	// the fields above, so non-sharded runs behave exactly as before.
+	// root is the sequential/coordinator execution context; its counter
+	// set is the network's (see Metrics).
 	root *exec
 	// Sharded-mode state (see shard.go); all nil/false in sequential runs.
 	shards       []*exec
@@ -115,7 +84,7 @@ func New(s *sim.Simulator, cfg Config, o Observer) *Network {
 		o = NopObserver{}
 	}
 	n := &Network{sim: s, cfg: cfg, links: make(map[topology.Edge]*Link), observer: o}
-	n.root = &exec{id: -1, net: n, sim: s, stats: &n.stats}
+	n.root = &exec{id: -1, net: n, sim: s, met: obs.NewMetrics()}
 	return n
 }
 
@@ -144,18 +113,12 @@ func FromGraph(s *sim.Simulator, g *topology.Graph, cfg Config, o Observer) *Net
 // Sim returns the driving simulator.
 func (n *Network) Sim() *sim.Simulator { return n.sim }
 
-// Instrument attaches an obs metrics set to the network (nil detaches it).
-// Counting is strictly passive (no events scheduled, no randomness
-// consumed), so attaching it never changes simulation outcomes. Call
-// before Start. The convergence timeline is written by an Observer
-// (TimelineObserver).
-func (n *Network) Instrument(m *obs.Metrics) {
-	n.met = m
-	n.root.met = m
-}
-
-// Metrics returns the attached obs counter set (nil when uninstrumented).
-func (n *Network) Metrics() *obs.Metrics { return n.met }
+// Metrics returns the network's packet ledger: every packet fate, control
+// message and forwarding change is counted there once. Counting is
+// strictly passive (no events scheduled, no randomness consumed). In a
+// sharded run each shard counts into its own set until FinishSharding
+// folds them in.
+func (n *Network) Metrics() *obs.Metrics { return n.root.met }
 
 // Note raises a timeline record through the observer stream. Harness code
 // (scenario events, fluid ticks) runs on the control simulator, whose
@@ -166,17 +129,6 @@ func (n *Network) Note(r obs.Record) { n.root.note(r) }
 // unused node field.
 func (n *Network) note(kind obs.Kind, node, peer, dst NodeID) {
 	n.Note(obs.Record{At: n.sim.Now(), Kind: kind, Node: int(node), Peer: int(peer), Dst: int(dst)})
-}
-
-// Stats returns the network-wide counters accumulated so far. In a
-// sharded run the per-shard counters are folded in; call only between
-// windows (or after the run), never from a window event.
-func (n *Network) Stats() Stats {
-	s := n.stats
-	for _, ex := range n.shards {
-		s.add(ex.stats)
-	}
-	return s
 }
 
 // Len returns the number of nodes.
@@ -485,12 +437,9 @@ var dropCounter = [numDropReasons]obs.Counter{
 // propagation-phase losses can differ from the shard owning `where`.
 func (n *Network) drop(ex *exec, where NodeID, pkt *Packet, reason DropReason) {
 	if pkt.Control() {
-		ex.stats.ControlDrops[reason]++
 		ex.met.Inc(obs.ControlDropped)
 	} else {
-		ex.stats.DataDrops[reason]++
 		ex.met.Inc(dropCounter[reason])
-		ex.met.PacketOut()
 	}
 	ex.packetDropped(ex.sim.Now(), where, pkt, reason)
 	ex.releasePooled(pkt)

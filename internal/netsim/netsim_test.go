@@ -91,8 +91,8 @@ func TestDataDeliveryTiming(t *testing.T) {
 	if rec.delivered[0].HopCount != 2 {
 		t.Errorf("HopCount = %d, want 2", rec.delivered[0].HopCount)
 	}
-	if got := n.Stats().DataDelivered; got != 1 {
-		t.Errorf("Stats().DataDelivered = %d, want 1", got)
+	if got := n.Metrics().Get(obs.PacketsDelivered); got != 1 {
+		t.Errorf("packets.delivered = %d, want 1", got)
 	}
 }
 
@@ -105,7 +105,7 @@ func TestNoRouteDrop(t *testing.T) {
 	if len(rec.drops) != 1 || rec.drops[0] != DropNoRoute {
 		t.Fatalf("drops = %v, want [no-route]", rec.drops)
 	}
-	if n.Stats().Dropped(DropNoRoute) != 1 {
+	if n.Metrics().Get(dropCounter[DropNoRoute]) != 1 {
 		t.Error("stats no-route counter not incremented")
 	}
 }
@@ -158,10 +158,10 @@ func TestQueueOverflow(t *testing.T) {
 		n.Node(0).SendData(1, 1000, 64)
 	}
 	s.Run()
-	if got := n.Stats().Dropped(DropQueueOverflow); got != 2 {
+	if got := n.Metrics().Get(dropCounter[DropQueueOverflow]); got != 2 {
 		t.Errorf("queue overflow drops = %d, want 2", got)
 	}
-	if got := n.Stats().DataDelivered; got != 3 {
+	if got := n.Metrics().Get(obs.PacketsDelivered); got != 3 {
 		t.Errorf("delivered = %d, want 3", got)
 	}
 }
@@ -197,9 +197,9 @@ func TestControlDelivery(t *testing.T) {
 	if got := proto.messages[0].(testMsg).size; got != 64 {
 		t.Errorf("message size = %d, want 64", got)
 	}
-	st := n.Stats()
-	if st.ControlSent != 1 || st.ControlBytes != 64 {
-		t.Errorf("control stats = %d msgs / %d bytes, want 1 / 64", st.ControlSent, st.ControlBytes)
+	met := n.Metrics()
+	if msgs, bytes := met.Get(obs.ControlSent), met.Get(obs.ControlBytes); msgs != 1 || bytes != 64 {
+		t.Errorf("control stats = %d msgs / %d bytes, want 1 / 64", msgs, bytes)
 	}
 }
 
@@ -349,7 +349,7 @@ func TestCBR(t *testing.T) {
 	StartCBR(n.Node(0), 2, 50*time.Millisecond, 1000, 64, time.Second, 2*time.Second)
 	s.Run()
 	// Sends at 1.00, 1.05, ..., 1.95 = 20 packets.
-	if got := n.Stats().DataSent; got != 20 {
+	if got := n.Metrics().Get(obs.PacketsSent); got != 20 {
 		t.Errorf("CBR sent %d packets, want 20", got)
 	}
 	if got := len(rec.delivered); got != 20 {
@@ -362,7 +362,7 @@ func TestCBRStop(t *testing.T) {
 	c := StartCBR(n.Node(0), 2, 50*time.Millisecond, 1000, 64, time.Second, 10*time.Second)
 	s.Schedule(1500*time.Millisecond, func() { c.Stop() })
 	s.Run()
-	if got := n.Stats().DataSent; got != 10 {
+	if got := n.Metrics().Get(obs.PacketsSent); got != 10 {
 		t.Errorf("CBR sent %d packets, want 10 (stopped early)", got)
 	}
 }

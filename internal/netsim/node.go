@@ -97,9 +97,9 @@ func (nd *Node) Sim() *sim.Simulator { return nd.exec.sim }
 func (nd *Node) Jitter(lo, hi time.Duration) time.Duration { return nd.rng.Jitter(lo, hi) }
 
 // Metrics returns the obs counter set this node's events record into, for
-// protocol-level counters. It reads through the execution context at call
-// time, so attach order relative to Network.Instrument does not matter;
-// nil (a no-op recorder) when the network is uninstrumented.
+// protocol-level counters: the network's, or its shard's in a sharded run.
+// It reads through the execution context at call time, so callers must not
+// cache it across EnableSharding.
 func (nd *Node) Metrics() *obs.Metrics { return nd.exec.met }
 
 // Note raises a protocol timeline record for this node at the current
@@ -357,8 +357,6 @@ func (nd *Node) SendControl(to NodeID, msg Message) {
 	pkt.Src, pkt.Dst = nd.id, to
 	pkt.Size = msg.SizeBytes()
 	pkt.Payload = msg
-	ex.stats.ControlSent++
-	ex.stats.ControlBytes += uint64(pkt.Size)
 	ex.met.Inc(obs.ControlSent)
 	ex.met.Add(obs.ControlBytes, uint64(pkt.Size))
 	p.send(ex, pkt)
@@ -372,9 +370,7 @@ func (nd *Node) SendData(dst NodeID, size, ttl int) {
 	pkt.Src, pkt.Dst = nd.id, dst
 	pkt.TTL = ttl
 	pkt.Size = size
-	ex.stats.DataSent++
 	ex.met.Inc(obs.PacketsSent)
-	ex.met.PacketIn()
 	if nd.net.cfg.RecordHops {
 		pkt.Trace = append(pkt.Trace, nd.id)
 	}
@@ -399,9 +395,7 @@ func (nd *Node) receive(from NodeID, pkt *Packet) {
 		pkt.Trace = append(pkt.Trace, nd.id)
 	}
 	if pkt.Dst == nd.id {
-		ex.stats.DataDelivered++
 		ex.met.Inc(obs.PacketsDelivered)
-		ex.met.PacketOut()
 		ex.packetDelivered(ex.sim.Now(), pkt)
 		ex.recycle(pkt)
 		return

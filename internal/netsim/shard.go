@@ -24,20 +24,17 @@ import (
 // ("Sharded execution") for the full protocol and ordering argument.
 
 // exec is the execution context one node's events run against: the event
-// loop, packet counters, instrumentation sinks, and cross-shard buffers
-// of the shard that owns the node. In sequential mode there is a single
-// root exec (id -1) aliasing the Network's own simulator, stats, and
-// instrumentation, so the default path is bit-for-bit the pre-sharding
-// behavior.
+// loop, packet counters, observer buffers, and cross-shard buffers of the
+// shard that owns the node. In sequential mode there is a single root exec
+// (id -1) running on the Network's own simulator and counting into the
+// Network's counter set, so the default path is bit-for-bit the
+// pre-sharding behavior.
 type exec struct {
 	id  int32
 	net *Network
 	sim *sim.Simulator
-	// stats aliases Network.stats on the root exec; shard execs own a
-	// private set merged by Network.Stats.
-	stats *Stats
-	// met is the per-shard counter set (nil-safe), absorbed into the root
-	// set at FinishSharding.
+	// met is the context's counter set: the network's on the root exec, a
+	// private one per shard, absorbed into the root set at FinishSharding.
 	met *obs.Metrics
 	// nextID is the packet ID sequence. Per-shard spaces overlap; nothing
 	// semantic reads Packet.ID.
@@ -275,7 +272,7 @@ func (ex *exec) releasePooled(pkt *Packet) {
 // every node to a shard in [0, k), each shard gets a private simulator
 // (seeded identically to the control sim, so per-node random streams
 // derive the same sequences), and a coordinator goroutine pool is
-// started. Call after Instrument and before protocols are attached —
+// started. Call before protocols are attached —
 // protocols capture their node's simulator at construction.
 func (n *Network) EnableSharding(assign []int32, k int) {
 	if n.started {
@@ -296,11 +293,8 @@ func (n *Network) EnableSharding(assign []int32, k int) {
 			id:     int32(i),
 			net:    n,
 			sim:    sims[i],
-			stats:  &Stats{},
+			met:    obs.NewMetrics(),
 			outbox: make([][]crossMsg, k),
-		}
-		if n.met != nil {
-			ex.met = obs.NewMetrics()
 		}
 		n.shards[i] = ex
 	}
@@ -379,7 +373,7 @@ func (n *Network) RunSharded(end time.Duration) {
 			n.coord.RunWindow(next)
 		}
 		n.windowActive = false
-		n.met.Inc(obs.ShardBarrierWaits)
+		n.root.met.Inc(obs.ShardBarrierWaits)
 		n.flushWindow(next)
 		// Control events at exactly the barrier instant run after the
 		// window flush: in the sequential schedule, harness closures,
@@ -580,11 +574,11 @@ func (n *Network) drainOutboxes() {
 			src.outbox[d] = box[:0]
 		}
 	}
-	n.met.Add(obs.ShardCrossMsgs, total)
+	n.root.met.Add(obs.ShardCrossMsgs, total)
 }
 
-// FinishSharding stops the coordinator goroutines and folds per-shard
-// statistics and metrics into the root set. Call once after
+// FinishSharding stops the coordinator goroutines and folds the per-shard
+// counter sets into the root set. Call once after
 // RunSharded; the network must not run further afterwards.
 func (n *Network) FinishSharding() {
 	if n.coord == nil {
@@ -593,25 +587,12 @@ func (n *Network) FinishSharding() {
 	n.coord.Stop()
 	n.coord = nil
 	for _, ex := range n.shards {
-		n.stats.add(ex.stats)
-		n.met.Absorb(ex.met)
+		n.root.met.Absorb(ex.met)
 	}
 	n.shards = nil
 	n.assign = nil
 	n.filter = nil
 	for _, nd := range n.nodes {
 		nd.exec = n.root
-	}
-}
-
-// add accumulates other's counters into s.
-func (s *Stats) add(other *Stats) {
-	s.DataSent += other.DataSent
-	s.DataDelivered += other.DataDelivered
-	s.ControlSent += other.ControlSent
-	s.ControlBytes += other.ControlBytes
-	for i := range s.DataDrops {
-		s.DataDrops[i] += other.DataDrops[i]
-		s.ControlDrops[i] += other.ControlDrops[i]
 	}
 }

@@ -78,7 +78,7 @@ func TestShardedCrossTrafficAllocs(t *testing.T) {
 		t.Errorf("sharded cross-shard forwarding allocates %.1f objects per packet, want 1 (the Packet)", avg)
 	}
 	net.FinishSharding()
-	if got := net.Stats().DataDelivered; got < runs {
+	if got := net.Metrics().Get(obs.PacketsDelivered); got < runs {
 		t.Fatalf("delivered %d packets across the shard cut, want ≥ %d", got, runs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"routeconv/internal/obs"
 	"routeconv/internal/sim"
 	"routeconv/internal/topology"
 )
@@ -21,7 +22,7 @@ func TestPoissonRate(t *testing.T) {
 	// Mean 10 ms over 100 s → about 10k packets.
 	StartPoisson(n.Node(0), 1, 10*time.Millisecond, 100, 64, 0, 100*time.Second)
 	s.Run()
-	sent := float64(n.Stats().DataSent)
+	sent := float64(n.Metrics().Get(obs.PacketsSent))
 	if sent < 8_000 || sent > 12_000 {
 		t.Errorf("Poisson sent %v packets over 100 s at 100 pps mean, want ≈ 10000", sent)
 	}
@@ -34,7 +35,7 @@ func TestPoissonStopsAtDeadline(t *testing.T) {
 	if s.Now() > 3*time.Second {
 		t.Errorf("events continued until %v after the source deadline", s.Now())
 	}
-	if n.Stats().DataSent == 0 {
+	if n.Metrics().Get(obs.PacketsSent) == 0 {
 		t.Error("Poisson sent nothing")
 	}
 }
@@ -44,9 +45,9 @@ func TestPoissonStop(t *testing.T) {
 	src := StartPoisson(n.Node(0), 1, 10*time.Millisecond, 100, 64, 0, time.Hour)
 	s.Schedule(time.Second, func() { src.Stop(); src.Stop() })
 	s.RunUntil(2 * time.Second)
-	sent := n.Stats().DataSent
+	sent := n.Metrics().Get(obs.PacketsSent)
 	s.RunUntil(10 * time.Second)
-	if n.Stats().DataSent != sent {
+	if n.Metrics().Get(obs.PacketsSent) != sent {
 		t.Error("packets sent after Stop")
 	}
 }
@@ -56,7 +57,7 @@ func TestOnOffBursts(t *testing.T) {
 	// 1 s ON / 1 s OFF at 100 pps → roughly half of 100 s × 100 pps.
 	StartOnOff(n.Node(0), 1, 10*time.Millisecond, time.Second, time.Second, 100, 64, 0, 100*time.Second)
 	s.Run()
-	sent := float64(n.Stats().DataSent)
+	sent := float64(n.Metrics().Get(obs.PacketsSent))
 	if sent < 3_000 || sent > 7_000 {
 		t.Errorf("on/off sent %v packets, want ≈ 5000 (half duty cycle)", sent)
 	}
@@ -67,9 +68,9 @@ func TestOnOffStop(t *testing.T) {
 	src := StartOnOff(n.Node(0), 1, 10*time.Millisecond, time.Second, time.Second, 100, 64, 0, time.Hour)
 	s.Schedule(500*time.Millisecond, func() { src.Stop() })
 	s.RunUntil(time.Second)
-	sent := n.Stats().DataSent
+	sent := n.Metrics().Get(obs.PacketsSent)
 	s.RunUntil(5 * time.Second)
-	if n.Stats().DataSent != sent {
+	if n.Metrics().Get(obs.PacketsSent) != sent {
 		t.Error("packets sent after Stop")
 	}
 }
@@ -142,7 +143,7 @@ func TestTrafficDeterministic(t *testing.T) {
 		StartPoisson(n.Node(0), 1, 5*time.Millisecond, 100, 64, 0, 10*time.Second)
 		StartOnOff(n.Node(1), 0, 7*time.Millisecond, time.Second, 500*time.Millisecond, 100, 64, 0, 10*time.Second)
 		s.Run()
-		return n.Stats().DataSent
+		return n.Metrics().Get(obs.PacketsSent)
 	}
 	if run() != run() {
 		t.Error("traffic sources not deterministic under a fixed seed")

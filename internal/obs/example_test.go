@@ -13,16 +13,9 @@ import (
 // sweep manifests.
 func ExampleMetrics() {
 	m := obs.NewMetrics()
-	for i := 0; i < 5; i++ {
-		m.Inc(obs.PacketsSent)
-		m.PacketIn()
-	}
-	for i := 0; i < 4; i++ {
-		m.Inc(obs.PacketsDelivered)
-		m.PacketOut()
-	}
-	m.Inc(obs.DropNoRoute)
-	m.PacketOut()
+	m.Add(obs.PacketsSent, 6)
+	m.Add(obs.PacketsDelivered, 4)
+	m.Inc(obs.DropNoRoute) // the sixth packet is still on the wire
 
 	snap := m.Snapshot()
 	for _, k := range snap.Keys() {
@@ -31,7 +24,8 @@ func ExampleMetrics() {
 	// Output:
 	// drops.no_route 1
 	// packets.delivered 4
-	// packets.sent 5
+	// packets.in_flight_end 1
+	// packets.sent 6
 }
 
 // ExampleTimeline logs a miniature convergence episode and renders it as

@@ -1,6 +1,8 @@
 // Package obs is the observability layer: typed zero-allocation metrics and
 // an optional structured convergence timeline, threaded through the engine,
 // the network substrate, every routing protocol, and the sweep orchestrator.
+// The metrics are the simulator's one packet ledger and always run; the
+// timeline is opt-in.
 //
 // The package follows the measurement-first spirit of the paper — its whole
 // contribution is counting delivered, dropped, and looped packets during
@@ -10,10 +12,10 @@
 //
 // Both halves are strictly read-only with respect to the simulation: no
 // method schedules an event or consumes randomness, so enabling them cannot
-// perturb event order (the golden determinism fixtures pin this). The nil
-// *Metrics and nil *Timeline are fully functional no-ops — every method has
-// a nil-receiver fast path — so uninstrumented runs pay one pointer test
-// per hook and allocate nothing (guarded by AllocsPerRun tests).
+// perturb event order (the golden determinism fixtures pin this). Counting
+// is a fixed-size array increment that allocates nothing (guarded by
+// AllocsPerRun tests). The nil *Timeline is a fully functional no-op, so
+// untraced runs pay one pointer test per record.
 //
 // Every metric name and timeline record schema is documented field-by-field
 // in OBSERVABILITY.md at the repository root.
@@ -175,19 +177,16 @@ var queueBucketNames = [len(queueBuckets) + 1]string{
 	"queue.depth.le8", "queue.depth.le16", "queue.depth.gt16",
 }
 
-// Metrics is one trial's counter set. All state is fixed-size, so every
-// recording method is allocation-free; Snapshot (called once, at trial end)
-// is the only method that allocates. Methods are nil-safe: a nil *Metrics
-// records nothing, which is how uninstrumented runs stay zero-overhead.
+// Metrics is one simulation's counter set. All state is fixed-size, so
+// every recording method is allocation-free; Snapshot (called once, at
+// trial end) is the only method that allocates. A network owns one set per
+// execution context from the moment it is built, so every packet fate is
+// counted by exactly one increment and no hook tests for nil.
 //
 // Metrics is not safe for concurrent use; one instance belongs to one
 // simulation, which is single-threaded by construction.
 type Metrics struct {
 	counters [numCounters]uint64
-	// inFlight is the signed balance of data packets injected minus data
-	// packets that reached a terminal event (delivery or drop). At trial
-	// end it is the number of packets still queued or on the wire.
-	inFlight int64
 	// queuePeak is the maximum data-queue depth observed on any port.
 	queuePeak int64
 	// queueHist counts data enqueues by resulting queue depth.
@@ -198,79 +197,21 @@ type Metrics struct {
 func NewMetrics() *Metrics { return &Metrics{} }
 
 // Inc adds one to the counter.
-func (m *Metrics) Inc(c Counter) {
-	if m != nil {
-		m.counters[c]++
-	}
-}
+func (m *Metrics) Inc(c Counter) { m.counters[c]++ }
 
 // Add adds n to the counter.
-func (m *Metrics) Add(c Counter, n uint64) {
-	if m != nil {
-		m.counters[c] += n
-	}
-}
+func (m *Metrics) Add(c Counter, n uint64) { m.counters[c] += n }
 
 // Set overwrites the counter (used for totals read once at trial end, such
 // as EventsFired).
-func (m *Metrics) Set(c Counter, v uint64) {
-	if m != nil {
-		m.counters[c] = v
-	}
-}
+func (m *Metrics) Set(c Counter, v uint64) { m.counters[c] = v }
 
 // Get returns the counter's current value.
-func (m *Metrics) Get(c Counter) uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.counters[c]
-}
-
-// PacketIn records a data packet entering the network.
-func (m *Metrics) PacketIn() {
-	if m != nil {
-		m.inFlight++
-	}
-}
-
-// PacketOut records a data packet reaching a terminal event (delivered or
-// dropped).
-func (m *Metrics) PacketOut() {
-	if m != nil {
-		m.inFlight--
-	}
-}
-
-// PacketInN records n data packets entering the network at once — the
-// fluid engine's bulk settlement path.
-func (m *Metrics) PacketInN(n uint64) {
-	if m != nil {
-		m.inFlight += int64(n)
-	}
-}
-
-// PacketOutN records n data packets reaching terminal events at once.
-func (m *Metrics) PacketOutN(n uint64) {
-	if m != nil {
-		m.inFlight -= int64(n)
-	}
-}
-
-// InFlight returns the current in-flight data-packet balance.
-func (m *Metrics) InFlight() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.inFlight
-}
+func (m *Metrics) Get(c Counter) uint64 { return m.counters[c] }
 
 // ObserveQueueDepth records one data enqueue whose resulting port queue
 // depth (packets waiting, excluding the one in transmission) is depth.
 func (m *Metrics) ObserveQueueDepth(depth int) {
-	if m == nil {
-		return
-	}
 	if int64(depth) > m.queuePeak {
 		m.queuePeak = int64(depth)
 	}
@@ -283,18 +224,13 @@ func (m *Metrics) ObserveQueueDepth(depth int) {
 	m.queueHist[len(queueBuckets)]++
 }
 
-// Absorb adds every counter, the in-flight balance, and the queue
-// histogram of other into m, and keeps the larger queue peak. It is how a
-// sharded run folds per-shard counter sets into the trial's root set at
-// the end. Either receiver or argument may be nil.
+// Absorb adds every counter and the queue histogram of other into m, and
+// keeps the larger queue peak. It is how a sharded run folds per-shard
+// counter sets into the network's root set at the end.
 func (m *Metrics) Absorb(other *Metrics) {
-	if m == nil || other == nil {
-		return
-	}
 	for c := Counter(0); c < numCounters; c++ {
 		m.counters[c] += other.counters[c]
 	}
-	m.inFlight += other.inFlight
 	if other.queuePeak > m.queuePeak {
 		m.queuePeak = other.queuePeak
 	}
@@ -308,23 +244,25 @@ func (m *Metrics) Absorb(other *Metrics) {
 // are omitted; a missing key reads as zero.
 type Snapshot map[string]uint64
 
-// Snapshot freezes the counter set. The in-flight balance is emitted as
+// Snapshot freezes the counter set. The data packets still queued or on
+// the wire, sent − delivered − every data drop, are emitted as
 // packets.in_flight_end (clamped at zero: a negative balance is a packet-
 // accounting bug that the conservation test reports explicitly) and the
-// queue statistics as queue.peak and queue.depth.*. A nil *Metrics yields a
-// nil Snapshot.
+// queue statistics as queue.peak and queue.depth.*.
 func (m *Metrics) Snapshot() Snapshot {
-	if m == nil {
-		return nil
-	}
 	s := make(Snapshot)
 	for c := Counter(0); c < numCounters; c++ {
 		if v := m.counters[c]; v != 0 {
 			s[counterNames[c]] = v
 		}
 	}
-	if m.inFlight > 0 {
-		s["packets.in_flight_end"] = uint64(m.inFlight)
+	inFlight := int64(m.counters[PacketsSent] - m.counters[PacketsDelivered])
+	// The data-drop counters are declared contiguously.
+	for c := DropNoRoute; c <= DropRandomLoss; c++ {
+		inFlight -= int64(m.counters[c])
+	}
+	if inFlight > 0 {
+		s["packets.in_flight_end"] = uint64(inFlight)
 	}
 	if m.queuePeak > 0 {
 		s["queue.peak"] = uint64(m.queuePeak)

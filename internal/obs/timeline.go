@@ -115,9 +115,9 @@ type Record struct {
 
 // Timeline is one trial's append-only convergence event log. Recording
 // appends to a slice (amortized-allocation only, no I/O, no formatting);
-// WriteNDJSON renders it once at the end. Like Metrics, a nil *Timeline is
-// a no-op recorder, and no method touches the simulator: recording cannot
-// change event order or consume randomness.
+// WriteNDJSON renders it once at the end. A nil *Timeline is a no-op
+// recorder, and no method touches the simulator: recording cannot change
+// event order or consume randomness.
 type Timeline struct {
 	recs     []Record
 	finished bool

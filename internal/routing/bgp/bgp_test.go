@@ -356,8 +356,7 @@ func TestUpdateOutsideNetworkDropped(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, net := build(t, 1, topology.Line(n), BGP3Config())
-			met := obs.NewMetrics()
-			net.Instrument(met)
+			met := net.Metrics()
 			s.RunUntil(time.Minute) // converged: the network is silent
 			p := net.Node(0).Protocol().(*Protocol)
 			for i, u := range tc.msgs {
@@ -419,7 +418,7 @@ func TestDeterministicRuns(t *testing.T) {
 		s.RunUntil(60 * time.Second)
 		net.FailLink(0, 1)
 		s.RunUntil(120 * time.Second)
-		return net.Stats().ControlSent + net.Stats().ControlBytes
+		return net.Metrics().Get(obs.ControlSent) + net.Metrics().Get(obs.ControlBytes)
 	}
 	if run() != run() {
 		t.Error("identical seeds produced different control traffic")

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"routeconv/internal/netsim"
+	"routeconv/internal/obs"
 	"routeconv/internal/sim"
 	"routeconv/internal/topology"
 )
@@ -205,8 +206,8 @@ func deterministic(t *testing.T, p Params) {
 		s.RunUntil(p.Settle)
 		net.FailLink(0, 1)
 		s.RunUntil(s.Now() + p.Settle)
-		st := net.Stats()
-		return st.ControlSent, st.ControlBytes
+		met := net.Metrics()
+		return met.Get(obs.ControlSent), met.Get(obs.ControlBytes)
 	}
 	m1, b1 := run()
 	m2, b2 := run()
@@ -226,15 +227,19 @@ func delivery(t *testing.T, p Params) {
 	s.RunUntil(s.Now() + 10*time.Second)
 	net.FailLink(1, 2) // may or may not be on the 0→4 path
 	s.RunUntil(stop + p.Settle)
-	st := net.Stats()
-	if st.DataSent == 0 {
+	met := net.Metrics()
+	sent, delivered := met.Get(obs.PacketsSent), met.Get(obs.PacketsDelivered)
+	if sent == 0 {
 		t.Fatal("no packets sent")
 	}
-	if st.DataSent != st.DataDelivered+st.DataDropped() {
-		t.Errorf("conservation violated: sent %d ≠ delivered %d + dropped %d",
-			st.DataSent, st.DataDelivered, st.DataDropped())
+	var dropped uint64
+	for _, c := range []obs.Counter{obs.DropNoRoute, obs.DropTTLExpired, obs.DropQueueOverflow, obs.DropLinkFailure, obs.DropRandomLoss} {
+		dropped += met.Get(c)
 	}
-	ratio := float64(st.DataDelivered) / float64(st.DataSent)
+	if sent != delivered+dropped {
+		t.Errorf("conservation violated: sent %d ≠ delivered %d + dropped %d", sent, delivered, dropped)
+	}
+	ratio := float64(delivered) / float64(sent)
 	if ratio < 0.5 {
 		t.Errorf("delivery ratio %.3f across one failover is implausibly low", ratio)
 	}

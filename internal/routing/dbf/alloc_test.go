@@ -17,7 +17,6 @@ import (
 func TestSkippedAdvertisementAllocs(t *testing.T) {
 	s := sim.New(1)
 	net := netsim.FromGraph(s, topology.Line(2), netsim.DefaultConfig(), nil)
-	net.Instrument(obs.NewMetrics())
 	cfg := routing.DefaultVectorConfig()
 	p0 := New(net.Node(0), cfg)
 	p1 := New(net.Node(1), cfg)

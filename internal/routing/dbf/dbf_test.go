@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"routeconv/internal/netsim"
+	"routeconv/internal/obs"
 	"routeconv/internal/routing"
 	"routeconv/internal/routing/conformance"
 	"routeconv/internal/sim"
@@ -182,7 +183,7 @@ func TestDeterministicRuns(t *testing.T) {
 		s.RunUntil(60 * time.Second)
 		net.FailLink(0, 1)
 		s.RunUntil(120 * time.Second)
-		return net.Stats().ControlSent + net.Stats().ControlBytes
+		return net.Metrics().Get(obs.ControlSent) + net.Metrics().Get(obs.ControlBytes)
 	}
 	if run() != run() {
 		t.Error("identical seeds produced different control traffic")

@@ -174,8 +174,7 @@ func TestIncrementalFastPathTaken(t *testing.T) {
 	g := topology.Ring(8)
 	s := sim.New(11)
 	net := netsim.FromGraph(s, g, netsim.DefaultConfig(), nil)
-	met := obs.NewMetrics()
-	net.Instrument(met)
+	met := net.Metrics()
 	for i := 0; i < net.Len(); i++ {
 		node := net.Node(routing.NodeID(i))
 		node.AttachProtocol(New(node, DefaultConfig()))

@@ -127,8 +127,7 @@ func TestFloodOutsideNetworkDropped(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, net := build(t, 1, topology.Line(n))
-			met := obs.NewMetrics()
-			net.Instrument(met)
+			met := net.Metrics()
 			s.RunUntil(time.Second)
 			p := net.Node(0).Protocol().(*Protocol)
 			before := p.db[1]
@@ -179,7 +178,7 @@ func TestDeterministicRuns(t *testing.T) {
 		s.RunUntil(5 * time.Second)
 		net.FailLink(0, 1)
 		s.RunUntil(10 * time.Second)
-		return net.Stats().ControlSent + net.Stats().ControlBytes
+		return net.Metrics().Get(obs.ControlSent) + net.Metrics().Get(obs.ControlBytes)
 	}
 	if run() != run() {
 		t.Error("identical seeds produced different control traffic")

@@ -19,10 +19,10 @@ type JournalEntry struct {
 	WallMS int64  `json:"wall_ms"`
 }
 
-// Journal is the sweep's checkpoint log: an append-only file with one line
-// per completed cell. An interrupted sweep reopens its journal on restart
-// and skips every journaled cell (re-reading the results from the cache),
-// so only unfinished work re-executes.
+// Journal is the sweep's progress log: an append-only file with one line
+// per completed cell. It does not drive resume — an interrupted sweep
+// skips the cells its cache serves, journaled or not — and its completed
+// set only keeps a restarted sweep from logging a cell twice.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File

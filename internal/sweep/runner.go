@@ -18,8 +18,10 @@ type Options struct {
 	// cache rooted there. Cells whose key is present are served from disk
 	// without simulating.
 	CacheDir string
-	// JournalPath, when non-empty, enables checkpoint/resume: completed
-	// cells are appended there, and a restarted sweep skips them.
+	// JournalPath, when non-empty, is an append-only log of completed
+	// cells (one JSON line each, cached or run). It is a record, not the
+	// resume mechanism: a restarted sweep skips exactly the cells CacheDir
+	// serves, so without a cache it re-executes everything.
 	JournalPath string
 	// ManifestPath, when non-empty, is where the run's manifest.json is
 	// written (atomically) on completion.
@@ -45,8 +47,8 @@ type Options struct {
 type CellOutcome struct {
 	Cell   Cell
 	Result *core.Result
-	// Cached reports that the result came from the cache (or journal)
-	// rather than a fresh simulation.
+	// Cached reports that the result came from the cache rather than a
+	// fresh simulation.
 	Cached bool
 	// Wall is the time spent obtaining the result in this run.
 	Wall time.Duration
@@ -58,17 +60,17 @@ type Outcome struct {
 	Spec  Spec
 	Cells []CellOutcome
 	// Executed counts cells that were freshly simulated; CacheHits counts
-	// cells served from the cache, including journal-resumed ones.
+	// cells served from the cache.
 	Executed  int
 	CacheHits int
 	Wall      time.Duration
 }
 
-// Run expands the spec and executes its plan: journaled cells are skipped
-// (their results re-read from the cache), cached cells are served from
-// disk, and the rest are simulated on a bounded worker pool. Cancelling
-// ctx stops the sweep promptly — in-flight cells abort between trials —
-// and leaves the journal and cache consistent, so the next Run resumes
+// Run expands the spec and executes its plan: cached cells are served from
+// disk and the rest are simulated on a bounded worker pool; every
+// completed cell is journaled. Cancelling ctx stops the sweep promptly —
+// in-flight cells abort between trials — and every cell finished by then
+// is already in the cache, so the next Run with the same CacheDir resumes
 // where this one stopped.
 func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 	cells, err := spec.Expand()
@@ -223,15 +225,16 @@ dispatch:
 	return out, nil
 }
 
-// runCell obtains one cell's result: journal skip, then cache lookup, then
-// a fresh simulation (written back to cache and journal).
+// runCell obtains one cell's result: cache lookup, then a fresh
+// simulation (written back to the cache). Either way the cell is
+// journaled; Journal.Done only keeps a cache hit from adding a second
+// line for a cell already there.
 func runCell(ctx context.Context, cell *Cell, cache *Cache, journal *Journal, force bool) (CellOutcome, error) {
 	start := time.Now()
 	if !force && cache != nil {
-		// A journaled or previously-cached cell is served from disk. The
-		// journal alone is not trusted without a readable cache entry —
-		// results must come from somewhere — so a journaled cell whose
-		// cache entry is missing or corrupt re-executes.
+		// A cached cell is served from disk. The journal plays no part:
+		// a cell whose cache entry is missing or corrupt re-executes,
+		// journaled or not.
 		if res, ok := cache.Get(cell.Key, cell.Config); ok {
 			wall := time.Since(start)
 			if journal != nil && !journal.Done(cell.Key) {

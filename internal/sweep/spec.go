@@ -2,8 +2,9 @@
 // declarative sweep specification — protocols × node degrees × failure
 // models, at a given trial count — into a plan of independent cells and
 // executes them on a bounded worker pool with a content-addressed on-disk
-// result cache, a checkpoint journal for resume-after-interrupt, context
-// cancellation, live progress reporting, and a machine-readable manifest.
+// result cache (which is also what an interrupted sweep resumes from), a
+// progress journal, context cancellation, live progress reporting, and a
+// machine-readable manifest.
 //
 // The design follows the scenario-level decomposition argued for by the
 // distributed-BGP-simulation feasibility literature: each (protocol,
@@ -120,8 +121,8 @@ type Spec struct {
 	// End shortens or extends the simulation horizon (default: the
 	// paper's 800 s).
 	End Duration `json:"end,omitempty"`
-	// Metrics enables the obs counter layer per cell: every trial carries
-	// an obs snapshot, the summed counters land in each manifest cell, and
+	// Metrics exports the obs counters per cell: every trial carries an
+	// obs snapshot, the summed counters land in each manifest cell, and
 	// cache keys change (metered and unmetered results are distinct).
 	Metrics bool `json:"metrics,omitempty"`
 	// Base, when non-nil, replaces core.DefaultConfig() as the per-cell

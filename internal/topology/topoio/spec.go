@@ -2,6 +2,7 @@ package topoio
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,6 +13,10 @@ import (
 // maxSpecNodes bounds generated graph sizes so a typo in a spec fails fast
 // instead of exhausting memory.
 const maxSpecNodes = 1 << 22
+
+// maxClosEdges bounds a leaf-spine fabric's spines·leaves links to the
+// edge count of the largest full mesh (full:n=4096).
+const maxClosEdges = 4096 * 4095 / 2
 
 // Spec is a parsed topology specification of the form
 // "family:key=val,key=val" (or "file:path" / "filemap:path"). Families:
@@ -158,21 +163,20 @@ func hasKey(m map[string]int, k string) bool { _, ok := m[k]; return ok }
 func hasFloatKey(m map[string]float64, k string) bool { _, ok := m[k]; return ok }
 
 // checkRanges validates parameter ranges up front so Build (and the
-// generators, which panic on model bugs) cannot fail on a user typo.
+// generators, which panic on model bugs) cannot fail on a user typo. Each
+// factor is bounded before two are combined, so no product or sum can
+// overflow, and a float that is not a finite number in range is rejected
+// (the negated comparisons are false for NaN).
 func (sp *Spec) checkRanges() error {
 	bad := func(format string, args ...interface{}) error {
 		return fmt.Errorf("topoio: %q: %s", sp.raw, fmt.Sprintf(format, args...))
 	}
 	g := sp.ints
 	switch sp.family {
-	case "mesh":
+	case "mesh", "torus":
 		// NewMesh re-validates; catch sizes here.
-		if g["rows"] < 2 || g["cols"] < 2 || g["rows"]*g["cols"] > maxSpecNodes {
-			return bad("mesh needs 2 ≤ rows, cols with rows·cols ≤ %d", maxSpecNodes)
-		}
-	case "torus":
-		if g["rows"] < 2 || g["cols"] < 2 || g["rows"]*g["cols"] > maxSpecNodes {
-			return bad("torus needs 2 ≤ rows, cols with rows·cols ≤ %d", maxSpecNodes)
+		if g["rows"] < 2 || g["cols"] < 2 || g["rows"] > maxSpecNodes/g["cols"] {
+			return bad("%s needs 2 ≤ rows, cols with rows·cols ≤ %d", sp.family, maxSpecNodes)
 		}
 	case "hypercube":
 		if g["dim"] < 1 || g["dim"] > 22 {
@@ -190,8 +194,11 @@ func (sp *Spec) checkRanges() error {
 			return bad("random needs 2 ≤ n ≤ %d and 1 ≤ deg < n", maxSpecNodes)
 		}
 	case "sw":
-		if g["n"] < 3 || g["n"] > maxSpecNodes || g["k"] < 1 || 2*g["k"]+1 > g["n"] {
+		if g["n"] < 3 || g["n"] > maxSpecNodes || g["k"] < 1 || g["k"] > (g["n"]-1)/2 {
 			return bad("sw needs 3 ≤ n ≤ %d and 1 ≤ k with 2k+1 ≤ n", maxSpecNodes)
+		}
+		if !(sp.beta >= 0 && sp.beta <= 1) {
+			return bad("sw needs 0 ≤ beta ≤ 1")
 		}
 	case "ba":
 		if g["m"] < 1 || g["n"] < g["m"]+1 || g["n"] > maxSpecNodes {
@@ -201,19 +208,20 @@ func (sp *Spec) checkRanges() error {
 		if g["m"] < 1 || g["n"] < g["m"]+1 || g["n"] > maxSpecNodes {
 			return bad("glp needs m ≥ 1 and m+1 ≤ n ≤ %d", maxSpecNodes)
 		}
-		if sp.p < 0 || sp.p >= 1 {
+		if !(sp.p >= 0 && sp.p < 1) {
 			return bad("glp needs 0 ≤ p < 1")
 		}
-		if sp.beta >= 1 {
-			return bad("glp needs beta < 1")
+		if !(sp.beta < 1) || math.IsInf(sp.beta, -1) {
+			return bad("glp needs a finite beta < 1")
 		}
 	case "fattree":
 		if g["k"] < 2 || g["k"]%2 != 0 || g["k"] > 64 {
 			return bad("fattree needs even 2 ≤ k ≤ 64")
 		}
 	case "clos":
-		if g["spines"] < 1 || g["leaves"] < 1 || g["spines"]+g["leaves"] > maxSpecNodes {
-			return bad("clos needs spines, leaves ≥ 1")
+		if g["spines"] < 1 || g["leaves"] < 1 || g["spines"] > maxClosEdges/g["leaves"] ||
+			g["spines"]+g["leaves"] > maxSpecNodes {
+			return bad("clos needs spines, leaves ≥ 1 with spines·leaves ≤ %d and spines+leaves ≤ %d", maxClosEdges, maxSpecNodes)
 		}
 	}
 	return nil

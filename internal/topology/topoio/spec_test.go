@@ -86,6 +86,30 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsOverflowAndNonFinite lists specs whose parameters
+// overflow when combined, or are not finite numbers. Each once passed
+// ParseSpec and then panicked, hung, or built a graph from a NaN in Build;
+// each must fail in ParseSpec with a diagnostic instead.
+func TestParseSpecRejectsOverflowAndNonFinite(t *testing.T) {
+	for _, s := range []string{
+		"mesh:rows=4294967296,cols=4294967296",  // rows·cols wraps to 0
+		"torus:rows=4294967296,cols=4294967296", // likewise
+		"clos:spines=9223372036854775807,leaves=1",
+		"clos:spines=4096,leaves=4096", // 16M links, over the edge budget
+		"sw:n=5,k=4611686018427387904", // 2k+1 wraps negative
+		"sw:n=64,k=2,beta=NaN",
+		"sw:n=64,k=2,beta=1.5",
+		"glp:n=50,beta=NaN",
+		"glp:n=50,beta=-Inf",
+		"glp:n=50,p=NaN",
+		"glp:n=50,p=Inf",
+	} {
+		if _, err := ParseSpec(s); err == nil {
+			t.Errorf("ParseSpec(%q) succeeded, want error", s)
+		}
+	}
+}
+
 func TestSpecAllFamiliesBuild(t *testing.T) {
 	// Every non-file family builds a connected graph from its defaults.
 	for _, fam := range Families() {

@@ -24,9 +24,10 @@ import (
 	"routeconv/internal/topology"
 )
 
-// maxVerbatimID caps node IDs when reading without remapping: the graph is
-// dense in IDs, so a stray huge label (an AS number, say) would allocate
-// gigabytes. Larger labels need ReadRemapped.
+// maxVerbatimID caps node IDs, and the "# nodes N" header, when reading
+// without remapping: the graph is dense in IDs, so a stray huge label (an
+// AS number, say) or node count would allocate gigabytes. Larger labels
+// need ReadRemapped.
 const maxVerbatimID = 1 << 24
 
 // Read parses an edge-list stream, keeping node IDs verbatim. IDs must be
@@ -73,6 +74,9 @@ func read(r io.Reader, remap bool) (*topology.Graph, error) {
 		if line[0] == '#' {
 			if !remap {
 				if n, ok := nodesDirective(line); ok {
+					if n > maxVerbatimID {
+						return nil, fmt.Errorf("topoio: line %d: %d nodes > %d; use remapped import", lineNo, n, maxVerbatimID)
+					}
 					for g.Len() < n {
 						g.AddNode()
 					}

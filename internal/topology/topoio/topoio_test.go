@@ -2,6 +2,7 @@ package topoio
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -43,6 +44,28 @@ func TestReadNodesDirective(t *testing.T) {
 	}
 	if g.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d", g.NumEdges())
+	}
+}
+
+// TestReadNodesHeaderCapped pins that the "# nodes N" header is bounded
+// like the labels are: a two-line file declaring two billion nodes once
+// ran a file: import out of memory. The remapped import ignores the
+// header, so it reads the same file.
+func TestReadNodesHeaderCapped(t *testing.T) {
+	const in = "# nodes 2000000000\n0 1\n"
+	path := filepath.Join(t.TempDir(), "huge.edges")
+	if err := os.WriteFile(path, []byte(in), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := ParseSpec("file:" + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.Build(); err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Errorf("file: import of a 2e9-node header: err = %v, want a line 1 diagnostic", err)
+	}
+	if g, err := ReadRemapped(strings.NewReader(in)); err != nil || g.Len() != 2 {
+		t.Errorf("ReadRemapped: %v, want a 2-node graph", err)
 	}
 }
 
