@@ -3,10 +3,15 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"routeconv/internal/sweep"
 )
 
 // fastSpec is a sweep spec small enough for unit tests: a short horizon
@@ -29,10 +34,14 @@ func writeSpec(t *testing.T) string {
 	return path
 }
 
+func runQuiet(args ...string) error {
+	return run(context.Background(), args, io.Discard)
+}
+
 func TestRunEndToEnd(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out")
 	spec := writeSpec(t)
-	if err := run(context.Background(), []string{"-spec", spec, "-out", out, "-q"}); err != nil {
+	if err := runQuiet("-spec", spec, "-out", out, "-q"); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"summary.txt", "summary.csv", "manifest.json", "journal.jsonl"} {
@@ -64,7 +73,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatalf("first run manifest: %+v", m)
 	}
 	// Second invocation: everything from cache.
-	if err := run(context.Background(), []string{"-spec", spec, "-out", out, "-q"}); err != nil {
+	if err := runQuiet("-spec", spec, "-out", out, "-q"); err != nil {
 		t.Fatal(err)
 	}
 	read()
@@ -77,7 +86,7 @@ func TestRunPlanMode(t *testing.T) {
 	spec := writeSpec(t)
 	// -plan only expands; it must not create any output directory.
 	out := filepath.Join(t.TempDir(), "nonexistent")
-	if err := run(context.Background(), []string{"-spec", spec, "-out", out, "-plan"}); err != nil {
+	if err := runQuiet("-spec", spec, "-out", out, "-plan"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
@@ -87,10 +96,7 @@ func TestRunPlanMode(t *testing.T) {
 
 func TestRunGridFlags(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out")
-	err := run(context.Background(), []string{
-		"-protocols", "dbf", "-degrees", "3", "-trials", "1", "-out", out, "-q",
-	})
-	if err != nil {
+	if err := runQuiet("-protocols", "dbf", "-degrees", "3", "-trials", "1", "-out", out, "-q"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(out, "summary.csv"))
@@ -103,13 +109,176 @@ func TestRunGridFlags(t *testing.T) {
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
+	out := t.TempDir()
 	for _, args := range [][]string{
 		{"-degrees", "junk"},
 		{"-protocols", "nonesuch", "-degrees", "3"},
 		{"-spec", "/nonexistent/spec.json"},
 	} {
-		if err := run(context.Background(), args); err == nil {
+		if err := runQuiet(append(args, "-out", out)...); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
+}
+
+// TestFlags gives every flag a value that parses and, where one exists, a
+// command line that run must reject. A flag the table does not list fails
+// the test.
+func TestFlags(t *testing.T) {
+	dir := t.TempDir()
+	spec := writeSpec(t)
+	missing := filepath.Join(dir, "missing", "file")
+	notDir := filepath.Join(dir, "plain")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	quick := []string{"-spec", spec, "-out", filepath.Join(dir, "out"), "-q"}
+	cases := []struct {
+		name, good string
+		bad        []string // nil: the flag has no invalid value
+	}{
+		{"spec", spec, []string{"-spec", missing}},
+		{"protocols", "dbf", []string{"-protocols", "nonesuch", "-plan"}},
+		{"degrees", "3,4", []string{"-degrees", "junk"}},
+		{"topos", "fattree:k=4", []string{"-degrees", "", "-topos", "nonesuch:n=1", "-plan"}},
+		{"scenarios", "failpath @400s", []string{"-scenarios", "explode @400s", "-plan"}},
+		{"trials", "3", []string{"-trials", "x"}},
+		{"seed", "5", []string{"-seed", "x"}},
+		{"flows", "1,10", []string{"-flows", "junk"}},
+		{"mode", "fluid", []string{"-mode", "warp", "-plan"}},
+		{"shards", "2", []string{"-shards", "x"}},
+		{"out", dir, append(quick, "-out", notDir)},
+		{"cache", "off", append(quick, "-cache", filepath.Join(notDir, "cache"))},
+		{"workers", "2", []string{"-workers", "x"}},
+		{"force", "true", []string{"-force=maybe"}},
+		{"metrics", "true", []string{"-metrics=maybe"}},
+		{"plan", "true", []string{"-plan=maybe"}},
+		{"q", "true", []string{"-q=maybe"}},
+		{"figures", "true", []string{"-figures=maybe"}},
+		{"report", filepath.Join(dir, "r.md"), append(quick, "-report", missing)},
+		{"cpuprofile", filepath.Join(dir, "cpu.prof"), []string{"-spec", spec, "-plan", "-cpuprofile", missing}},
+		{"memprofile", filepath.Join(dir, "mem.prof"), []string{"-spec", spec, "-plan", "-memprofile", missing}},
+	}
+	listed := map[string]bool{}
+	for _, c := range cases {
+		listed[c.name] = true
+		fs, _ := newFlagSet()
+		fs.SetOutput(io.Discard)
+		if err := fs.Parse([]string{"-" + c.name + "=" + c.good}); err != nil {
+			t.Errorf("-%s=%s: %v", c.name, c.good, err)
+		} else if f := fs.Lookup(c.name); f.Value.String() == f.DefValue {
+			t.Errorf("-%s=%s left the default %q", c.name, c.good, f.DefValue)
+		}
+		if c.bad != nil {
+			if err := runQuiet(c.bad...); err == nil {
+				t.Errorf("run(%q) succeeded, want error", c.bad)
+			}
+		}
+	}
+	fs, _ := newFlagSet()
+	fs.VisitAll(func(f *flag.Flag) {
+		if !listed[f.Name] {
+			t.Errorf("flag -%s has no case in TestFlags", f.Name)
+		}
+	})
+}
+
+// TestParseDegrees pins the grammar the -degrees and -flows flags accept.
+func TestParseDegrees(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []int
+		err  bool
+	}{
+		{"3-6", []int{3, 4, 5, 6}, false},
+		{"4", []int{4}, false},
+		{"3,5,8", []int{3, 5, 8}, false},
+		{"3-5,8", []int{3, 4, 5, 8}, false},
+		{" 3 , 4 ", []int{3, 4}, false},
+		{"", nil, true},
+		{"6-3", nil, true},
+		{"abc", nil, true},
+		{"3-x", nil, true},
+	}
+	for _, c := range cases {
+		got, err := sweep.ParseDegrees(c.in)
+		if c.err {
+			if err == nil {
+				t.Errorf("ParseDegrees(%q) succeeded with %v, want error", c.in, got)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseDegrees(%q): %v", c.in, err)
+		} else if !slices.Equal(got, c.want) {
+			t.Errorf("ParseDegrees(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestFigures runs the -figures mode: the paper's figure files and the
+// markdown report from one sweep.
+func TestFigures(t *testing.T) {
+	dir := t.TempDir()
+	report := filepath.Join(dir, "report.md")
+	args := []string{"-figures", "-trials", "1", "-degrees", "4,8", "-protocols", "dbf", "-out", dir, "-q"}
+
+	t.Run("end-to-end", func(t *testing.T) {
+		if err := runQuiet(args...); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{
+			"fig2_topology_family.txt", "fig2_topology_family.csv",
+			"fig3_drops_no_route.txt", "fig3_drops_no_route.csv",
+			"fig4_ttl_expirations.txt",
+			"fig5_throughput_deg4.csv",
+			"fig5_fig7_deg4.plot.txt",
+			"fig6a_forwarding_convergence.txt",
+			"fig6b_routing_convergence.txt",
+			"fig7_delay_deg4.csv",
+			"summary.txt",
+		} {
+			if data, err := os.ReadFile(filepath.Join(dir, name)); err != nil || len(data) == 0 {
+				t.Errorf("output %s missing or empty: %v", name, err)
+			}
+		}
+		// Degree 8 is swept but outside the paper's time-series range.
+		if _, err := os.Stat(filepath.Join(dir, "fig5_throughput_deg8.csv")); !os.IsNotExist(err) {
+			t.Errorf("fig5 written for degree 8: %v", err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "fig3_drops_no_route.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(data), "degree,dbf_drops") {
+			t.Errorf("fig3 CSV header = %q", strings.SplitN(string(data), "\n", 2)[0])
+		}
+	})
+
+	t.Run("report", func(t *testing.T) {
+		if err := runQuiet(append(args, "-report", report)...); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"# Reproduction report", "Figure 3", "Figure 6(b)", "Figures 5 and 7 — degree 4", "Per-cell summary"} {
+			if !strings.Contains(string(data), want) {
+				t.Errorf("report missing %q", want)
+			}
+		}
+	})
+
+	t.Run("rejects-bad-flags", func(t *testing.T) {
+		for _, bad := range [][]string{
+			{"-figures", "-degrees", "junk"},
+			{"-figures", "-protocols", "nonesuch"},
+		} {
+			bad = append(bad, "-out", dir)
+			if err := runQuiet(bad...); err == nil {
+				t.Errorf("run(%v) succeeded, want error", bad)
+			}
+		}
+	})
 }

@@ -1,35 +1,22 @@
 package core
 
-import "flag"
+import (
+	"errors"
+	"flag"
+	"os"
+	"runtime"
+	"runtime/pprof"
+)
 
-// MeshFlags bundles the topology command-line flags shared by the repo's
-// CLIs (convsim, tracer, topoview): the mesh geometry plus the -topo spec
-// that overrides it. Set the fields to the desired defaults, then call
-// Register before parsing.
-type MeshFlags struct {
+// ExperimentFlags bundles the experiment-selection flags of the convsim
+// command: the mesh geometry and the -topo spec that overrides it, plus
+// protocol, seed, traffic mode, shards and scenario. Set the fields to the
+// desired defaults, then call Register before parsing.
+type ExperimentFlags struct {
 	Rows, Cols, Degree int
 	// Topo is a topology spec string ("ba:n=10000,m=2", "file:as.edges",
 	// ...); when non-empty it replaces the mesh geometry entirely.
-	Topo string
-}
-
-// DefaultMeshFlags returns the paper's mesh geometry (7×7, degree 4).
-func DefaultMeshFlags() MeshFlags { return MeshFlags{Rows: 7, Cols: 7, Degree: 4} }
-
-// Register declares -rows, -cols, -degree and -topo on fs, using the
-// current field values as defaults.
-func (m *MeshFlags) Register(fs *flag.FlagSet) {
-	fs.IntVar(&m.Rows, "rows", m.Rows, "mesh rows")
-	fs.IntVar(&m.Cols, "cols", m.Cols, "mesh columns")
-	fs.IntVar(&m.Degree, "degree", m.Degree, "target interior node degree (3-16)")
-	fs.StringVar(&m.Topo, "topo", m.Topo,
-		"topology spec overriding the mesh, e.g. ba:n=10000,m=2 | fattree:k=8 | file:as.edges")
-}
-
-// ExperimentFlags bundles the experiment-selection flags shared by convsim
-// and tracer: mesh geometry plus protocol, seed, and traffic mode.
-type ExperimentFlags struct {
-	MeshFlags
+	Topo     string
 	Protocol string
 	Seed     int64
 	// Mode is the background-flow traffic engine; empty means packet.
@@ -41,10 +28,15 @@ type ExperimentFlags struct {
 	Scenario string
 }
 
-// Register declares the mesh flags plus -protocol, -seed and -mode on fs,
-// using the current field values as defaults.
+// Register declares -rows, -cols, -degree, -topo, -protocol, -seed,
+// -mode, -shards and -scenario on fs, using the current field values as
+// defaults.
 func (e *ExperimentFlags) Register(fs *flag.FlagSet) {
-	e.MeshFlags.Register(fs)
+	fs.IntVar(&e.Rows, "rows", e.Rows, "mesh rows")
+	fs.IntVar(&e.Cols, "cols", e.Cols, "mesh columns")
+	fs.IntVar(&e.Degree, "degree", e.Degree, "target interior node degree (3-16)")
+	fs.StringVar(&e.Topo, "topo", e.Topo,
+		"topology spec overriding the mesh, e.g. ba:n=10000,m=2 | fattree:k=8 | file:as.edges")
 	fs.StringVar(&e.Protocol, "protocol", e.Protocol, "routing protocol: rip, dbf, bgp, bgp3, ls")
 	fs.Int64Var(&e.Seed, "seed", e.Seed, "base random seed")
 	fs.StringVar(&e.Mode, "mode", e.Mode,
@@ -77,4 +69,44 @@ func (e *ExperimentFlags) Config() (Config, error) {
 	cfg.Shards = e.Shards
 	cfg.Scenario = e.Scenario
 	return cfg, nil
+}
+
+// StartProfiles serves the -cpuprofile and -memprofile flags: it starts a
+// CPU profile into cpuPath, when set, and returns the function that stops
+// it and then writes a heap profile into memPath, when set.
+func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if memPath != "" {
+			errs = append(errs, writeHeapProfile(memPath))
+		}
+		return errors.Join(errs...)
+	}, nil
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // settle the heap so the profile shows retained memory
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

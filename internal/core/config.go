@@ -319,6 +319,21 @@ func (c *Config) ResolveTopology() error {
 	return nil
 }
 
+// RouterGraph returns the router topology a trial runs on, with its
+// sender and receiver attachment routers: the resolved Topology, or else
+// the paper's mesh with senders on its first row and receivers on its
+// last. The Topology graph is returned as is, not cloned.
+func (c *Config) RouterGraph() (g *topology.Graph, senders, receivers []netsim.NodeID, err error) {
+	if c.Topology != nil {
+		return c.Topology, c.SenderRouters, c.ReceiverRouters, nil
+	}
+	mesh, err := topology.NewMesh(c.Rows, c.Cols, c.Degree)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return mesh.Graph, mesh.FirstRow(), mesh.LastRow(), nil
+}
+
 // ResolveScenario stores the trial's disturbance schedule in Script and
 // clears Scenario: the resolved config — canonical hash included — depends
 // only on the event list, so a default config and one carrying an explicit

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"routeconv/internal/stats"
+	"routeconv/internal/topology"
 )
 
 // SweepResult holds one Result per (protocol, degree) cell of the paper's
@@ -45,6 +46,23 @@ func (sr *SweepResult) degreeTable(metricName string, metric func(*Result) float
 			}
 		}
 		t.AddRow(row...)
+	}
+	return t
+}
+
+// Figure2Table is the paper's Figure 2 over the swept degrees: the mesh
+// the trials run on at each degree, with its node and edge counts,
+// diameter and mean shortest-path length.
+func (sr *SweepResult) Figure2Table() *stats.Table {
+	t := stats.NewTable("degree", "nodes", "edges", "diameter", "avgpath")
+	for _, d := range sr.Degrees {
+		m, err := topology.NewMesh(sr.Base.Rows, sr.Base.Cols, d)
+		if err != nil {
+			t.AddRow(d, "-", "-", "-", "-")
+			continue
+		}
+		avg := topology.NewCSR(m.Graph).AvgPathLengthSampled(m.Len(), 1) // exact: every node a source
+		t.AddRow(d, m.Len(), m.NumEdges(), m.Diameter(), avg)
 	}
 	return t
 }

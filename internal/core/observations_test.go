@@ -7,7 +7,7 @@ import (
 
 // These tests check the paper's numbered observations end to end at
 // reduced trial counts. They are statistical claims, so thresholds are
-// generous; the full-figure reproduction lives in cmd/figures.
+// generous; the full-figure reproduction is cmd/sweep -figures.
 
 // Observation 2 (§5.2): BGP has the largest number of TTL expirations at
 // degree 5; RIP is loop-free by blackholing; BGP expires roughly an order

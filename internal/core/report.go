@@ -9,8 +9,8 @@ import (
 
 // WriteReport renders the whole sweep as a self-contained markdown report:
 // every figure's table, ASCII charts for the time series, and the per-cell
-// summary. cmd/figures writes it with -report; EXPERIMENTS.md is derived
-// from it.
+// summary. The sweep command writes it with -report; EXPERIMENTS.md is
+// derived from it.
 func (sr *SweepResult) WriteReport(w io.Writer) error {
 	base := sr.Base
 	if _, err := fmt.Fprintf(w, "# Reproduction report\n\n"+
@@ -36,10 +36,7 @@ func (sr *SweepResult) WriteReport(w io.Writer) error {
 		}
 	}
 
-	for _, d := range sr.Degrees {
-		if !sr.hasSeriesInterest(d) {
-			continue
-		}
+	for _, d := range sr.SeriesDegrees() {
 		if _, err := fmt.Fprintf(w, "## Figures 5 and 7 — degree %d\n\n```\n", d); err != nil {
 			return err
 		}
@@ -60,18 +57,22 @@ func (sr *SweepResult) WriteReport(w io.Writer) error {
 	return writeTableSection(w, "Per-cell summary", sr.SummaryTable())
 }
 
-// hasSeriesInterest limits the report's charts to the degrees the paper
-// plots (3–6) that are present in the sweep.
-func (sr *SweepResult) hasSeriesInterest(degree int) bool {
-	if degree > 6 {
-		return false
-	}
-	for _, p := range sr.Protocols {
-		if sr.cell(p, degree) != nil {
-			return true
+// SeriesDegrees returns the swept degrees that get Figure 5/7 time
+// series: those the paper plots (3–6) with at least one cell.
+func (sr *SweepResult) SeriesDegrees() []int {
+	var out []int
+	for _, d := range sr.Degrees {
+		if d > 6 {
+			continue
+		}
+		for _, p := range sr.Protocols {
+			if sr.cell(p, d) != nil {
+				out = append(out, d)
+				break
+			}
 		}
 	}
-	return false
+	return out
 }
 
 func writeTableSection(w io.Writer, title string, t *stats.Table) error {

@@ -72,3 +72,31 @@ func TestWriteReportPropagatesWriteErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestSeriesDegrees pins the Figure 5/7 rule the report and the figure
+// files share: paper degrees 3–6 that have at least one cell.
+func TestSeriesDegrees(t *testing.T) {
+	sr := handSweep(DefaultConfig())
+	if got := sr.SeriesDegrees(); len(got) != 1 || got[0] != 4 {
+		t.Errorf("SeriesDegrees() = %v, want [4] (5 has no cell, 8 is past the paper's range)", got)
+	}
+}
+
+// TestFigure2Table pins the topology family of the paper's Figure 2 on the
+// 7×7 mesh: one row per swept degree, "-" where no mesh exists.
+func TestFigure2Table(t *testing.T) {
+	sr := handSweep(DefaultConfig())
+	sr.Degrees = []int{3, 4, 16, 99}
+	var sb strings.Builder
+	if err := sr.Figure2Table().WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "degree,nodes,edges,diameter,avgpath\n" +
+		"3,49,65,13,5.548\n" +
+		"4,49,84,12,4.667\n" +
+		"16,49,276,4,2.143\n" +
+		"99,-,-,-,-\n"
+	if got := sb.String(); got != want {
+		t.Errorf("Figure2Table CSV:\n%s\nwant:\n%s", got, want)
+	}
+}

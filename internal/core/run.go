@@ -233,20 +233,12 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 	s := sim.New(seed)
 	tl.Add(obs.Record{Kind: obs.KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: seed})
 
-	// The router topology: the paper's mesh by default, or a caller-
-	// supplied graph (cloned, because each trial adds its own host nodes).
-	var g *topology.Graph
-	var senderRouters, receiverRouters []netsim.NodeID
+	g, senderRouters, receiverRouters, err := cfg.RouterGraph()
+	if err != nil {
+		return TrialResult{}, nil, err
+	}
 	if cfg.Topology != nil {
-		g = cfg.Topology.Clone()
-		senderRouters, receiverRouters = cfg.SenderRouters, cfg.ReceiverRouters
-	} else {
-		mesh, err := topology.NewMesh(cfg.Rows, cfg.Cols, cfg.Degree)
-		if err != nil {
-			return TrialResult{}, nil, err
-		}
-		g = mesh.Graph
-		senderRouters, receiverRouters = mesh.FirstRow(), mesh.LastRow()
+		g = g.Clone() // the caller's graph; each trial adds its own host nodes
 	}
 	meshEdges := g.Edges() // router links only; host links are added below
 

@@ -29,7 +29,7 @@ func ExampleMetrics() {
 }
 
 // ExampleTimeline logs a miniature convergence episode and renders it as
-// NDJSON — the format cmd/convsim -timeline and cmd/tracer -timeline write.
+// NDJSON — the format cmd/convsim -timeline writes.
 func ExampleTimeline() {
 	tl := obs.NewTimeline()
 	failAt := 10 * time.Second

@@ -24,7 +24,7 @@
 // trials.
 //
 // RunSweep repeats that across protocols and node degrees and renders the
-// paper's Figures 3–7 as tables. See cmd/figures for the full
+// paper's Figures 2–7 as tables. See cmd/sweep (-figures) for the full
 // reproduction driver and the examples directory for runnable scenarios.
 package routeconv
 
@@ -254,7 +254,7 @@ func DefaultSweep(trials int) SweepConfig {
 }
 
 // RunSweep executes a protocol × degree grid on the sweep orchestrator
-// (the engine behind cmd/sweep and cmd/figures), uncached: cells run in
+// (the engine behind cmd/sweep), uncached: cells run in
 // parallel on GOMAXPROCS workers, and each cell's Result is exactly what
 // Run returns for Base with that protocol and degree. Base's disturbance
 // schedule (Scenario or Script) and FastReroute apply to every cell; a
