@@ -281,14 +281,13 @@ func traceTrial(w io.Writer, cfg core.Config, o *options) error {
 		fmt.Fprintf(w, "  %s  %-12s %s\n", rel(ps.At), state, pathString(ps.Path))
 	}
 
-	_, dst := col.Flow()
 	fmt.Fprintln(w, "\nroute changes (node → destination):")
 	count := 0
-	for _, rc := range col.RouteChanges {
-		if rc.At < from || rc.At > to {
+	for _, r := range *col.Timeline() {
+		if (r.Kind != obs.KindFIBChange && r.Kind != obs.KindFIBRemove) || r.At < from || r.At > to {
 			continue
 		}
-		if !o.allDsts && rc.Dst != dst {
+		if !o.allDsts && r.Dst != int(col.Dst) {
 			continue
 		}
 		count++
@@ -296,10 +295,10 @@ func traceTrial(w io.Writer, cfg core.Config, o *options) error {
 			fmt.Fprintln(w, "  ... (truncated at 200 events)")
 			break
 		}
-		if rc.Removed {
-			fmt.Fprintf(w, "  %s  node %-3d lost route to %d\n", rel(rc.At), rc.Node, rc.Dst)
+		if r.Kind == obs.KindFIBRemove {
+			fmt.Fprintf(w, "  %s  node %-3d lost route to %d\n", rel(r.At), r.Node, r.Dst)
 		} else {
-			fmt.Fprintf(w, "  %s  node %-3d routes %d via %d\n", rel(rc.At), rc.Node, rc.Dst, rc.NextHop)
+			fmt.Fprintf(w, "  %s  node %-3d routes %d via %d\n", rel(r.At), r.Node, r.Dst, r.Peer)
 		}
 	}
 
@@ -308,7 +307,8 @@ func traceTrial(w io.Writer, cfg core.Config, o *options) error {
 	return nil
 }
 
-// printDropBins renders per-second drop counts by cause over [failAt, to].
+// printDropBins renders per-second data drop counts by cause over
+// [failAt, to].
 func printDropBins(w io.Writer, drops []trace.Drop, failAt, to time.Duration) {
 	type binKey struct {
 		bin    int
@@ -317,7 +317,7 @@ func printDropBins(w io.Writer, drops []trace.Drop, failAt, to time.Duration) {
 	bins := make(map[binKey]int)
 	maxBin := 0
 	for _, d := range drops {
-		if d.Control || d.At < failAt || d.At > to {
+		if d.At < failAt || d.At > to {
 			continue
 		}
 		bin := int((d.At - failAt) / time.Second)

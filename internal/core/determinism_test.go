@@ -89,8 +89,8 @@ func TestGoldenTrialResults(t *testing.T) {
 			if len(c.Drops) != g.drops {
 				t.Errorf("len(Drops) = %d, want %d", len(c.Drops), g.drops)
 			}
-			if len(c.RouteChanges) != g.routeChanges {
-				t.Errorf("len(RouteChanges) = %d, want %d", len(c.RouteChanges), g.routeChanges)
+			if got := len(fibRecords(c)); got != g.routeChanges {
+				t.Errorf("FIB records = %d, want %d", got, g.routeChanges)
 			}
 			if len(c.PathHistory) != g.paths {
 				t.Errorf("len(PathHistory) = %d, want %d", len(c.PathHistory), g.paths)
@@ -101,8 +101,8 @@ func TestGoldenTrialResults(t *testing.T) {
 
 // TestTraceRepeatable runs the same seeded trial twice and requires the
 // results to be identical down to every recorded event: same TrialResult
-// (compared textually so NaN delay bins compare equal), same drop vector,
-// same route-change and path-sample streams.
+// (compared textually so NaN delay bins compare equal), same data- and
+// control-drop vectors, same record and path-sample streams.
 func TestTraceRepeatable(t *testing.T) {
 	for _, k := range []ProtocolKind{ProtoRIP, ProtoBGP} {
 		k := k
@@ -123,8 +123,11 @@ func TestTraceRepeatable(t *testing.T) {
 			if !reflect.DeepEqual(c1.Drops, c2.Drops) {
 				t.Error("drop vectors differ between identical runs")
 			}
-			if !reflect.DeepEqual(c1.RouteChanges, c2.RouteChanges) {
-				t.Error("route-change streams differ between identical runs")
+			if !reflect.DeepEqual(c1.ControlDrops, c2.ControlDrops) {
+				t.Error("control-drop vectors differ between identical runs")
+			}
+			if !reflect.DeepEqual(c1.Timeline(), c2.Timeline()) {
+				t.Error("record streams differ between identical runs")
 			}
 			if !reflect.DeepEqual(c1.PathHistory, c2.PathHistory) {
 				t.Error("path-sample streams differ between identical runs")

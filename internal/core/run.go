@@ -141,7 +141,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				if ctx.Err() != nil {
 					continue // drain; the error is reported once below
 				}
-				tr, _, err := runTrial(&cfg, i, nil, true)
+				tr, _, err := runTrial(&cfg, i, nil, true, nil)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -187,7 +187,6 @@ func NewResult(cfg Config, trials []TrialResult) *Result {
 type flow struct {
 	srcHost, dstHost     netsim.NodeID
 	srcRouter, dstRouter netsim.NodeID
-	collector            *trace.Collector
 }
 
 // Trace runs a single trial of the experiment and returns both its
@@ -200,16 +199,16 @@ func Trace(cfg Config, trial int) (TrialResult, *trace.Collector, error) {
 }
 
 // TraceObserved is Trace with an optional convergence timeline. When tl is
-// non-nil it receives trial_start (with the seed) before the run; then,
-// read off netsim's observer stream, every link_down/link_up and its
-// link_down_detected/link_up_detected, fib_change and fib_remove,
-// withdrawal, route_flap/route_reuse, fluid_demote/fluid_absorb,
-// node_down/node_up, link_loss, cost_out/cost_in and churn_start/churn_end
-// record; and last the summary records fib_first_change/fib_last_change per
-// node and convergence_complete, synthesized by obs.Timeline.Finish against
-// the configured failure time. OBSERVABILITY.md documents each record's
-// fields. Recording is passive — the trial's results are bit-for-bit those
-// of Trace.
+// non-nil the trial recorder commits its record stream there: trial_start
+// (with the seed); then, instant by instant in canonical order, every
+// link_down/link_up and its link_down_detected/link_up_detected,
+// fib_change and fib_remove (each instant's net effect), withdrawal,
+// route_flap/route_reuse, fluid_demote/fluid_absorb, node_down/node_up,
+// link_loss, cost_out/cost_in and churn_start/churn_end record; and last
+// the summary records fib_first_change/fib_last_change per node and
+// convergence_complete, measured from the configured failure time.
+// OBSERVABILITY.md documents each record's fields. Recording is passive —
+// the trial's results are bit-for-bit those of Trace.
 func TraceObserved(cfg Config, trial int, tl *obs.Timeline) (TrialResult, *trace.Collector, error) {
 	if err := cfg.resolve(); err != nil {
 		return TrialResult{}, nil, err
@@ -217,21 +216,21 @@ func TraceObserved(cfg Config, trial int, tl *obs.Timeline) (TrialResult, *trace
 	if trial < 0 || trial >= cfg.Trials {
 		return TrialResult{}, nil, fmt.Errorf("core: trial %d out of range [0, %d)", trial, cfg.Trials)
 	}
-	return runTrial(&cfg, trial, tl, false)
+	return runTrial(&cfg, trial, tl, false, nil)
 }
 
 // runTrial builds and runs one simulation. tl, when non-nil, receives the
-// trial's convergence timeline. compact makes the collectors drop
-// individual route-change records (bulk runs never read them; on large
-// graphs they are the dominant memory cost).
-func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResult, *trace.Collector, error) {
+// trial's convergence timeline. compact makes the recorder keep no record
+// stream (bulk runs never read it; on large graphs it is the dominant
+// memory cost). wrap, when non-nil, wraps the recorder into the observer
+// the network is given; tests use it to see the raw event stream.
+func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool, wrap func(netsim.Observer) netsim.Observer) (TrialResult, *trace.Collector, error) {
 	factory, err := cfg.factory()
 	if err != nil {
 		return TrialResult{}, nil, err
 	}
 	seed := cfg.Seed + int64(trial)*seedStride
 	s := sim.New(seed)
-	tl.Add(obs.Record{Kind: obs.KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: seed})
 
 	g, senderRouters, receiverRouters, err := cfg.RouterGraph()
 	if err != nil {
@@ -244,7 +243,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 
 	// Attach one stub host pair per packet flow to random attachment
 	// routers. In fluid/hybrid mode only the first flow (the measured
-	// probe) gets hosts and a collector; the other Flows-1 classes run
+	// probe) gets hosts and a record; the other Flows-1 classes run
 	// router-to-router through the fluid evaluator — no stub nodes, no
 	// per-packet events — which is what makes millions of flows viable.
 	// The attachment draws are identical across modes so the probe, the
@@ -256,7 +255,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 	flows := make([]*flow, nPacket)
 	type fluidPair struct{ src, dst netsim.NodeID }
 	fluidPairs := make([]fluidPair, 0, cfg.Flows-nPacket)
-	var observers multiObserver
+	var rec *trace.Collector
 	for i := 0; i < cfg.Flows; i++ {
 		srcRouter := senderRouters[s.Rand().Intn(len(senderRouters))]
 		dstRouter := receiverRouters[s.Rand().Intn(len(receiverRouters))]
@@ -271,20 +270,17 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 		f.dstHost = g.AddNode()
 		g.AddEdge(f.srcHost, f.srcRouter)
 		g.AddEdge(f.dstHost, f.dstRouter)
-		f.collector = trace.NewCollector(f.srcHost, f.dstHost)
-		f.collector.SetCompact(compact)
-		observers = append(observers, f.collector)
+		if i == 0 {
+			rec = trace.NewCollector(f.srcHost, f.dstHost, trace.Options{Seed: seed, FailAt: cfg.FailAt, Compact: compact, Timeline: tl})
+		} else {
+			rec.AddFlow(f.srcHost, f.dstHost)
+		}
 		flows[i] = f
 	}
-	if tl != nil {
-		observers = append(observers, netsim.TimelineObserver(tl))
-	}
 
-	// A lone collector observes directly: one dispatch per event, and
-	// netsim sees its route filter without the fan-out in between.
-	var observer netsim.Observer = observers
-	if len(observers) == 1 {
-		observer = observers[0]
+	var observer netsim.Observer = rec
+	if wrap != nil {
+		observer = wrap(rec)
 	}
 	net := netsim.FromGraph(s, g, cfg.Net, observer)
 	var flowSet *netsim.FlowSet
@@ -307,9 +303,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 			flowSet.Add(p.src, p.dst, interval, cfg.PacketSize, cfg.TTL)
 		}
 	}
-	for _, f := range flows {
-		f.collector.SetNetwork(net)
-	}
+	rec.SetNetwork(net)
 	if cfg.Shards > 1 {
 		// Partition before protocols attach: each protocol captures its
 		// node's (shard) simulator at construction.
@@ -344,7 +338,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 	var failedLink topology.Edge
 	warmedUp := false
 	runner := &scenarioRunner{
-		cfg: cfg, s: s, net: net, g: g, meshEdges: meshEdges, flows: flows,
+		cfg: cfg, s: s, net: net, g: g, meshEdges: meshEdges, flows: flows, rec: rec,
 		failedLink: &failedLink, warmedUp: &warmedUp,
 	}
 	runner.install(cfg.Script)
@@ -364,17 +358,13 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 	}
 	met := net.Metrics()
 	met.Set(obs.EventsFired, fired)
-	tl.Finish(cfg.FailAt)
-	for _, f := range flows {
-		f.collector.Flush() // commit the final instant's buffered records
-	}
+	rec.Finish()
 
-	c := primary.collector
 	nBins := int((cfg.End - cfg.SenderStart) / time.Second)
-	throughputSamples := make([]stats.Sample, len(c.Deliveries))
-	delaySamples := make([]stats.Sample, len(c.Deliveries))
+	throughputSamples := make([]stats.Sample, len(rec.Deliveries))
+	delaySamples := make([]stats.Sample, len(rec.Deliveries))
 	var postFailDelays []float64
-	for i, d := range c.Deliveries {
+	for i, d := range rec.Deliveries {
 		throughputSamples[i] = stats.Sample{At: d.At}
 		delaySamples[i] = stats.Sample{At: d.At, Value: d.Delay.Seconds()}
 		if d.At >= cfg.FailAt {
@@ -394,15 +384,15 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 		WarmedUp:              warmedUp,
 		Sent:                  int(met.Get(obs.PacketsSent)),
 		Delivered:             int(met.Get(obs.PacketsDelivered)),
-		NoRouteDrops:          sumFlows(flows, cfg.FailAt, netsim.DropNoRoute),
-		TTLDrops:              sumFlows(flows, cfg.FailAt, netsim.DropTTLExpired),
-		LinkFailureDrops:      sumFlows(flows, cfg.FailAt, netsim.DropLinkFailure),
-		QueueDrops:            sumFlows(flows, cfg.FailAt, netsim.DropQueueOverflow),
-		RandomLossDrops:       sumFlows(flows, cfg.FailAt, netsim.DropRandomLoss),
-		RoutingConvergence:    c.RoutingConvergence(cfg.FailAt),
-		ForwardingConvergence: c.ForwardingConvergence(cfg.FailAt),
-		TransientPaths:        c.TransientPaths(cfg.FailAt),
-		LoopEscapes:           c.LoopEscapes(cfg.FailAt),
+		NoRouteDrops:          sumFlows(rec, cfg.FailAt, netsim.DropNoRoute),
+		TTLDrops:              sumFlows(rec, cfg.FailAt, netsim.DropTTLExpired),
+		LinkFailureDrops:      sumFlows(rec, cfg.FailAt, netsim.DropLinkFailure),
+		QueueDrops:            sumFlows(rec, cfg.FailAt, netsim.DropQueueOverflow),
+		RandomLossDrops:       sumFlows(rec, cfg.FailAt, netsim.DropRandomLoss),
+		RoutingConvergence:    rec.RoutingConvergence(cfg.FailAt),
+		ForwardingConvergence: rec.ForwardingConvergence(cfg.FailAt),
+		TransientPaths:        rec.TransientPaths(cfg.FailAt),
+		LoopEscapes:           rec.LoopEscapes(cfg.FailAt),
 		Throughput:            stats.BinCounts(throughputSamples, cfg.SenderStart, time.Second, nBins),
 		Delay:                 stats.BinMeans(delaySamples, cfg.SenderStart, time.Second, nBins),
 		DelayP50:              delaySummary.Median,
@@ -411,7 +401,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool) (TrialResu
 		ControlMessages:       met.Get(obs.ControlSent),
 		ControlBytes:          met.Get(obs.ControlBytes),
 		Metrics:               snap,
-	}, c, nil
+	}, rec, nil
 }
 
 // installLoopFreeAlternates precomputes protection next hops: for every
@@ -506,10 +496,10 @@ func pathLinks(path []topology.NodeID, ok bool) []topology.Edge {
 	return links
 }
 
-func sumFlows(flows []*flow, after time.Duration, reason netsim.DropReason) int {
+func sumFlows(rec *trace.Collector, after time.Duration, reason netsim.DropReason) int {
 	n := 0
-	for _, f := range flows {
-		n += f.collector.DataDropsAfter(after, reason)
+	for _, f := range rec.Flows() {
+		n += f.DataDropsAfter(after, reason)
 	}
 	return n
 }
@@ -572,56 +562,4 @@ func (r *Result) aggregate() {
 	}
 	r.MeanThroughput = stats.AverageSeries(throughputs)
 	r.MeanDelay = stats.AverageSeries(delays)
-}
-
-// multiObserver fans events out to several observers.
-type multiObserver []netsim.Observer
-
-var _ netsim.RouteFilter = multiObserver(nil)
-
-// WatchesRoutes implements netsim.RouteFilter as the union of the members'
-// interests; a member that is no RouteFilter watches everything.
-func (m multiObserver) WatchesRoutes(dst netsim.NodeID) bool {
-	for _, o := range m {
-		if f, ok := o.(netsim.RouteFilter); !ok || f.WatchesRoutes(dst) {
-			return true
-		}
-	}
-	return false
-}
-
-// RoutesElided implements netsim.RouteFilter. Nothing is elided unless
-// every member is a RouteFilter (see WatchesRoutes).
-func (m multiObserver) RoutesElided(n int, last time.Duration) {
-	for _, o := range m {
-		o.(netsim.RouteFilter).RoutesElided(n, last)
-	}
-}
-
-// RouteChanged implements netsim.Observer.
-func (m multiObserver) RouteChanged(at time.Duration, node, dst, nextHop netsim.NodeID, removed bool) {
-	for _, o := range m {
-		o.RouteChanged(at, node, dst, nextHop, removed)
-	}
-}
-
-// Note implements netsim.Observer.
-func (m multiObserver) Note(r obs.Record) {
-	for _, o := range m {
-		o.Note(r)
-	}
-}
-
-// PacketDelivered implements netsim.Observer.
-func (m multiObserver) PacketDelivered(at time.Duration, pkt *netsim.Packet) {
-	for _, o := range m {
-		o.PacketDelivered(at, pkt)
-	}
-}
-
-// PacketDropped implements netsim.Observer.
-func (m multiObserver) PacketDropped(at time.Duration, where netsim.NodeID, pkt *netsim.Packet, reason netsim.DropReason) {
-	for _, o := range m {
-		o.PacketDropped(at, where, pkt, reason)
-	}
 }

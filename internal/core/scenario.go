@@ -9,6 +9,7 @@ import (
 	"routeconv/internal/scenario"
 	"routeconv/internal/sim"
 	"routeconv/internal/topology"
+	"routeconv/internal/trace"
 )
 
 // churnSalt decorrelates per-churn-event random streams from the node,
@@ -28,6 +29,7 @@ type scenarioRunner struct {
 	g         *topology.Graph
 	meshEdges []topology.Edge
 	flows     []*flow
+	rec       *trace.Collector
 	// failedLink and warmedUp receive the failpath event's probe results
 	// (they stay zero for scripts without one).
 	failedLink *topology.Edge
@@ -35,11 +37,7 @@ type scenarioRunner struct {
 }
 
 // samplePaths records every flow's current forwarding walk.
-func (r *scenarioRunner) samplePaths() {
-	for _, f := range r.flows {
-		f.collector.SamplePath()
-	}
-}
+func (r *scenarioRunner) samplePaths() { r.rec.SamplePath() }
 
 // install schedules every event of the script. Events are scheduled in
 // script order (time-sorted, ties in insertion order), which the simulator

@@ -19,8 +19,8 @@ import (
 // contract: the default schedule — the harness's original hard-coded
 // failure, now "failpath @FailAt" — and the script a config resolves to
 // must produce bit-for-bit identical trials, whether that script is handed
-// over built or as text: same TrialResult, same drop, route-change, and
-// path-sample streams, on every golden scenario.
+// over built or as text: same TrialResult, same data-drop, control-drop,
+// record, and path-sample streams, on every golden scenario.
 func TestLegacyScriptEquivalence(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		sc := sc
@@ -48,8 +48,11 @@ func TestLegacyScriptEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(refC.Drops, c.Drops) {
 					t.Errorf("%s script: drop vectors differ", name)
 				}
-				if !reflect.DeepEqual(refC.RouteChanges, c.RouteChanges) {
-					t.Errorf("%s script: route-change streams differ", name)
+				if !reflect.DeepEqual(refC.ControlDrops, c.ControlDrops) {
+					t.Errorf("%s script: control-drop vectors differ", name)
+				}
+				if !reflect.DeepEqual(refC.Timeline(), c.Timeline()) {
+					t.Errorf("%s script: record streams differ", name)
 				}
 				if !reflect.DeepEqual(refC.PathHistory, c.PathHistory) {
 					t.Errorf("%s script: path-sample streams differ", name)
@@ -80,6 +83,9 @@ func TestScenarioTextEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(refC.Drops, c.Drops) {
 		t.Error("drop vectors differ")
+	}
+	if !reflect.DeepEqual(refC.ControlDrops, c.ControlDrops) {
+		t.Error("control-drop vectors differ")
 	}
 }
 
@@ -156,7 +162,7 @@ func TestScenarioOverlappingHolds(t *testing.T) {
 			// failed node, and the node's recovery must.
 			var ups []time.Duration
 			heldAtOutage := false
-			for _, r := range tl.Records() {
+			for _, r := range *tl {
 				if topology.NewEdge(topology.NodeID(r.Node), topology.NodeID(r.Peer)) != e {
 					continue
 				}
@@ -292,25 +298,8 @@ func TestScenarioShardedChurn(t *testing.T) {
 					t.Errorf("shards=%d churn trial differs from sequential:\n seq:    %s\n shards: %s",
 						shards, want, got)
 				}
-				// Same drop tolerance as TestShardedGoldenEquivalence: loop
-				// races may shift a drop by a few link delays.
-				if len(refC.Drops) != len(c.Drops) {
-					t.Errorf("shards=%d: drop vectors differ (%d vs %d records)",
-						shards, len(refC.Drops), len(c.Drops))
-				} else {
-					tol := 4 * netsim.DefaultConfig().LinkDelay
-					for i := range refC.Drops {
-						a, b := refC.Drops[i], c.Drops[i]
-						dt := a.At - b.At
-						if dt < 0 {
-							dt = -dt
-						}
-						if a.Where != b.Where || a.Reason != b.Reason || a.Control != b.Control || dt > tol {
-							t.Errorf("shards=%d: drop %d differs: seq %+v, sharded %+v", shards, i, a, b)
-							break
-						}
-					}
-				}
+				compareDrops(t, shards, "drop", refC.Drops, c.Drops)
+				compareDrops(t, shards, "control drop", refC.ControlDrops, c.ControlDrops)
 				if !reflect.DeepEqual(refC.PathHistory, c.PathHistory) {
 					t.Errorf("shards=%d: path-sample streams differ", shards)
 				}

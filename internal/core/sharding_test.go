@@ -1,10 +1,9 @@
 package core
 
 import (
-	"cmp"
+	"bytes"
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -17,29 +16,30 @@ import (
 // golden scenario, run with Shards ∈ {2, 4} and traced to a convergence
 // timeline, must reproduce the sequential trial run without one
 // bit-for-bit — the same TrialResult (compared textually so NaN delay bins
-// compare equal) and the same drop, route-change, and path-sample streams.
-// Conservative windows with the link delay as lookahead never reorder
-// anything observable; per-node and per-source random streams make the
-// schedule independent of how nodes are distributed over simulators.
-//
-// The timeline itself holds the same records per instant as the sequential
-// one; within an instant its order is the barrier replay's merge, not the
-// sequential execution order. For ls the records are the same but their
-// times are not (see the route-change check below).
+// compare equal), the same drop and path-sample streams, and the same
+// timeline NDJSON, byte for byte. Conservative windows with the link delay
+// as lookahead never reorder anything observable across instants; per-node
+// and per-source random streams make the schedule independent of how nodes
+// are distributed over simulators; and the recorder commits each instant
+// in canonical order, whatever order its events arrived in. For ls the FIB
+// records are the same but their times are not (see the route-change check
+// below).
 func TestShardedGoldenEquivalence(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			ref, refC, err := Trace(sc.config(), 0)
+			ref, _, err := Trace(sc.config(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := fmt.Sprintf("%+v", ref)
 			refTL := obs.NewTimeline()
-			if tr, _, err := TraceObserved(sc.config(), 0, refTL); err != nil {
+			traced, refC, err := TraceObserved(sc.config(), 0, refTL)
+			if err != nil {
 				t.Fatal(err)
-			} else if got := fmt.Sprintf("%+v", tr); got != want {
+			}
+			if got := fmt.Sprintf("%+v", traced); got != want {
 				t.Errorf("a timeline changed the sequential trial:\n off: %s\n on:  %s", want, got)
 			}
 			for _, shards := range []int{2, 4} {
@@ -54,50 +54,22 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 					t.Errorf("shards=%d trial differs from sequential:\n seq:    %s\n shards: %s",
 						shards, want, got)
 				}
-				if diff := timelineDiff(refTL.Records(), tl.Records(), sc.name == "ls"); diff != "" {
-					t.Errorf("shards=%d: timeline differs from sequential: %s", shards, diff)
-				}
-				// Drops must agree record for record in place, reason and
-				// kind. Timestamps get a small tolerance: a data packet
-				// caught in a transient loop can race a same-instant route
-				// update at a node, and which one the engine processes
-				// first is a scheduling accident that sharding is allowed
-				// to resolve differently — the packet then exits the loop
-				// one traversal earlier or later, shifting its drop time
-				// by a few link delays.
-				if len(refC.Drops) != len(c.Drops) {
-					t.Errorf("shards=%d: drop vectors differ (%d vs %d records)",
-						shards, len(refC.Drops), len(c.Drops))
-				} else {
-					for i := range refC.Drops {
-						a, b := refC.Drops[i], c.Drops[i]
-						dt := a.At - b.At
-						if dt < 0 {
-							dt = -dt
-						}
-						if a.Where != b.Where || a.Reason != b.Reason ||
-							a.Control != b.Control || dt > 4*netsim.DefaultConfig().LinkDelay {
-							t.Errorf("shards=%d: drop %d differs: seq %+v, sharded %+v",
-								shards, i, a, b)
-							break
-						}
-					}
-				}
-				// The link-state scenario gets a weaker route-change check.
-				// When one LSA arrives at a node from two neighbors at the
-				// same instant, whichever arrival is processed first decides
-				// the reflood's "all but the sender" set; the loser's link
-				// carries one extra duplicate whose serialization displaces
-				// later messages by microseconds. Every forwarding entry
-				// still passes through the identical sequence of states, so
-				// that trajectory — values in order, timestamps within a few
-				// link delays — is what is pinned. The vector protocols have
-				// no such race and must match exactly.
+				compareDrops(t, shards, "drop", refC.Drops, c.Drops)
+				compareDrops(t, shards, "control drop", refC.ControlDrops, c.ControlDrops)
+				// The link-state scenario gets a weaker route-change check
+				// instead of the byte comparison. When one LSA arrives at a
+				// node from two neighbors at the same instant, whichever
+				// arrival is processed first decides the reflood's "all but
+				// the sender" set; the loser's link carries one extra
+				// duplicate whose serialization displaces later messages by
+				// microseconds. Every forwarding entry still passes through
+				// the identical sequence of states, so that trajectory —
+				// values in order, timestamps within a few link delays — is
+				// what is pinned.
 				if sc.name == "ls" {
-					compareTrajectories(t, shards, refC.RouteChanges, c.RouteChanges)
-				} else if !reflect.DeepEqual(refC.RouteChanges, c.RouteChanges) {
-					t.Errorf("shards=%d: route-change streams differ (%d vs %d records)",
-						shards, len(refC.RouteChanges), len(c.RouteChanges))
+					compareTrajectories(t, shards, fibRecords(refC), fibRecords(c))
+				} else if a, b := ndjson(t, refTL), ndjson(t, tl); !bytes.Equal(a, b) {
+					t.Errorf("shards=%d: timeline NDJSON differs from sequential (%d vs %d bytes)", shards, len(a), len(b))
 				}
 				if !reflect.DeepEqual(refC.PathHistory, c.PathHistory) {
 					t.Errorf("shards=%d: path-sample streams differ (%d vs %d records)",
@@ -108,55 +80,74 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// timelineDiff describes the first difference between two timelines'
-// records taken per instant, in no particular order within an instant, or
-// returns "". ignoreTime compares the records with their times dropped.
-func timelineDiff(ref, got []obs.Record, ignoreTime bool) string {
-	canon := func(recs []obs.Record) []obs.Record {
-		out := slices.Clone(recs)
-		if ignoreTime {
-			for i := range out {
-				out[i].At = 0
-			}
+// compareDrops requires a sharded run's drops to agree with the sequential
+// run's record for record in place and reason. Timestamps get a small
+// tolerance: a data packet caught in a transient loop can race a
+// same-instant route update at a node, and which one the engine processes
+// first is a scheduling accident that sharding is allowed to resolve
+// differently — the packet then exits the loop one traversal earlier or
+// later, shifting its drop time (and the timing of the routing traffic
+// around it) by a few link delays.
+func compareDrops(t *testing.T, shards int, what string, ref, got []trace.Drop) {
+	t.Helper()
+	if len(ref) != len(got) {
+		t.Errorf("shards=%d: %s vectors differ (%d vs %d records)", shards, what, len(ref), len(got))
+		return
+	}
+	tol := 4 * netsim.DefaultConfig().LinkDelay
+	for i := range ref {
+		a, b := ref[i], got[i]
+		dt := a.At - b.At
+		if dt < 0 {
+			dt = -dt
 		}
-		slices.SortFunc(out, func(a, b obs.Record) int {
-			return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Node, b.Node),
-				cmp.Compare(a.Peer, b.Peer), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Seed, b.Seed), cmp.Compare(a.Rate, b.Rate))
-		})
-		return out
-	}
-	a, b := canon(ref), canon(got)
-	for i := range min(len(a), len(b)) {
-		if a[i] != b[i] {
-			return fmt.Sprintf("sorted record %d is %+v sequentially, %+v sharded", i, a[i], b[i])
+		if a.Where != b.Where || a.Reason != b.Reason || dt > tol {
+			t.Errorf("shards=%d: %s %d differs: seq %+v, sharded %+v", shards, what, i, a, b)
+			return
 		}
 	}
-	if len(a) != len(b) {
-		return fmt.Sprintf("%d records sequentially, %d sharded", len(a), len(b))
+}
+
+// ndjson renders a timeline.
+func ndjson(t *testing.T, tl *obs.Timeline) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tl.WriteNDJSON(&buf); err != nil {
+		t.Fatal(err)
 	}
-	return ""
+	return buf.Bytes()
+}
+
+// fibRecords returns the FIB records of a collector's committed stream.
+func fibRecords(c *trace.Collector) []obs.Record {
+	var out []obs.Record
+	for _, r := range *c.Timeline() {
+		if r.Kind == obs.KindFIBChange || r.Kind == obs.KindFIBRemove {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // compareTrajectories checks that every forwarding entry passes through
-// the same sequence of states in both route-change streams, with
-// timestamps matching to within a few link delays (see the call site for
-// why link-state floods jitter).
-func compareTrajectories(t *testing.T, shards int, ref, got []trace.RouteChange) {
+// the same sequence of states in both FIB record streams, with timestamps
+// matching to within a few link delays (see the call site for why
+// link-state floods jitter).
+func compareTrajectories(t *testing.T, shards int, ref, got []obs.Record) {
 	t.Helper()
 	if len(ref) != len(got) {
-		t.Errorf("shards=%d: route-change streams differ (%d vs %d records)", shards, len(ref), len(got))
+		t.Errorf("shards=%d: FIB record streams differ (%d vs %d records)", shards, len(ref), len(got))
 		return
 	}
 	type state struct {
-		nh      netsim.NodeID
-		removed bool
-		at      time.Duration
+		nh int // -1: removed
+		at time.Duration
 	}
-	collect := func(rcs []trace.RouteChange) map[[2]netsim.NodeID][]state {
-		m := make(map[[2]netsim.NodeID][]state)
-		for _, rc := range rcs {
-			k := [2]netsim.NodeID{rc.Node, rc.Dst}
-			m[k] = append(m[k], state{nh: rc.NextHop, removed: rc.Removed, at: rc.At})
+	collect := func(recs []obs.Record) map[[2]int][]state {
+		m := make(map[[2]int][]state)
+		for _, r := range recs {
+			k := [2]int{r.Node, r.Dst}
+			m[k] = append(m[k], state{nh: r.Peer, at: r.At})
 		}
 		return m
 	}
@@ -174,7 +165,7 @@ func compareTrajectories(t *testing.T, shards int, ref, got []trace.RouteChange)
 			if dt < 0 {
 				dt = -dt
 			}
-			if sa[i].nh != sb[i].nh || sa[i].removed != sb[i].removed || dt > tol {
+			if sa[i].nh != sb[i].nh || dt > tol {
 				t.Errorf("shards=%d: entry (%d,%d) change %d differs: seq %+v, sharded %+v",
 					shards, k[0], k[1], i, sa[i], sb[i])
 				break
@@ -234,12 +225,12 @@ func runCompact(t *testing.T, cfg Config) (TrialResult, *trace.Collector) {
 	if err := cfg.resolve(); err != nil {
 		t.Fatal(err)
 	}
-	tr, c, err := runTrial(&cfg, 0, nil, true)
+	tr, c, err := runTrial(&cfg, 0, nil, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.RouteChanges) != 0 {
-		t.Fatalf("compact collector kept %d route-change records", len(c.RouteChanges))
+	if c.Timeline() != nil {
+		t.Fatalf("compact collector kept a record stream of %d records", c.Timeline().Len())
 	}
 	return tr, c
 }

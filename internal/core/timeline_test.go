@@ -6,8 +6,11 @@ import (
 	"encoding/hex"
 	"strings"
 	"testing"
+	"time"
 
+	"routeconv/internal/netsim"
 	"routeconv/internal/obs"
+	"routeconv/internal/trace"
 )
 
 // timelineScriptConfig is a BGP3 trial whose script raises every
@@ -37,6 +40,12 @@ func timelineHybridConfig() Config {
 // written, in which order, or how they are rendered shows up as a new
 // digest. want lists the events each trial must contain, so the digest is
 // known to cover them.
+//
+// Each trial also checks the convergence summary against the raw event
+// stream, as a test observer between netsim and the recorder sees it:
+// convergence_complete is FailAt + RoutingConvergence, and every node's
+// fib_first_change and fib_last_change are its first and last raw route
+// change at or after FailAt, found by a plain scan.
 func TestTimelineNDJSONPinned(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -44,21 +53,30 @@ func TestTimelineNDJSONPinned(t *testing.T) {
 		want   []string
 		sha    string
 	}{
-		{"rip", func() Config { return goldenConfig(ProtoRIP) }, nil, "9c791ecd9590b6555dbaa85ef15e45570e4af5c5d743c20bc2f80cd476a0e216"},
-		{"dbf", func() Config { return goldenConfig(ProtoDBF) }, nil, "f3ceb92a6d4c654b852b922d1c9f0b0a39a8d7c8715b7a216efbbb3ab0499cf8"},
-		{"bgp", func() Config { return goldenConfig(ProtoBGP) }, []string{"withdrawal"}, "ee9e67f2c139feb163c2beacac182d4edfa16cf53c7f282ba42f4fb0d690abf4"},
-		{"bgp3", func() Config { return goldenConfig(ProtoBGP3) }, nil, "d24d858c6769eb639cbefb7e36716971ed9e9cc6d224961cc82f809219bea8b6"},
-		{"ls", func() Config { return goldenConfig(ProtoLS) }, nil, "6ca8219bf41b9d42fe1c8ab898b11d78cbefd4f5b868bdb0f3ea5b1b32ca92db"},
-		{"bgp3-damping", goldenDampingConfig, []string{"route_flap", "route_reuse"}, "dfdc738c8ef8491ae40eacd113fec9975a0a30066055326692f29d618f6a9295"},
-		{"script", timelineScriptConfig, []string{"cost_out", "cost_in", "link_loss", "node_down", "node_up", "churn_start", "churn_end"}, "22c81febbeea92927f9d4c52b4426350fc502ff5910ad4adac0697a7dc570479"},
-		{"hybrid", timelineHybridConfig, []string{"fluid_demote", "fluid_absorb"}, "6bdaa3f48c734083f502ee8aa7fc57559db1a032dbc66437d986c9b049a7f952"},
+		{"rip", func() Config { return goldenConfig(ProtoRIP) }, nil, "8eda86eaa7b326847396c04e55a4908a13c801f554d3ec0428d1c0642155a2dd"},
+		{"dbf", func() Config { return goldenConfig(ProtoDBF) }, nil, "fa4bd985dfa67334129807d8aa71cb7e0a9d325a61f0cedc87ec61393666c612"},
+		{"bgp", func() Config { return goldenConfig(ProtoBGP) }, []string{"withdrawal"}, "e22842d32ce69efa170e0f9bbd96560e0cf16569d4e9e1206a0212c212e6f2e2"},
+		{"bgp3", func() Config { return goldenConfig(ProtoBGP3) }, nil, "2d8675985e6e87c84a0ff1082d504abb59a0d92fe03e868f9a035fb514541e74"},
+		{"ls", func() Config { return goldenConfig(ProtoLS) }, nil, "5a0f17d8457afbf00bc4ae510a14688c9c0b3e1e7a1099721f9a84a9a4802be3"},
+		{"bgp3-damping", goldenDampingConfig, []string{"route_flap", "route_reuse"}, "0dfa79988fb30973b9f3ff189192615bb9b2c63ccda5ff15af13e2a7ac408b39"},
+		{"script", timelineScriptConfig, []string{"cost_out", "cost_in", "link_loss", "node_down", "node_up", "churn_start", "churn_end"}, "737a6dd802c9c866d39d9b91ca325e70a459abac26aef00aa83b5c782e11179f"},
+		{"hybrid", timelineHybridConfig, []string{"fluid_demote", "fluid_absorb"}, "0238150d249f32da3b73337179bd8afa988989189fe30e1eefc2889da0eb5f21"},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
+			cfg := tc.config()
+			if err := cfg.resolve(); err != nil {
+				t.Fatal(err)
+			}
 			tl := obs.NewTimeline()
-			if _, _, err := TraceObserved(tc.config(), 0, tl); err != nil {
+			var tap *routeTap
+			tr, _, err := runTrial(&cfg, 0, tl, false, func(o netsim.Observer) netsim.Observer {
+				tap = &routeTap{Collector: o.(*trace.Collector)}
+				return tap
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
@@ -75,6 +93,68 @@ func TestTimelineNDJSONPinned(t *testing.T) {
 			if got := hex.EncodeToString(sum[:]); got != tc.sha {
 				t.Errorf("NDJSON sha256 = %s, want %s (%d lines)", got, tc.sha, strings.Count(string(out), "\n"))
 			}
+
+			// The summary the recorder wrote, against the brute-force scan.
+			first, last := map[int]time.Duration{}, map[int]time.Duration{}
+			for _, rc := range tap.calls {
+				if rc.at < cfg.FailAt {
+					continue
+				}
+				if _, ok := first[rc.node]; !ok {
+					first[rc.node] = rc.at
+				}
+				last[rc.node] = rc.at
+			}
+			var gotFirst, gotLast []obs.Record
+			complete := 0
+			for _, r := range *tl {
+				switch r.Kind {
+				case obs.KindFirstFIBChange:
+					gotFirst = append(gotFirst, r)
+				case obs.KindLastFIBChange:
+					gotLast = append(gotLast, r)
+				case obs.KindConvergenceComplete:
+					complete++
+					if want := cfg.FailAt + tr.RoutingConvergence; r.At != want {
+						t.Errorf("convergence_complete at %v, want FailAt + RoutingConvergence = %v", r.At, want)
+					}
+				}
+			}
+			if complete != 1 {
+				t.Errorf("%d convergence_complete records, want 1", complete)
+			}
+			if len(gotFirst) != len(first) || len(gotLast) != len(last) {
+				t.Fatalf("%d fib_first_change and %d fib_last_change records; %d nodes changed at or after FailAt",
+					len(gotFirst), len(gotLast), len(first))
+			}
+			for i := range gotFirst {
+				f, l := gotFirst[i], gotLast[i]
+				if i > 0 && f.Node <= gotFirst[i-1].Node {
+					t.Errorf("fib_first_change records out of node order at %d: %d after %d", i, f.Node, gotFirst[i-1].Node)
+				}
+				if f.Node != l.Node || f.At != first[f.Node] || l.At != last[l.Node] {
+					t.Errorf("node %d: first/last %v/%v recorded, raw stream says %v/%v (node %d)",
+						f.Node, f.At, l.At, first[f.Node], last[f.Node], l.Node)
+				}
+			}
 		})
 	}
+}
+
+// routeTap sits between netsim and the trial recorder and keeps every raw
+// RouteChanged call before passing it on.
+type routeTap struct {
+	*trace.Collector
+	calls []struct {
+		at   time.Duration
+		node int
+	}
+}
+
+func (o *routeTap) RouteChanged(at time.Duration, node, dst, nextHop netsim.NodeID, removed bool) {
+	o.calls = append(o.calls, struct {
+		at   time.Duration
+		node int
+	}{at, int(node)})
+	o.Collector.RouteChanged(at, node, dst, nextHop, removed)
 }

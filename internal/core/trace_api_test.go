@@ -32,8 +32,7 @@ func TestTraceMatchesRun(t *testing.T) {
 		if len(col.Deliveries) != tr.Delivered {
 			t.Errorf("collector deliveries = %d, trial says %d", len(col.Deliveries), tr.Delivered)
 		}
-		src, dst := col.Flow()
-		if src == dst {
+		if col.Src == col.Dst {
 			t.Error("collector flow endpoints identical")
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"routeconv/internal/obs"
-	"routeconv/internal/sim"
 )
 
 // One-hop data forwarding must not allocate: the Packet comes off the
@@ -31,41 +30,6 @@ func TestForwardingOneHopAllocs(t *testing.T) {
 	}
 	if got := net.Metrics().Get(obs.PacketsDelivered) - before; got < runs {
 		t.Fatalf("delivered %d packets during the guard, want ≥ %d", got, runs)
-	}
-}
-
-// Forwarding with the instrumentation a traced trial attaches — the
-// convergence timeline as the network's observer — must not allocate
-// either: the timeline records only control-plane events, so the data path
-// reaches it through no-op packet callbacks and adds no record.
-func TestForwardingInstrumentedAllocs(t *testing.T) {
-	s := sim.New(1)
-	tl := obs.NewTimeline()
-	net := New(s, DefaultConfig(), TimelineObserver(tl))
-	net.AddNode()
-	net.AddNode()
-	net.Connect(0, 1)
-	net.Node(0).SetRoute(1, 1)
-	net.Start()
-	src := net.Node(0)
-	for i := 0; i < 16; i++ {
-		src.SendData(1, 1000, 64)
-		s.Run()
-	}
-	before, records := net.Metrics().Get(obs.PacketsDelivered), tl.Len()
-	const runs = 1000
-	avg := testing.AllocsPerRun(runs, func() {
-		src.SendData(1, 1000, 64)
-		s.Run()
-	})
-	if avg != 0 {
-		t.Errorf("instrumented one-hop forwarding allocates %.1f objects per packet, want 0", avg)
-	}
-	if got := net.Metrics().Get(obs.PacketsDelivered) - before; got < runs {
-		t.Fatalf("metrics counted %d delivered packets, want ≥ %d", got, runs)
-	}
-	if got := tl.Len() - records; got != 0 {
-		t.Errorf("data forwarding added %d timeline records, want 0", got)
 	}
 }
 

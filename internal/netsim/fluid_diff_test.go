@@ -148,7 +148,7 @@ type fluidRun struct {
 	s   *sim.Simulator
 	net *Network
 	fs  *FlowSet
-	tl  *obs.Timeline
+	rec *recorder // its notes hold the demotions and re-absorptions
 	ref bool
 	t   *testing.T
 	// earlyInFlight counts the ticks a reference settle ahead of Stop booked
@@ -168,8 +168,8 @@ func newFluidRun(t *testing.T, prog []byte, ref bool) *fluidRun {
 			g.AddEdge(a, b)
 		}
 	}
-	run := &fluidRun{s: sim.New(1), ref: ref, t: t, tl: obs.NewTimeline()}
-	run.net = FromGraph(run.s, g, DefaultConfig(), TimelineObserver(run.tl))
+	run := &fluidRun{s: sim.New(1), ref: ref, t: t, rec: &recorder{}}
+	run.net = FromGraph(run.s, g, DefaultConfig(), run.rec)
 	node := func() *Node { return run.net.Node(NodeID(r.next() % n)) }
 	// pick returns 1..k distinct neighbors of nd, starting at a program-chosen
 	// rank.
@@ -382,7 +382,7 @@ func (run *fluidRun) finish() (fluidOutcome, uint64) {
 	}
 	settles := out.Metrics["fluid.settles"]
 	delete(out.Metrics, "fluid.settles")
-	for _, rec := range run.tl.Records() {
+	for _, rec := range run.rec.notes {
 		if rec.Kind == obs.KindFluidDemote || rec.Kind == obs.KindFluidAbsorb {
 			out.Moves = append(out.Moves, rec)
 		}

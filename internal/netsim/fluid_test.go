@@ -186,8 +186,8 @@ func TestHybridDemotion(t *testing.T) {
 	g.AddEdge(1, 3)
 	g.AddEdge(0, 2)
 	g.AddEdge(2, 3)
-	tl := obs.NewTimeline()
-	net := FromGraph(s, g, DefaultConfig(), TimelineObserver(tl))
+	rec := &recorder{}
+	net := FromGraph(s, g, DefaultConfig(), rec)
 	net.Node(0).SetRoute(3, 1)
 	net.Node(1).SetRoute(3, 3)
 	net.Node(2).SetRoute(3, 3)
@@ -223,7 +223,7 @@ func TestHybridDemotion(t *testing.T) {
 		t.Errorf("in-flight at end = %d, want 0", got)
 	}
 	demotes, absorbs := 0, 0
-	for _, r := range tl.Records() {
+	for _, r := range rec.notes {
 		switch r.Kind {
 		case obs.KindFluidDemote:
 			demotes++

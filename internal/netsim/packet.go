@@ -114,8 +114,8 @@ type Packet struct {
 func (p *Packet) Control() bool { return p.Payload != nil }
 
 // Observer receives simulation events: the one event stream out of the
-// network, which the trace collector and the convergence timeline both
-// read. All methods are called synchronously from the event loop, or from
+// network. A trial has exactly one, the trial recorder (trace.Collector),
+// which keeps the flows' records and the convergence timeline. All methods are called synchronously from the event loop, or from
 // a sharded run's barrier replay in the same merged order as every other
 // event. Implementations must not retain the packet, nor its Trace slice or
 // Payload, past the call: the packet is zeroed and reused for a later send
@@ -172,26 +172,3 @@ func (NopObserver) PacketDropped(time.Duration, NodeID, *Packet, DropReason) {}
 func (NopObserver) Note(obs.Record) {}
 
 var _ Observer = NopObserver{}
-
-// TimelineObserver returns the Observer that writes tl: each route change
-// becomes a fib_change or fib_remove record, each note is appended as it
-// is, and packets are ignored. It is no RouteFilter, so a sharded run
-// replays every destination's route changes to it.
-func TimelineObserver(tl *obs.Timeline) Observer { return timelineObserver{tl: tl} }
-
-type timelineObserver struct {
-	NopObserver
-	tl *obs.Timeline
-}
-
-// RouteChanged implements Observer.
-func (o timelineObserver) RouteChanged(at time.Duration, node, dst, nextHop NodeID, removed bool) {
-	r := obs.Record{At: at, Kind: obs.KindFIBChange, Node: int(node), Peer: int(nextHop), Dst: int(dst)}
-	if removed {
-		r.Kind, r.Peer = obs.KindFIBRemove, -1
-	}
-	o.tl.Add(r)
-}
-
-// Note implements Observer.
-func (o timelineObserver) Note(r obs.Record) { o.tl.Add(r) }

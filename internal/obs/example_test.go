@@ -28,15 +28,20 @@ func ExampleMetrics() {
 	// packets.sent 6
 }
 
-// ExampleTimeline logs a miniature convergence episode and renders it as
-// NDJSON — the format cmd/convsim -timeline writes.
+// ExampleTimeline renders a miniature convergence episode as NDJSON — the
+// format cmd/convsim -timeline writes. A trial's timeline is written by
+// its recorder (trace.Collector); this one is spelled out by hand.
 func ExampleTimeline() {
-	tl := obs.NewTimeline()
 	failAt := 10 * time.Second
-	tl.Add(obs.Record{Kind: obs.KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: 1})
-	tl.Add(obs.Record{At: failAt, Kind: obs.KindLinkDown, Node: 24, Peer: 25, Dst: -1})
-	tl.Add(obs.Record{At: failAt + 52*time.Millisecond, Kind: obs.KindFIBChange, Node: 24, Peer: 17, Dst: 48})
-	tl.Finish(failAt)
+	fibAt := failAt + 52*time.Millisecond
+	tl := obs.Timeline{
+		{Kind: obs.KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: 1},
+		{At: failAt, Kind: obs.KindLinkDown, Node: 24, Peer: 25, Dst: -1},
+		{At: fibAt, Kind: obs.KindFIBChange, Node: 24, Peer: 17, Dst: 48},
+		{At: fibAt, Kind: obs.KindFirstFIBChange, Node: 24, Peer: -1, Dst: -1},
+		{At: fibAt, Kind: obs.KindLastFIBChange, Node: 24, Peer: -1, Dst: -1},
+		{At: fibAt, Kind: obs.KindConvergenceComplete, Node: -1, Peer: -1, Dst: -1},
+	}
 	tl.WriteNDJSON(os.Stdout)
 	// Output:
 	// {"t_ns":0,"event":"trial_start","seed":1}

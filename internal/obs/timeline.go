@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 )
 
@@ -36,12 +35,12 @@ const (
 	// suppression timer releasing it.
 	KindRouteFlap
 	KindRouteReuse
-	// KindFirstFIBChange / KindLastFIBChange are synthesized by Finish:
-	// per node, the first and last FIB event at or after the failure.
+	// KindFirstFIBChange / KindLastFIBChange close a timeline: per node,
+	// the first and last FIB event at or after the failure.
 	KindFirstFIBChange
 	KindLastFIBChange
-	// KindConvergenceComplete is synthesized by Finish: the time of the
-	// last FIB event anywhere at or after the failure.
+	// KindConvergenceComplete closes a timeline: the time of the last FIB
+	// event anywhere at or after the failure.
 	KindConvergenceComplete
 	// KindFluidDemote records the hybrid traffic engine demoting the
 	// Node→Dst flow class to packet-level simulation after a forwarding
@@ -113,87 +112,29 @@ type Record struct {
 	Rate float64
 }
 
-// Timeline is one trial's append-only convergence event log. Recording
-// appends to a slice (amortized-allocation only, no I/O, no formatting);
-// WriteNDJSON renders it once at the end. A nil *Timeline is a no-op
-// recorder, and no method touches the simulator: recording cannot change
-// event order or consume randomness.
-type Timeline struct {
-	recs     []Record
-	finished bool
-}
+// Timeline is one trial's committed convergence record stream, as the
+// trial recorder (trace.Collector) writes it: instant by instant in
+// canonical order, then the convergence summary. The Timeline itself only
+// holds and renders the records — WriteNDJSON formats them once, after the
+// run. A nil *Timeline is empty.
+type Timeline []Record
 
 // NewTimeline returns an empty timeline with room for a typical trial.
 func NewTimeline() *Timeline {
-	return &Timeline{recs: make([]Record, 0, 256)}
+	t := make(Timeline, 0, 256)
+	return &t
 }
 
-// Add appends one record to the log.
-func (t *Timeline) Add(r Record) {
-	if t != nil {
-		t.recs = append(t.recs, r)
-	}
-}
-
-// Len returns the number of records logged so far.
+// Len returns the number of records committed so far.
 func (t *Timeline) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.recs)
-}
-
-// Records returns the underlying record slice (not a copy).
-func (t *Timeline) Records() []Record {
-	if t == nil {
-		return nil
-	}
-	return t.recs
-}
-
-// Finish synthesizes the summary records from the raw log: per node that
-// changed its FIB at or after failAt, a fib_first_change and fib_last_change
-// record (appended in ascending node order), and one convergence_complete
-// record at the time of the last such change anywhere. Finish is
-// idempotent; calling it on a nil or empty timeline is a no-op.
-func (t *Timeline) Finish(failAt time.Duration) {
-	if t == nil || t.finished || len(t.recs) == 0 {
-		return
-	}
-	t.finished = true
-	first := make(map[int]time.Duration)
-	last := make(map[int]time.Duration)
-	var complete time.Duration
-	any := false
-	for _, r := range t.recs {
-		if (r.Kind != KindFIBChange && r.Kind != KindFIBRemove) || r.At < failAt {
-			continue
-		}
-		if _, ok := first[r.Node]; !ok {
-			first[r.Node] = r.At
-		}
-		last[r.Node] = r.At
-		if r.At > complete {
-			complete = r.At
-		}
-		any = true
-	}
-	nodes := make([]int, 0, len(first))
-	for n := range first {
-		nodes = append(nodes, n)
-	}
-	sort.Ints(nodes)
-	for _, n := range nodes {
-		t.Add(Record{At: first[n], Kind: KindFirstFIBChange, Node: n, Peer: -1, Dst: -1})
-		t.Add(Record{At: last[n], Kind: KindLastFIBChange, Node: n, Peer: -1, Dst: -1})
-	}
-	if any {
-		t.Add(Record{At: complete, Kind: KindConvergenceComplete, Node: -1, Peer: -1, Dst: -1})
-	}
+	return len(*t)
 }
 
 // WriteNDJSON renders the timeline as newline-delimited JSON, one record
-// per line in log order, per the schema in OBSERVABILITY.md. Field names
+// per line in stream order, per the schema in OBSERVABILITY.md. Field names
 // depend on the record kind; unused fields are omitted rather than emitted
 // as -1. Writing happens only here — never during the simulation.
 func (t *Timeline) WriteNDJSON(w io.Writer) error {
@@ -201,7 +142,7 @@ func (t *Timeline) WriteNDJSON(w io.Writer) error {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
-	for _, r := range t.recs {
+	for _, r := range *t {
 		var err error
 		switch r.Kind {
 		case KindTrialStart:

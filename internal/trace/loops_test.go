@@ -62,7 +62,7 @@ func TestLoopEscapesEndToEnd(t *testing.T) {
 	// Ring 0-1-2-3: route 0→1→2→1... then repair mid-flight so the packet
 	// escapes the loop and reaches 3.
 	s := sim.New(1)
-	c := NewCollector(0, 3)
+	c := NewCollector(0, 3, Options{})
 	cfg := netsim.DefaultConfig()
 	cfg.RecordHops = true
 	n := netsim.FromGraph(s, topology.Line(4), cfg, c)
@@ -91,7 +91,7 @@ func TestLoopEscapesEndToEnd(t *testing.T) {
 func TestLoopEscapesWithoutRecordHops(t *testing.T) {
 	// Without hop recording, traces are empty and nothing is flagged.
 	s := sim.New(1)
-	c := NewCollector(0, 2)
+	c := NewCollector(0, 2, Options{})
 	n := netsim.FromGraph(s, topology.Line(3), netsim.DefaultConfig(), c)
 	c.SetNetwork(n)
 	n.Node(0).SetRoute(2, 1)

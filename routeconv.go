@@ -321,10 +321,12 @@ func ParseScenario(text string) (*ScenarioScript, error) { return scenario.Parse
 // OBSERVABILITY.md.
 type MetricsSnapshot = obs.Snapshot
 
-// Timeline records one trial's convergence timeline — link failures, FIB
-// changes, withdrawals, flap-damping transitions, and derived per-node
-// first/last-change summaries — for NDJSON export. The record schema is
-// documented in OBSERVABILITY.md.
+// Timeline holds one trial's convergence timeline — link failures, FIB
+// changes (each instant's net effect), withdrawals, flap-damping
+// transitions, and the per-node first/last-change summaries — as the
+// trial's recorder commits it: instant by instant in canonical order, so
+// the same trial writes the same NDJSON however it is executed. The record
+// schema is documented in OBSERVABILITY.md.
 type Timeline = obs.Timeline
 
 // NewTimeline returns an empty convergence timeline ready to pass to
