@@ -5,7 +5,8 @@
 // same sweep serves unchanged cells from the cache; an interrupted sweep
 // (Ctrl-C, crash) resumes the same way, since every finished cell is
 // already cached, and re-executes only the unfinished cells. The journal
-// logs completed cells; it does not drive the resume.
+// logs the cells that were simulated; it does not drive the resume, and
+// the manifest lists the cache hits.
 //
 // Usage:
 //
@@ -80,7 +81,7 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	fs.StringVar(&o.outDir, "out", filepath.Join("results", "sweep"), "output directory (summary, figures, manifest, journal)")
 	fs.StringVar(&o.cacheDir, "cache", "", "result cache directory (default OUT/cache; \"off\" disables)")
 	fs.IntVar(&o.workers, "workers", 0, "concurrent cells (default GOMAXPROCS)")
-	fs.BoolVar(&o.force, "force", false, "re-execute every cell, ignoring cache and journal")
+	fs.BoolVar(&o.force, "force", false, "re-execute every cell, ignoring the cache")
 	fs.BoolVar(&o.metrics, "metrics", false, "record obs counters per cell into manifest.json (changes cache keys)")
 	fs.BoolVar(&o.plan, "plan", false, "print the expanded cell plan and exit without running")
 	fs.BoolVar(&o.quiet, "q", false, "suppress progress output")

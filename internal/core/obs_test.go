@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -135,7 +136,12 @@ func TestMetricsSnapshotPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			var b strings.Builder
-			for _, k := range tr.Metrics.Keys() {
+			keys := make([]string, 0, len(tr.Metrics))
+			for k := range tr.Metrics {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
 				fmt.Fprintf(&b, "%s=%d\n", k, tr.Metrics[k])
 			}
 			sum := sha256.Sum256([]byte(b.String()))

@@ -9,7 +9,6 @@ import (
 	"time"
 	"unsafe"
 
-	"routeconv/internal/netsim"
 	"routeconv/internal/obs"
 	"routeconv/internal/routing"
 	"routeconv/internal/scenario"
@@ -89,14 +88,12 @@ func scaleAllocCeiling(t *testing.T, cfg Config) uint64 {
 	return dense + dense/2 + 4096*nodes
 }
 
-// TestRoutingStateWidths pins the per-destination widths scaleAllocCeiling
-// budgets for: a distance-vector row and a FIB slot.
+// TestRoutingStateWidths pins the per-destination width scaleAllocCeiling
+// budgets for a distance-vector row. netsim's TestFIBSlotWidth pins the
+// FIB slot's.
 func TestRoutingStateWidths(t *testing.T) {
 	if got := unsafe.Sizeof(routing.Row{}); got != 8 {
 		t.Errorf("routing.Row is %d bytes, want 8", got)
-	}
-	if netsim.FIBSlotBytes != 2 {
-		t.Errorf("a FIB slot is %d bytes, want 2", netsim.FIBSlotBytes)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"routeconv/internal/netsim"
@@ -249,13 +248,13 @@ func (r *scenarioRunner) installChurn(ev scenario.Event, idx int) {
 			victim := live[st.Int63n(int64(len(live)))]
 			r.net.Metrics().Inc(obs.ScenarioChurnCycles)
 			r.failLink(victim)
-			r.s.Schedule(expDur(&st, ev.MeanDown), func() {
+			r.s.Schedule(st.Exp(ev.MeanDown), func() {
 				r.net.RestoreLink(victim.A, victim.B)
 				r.samplePaths()
 			})
 			r.samplePaths()
 		}
-		r.s.Schedule(expDur(&st, meanGap), tick)
+		r.s.Schedule(st.Exp(meanGap), tick)
 	}
 	r.s.ScheduleAt(ev.At, func() {
 		r.event()
@@ -265,14 +264,4 @@ func (r *scenarioRunner) installChurn(ev scenario.Event, idx int) {
 	r.s.ScheduleAt(ev.Until, func() {
 		r.net.Note(obs.Record{At: r.s.Now(), Kind: obs.KindChurnEnd, Node: -1, Peer: -1, Dst: -1})
 	})
-}
-
-// expDur draws an exponential duration of the given mean from the stream.
-func expDur(st *sim.Stream, mean time.Duration) time.Duration {
-	u := st.Float64()
-	d := time.Duration(-math.Log(1-u) * float64(mean))
-	if d < time.Nanosecond {
-		d = time.Nanosecond // keep the process strictly advancing
-	}
-	return d
 }

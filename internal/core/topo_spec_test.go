@@ -2,6 +2,7 @@ package core
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"routeconv/internal/netsim"
@@ -181,7 +182,8 @@ func TestTopoExportImportRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(dir, filepath.Base(spec.Family())+"-"+string(rune('a'+i))+".edges")
+		family, _, _ := strings.Cut(specText, ":")
+		path := filepath.Join(dir, family+"-"+string(rune('a'+i))+".edges")
 		if err := topoio.WriteFile(path, built.Graph); err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +192,7 @@ func TestTopoExportImportRoundTrip(t *testing.T) {
 		gen.Topo = specText
 		imp := DefaultConfig()
 		imp.Topo = "file:" + path
-		if spec.Family() == "mesh" {
+		if family == "mesh" {
 			// Mesh attach rows (first/last lattice row) are not derivable
 			// from the bare graph, so a mesh round-trip states them
 			// explicitly on both sides.

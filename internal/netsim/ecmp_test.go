@@ -100,11 +100,11 @@ func TestECMPSkipsDownLink(t *testing.T) {
 func TestECMPClearedBySmallSet(t *testing.T) {
 	_, n, _ := diamond(t)
 	n.Node(0).SetMultipath(3, []NodeID{1})
-	if n.Node(0).Multipath(3) != nil {
+	if n.Node(0).multi[3] != nil {
 		t.Error("single-entry multipath set not cleared")
 	}
 	n.Node(0).SetMultipath(3, nil)
-	if n.Node(0).Multipath(3) != nil {
+	if n.Node(0).multi[3] != nil {
 		t.Error("nil multipath set not cleared")
 	}
 }

@@ -62,21 +62,6 @@ type FlowSetConfig struct {
 	Flows int
 }
 
-// FluidTotals split the packet fates the fluid evaluator accounted out of
-// the network's counters (Network.Metrics), which count them together with
-// the packet engine's: only these say which engine booked a packet. The
-// fluid engine's own activity (settles, demotions, byte totals) is counted
-// by the fluid.* counters.
-type FluidTotals struct {
-	// Sent..InFlightEnd count fluid-accounted packets (demoted flows'
-	// packets are real and counted by the packet engine instead).
-	Sent, Delivered uint64
-	Drops           [numDropReasons]uint64
-	// InFlightEnd counts packets emitted close enough to Stop that they
-	// were still on the wire at the final settlement.
-	InFlightEnd uint64
-}
-
 // flowGroup is the flows sharing one destination: settlement walks the
 // destination's forwarding tree once per epoch, not once per flow. Once
 // the set is indexed the group's flows are positions [lo, hi) of the
@@ -133,8 +118,6 @@ type FlowSet struct {
 	loadTag   []uint32
 	load      []float64
 	stack     []NodeID
-
-	totals FluidTotals
 }
 
 var _ sim.Handler = (*FlowSet)(nil)
@@ -293,9 +276,6 @@ func (fs *FlowSet) bps(i int32) float64 {
 // Len returns the number of registered flow classes.
 func (fs *FlowSet) Len() int { return len(fs.src) }
 
-// Totals returns the set's aggregate counters.
-func (fs *FlowSet) Totals() FluidTotals { return fs.totals }
-
 // tickTime returns the emission time of flow i's k-th tick.
 func (fs *FlowSet) tickTime(i int32, k uint32) time.Duration {
 	return fs.cfg.Start + time.Duration(int64(k)*fs.intervalNs[i])
@@ -361,7 +341,7 @@ func (fs *FlowSet) linkChanged(a, b NodeID) {
 	na, nb := fs.net.nodes[a], fs.net.nodes[b]
 	for gi := range fs.groups {
 		g := &fs.groups[gi]
-		onLink := na.forwardsVia(g.dst, b) || nb.forwardsVia(g.dst, a)
+		onLink := na.ForwardsVia(g.dst, b) || nb.ForwardsVia(g.dst, a)
 		if !onLink && !g.limited {
 			continue
 		}
@@ -372,11 +352,12 @@ func (fs *FlowSet) linkChanged(a, b NodeID) {
 	}
 }
 
-// forwardsVia reports whether anything egress consults for dst at this
+// ForwardsVia reports whether anything egress consults for dst at this
 // node — FIB entry, ECMP set, backup chain — names the neighbor nh. It is
 // the test for "can the nd-nh link's state change where nd sends dst's
-// packets", whatever the links' current states.
-func (nd *Node) forwardsVia(dst, nh NodeID) bool {
+// packets", whatever the links' current states: the fluid engine asks it
+// of a failing or restored link's two ends.
+func (nd *Node) ForwardsVia(dst, nh NodeID) bool {
 	if r := nd.fibGet(dst); r != noPort && nd.neighbors[r] == nh {
 		return true
 	}
@@ -433,7 +414,6 @@ func (fs *FlowSet) settleGroup(g *flowGroup, now time.Duration) {
 		}
 		if fate == fateDelivered {
 			delivered := ticks
-			var inflight uint64
 			// Ticks emitted within one path latency of the horizon are
 			// still on the wire at Stop, exactly as the packet engine
 			// would leave them. The cut is a property of the tick, not of
@@ -443,8 +423,7 @@ func (fs *FlowSet) settleGroup(g *flowGroup, now time.Duration) {
 			lat += time.Duration(hops) * fs.net.cfg.LinkDelay
 			if cut := fs.cfg.Stop - lat; now > cut {
 				if arrived := fs.ticksBefore(i, cut+1); arrived < n {
-					inflight = min(uint64(n-arrived), delivered)
-					delivered -= inflight
+					delivered -= min(uint64(n-arrived), delivered)
 				}
 			}
 			var qdrops uint64
@@ -460,7 +439,7 @@ func (fs *FlowSet) settleGroup(g *flowGroup, now time.Duration) {
 					delivered -= qdrops
 				}
 			}
-			fs.account(i, ticks, delivered, qdrops, DropQueueOverflow, inflight)
+			fs.account(i, ticks, delivered, qdrops, DropQueueOverflow)
 		} else {
 			var reason DropReason
 			switch fate {
@@ -471,7 +450,7 @@ func (fs *FlowSet) settleGroup(g *flowGroup, now time.Duration) {
 			default:
 				reason = DropLinkFailure
 			}
-			fs.account(i, ticks, 0, ticks, reason, 0)
+			fs.account(i, ticks, 0, ticks, reason)
 		}
 	}
 	if worked {
@@ -479,25 +458,21 @@ func (fs *FlowSet) settleGroup(g *flowGroup, now time.Duration) {
 	}
 }
 
-// account books one flow's settled ticks into the network counters: sent
-// = delivered + dropped + inflight, keeping the conservation identity
-// exact.
-func (fs *FlowSet) account(i int32, sent, delivered, dropped uint64, reason DropReason, inflight uint64) {
+// account books one flow's settled ticks into the network counters. Sent
+// ticks neither delivered nor dropped are the ones still in flight at
+// Stop, so the conservation identity stays exact.
+func (fs *FlowSet) account(i int32, sent, delivered, dropped uint64, reason DropReason) {
 	met := fs.net.Metrics()
 	size := uint64(fs.size[i])
 	met.Add(obs.PacketsSent, sent)
-	fs.totals.Sent += sent
 	if delivered > 0 {
 		met.Add(obs.PacketsDelivered, delivered)
 		met.Add(obs.FluidDeliveredBytes, delivered*size)
-		fs.totals.Delivered += delivered
 	}
 	if dropped > 0 {
 		met.Add(dropCounter[reason], dropped)
 		met.Add(obs.FluidDroppedBytes, dropped*size)
-		fs.totals.Drops[reason] += dropped
 	}
-	fs.totals.InFlightEnd += inflight
 }
 
 // beginEpoch invalidates the per-node fate memo.
@@ -531,44 +506,6 @@ func impureCycle(stack []NodeID, lastImpure int, at NodeID) int {
 	return lastImpure
 }
 
-// egress mirrors Node.forward's next-hop selection for a packet from
-// flowSrc to dst: ECMP set (hashed by flow), then the FIB entry, then
-// the backup chain when the primary is unusable. pure reports whether
-// the choice is flow-independent, and thus memoizable.
-func (fs *FlowSet) egress(nd *Node, flowSrc, dst NodeID) (next NodeID, linkUp bool, pure bool) {
-	pure = true
-	if nd.multi != nil {
-		if set := nd.multi[dst]; len(set) > 1 {
-			pure = false
-			start := flowHash(flowSrc, dst, len(set))
-			for i := range set {
-				nh := set[(start+i)%len(set)]
-				if mp := nd.portTo(nh); mp != nil && !mp.link.down {
-					return nh, true, false
-				}
-			}
-		}
-	}
-	var p *port
-	next = noRoute
-	if r := nd.fibGet(dst); r != noPort {
-		p, next = nd.ports[r], nd.neighbors[r]
-	}
-	if p == nil || p.link.down {
-		if nd.backup != nil {
-			for _, alt := range nd.backup[dst] {
-				if ap := nd.portTo(alt); ap != nil && !ap.link.down {
-					return alt, true, pure
-				}
-			}
-		}
-	}
-	if p == nil {
-		return noRoute, false, pure
-	}
-	return next, !p.link.down, pure
-}
-
 // resolve walks the forwarding graph from `from` toward dst and returns
 // the flow's fate plus the hop count to the destination (meaningful only
 // for fateDelivered). Results for flow-independent nodes are memoized
@@ -595,22 +532,21 @@ func (fs *FlowSet) resolve(from, dst NodeID) (uint8, int32) {
 			lastImpure = impureCycle(stack, lastImpure, cur)
 			break
 		}
-		nd := fs.net.nodes[cur]
-		next, up, pure := fs.egress(nd, from, dst)
+		p, pure := fs.net.nodes[cur].egress(from, dst)
 		if !pure {
 			lastImpure = len(stack)
 		}
 		fs.visitTag[cur] = gen
 		stack = append(stack, cur)
-		if next == noRoute {
+		if p == nil {
 			tFate, tHops = fateNoRoute, 0
 			break
 		}
-		if !up {
+		if p.link.down {
 			tFate, tHops = fateLinkDown, 0
 			break
 		}
-		cur = next
+		cur = p.peer.id
 	}
 	fs.stack = stack // keep any ring growth
 	h := tHops
@@ -642,11 +578,11 @@ func (fs *FlowSet) addLoad(from, dst NodeID, bps float64) {
 			fs.load[cur] = 0
 		}
 		fs.load[cur] += bps
-		next, up, _ := fs.egress(fs.net.nodes[cur], from, dst)
-		if next == noRoute || !up {
+		p, _ := fs.net.nodes[cur].egress(from, dst)
+		if p == nil || p.link.down {
 			return
 		}
-		cur = next
+		cur = p.peer.id
 	}
 }
 
@@ -661,11 +597,11 @@ func (fs *FlowSet) survival(from, dst NodeID) float64 {
 		if fs.loadTag[cur] == fs.epoch && fs.load[cur] > capacity {
 			s *= capacity / fs.load[cur]
 		}
-		next, up, _ := fs.egress(fs.net.nodes[cur], from, dst)
-		if next == noRoute || !up {
+		p, _ := fs.net.nodes[cur].egress(from, dst)
+		if p == nil || p.link.down {
 			break
 		}
-		cur = next
+		cur = p.peer.id
 	}
 	return s
 }
@@ -715,17 +651,21 @@ func (fs *FlowSet) crosses(from, dst NodeID, a, b NodeID) bool {
 			break
 		}
 		fs.visitTag[cur] = gen
-		next, up, pure := fs.egress(fs.net.nodes[cur], from, dst)
+		p, pure := fs.net.nodes[cur].egress(from, dst)
 		if !pure {
 			lastImpure = len(stack)
 		}
 		stack = append(stack, cur)
+		next := noRoute
+		if p != nil {
+			next = p.peer.id
+		}
 		if b < 0 {
 			hit = cur == a
 		} else {
 			hit = (cur == a && next == b) || (cur == b && next == a)
 		}
-		if hit || next == noRoute || !up {
+		if hit || p == nil || p.link.down {
 			break
 		}
 		cur = next
@@ -798,7 +738,7 @@ func (fs *FlowSet) HandleEvent(kind int32, _ any) {
 
 // Finish settles every group's tail at the current instant — call it
 // once after the simulator reaches the end of the run, before reading the
-// network's counters or Totals. Ticks still within one path latency of
+// network's counters. Ticks still within one path latency of
 // the horizon are booked as in-flight, matching the packet engine's
 // end-of-run balance.
 func (fs *FlowSet) Finish() {

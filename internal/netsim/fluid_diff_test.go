@@ -24,6 +24,17 @@ import (
 // and every crossing flow already demoted. The two runs must end in the same
 // state, having demoted and re-absorbed the same flows in the same order.
 
+// hop is one step of a forwarding walk: the next hop Node.egress picks at
+// cur for a from→dst flow (noRoute for none), whether its link is up, and
+// whether the choice is flow-independent.
+func hop(fs *FlowSet, cur, from, dst NodeID) (next NodeID, up, pure bool) {
+	p, pure := fs.net.nodes[cur].egress(from, dst)
+	if p == nil {
+		return noRoute, false, pure
+	}
+	return p.peer.id, !p.link.down, pure
+}
+
 // refPathTouches is the unmemoized walk: does the forwarding path of a
 // from→dst flow visit node a (b < 0) or traverse the a-b link.
 func refPathTouches(fs *FlowSet, from, dst, a, b NodeID) bool {
@@ -34,7 +45,7 @@ func refPathTouches(fs *FlowSet, from, dst, a, b NodeID) bool {
 			return false // loop not involving the changed region
 		}
 		seen[cur] = true
-		next, up, _ := fs.egress(fs.net.nodes[cur], from, dst)
+		next, up, _ := hop(fs, cur, from, dst)
 		if b < 0 {
 			if cur == a {
 				return true
@@ -59,7 +70,7 @@ func refResolve(fs *FlowSet, from, dst NodeID) (uint8, int32) {
 			return fateLoop, loopHops
 		}
 		seen[cur] = true
-		next, up, _ := fs.egress(fs.net.nodes[cur], from, dst)
+		next, up, _ := hop(fs, cur, from, dst)
 		if next == noRoute {
 			return fateNoRoute, 0
 		}
@@ -284,7 +295,7 @@ func (run *fluidRun) apply(kind, x, y, z int) {
 		if z%4 != 0 { // else: clear the set
 			set = []NodeID{nh, nbrs[(z+1)%len(nbrs)]}
 		}
-		if len(set) >= 2 || nd.Multipath(dst) != nil {
+		if len(set) >= 2 || nd.multi[dst] != nil {
 			before = func() { refFibChanged(fs, nd.ID(), dst) }
 		}
 		mutate = func() { nd.SetMultipath(dst, set) }
@@ -322,12 +333,14 @@ func (run *fluidRun) apply(kind, x, y, z int) {
 		mutate = func() { net.FailNode(nd.ID()) }
 	}
 	if run.ref && before != nil {
-		inflight := fs.totals.InFlightEnd
+		// A reference settle runs no packet event, so the network's in-flight
+		// balance moves only by the fluid ticks it books as in flight.
+		met := run.net.Metrics()
+		inflight := inFlight(met)
 		before()
 		if run.s.Now() < fluidProgStop {
-			run.earlyInFlight += fs.totals.InFlightEnd - inflight
+			run.earlyInFlight += inFlight(met) - inflight
 		}
-		met := run.net.Metrics()
 		demoted := met.Get(obs.FluidDemotions)
 		mutate()
 		if now := met.Get(obs.FluidDemotions); now != demoted {
@@ -364,7 +377,6 @@ func (run *fluidRun) checkResolve() {
 // fluidOutcome is everything the two runs must agree on.
 type fluidOutcome struct {
 	Metrics  obs.Snapshot // without fluid.settles: settling less is the point
-	Totals   FluidTotals
 	NextTick []uint32
 	QCarry   []float64
 	// Moves is the sequence of demotions and re-absorptions.
@@ -376,7 +388,6 @@ func (run *fluidRun) finish() (fluidOutcome, uint64) {
 	run.fs.Finish()
 	out := fluidOutcome{
 		Metrics:  run.net.Metrics().Snapshot(),
-		Totals:   run.fs.Totals(),
 		NextTick: run.fs.nextTick,
 		QCarry:   run.fs.qCarry,
 	}
@@ -393,7 +404,7 @@ func (run *fluidRun) finish() (fluidOutcome, uint64) {
 // fluidCoverage is what a batch of programs exercised; the seeded test
 // asserts none of it is zero, so the oracle cannot go vacuous unnoticed.
 type fluidCoverage struct {
-	demotions, reabsorptions, queueDrops, deferred, impureWalks, earlyInFlight uint64
+	demotions, reabsorptions, queueLimited, deferred, impureWalks, earlyInFlight uint64
 }
 
 // checkFluidProgram runs the program both ways and compares.
@@ -411,14 +422,18 @@ func checkFluidProgram(t *testing.T, prog []byte, cov *fluidCoverage) {
 	if cov != nil {
 		cov.demotions += lazy.Metrics["fluid.demotions"]
 		cov.reabsorptions += lazy.Metrics["fluid.reabsorptions"]
-		cov.queueDrops += lazy.Totals.Drops[DropQueueOverflow]
+		for _, q := range lazy.QCarry { // a queue-limit settle left a remainder
+			if q != 0 {
+				cov.queueLimited++
+			}
+		}
 		cov.deferred += refSettles - lazySettles
 		cov.earlyInFlight += refRun.earlyInFlight
 		fs := refRun.fs
 		for i := range fs.src { // flows that end the run forwarded by an ECMP node
 			cur := fs.src[i]
-			for hop := 0; hop < len(fs.groupOf) && cur != fs.dst[i]; hop++ {
-				next, up, pure := fs.egress(fs.net.nodes[cur], fs.src[i], fs.dst[i])
+			for k := 0; k < len(fs.groupOf) && cur != fs.dst[i]; k++ {
+				next, up, pure := hop(fs, cur, fs.src[i], fs.dst[i])
 				if !pure {
 					cov.impureWalks++
 				}
@@ -436,7 +451,7 @@ func (o fluidOutcome) String() string {
 	for i, m := range o.Moves {
 		moves[i] = fmt.Sprintf("%v:%v:%d->%d", m.At, m.Kind, m.Node, m.Dst)
 	}
-	return fmt.Sprintf("metrics %v totals %+v nextTick %v qCarry %v moves %v", o.Metrics, o.Totals, o.NextTick, o.QCarry, moves)
+	return fmt.Sprintf("metrics %v nextTick %v qCarry %v moves %v", o.Metrics, o.NextTick, o.QCarry, moves)
 }
 
 // randomFluidProgram draws a program: a set-up half and up to 48 ops.
@@ -457,7 +472,7 @@ func TestFluidLazyMatchesReference(t *testing.T) {
 		checkFluidProgram(t, randomFluidProgram(rng), &cov)
 	}
 	t.Logf("exercised: %+v", cov)
-	if cov.demotions == 0 || cov.reabsorptions == 0 || cov.queueDrops == 0 || cov.deferred == 0 || cov.impureWalks == 0 || cov.earlyInFlight == 0 {
+	if cov.demotions == 0 || cov.reabsorptions == 0 || cov.queueLimited == 0 || cov.deferred == 0 || cov.impureWalks == 0 || cov.earlyInFlight == 0 {
 		t.Errorf("the programs left part of the engine unexercised: %+v", cov)
 	}
 }

@@ -470,26 +470,6 @@ func (l *Link) Edge() topology.Edge { return l.edge }
 // Up reports whether the link is currently up.
 func (l *Link) Up() bool { return !l.down }
 
-// PortCounters are per-direction link transmission counters.
-type PortCounters struct {
-	// TxPackets and TxBytes count everything clocked onto the wire,
-	// including packets later lost to the link failing mid-flight.
-	TxPackets, TxBytes uint64
-	// QueueDrops counts data packets rejected by the full output queue.
-	QueueDrops uint64
-}
-
-// Counters returns the transmission counters for the direction from the
-// given node. It returns the zero value if from is not an endpoint.
-func (l *Link) Counters(from NodeID) PortCounters {
-	for _, p := range l.dir {
-		if p.owner.id == from {
-			return p.counters
-		}
-	}
-	return PortCounters{}
-}
-
 // Typed port event kinds: the wire is modeled with two pooled events per
 // transmission instead of two heap-allocated closures.
 const (
@@ -502,15 +482,14 @@ const (
 // port is one direction of a link: the transmitter owned by owner sending
 // toward peer. Its output queue is a power-of-two ring buffer.
 type port struct {
-	owner    *Node
-	peer     *Node
-	link     *Link
-	queue    []*Packet // ring; len is 0 or a power of two
-	head     int       // index of the oldest queued packet
-	count    int       // packets in the ring
-	inQ      int       // data packets in the ring
-	busy     bool
-	counters PortCounters
+	owner *Node
+	peer  *Node
+	link  *Link
+	queue []*Packet // ring; len is 0 or a power of two
+	head  int       // index of the oldest queued packet
+	count int       // packets in the ring
+	inQ   int       // data packets in the ring
+	busy  bool
 	// lossP, when positive, drops each packet completing serialization
 	// with that probability (scenario lossy links, SetLinkLoss). lossRng
 	// is this direction's private stream, seeded on first use so
@@ -529,7 +508,6 @@ var _ sim.Handler = (*port)(nil)
 func (p *port) send(ex *exec, pkt *Packet) {
 	if p.busy {
 		if !pkt.Control() && p.inQ >= p.owner.net.cfg.QueueLimit {
-			p.counters.QueueDrops++
 			p.owner.net.drop(ex, p.owner.id, pkt, DropQueueOverflow)
 			return
 		}
@@ -549,8 +527,6 @@ func (p *port) send(ex *exec, pkt *Packet) {
 // transmission.
 func (p *port) transmit(pkt *Packet) {
 	p.busy = true
-	p.counters.TxPackets++
-	p.counters.TxBytes += uint64(pkt.Size)
 	ex := p.owner.exec
 	ex.sim.ScheduleHandler(ex.serialization(pkt.Size), p, portSerDone, pkt)
 }

@@ -268,9 +268,6 @@ func TestRestoreLink(t *testing.T) {
 	if !n.Link(0, 1).Up() {
 		t.Error("link down after RestoreLink")
 	}
-	if !n.Node(0).LinkUpTo(1) {
-		t.Error("LinkUpTo(1) = false after restore")
-	}
 }
 
 func TestFailBeforeDetectSuppressed(t *testing.T) {
@@ -483,9 +480,6 @@ func TestFastRerouteDeflectsOnDownLink(t *testing.T) {
 	if len(trace) != 3 || trace[1] != 2 {
 		t.Errorf("packet path = %v, want detour via 2", trace)
 	}
-	if nhs := n.Node(0).BackupRoutes(3); len(nhs) != 1 || nhs[0] != 2 {
-		t.Errorf("BackupRoutes = %v, want [2]", nhs)
-	}
 }
 
 func TestFastRerouteIgnoredWhilePrimaryUp(t *testing.T) {
@@ -531,18 +525,6 @@ func TestFastRerouteBackupDownToo(t *testing.T) {
 	}
 }
 
-func TestClearBackupRoute(t *testing.T) {
-	g := topology.Line(3)
-	s := sim.New(1)
-	n := FromGraph(s, g, DefaultConfig(), nil)
-	n.Node(1).SetBackupRoutes(0, []NodeID{0})
-	n.Node(1).ClearBackupRoutes(0)
-	if nhs := n.Node(1).BackupRoutes(0); nhs != nil {
-		t.Error("backup survived ClearBackupRoutes")
-	}
-	n.Node(1).ClearBackupRoutes(99) // no-op
-}
-
 func TestSetBackupRouteNonNeighborPanics(t *testing.T) {
 	g := topology.Line(3)
 	s := sim.New(1)
@@ -555,27 +537,37 @@ func TestSetBackupRouteNonNeighborPanics(t *testing.T) {
 	n.Node(0).SetBackupRoutes(2, []NodeID{2})
 }
 
+// TestLinkCounters: a burst onto a one-packet queue, as the network's
+// counters and the recorder see it. One packet transmits, one waits and
+// follows it, and two overflow the queue at the sender.
 func TestLinkCounters(t *testing.T) {
 	cfg := Config{LinkRateBps: 8_000_000, LinkDelay: time.Millisecond, DetectDelay: time.Millisecond, QueueLimit: 1}
 	s := sim.New(1)
-	n := FromGraph(s, topology.Line(2), cfg, nil)
+	rec := &recorder{}
+	n := FromGraph(s, topology.Line(2), cfg, rec)
 	n.Node(0).SetRoute(1, 1)
 	for i := 0; i < 4; i++ {
 		n.Node(0).SendData(1, 1000, 64) // 1 transmitting, 1 queued, 2 dropped
 	}
 	s.Run()
-	c := n.Link(0, 1).Counters(0)
-	if c.TxPackets != 2 || c.TxBytes != 2000 {
-		t.Errorf("tx counters = %+v, want 2 packets / 2000 bytes", c)
+	met := n.Metrics()
+	if got := met.Get(obs.PacketsForwarded); got != 4 {
+		t.Errorf("forwarded = %d, want 4 (a queue drop is forwarded, then refused)", got)
 	}
-	if c.QueueDrops != 2 {
-		t.Errorf("queue drops = %d, want 2", c.QueueDrops)
+	if got := met.Get(obs.PacketsDelivered); got != 2 || len(rec.delivered) != 2 {
+		t.Errorf("delivered = %d (recorder %d), want 2", got, len(rec.delivered))
 	}
-	if rev := n.Link(0, 1).Counters(1); rev.TxPackets != 0 {
-		t.Errorf("reverse direction counters = %+v, want zero", rev)
+	if got := met.Get(obs.DropQueueOverflow); got != 2 {
+		t.Errorf("queue drops = %d, want 2", got)
 	}
-	if zero := n.Link(0, 1).Counters(99); zero != (PortCounters{}) {
-		t.Errorf("non-endpoint counters = %+v, want zero value", zero)
+	if len(rec.drops) != 2 || rec.drops[0] != DropQueueOverflow || rec.drops[1] != DropQueueOverflow {
+		t.Errorf("recorded drops = %v, want two queue overflows", rec.drops)
+	}
+	if got := met.Snapshot()["queue.peak"]; got != 1 {
+		t.Errorf("queue peak = %d, want 1", got)
+	}
+	if s.Now() != 2*n.serialization(1000)+cfg.LinkDelay {
+		t.Errorf("last delivery at %v, want two serializations and one link delay", s.Now())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"time"
-	"unsafe"
 
 	"routeconv/internal/obs"
 	"routeconv/internal/sim"
@@ -43,10 +42,6 @@ const MaxDegree = math.MaxUint16 - 1
 // fibSlot is one FIB entry: the next hop's rank plus one, 0 when empty, so
 // a freshly made table is all empty.
 type fibSlot uint16
-
-// FIBSlotBytes is the size of one FIB entry; every node holds one per
-// destination.
-const FIBSlotBytes = int(unsafe.Sizeof(fibSlot(0)))
 
 // Node is a router: it owns a forwarding table (FIB), output ports, and
 // optionally a routing protocol that maintains the FIB.
@@ -208,13 +203,6 @@ func (nd *Node) fibSet(dst NodeID, rank int32) {
 	nd.fib[dst] = fibSlot(rank + 1)
 }
 
-// LinkUpTo reports whether the link to the neighbor is currently up.
-// It returns false for nodes that are not neighbors.
-func (nd *Node) LinkUpTo(neighbor NodeID) bool {
-	p := nd.portTo(neighbor)
-	return p != nil && !p.link.down
-}
-
 // AttachProtocol binds a protocol instance to the node. It must be called
 // before Network.Start.
 func (nd *Node) AttachProtocol(p Protocol) {
@@ -297,9 +285,6 @@ func (nd *Node) SetBackupRoutes(dst NodeID, nextHops []NodeID) {
 	nd.backup[dst] = nextHops
 }
 
-// ClearBackupRoutes removes the protection entries for dst, if any.
-func (nd *Node) ClearBackupRoutes(dst NodeID) { delete(nd.backup, dst) }
-
 // SetMultipath installs an equal-cost multipath set for dst. Flows are
 // hashed across the set (per source/destination pair, so a flow's packets
 // stay ordered); next hops with down links are skipped. SetRoute still
@@ -324,10 +309,6 @@ func (nd *Node) SetMultipath(dst NodeID, nextHops []NodeID) {
 	nd.multi[dst] = nextHops
 }
 
-// Multipath returns the equal-cost set for dst (nil when single-path).
-// The slice is owned by the node; callers must not modify it.
-func (nd *Node) Multipath(dst NodeID) []NodeID { return nd.multi[dst] }
-
 // flowHash gives a stable per-flow starting index into an ECMP set, using
 // a splitmix64-style finalizer for good avalanche in the low bits.
 func flowHash(src, dst NodeID, n int) int {
@@ -339,10 +320,6 @@ func flowHash(src, dst NodeID, n int) int {
 	h ^= h >> 31
 	return int(h % uint64(n))
 }
-
-// BackupRoutes returns the protection next hops for dst in preference
-// order. The slice is owned by the node; callers must not modify it.
-func (nd *Node) BackupRoutes(dst NodeID) []NodeID { return nd.backup[dst] }
 
 // SendControl transmits a routing message to a directly connected neighbor.
 // The message rides the link like any packet (serialization, propagation,
@@ -408,48 +385,52 @@ func (nd *Node) receive(from NodeID, pkt *Packet) {
 	nd.forward(ex, pkt)
 }
 
-// forward looks up the FIB and queues the packet on the corresponding
-// output port. When the primary is unusable — its link is physically down,
-// or the control plane has withdrawn the route entirely — and a protection
-// entry exists, the packet deflects to the backup immediately (fast
-// reroute: the backup lives below the routing table, like a line-card
-// protection entry).
+// forward queues the packet on the output port egress picks, or drops it
+// when there is none. A port whose link is down still takes the packet:
+// it is lost on the wire, a link-failure drop.
 func (nd *Node) forward(ex *exec, pkt *Packet) {
-	var p *port
-	if nd.multi != nil {
-		if set := nd.multi[pkt.Dst]; len(set) > 1 {
-			// ECMP: start at the flow's hash slot and take the first next hop
-			// whose link is up.
-			start := flowHash(pkt.Src, pkt.Dst, len(set))
-			for i := range set {
-				if mp := nd.portTo(set[(start+i)%len(set)]); mp != nil && !mp.link.down {
-					p = mp
-					break
-				}
-			}
-		}
-	}
-	if p == nil {
-		if r := nd.fibGet(pkt.Dst); r != noPort {
-			p = nd.ports[r]
-		}
-	}
-	if p == nil || p.link.down {
-		if nd.backup != nil {
-			for _, alt := range nd.backup[pkt.Dst] {
-				if ap := nd.portTo(alt); ap != nil && !ap.link.down {
-					p = ap
-					break
-				}
-			}
-		}
-	}
+	p, _ := nd.egress(pkt.Src, pkt.Dst)
 	if p == nil {
 		nd.net.drop(ex, nd.id, pkt, DropNoRoute)
 		return
 	}
 	ex.met.Inc(obs.PacketsForwarded)
 	p.send(ex, pkt)
+}
+
+// egress is the node's one next-hop selection, for packets (forward) and
+// for fluid flows (FlowSet's walks) alike: the output port for a packet
+// from src to dst, nil when there is no route. An ECMP set is hashed by
+// flow and yields its first next hop whose link is up; otherwise the FIB
+// entry is used, and when the primary is missing or its link is down the
+// packet deflects to the first backup whose link is up (fast reroute: the
+// backup lives below the routing table, like a line-card protection
+// entry). pure reports whether the choice is the same for every flow — no
+// ECMP set was consulted — and thus memoizable.
+func (nd *Node) egress(src, dst NodeID) (p *port, pure bool) {
+	pure = true
+	if nd.multi != nil {
+		if set := nd.multi[dst]; len(set) > 1 {
+			pure = false
+			start := flowHash(src, dst, len(set))
+			for i := range set {
+				if mp := nd.portTo(set[(start+i)%len(set)]); mp != nil && !mp.link.down {
+					return mp, false
+				}
+			}
+		}
+	}
+	if r := nd.fibGet(dst); r != noPort {
+		p = nd.ports[r]
+	}
+	if (p == nil || p.link.down) && nd.backup != nil {
+		for _, alt := range nd.backup[dst] {
+			if ap := nd.portTo(alt); ap != nil && !ap.link.down {
+				return ap, pure
+			}
+		}
+	}
+	return p, pure
 }
 
 // CBR generates constant-bit-rate data traffic from one node to a fixed

@@ -92,6 +92,14 @@ func TestRouteEventSize(t *testing.T) {
 	}
 }
 
+// Every node holds one FIB slot per destination, so the slot's width is
+// what the FIB costs at scale; core's allocation ceilings budget 2 bytes.
+func TestFIBSlotWidth(t *testing.T) {
+	if got := unsafe.Sizeof(fibSlot(0)); got != 2 {
+		t.Errorf("a FIB slot is %d bytes, want 2", got)
+	}
+}
+
 // routeFlipper is an allocation-free source of route changes: every period
 // it points node's entry for dst at the other of two neighbors.
 type routeFlipper struct {

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math"
 	"time"
 
 	"routeconv/internal/sim"
@@ -70,7 +69,7 @@ func (p *poisson) HandleEvent(int32, any) {
 		return
 	}
 	p.node.SendData(p.dst, p.size, p.ttl)
-	gap := exp(&p.rng, p.meanInterval)
+	gap := p.rng.Exp(p.meanInterval)
 	if now+gap >= p.stopAt {
 		p.event = sim.Event{}
 		return
@@ -143,7 +142,7 @@ func (o *onOff) begin() {
 		return
 	}
 	o.on = true
-	o.until = now + exp(&o.rng, o.onMean)
+	o.until = now + o.rng.Exp(o.onMean)
 	o.tick()
 }
 
@@ -157,7 +156,7 @@ func (o *onOff) tick() {
 		// Go silent, then begin the next burst — unless the burst would
 		// open at or past the deadline.
 		o.on = false
-		gap := exp(&o.rng, o.offMean)
+		gap := o.rng.Exp(o.offMean)
 		if now+gap >= o.stopAt {
 			o.event = sim.Event{}
 			return
@@ -173,14 +172,4 @@ func (o *onOff) tick() {
 		return
 	}
 	o.event = o.node.Sim().ScheduleHandler(o.interval, o, onOffTick, nil)
-}
-
-// exp draws an exponentially distributed duration with the given mean from
-// the source's private random stream.
-func exp(st *sim.Stream, mean time.Duration) time.Duration {
-	d := time.Duration(-math.Log(1-st.Float64()) * float64(mean))
-	if d <= 0 {
-		d = 1 // never schedule at zero to keep the event loop finite
-	}
-	return d
 }

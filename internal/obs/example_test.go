@@ -17,15 +17,9 @@ func ExampleMetrics() {
 	m.Add(obs.PacketsDelivered, 4)
 	m.Inc(obs.DropNoRoute) // the sixth packet is still on the wire
 
-	snap := m.Snapshot()
-	for _, k := range snap.Keys() {
-		fmt.Printf("%s %d\n", k, snap[k])
-	}
+	fmt.Println(m.Snapshot())
 	// Output:
-	// drops.no_route 1
-	// packets.delivered 4
-	// packets.in_flight_end 1
-	// packets.sent 6
+	// map[drops.no_route:1 packets.delivered:4 packets.in_flight_end:1 packets.sent:6]
 }
 
 // ExampleTimeline renders a miniature convergence episode as NDJSON — the

@@ -21,8 +21,6 @@
 // in OBSERVABILITY.md at the repository root.
 package obs
 
-import "sort"
-
 // Counter indexes one named monotonic counter in a Metrics set. The
 // constants below are the complete universe; Snapshot maps them to their
 // dotted names.
@@ -289,15 +287,4 @@ func (s Snapshot) Merge(other Snapshot) Snapshot {
 		s[k] += v
 	}
 	return s
-}
-
-// Keys returns the snapshot's metric names in sorted order, for
-// deterministic rendering.
-func (s Snapshot) Keys() []string {
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

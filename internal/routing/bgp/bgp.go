@@ -22,8 +22,6 @@
 package bgp
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"routeconv/internal/netsim"
@@ -32,12 +30,17 @@ import (
 	"routeconv/internal/sim"
 )
 
-// Message size model, matching the RFC 4271-shaped encoding in wire.go
-// plus 40 bytes of TCP/IP framing: a 19-byte BGP header and the two
-// section-length fields; 5 bytes per withdrawn route; 14 bytes of
-// attribute/NLRI overhead plus 4 bytes per path element for an
-// announcement. TestWireSizeModel pins SizeBytes to len(Encode()).
+// Message size model, matching the RFC 4271-shaped encoding (the test
+// oracle in codec_test.go) plus 40 bytes of TCP/IP framing: a 19-byte BGP
+// header and the two section-length fields; 5 bytes per withdrawn route;
+// 14 bytes of attribute/NLRI overhead plus 4 bytes per path element for
+// an announcement. TestWireSizeModel pins SizeBytes to len(Encode()).
 const (
+	bgpMarkerLen = 16
+	bgpHeaderLen = bgpMarkerLen + 2 + 1
+	// TCPIPOverhead is the transport framing a BGP message rides in.
+	TCPIPOverhead = 40
+
 	headerBytes   = TCPIPOverhead + bgpHeaderLen + 4
 	withdrawBytes = 5
 	announceBytes = 14
@@ -227,35 +230,6 @@ func newPathRow(n int) []pathID {
 
 // rowOf returns row r of a flat table of n-wide rows.
 func rowOf[T any](flat []T, r, n int) []T { return flat[r*n : (r+1)*n : (r+1)*n] }
-
-// BestPath returns the selected path to dst (starting with this node), or
-// nil when the destination is unreachable or outside the network. The
-// slice aliases the intern table and must not be modified. Exposed for
-// tests and tools.
-func (p *Protocol) BestPath(dst routing.NodeID) []routing.NodeID {
-	if uint(dst) >= uint(len(p.best)) {
-		return nil
-	}
-	return p.intern.path(p.best[dst])
-}
-
-// DebugState renders the speaker's complete state for one destination —
-// Adj-RIB-In paths, Adj-RIB-Out, pending flags, and MRAI timers — for
-// tests and troubleshooting tools.
-func (p *Protocol) DebugState(dst routing.NodeID) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "node %d dst %d best=%v\n", p.node.ID(), dst, p.BestPath(dst))
-	for r, n := range p.node.Neighbors() {
-		s := &p.sess[r]
-		fmt.Fprintf(&sb, "  nbr %d up=%v in=%v out=%v pending=%v mrai=%v",
-			n, s.up, p.intern.path(s.adjIn[dst]), p.intern.path(s.ribOut[dst]), s.pending[dst], s.mrai.Pending())
-		if p.damper != nil && p.damper.Suppressed(r, dst) {
-			sb.WriteString(" SUPPRESSED")
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}
 
 // Start implements netsim.Protocol: the per-destination tables are sized
 // to the network, and one session per neighbor opens with its rows cut

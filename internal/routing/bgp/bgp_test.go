@@ -1,7 +1,6 @@
 package bgp
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -439,20 +438,9 @@ type fakeMsg struct{}
 
 func (fakeMsg) SizeBytes() int { return 10 }
 
-func TestDebugState(t *testing.T) {
-	g := topology.Line(3)
-	s, net := build(t, 9, g, BGP3Config())
-	s.RunUntil(30 * time.Second)
-	p := net.Node(1).Protocol().(*Protocol)
-	out := p.DebugState(2)
-	for _, want := range []string{"node 1 dst 2", "nbr 0", "nbr 2", "best=[1 2]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DebugState missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestDebugStateShowsSuppression(t *testing.T) {
+// TestFlapSuppressesRoute: three withdraw/re-announce cycles from one
+// peer push its route past the suppression threshold.
+func TestFlapSuppressesRoute(t *testing.T) {
 	s := sim.New(1)
 	g := topology.NewGraph(10) // idle nodes 2–9 put destination 9 in the network
 	g.AddEdge(0, 1)
@@ -475,7 +463,8 @@ func TestDebugStateShowsSuppression(t *testing.T) {
 		})
 	}
 	s.RunUntil(10 * time.Second)
-	if !strings.Contains(p.DebugState(9), "SUPPRESSED") {
-		t.Errorf("DebugState does not show suppression:\n%s", p.DebugState(9))
+	if !p.damper.Suppressed(int(net.Node(0).Rank(1)), 9) {
+		t.Errorf("route to 9 from 1 not suppressed after three flaps (penalty %v)",
+			penalty(p.damper, int(net.Node(0).Rank(1)), 9))
 	}
 }

@@ -7,6 +7,10 @@ import (
 	"routeconv/internal/routing"
 )
 
+// The BGP wire codec, kept as the test oracle for the size model: no trial
+// encodes a message, but TestWireSizeModel pins SizeBytes to the length of
+// this encoding, and the fuzz target exercises it.
+//
 // Wire format (RFC 4271 shape, with 4-byte AS numbers and /32 NLRI):
 //
 //	header:    16-byte marker, 2-byte length, 1-byte type (UPDATE = 2)
@@ -17,19 +21,14 @@ import (
 //	nlri:      1-byte prefix length + 4 bytes
 //
 // The Update size model (headerBytes etc.) matches this encoding plus
-// 40 bytes of TCP/IP framing; TestWireSizeModel pins that.
+// 40 bytes of TCP/IP framing.
 const (
-	bgpMarkerLen  = 16
-	bgpHeaderLen  = bgpMarkerLen + 2 + 1
 	bgpTypeUpdate = 2
 
 	attrOrigin = 1
 	attrASPath = 2
 
 	asPathSegSequence = 2
-
-	// TCPIPOverhead is the transport framing a BGP message rides in.
-	TCPIPOverhead = 40
 )
 
 func addrForNode(id routing.NodeID) uint32 { return 0x0A00_0000 | uint32(id)&0x00FF_FFFF }

@@ -119,15 +119,6 @@ func (d *damper) Suppressed(rank int, dst routing.NodeID) bool {
 	return st != nil && st.suppressed
 }
 
-// Penalty returns the current (decayed) penalty; exposed for tests.
-func (d *damper) Penalty(rank int, dst routing.NodeID) float64 {
-	st := d.peek(rank, dst)
-	if st == nil {
-		return 0
-	}
-	return d.decayed(st)
-}
-
 // OnWithdraw charges the withdrawal penalty. It returns true if the route
 // is suppressed afterwards.
 func (d *damper) OnWithdraw(rank int, dst routing.NodeID) bool {

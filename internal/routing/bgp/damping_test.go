@@ -24,13 +24,13 @@ func TestDamperPenaltyAccumulatesAndDecays(t *testing.T) {
 	s := sim.New(1)
 	d := newDamper(testDampingConfig(), s, 3, 10, func(n int, dst netsim.NodeID) {})
 	d.OnWithdraw(1, 9)
-	if got := d.Penalty(1, 9); got != 1000 {
+	if got := penalty(d, 1, 9); got != 1000 {
 		t.Fatalf("penalty after one withdrawal = %v, want 1000", got)
 	}
 	// One half-life later the penalty halves.
 	s.Schedule(60*time.Second, func() {})
 	s.Run()
-	if got := d.Penalty(1, 9); math.Abs(got-500) > 1 {
+	if got := penalty(d, 1, 9); math.Abs(got-500) > 1 {
 		t.Errorf("penalty after one half-life = %v, want ≈ 500", got)
 	}
 	if d.Suppressed(1, 9) {
@@ -174,4 +174,13 @@ func TestDampingDisabledByDefault(t *testing.T) {
 	if d.WithdrawPenalty != 1000 || d.SuppressThreshold != 2000 || d.ReuseThreshold != 750 {
 		t.Errorf("RFC 2439 defaults wrong: %+v", d)
 	}
+}
+
+// penalty returns the current (decayed) penalty of (rank, dst).
+func penalty(d *damper, rank int, dst netsim.NodeID) float64 {
+	st := d.peek(rank, dst)
+	if st == nil {
+		return 0
+	}
+	return d.decayed(st)
 }

@@ -209,21 +209,6 @@ func (s *BurstSender) SendTo(node *netsim.Node, cfg *VectorConfig, to NodeID) in
 	return sent
 }
 
-// Views appends the chunk messages for one neighbor to dst without
-// sending them. Exposed for tests and tools that need to inspect or
-// deliver burst-backed updates by hand.
-func (s *BurstSender) Views(dst []*VectorUpdate, cfg *VectorConfig, to NodeID) []*VectorUpdate {
-	total := len(s.cur.Entries)
-	for start := 0; start < total; start += cfg.MaxEntries {
-		end := start + cfg.MaxEntries
-		if end > total {
-			end = total
-		}
-		dst = append(dst, s.view(cfg, to, start, end))
-	}
-	return dst
-}
-
 // End releases the sender's guard reference taken by Begin. Messages still
 // in flight keep the snapshot alive through their own references.
 func (s *BurstSender) End() {

@@ -117,9 +117,9 @@ func TestBurstDoubleReleasePanics(t *testing.T) {
 	var snd BurstSender
 	b := stageN(&snd, net.Node(2), 10)
 	cfg := DefaultVectorConfig()
-	views := snd.Views(nil, &cfg, 1)
+	u := snd.view(&cfg, 1, 0, len(b.Entries))
 	snd.End()
-	views[0].Release() // last reference: storage goes back to the pool
+	u.Release() // last reference: storage goes back to the pool
 	if b.refs != 0 || b.Entries != nil {
 		t.Fatalf("burst not returned after its last release (refs %d)", b.refs)
 	}

@@ -5,11 +5,15 @@ import (
 	"fmt"
 )
 
+// The RIP wire codec, kept as the test oracle for the size model: no trial
+// encodes a message, but TestWireSizeModel pins SizeBytes to the length of
+// this encoding, and the fuzz targets exercise it.
+//
 // Wire format (RFC 2453): a 4-byte header (command, version, zero) followed
 // by 20-byte route entries (AFI, route tag, address, mask, next hop,
 // metric). Node IDs map onto 10.0.0.0/8 host addresses. The VectorConfig
 // size model (HeaderBytes = 4 + 28 bytes of UDP/IP, EntryBytes = 20)
-// matches this encoding exactly; TestWireSizeModel pins that.
+// matches this encoding exactly.
 const (
 	ripCommandResponse = 2
 	ripVersion         = 2

@@ -30,22 +30,30 @@ func TestSkippedAdvertisementAllocs(t *testing.T) {
 		t.Fatalf("skip watermark not armed (ok=%v seen=%d sender ver=%d)", nb.seenOK, nb.seen, p1.Ver)
 	}
 
-	// Re-send node 1's full table exactly as broadcastFull stages it.
-	p1.Stage(true)
-	defer p1.Snd.End()
-	views := p1.Snd.Views(nil, &p1.Cfg, 0)
-	if len(views) != 1 {
-		t.Fatalf("staged full packed into %d chunks, want 1", len(views))
+	// Re-send node 1's full table exactly as broadcastFull stages and
+	// sends it, and deliver it.
+	resend := func() int {
+		p1.Stage(true)
+		n := p1.Snd.SendTo(net.Node(1), &p1.Cfg, 0)
+		p1.Snd.End()
+		s.RunUntil(s.Now() + 10*time.Millisecond)
+		return n
 	}
-	u := views[0]
 	met := net.Node(0).Metrics()
 	before := met.Get(obs.ProtoAdvSkipped)
-	p0.HandleMessage(1, u)
-	if met.Get(obs.ProtoAdvSkipped) <= before {
+	if n := resend(); n != 1 {
+		t.Fatalf("staged full packed into %d chunks, want 1", n)
+	}
+	entries := met.Get(obs.ProtoAdvSkipped) - before // skips count entries
+	if entries == 0 {
 		t.Fatal("re-sent full was not skipped")
 	}
-	avg := testing.AllocsPerRun(100, func() { p0.HandleMessage(1, u) })
+	before = met.Get(obs.ProtoAdvSkipped)
+	avg := testing.AllocsPerRun(100, func() { resend() }) // 101 runs
+	if got := met.Get(obs.ProtoAdvSkipped) - before; got != 101*entries {
+		t.Errorf("skipped %d entries over 101 re-sent fulls of %d, want all", got, entries)
+	}
 	if avg != 0 {
-		t.Errorf("skipped advertisement allocates %.1f objects, want 0", avg)
+		t.Errorf("re-sending a skipped advertisement allocates %.1f objects, want 0", avg)
 	}
 }

@@ -200,16 +200,16 @@ func TestECMPInstallsEqualCostNeighbors(t *testing.T) {
 	cfg.ECMP = true
 	s, net := conformance.Build(10, g, netsim.DefaultConfig(), nil, Factory(cfg))
 	s.RunUntil(120 * time.Second)
-	set := net.Node(0).Multipath(3)
-	if len(set) != 2 {
-		t.Errorf("Multipath(3) = %v, want two equal-cost next hops", set)
+	if nd := net.Node(0); !nd.ForwardsVia(3, 1) || !nd.ForwardsVia(3, 2) {
+		t.Errorf("node 0 forwards 3's packets via 1: %v, via 2: %v; want both equal-cost next hops",
+			nd.ForwardsVia(3, 1), nd.ForwardsVia(3, 2))
 	}
 	conformance.AssertShortestPaths(t, net, g)
 
 	net.FailLink(1, 3)
 	s.RunUntil(s.Now() + 60*time.Second)
-	if mp := net.Node(0).Multipath(3); mp != nil {
-		t.Errorf("Multipath(3) after failure = %v, want nil", mp)
+	if net.Node(0).ForwardsVia(3, 1) {
+		t.Error("node 0 still forwards 3's packets via 1 after 1-3 failed")
 	}
 }
 

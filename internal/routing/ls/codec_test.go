@@ -7,6 +7,10 @@ import (
 	"routeconv/internal/routing"
 )
 
+// The LSA wire codec, kept as the test oracle for the size model: no trial
+// encodes a message, but TestWireSizeModel pins SizeBytes to the length of
+// this encoding, and the fuzz target exercises it.
+//
 // Wire format (an OSPF-flavoured router LSA):
 //
 //	type     1 byte (1 = router LSA)
@@ -19,13 +23,8 @@ import (
 //	then 4 bytes per neighbor
 //
 // 24 bytes of LSA header plus 20 bytes of IP framing equals the package's
-// headerBytes size model; TestWireSizeModel pins that.
-const (
-	lsaTypeRouter = 1
-	lsaHeaderLen  = 24
-	// IPOverhead is the network framing a flooded LSA rides in.
-	IPOverhead = 20
-)
+// headerBytes size model.
+const lsaTypeRouter = 1
 
 // Encode renders the flood's LSA as a router-LSA payload.
 func (f *Flood) Encode() []byte {

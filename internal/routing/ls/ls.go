@@ -26,8 +26,13 @@ import (
 )
 
 // Message size model: flooded in IP (20 bytes), a 24-byte LSA header plus
-// 4 bytes per listed neighbor — matching the encoding in wire.go.
+// 4 bytes per listed neighbor — matching the encoding of the test oracle
+// in codec_test.go, which TestWireSizeModel pins.
 const (
+	lsaHeaderLen = 24
+	// IPOverhead is the network framing a flooded LSA rides in.
+	IPOverhead = 20
+
 	headerBytes   = IPOverhead + lsaHeaderLen
 	neighborBytes = 4
 )

@@ -196,13 +196,13 @@ func TestECMPInstallsAllFirstHops(t *testing.T) {
 	cfg.ECMP = true
 	s, net := conformance.Build(7, g, netsim.DefaultConfig(), nil, Factory(cfg))
 	s.RunUntil(5 * time.Second)
-	set := net.Node(0).Multipath(3)
-	if len(set) != 2 || set[0] != 1 || set[1] != 2 {
-		t.Errorf("Multipath(3) = %v, want [1 2]", set)
+	if nd := net.Node(0); !nd.ForwardsVia(3, 1) || !nd.ForwardsVia(3, 2) {
+		t.Errorf("node 0 forwards 3's packets via 1: %v, via 2: %v; want both",
+			nd.ForwardsVia(3, 1), nd.ForwardsVia(3, 2))
 	}
 	// Single-path destinations have no ECMP set.
-	if mp := net.Node(0).Multipath(1); mp != nil {
-		t.Errorf("Multipath(1) = %v, want nil", mp)
+	if net.Node(0).ForwardsVia(1, 2) {
+		t.Error("node 0 forwards 1's packets via 2 as well as directly")
 	}
 	conformance.AssertShortestPaths(t, net, g)
 }
@@ -219,8 +219,8 @@ func TestECMPShrinksAfterFailure(t *testing.T) {
 	s.RunUntil(5 * time.Second)
 	net.FailLink(1, 3)
 	s.RunUntil(s.Now() + 5*time.Second)
-	if mp := net.Node(0).Multipath(3); mp != nil {
-		t.Errorf("Multipath(3) after failure = %v, want nil (single path left)", mp)
+	if net.Node(0).ForwardsVia(3, 1) {
+		t.Error("node 0 still forwards 3's packets via 1 after 1-3 failed (single path left)")
 	}
 	if nh, ok := net.Node(0).NextHop(3); !ok || nh != 2 {
 		t.Errorf("NextHop(3) = %d, %v; want 2", nh, ok)

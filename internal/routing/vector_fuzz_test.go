@@ -141,9 +141,9 @@ func runVectorProgram(factory func(*netsim.Node) netsim.Protocol, prog []byte) e
 			if nh, ok := node.NextHop(dst); ok && !up[nh] {
 				return fmt.Errorf("step %d: FIB routes %d via %d, whose link is down", step, dst, nh)
 			}
-			for _, nh := range node.Multipath(dst) {
-				if !up[nh] {
-					return fmt.Errorf("step %d: multipath set for %d holds %d, whose link is down", step, dst, nh)
+			for _, nh := range vectorNeighbors { // FIB entry or multipath set
+				if !up[nh] && node.ForwardsVia(dst, nh) {
+					return fmt.Errorf("step %d: node forwards %d via %d, whose link is down", step, dst, nh)
 				}
 			}
 			if m, nh, ok := v.Table(dst); ok && m < cfg.Infinity && dst != 0 && !up[nh] {

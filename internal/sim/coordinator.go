@@ -87,15 +87,6 @@ func (c *Coordinator) MinNextEvent() (time.Duration, bool) {
 	return best, ok
 }
 
-// FiredTotal sums executed-event counts across all simulators.
-func (c *Coordinator) FiredTotal() uint64 {
-	var n uint64
-	for _, s := range c.sims {
-		n += s.Fired()
-	}
-	return n
-}
-
 // Stop terminates all worker goroutines and waits for them to exit.
 func (c *Coordinator) Stop() {
 	for _, ch := range c.cmd {

@@ -113,16 +113,6 @@ func (e Event) Cancel() {
 	e.s.free = append(e.s.free, e.idx)
 }
 
-// Cancelled reports whether Cancel was called on the event. Once the
-// event's slot has been recycled by a later event it reports false.
-func (e Event) Cancelled() bool {
-	if e.s == nil {
-		return false
-	}
-	sl := &e.s.slots[e.idx]
-	return sl.gen == e.gen && sl.state == slotCancelled
-}
-
 // Pending reports whether the event is scheduled and has neither fired nor
 // been cancelled.
 func (e Event) Pending() bool {

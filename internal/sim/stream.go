@@ -1,6 +1,9 @@
 package sim
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // Stream is a small independent deterministic random stream (splitmix64).
 //
@@ -50,6 +53,16 @@ func (st *Stream) Int63n(n int64) int64 {
 // Float64 returns a value in [0, 1).
 func (st *Stream) Float64() float64 {
 	return float64(st.next()>>11) / (1 << 53)
+}
+
+// Exp returns an exponentially distributed duration with the given mean,
+// at least 1 ns so a process scheduled by it always advances.
+func (st *Stream) Exp(mean time.Duration) time.Duration {
+	d := time.Duration(-math.Log(1-st.Float64()) * float64(mean))
+	if d < 1 {
+		d = 1
+	}
+	return d
 }
 
 // Jitter returns a duration uniform on [lo, hi], mirroring

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -101,6 +102,28 @@ func TestStreamInt63nPanics(t *testing.T) {
 	st.Int63n(0)
 }
 
+// TestStreamExp: the draw is -ln(1-u)·mean of the stream's next Float64,
+// its sample mean is the mean, and it never returns less than 1 ns.
+func TestStreamExp(t *testing.T) {
+	a, b := NewStream(3, 7), NewStream(3, 7)
+	if got, want := a.Exp(time.Second), time.Duration(-math.Log(1-b.Float64())*float64(time.Second)); got != want {
+		t.Errorf("Exp = %v, want %v", got, want)
+	}
+	const n = 20000
+	var sum time.Duration
+	for i := 0; i < n; i++ {
+		sum += a.Exp(time.Millisecond)
+	}
+	if mean := sum / n; mean < 970*time.Microsecond || mean > 1030*time.Microsecond {
+		t.Errorf("sample mean = %v, want ≈ 1ms", mean)
+	}
+	for i := 0; i < 100; i++ {
+		if d := a.Exp(0); d != 1 {
+			t.Fatalf("Exp(0) = %v, want the 1 ns floor", d)
+		}
+	}
+}
+
 // TestCoordinatorWindows drives three simulators through exclusive
 // windows and checks the barrier semantics: events strictly before the
 // bound fire, events at the bound wait, and the final inclusive window
@@ -142,8 +165,10 @@ func TestCoordinatorWindows(t *testing.T) {
 	if _, ok := c.MinNextEvent(); ok {
 		t.Error("MinNextEvent reports pending events after everything fired")
 	}
-	if c.FiredTotal() != 9 {
-		t.Errorf("FiredTotal = %d, want 9", c.FiredTotal())
+	for i, s := range sims {
+		if s.Fired() != 3 {
+			t.Errorf("sim %d Fired = %d, want 3", i, s.Fired())
+		}
 	}
 }
 

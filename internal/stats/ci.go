@@ -26,9 +26,3 @@ func CI95(xs []float64) float64 {
 	}
 	return t * s.Std / math.Sqrt(float64(n))
 }
-
-// MeanCI95 returns the sample mean together with its 95% confidence
-// half-width.
-func MeanCI95(xs []float64) (mean, halfWidth float64) {
-	return Mean(xs), CI95(xs)
-}

@@ -21,6 +21,19 @@ func TestCI95KnownValue(t *testing.T) {
 	}
 }
 
+// TestMeanCI95: the mean and 95% half-width the report prints, on the
+// sample 2, 4, 6: mean 4, s = 2, t(2 df) = 4.303.
+func TestMeanCI95(t *testing.T) {
+	xs := []float64{2, 4, 6}
+	if mean := Mean(xs); mean != 4 {
+		t.Errorf("mean = %v, want 4", mean)
+	}
+	want := 4.303 * 2 / math.Sqrt(3)
+	if hw := CI95(xs); math.Abs(hw-want) > 1e-9 {
+		t.Errorf("half-width = %v, want %v", hw, want)
+	}
+}
+
 func TestCI95LargeSampleUsesNormal(t *testing.T) {
 	xs := make([]float64, 100)
 	for i := range xs {
@@ -30,16 +43,6 @@ func TestCI95LargeSampleUsesNormal(t *testing.T) {
 	want := 1.96 * s.Std / 10
 	if got := CI95(xs); math.Abs(got-want) > 1e-9 {
 		t.Errorf("CI95 = %v, want normal-approx %v", got, want)
-	}
-}
-
-func TestMeanCI95(t *testing.T) {
-	mean, hw := MeanCI95([]float64{2, 4, 6})
-	if mean != 4 {
-		t.Errorf("mean = %v, want 4", mean)
-	}
-	if hw <= 0 {
-		t.Errorf("half-width = %v, want positive", hw)
 	}
 }
 
@@ -56,7 +59,7 @@ func TestCI95Coverage(t *testing.T) {
 		for j := range xs {
 			xs[j] = trueMean + rng.NormFloat64()*3
 		}
-		mean, hw := MeanCI95(xs)
+		mean, hw := Mean(xs), CI95(xs)
 		if math.Abs(mean-trueMean) <= hw {
 			covered++
 		}

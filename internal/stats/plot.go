@@ -15,7 +15,6 @@ type Plot struct {
 	title  string
 	xLabel string
 	series []plotSeries
-	height int
 }
 
 type plotSeries struct {
@@ -26,15 +25,11 @@ type plotSeries struct {
 
 // NewPlot returns a plot with the given title and x-axis label.
 func NewPlot(title, xLabel string) *Plot {
-	return &Plot{title: title, xLabel: xLabel, height: 12}
+	return &Plot{title: title, xLabel: xLabel}
 }
 
-// SetHeight overrides the default 12-row plot body.
-func (p *Plot) SetHeight(rows int) {
-	if rows > 0 {
-		p.height = rows
-	}
-}
+// plotHeight is the number of rows in a plot body.
+const plotHeight = 12
 
 // plotGlyphs assigns series marks in Add order.
 const plotGlyphs = "*o+x#@%&"
@@ -73,7 +68,7 @@ func (p *Plot) Write(w io.Writer) error {
 		hi = lo + 1
 	}
 
-	grid := make([][]byte, p.height)
+	grid := make([][]byte, plotHeight)
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(" ", width))
 	}
@@ -82,8 +77,8 @@ func (p *Plot) Write(w io.Writer) error {
 			if math.IsNaN(v) {
 				continue
 			}
-			row := int(math.Round((v - lo) / (hi - lo) * float64(p.height-1)))
-			y := p.height - 1 - row
+			row := int(math.Round((v - lo) / (hi - lo) * float64(plotHeight-1)))
+			y := plotHeight - 1 - row
 			grid[y][x] = s.glyph
 		}
 	}
@@ -100,7 +95,7 @@ func (p *Plot) Write(w io.Writer) error {
 		switch r {
 		case 0:
 			label = formatTick(hi)
-		case p.height - 1:
+		case plotHeight - 1:
 			label = formatTick(lo)
 		}
 		if _, err := fmt.Fprintf(w, "%8s |%s\n", label, string(line)); err != nil {

@@ -84,14 +84,13 @@ func TestPlotMismatchPanics(t *testing.T) {
 
 func TestPlotHeight(t *testing.T) {
 	p := NewPlot("tall", "x")
-	p.SetHeight(4)
 	p.Add("s", []float64{1, 2, 3})
 	var sb strings.Builder
 	if err := p.Write(&sb); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 1+4+2 {
-		t.Errorf("plot has %d lines, want 7", len(lines))
+	if len(lines) != 1+plotHeight+2 {
+		t.Errorf("plot has %d lines, want %d", len(lines), 1+plotHeight+2)
 	}
 }

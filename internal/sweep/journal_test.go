@@ -1,11 +1,36 @@
 package sweep
 
 import (
+	"bufio"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
-	"time"
 )
+
+// readJournal parses the journal at path, skipping lines that are not a
+// whole entry (a torn append).
+func readJournal(t *testing.T, path string) []JournalEntry {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []JournalEntry
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		var e JournalEntry
+		if json.Unmarshal(sc.Bytes(), &e) == nil && e.Key != "" {
+			out = append(out, e)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
@@ -13,47 +38,46 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Len() != 0 || j.Done("k1") {
-		t.Fatal("fresh journal not empty")
-	}
-	if err := j.RecordAt("k1", "dbf/d3/single", 120*time.Millisecond, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.RecordAt("k2", "rip/d3/single", time.Millisecond, true); err != nil {
-		t.Fatal(err)
-	}
-	if !j.Done("k1") || !j.Done("k2") || j.Done("k3") {
-		t.Error("Done wrong before reopen")
+	want := []JournalEntry{{Key: "k1", ID: "dbf/d3/single", WallMS: 120}, {Key: "k2", ID: "rip/d3/single", WallMS: 1}}
+	for _, e := range want[:1] {
+		if err := j.Record(e); err != nil {
+			t.Fatal(err)
+		}
 	}
 	j.Close()
 
+	// Reopening appends after what is there.
 	j2, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
-	if j2.Len() != 2 || !j2.Done("k1") || !j2.Done("k2") {
-		t.Errorf("reopened journal lost entries: len %d", j2.Len())
+	if err := j2.Record(want[1]); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	if got := readJournal(t, path); !reflect.DeepEqual(got, want) {
+		t.Errorf("journal = %+v, want %+v", got, want)
 	}
 }
 
-// TestJournalTornLine simulates a crash mid-append: the torn final line is
-// ignored and its cell simply counts as unfinished.
+// TestJournalTornLine simulates a crash mid-append: reopening ends the
+// torn line, so the next entry starts on a line of its own.
 func TestJournalTornLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.RecordAt("k1", "a", time.Second, false); err != nil {
+	if err := j.Record(JournalEntry{Key: "k1", ID: "a", WallMS: 1000}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
+	const torn = `{"key":"k2","id":"b","wall_`
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"key":"k2","id":"b","wall_`); err != nil {
+	if _, err := f.WriteString(torn); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -62,26 +86,16 @@ func TestJournalTornLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
-	if !j2.Done("k1") {
-		t.Error("intact entry lost")
-	}
-	if j2.Done("k2") {
-		t.Error("torn entry counted as done")
-	}
-	// The journal stays appendable after a torn line...
-	if err := j2.RecordAt("k3", "c", time.Second, false); err != nil {
+	if err := j2.Record(JournalEntry{Key: "k3", ID: "c", WallMS: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	// ...and the new entry survives a reopen (the torn line is bounded by
-	// its newline-framed successor).
 	j2.Close()
-	j3, err := OpenJournal(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j3.Close()
-	if !j3.Done("k3") || !j3.Done("k1") {
-		t.Errorf("entries after torn line lost: len %d", j3.Len())
+	want := `{"key":"k1","id":"a","wall_ms":1000}` + "\n" + torn + "\n" + `{"key":"k3","id":"c","wall_ms":1000}` + "\n"
+	if string(data) != want {
+		t.Errorf("journal after torn line:\n%s\nwant:\n%s", data, want)
 	}
 }

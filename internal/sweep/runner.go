@@ -18,10 +18,11 @@ type Options struct {
 	// cache rooted there. Cells whose key is present are served from disk
 	// without simulating.
 	CacheDir string
-	// JournalPath, when non-empty, is an append-only log of completed
-	// cells (one JSON line each, cached or run). It is a record, not the
-	// resume mechanism: a restarted sweep skips exactly the cells CacheDir
-	// serves, so without a cache it re-executes everything.
+	// JournalPath, when non-empty, is an append-only log of simulated
+	// cells (one JSON line each; the manifest lists the cache hits). It is
+	// a record, not the resume mechanism: a restarted sweep skips exactly
+	// the cells CacheDir serves, so without a cache it re-executes
+	// everything.
 	JournalPath string
 	// ManifestPath, when non-empty, is where the run's manifest.json is
 	// written (atomically) on completion.
@@ -31,8 +32,8 @@ type Options struct {
 	// trials, so 1–2 workers already saturate small machines; more mainly
 	// helps when cells are tiny or trial counts are low.
 	Workers int
-	// Force re-executes every cell, ignoring cache and journal (results
-	// are still written back to both).
+	// Force re-executes every cell, ignoring the cache (results are still
+	// written back to it and journaled).
 	Force bool
 	// Progress, when non-nil, receives human-readable status lines: one
 	// per completed cell and a periodic summary with throughput, ETA and
@@ -68,7 +69,7 @@ type Outcome struct {
 
 // Run expands the spec and executes its plan: cached cells are served from
 // disk and the rest are simulated on a bounded worker pool; every
-// completed cell is journaled. Cancelling ctx stops the sweep promptly —
+// simulated cell is journaled. Cancelling ctx stops the sweep promptly —
 // in-flight cells abort between trials — and every cell finished by then
 // is already in the cache, so the next Run with the same CacheDir resumes
 // where this one stopped.
@@ -226,23 +227,13 @@ dispatch:
 }
 
 // runCell obtains one cell's result: cache lookup, then a fresh
-// simulation (written back to the cache). Either way the cell is
-// journaled; Journal.Done only keeps a cache hit from adding a second
-// line for a cell already there.
+// simulation, written back to the cache and journaled.
 func runCell(ctx context.Context, cell *Cell, cache *Cache, journal *Journal, force bool) (CellOutcome, error) {
 	start := time.Now()
 	if !force && cache != nil {
-		// A cached cell is served from disk. The journal plays no part:
-		// a cell whose cache entry is missing or corrupt re-executes,
-		// journaled or not.
+		// A cell whose cache entry is missing or corrupt re-executes.
 		if res, ok := cache.Get(cell.Key, cell.Config); ok {
-			wall := time.Since(start)
-			if journal != nil && !journal.Done(cell.Key) {
-				if err := journal.Record(JournalEntry{Key: cell.Key, ID: cell.ID(), Cached: true, WallMS: wall.Milliseconds()}); err != nil {
-					return CellOutcome{}, err
-				}
-			}
-			return CellOutcome{Cell: *cell, Result: res, Cached: true, Wall: wall}, nil
+			return CellOutcome{Cell: *cell, Result: res, Cached: true, Wall: time.Since(start)}, nil
 		}
 	}
 	res, err := core.RunContext(ctx, cell.Config)

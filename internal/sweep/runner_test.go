@@ -171,13 +171,7 @@ func TestRunResume(t *testing.T) {
 	if _, err := Run(context.Background(), partial, opts); err != nil {
 		t.Fatal(err)
 	}
-	j, err := OpenJournal(opts.JournalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := j.Len()
-	j.Close()
-	if n != 2 {
+	if n := len(readJournal(t, opts.JournalPath)); n != 2 {
 		t.Fatalf("journaled %d cells, want 2", n)
 	}
 	// ... then the full M = 6-cell sweep resumes: only M−N = 4 execute.
@@ -189,13 +183,8 @@ func TestRunResume(t *testing.T) {
 	if out.Executed != 4 || out.CacheHits != 2 {
 		t.Fatalf("resume executed %d (hits %d), want 4 (hits 2)", out.Executed, out.CacheHits)
 	}
-	j, err = OpenJournal(opts.JournalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if j.Len() != 6 {
-		t.Errorf("journal has %d cells after resume, want 6", j.Len())
+	if n := len(readJournal(t, opts.JournalPath)); n != 6 {
+		t.Errorf("journal has %d cells after resume, want 6", n)
 	}
 }
 
@@ -220,12 +209,7 @@ func TestRunInterruptedMidSweep(t *testing.T) {
 	if _, err := Run(ctx, spec, opts); err != context.Canceled {
 		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 	}
-	j, err := OpenJournal(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := j.Len()
-	j.Close()
+	n := len(readJournal(t, opts.JournalPath))
 	if n == 0 || n >= 4 {
 		t.Fatalf("journaled %d of 4 cells across the interrupt, want 1..3", n)
 	}

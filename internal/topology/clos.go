@@ -49,16 +49,6 @@ func NewFatTree(k int) (*FatTree, error) {
 	return ft, nil
 }
 
-// Pod returns the pod index of an aggregation or edge switch, or -1 for a
-// core switch.
-func (ft *FatTree) Pod(id NodeID) int {
-	h := ft.K / 2
-	if int(id) < h*h {
-		return -1
-	}
-	return (int(id) - h*h) / ft.K
-}
-
 // LeafSpine returns a two-level Clos fabric: every one of the leaves leaf
 // switches connects to every one of the spines spine switches (complete
 // bipartite), giving spines equal-cost two-hop paths between any leaf pair.

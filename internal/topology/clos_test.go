@@ -35,8 +35,8 @@ func TestFatTreeStructure(t *testing.T) {
 			if d := ft.Degree(c); d != k {
 				t.Errorf("k=%d: core %d degree %d, want %d", k, c, d, k)
 			}
-			if ft.Pod(c) != -1 {
-				t.Errorf("k=%d: core %d in pod %d", k, c, ft.Pod(c))
+			if pod(ft, c) != -1 {
+				t.Errorf("k=%d: core %d in pod %d", k, c, pod(ft, c))
 			}
 		}
 		for _, a := range ft.Agg {
@@ -60,7 +60,7 @@ func TestFatTreePodMembership(t *testing.T) {
 	// Every agg/edge switch lands in a pod 0..k-1, k/2+k/2 switches per pod.
 	perPod := make(map[int]int)
 	for _, id := range append(append([]NodeID{}, ft.Agg...), ft.Edge...) {
-		p := ft.Pod(id)
+		p := pod(ft, id)
 		if p < 0 || p >= ft.K {
 			t.Fatalf("Pod(%d) = %d out of range", id, p)
 		}
@@ -92,7 +92,7 @@ func TestFatTreeECMPMultiplicity(t *testing.T) {
 		}
 		h := k / 2
 		src, dst := ft.Edge[0], ft.Edge[len(ft.Edge)-1]
-		if ft.Pod(src) == ft.Pod(dst) {
+		if pod(ft, src) == pod(ft, dst) {
 			t.Fatal("test wants cross-pod endpoints")
 		}
 		dist := ft.BFS(src)
@@ -150,4 +150,15 @@ func TestLeafSpine(t *testing.T) {
 	if !g.Connected() {
 		t.Error("disconnected")
 	}
+}
+
+// pod returns the pod index of an aggregation or edge switch, or -1 for a
+// core switch, from FatTree's numbering: cores first, then k switches per
+// pod.
+func pod(ft *FatTree, id NodeID) int {
+	h := ft.K / 2
+	if int(id) < h*h {
+		return -1
+	}
+	return (int(id) - h*h) / ft.K
 }

@@ -134,20 +134,6 @@ func matchingEdge(o offset, r, c int) bool {
 // ID returns the node at lattice position (r, c).
 func (m *Mesh) ID(r, c int) NodeID { return NodeID(r*m.Cols + c) }
 
-// Pos returns the lattice position of a node.
-func (m *Mesh) Pos(id NodeID) (r, c int) { return int(id) / m.Cols, int(id) % m.Cols }
-
-// Interior reports whether the node is far enough from the border to have
-// the full target degree.
-func (m *Mesh) Interior(id NodeID) bool {
-	margin := 1
-	if m.TargetDeg > 8 {
-		margin = 2
-	}
-	r, c := m.Pos(id)
-	return r >= margin && r < m.Rows-margin && c >= margin && c < m.Cols-margin
-}
-
 // FirstRow returns the node IDs of lattice row 0 (where the paper attaches
 // the sender).
 func (m *Mesh) FirstRow() []NodeID { return m.row(0) }

@@ -12,11 +12,11 @@ func TestMeshInteriorDegree(t *testing.T) {
 			t.Fatalf("NewMesh(9,9,%d): %v", degree, err)
 		}
 		for id := NodeID(0); int(id) < m.Len(); id++ {
-			if !m.Interior(id) {
+			if !interior(m, id) {
 				continue
 			}
 			if got := m.Degree(id); got != degree {
-				r, c := m.Pos(id)
+				r, c := pos(m, id)
 				t.Errorf("degree %d: interior node (%d,%d) has degree %d", degree, r, c, got)
 			}
 		}
@@ -110,7 +110,7 @@ func TestMeshIDPosRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := NodeID(0); int(id) < m.Len(); id++ {
-		r, c := m.Pos(id)
+		r, c := pos(m, id)
 		if m.ID(r, c) != id {
 			t.Fatalf("Pos/ID round trip failed for %d", id)
 		}
@@ -173,7 +173,7 @@ func TestPropertyMeshInvariants(t *testing.T) {
 			if got > d {
 				return false
 			}
-			if m.Interior(id) && got != d {
+			if interior(m, id) && got != d {
 				return false
 			}
 		}
@@ -195,7 +195,7 @@ func TestMeshMinimumDegreeTwo(t *testing.T) {
 			}
 			for id := NodeID(0); int(id) < m.Len(); id++ {
 				if m.Degree(id) < 2 {
-					r, c := m.Pos(id)
+					r, c := pos(m, id)
 					t.Errorf("degree %d mesh %v: node (%d,%d) has degree %d", degree, dims, r, c, m.Degree(id))
 				}
 			}
@@ -219,3 +219,17 @@ func TestMeshDiameterShrinksWithDegree(t *testing.T) {
 		prev = d
 	}
 }
+
+// interior reports whether the node is far enough from the border to have
+// the full target degree.
+func interior(m *Mesh, id NodeID) bool {
+	margin := 1
+	if m.TargetDeg > 8 {
+		margin = 2
+	}
+	r, c := pos(m, id)
+	return r >= margin && r < m.Rows-margin && c >= margin && c < m.Cols-margin
+}
+
+// pos returns the lattice position of a node: Mesh numbers row by row.
+func pos(m *Mesh, id NodeID) (r, c int) { return int(id) / m.Cols, int(id) % m.Cols }

@@ -34,14 +34,14 @@ func FuzzTopoSpec(f *testing.F) {
 	})
 }
 
-// FuzzEdgeList runs the edge-list importers on inputs nobody wrote. Read
-// and ReadRemapped must never panic, and a graph either reads back from
-// must survive Write∘Read unchanged. The committed corpus holds a
+// FuzzEdgeList runs the edge-list importer, verbatim and remapped, on
+// inputs nobody wrote. It must never panic, and a graph either import
+// reads back must survive Write∘Read unchanged. The committed corpus holds a
 // "# nodes" header far past the verbatim-ID cap, which once ran the
 // verbatim import out of memory.
 func FuzzEdgeList(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
-		if g, err := ReadRemapped(strings.NewReader(text)); err == nil {
+		if g, err := read(strings.NewReader(text), true); err == nil {
 			roundTrip(t, text, g)
 		}
 		// Verbatim IDs and node counts up to the cap are legal and allocate
@@ -50,7 +50,7 @@ func FuzzEdgeList(f *testing.F) {
 		if allocatesMany(text) {
 			return
 		}
-		if g, err := Read(strings.NewReader(text)); err == nil {
+		if g, err := read(strings.NewReader(text), false); err == nil {
 			roundTrip(t, text, g)
 		}
 	})
@@ -63,7 +63,7 @@ func roundTrip(t *testing.T, text string, g *topology.Graph) {
 	if err := Write(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	back, err := read(&buf, false)
 	if err != nil {
 		t.Fatalf("%q: the written graph does not read back: %v", text, err)
 	}

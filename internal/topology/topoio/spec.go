@@ -3,7 +3,6 @@ package topoio
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -230,9 +229,6 @@ func (sp *Spec) checkRanges() error {
 // String returns the original spec text.
 func (sp *Spec) String() string { return sp.raw }
 
-// Family returns the spec's family name ("ba", "file", ...).
-func (sp *Spec) Family() string { return sp.family }
-
 // Build constructs the topology and its default host-attachment sets.
 // Only file specs can fail (I/O or parse errors).
 func (sp *Spec) Build() (*Built, error) {
@@ -282,16 +278,4 @@ func (sp *Spec) Build() (*Built, error) {
 	}
 	attach := graph.MinDegreeNodes()
 	return &Built{Graph: graph, Senders: attach, Receivers: attach}, nil
-}
-
-// Families returns the known generator family names, sorted, for help
-// text.
-func Families() []string {
-	out := make([]string, 0, len(specFamilies)+2)
-	for f := range specFamilies {
-		out = append(out, f)
-	}
-	out = append(out, "file", "filemap")
-	sort.Strings(out)
-	return out
 }

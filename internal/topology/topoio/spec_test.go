@@ -12,8 +12,8 @@ func TestParseSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Family() != "ba" || sp.String() != "ba" {
-		t.Errorf("family %q raw %q", sp.Family(), sp.String())
+	if sp.family != "ba" || sp.String() != "ba" {
+		t.Errorf("family %q raw %q", sp.family, sp.String())
 	}
 	built, err := sp.Build()
 	if err != nil {
@@ -112,10 +112,7 @@ func TestParseSpecRejectsOverflowAndNonFinite(t *testing.T) {
 
 func TestSpecAllFamiliesBuild(t *testing.T) {
 	// Every non-file family builds a connected graph from its defaults.
-	for _, fam := range Families() {
-		if fam == "file" || fam == "filemap" {
-			continue
-		}
+	for fam := range specFamilies {
 		sp, err := ParseSpec(fam)
 		if err != nil {
 			t.Fatalf("%s: %v", fam, err)

@@ -27,22 +27,11 @@ import (
 // maxVerbatimID caps node IDs, and the "# nodes N" header, when reading
 // without remapping: the graph is dense in IDs, so a stray huge label (an
 // AS number, say) or node count would allocate gigabytes. Larger labels
-// need ReadRemapped.
+// need remapping.
 const maxVerbatimID = 1 << 24
 
-// Read parses an edge-list stream, keeping node IDs verbatim. IDs must be
-// non-negative and below 1<<24 (use ReadRemapped for arbitrary labels,
-// e.g. raw AS numbers). Duplicate edges are ignored; self-loops are an
-// error.
-func Read(r io.Reader) (*topology.Graph, error) { return read(r, false) }
-
-// ReadRemapped parses an edge-list stream, relabeling nodes densely in
-// order of first appearance. Use it for files whose labels are sparse or
-// arbitrary; the "# nodes N" header is ignored since original IDs are not
-// preserved.
-func ReadRemapped(r io.Reader) (*topology.Graph, error) { return read(r, true) }
-
-// ReadFile reads an edge-list file; see Read and ReadRemapped.
+// ReadFile reads an edge-list file, keeping node IDs verbatim or, with
+// remap, relabeling them densely in order of first appearance; see read.
 func ReadFile(path string, remap bool) (*topology.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -56,6 +45,12 @@ func ReadFile(path string, remap bool) (*topology.Graph, error) {
 	return g, nil
 }
 
+// read parses an edge-list stream. Without remap it keeps node IDs
+// verbatim: IDs must be non-negative and below 1<<24. With remap it
+// relabels nodes densely in order of first appearance, for files whose
+// labels are sparse or arbitrary (raw AS numbers, say); the "# nodes N"
+// header is then ignored since original IDs are not preserved. Duplicate
+// edges are ignored; self-loops are an error.
 func read(r io.Reader, remap bool) (*topology.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)

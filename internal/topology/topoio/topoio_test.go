@@ -11,7 +11,7 @@ import (
 )
 
 func TestReadBasic(t *testing.T) {
-	g, err := Read(strings.NewReader("# a comment\n0 1\n1 2 10.5\n\n2 0\n"))
+	g, err := read(strings.NewReader("# a comment\n0 1\n1 2 10.5\n\n2 0\n"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestReadBasic(t *testing.T) {
 }
 
 func TestReadDuplicatesIgnored(t *testing.T) {
-	g, err := Read(strings.NewReader("0 1\n1 0\n0 1 3\n"))
+	g, err := read(strings.NewReader("0 1\n1 0\n0 1 3\n"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestReadDuplicatesIgnored(t *testing.T) {
 
 func TestReadNodesDirective(t *testing.T) {
 	// The header pins trailing isolated nodes.
-	g, err := Read(strings.NewReader("# nodes 5\n0 1\n"))
+	g, err := read(strings.NewReader("# nodes 5\n0 1\n"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +64,8 @@ func TestReadNodesHeaderCapped(t *testing.T) {
 	if _, err := sp.Build(); err == nil || !strings.Contains(err.Error(), "line 1") {
 		t.Errorf("file: import of a 2e9-node header: err = %v, want a line 1 diagnostic", err)
 	}
-	if g, err := ReadRemapped(strings.NewReader(in)); err != nil || g.Len() != 2 {
-		t.Errorf("ReadRemapped: %v, want a 2-node graph", err)
+	if g, err := read(strings.NewReader(in), true); err != nil || g.Len() != 2 {
+		t.Errorf("remapped read: %v, want a 2-node graph", err)
 	}
 }
 
@@ -82,8 +82,8 @@ func TestReadErrors(t *testing.T) {
 		"huge id":      "0 16777216\n",
 	}
 	for name, in := range cases {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: Read(%q) succeeded, want error", name, in)
+		if _, err := read(strings.NewReader(in), false); err == nil {
+			t.Errorf("%s: read(%q, false) succeeded, want error", name, in)
 		}
 	}
 }
@@ -136,12 +136,12 @@ func TestReadMalformedDiagnostics(t *testing.T) {
 		},
 	}
 	readers := map[string]func(*strings.Reader) error{
-		"Read":         func(r *strings.Reader) error { _, err := Read(r); return err },
-		"ReadRemapped": func(r *strings.Reader) error { _, err := ReadRemapped(r); return err },
+		"verbatim": func(r *strings.Reader) error { _, err := read(r, false); return err },
+		"remapped": func(r *strings.Reader) error { _, err := read(r, true); return err },
 	}
 	for _, tc := range cases {
-		for rname, read := range readers {
-			err := read(strings.NewReader(tc.in))
+		for rname, readFn := range readers {
+			err := readFn(strings.NewReader(tc.in))
 			if err == nil {
 				t.Errorf("%s/%s: parsed %q, want error", tc.name, rname, tc.in)
 				continue
@@ -157,7 +157,7 @@ func TestReadMalformedDiagnostics(t *testing.T) {
 
 func TestReadRemapped(t *testing.T) {
 	// Sparse AS-number-style labels densify in first-appearance order.
-	g, err := ReadRemapped(strings.NewReader("7018 3356\n3356 701\n7018 701\n"))
+	g, err := read(strings.NewReader("7018 3356\n3356 701\n7018 701\n"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestReadRemapped(t *testing.T) {
 		t.Fatal("remapped edges wrong")
 	}
 	// Huge labels are fine when remapping.
-	g2, err := ReadRemapped(strings.NewReader("4200000000 1\n"))
+	g2, err := read(strings.NewReader("4200000000 1\n"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if !strings.HasPrefix(buf.String(), "# nodes ") {
 			t.Fatalf("%s: writer did not emit the nodes header", spec)
 		}
-		back, err := Read(bytes.NewReader(buf.Bytes()))
+		back, err := read(bytes.NewReader(buf.Bytes()), false)
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
@@ -228,7 +228,7 @@ func TestRoundTripIsolatedNode(t *testing.T) {
 	if err := Write(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	back, err := read(&buf, false)
 	if err != nil {
 		t.Fatal(err)
 	}
