@@ -470,7 +470,7 @@ func (l *Link) Edge() topology.Edge { return l.edge }
 // Up reports whether the link is currently up.
 func (l *Link) Up() bool { return !l.down }
 
-// Typed port event kinds: the wire is modeled with two pooled events per
+// Typed port event kinds: the wire is modeled with two typed events per
 // transmission instead of two heap-allocated closures.
 const (
 	// portSerDone: the last bit left the transmitter.
@@ -524,11 +524,19 @@ func (p *port) send(ex *exec, pkt *Packet) {
 // transmit clocks the packet onto the wire. If the link is (or goes) down
 // before the packet would arrive, the packet is lost. The serialization
 // event always runs on the owning node's shard, whoever initiated the
-// transmission.
+// transmission. A data packet's serialization goes through a lane (all
+// data packets of a trial have one size); control messages vary in size,
+// and one lane per size would use up the simulator's lanes, so theirs
+// goes through the heap.
 func (p *port) transmit(pkt *Packet) {
 	p.busy = true
 	ex := p.owner.exec
-	ex.sim.ScheduleHandler(ex.serialization(pkt.Size), p, portSerDone, pkt)
+	d := ex.serialization(pkt.Size)
+	if pkt.Control() {
+		ex.sim.ScheduleHandler(d, p, portSerDone, pkt)
+		return
+	}
+	ex.sim.ScheduleFixed(d, p, portSerDone, pkt)
 }
 
 // HandleEvent implements sim.Handler: the serialization-done and
@@ -563,7 +571,7 @@ func (p *port) HandleEvent(kind int32, data any) {
 				crossMsg{at: ex.sim.Now() + net.cfg.LinkDelay, p: p, pkt: pkt})
 			return
 		}
-		ex.sim.ScheduleHandler(net.cfg.LinkDelay, p, portPropDone, pkt)
+		ex.sim.ScheduleFixed(net.cfg.LinkDelay, p, portPropDone, pkt)
 	case portPropDone:
 		if p.link.down {
 			net.drop(p.peer.exec, p.owner.id, pkt, DropLinkFailure)

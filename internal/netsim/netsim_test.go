@@ -356,11 +356,16 @@ func TestCBR(t *testing.T) {
 
 func TestCBRStop(t *testing.T) {
 	s, n := lineNet(t, DefaultConfig(), nil)
-	c := StartCBR(n.Node(0), 2, 50*time.Millisecond, 1000, 64, time.Second, 10*time.Second)
-	s.Schedule(1500*time.Millisecond, func() { c.Stop() })
-	s.Run()
+	StartCBR(n.Node(0), 2, 50*time.Millisecond, 1000, 64, time.Second, 1500*time.Millisecond)
+	s.RunUntil(1500 * time.Millisecond)
+	// Sends at 1.00, 1.05, ..., 1.45; the tick at the stop time sends
+	// nothing and schedules nothing.
 	if got := n.Metrics().Get(obs.PacketsSent); got != 10 {
 		t.Errorf("CBR sent %d packets, want 10 (stopped early)", got)
+	}
+	s.Run()
+	if got := n.Metrics().Get(obs.PacketsSent); got != 10 {
+		t.Errorf("CBR sent %d packets after its stop time, want 10", got)
 	}
 }
 

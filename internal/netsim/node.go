@@ -433,45 +433,36 @@ func (nd *Node) egress(src, dst NodeID) (p *port, pure bool) {
 	return p, pure
 }
 
-// CBR generates constant-bit-rate data traffic from one node to a fixed
+// cbr generates constant-bit-rate data traffic from one node to a fixed
 // destination: the paper's single sender workload (§5).
-type CBR struct {
+type cbr struct {
 	node     *Node
 	dst      NodeID
 	interval time.Duration
 	size     int
 	ttl      int
 	stopAt   time.Duration
-	event    sim.Event
 }
 
-var _ sim.Handler = (*CBR)(nil)
+var _ sim.Handler = (*cbr)(nil)
 
 // StartCBR begins sending size-byte packets with the given TTL from node to
 // dst every interval, from virtual time start until stop (exclusive).
-func StartCBR(node *Node, dst NodeID, interval time.Duration, size, ttl int, start, stop time.Duration) *CBR {
+func StartCBR(node *Node, dst NodeID, interval time.Duration, size, ttl int, start, stop time.Duration) {
 	if interval <= 0 {
 		panic("netsim: CBR interval must be positive")
 	}
-	c := &CBR{node: node, dst: dst, interval: interval, size: size, ttl: ttl, stopAt: stop}
-	c.event = node.Sim().ScheduleHandlerAt(start, c, 0, nil)
-	return c
-}
-
-// Stop halts the source.
-func (c *CBR) Stop() {
-	c.event.Cancel()
-	c.event = sim.Event{}
+	c := &cbr{node: node, dst: dst, interval: interval, size: size, ttl: ttl, stopAt: stop}
+	node.Sim().ScheduleHandlerAt(start, c, 0, nil)
 }
 
 // HandleEvent implements sim.Handler: one tick sends one packet and
-// schedules the next, allocation-free.
-func (c *CBR) HandleEvent(int32, any) {
-	now := c.node.Sim().Now()
-	if now >= c.stopAt {
-		c.event = sim.Event{}
+// schedules the next, allocation-free. The steady ticks share one delay,
+// the interval, so they go through a lane.
+func (c *cbr) HandleEvent(int32, any) {
+	if c.node.Sim().Now() >= c.stopAt {
 		return
 	}
 	c.node.SendData(c.dst, c.size, c.ttl)
-	c.event = c.node.Sim().ScheduleHandler(c.interval, c, 0, nil)
+	c.node.Sim().ScheduleFixed(c.interval, c, 0, nil)
 }

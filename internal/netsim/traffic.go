@@ -6,13 +6,10 @@ import (
 	"routeconv/internal/sim"
 )
 
-// Source generates data traffic from one node to a fixed destination.
-// CBR (in node.go) is the paper's workload; Poisson and on/off sources
-// support workload-sensitivity extensions.
-type Source interface {
-	// Stop halts the source; safe to call more than once.
-	Stop()
-}
+// This file holds the random traffic sources, Poisson and on/off, which
+// support workload-sensitivity extensions; CBR (in node.go) is the paper's
+// workload. Every source sends from one node to a fixed destination until
+// its stop time, the only way it ends: nothing cancels a source.
 
 // trafficSalt decorrelates per-source random streams from the per-node
 // jitter streams that share the simulator seed.
@@ -35,28 +32,18 @@ type poisson struct {
 	size, ttl    int
 	stopAt       time.Duration
 	rng          sim.Stream
-	event        sim.Event
 }
 
 var _ sim.Handler = (*poisson)(nil)
 
 // StartPoisson begins a Poisson process of mean rate 1/meanInterval from
 // node to dst, running from start until stop.
-func StartPoisson(node *Node, dst NodeID, meanInterval time.Duration, size, ttl int, start, stop time.Duration) Source {
+func StartPoisson(node *Node, dst NodeID, meanInterval time.Duration, size, ttl int, start, stop time.Duration) {
 	if meanInterval <= 0 {
 		panic("netsim: Poisson mean interval must be positive")
 	}
 	p := &poisson{node: node, dst: dst, meanInterval: meanInterval, size: size, ttl: ttl, stopAt: stop, rng: sourceStream(node, dst)}
-	p.event = node.Sim().ScheduleHandlerAt(start, p, 0, nil)
-	return p
-}
-
-func (p *poisson) Stop() {
-	if p == nil {
-		return
-	}
-	p.event.Cancel()
-	p.event = sim.Event{}
+	node.Sim().ScheduleHandlerAt(start, p, 0, nil)
 }
 
 // HandleEvent implements sim.Handler: one tick sends one packet and draws
@@ -65,16 +52,12 @@ func (p *poisson) Stop() {
 func (p *poisson) HandleEvent(int32, any) {
 	now := p.node.Sim().Now()
 	if now >= p.stopAt {
-		p.event = sim.Event{}
 		return
 	}
 	p.node.SendData(p.dst, p.size, p.ttl)
-	gap := p.rng.Exp(p.meanInterval)
-	if now+gap >= p.stopAt {
-		p.event = sim.Event{}
-		return
+	if gap := p.rng.Exp(p.meanInterval); now+gap < p.stopAt {
+		p.node.Sim().ScheduleHandler(gap, p, 0, nil)
 	}
-	p.event = p.node.Sim().ScheduleHandler(gap, p, 0, nil)
 }
 
 // onOff event kinds.
@@ -95,7 +78,6 @@ type onOff struct {
 	on              bool
 	until           time.Duration // end of the current period
 	rng             sim.Stream
-	event           sim.Event
 }
 
 var _ sim.Handler = (*onOff)(nil)
@@ -103,7 +85,7 @@ var _ sim.Handler = (*onOff)(nil)
 // StartOnOff begins a bursty source: ON periods (mean onMean) during which
 // packets flow every interval, separated by silent OFF periods (mean
 // offMean). It starts ON at start and runs until stop.
-func StartOnOff(node *Node, dst NodeID, interval, onMean, offMean time.Duration, size, ttl int, start, stop time.Duration) Source {
+func StartOnOff(node *Node, dst NodeID, interval, onMean, offMean time.Duration, size, ttl int, start, stop time.Duration) {
 	if interval <= 0 || onMean <= 0 || offMean <= 0 {
 		panic("netsim: on/off parameters must be positive")
 	}
@@ -113,16 +95,7 @@ func StartOnOff(node *Node, dst NodeID, interval, onMean, offMean time.Duration,
 		size: size, ttl: ttl, stopAt: stop,
 		rng: sourceStream(node, dst),
 	}
-	o.event = node.Sim().ScheduleHandlerAt(start, o, onOffBegin, nil)
-	return o
-}
-
-func (o *onOff) Stop() {
-	if o == nil {
-		return
-	}
-	o.event.Cancel()
-	o.event = sim.Event{}
+	node.Sim().ScheduleHandlerAt(start, o, onOffBegin, nil)
 }
 
 // HandleEvent implements sim.Handler, dispatching on the event kind.
@@ -138,7 +111,6 @@ func (o *onOff) HandleEvent(kind int32, _ any) {
 func (o *onOff) begin() {
 	now := o.node.Sim().Now()
 	if now >= o.stopAt {
-		o.event = sim.Event{}
 		return
 	}
 	o.on = true
@@ -149,27 +121,21 @@ func (o *onOff) begin() {
 func (o *onOff) tick() {
 	now := o.node.Sim().Now()
 	if now >= o.stopAt {
-		o.event = sim.Event{}
 		return
 	}
 	if now >= o.until {
 		// Go silent, then begin the next burst — unless the burst would
 		// open at or past the deadline.
 		o.on = false
-		gap := o.rng.Exp(o.offMean)
-		if now+gap >= o.stopAt {
-			o.event = sim.Event{}
-			return
+		if gap := o.rng.Exp(o.offMean); now+gap < o.stopAt {
+			o.node.Sim().ScheduleHandler(gap, o, onOffBegin, nil)
 		}
-		o.event = o.node.Sim().ScheduleHandler(gap, o, onOffBegin, nil)
 		return
 	}
 	o.node.SendData(o.dst, o.size, o.ttl)
-	if now+o.interval >= o.stopAt {
-		// The final tick lands exactly on (or past) the boundary: finish
-		// without scheduling a dead event.
-		o.event = sim.Event{}
-		return
+	// The final tick lands exactly on (or past) the boundary: finish
+	// without scheduling a dead event.
+	if now+o.interval < o.stopAt {
+		o.node.Sim().ScheduleHandler(o.interval, o, onOffTick, nil)
 	}
-	o.event = o.node.Sim().ScheduleHandler(o.interval, o, onOffTick, nil)
 }

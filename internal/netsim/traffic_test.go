@@ -42,13 +42,15 @@ func TestPoissonStopsAtDeadline(t *testing.T) {
 
 func TestPoissonStop(t *testing.T) {
 	s, n := trafficNet(t)
-	src := StartPoisson(n.Node(0), 1, 10*time.Millisecond, 100, 64, 0, time.Hour)
-	s.Schedule(time.Second, func() { src.Stop(); src.Stop() })
+	StartPoisson(n.Node(0), 1, 10*time.Millisecond, 100, 64, 0, time.Second)
 	s.RunUntil(2 * time.Second)
 	sent := n.Metrics().Get(obs.PacketsSent)
 	s.RunUntil(10 * time.Second)
 	if n.Metrics().Get(obs.PacketsSent) != sent {
-		t.Error("packets sent after Stop")
+		t.Error("packets sent after the stop time")
+	}
+	if got := s.Pending(); got != 0 {
+		t.Errorf("%d events pending after the stop time", got)
 	}
 }
 
@@ -65,13 +67,18 @@ func TestOnOffBursts(t *testing.T) {
 
 func TestOnOffStop(t *testing.T) {
 	s, n := trafficNet(t)
-	src := StartOnOff(n.Node(0), 1, 10*time.Millisecond, time.Second, time.Second, 100, 64, 0, time.Hour)
-	s.Schedule(500*time.Millisecond, func() { src.Stop() })
+	StartOnOff(n.Node(0), 1, 10*time.Millisecond, time.Second, time.Second, 100, 64, 0, 500*time.Millisecond)
 	s.RunUntil(time.Second)
 	sent := n.Metrics().Get(obs.PacketsSent)
+	if sent == 0 {
+		t.Fatal("on/off sent nothing before its stop time")
+	}
 	s.RunUntil(5 * time.Second)
 	if n.Metrics().Get(obs.PacketsSent) != sent {
-		t.Error("packets sent after Stop")
+		t.Error("packets sent after the stop time")
+	}
+	if got := s.Pending(); got != 0 {
+		t.Errorf("%d events pending after the stop time", got)
 	}
 }
 
@@ -97,18 +104,6 @@ func TestTrafficValidation(t *testing.T) {
 	assertPanics("CBR zero interval", func() {
 		StartCBR(n.Node(0), 1, 0, 100, 64, 0, time.Second)
 	})
-}
-
-func TestTrafficStopNilSafe(t *testing.T) {
-	// Stop must be callable on zero and nil sources, any number of times.
-	(*poisson)(nil).Stop()
-	(*onOff)(nil).Stop()
-	var p poisson
-	p.Stop()
-	p.Stop()
-	var o onOff
-	o.Stop()
-	o.Stop()
 }
 
 // TestTrafficNoEventPastDeadline pins the stopAt boundary fix: sources

@@ -40,16 +40,27 @@ func BenchmarkEngineDepth(b *testing.B) {
 }
 
 // holdChain is BenchmarkEngineHold's event: each firing schedules its one
-// successor a millisecond ahead.
-type holdChain struct{ s *Simulator }
+// successor a millisecond ahead, through the heap or, when lane is set,
+// through ScheduleFixed.
+type holdChain struct {
+	s    *Simulator
+	lane bool
+}
 
-func (c *holdChain) HandleEvent(int32, any) { c.s.ScheduleHandler(time.Millisecond, c, 0, nil) }
+func (c *holdChain) HandleEvent(int32, any) {
+	if c.lane {
+		c.s.ScheduleFixed(time.Millisecond, c, 0, nil)
+	} else {
+		c.s.ScheduleHandler(time.Millisecond, c, 0, nil)
+	}
+}
 
 // BenchmarkEngineHold measures the pattern trials actually have, which
 // BenchmarkEngineDepth's uniform draws never produce: N far-future protocol
 // timers resident at the heap's leaves while one chain of events fires,
-// each scheduling a near-term successor from inside its handler (a packet's
-// serialization scheduling its propagation, a CBR tick scheduling the next).
+// each scheduling a near-term successor on the heap from inside its
+// handler (a timer re-arming, a control packet's serialization after the
+// previous one).
 func BenchmarkEngineHold(b *testing.B) {
 	for _, resident := range []int{64, 256} {
 		b.Run(fmt.Sprintf("resident%d", resident), func(b *testing.B) {
@@ -57,7 +68,31 @@ func BenchmarkEngineHold(b *testing.B) {
 			for i := 0; i < resident; i++ {
 				s.Schedule(1000*time.Hour+time.Duration(i)*time.Second, func() {})
 			}
-			s.ScheduleHandler(0, &holdChain{s}, 0, nil)
+			s.ScheduleHandler(0, &holdChain{s: s}, 0, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
+		})
+	}
+}
+
+// BenchmarkEngineLane is BenchmarkEngineHold's pattern with 256 resident
+// timers, the chain once through the heap and once through a lane: what a
+// packet hop's fixed-delay event costs either way.
+func BenchmarkEngineLane(b *testing.B) {
+	for _, lane := range []bool{false, true} {
+		name := "heap"
+		if lane {
+			name = "lane"
+		}
+		b.Run(name, func(b *testing.B) {
+			s := New(1)
+			for i := 0; i < 256; i++ {
+				s.Schedule(1000*time.Hour+time.Duration(i)*time.Second, func() {})
+			}
+			s.ScheduleHandler(0, &holdChain{s: s, lane: lane}, 0, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -3,15 +3,18 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
 
 // The differential harness: one byte program drives the Simulator and a
 // trivially-correct reference queue (a slice kept sorted by (at, seq))
-// through the same schedule/cancel/timer/run operations, from outside the
-// event loop and from inside handlers — where the Simulator's root is
-// vacated — and the two observation logs must be identical.
+// through the same schedule/lane/cancel/timer/run operations, from outside
+// the event loop and from inside handlers — where the Simulator's root is
+// vacated, or a lane's head was just popped — and the two observation logs
+// must be identical. To the reference a lane event is just an event at
+// now + d.
 
 // handle is what a scheduled event hands back, in both implementations.
 type handle interface {
@@ -41,6 +44,9 @@ type queue interface {
 	// schedule queues the world's fire(id) at time at, as a typed event or
 	// a closure.
 	schedule(at time.Duration, typed bool, id int) handle
+	// scheduleFixed queues fire(id) after d through ScheduleFixed: no
+	// handle, no cancelling.
+	scheduleFixed(d time.Duration, id int)
 	newTimer(fn func()) restartable
 }
 
@@ -64,26 +70,33 @@ func (q *simQueue) schedule(at time.Duration, typed bool, id int) handle {
 	return q.ScheduleAt(at, func() { q.fire(id) })
 }
 
+func (q *simQueue) scheduleFixed(d time.Duration, id int) {
+	q.ScheduleFixed(d, q, int32(id), nil)
+}
+
 func (q *simQueue) newTimer(fn func()) restartable { return NewTimer(q.Simulator, fn) }
 
 // refQueue is the reference: events in a slice sorted by (at, seq), popped
 // from the front. It also models the arena's documented slot policy — a
-// LIFO free list, a firing event's slot freed before its handler runs — only
-// because Cancelled() on a stale handle is specified in terms of it.
+// LIFO free list, a firing event's slot freed before its handler runs, no
+// slot for an event in a lane, a lane for each of the first maxLanes
+// delays — only because Cancelled() on a stale handle is specified in
+// terms of it.
 type refQueue struct {
 	fire   func(int)
 	now    time.Duration
 	seq    uint64
 	events []*refEvent
 	free   []int
-	tenant []*refEvent // slot → the event occupying (or last to occupy) it
+	tenant []*refEvent     // slot → the event occupying (or last to occupy) it
+	lanes  []time.Duration // delays that took a lane, in order of first use
 }
 
 type refEvent struct {
 	q         *refQueue
 	at        time.Duration
 	seq       uint64
-	slot      int
+	slot      int // -1: a lane event, which takes no slot
 	fn        func()
 	pending   bool
 	cancelled bool
@@ -116,17 +129,18 @@ func (q *refQueue) NextEventTime() (time.Duration, bool) {
 	return q.events[0].at, true
 }
 
-func (q *refQueue) scheduleFn(at time.Duration, fn func()) *refEvent {
+// scheduleFn queues fn at time at, in a slot when slotted.
+func (q *refQueue) scheduleFn(at time.Duration, fn func(), slotted bool) *refEvent {
 	if at < q.now {
 		panic("reference: schedule in the past")
 	}
-	e := &refEvent{q: q, at: at, seq: q.seq, fn: fn, pending: true}
+	e := &refEvent{q: q, at: at, seq: q.seq, slot: -1, fn: fn, pending: true}
 	q.seq++
-	if n := len(q.free); n > 0 {
+	if n := len(q.free); slotted && n > 0 {
 		e.slot = q.free[n-1]
 		q.free = q.free[:n-1]
 		q.tenant[e.slot] = e
-	} else {
+	} else if slotted {
 		e.slot = len(q.tenant)
 		q.tenant = append(q.tenant, e)
 	}
@@ -142,7 +156,16 @@ func (q *refQueue) scheduleFn(at time.Duration, fn func()) *refEvent {
 }
 
 func (q *refQueue) schedule(at time.Duration, _ bool, id int) handle {
-	return q.scheduleFn(at, func() { q.fire(id) })
+	return q.scheduleFn(at, func() { q.fire(id) }, true)
+}
+
+func (q *refQueue) scheduleFixed(d time.Duration, id int) {
+	lane := slices.Contains(q.lanes, d)
+	if !lane && len(q.lanes) < maxLanes {
+		q.lanes = append(q.lanes, d)
+		lane = true
+	}
+	q.scheduleFn(q.now+d, func() { q.fire(id) }, !lane)
 }
 
 func (q *refQueue) Step() bool {
@@ -153,7 +176,9 @@ func (q *refQueue) Step() bool {
 	q.events = q.events[1:]
 	q.now = e.at
 	e.pending = false
-	q.free = append(q.free, e.slot)
+	if e.slot >= 0 {
+		q.free = append(q.free, e.slot)
+	}
 	e.fn()
 	return true
 }
@@ -189,7 +214,7 @@ func (t *refTimer) arm(d time.Duration) {
 	t.ev = t.q.scheduleFn(t.q.now+d, func() {
 		t.ev = nil
 		t.fn()
-	})
+	}, true)
 }
 func (t *refTimer) Reset(d time.Duration) { t.Stop(); t.arm(d) }
 func (t *refTimer) ResetIfStopped(d time.Duration) bool {
@@ -213,7 +238,7 @@ type world struct {
 	q       queue
 	prog    []byte
 	pc      int
-	handles []handle
+	handles []handle // nil for an event scheduled through ScheduleFixed
 	timers  [3]restartable
 	log     []string
 	ops     int
@@ -254,6 +279,51 @@ func (w *world) scheduleOne(at time.Duration) {
 	w.logf("sched %d at %v", id, at)
 }
 
+// laneDelays are the delays lane events use: more than maxLanes of them, so
+// that the last to appear in a program go through the heap; all but one
+// on the millisecond grid where delta puts heap events, so lane heads and
+// heap roots often share an instant and only the sequence number orders
+// them.
+var laneDelays = [...]time.Duration{
+	time.Millisecond, 0, 2 * time.Millisecond, 5 * time.Millisecond,
+	3 * time.Millisecond, 200 * time.Second,
+}
+
+func (w *world) laneOne(d time.Duration) {
+	id := len(w.handles)
+	w.handles = append(w.handles, nil)
+	w.q.scheduleFixed(d, id)
+	w.logf("lane %d at %v", id, w.q.Now()+d)
+}
+
+// tie queues a lane event and a heap event for the same instant, in the
+// order the program says.
+func (w *world) tie() {
+	b := w.next()
+	d := laneDelays[int(b)%len(laneDelays)]
+	if b&0x80 != 0 {
+		w.laneOne(d)
+		w.scheduleOne(w.q.Now() + d)
+	} else {
+		w.scheduleOne(w.q.Now() + d)
+		w.laneOne(d)
+	}
+}
+
+// nestedRun runs the queue from inside a handler, up to or before a
+// target the program picks.
+func (w *world) nestedRun() {
+	b := w.next()
+	t := w.q.Now() + delta(w.next())
+	if b&1 == 0 {
+		w.q.RunUntil(t)
+		w.logf("nested ran until %v", w.q.Now())
+	} else {
+		w.q.RunBefore(t)
+		w.logf("nested ran before %v", w.q.Now())
+	}
+}
+
 // probe logs everything observable about the queue and one handle.
 func (w *world) probe() {
 	n := w.q.Pending() // before NextEventTime, which settles a vacated root
@@ -261,8 +331,9 @@ func (w *world) probe() {
 	w.logf("now %v pending %d next %v %v", w.q.Now(), n, t, ok)
 	if len(w.handles) > 0 {
 		i := int(w.next()) % len(w.handles)
-		h := w.handles[i]
-		w.logf("handle %d at %v pending %v cancelled %v", i, h.Time(), h.Pending(), h.Cancelled())
+		if h := w.handles[i]; h != nil {
+			w.logf("handle %d at %v pending %v cancelled %v", i, h.Time(), h.Pending(), h.Cancelled())
+		}
 	}
 	for i, t := range w.timers {
 		if t.Pending() {
@@ -276,8 +347,10 @@ func (w *world) cancelOne() {
 		return
 	}
 	i := int(w.next()) % len(w.handles)
-	w.handles[i].Cancel()
-	w.logf("cancel %d", i)
+	if h := w.handles[i]; h != nil {
+		h.Cancel()
+		w.logf("cancel %d", i)
+	}
 }
 
 func (w *world) timerOp() {
@@ -302,9 +375,9 @@ func (w *world) fire(id int) {
 		return
 	}
 	now := w.q.Now()
-	switch w.next() % 10 {
+	switch w.next() % 13 {
 	case 0: // schedules nothing: the root is filled from the last leaf
-	case 1: // the dominant pattern: one near successor
+	case 1: // one near successor on the heap: it takes the vacated root
 		w.scheduleOne(now + delta(w.next()))
 	case 2: // a successor at exactly now
 		w.scheduleOne(now)
@@ -321,14 +394,21 @@ func (w *world) fire(id int) {
 		w.scheduleOne(now + delta(w.next()))
 		w.cancelOne()
 	case 7: // cancel itself: already fired, a no-op, and not Cancelled
-		h := w.handles[id]
-		h.Cancel()
-		w.logf("self pending %v cancelled %v", h.Pending(), h.Cancelled())
+		if h := w.handles[id]; h != nil {
+			h.Cancel()
+			w.logf("self pending %v cancelled %v", h.Pending(), h.Cancelled())
+		}
 	case 8: // read the queue mid-dispatch
 		w.probe()
 		w.scheduleOne(now + delta(w.next()))
 	case 9:
 		w.timerOp()
+	case 10: // a lane successor: a packet's next hop, a CBR tick
+		w.laneOne(laneDelays[int(w.next())%len(laneDelays)])
+	case 11:
+		w.tie()
+	case 12:
+		w.nestedRun()
 	}
 }
 
@@ -349,7 +429,7 @@ func (w *world) run() {
 		if w.ops++; w.ops > maxOps {
 			break
 		}
-		switch w.next() % 9 {
+		switch w.next() % 11 {
 		case 0, 1:
 			w.scheduleOne(w.q.Now() + delta(w.next()))
 		case 2:
@@ -374,6 +454,10 @@ func (w *world) run() {
 			}
 		case 8:
 			w.probe()
+		case 9:
+			w.laneOne(laneDelays[int(w.next())%len(laneDelays)])
+		case 10:
+			w.tie()
 		}
 	}
 	// Drain. The program is exhausted, so handlers schedule nothing more.
@@ -381,7 +465,7 @@ func (w *world) run() {
 	}
 	w.probe()
 	for i, h := range w.handles {
-		if h.Pending() {
+		if h != nil && h.Pending() {
 			w.logf("handle %d still pending after the drain", i)
 		}
 	}
@@ -411,6 +495,11 @@ func checkQueueProgram(t *testing.T, prog []byte) {
 	s := real.q.(*simQueue).Simulator
 	if len(s.heap) != 0 || s.vacant {
 		t.Fatalf("drained simulator keeps %d heap entries (vacant=%v)", len(s.heap), s.vacant)
+	}
+	for i := range s.lanes[:s.nlanes] {
+		if l := &s.lanes[i]; l.count != 0 {
+			t.Fatalf("drained simulator keeps %d events in its %v lane", l.count, l.delay)
+		}
 	}
 	if want := len(s.slots); len(s.free) != want {
 		t.Fatalf("drained simulator has %d of %d slots free", len(s.free), want)

@@ -6,29 +6,42 @@
 // randomness used by model code should flow from the simulator's Rand so
 // that trials are reproducible.
 //
-// The engine is allocation-free in steady state: events live in a pooled
-// arena whose slots are recycled through a free list as events fire or are
-// cancelled. The queue is a 4-ary min-heap whose entries carry their own
+// The engine is allocation-free in steady state: heap events live in a
+// pooled arena whose slots are recycled through a free list as events fire
+// or are cancelled. The heap is 4-ary, and its entries carry their own
 // (time, sequence) key next to the slot index, so sift comparisons never
 // leave the heap array, and sifts move a hole rather than swapping. Because
 // (time, sequence) is a strict total order, the firing sequence is a
 // property of the schedule alone, not of the heap's shape.
 //
-// Step defers the removal of the event it fires: the root is only marked
-// vacated while the handler runs. A simulation's dominant pattern is an
-// event scheduling its own near-term successor (a packet's serialization
-// scheduling its propagation, a traffic tick scheduling the next), and that
-// successor drops straight into the vacated root and sifts down a level or
-// two — instead of a far-future timer being dragged from the last leaf to
-// the root and back, and the successor then sifting up past it. Only when
-// the handler schedules nothing, or something reads the heap's head first
+// Most events a trial schedules recur at one of a few fixed delays: every
+// hop of a data packet is a serialization of fixed length, then a fixed
+// propagation delay, and a CBR source ticks at a fixed interval. Those go
+// through ScheduleFixed into a lane: a FIFO ring per delay, kept in
+// (time, sequence) order by appending alone, because the clock never goes
+// back and sequence numbers only grow. Step fires the smallest key among
+// the heap root and the lane heads, which is exactly the order a single
+// heap would give, so the firing sequence does not depend on which events
+// took a lane. A simulator keeps at most four lanes, for the first four
+// delays it sees; lane events cannot be cancelled. Everything else —
+// timers, control packets of varying size, anything cancellable — goes
+// through the heap.
+//
+// Step defers the removal of the heap event it fires: the root is only
+// marked vacated while the handler runs. A heap event often schedules its
+// own near-term successor (a protocol timer re-arming, a control packet's
+// serialization after the previous one), and that successor drops
+// straight into the vacated root and sifts down a level or two — instead
+// of a far-future timer being dragged from the last leaf to the root and
+// back, and the successor then sifting up past it. Only when the handler
+// schedules nothing on the heap, or something reads the queue's head first
 // (NextEventTime, a nested run), is the root filled the classic way from
 // the last leaf. Cancel works around the hole: the fired event's stale
 // entry still holds the minimum key, so the array stays a valid heap.
 //
-// Hot-path model code should prefer ScheduleHandler over Schedule — a typed
-// event carries its receiver and payload in the slot itself, where a
-// closure would allocate.
+// Hot-path model code should prefer ScheduleFixed or ScheduleHandler over
+// Schedule — a typed event carries its receiver and payload in the lane
+// entry or the arena slot itself, where a closure would allocate.
 package sim
 
 import (
@@ -133,6 +146,10 @@ type Simulator struct {
 	// vacant marks heap[0] as a hole: the event there is the one being
 	// dispatched. The next schedule fills it; settle does otherwise.
 	vacant bool
+	// lanes[:nlanes] hold the events scheduled through ScheduleFixed, one
+	// lane per delay.
+	lanes  [maxLanes]lane
+	nlanes int
 	seq    uint64
 	rng    *rand.Rand
 	seed   int64
@@ -158,14 +175,18 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // Fired returns the number of events executed so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
-// Pending returns the number of events currently scheduled. Cancelled
-// events leave the queue immediately and are not counted, nor is the event
-// being dispatched.
+// Pending returns the number of events currently scheduled, in the heap
+// and the lanes. Cancelled events leave the queue immediately and are not
+// counted, nor is the event being dispatched.
 func (s *Simulator) Pending() int {
+	n := len(s.heap)
 	if s.vacant {
-		return len(s.heap) - 1
+		n--
 	}
-	return len(s.heap)
+	for i := range s.lanes[:s.nlanes] {
+		n += s.lanes[i].count
+	}
+	return n
 }
 
 // Schedule runs fn after delay of virtual time. A negative delay is an
@@ -246,31 +267,44 @@ func (s *Simulator) alloc(at time.Duration) (Event, *eventSlot) {
 // It reports whether an event was executed.
 func (s *Simulator) Step() bool {
 	s.settle() // a handler stepping the simulator it runs in
-	if len(s.heap) == 0 {
-		return false
+	_, l, ok := s.next()
+	if ok {
+		s.fire(l)
+	}
+	return ok
+}
+
+// fire executes the earliest pending event, which waits at the head of
+// lane l or, when l is nil, at the root of the settled heap. It leaves the
+// heap settled.
+func (s *Simulator) fire(l *lane) {
+	s.fired++
+	if l != nil {
+		at, h, kind, data := l.pop()
+		s.now = at
+		h.HandleEvent(kind, data)
+		return
 	}
 	top := s.heap[0]
 	s.vacant = true
 	sl := &s.slots[top.idx]
 	s.now = top.at
-	s.fired++
 	fn, h, kind, data := sl.fn, sl.h, sl.kind, sl.data
 	sl.fn, sl.h, sl.data = nil, nil, nil
 	sl.state = slotFired
-	// Free before dispatch: an event that reschedules itself (timers, CBR
-	// ticks) recycles its own slot.
+	// Free before dispatch: an event that reschedules itself (timers)
+	// recycles its own slot.
 	s.free = append(s.free, top.idx)
 	if fn != nil {
 		fn()
 	} else {
 		h.HandleEvent(kind, data)
 	}
-	s.settle() // the handler scheduled nothing
-	return true
+	s.settle() // the handler scheduled nothing on the heap
 }
 
 // settle fills a vacated root from the last leaf, restoring a heap with no
-// hole. Everything that reads the heap's head settles first; after Step
+// hole. Everything that reads the queue's head settles first; after Step
 // returns the heap is always settled.
 func (s *Simulator) settle() {
 	if !s.vacant {
@@ -295,8 +329,12 @@ func (s *Simulator) Run() {
 // Events scheduled for exactly t do fire.
 func (s *Simulator) RunUntil(t time.Duration) {
 	s.settle()
-	for len(s.heap) > 0 && s.heap[0].at <= t {
-		s.Step()
+	for {
+		at, l, ok := s.next()
+		if !ok || at > t {
+			break
+		}
+		s.fire(l)
 	}
 	if s.now < t {
 		s.now = t
@@ -309,8 +347,12 @@ func (s *Simulator) RunUntil(t time.Duration) {
 // scheduled at t once the window ends.
 func (s *Simulator) RunBefore(t time.Duration) {
 	s.settle()
-	for len(s.heap) > 0 && s.heap[0].at < t {
-		s.Step()
+	for {
+		at, l, ok := s.next()
+		if !ok || at >= t {
+			break
+		}
+		s.fire(l)
 	}
 	if s.now < t {
 		s.now = t
@@ -322,10 +364,8 @@ func (s *Simulator) RunBefore(t time.Duration) {
 // window.
 func (s *Simulator) NextEventTime() (time.Duration, bool) {
 	s.settle()
-	if len(s.heap) == 0 {
-		return 0, false
-	}
-	return s.heap[0].at, true
+	at, _, ok := s.next()
+	return at, ok
 }
 
 // heapRemove deletes the entry at heap position i: the last leaf takes its
