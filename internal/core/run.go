@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -271,7 +272,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool, wrap func(
 		g.AddEdge(f.srcHost, f.srcRouter)
 		g.AddEdge(f.dstHost, f.dstRouter)
 		if i == 0 {
-			rec = trace.NewCollector(f.srcHost, f.dstHost, trace.Options{Seed: seed, FailAt: cfg.FailAt, Compact: compact, Timeline: tl})
+			rec = trace.NewCollector(f.srcHost, f.dstHost, trace.Options{Seed: seed, FailAt: cfg.FailAt, Start: cfg.SenderStart, End: cfg.End, Compact: compact, Timeline: tl})
 		} else {
 			rec.AddFlow(f.srcHost, f.dstHost)
 		}
@@ -360,18 +361,8 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool, wrap func(
 	met.Set(obs.EventsFired, fired)
 	rec.Finish()
 
-	nBins := int((cfg.End - cfg.SenderStart) / time.Second)
-	throughputSamples := make([]stats.Sample, len(rec.Deliveries))
-	delaySamples := make([]stats.Sample, len(rec.Deliveries))
-	var postFailDelays []float64
-	for i, d := range rec.Deliveries {
-		throughputSamples[i] = stats.Sample{At: d.At}
-		delaySamples[i] = stats.Sample{At: d.At, Value: d.Delay.Seconds()}
-		if d.At >= cfg.FailAt {
-			postFailDelays = append(postFailDelays, d.Delay.Seconds())
-		}
-	}
-	delaySummary := stats.Summarize(postFailDelays)
+	arr := &rec.Arrivals
+	slices.Sort(arr.PostFail)
 	var snap obs.Snapshot
 	if cfg.Metrics {
 		snap = met.Snapshot()
@@ -392,12 +383,12 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool, wrap func(
 		RoutingConvergence:    rec.RoutingConvergence(cfg.FailAt),
 		ForwardingConvergence: rec.ForwardingConvergence(cfg.FailAt),
 		TransientPaths:        rec.TransientPaths(cfg.FailAt),
-		LoopEscapes:           rec.LoopEscapes(cfg.FailAt),
-		Throughput:            stats.BinCounts(throughputSamples, cfg.SenderStart, time.Second, nBins),
-		Delay:                 stats.BinMeans(delaySamples, cfg.SenderStart, time.Second, nBins),
-		DelayP50:              delaySummary.Median,
-		DelayP95:              stats.Percentile(postFailDelays, 95),
-		DelayMax:              delaySummary.Max,
+		LoopEscapes:           arr.LoopEscapes,
+		Throughput:            arr.PerSecond.Count,
+		Delay:                 arr.PerSecond.Means(),
+		DelayP50:              stats.SortedPercentile(arr.PostFail, 50),
+		DelayP95:              stats.SortedPercentile(arr.PostFail, 95),
+		DelayMax:              stats.SortedPercentile(arr.PostFail, 100),
 		ControlMessages:       met.Get(obs.ControlSent),
 		ControlBytes:          met.Get(obs.ControlBytes),
 		Metrics:               snap,

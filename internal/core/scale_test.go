@@ -58,12 +58,12 @@ func scaleTrialConfig(n int) Config {
 //     pending flag.
 //
 // Half of that again covers what grows with the tables — advertisement
-// bursts carry table-sized updates, BGP's intern table holds the paths —
+// bursts carry table-sized updates, BGP's path table holds the paths —
 // and 4 kB per node what is linear in nodes and edges: ports, links,
 // protocol instances, timers, the event arena. At n = 1000 the rip trial
 // allocates 16.8 MB against 19.4 MB; 16-byte rows (27.6 MB), burst free
 // lists kept per node, or a port table indexed by neighbor ID do not fit.
-// dbf allocates 34.4 MB against 44.9 MB and bgp 61.1 MB against 68.7 MB;
+// dbf allocates 34.4 MB against 44.9 MB and bgp 55.6 MB against 68.7 MB;
 // per-neighbor state indexed by node ID (59.3 MB and 200.9 MB) does not
 // fit. TestRoutingStateWidths pins the row and FIB widths.
 func scaleAllocCeiling(t *testing.T, cfg Config) uint64 {
@@ -141,6 +141,56 @@ func TestScaleTrialAllocCeiling(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMeshTrialAllocCeiling pins what one default trial on the paper's
+// 49-node mesh allocates to what its results hold (meshAllocCeiling), for
+// BGP, whose path state is the larger part, and for RIP, whose delivery
+// record is.
+func TestMeshTrialAllocCeiling(t *testing.T) {
+	for _, proto := range []ProtocolKind{ProtoBGP, ProtoRIP} {
+		t.Run(proto.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Protocol = proto
+			cfg.Trials = 1
+			_, alloc := runScaleTrial(t, cfg)
+			ceiling := meshAllocCeiling(cfg)
+			t.Logf("49-node mesh %v trial allocated %.2f MB, ceiling %.2f MB", proto, float64(alloc)/1e6, float64(ceiling)/1e6)
+			if alloc > ceiling {
+				t.Errorf("trial allocated %d bytes, over the ceiling of %d: a mesh trial allocates more than its results hold", alloc, ceiling)
+			}
+		})
+	}
+}
+
+// meshAllocCeiling is the most a trial on the paper's mesh may allocate,
+// in bytes: what its results hold, plus a budget per node for what
+// produces them.
+//
+//   - Results: Throughput and Delay, 8 bytes per second each, and the
+//     post-failure delays that DelayP50/P95/Max are read from, 8 bytes per
+//     packet sent after the failure — four times over, for the growth of
+//     that list.
+//   - Per node, the 49 routers and the probe's two hosts: 10 kB of
+//     network, engine and protocol state, and for BGP 15 kB more — its
+//     dense RIBs and its share of the one path table of its execution
+//     context (a 12-byte cell and a map entry per distinct path, 4.1k to
+//     5.7k paths on the mesh, and the update free list).
+//
+// At degree 4 and seed 1, BGP allocates 1.32 MB against 1.57 MB and RIP
+// 0.63 MB against 0.78 MB. A per-delivery record in the compact recorder
+// (32 bytes per packet: 2.6 and 1.6 MB) or a path table per speaker
+// (BGP 4.4 MB) does not fit.
+func meshAllocCeiling(cfg Config) uint64 {
+	const kB = 1 << 10
+	seconds := uint64((cfg.End - cfg.SenderStart) / time.Second)
+	postFail := uint64((cfg.End - cfg.FailAt) / cfg.PacketInterval)
+	results := 2*8*seconds + 4*8*postFail
+	perNode := uint64(10 * kB)
+	if cfg.Protocol == ProtoBGP || cfg.Protocol == ProtoBGP3 {
+		perNode += 15 * kB
+	}
+	return results + perNode*uint64(cfg.Rows*cfg.Cols+2)
 }
 
 // TestScaleSmoke10k runs the 10,000-node trial (scaleSmokeConfig) four

@@ -117,6 +117,10 @@ func (nd *Node) Note(kind obs.Kind, peer, dst NodeID) {
 // context, so pooled memory never outlives the trial.
 func (nd *Node) MessagePool() *any { return &nd.exec.msgPool }
 
+// SameHome reports whether the node and its neighbor peer share a home
+// execution context, and with it the MessagePool slot.
+func (nd *Node) SameHome(peer NodeID) bool { return nd.net.nodes[peer].exec == nd.exec }
+
 // NetworkSize returns the number of nodes in the network. Node IDs are
 // contiguous from 0, so protocols use it to size dense per-destination
 // tables up front.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"routeconv/internal/netsim"
+	"routeconv/internal/routing"
 	"routeconv/internal/sim"
 	"routeconv/internal/topology"
 )
@@ -77,12 +78,11 @@ func protoAt(net *netsim.Network, id netsim.NodeID) *Protocol {
 	return net.Node(id).Protocol().(*Protocol)
 }
 
-// Steady-state update processing runs through pooled messages, interned
-// paths, and dense RIB rows, so one full announce+withdraw cycle (receive,
-// recompute, flush to both neighbors) stays within a small pinned packet
-// budget: the only per-message allocation left is the netsim Packet per
-// control send (two injected by the test, up to three emitted by the
-// speaker per half-cycle).
+// Steady-state update processing runs through pooled messages and
+// packets, interned paths, and dense RIB rows, so one full
+// announce+withdraw cycle (receive, recompute, flush to both neighbors)
+// allocates nothing, even though the test's hand-built announcement
+// carries elements its receiver interns.
 func TestUpdateCycleAllocBudget(t *testing.T) {
 	s := sim.New(1)
 	g := topology.NewGraph(10) // idle nodes 3–9 put destination 9 in the network
@@ -105,11 +105,68 @@ func TestUpdateCycleAllocBudget(t *testing.T) {
 		s.Run()
 	}
 	for i := 0; i < 16; i++ {
-		cycle() // warm the intern table, pools, and event arena
+		cycle() // warm the path table, pools, and event arena
 	}
-	const budget = 8
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Errorf("announce+withdraw cycle allocates %.1f objects, want 0", avg)
+	}
+}
+
+// Prepending to a path the table already holds is one map probe: it
+// allocates nothing.
+func TestPrependKnownPathAllocs(t *testing.T) {
+	tab := newPathTable()
+	tail := tab.intern([]routing.NodeID{3, 5, 9})
+	want := tab.prepend(1, tail)
+	var got pathID
+	avg := testing.AllocsPerRun(100, func() { got = tab.prepend(1, tail) })
+	if avg != 0 {
+		t.Errorf("prepend of a known path allocates %.1f objects, want 0", avg)
+	}
+	if got != want || tab.cells[got].len != 4 {
+		t.Errorf("prepend = path %d of length %d, want path %d of length 4", got, tab.cells[got].len, want)
+	}
+}
+
+// A speaker receiving updates from a neighbor in its own execution context
+// takes the announced path's ID as is: in steady state, a cycle of two
+// alternating announcements — receive, recompute, flush to both neighbors
+// — allocates nothing.
+func TestSameContextReceiveAllocs(t *testing.T) {
+	s := sim.New(1)
+	g := topology.NewGraph(10) // idle nodes 3–9 put destinations 7 and 9 in the network
+	g.AddEdge(0, 1)
+	g.AddEdge(0, 2)
+	net := netsim.FromGraph(s, g, netsim.DefaultConfig(), nil)
+	net.Node(0).AttachProtocol(New(net.Node(0), Config{MRAI: time.Millisecond}))
+	net.Node(1).AttachProtocol(discard{})
+	net.Node(2).AttachProtocol(discard{})
+	net.Start()
+	s.RunUntil(time.Second)
+	p := protoAt(net, 0)
+	short, long := p.paths.intern([]routing.NodeID{2, 9}), p.paths.intern([]routing.NodeID{2, 7, 9})
+	announce := func(id pathID) {
+		u := p.paths.get() // as node 2's speaker would send it
+		u.Dst, u.id = 9, id
+		net.Node(2).SendControl(0, u)
+		s.Run()
+	}
+	cycle := func() {
+		announce(short)
+		announce(long)
+	}
+	for i := 0; i < 16; i++ {
+		cycle() // warm the pools and the event arena
+	}
+	before := len(p.paths.cells)
 	avg := testing.AllocsPerRun(200, cycle)
-	if avg > budget {
-		t.Errorf("announce+withdraw cycle allocates %.1f objects, want ≤ %d", avg, budget)
+	if avg != 0 {
+		t.Errorf("same-context announcement cycle allocates %.1f objects, want 0", avg)
+	}
+	if got := p.BestPath(9); !pathsEq(got, []routing.NodeID{0, 2, 7, 9}) {
+		t.Errorf("BestPath(9) = %v, want [0 2 7 9]", got)
+	}
+	if len(p.paths.cells) != before {
+		t.Errorf("steady-state cycles made %d new cells, want 0", len(p.paths.cells)-before)
 	}
 }

@@ -15,7 +15,8 @@
 // flags, MRAI state, damping history) lives in a session indexed by the
 // neighbor's rank in Node.Neighbors() and sized to the node's degree; its
 // rows are dense slices indexed by contiguous destination ID, and every
-// stored path is a 32-bit ID into a per-speaker intern table (intern.go).
+// stored path is a 32-bit ID into the path table its execution context's
+// speakers share (intern.go).
 // Ascending-index iteration over the dense tables produces exactly the
 // order the previous map+sort implementation produced, so trial results
 // are bit-for-bit identical; see DESIGN.md's Performance section.
@@ -83,53 +84,53 @@ func BGP3Config() Config {
 // most one destination (as §5.2 observes) while withdrawals batch freely.
 //
 // An Update is immutable once built. Updates sent by a Protocol are drawn
-// from a per-speaker free list and recycled by the network after delivery
-// (netsim.PooledMessage), so receivers must copy anything they keep;
-// hand-built updates (tests, DecodeUpdate) are not pooled and Release is a
-// no-op for them.
+// from the free list of its execution context's path table and recycled by
+// the network after delivery (netsim.PooledMessage), so receivers must
+// copy anything they keep; hand-built updates (tests, DecodeUpdate) are not
+// pooled and Release is a no-op for them.
 type Update struct {
 	// Withdrawn lists destinations the sender can no longer reach.
 	Withdrawn []routing.NodeID
-	// Dst is the announced destination; valid only when Path is non-nil.
+	// Dst is the announced destination; valid only when a path is
+	// announced.
 	Dst routing.NodeID
 	// Path is the sender's path to Dst, starting with the sender itself
-	// and ending with Dst. For pooled updates it aliases the sender's
-	// intern table and must not be modified.
+	// and ending with Dst, unless id is set: then the path is id in pool,
+	// the sender's path table, which a Protocol sends only to a receiver
+	// that shares it.
 	Path []routing.NodeID
-	// size memoizes SizeBytes (0 = not yet computed; a real size is never
-	// 0 because headerBytes > 0).
-	size int32
-	// pool is the free list the update returns to on Release; nil for
-	// hand-built updates.
-	pool *updatePool
+	id   pathID
+	// pool is the path table whose free list the update returns to on
+	// Release; nil for hand-built updates.
+	pool *pathTable
 }
 
-// SizeBytes implements netsim.Message. The update is immutable after
-// construction, so the size is computed once and memoized.
+// SizeBytes implements netsim.Message.
 func (u *Update) SizeBytes() int {
-	if u.size == 0 {
-		s := headerBytes + withdrawBytes*len(u.Withdrawn)
-		if u.Path != nil {
-			s += announceBytes + pathElemBytes*len(u.Path)
-		}
-		u.size = int32(s)
+	s := headerBytes + withdrawBytes*len(u.Withdrawn)
+	if l := u.pathLen(); l > 0 {
+		s += announceBytes + pathElemBytes*l
 	}
-	return int(u.size)
+	return s
 }
 
-// updatePool recycles Update messages through a free list: the network
-// releases each pooled update once its flight ends, so steady-state update
-// traffic allocates neither messages nor withdrawal batches.
-type updatePool struct{ free []*Update }
+// pathLen returns the announced path's length, 0 when the update announces
+// nothing.
+func (u *Update) pathLen() int {
+	if u.id != noPath {
+		return int(u.pool.cells[u.id].len)
+	}
+	return len(u.Path)
+}
 
 // get returns a zeroed update, reusing a released one when available.
-func (up *updatePool) get() *Update {
-	if n := len(up.free); n > 0 {
-		u := up.free[n-1]
-		up.free = up.free[:n-1]
+func (t *pathTable) get() *Update {
+	if n := len(t.free); n > 0 {
+		u := t.free[n-1]
+		t.free = t.free[:n-1]
 		return u
 	}
-	return &Update{pool: up}
+	return &Update{pool: t}
 }
 
 // Release implements netsim.PooledMessage: the update (and the capacity of
@@ -141,8 +142,8 @@ func (u *Update) Release() {
 	}
 	u.Withdrawn = u.Withdrawn[:0]
 	u.Dst = 0
-	u.Path = nil
-	u.size = 0
+	u.Path = u.Path[:0]
+	u.id = noPath
 	u.pool.free = append(u.pool.free, u)
 }
 
@@ -157,8 +158,9 @@ func (u *Update) Release() {
 type Protocol struct {
 	node *netsim.Node
 	cfg  Config
-	// intern hash-conses every path this speaker stores or originates.
-	intern *internTable
+	// paths is the path table of the node's home execution context, which
+	// every path this speaker stores or originates is an ID in.
+	paths *pathTable
 	// best holds the selected path per destination, starting with this
 	// node (noPath = unreachable).
 	best []pathID
@@ -171,8 +173,6 @@ type Protocol struct {
 	dirtyList []routing.NodeID
 	// wdScratch/annScratch are flush's reusable classification buffers.
 	wdScratch, annScratch []routing.NodeID
-	// pool recycles outgoing Update messages.
-	pool updatePool
 	// damper is non-nil when route flap damping is enabled.
 	damper *damper
 }
@@ -207,25 +207,12 @@ var _ netsim.Protocol = (*Protocol)(nil)
 
 // New returns a BGP instance for the node.
 func New(node *netsim.Node, cfg Config) *Protocol {
-	return &Protocol{
-		node:   node,
-		cfg:    cfg,
-		intern: newInternTable(),
-	}
+	return &Protocol{node: node, cfg: cfg}
 }
 
 // Factory returns a constructor suitable for attaching BGP to every node.
 func Factory(cfg Config) func(*netsim.Node) netsim.Protocol {
 	return func(n *netsim.Node) netsim.Protocol { return New(n, cfg) }
-}
-
-// newPathRow returns a row of n empty path slots.
-func newPathRow(n int) []pathID {
-	row := make([]pathID, n)
-	for i := range row {
-		row[i] = noPath
-	}
-	return row
 }
 
 // rowOf returns row r of a flat table of n-wide rows.
@@ -238,10 +225,11 @@ func (p *Protocol) Start() {
 	self := p.node.ID()
 	n := p.node.NetworkSize()
 	deg := len(p.node.Neighbors())
-	p.best = newPathRow(n)
+	p.paths = tableOf(p.node)
+	p.best = make([]pathID, n)
 	p.dirty = make([]bool, n)
 	p.sess = make([]session, deg)
-	adjIn, ribOut := newPathRow(deg*n), newPathRow(deg*n)
+	adjIn, ribOut := make([]pathID, deg*n), make([]pathID, deg*n)
 	pending := make([]bool, deg*n)
 	var deadline []time.Duration
 	if p.cfg.PerDestMRAI {
@@ -254,7 +242,7 @@ func (p *Protocol) Start() {
 		})
 		p.damper.node = p.node
 	}
-	p.best[self] = p.intern.intern([]routing.NodeID{self})
+	p.best[self] = p.paths.prepend(self, noPath)
 	for r := range p.sess {
 		p.sess[r] = session{
 			adjIn:   rowOf(adjIn, r, n),
@@ -303,34 +291,39 @@ func (p *Protocol) HandleMessage(from routing.NodeID, msg netsim.Message) {
 	}
 	n := uint(len(p.best))
 	for _, dst := range u.Withdrawn {
-		if uint(dst) < n && s.adjIn[dst] != noPath {
-			s.adjIn[dst] = noPath
-			if p.damper != nil {
-				p.damper.OnWithdraw(r, dst)
-			}
-			p.recompute(dst)
+		if uint(dst) < n {
+			p.learn(r, dst, noPath)
 		}
 	}
-	if u.Path != nil && uint(u.Dst) < n {
-		had := s.adjIn[u.Dst] != noPath
-		if contains(u.Path, p.node.ID()) {
-			// Loop detected: treat as withdrawal (§3).
-			if had {
-				s.adjIn[u.Dst] = noPath
-				if p.damper != nil {
-					p.damper.OnWithdraw(r, u.Dst)
-				}
-				p.recompute(u.Dst)
-			}
-		} else {
-			s.adjIn[u.Dst] = p.intern.intern(u.Path)
-			if had && p.damper != nil {
-				p.damper.OnReannounce(r, u.Dst)
-			}
-			p.recompute(u.Dst)
+	if u.pathLen() > 0 && uint(u.Dst) < n {
+		id := u.id // an ID in the shared table is taken as is
+		if id == noPath {
+			id = p.paths.intern(u.Path)
 		}
+		if p.paths.contains(id, p.node.ID()) {
+			id = noPath // a loop: treated as a withdrawal (§3)
+		}
+		p.learn(r, u.Dst, id)
 	}
 	p.flushAll()
+}
+
+// learn records id as the path heard from the neighbor of rank r to dst
+// (noPath: a withdrawal), charges the damper for a withdrawal or a
+// replaced path, and reruns selection unless there was and is no path.
+func (p *Protocol) learn(r int, dst routing.NodeID, id pathID) {
+	s := &p.sess[r]
+	had := s.adjIn[dst] != noPath
+	if !had && id == noPath {
+		return
+	}
+	s.adjIn[dst] = id
+	if p.damper != nil && id == noPath {
+		p.damper.OnWithdraw(r, dst)
+	} else if p.damper != nil && had {
+		p.damper.OnReannounce(r, dst)
+	}
+	p.recompute(dst)
 }
 
 // LinkDown implements netsim.Protocol: the session resets, discarding
@@ -340,9 +333,7 @@ func (p *Protocol) LinkDown(neighbor routing.NodeID) {
 	s := &p.sess[r]
 	s.up = false
 	s.mrai.Stop()
-	for dst := range s.ribOut {
-		s.ribOut[dst] = noPath
-	}
+	clear(s.ribOut)
 	clear(s.pending)
 	s.pendingCount = 0
 	s.pendList = s.pendList[:0]
@@ -376,14 +367,15 @@ func (p *Protocol) LinkUp(neighbor routing.NodeID) {
 }
 
 // recompute reruns best-path selection for dst: shortest valid path over
-// all neighbors, ties to the lowest neighbor ID. Paths compare by intern
-// ID, so "unchanged" is a single integer comparison.
+// all neighbors, ties to the lowest neighbor ID. Selection reads path
+// lengths and neighbor ranks, never ID order, so how IDs are assigned
+// cannot change a decision; "unchanged" is a single ID comparison.
 func (p *Protocol) recompute(dst routing.NodeID) {
 	if dst == p.node.ID() {
 		return
 	}
 	p.node.Metrics().Inc(obs.ProtoDecisionRuns)
-	chosen, chosenLen := noPath, 0
+	chosen, chosenLen := noPath, int32(0)
 	for r := range p.sess {
 		s := &p.sess[r]
 		if !s.up {
@@ -396,13 +388,13 @@ func (p *Protocol) recompute(dst routing.NodeID) {
 		if p.damper != nil && p.damper.Suppressed(r, dst) {
 			continue
 		}
-		if l := p.intern.pathLen(id); chosen == noPath || l < chosenLen {
+		if l := p.paths.cells[id].len; chosen == noPath || l < chosenLen {
 			chosen, chosenLen = id, l
 		}
 	}
 	newBest := noPath
 	if chosen != noPath {
-		newBest = p.intern.prepend(p.node.ID(), chosen)
+		newBest = p.paths.prepend(p.node.ID(), chosen)
 	}
 	if p.best[dst] == newBest {
 		return
@@ -411,7 +403,7 @@ func (p *Protocol) recompute(dst routing.NodeID) {
 	if newBest == noPath {
 		p.node.ClearRoute(dst)
 	} else {
-		p.node.SetRoute(dst, p.intern.path(newBest)[1])
+		p.node.SetRoute(dst, p.paths.cells[chosen].head)
 	}
 	if !p.dirty[dst] {
 		p.dirty[dst] = true
@@ -495,7 +487,7 @@ func (p *Protocol) flush(r int) {
 	p.wdScratch, p.annScratch = withdrawals, announcements
 
 	if len(withdrawals) > 0 {
-		u := p.pool.get()
+		u := p.paths.get()
 		u.Withdrawn = append(u.Withdrawn, withdrawals...)
 		p.node.Metrics().Add(obs.ProtoWithdrawalsSent, uint64(len(withdrawals)))
 		for _, dst := range withdrawals {
@@ -581,7 +573,7 @@ func (p *Protocol) flushPerDest(r int, announcements []routing.NodeID, now time.
 func (p *Protocol) advertise(r int, dst routing.NodeID) {
 	to := p.node.Neighbors()[r]
 	best := p.best[dst]
-	u := p.pool.get()
+	u := p.paths.get()
 	if best == noPath {
 		u.Withdrawn = append(u.Withdrawn, dst)
 		p.sess[r].ribOut[dst] = noPath
@@ -589,7 +581,11 @@ func (p *Protocol) advertise(r int, dst routing.NodeID) {
 		p.node.Note(obs.KindWithdrawal, to, dst)
 	} else {
 		u.Dst = dst
-		u.Path = p.intern.path(best)
+		if p.node.SameHome(to) {
+			u.id = best
+		} else {
+			u.Path = p.paths.appendPath(u.Path, best)
+		}
 		p.sess[r].ribOut[dst] = best
 		p.node.Metrics().Inc(obs.ProtoUpdatesSent)
 	}
@@ -604,13 +600,4 @@ func (p *Protocol) mraiInterval() time.Duration {
 		lo = 0
 	}
 	return p.node.Jitter(lo, p.cfg.MRAI+p.cfg.MRAIJitter)
-}
-
-func contains(path []routing.NodeID, id routing.NodeID) bool {
-	for _, n := range path {
-		if n == id {
-			return true
-		}
-	}
-	return false
 }

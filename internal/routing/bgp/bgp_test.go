@@ -154,8 +154,8 @@ func (c *capture) HandleMessage(_ netsim.NodeID, msg netsim.Message) {
 		if u.Withdrawn != nil {
 			clone.Withdrawn = append([]netsim.NodeID(nil), u.Withdrawn...)
 		}
-		if u.Path != nil {
-			clone.Path = append([]netsim.NodeID(nil), u.Path...)
+		if path := u.elems(); path != nil {
+			clone.Path = append([]netsim.NodeID(nil), path...)
 		}
 		c.updates = append(c.updates, clone)
 		if c.sim != nil {

@@ -36,6 +36,15 @@ func nodeForAddr(addr uint32) routing.NodeID {
 	return routing.NodeID(addr & 0x00FF_FFFF)
 }
 
+// elems returns the announced path's elements (nil when none), walking the
+// sender's path table for an update that carries an ID.
+func (u *Update) elems() []routing.NodeID {
+	if u.id != noPath {
+		return u.pool.appendPath(nil, u.id)
+	}
+	return u.Path
+}
+
 // Encode renders the update as a BGP UPDATE message.
 func (u *Update) Encode() []byte {
 	withdrawn := make([]byte, 0, 5*len(u.Withdrawn))
@@ -47,15 +56,15 @@ func (u *Update) Encode() []byte {
 	}
 
 	var attrs, nlri []byte
-	if u.Path != nil {
-		attrs = make([]byte, 0, 9+4*len(u.Path))
+	if path := u.elems(); len(path) > 0 {
+		attrs = make([]byte, 0, 9+4*len(path))
 		// ORIGIN: flags(transitive), type, length, value(IGP).
 		attrs = append(attrs, 0x40, attrOrigin, 1, 0)
 		// AS_PATH: flags, type, length, then one AS_SEQUENCE segment.
-		segLen := 2 + 4*len(u.Path)
+		segLen := 2 + 4*len(path)
 		attrs = append(attrs, 0x40, attrASPath, byte(segLen))
-		attrs = append(attrs, asPathSegSequence, byte(len(u.Path)))
-		for _, as := range u.Path {
+		attrs = append(attrs, asPathSegSequence, byte(len(path)))
+		for _, as := range path {
 			var n [4]byte
 			binary.BigEndian.PutUint32(n[:], uint32(as))
 			attrs = append(attrs, n[:]...)

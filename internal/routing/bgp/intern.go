@@ -1,86 +1,108 @@
 package bgp
 
-import "routeconv/internal/routing"
+import (
+	"routeconv/internal/netsim"
+	"routeconv/internal/routing"
+)
 
-// pathID names one interned AS path in a speaker's intern table. The RIBs
-// (Adj-RIB-In, Loc-RIB, RIB-Out) store 32-bit path IDs instead of owned
-// slices: interning hash-conses every path the speaker hears or selects,
-// so equal paths share an ID and path equality is integer equality.
-// noPath marks an empty RIB slot.
+// pathID names one AS path in a path table. The RIBs (Adj-RIB-In, Loc-RIB,
+// RIB-Out) store 32-bit IDs: the table hash-conses every path, so equal
+// paths share an ID and path equality is integer equality.
 type pathID int32
 
-// noPath is the empty RIB slot / "no path selected" sentinel.
-const noPath pathID = -1
+// noPath, the zero ID, is the empty path: an empty RIB slot, "no path
+// selected", and the tail of a one-element path.
+const noPath pathID = 0
 
-// internTable hash-conses AS paths for one Protocol instance. It is
-// append-only: a path, once interned, keeps its ID and its backing slice
-// for the lifetime of the speaker. That immutability is what makes
-// zero-copy sharing safe — an interned slice may simultaneously back RIB
-// slots, Update messages in flight, and (after the receiver interns it in
-// turn) a neighbor's own table. The table's memory is bounded by the set
-// of distinct paths actually explored, all of which the pre-interning
-// code allocated anyway (and then copied per update).
-type internTable struct {
-	// paths maps a pathID to its elements; slot i belongs to pathID(i).
-	paths [][]routing.NodeID
-	// ids maps a path's byte key to its ID. Lookups convert the scratch
-	// key with a non-allocating string conversion; only the first sight of
-	// a path allocates (the owned copy and the map key).
-	ids map[string]pathID
-	// key and scratch are reusable build buffers.
-	key     []byte
-	scratch []routing.NodeID
+// cell is one path as a cons cell: its head (first element), the ID of
+// its tail (the rest), and its length.
+type cell struct {
+	cellKey
+	len int32
 }
 
-func newInternTable() *internTable {
-	return &internTable{ids: make(map[string]pathID)}
+// cellKey identifies a path by its head and the ID of its tail.
+type cellKey struct {
+	head routing.NodeID
+	tail pathID
 }
 
-// keyFor serializes a path into the reusable key buffer.
-func (t *internTable) keyFor(path []routing.NodeID) []byte {
-	t.key = t.key[:0]
-	for _, n := range path {
-		u := uint32(n)
-		t.key = append(t.key, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
+// pathTable hash-conses AS paths as cons cells. A path a speaker selects is
+// its own ID in front of a path a neighbor announced, so it costs one cell,
+// and prepending is one probe of a map keyed by the fixed-size (head, tail)
+// pair. Cells are append-only and keep their IDs, so RIB slots and updates
+// in flight share them.
+//
+// One table serves every speaker of an execution context (tableOf), so in
+// a sequential trial a path exists once network-wide and an update carries
+// its ID. Only the context's goroutine touches the table (the ownership
+// rule of netsim.Node.MessagePool), so an update crossing a shard cut
+// carries the path's elements, and its receiver interns them.
+//
+// The table also keeps the free list of the updates the context's
+// speakers send: the network releases each one once its flight ends, so
+// steady-state update traffic allocates neither messages nor withdrawal
+// batches.
+type pathTable struct {
+	cells []cell // cells[id]; cells[0] is the empty path
+	ids   map[cellKey]pathID
+	free  []*Update
+}
+
+// newPathTable returns a table holding only the empty path. It is a
+// variable so that tests can make tables that start with decoy cells.
+var newPathTable = func() *pathTable {
+	return &pathTable{cells: make([]cell, 1, 256), ids: make(map[cellKey]pathID, 256)}
+}
+
+// tableOf returns the path table of the node's home execution context,
+// creating it on first use.
+func tableOf(node *netsim.Node) *pathTable {
+	slot := node.MessagePool()
+	if t, ok := (*slot).(*pathTable); ok {
+		return t
 	}
-	return t.key
+	t := newPathTable()
+	*slot = t
+	return t
 }
 
-// intern returns the ID for path, copying it into the table on first
-// sight. path must be non-empty (empty paths are represented as noPath).
-func (t *internTable) intern(path []routing.NodeID) pathID {
-	key := t.keyFor(path)
-	if id, ok := t.ids[string(key)]; ok {
+// prepend returns the ID of the path formed by head followed by tail,
+// making its cell on first sight.
+func (t *pathTable) prepend(head routing.NodeID, tail pathID) pathID {
+	k := cellKey{head, tail}
+	if id, ok := t.ids[k]; ok {
 		return id
 	}
-	id := pathID(len(t.paths))
-	t.paths = append(t.paths, append([]routing.NodeID(nil), path...))
-	t.ids[string(key)] = id
+	id := pathID(len(t.cells))
+	t.cells = append(t.cells, cell{k, t.cells[tail].len + 1})
+	t.ids[k] = id
 	return id
 }
 
-// prepend returns the ID of the path formed by head followed by the
-// elements of id — the "self + neighbor's path" step of best-path
-// selection, built in a reusable buffer.
-func (t *internTable) prepend(head routing.NodeID, id pathID) pathID {
-	t.scratch = append(t.scratch[:0], head)
-	t.scratch = append(t.scratch, t.paths[id]...)
-	return t.intern(t.scratch)
+// intern returns the ID of the path with the given elements.
+func (t *pathTable) intern(path []routing.NodeID) pathID {
+	id := noPath
+	for i := len(path) - 1; i >= 0; i-- {
+		id = t.prepend(path[i], id)
+	}
+	return id
 }
 
-// path returns the interned elements (nil for noPath). The slice is owned
-// by the table; callers must not modify it.
-func (t *internTable) path(id pathID) []routing.NodeID {
-	if id == noPath {
-		return nil
+// contains reports whether node is an element of the path.
+func (t *pathTable) contains(id pathID, node routing.NodeID) bool {
+	for ; id != noPath; id = t.cells[id].tail {
+		if t.cells[id].head == node {
+			return true
+		}
 	}
-	return t.paths[id]
+	return false
 }
 
-// pathLen returns the interned path's length (0 for noPath).
-func (t *internTable) pathLen(id pathID) int {
-	if id == noPath {
-		return 0
+// appendPath appends the path's elements to buf.
+func (t *pathTable) appendPath(buf []routing.NodeID, id pathID) []routing.NodeID {
+	for ; id != noPath; id = t.cells[id].tail {
+		buf = append(buf, t.cells[id].head)
 	}
-	return len(t.paths[id])
+	return buf
 }

@@ -83,8 +83,14 @@ type Params struct {
 	Settle time.Duration
 }
 
+// namedGraph is one member of the battery's graph family.
+type namedGraph struct {
+	name string
+	g    *topology.Graph
+}
+
 // topologies returns the named graph family the battery runs on.
-func topologies(t *testing.T) map[string]*topology.Graph {
+func topologies(t *testing.T) []namedGraph {
 	t.Helper()
 	mesh44, err := topology.NewMesh(4, 4, 4)
 	if err != nil {
@@ -94,13 +100,13 @@ func topologies(t *testing.T) map[string]*topology.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*topology.Graph{
-		"line5":     topology.Line(5),
-		"ring6":     topology.Ring(6),
-		"full5":     topology.Full(5),
-		"mesh4x4d4": mesh44.Graph,
-		"mesh5x5d6": mesh55.Graph,
-		"random20":  topology.Random(20, 3, 7),
+	return []namedGraph{
+		{"line5", topology.Line(5)},
+		{"ring6", topology.Ring(6)},
+		{"full5", topology.Full(5)},
+		{"mesh4x4d4", mesh44.Graph},
+		{"mesh5x5d6", mesh55.Graph},
+		{"random20", topology.Random(20, 3, 7)},
 	}
 }
 
@@ -119,9 +125,9 @@ func Run(t *testing.T, p Params) {
 // convergesEverywhere: from a cold start, all pairs route over shortest
 // paths on every topology in the family.
 func convergesEverywhere(t *testing.T, p Params) {
-	for name, g := range topologies(t) {
-		name, g := name, g
-		t.Run(name, func(t *testing.T) {
+	for _, ng := range topologies(t) {
+		g := ng.g
+		t.Run(ng.name, func(t *testing.T) {
 			s, net := Build(1, g, netsim.DefaultConfig(), nil, p.Factory)
 			s.RunUntil(p.Settle)
 			AssertShortestPaths(t, net, g)

@@ -5,7 +5,7 @@ package stats
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -50,12 +50,17 @@ func Summarize(xs []float64) Summary {
 // Percentile returns the p-th percentile (0–100) of xs using linear
 // interpolation. It returns 0 for an empty sample.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	return SortedPercentile(sorted, p)
+}
+
+// SortedPercentile is Percentile of a sample already sorted in ascending
+// order, which it reads in place.
+func SortedPercentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -84,46 +89,41 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Sample is one timestamped observation.
-type Sample struct {
-	At    time.Duration
-	Value float64
+// Bins files timestamped values into consecutive width-wide bins from an
+// origin, keeping per bin the number of values and their sum, added in
+// the order the values arrive. Values outside [origin, origin+n·width) are
+// ignored. With width = 1 s the counts are the paper's instantaneous
+// throughput (packets per second) and the means its instantaneous packet
+// delay.
+type Bins struct {
+	origin, width time.Duration
+	// Count and Sum hold each bin's number of values and their sum.
+	Count, Sum []float64
 }
 
-// BinCounts buckets samples into consecutive width-wide bins starting at
-// origin and returns the number of samples per bin, producing nBins bins.
-// Samples outside [origin, origin+nBins*width) are ignored. This yields the
-// paper's instantaneous throughput (packets per second with width = 1 s).
-func BinCounts(samples []Sample, origin time.Duration, width time.Duration, nBins int) []float64 {
-	out := make([]float64, nBins)
-	for _, s := range samples {
-		i := binIndex(s.At, origin, width, nBins)
-		if i >= 0 {
-			out[i]++
-		}
-	}
-	return out
+// NewBins returns n empty bins.
+func NewBins(origin, width time.Duration, n int) Bins {
+	n = max(n, 0)
+	return Bins{origin: origin, width: width, Count: make([]float64, n), Sum: make([]float64, n)}
 }
 
-// BinMeans buckets samples as BinCounts does and returns the mean Value per
-// bin; empty bins are NaN so that averaging across trials can skip them.
-// This yields the paper's instantaneous packet delay.
-func BinMeans(samples []Sample, origin time.Duration, width time.Duration, nBins int) []float64 {
-	sums := make([]float64, nBins)
-	counts := make([]int, nBins)
-	for _, s := range samples {
-		i := binIndex(s.At, origin, width, nBins)
-		if i >= 0 {
-			sums[i] += s.Value
-			counts[i]++
-		}
+// Add files v, observed at time at, into its bin.
+func (b *Bins) Add(at time.Duration, v float64) {
+	if i := binIndex(at, b.origin, b.width, len(b.Count)); i >= 0 {
+		b.Count[i]++
+		b.Sum[i] += v
 	}
-	out := make([]float64, nBins)
-	for i := range out {
-		if counts[i] == 0 {
+}
+
+// Means returns each bin's mean value; empty bins are NaN so that
+// averaging across trials can skip them.
+func (b *Bins) Means() []float64 {
+	out := make([]float64, len(b.Count))
+	for i, n := range b.Count {
+		if n == 0 {
 			out[i] = math.NaN()
 		} else {
-			out[i] = sums[i] / float64(counts[i])
+			out[i] = b.Sum[i] / n
 		}
 	}
 	return out

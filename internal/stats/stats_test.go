@@ -11,6 +11,32 @@ import (
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// Sample is one timestamped observation: the binning tests state their
+// cases as sample arrays, which BinCounts and BinMeans file into Bins.
+type Sample struct {
+	At    time.Duration
+	Value float64
+}
+
+func binAll(samples []Sample, origin, width time.Duration, nBins int) Bins {
+	b := NewBins(origin, width, nBins)
+	for _, s := range samples {
+		b.Add(s.At, s.Value)
+	}
+	return b
+}
+
+// BinCounts returns the number of samples per bin.
+func BinCounts(samples []Sample, origin, width time.Duration, nBins int) []float64 {
+	return binAll(samples, origin, width, nBins).Count
+}
+
+// BinMeans returns the mean value per bin, NaN for an empty one.
+func BinMeans(samples []Sample, origin, width time.Duration, nBins int) []float64 {
+	b := binAll(samples, origin, width, nBins)
+	return b.Means()
+}
+
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
 	if s.N != 5 || !almostEqual(s.Mean, 3) || !almostEqual(s.Min, 1) || !almostEqual(s.Max, 5) || !almostEqual(s.Median, 3) {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"testing"
+	"time"
 
 	"routeconv/internal/netsim"
 	"routeconv/internal/obs"
@@ -56,10 +57,11 @@ func TestForwardingInstrumentedAllocs(t *testing.T) {
 // leaf, flow i's record holds exactly its own deliveries and data drops —
 // i+1 packets each, delivered when i is odd and dropped for want of a route
 // when it is even — and traffic to a leaf no flow receives at is in none.
+// The recorder is a full-mode one: a compact recorder lists no deliveries.
 func TestFlowRecordsSeparate(t *testing.T) {
 	const flows = 40
 	s := sim.New(1)
-	c := NewCollector(0, 1, Options{Compact: true})
+	c := NewCollector(0, 1, Options{})
 	net := netsim.New(s, netsim.DefaultConfig(), c)
 	net.AddNode() // the hub
 	for leaf := netsim.NodeID(1); leaf <= flows+1; leaf++ {
@@ -111,5 +113,22 @@ func TestFlowRecordsSeparate(t *testing.T) {
 	}
 	if got := met.Get(obs.DropNoRoute); got != uint64(dropped) {
 		t.Errorf("network dropped %d packets for want of a route, the flows hold %d", got, dropped)
+	}
+}
+
+// A compact recorder folds a delivery before the failure into the primary
+// flow's per-second bins without allocating: it keeps no per-packet record.
+func TestCompactDeliveryAllocs(t *testing.T) {
+	c := NewCollector(0, 2, Options{Compact: true, FailAt: 5 * time.Second, End: 10 * time.Second})
+	pkt := &netsim.Packet{Src: 0, Dst: 2, Created: 2 * time.Second}
+	avg := testing.AllocsPerRun(1000, func() { c.PacketDelivered(2*time.Second+time.Millisecond, pkt) })
+	if avg != 0 {
+		t.Errorf("compact PacketDelivered allocates %.1f objects per delivery, want 0", avg)
+	}
+	if got := c.Arrivals.PerSecond.Count[2]; got != 1001 {
+		t.Errorf("bin 2 counts %v deliveries, want 1001", got)
+	}
+	if len(c.Deliveries) != 0 || len(c.Arrivals.PostFail) != 0 {
+		t.Errorf("recorder kept %d deliveries and %d post-failure delays, want none", len(c.Deliveries), len(c.Arrivals.PostFail))
 	}
 }

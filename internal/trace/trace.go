@@ -13,6 +13,7 @@ import (
 
 	"routeconv/internal/netsim"
 	"routeconv/internal/obs"
+	"routeconv/internal/stats"
 )
 
 // PathSample is the sender→receiver forwarding walk observed at one
@@ -44,7 +45,7 @@ type Drop struct {
 
 // Flow is one packet flow's record: its sender→receiver forwarding walk
 // over time, and the deliveries and data drops of packets sent to its
-// receiver.
+// receiver. Deliveries are listed by full-mode collectors only.
 type Flow struct {
 	Src, Dst    netsim.NodeID
 	PathHistory []PathSample
@@ -66,11 +67,14 @@ type Options struct {
 	// (fib_first_change, fib_last_change, convergence_complete) is measured
 	// from.
 	FailAt time.Duration
-	// Compact keeps no record stream: route changes are only counted, with
-	// the time of the last one, which is all RoutingConvergence needs. A
-	// converging 10k-node network makes ~10⁸ route changes, so bulk trial
-	// runs (core.Run) are compact and tracing is not. Path samples,
-	// deliveries and drops are kept either way.
+	// Start and End bound the primary flow's per-second delivery bins
+	// (Arrivals): ⌊(End−Start)/1 s⌋ bins from Start.
+	Start, End time.Duration
+	// Compact keeps no record stream and lists no deliveries: route
+	// changes are only counted, with the time of the last one, which is
+	// all RoutingConvergence needs. A converging 10k-node network makes
+	// ~10⁸ route changes, so bulk trial runs (core.Run) are compact and
+	// tracing is not. Path samples, drops and Arrivals are kept either way.
 	Compact bool
 	// Timeline, when non-nil, is the record stream the collector commits
 	// to, and implies full mode. A full-mode collector without one commits
@@ -96,7 +100,8 @@ type Options struct {
 type Collector struct {
 	// Flow is the primary flow, the one the trial measures.
 	Flow
-	flows []*Flow // every packet flow, primary first
+	Arrivals Arrivals
+	flows    []*Flow // every packet flow, primary first
 	// byDst[dst-dstLo] is the index in flows of the flow toward host dst,
 	// or -1.
 	byDst []int32
@@ -131,6 +136,19 @@ type Collector struct {
 	ControlDrops []Drop
 }
 
+// Arrivals is what a trial's results read of its primary flow's
+// deliveries, folded at arrival in either mode.
+type Arrivals struct {
+	// PerSecond bins each delivery's delay in seconds by arrival time.
+	PerSecond stats.Bins
+	// PostFail holds the delay in seconds of every delivery at or after
+	// Options.FailAt.
+	PostFail []float64
+	// LoopEscapes counts the deliveries at or after Options.FailAt whose
+	// packets had crossed a forwarding loop (netsim's RecordHops only).
+	LoopEscapes int
+}
+
 // flowDrop is one pending drop and the index of its flow (-1: control).
 type flowDrop struct {
 	flow int32
@@ -142,11 +160,12 @@ var _ netsim.RouteFilter = (*Collector)(nil)
 // NewCollector returns a collector whose primary flow is src→dst.
 func NewCollector(src, dst netsim.NodeID, opts Options) *Collector {
 	c := &Collector{
-		Flow:    Flow{Src: src, Dst: dst},
-		compact: opts.Compact && opts.Timeline == nil,
-		failAt:  opts.FailAt,
-		byDst:   []int32{0},
-		dstLo:   dst,
+		Flow:     Flow{Src: src, Dst: dst},
+		Arrivals: Arrivals{PerSecond: stats.NewBins(opts.Start, time.Second, int((opts.End-opts.Start)/time.Second))},
+		compact:  opts.Compact && opts.Timeline == nil,
+		failAt:   opts.FailAt,
+		byDst:    []int32{0},
+		dstLo:    dst,
 	}
 	c.flows = []*Flow{&c.Flow}
 	if !c.compact {
@@ -279,19 +298,28 @@ func (c *Collector) Note(r obs.Record) {
 }
 
 // PacketDelivered implements netsim.Observer: a data packet for a flow's
-// receiver becomes one of that flow's deliveries.
+// receiver becomes one of that flow's deliveries in full mode, and is
+// folded into Arrivals if the flow is the primary one.
 func (c *Collector) PacketDelivered(at time.Duration, pkt *netsim.Packet) {
 	i := c.flowTo(pkt.Dst)
 	if i < 0 {
 		return
 	}
-	f := c.flows[i]
-	f.Deliveries = append(f.Deliveries, Delivery{
-		At:     at,
-		Delay:  at - pkt.Created,
-		Hops:   pkt.HopCount,
-		Looped: Looped(pkt),
-	})
+	delay := at - pkt.Created
+	if f := c.flows[i]; !c.compact {
+		f.Deliveries = append(f.Deliveries, Delivery{At: at, Delay: delay, Hops: pkt.HopCount, Looped: Looped(pkt)})
+	}
+	if i > 0 {
+		return
+	}
+	a := &c.Arrivals
+	a.PerSecond.Add(at, delay.Seconds())
+	if at >= c.failAt {
+		a.PostFail = append(a.PostFail, delay.Seconds())
+		if Looped(pkt) {
+			a.LoopEscapes++
+		}
+	}
 }
 
 // PacketDropped implements netsim.Observer. A data drop is recorded for the
@@ -511,7 +539,8 @@ func (f *Flow) TransientPaths(failAt time.Duration) int {
 }
 
 // LoopEscapes counts deliveries at or after t whose packets had crossed a
-// forwarding loop. It requires the network to record hops.
+// forwarding loop. It reads the full-mode delivery list and requires the
+// network to record hops.
 func (f *Flow) LoopEscapes(t time.Duration) int {
 	n := 0
 	for _, d := range f.Deliveries {
