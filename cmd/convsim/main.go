@@ -287,7 +287,7 @@ func traceTrial(w io.Writer, cfg core.Config, o *options) error {
 		if (r.Kind != obs.KindFIBChange && r.Kind != obs.KindFIBRemove) || r.At < from || r.At > to {
 			continue
 		}
-		if !o.allDsts && r.Dst != int(col.Dst) {
+		if !o.allDsts && r.Dst != int32(col.Dst) {
 			continue
 		}
 		count++

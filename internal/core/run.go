@@ -272,7 +272,10 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool, wrap func(
 		g.AddEdge(f.srcHost, f.srcRouter)
 		g.AddEdge(f.dstHost, f.dstRouter)
 		if i == 0 {
-			rec = trace.NewCollector(f.srcHost, f.dstHost, trace.Options{Seed: seed, FailAt: cfg.FailAt, Start: cfg.SenderStart, End: cfg.End, Compact: compact, Timeline: tl})
+			rec = trace.NewCollector(f.srcHost, f.dstHost, trace.Options{
+				Seed: seed, FailAt: cfg.FailAt, Start: cfg.SenderStart, End: cfg.End,
+				Interval: cfg.PacketInterval, Compact: compact, Timeline: tl,
+			})
 		} else {
 			rec.AddFlow(f.srcHost, f.dstHost)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -169,28 +170,98 @@ func TestMeshTrialAllocCeiling(t *testing.T) {
 //
 //   - Results: Throughput and Delay, 8 bytes per second each, and the
 //     post-failure delays that DelayP50/P95/Max are read from, 8 bytes per
-//     packet sent after the failure — four times over, for the growth of
-//     that list.
+//     packet sent after the failure, in a list sized once.
 //   - Per node, the 49 routers and the probe's two hosts: 10 kB of
 //     network, engine and protocol state, and for BGP 15 kB more — its
 //     dense RIBs and its share of the one path table of its execution
 //     context (a 12-byte cell and a map entry per distinct path, 4.1k to
 //     5.7k paths on the mesh, and the update free list).
 //
-// At degree 4 and seed 1, BGP allocates 1.32 MB against 1.57 MB and RIP
-// 0.63 MB against 0.78 MB. A per-delivery record in the compact recorder
-// (32 bytes per packet: 2.6 and 1.6 MB) or a path table per speaker
-// (BGP 4.4 MB) does not fit.
+// At degree 4 and seed 1, BGP allocates 1.13 MB against 1.38 MB and RIP
+// 0.43 MB against 0.59 MB. A per-delivery record in the compact recorder
+// (32 bytes per packet: 2.6 and 1.6 MB), a path table per speaker
+// (BGP 4.4 MB) or a delay list grown by append (RIP 0.63 MB) does not fit.
 func meshAllocCeiling(cfg Config) uint64 {
 	const kB = 1 << 10
 	seconds := uint64((cfg.End - cfg.SenderStart) / time.Second)
 	postFail := uint64((cfg.End - cfg.FailAt) / cfg.PacketInterval)
-	results := 2*8*seconds + 4*8*postFail
+	results := 2*8*seconds + 8*(postFail+1)
 	perNode := uint64(10 * kB)
 	if cfg.Protocol == ProtoBGP || cfg.Protocol == ProtoBGP3 {
 		perNode += 15 * kB
 	}
 	return results + perNode*uint64(cfg.Rows*cfg.Cols+2)
+}
+
+// churnTraceScript is a scripted storm on the paper's mesh: the failure,
+// a node outage, a lossy link, a flapping link and a 260 s window of
+// random link failures.
+const churnTraceScript = "failpath @400s; fail node 24 @420s; recover node 24 @450s; " +
+	"loss link 10-11 p=0.05 @405s; flap link 17-18 every 4s x10 @460s; " +
+	"churn links rate=1/s down=5s @500s..760s"
+
+// TestTracedTrialAllocCeiling pins what a full-record trial allocates —
+// the simulation, its committed timeline and the timeline's NDJSON
+// rendering — to what that timeline holds (tracedAllocCeiling), for RIP,
+// whose timeline is the longer, and for BGP, whose path state is larger.
+func TestTracedTrialAllocCeiling(t *testing.T) {
+	for _, proto := range []ProtocolKind{ProtoRIP, ProtoBGP} {
+		t.Run(proto.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Protocol = proto
+			cfg.Trials = 1
+			cfg.Scenario = churnTraceScript
+			tl := obs.NewTimeline()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := TraceObserved(cfg, 0, tl)
+			if err == nil {
+				err = tl.WriteNDJSON(io.Discard)
+			}
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			ceiling := tracedAllocCeiling(cfg, tl.Len())
+			t.Logf("traced %v churn trial: %d records, allocated %.2f MB, ceiling %.2f MB",
+				proto, tl.Len(), float64(alloc)/1e6, float64(ceiling)/1e6)
+			if alloc > ceiling {
+				t.Errorf("trial allocated %d bytes, over the ceiling of %d: a traced trial allocates more than its timeline holds", alloc, ceiling)
+			}
+		})
+	}
+}
+
+// tracedAllocCeiling is the most a full-record trial on the paper's mesh
+// may allocate, in bytes, given the number of records its timeline holds:
+//
+//   - The timeline: 40 bytes per record, four times over. The stream
+//     doubles when full, so its final capacity is under twice its length
+//     and the capacities it passed through sum to under twice the final
+//     one. Rendering allocates nothing per record.
+//   - Results: per packet the primary flow sends, a 32-byte delivery and
+//     an 8-byte post-failure delay (both lists are sized once), and 16
+//     bytes per second of bins.
+//   - Per node, the 49 routers and the probe's two hosts: 15 kB of
+//     network, engine, protocol and recorder state, and for BGP 15 kB more,
+//     as in meshAllocCeiling.
+//
+// At degree 4 and seed 1, RIP's timeline holds 43 066 records and the trial
+// allocates 6.4 MB against 8.0 MB; BGP's holds 27 964 and the trial 5.3 MB
+// against 6.4 MB. Growing the stream by append with 56-byte records and
+// rendering through fmt costs 16.7 and 12.3 MB.
+func tracedAllocCeiling(cfg Config, records int) uint64 {
+	const kB = 1 << 10
+	seconds := uint64((cfg.End - cfg.SenderStart) / time.Second)
+	packets := uint64((cfg.End - cfg.SenderStart) / cfg.PacketInterval)
+	timeline := 4 * 40 * uint64(records)
+	results := (32+8)*packets + 2*8*seconds
+	perNode := uint64(15 * kB)
+	if cfg.Protocol == ProtoBGP || cfg.Protocol == ProtoBGP3 {
+		perNode += 15 * kB
+	}
+	return timeline + results + perNode*uint64(cfg.Rows*cfg.Cols+2)
 }
 
 // TestScaleSmoke10k runs the 10,000-node trial (scaleSmokeConfig) four

@@ -140,13 +140,13 @@ func compareTrajectories(t *testing.T, shards int, ref, got []obs.Record) {
 		return
 	}
 	type state struct {
-		nh int // -1: removed
+		nh int32 // -1: removed
 		at time.Duration
 	}
-	collect := func(recs []obs.Record) map[[2]int][]state {
-		m := make(map[[2]int][]state)
+	collect := func(recs []obs.Record) map[[2]int32][]state {
+		m := make(map[[2]int32][]state)
 		for _, r := range recs {
-			k := [2]int{r.Node, r.Dst}
+			k := [2]int32{r.Node, r.Dst}
 			m[k] = append(m[k], state{nh: r.Peer, at: r.At})
 		}
 		return m

@@ -95,7 +95,7 @@ func TestTimelineNDJSONPinned(t *testing.T) {
 			}
 
 			// The summary the recorder wrote, against the brute-force scan.
-			first, last := map[int]time.Duration{}, map[int]time.Duration{}
+			first, last := map[int32]time.Duration{}, map[int32]time.Duration{}
 			for _, rc := range tap.calls {
 				if rc.at < cfg.FailAt {
 					continue
@@ -147,14 +147,14 @@ type routeTap struct {
 	*trace.Collector
 	calls []struct {
 		at   time.Duration
-		node int
+		node int32
 	}
 }
 
 func (o *routeTap) RouteChanged(at time.Duration, node, dst, nextHop netsim.NodeID, removed bool) {
 	o.calls = append(o.calls, struct {
 		at   time.Duration
-		node int
-	}{at, int(node)})
+		node int32
+	}{at, int32(node)})
 	o.Collector.RouteChanged(at, node, dst, nextHop, removed)
 }

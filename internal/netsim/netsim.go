@@ -128,7 +128,7 @@ func (n *Network) Note(r obs.Record) { n.root.note(r) }
 // note raises a harness record stamped with the current time; -1 marks an
 // unused node field.
 func (n *Network) note(kind obs.Kind, node, peer, dst NodeID) {
-	n.Note(obs.Record{At: n.sim.Now(), Kind: kind, Node: int(node), Peer: int(peer), Dst: int(dst)})
+	n.Note(obs.Record{At: n.sim.Now(), Kind: kind, Node: int32(node), Peer: int32(peer), Dst: int32(dst)})
 }
 
 // Len returns the number of nodes.
@@ -338,7 +338,7 @@ func (n *Network) SetLinkLoss(a, b NodeID, p float64) {
 				uint64(uint32(pt.owner.id))<<32|uint64(uint32(pt.peer.id)))
 		}
 	}
-	n.Note(obs.Record{At: n.sim.Now(), Kind: obs.KindLinkLoss, Node: int(a), Peer: int(b), Dst: -1, Rate: p})
+	n.Note(obs.Record{At: n.sim.Now(), Kind: obs.KindLinkLoss, Node: int32(a), Peer: int32(b), Dst: -1, Rate: p})
 }
 
 // CostOutLink gracefully removes the a-b link from service: both ends'

@@ -103,7 +103,7 @@ func (nd *Node) Metrics() *obs.Metrics { return nd.exec.met }
 // same order as the node's FIB changes.
 func (nd *Node) Note(kind obs.Kind, peer, dst NodeID) {
 	ex := nd.ctx()
-	ex.note(obs.Record{At: ex.sim.Now(), Kind: kind, Node: int(nd.id), Peer: int(peer), Dst: int(dst)})
+	ex.note(obs.Record{At: ex.sim.Now(), Kind: kind, Node: int32(nd.id), Peer: int32(peer), Dst: int32(dst)})
 }
 
 // MessagePool returns the slot where the node's home execution context —
@@ -125,6 +125,10 @@ func (nd *Node) SameHome(peer NodeID) bool { return nd.net.nodes[peer].exec == n
 // contiguous from 0, so protocols use it to size dense per-destination
 // tables up front.
 func (nd *Node) NetworkSize() int { return len(nd.net.nodes) }
+
+// NetworkLinks returns the number of links in the network, which bounds
+// the adjacencies a protocol's map of the whole network can list.
+func (nd *Node) NetworkLinks() int { return len(nd.net.links) }
 
 // Neighbors returns the node's directly connected neighbors in ascending ID
 // order. The slice is owned by the node; callers must not modify it.

@@ -485,7 +485,7 @@ func (n *Network) replayObs() {
 		}
 		e := &n.shards[r.shard].routes[r.idx]
 		if e.note {
-			n.observer.Note(obs.Record{At: e.at, Kind: e.kind, Node: int(e.node), Peer: int(e.nh), Dst: int(e.dst)})
+			n.observer.Note(obs.Record{At: e.at, Kind: e.kind, Node: int32(e.node), Peer: int32(e.nh), Dst: int32(e.dst)})
 			continue
 		}
 		nd := n.nodes[e.node]

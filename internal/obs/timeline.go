@@ -2,8 +2,8 @@ package obs
 
 import (
 	"bufio"
-	"fmt"
 	"io"
+	"strconv"
 	"time"
 )
 
@@ -103,9 +103,9 @@ func (k Kind) String() string { return kindNames[k] }
 type Record struct {
 	At   time.Duration
 	Kind Kind
-	Node int
-	Peer int
-	Dst  int
+	Node int32
+	Peer int32
+	Dst  int32
 	Seed int64
 	// Rate is set only on KindLinkLoss (the loss probability) and
 	// KindChurnStart (failures per second).
@@ -133,68 +133,92 @@ func (t *Timeline) Len() int {
 	return len(*t)
 }
 
+// Append commits rs to the end of the stream. A full stream doubles its
+// capacity, so a trial's records cost at most twice what they hold.
+func (t *Timeline) Append(rs ...Record) {
+	if n := len(*t) + len(rs); n > cap(*t) {
+		grown := make(Timeline, len(*t), max(n, 2*cap(*t)))
+		copy(grown, *t)
+		*t = grown
+	}
+	*t = append(*t, rs...)
+}
+
 // WriteNDJSON renders the timeline as newline-delimited JSON, one record
 // per line in stream order, per the schema in OBSERVABILITY.md. Field names
 // depend on the record kind; unused fields are omitted rather than emitted
-// as -1. Writing happens only here — never during the simulation.
+// as -1. Writing happens only here — never during the simulation. Each line
+// is built in one reused buffer, so rendering allocates nothing per record.
 func (t *Timeline) WriteNDJSON(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
-	for _, r := range *t {
-		var err error
-		switch r.Kind {
-		case KindTrialStart:
-			_, err = fmt.Fprintf(bw, `{"t_ns":%d,"event":%q,"seed":%d}`+"\n",
-				r.At.Nanoseconds(), kindNames[r.Kind], r.Seed)
-		case KindLinkDown, KindLinkUp, KindLinkDownDetected, KindLinkUpDetected, KindCostOut, KindCostIn:
-			_, err = fmt.Fprintf(bw, `{"t_ns":%d,"event":%q,"node":%d,"peer":%d}`+"\n",
-				r.At.Nanoseconds(), kindNames[r.Kind], r.Node, r.Peer)
-		case KindFIBChange:
-			_, err = fmt.Fprintf(bw, `{"t_ns":%d,"event":%q,"node":%d,"dst":%d,"next_hop":%d}`+"\n",
-				r.At.Nanoseconds(), kindNames[r.Kind], r.Node, r.Dst, r.Peer)
-		case KindFIBRemove:
-			_, err = fmt.Fprintf(bw, `{"t_ns":%d,"event":%q,"node":%d,"dst":%d}`+"\n",
-				r.At.Nanoseconds(), kindNames[r.Kind], r.Node, r.Dst)
-		case KindWithdrawal:
-			_, err = fmt.Fprintf(bw, `{"t_ns":%d,"event":%q,"node":%d,"neighbor":%d,"dst":%d}`+"\n",
-				r.At.Nanoseconds(), kindNames[r.Kind], r.Node, r.Peer, r.Dst)
-		case KindRouteFlap, KindRouteReuse:
-			state := "suppressed"
-			if r.Kind == KindRouteReuse {
-				state = "reused"
-			}
-			_, err = fmt.Fprintf(bw, `{"t_ns":%d,"event":%q,"node":%d,"neighbor":%d,"dst":%d,"state":%q}`+"\n",
-				r.At.Nanoseconds(), kindNames[r.Kind], r.Node, r.Peer, r.Dst, state)
-		case KindFirstFIBChange, KindLastFIBChange:
-			_, err = fmt.Fprintf(bw, `{"t_ns":%d,"event":%q,"node":%d}`+"\n",
-				r.At.Nanoseconds(), kindNames[r.Kind], r.Node)
-		case KindConvergenceComplete:
-			_, err = fmt.Fprintf(bw, `{"t_ns":%d,"event":%q}`+"\n",
-				r.At.Nanoseconds(), kindNames[r.Kind])
-		case KindFluidDemote, KindFluidAbsorb:
-			_, err = fmt.Fprintf(bw, `{"t_ns":%d,"event":%q,"node":%d,"dst":%d}`+"\n",
-				r.At.Nanoseconds(), kindNames[r.Kind], r.Node, r.Dst)
-		case KindNodeDown, KindNodeUp:
-			_, err = fmt.Fprintf(bw, `{"t_ns":%d,"event":%q,"node":%d}`+"\n",
-				r.At.Nanoseconds(), kindNames[r.Kind], r.Node)
-		case KindLinkLoss:
-			_, err = fmt.Fprintf(bw, `{"t_ns":%d,"event":%q,"node":%d,"peer":%d,"rate":%g}`+"\n",
-				r.At.Nanoseconds(), kindNames[r.Kind], r.Node, r.Peer, r.Rate)
-		case KindChurnStart:
-			_, err = fmt.Fprintf(bw, `{"t_ns":%d,"event":%q,"rate":%g}`+"\n",
-				r.At.Nanoseconds(), kindNames[r.Kind], r.Rate)
-		case KindChurnEnd:
-			_, err = fmt.Fprintf(bw, `{"t_ns":%d,"event":%q}`+"\n",
-				r.At.Nanoseconds(), kindNames[r.Kind])
-		default:
-			_, err = fmt.Fprintf(bw, `{"t_ns":%d,"event":%q,"node":%d,"peer":%d,"dst":%d}`+"\n",
-				r.At.Nanoseconds(), kindNames[r.Kind], r.Node, r.Peer, r.Dst)
-		}
-		if err != nil {
+	line := make([]byte, 0, 160)
+	for i := range *t {
+		line = appendNDJSON(line[:0], &(*t)[i])
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// appendNDJSON appends r's NDJSON line, newline included, to b. Kind names
+// are plain ASCII, so quoting one is enclosing it in quotes.
+func appendNDJSON(b []byte, r *Record) []byte {
+	b = appendInt(b, `{"t_ns":`, r.At.Nanoseconds())
+	b = append(b, `,"event":"`...)
+	b = append(b, kindNames[r.Kind]...)
+	b = append(b, '"')
+	switch r.Kind {
+	case KindTrialStart:
+		b = appendInt(b, `,"seed":`, r.Seed)
+	case KindLinkDown, KindLinkUp, KindLinkDownDetected, KindLinkUpDetected, KindCostOut, KindCostIn:
+		b = appendInt(b, `,"node":`, int64(r.Node))
+		b = appendInt(b, `,"peer":`, int64(r.Peer))
+	case KindFIBChange:
+		b = appendInt(b, `,"node":`, int64(r.Node))
+		b = appendInt(b, `,"dst":`, int64(r.Dst))
+		b = appendInt(b, `,"next_hop":`, int64(r.Peer))
+	case KindFIBRemove, KindFluidDemote, KindFluidAbsorb:
+		b = appendInt(b, `,"node":`, int64(r.Node))
+		b = appendInt(b, `,"dst":`, int64(r.Dst))
+	case KindWithdrawal:
+		b = appendInt(b, `,"node":`, int64(r.Node))
+		b = appendInt(b, `,"neighbor":`, int64(r.Peer))
+		b = appendInt(b, `,"dst":`, int64(r.Dst))
+	case KindRouteFlap, KindRouteReuse:
+		b = appendInt(b, `,"node":`, int64(r.Node))
+		b = appendInt(b, `,"neighbor":`, int64(r.Peer))
+		b = appendInt(b, `,"dst":`, int64(r.Dst))
+		if r.Kind == KindRouteFlap {
+			b = append(b, `,"state":"suppressed"`...)
+		} else {
+			b = append(b, `,"state":"reused"`...)
+		}
+	case KindFirstFIBChange, KindLastFIBChange, KindNodeDown, KindNodeUp:
+		b = appendInt(b, `,"node":`, int64(r.Node))
+	case KindConvergenceComplete, KindChurnEnd:
+		// t_ns and event only
+	case KindLinkLoss:
+		b = appendInt(b, `,"node":`, int64(r.Node))
+		b = appendInt(b, `,"peer":`, int64(r.Peer))
+		b = appendRate(b, r.Rate)
+	case KindChurnStart:
+		b = appendRate(b, r.Rate)
+	}
+	return append(b, "}\n"...)
+}
+
+// appendInt appends key, the text before a field's value such as
+// `,"node":`, and v in decimal.
+func appendInt(b []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+// appendRate appends the rate field in the shortest 'g' form, which is
+// what %g renders.
+func appendRate(b []byte, rate float64) []byte {
+	return strconv.AppendFloat(append(b, `,"rate":`...), rate, 'g', -1, 64)
 }

@@ -155,12 +155,18 @@ func (s *spfScratch) nextHopEpoch() uint32 {
 	return s.hopEpoch
 }
 
-// size allocates every array for the network's n nodes on the first run.
-func (s *spfScratch) size(n int) {
+// size allocates every array on the first run: for the network's n nodes,
+// which bound the visit order and the distances, and its links, each of
+// which the adjacency lists at both ends.
+func (s *spfScratch) size(n, links int) {
 	if s.dist != nil {
 		return
 	}
 	s.adjOff = make([]int32, n+1)
+	s.adjList = make([]routing.NodeID, 0, 2*links)
+	s.order = make([]routing.NodeID, 0, n)
+	s.sorted = make([]routing.NodeID, n)
+	s.bucket = make([]int32, n)
 	s.dist = make([]int32, n)
 	s.distEpoch = make([]uint32, n)
 	s.hopSeen = make([]uint32, n)
@@ -337,7 +343,7 @@ func (p *Protocol) recompute() {
 	self := p.node.ID()
 	n := len(p.db)
 	s := &p.spf
-	s.size(n)
+	s.size(n, p.node.NetworkLinks())
 
 	// Build the CSR adjacency in ascending-origin order.
 	s.adjList = s.adjList[:0]
@@ -380,9 +386,6 @@ func (p *Protocol) recompute() {
 	// and it guarantees each node's first-hop set is complete before its
 	// children consult it.
 	maxDist := int(s.dist[s.order[len(s.order)-1]])
-	if len(s.bucket) < maxDist+1 {
-		s.bucket = make([]int32, maxDist+1)
-	}
 	for d := 0; d <= maxDist; d++ {
 		s.bucket[d] = 0
 	}
@@ -394,9 +397,6 @@ func (p *Protocol) recompute() {
 		c := s.bucket[d]
 		s.bucket[d] = off
 		off += c
-	}
-	if cap(s.sorted) < len(s.order) {
-		s.sorted = make([]routing.NodeID, len(s.order))
 	}
 	s.sorted = s.sorted[:len(s.order)]
 	for v := 0; v < n; v++ {

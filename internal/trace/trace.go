@@ -70,6 +70,11 @@ type Options struct {
 	// Start and End bound the primary flow's per-second delivery bins
 	// (Arrivals): ⌊(End−Start)/1 s⌋ bins from Start.
 	Start, End time.Duration
+	// Interval is the primary flow's packet spacing, if known. It sizes
+	// the post-failure delay list (Arrivals.PostFail) and, in full mode,
+	// the primary flow's Deliveries for one packet per Interval up to End;
+	// a hint only, which a flow of random spacing may exceed.
+	Interval time.Duration
 	// Compact keeps no record stream and lists no deliveries: route
 	// changes are only counted, with the time of the last one, which is
 	// all RoutingConvergence needs. A converging 10k-node network makes
@@ -129,7 +134,7 @@ type Collector struct {
 	// instant ((node, dst) → next hop, absent = no route), so commits can
 	// reduce an instant's churn to its net effect. lastIdx is commit
 	// scratch. Full mode only.
-	shadow  map[uint64]int
+	shadow  map[uint64]int32
 	lastIdx map[uint64]int
 
 	// ControlDrops records every lost routing message.
@@ -168,12 +173,18 @@ func NewCollector(src, dst netsim.NodeID, opts Options) *Collector {
 		dstLo:    dst,
 	}
 	c.flows = []*Flow{&c.Flow}
+	if opts.Interval > 0 {
+		c.Arrivals.PostFail = make([]float64, 0, (opts.End-opts.FailAt)/opts.Interval+1)
+		if !c.compact {
+			c.Deliveries = make([]Delivery, 0, (opts.End-opts.Start)/opts.Interval+1)
+		}
+	}
 	if !c.compact {
 		c.tl = opts.Timeline
 		if c.tl == nil {
 			c.tl = obs.NewTimeline()
 		}
-		*c.tl = append(*c.tl, obs.Record{Kind: obs.KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: opts.Seed})
+		c.tl.Append(obs.Record{Kind: obs.KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: opts.Seed})
 	}
 	return c
 }
@@ -268,7 +279,7 @@ func (c *Collector) RouteChanged(at time.Duration, node, dst, nextHop netsim.Nod
 			}
 			c.lastChange[node] = at
 		}
-		r := obs.Record{At: at, Kind: obs.KindFIBChange, Node: int(node), Peer: int(nextHop), Dst: int(dst)}
+		r := obs.Record{At: at, Kind: obs.KindFIBChange, Node: int32(node), Peer: int32(nextHop), Dst: int32(dst)}
 		if removed {
 			r.Kind, r.Peer = obs.KindFIBRemove, -1
 		}
@@ -374,7 +385,7 @@ func (c *Collector) commit() {
 // on what arrived, not the arrival order.
 func (c *Collector) commitRecords() {
 	if c.shadow == nil {
-		c.shadow = make(map[uint64]int)
+		c.shadow = make(map[uint64]int32)
 		c.lastIdx = make(map[uint64]int)
 	}
 	entry := func(r *obs.Record) uint64 { return uint64(uint32(r.Node))<<32 | uint64(uint32(r.Dst)) }
@@ -403,7 +414,7 @@ func (c *Collector) commitRecords() {
 		kept = append(kept, r)
 	}
 	slices.SortFunc(kept, compareRecords)
-	*c.tl = append(*c.tl, kept...)
+	c.tl.Append(kept...)
 	c.pend = c.pend[:0]
 }
 
@@ -444,13 +455,13 @@ func (c *Collector) Finish() {
 	}
 	for n, first := range c.firstChange {
 		if first >= 0 {
-			*c.tl = append(*c.tl,
-				obs.Record{At: first, Kind: obs.KindFirstFIBChange, Node: n, Peer: -1, Dst: -1},
-				obs.Record{At: c.lastChange[n], Kind: obs.KindLastFIBChange, Node: n, Peer: -1, Dst: -1})
+			c.tl.Append(
+				obs.Record{At: first, Kind: obs.KindFirstFIBChange, Node: int32(n), Peer: -1, Dst: -1},
+				obs.Record{At: c.lastChange[n], Kind: obs.KindLastFIBChange, Node: int32(n), Peer: -1, Dst: -1})
 		}
 	}
 	if last, ok := c.lastChangeSince(c.failAt); ok {
-		*c.tl = append(*c.tl, obs.Record{At: last, Kind: obs.KindConvergenceComplete, Node: -1, Peer: -1, Dst: -1})
+		c.tl.Append(obs.Record{At: last, Kind: obs.KindConvergenceComplete, Node: -1, Peer: -1, Dst: -1})
 	}
 }
 

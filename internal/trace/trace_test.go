@@ -301,7 +301,7 @@ func TestInstantCommittedCanonically(t *testing.T) {
 		for _, i := range order {
 			k := calls[i]
 			if k.note {
-				c.Note(obs.Record{At: at, Kind: k.kind, Node: int(k.node), Peer: int(k.nh), Dst: int(k.dst)})
+				c.Note(obs.Record{At: at, Kind: k.kind, Node: int32(k.node), Peer: int32(k.nh), Dst: int32(k.dst)})
 			} else {
 				c.RouteChanged(at, k.node, k.dst, k.nh, false)
 			}
