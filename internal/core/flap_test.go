@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"routeconv/internal/routing/bgp"
+	"routeconv/internal/trace"
 )
 
 func TestRestoreAfterRepairsPath(t *testing.T) {
@@ -181,6 +182,37 @@ func TestTrafficPatterns(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRandomSpacingListsFit: a Poisson or on/off primary flow's delivery
+// lists are sized once. Over trials 0–2 of every protocol at the default
+// config, neither the post-failure delay list nor the traced delivery list
+// grows past the capacity its collector started with; at CBR's exact hint,
+// a Poisson flow overruns both in trial 1 of four protocols.
+func TestRandomSpacingListsFit(t *testing.T) {
+	for _, pattern := range []TrafficPattern{TrafficPoisson, TrafficOnOff} {
+		for _, proto := range append(Protocols(), ProtoLS) {
+			cfg := DefaultConfig()
+			cfg.Protocol = proto
+			cfg.Traffic = pattern
+			fresh := trace.NewCollector(0, 1, trace.Options{
+				FailAt: cfg.FailAt, Start: cfg.SenderStart, End: cfg.End,
+				Interval: cfg.PacketInterval, RandomSpacing: true,
+			})
+			for trial := 0; trial < 3; trial++ {
+				_, col, err := Trace(cfg, trial)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := cap(col.Arrivals.PostFail), cap(fresh.Arrivals.PostFail); got != want {
+					t.Errorf("%v %v trial %d: post-failure list ends at capacity %d (%d delays), reserved %d", pattern, proto, trial, got, len(col.Arrivals.PostFail), want)
+				}
+				if got, want := cap(col.Deliveries), cap(fresh.Deliveries); got != want {
+					t.Errorf("%v %v trial %d: delivery list ends at capacity %d (%d deliveries), reserved %d", pattern, proto, trial, got, len(col.Deliveries), want)
+				}
+			}
+		}
 	}
 }
 

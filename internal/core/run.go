@@ -274,7 +274,8 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool, wrap func(
 		if i == 0 {
 			rec = trace.NewCollector(f.srcHost, f.dstHost, trace.Options{
 				Seed: seed, FailAt: cfg.FailAt, Start: cfg.SenderStart, End: cfg.End,
-				Interval: cfg.PacketInterval, Compact: compact, Timeline: tl,
+				Interval: cfg.PacketInterval, RandomSpacing: cfg.Traffic != TrafficCBR,
+				Compact: compact, Timeline: tl,
 			})
 		} else {
 			rec.AddFlow(f.srcHost, f.dstHost)

@@ -44,11 +44,19 @@ func TestIdleFlushAllocs(t *testing.T) {
 // A flush with announcements held back by a pending MRAI timer must not
 // allocate either: classification walks the per-neighbor pending list in
 // the reusable scratch buffers, and the list rebuild reuses its capacity.
-// Nodes 3–139 stand idle: they put the injected destinations 100–138 in
-// the network.
+// Two such flushes are pinned. The MRAI timer's own flush(r) is called
+// directly: flushAll skips a held session, so it no longer reaches the
+// walk. And a withdrawal that arrives while announcements are held forces
+// flushAll's full flush, which sends it to both neighbors.
+//
+// Nodes 3–399 stand idle: they put the injected destinations in the
+// network. Node 2 announces 200–399 at 1 s; node 0's MRAI flush near 30 s
+// advertises them and re-arms the timers until past 45 s. Node 2 then
+// announces 100–138 (even), which the timers hold, and withdraws 200–399
+// one at a time.
 func TestHeldFlushAllocs(t *testing.T) {
 	s := sim.New(1)
-	g := topology.NewGraph(140)
+	g := topology.NewGraph(400)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
 	net := netsim.FromGraph(s, g, netsim.DefaultConfig(), nil)
@@ -56,21 +64,55 @@ func TestHeldFlushAllocs(t *testing.T) {
 	net.Node(1).AttachProtocol(discard{})
 	net.Node(2).AttachProtocol(discard{})
 	net.Start()
-	s.RunUntil(time.Second) // initial advertisements consumed the MRAI budget
 	p := protoAt(net, 0)
+	announce := func(dst int) {
+		net.Node(2).SendControl(0, &Update{Dst: netsim.NodeID(dst), Path: []netsim.NodeID{2, netsim.NodeID(dst)}})
+	}
+	s.RunUntil(time.Second) // initial advertisements consumed the MRAI budget
+	for dst := 200; dst < 400; dst++ {
+		announce(dst)
+	}
+	s.RunUntil(40 * time.Second) // past the first MRAI flush, before the second
 	for i := 0; i < 40; i += 2 {
-		net.Node(2).SendControl(0, &Update{Dst: netsim.NodeID(100 + i), Path: []netsim.NodeID{2, netsim.NodeID(100 + i)}})
+		announce(100 + i)
 	}
 	s.RunUntil(s.Now() + 100*time.Millisecond) // deliveries leave announcements pending behind the MRAI timer
-	if ss := &p.sess[net.Node(0).Rank(1)]; ss.pendingCount == 0 || !ss.mrai.Pending() {
-		t.Fatal("test setup: expected announcements held by a pending MRAI timer")
+	r := int(net.Node(0).Rank(1))
+	held := func() bool { ss := &p.sess[r]; return ss.pendingCount > 0 && ss.mrai.Pending() }
+	if !held() || p.sess[r].ribOut[200] == noPath {
+		t.Fatal("test setup: expected 200–399 advertised and announcements held by a pending MRAI timer")
+	}
+
+	for i := 0; i < 8; i++ {
+		p.flush(r) // warm the scratch buffers
+	}
+	if avg := testing.AllocsPerRun(100, func() { p.flush(r) }); avg != 0 {
+		t.Errorf("held flush allocates %.1f objects, want 0", avg)
+	}
+
+	var withdrawals []*Update
+	for dst := 200; dst < 400; dst++ {
+		withdrawals = append(withdrawals, &Update{Withdrawn: []netsim.NodeID{netsim.NodeID(dst)}})
+	}
+	next := 0
+	withdraw := func() {
+		net.Node(2).SendControl(0, withdrawals[next])
+		next++
+		s.RunUntil(s.Now() + 10*time.Millisecond)
 	}
 	for i := 0; i < 8; i++ {
-		p.flushAll() // warm the scratch buffers
+		withdraw() // warm the update and packet pools and the event arena
 	}
-	avg := testing.AllocsPerRun(100, func() { p.flushAll() })
-	if avg != 0 {
-		t.Errorf("held flushAll allocates %.1f objects, want 0", avg)
+	if avg := testing.AllocsPerRun(100, withdraw); avg != 0 {
+		t.Errorf("withdrawal under held announcements allocates %.1f objects, want 0", avg)
+	}
+	if !held() {
+		t.Fatal("the MRAI timer fired during the withdrawals")
+	}
+	for dst := 200; dst < 200+next; dst++ {
+		if p.sess[r].ribOut[dst] != noPath {
+			t.Fatalf("destination %d was withdrawn from node 0 but not toward node 1", dst)
+		}
 	}
 }
 

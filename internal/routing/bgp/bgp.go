@@ -411,25 +411,38 @@ func (p *Protocol) recompute(dst routing.NodeID) {
 	}
 }
 
+// alwaysFlush disables flushAll's held-flush skip; tests set it to compare
+// against the full flush.
+var alwaysFlush bool
+
 // flushAll propagates all destinations dirtied by the current event to
 // every up neighbor, then attempts a flush per neighbor. Only the dirty
 // set is walked; its order is irrelevant because setPending just raises
 // flags — everything order-sensitive (the wire) happens in flush, which
 // visits pending destinations in ascending order.
+//
+// A session whose per-neighbor MRAI timer is pending is skipped unless
+// this event lost a route whose withdrawal goes out now: every flush sends
+// all withdrawals, so only a destination dirtied here can be an unsent
+// one. Such a flush would send nothing and draw no jitter; the flags it
+// would clear are cleared from the same state when the timer fires.
+// Per-destination MRAI keeps the full flush: it sends any destination
+// whose own deadline has passed.
 func (p *Protocol) flushAll() {
-	if len(p.dirtyList) > 0 {
-		for _, dst := range p.dirtyList {
-			p.dirty[dst] = false
-			for r := range p.sess {
-				if p.sess[r].up {
-					p.setPending(r, dst)
-				}
+	lost := false
+	for _, dst := range p.dirtyList {
+		p.dirty[dst] = false
+		lost = lost || p.best[dst] == noPath
+		for r := range p.sess {
+			if p.sess[r].up {
+				p.setPending(r, dst)
 			}
 		}
-		p.dirtyList = p.dirtyList[:0]
 	}
+	p.dirtyList = p.dirtyList[:0]
+	held := !alwaysFlush && !p.cfg.PerDestMRAI && (!lost || p.cfg.DampWithdrawals)
 	for r := range p.sess {
-		if p.sess[r].up {
+		if s := &p.sess[r]; s.up && !(held && s.mrai.Pending()) {
 			p.flush(r)
 		}
 	}

@@ -33,3 +33,16 @@ func WithDecoyCells(n int) (restore func()) {
 	}
 	return func() { newPathTable = orig }
 }
+
+// WithAlwaysFlush makes every speaker flush every up session after each
+// event, as if no MRAI timer held it, until restore is called: the
+// behaviour the held-flush skip must reproduce. It must not be called
+// while a trial runs.
+func WithAlwaysFlush() (restore func()) {
+	alwaysFlush = true
+	return func() { alwaysFlush = false }
+}
+
+// Elems returns the announced path's elements, empty when the update
+// announces nothing.
+func (u *Update) Elems() []routing.NodeID { return u.elems() }

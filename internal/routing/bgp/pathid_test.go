@@ -22,14 +22,12 @@ func goldenConfig(k core.ProtocolKind) core.Config {
 	return cfg
 }
 
-// TestPathIDsDoNotDecide: best-path selection reads path lengths and
-// neighbor ranks, never path IDs, so a trial does not depend on how its
-// path table numbers paths. Tables that start with a thousand decoy cells
-// give every real path another ID, and some of them out of order; the
-// bgp, bgp3 and bgp3-damping goldens and a two-shard BGP trial (one table
-// per shard) must come out identical — results, record stream and path
-// samples.
-func TestPathIDsDoNotDecide(t *testing.T) {
+// checkTracedInvariant runs the bgp, bgp3 and bgp3-damping goldens and a
+// two-shard BGP trial (one path table per shard) by default and again
+// between set and the restore it returns, and requires identical results,
+// record streams and path samples; how names the variant in failures.
+func checkTracedInvariant(t *testing.T, how string, set func() (restore func())) {
+	t.Helper()
 	damping := goldenConfig(core.ProtoBGP3)
 	damping.Scenario = "failpath @400s restore=3s flaps=5"
 	dcfg := bgp.DefaultDampingConfig()
@@ -51,7 +49,7 @@ func TestPathIDsDoNotDecide(t *testing.T) {
 		timeline *obs.Timeline
 		paths    any
 	}
-	trial := func(t *testing.T, cfg core.Config) run {
+	trial := func(cfg core.Config) run {
 		t.Helper()
 		tl := obs.NewTimeline()
 		tr, col, err := core.TraceObserved(cfg, 0, tl)
@@ -62,20 +60,29 @@ func TestPathIDsDoNotDecide(t *testing.T) {
 	}
 	want := make([]run, len(cases))
 	for i, tc := range cases {
-		want[i] = trial(t, tc.cfg)
+		want[i] = trial(tc.cfg)
 	}
-	restore := bgp.WithDecoyCells(1000)
+	restore := set()
 	defer restore()
 	for i, tc := range cases {
-		got := trial(t, tc.cfg)
+		got := trial(tc.cfg)
 		if got.result != want[i].result {
-			t.Errorf("%s: result with decoy cells\n  %s\nwithout\n  %s", tc.name, got.result, want[i].result)
+			t.Errorf("%s: result %s\n  %s\nby default\n  %s", tc.name, how, got.result, want[i].result)
 		}
 		if !reflect.DeepEqual(got.timeline, want[i].timeline) {
-			t.Errorf("%s: record stream differs with decoy cells", tc.name)
+			t.Errorf("%s: record stream differs %s", tc.name, how)
 		}
 		if !reflect.DeepEqual(got.paths, want[i].paths) {
-			t.Errorf("%s: path samples differ with decoy cells", tc.name)
+			t.Errorf("%s: path samples differ %s", tc.name, how)
 		}
 	}
+}
+
+// TestPathIDsDoNotDecide: best-path selection reads path lengths and
+// neighbor ranks, never path IDs, so a trial does not depend on how its
+// path table numbers paths. Tables that start with a thousand decoy cells
+// give every real path another ID, and some of them out of order; the
+// traced trials must come out identical.
+func TestPathIDsDoNotDecide(t *testing.T) {
+	checkTracedInvariant(t, "with decoy cells", func() func() { return bgp.WithDecoyCells(1000) })
 }

@@ -7,7 +7,6 @@ import (
 
 	"routeconv/internal/netsim"
 	"routeconv/internal/obs"
-	"routeconv/internal/sim"
 )
 
 // housekeepInterval is how often a vector speaker's housekeeping runs (RIP
@@ -84,13 +83,12 @@ type Vector struct {
 	// nlive counts valid rows, giving full-table stagings their exact
 	// burst size without a counting pass.
 	nlive int
-	// start is the instant Start armed the housekeeping timer, and tick the
-	// index of the latest housekeeping run: run k fires at exactly
-	// start + k·housekeepInterval, since the timer re-arms from its own
-	// firing instant.
+	// start is the instant Start scheduled the first housekeeping run, and
+	// tick the index of the latest one: run k fires at exactly
+	// start + k·housekeepInterval, since each run schedules the next from
+	// its own firing instant.
 	start     time.Duration
 	tick      uint32
-	hk        *sim.Timer
 	housekeep func()
 }
 
@@ -103,13 +101,18 @@ func (v *Vector) Init(node *netsim.Node, cfg VectorConfig, housekeep func()) {
 	v.Node, v.Cfg, v.Inf = node, cfg, int32(cfg.Infinity)
 	v.housekeep = housekeep
 	v.Adv = NewAdvertiser(node, &v.Cfg, v.broadcastFull, v.broadcastChanged)
-	v.hk = sim.NewTimer(node.Sim(), v.onHousekeep)
 }
 
-func (v *Vector) onHousekeep() {
+// housekeeper is the event handler of a Vector's housekeeping runs. The
+// runs recur at one fixed delay and are never cancelled, so each goes
+// through the simulator's housekeepInterval lane rather than its heap.
+type housekeeper Vector
+
+func (h *housekeeper) HandleEvent(int32, any) {
+	v := (*Vector)(h)
 	v.tick++
 	v.housekeep()
-	v.hk.Reset(housekeepInterval)
+	v.Node.Sim().ScheduleFixed(housekeepInterval, h, 0, nil)
 }
 
 // Tick returns the index of the housekeeping run in progress: the k-th run
@@ -191,7 +194,7 @@ func (v *Vector) Start() {
 	}
 	v.Adv.Start()
 	v.start = v.Node.Sim().Now()
-	v.hk.Reset(housekeepInterval)
+	v.Node.Sim().ScheduleFixed(housekeepInterval, (*housekeeper)(v), 0, nil)
 	// Announce ourselves right away so the network learns new attachments
 	// without waiting a full period.
 	v.broadcastFull()

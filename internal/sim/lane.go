@@ -3,9 +3,10 @@ package sim
 import "time"
 
 // maxLanes bounds the lanes one simulator keeps. Every Step compares each
-// lane's head, and a trial has few delays that recur: a link's propagation,
-// a data packet's serialization, a CBR interval. A delay that finds every
-// lane taken goes through the heap.
+// lane's head, and a trial has few delays that recur. A RIP or DBF mesh
+// trial claims all four: the vector housekeeping tick, a CBR interval, a
+// data packet's serialization and a link's propagation. A delay that finds
+// every lane taken goes through the heap.
 const maxLanes = 4
 
 // laneEntry is one event waiting in a lane, its key and payload inline.

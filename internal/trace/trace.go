@@ -8,6 +8,7 @@ package trace
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"time"
 
@@ -72,9 +73,12 @@ type Options struct {
 	Start, End time.Duration
 	// Interval is the primary flow's packet spacing, if known. It sizes
 	// the post-failure delay list (Arrivals.PostFail) and, in full mode,
-	// the primary flow's Deliveries for one packet per Interval up to End;
-	// a hint only, which a flow of random spacing may exceed.
+	// the primary flow's Deliveries for one packet per Interval up to End.
 	Interval time.Duration
+	// RandomSpacing marks a primary flow whose gaps are random, averaging
+	// Interval or more (Poisson, on/off): the lists then also reserve four
+	// standard deviations of a Poisson count of that mean, n + 4√n.
+	RandomSpacing bool
 	// Compact keeps no record stream and lists no deliveries: route
 	// changes are only counted, with the time of the last one, which is
 	// all RoutingConvergence needs. A converging 10k-node network makes
@@ -162,6 +166,16 @@ type flowDrop struct {
 
 var _ netsim.RouteFilter = (*Collector)(nil)
 
+// packets returns the list capacity for the primary flow's packets over a
+// span of time: one per Interval, plus the random-spacing reserve.
+func (o *Options) packets(span time.Duration) int {
+	n := int(span/o.Interval) + 1
+	if o.RandomSpacing {
+		n += int(4 * math.Sqrt(float64(n)))
+	}
+	return n
+}
+
 // NewCollector returns a collector whose primary flow is src→dst.
 func NewCollector(src, dst netsim.NodeID, opts Options) *Collector {
 	c := &Collector{
@@ -174,9 +188,9 @@ func NewCollector(src, dst netsim.NodeID, opts Options) *Collector {
 	}
 	c.flows = []*Flow{&c.Flow}
 	if opts.Interval > 0 {
-		c.Arrivals.PostFail = make([]float64, 0, (opts.End-opts.FailAt)/opts.Interval+1)
+		c.Arrivals.PostFail = make([]float64, 0, opts.packets(opts.End-opts.FailAt))
 		if !c.compact {
-			c.Deliveries = make([]Delivery, 0, (opts.End-opts.Start)/opts.Interval+1)
+			c.Deliveries = make([]Delivery, 0, opts.packets(opts.End-opts.Start))
 		}
 	}
 	if !c.compact {
