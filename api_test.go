@@ -114,14 +114,14 @@ func TestPublicDefaultsMatchPaper(t *testing.T) {
 	if cfg.Net.LinkDelay != time.Millisecond {
 		t.Errorf("LinkDelay = %v, want 1ms", cfg.Net.LinkDelay)
 	}
-	if v := DefaultVectorConfig(); v.PeriodicInterval != 30*time.Second || v.Infinity != 16 {
+	if v := cfg.Vector; v.PeriodicInterval != 30*time.Second || v.Infinity != 16 {
 		t.Errorf("vector defaults = %+v", v)
 	}
-	if bc := DefaultBGPConfig(); bc.MRAI != 30*time.Second {
-		t.Errorf("BGP MRAI = %v, want 30s", bc.MRAI)
+	if cfg.BGP.MRAI != 30*time.Second {
+		t.Errorf("BGP MRAI = %v, want 30s", cfg.BGP.MRAI)
 	}
-	if bc := BGP3Config(); bc.MRAI != 3*time.Second {
-		t.Errorf("BGP3 MRAI = %v, want 3s", bc.MRAI)
+	if cfg.BGP3.MRAI != 3*time.Second {
+		t.Errorf("BGP3 MRAI = %v, want 3s", cfg.BGP3.MRAI)
 	}
 }
 
@@ -151,6 +151,16 @@ func TestPublicSweep(t *testing.T) {
 	}
 	if !strings.HasPrefix(sb.String(), "degree,dbf_drops") {
 		t.Errorf("figure 3 CSV header = %q", strings.SplitN(sb.String(), "\n", 2)[0])
+	}
+
+	// A grid that cannot run is an error before or during expansion.
+	badScript, badDegree := sc, sc
+	badScript.Base.Scenario = "fail link 3-7"
+	badDegree.Degrees = []int{99}
+	for name, bad := range map[string]SweepConfig{"scenario": badScript, "degree": badDegree} {
+		if _, err := RunSweep(bad, nil); err == nil {
+			t.Errorf("RunSweep accepted a bad %s", name)
+		}
 	}
 }
 
@@ -222,8 +232,8 @@ func TestRunSweepMatchesRun(t *testing.T) {
 }
 
 func TestPublicProtocolsAndDamping(t *testing.T) {
-	if got := Protocols(); len(got) != 4 || got[0] != ProtoRIP || got[3] != ProtoBGP3 {
-		t.Errorf("Protocols() = %v", got)
+	if got := DefaultSweep(1).Protocols; len(got) != 4 || got[0] != ProtoRIP || got[3] != ProtoBGP3 {
+		t.Errorf("DefaultSweep protocols = %v", got)
 	}
 	d := DefaultDampingConfig()
 	if d.SuppressThreshold != 2000 || d.ReuseThreshold != 750 || d.HalfLife != 15*time.Minute {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"routeconv/internal/core"
 	"routeconv/internal/sweep"
 	"routeconv/internal/topology"
 )
@@ -48,7 +49,7 @@ func runTrialBench(b *testing.B, cfg Config, metrics func(*Result) map[string]fl
 // to no route — for each protocol and node degree. The paper's shape: RIP
 // stays high at every degree; DBF/BGP/BGP3 fall to ≈0 by degree 6.
 func BenchmarkFigure3(b *testing.B) {
-	for _, proto := range Protocols() {
+	for _, proto := range core.Protocols() {
 		for _, degree := range []int{3, 4, 5, 6, 8} {
 			b.Run(fmt.Sprintf("%s/degree%d", proto, degree), func(b *testing.B) {
 				runTrialBench(b, benchConfig(proto, degree), func(r *Result) map[string]float64 {
@@ -63,7 +64,7 @@ func BenchmarkFigure3(b *testing.B) {
 // transient loops. The paper's shape: RIP none; BGP ≈ 10× BGP3; worst at
 // degree 5; none at degree ≥ 6.
 func BenchmarkFigure4(b *testing.B) {
-	for _, proto := range Protocols() {
+	for _, proto := range core.Protocols() {
 		for _, degree := range []int{4, 5, 6} {
 			b.Run(fmt.Sprintf("%s/degree%d", proto, degree), func(b *testing.B) {
 				runTrialBench(b, benchConfig(proto, degree), func(r *Result) map[string]float64 {
@@ -79,7 +80,7 @@ func BenchmarkFigure4(b *testing.B) {
 // is back above 90% of its 20 pps rate. The paper's shape: RIP ≈ the 30 s
 // periodic interval; BGP ≈ the 30 s MRAI; DBF/BGP3 within the ≤5 s damping.
 func BenchmarkFigure5(b *testing.B) {
-	for _, proto := range Protocols() {
+	for _, proto := range core.Protocols() {
 		for _, degree := range []int{3, 4, 6} {
 			b.Run(fmt.Sprintf("%s/degree%d", proto, degree), func(b *testing.B) {
 				cfg := benchConfig(proto, degree)
@@ -103,7 +104,7 @@ func BenchmarkFigure5(b *testing.B) {
 // (a) and network routing convergence time (b). The paper's Observation 4:
 // BGP3's are far shorter than BGP's even where their drop counts match.
 func BenchmarkFigure6(b *testing.B) {
-	for _, proto := range Protocols() {
+	for _, proto := range core.Protocols() {
 		for _, degree := range []int{4, 6, 8} {
 			b.Run(fmt.Sprintf("%s/degree%d", proto, degree), func(b *testing.B) {
 				runTrialBench(b, benchConfig(proto, degree), func(r *Result) map[string]float64 {
@@ -122,7 +123,7 @@ func BenchmarkFigure6(b *testing.B) {
 // relative to steady state. The paper's Observation 5: extra delay during
 // convergence, worst where packets escape loops (degree 5).
 func BenchmarkFigure7(b *testing.B) {
-	for _, proto := range Protocols() {
+	for _, proto := range core.Protocols() {
 		for _, degree := range []int{4, 5, 6} {
 			b.Run(fmt.Sprintf("%s/degree%d", proto, degree), func(b *testing.B) {
 				cfg := benchConfig(proto, degree)

@@ -390,6 +390,37 @@ func (c *Config) onOffMeans() (on, off time.Duration) {
 	return on, off
 }
 
+// meanInterval returns the long-run mean spacing of a flow's packets:
+// PacketInterval, scaled by the duty cycle for on/off traffic.
+func (c *Config) meanInterval() time.Duration {
+	if c.Traffic != TrafficOnOff {
+		return c.PacketInterval
+	}
+	on, off := c.onOffMeans()
+	return time.Duration(int64(c.PacketInterval) * int64(on+off) / int64(on))
+}
+
+// packets returns the capacity to reserve for a flow's packets over a span
+// of time. A CBR flow sends exactly one per PacketInterval. A random one
+// gets its mean count plus four standard deviations: n + 4√n for Poisson
+// arrivals, and for on/off the count of an alternating renewal process —
+// exponential bursts of mean a and silences of mean b spend a share
+// a/(a+b) of a span T on, with variance 2T·a²b²/(a+b)³, sending one packet
+// per PacketInterval while on.
+func (c *Config) packets(span time.Duration) int {
+	n := int(span/c.meanInterval()) + 1
+	switch c.Traffic {
+	case TrafficPoisson:
+		n += int(4 * math.Sqrt(float64(n)))
+	case TrafficOnOff:
+		on, off := c.onOffMeans()
+		a, b := on.Seconds(), off.Seconds()
+		sd := math.Sqrt(2*span.Seconds()*a*a*b*b/math.Pow(a+b, 3)) / c.PacketInterval.Seconds()
+		n += int(4 * sd)
+	}
+	return n
+}
+
 // Validate reports the first problem with the configuration, or nil.
 func (c *Config) Validate() error {
 	if c.Topo != "" {

@@ -67,7 +67,7 @@ func TestGoldenTrialResults(t *testing.T) {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			tr, c, err := Trace(g.config(), 0)
+			tr, c, err := TraceObserved(g.config(), 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,11 +109,11 @@ func TestTraceRepeatable(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
 			cfg := goldenConfig(k)
-			tr1, c1, err := Trace(cfg, 0)
+			tr1, c1, err := TraceObserved(cfg, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr2, c2, err := Trace(cfg, 0)
+			tr2, c2, err := TraceObserved(cfg, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

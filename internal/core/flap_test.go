@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"routeconv/internal/routing/bgp"
-	"routeconv/internal/trace"
 )
 
 func TestRestoreAfterRepairsPath(t *testing.T) {
@@ -185,34 +184,49 @@ func TestTrafficPatterns(t *testing.T) {
 	}
 }
 
-// TestRandomSpacingListsFit: a Poisson or on/off primary flow's delivery
-// lists are sized once. Over trials 0–2 of every protocol at the default
-// config, neither the post-failure delay list nor the traced delivery list
-// grows past the capacity its collector started with; at CBR's exact hint,
-// a Poisson flow overruns both in trial 1 of four protocols.
+// TestRandomSpacingListsFit: a primary flow's delivery lists are sized
+// once. At the default config, neither the post-failure delay list nor the
+// traced delivery list grows past the capacity packets reserved, over
+// trials 0–2 of every protocol for CBR and Poisson traffic and trials 0–9
+// for on/off. At CBR's exact count a Poisson flow overruns both in trial 1
+// of four protocols; at the Poisson reserve an on/off flow fills about half
+// of each list, and its own reserve must stay under 1.5× what it holds.
 func TestRandomSpacingListsFit(t *testing.T) {
-	for _, pattern := range []TrafficPattern{TrafficPoisson, TrafficOnOff} {
+	for _, pattern := range []TrafficPattern{TrafficCBR, TrafficPoisson, TrafficOnOff} {
+		trials := 3
+		if pattern == TrafficOnOff {
+			trials = 10
+		}
 		for _, proto := range append(Protocols(), ProtoLS) {
 			cfg := DefaultConfig()
 			cfg.Protocol = proto
 			cfg.Traffic = pattern
-			fresh := trace.NewCollector(0, 1, trace.Options{
-				FailAt: cfg.FailAt, Start: cfg.SenderStart, End: cfg.End,
-				Interval: cfg.PacketInterval, RandomSpacing: true,
-			})
-			for trial := 0; trial < 3; trial++ {
-				_, col, err := Trace(cfg, trial)
+			postFail, deliveries := cfg.packets(cfg.End-cfg.FailAt), cfg.packets(cfg.End-cfg.SenderStart)
+			for trial := 0; trial < trials; trial++ {
+				_, col, err := TraceObserved(cfg, trial, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := cap(col.Arrivals.PostFail), cap(fresh.Arrivals.PostFail); got != want {
-					t.Errorf("%v %v trial %d: post-failure list ends at capacity %d (%d delays), reserved %d", pattern, proto, trial, got, len(col.Arrivals.PostFail), want)
-				}
-				if got, want := cap(col.Deliveries), cap(fresh.Deliveries); got != want {
-					t.Errorf("%v %v trial %d: delivery list ends at capacity %d (%d deliveries), reserved %d", pattern, proto, trial, got, len(col.Deliveries), want)
+				for _, l := range []struct {
+					name          string
+					len, cap, res int
+				}{
+					{"post-failure", len(col.Arrivals.PostFail), cap(col.Arrivals.PostFail), postFail},
+					{"delivery", len(col.Deliveries), cap(col.Deliveries), deliveries},
+				} {
+					if l.cap != l.res {
+						t.Errorf("%v %v trial %d: %s list ends at capacity %d (%d entries), reserved %d", pattern, proto, trial, l.name, l.cap, l.len, l.res)
+					}
+					if pattern == TrafficOnOff && 2*l.res >= 3*l.len {
+						t.Errorf("%v %v trial %d: %s list reserved %d for %d entries, not under 1.5×", pattern, proto, trial, l.name, l.res, l.len)
+					}
 				}
 			}
 		}
+	}
+	cfg := DefaultConfig()
+	if got, want := cfg.packets(cfg.End-cfg.FailAt), int((cfg.End-cfg.FailAt)/cfg.PacketInterval)+1; got != want {
+		t.Errorf("CBR reserves %d post-failure slots, want exactly %d", got, want)
 	}
 }
 

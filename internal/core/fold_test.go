@@ -144,7 +144,7 @@ func TestArrivalsMatchDeliveryList(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := tc.config()
-			tr, col, err := Trace(cfg, 0)
+			tr, col, err := TraceObserved(cfg, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

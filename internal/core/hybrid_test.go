@@ -34,7 +34,7 @@ func TestTrafficModesExactSingleFlow(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			ref, _, err := Trace(sc.config(), 0)
+			ref, _, err := TraceObserved(sc.config(), 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +42,7 @@ func TestTrafficModesExactSingleFlow(t *testing.T) {
 			for _, mode := range []TrafficMode{ModeFluid, ModeHybrid} {
 				cfg := sc.config()
 				cfg.Mode = mode
-				tr, _, err := Trace(cfg, 0)
+				tr, _, err := TraceObserved(cfg, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +79,7 @@ func TestHybridToleranceBackgroundFlows(t *testing.T) {
 				cfg := sc.config()
 				cfg.Flows = 4
 				cfg.Mode = mode
-				tr, _, err := Trace(cfg, 0)
+				tr, _, err := TraceObserved(cfg, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -156,7 +156,7 @@ func TestFluidOnOffDutyCycle(t *testing.T) {
 		cfg.Flows = 8
 		cfg.Mode = ModeFluid
 		cfg.Metrics = true
-		tr, _, err := Trace(cfg, 0)
+		tr, _, err := TraceObserved(cfg, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

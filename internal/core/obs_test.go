@@ -83,7 +83,7 @@ func TestMetricsConservation(t *testing.T) {
 // TestMetricsOffByDefault checks that with Config.Metrics unset no snapshot
 // is attached: the counters always run, and the flag only exports them.
 func TestMetricsOffByDefault(t *testing.T) {
-	tr, _, err := Trace(goldenConfig(ProtoDBF), 0)
+	tr, _, err := TraceObserved(goldenConfig(ProtoDBF), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

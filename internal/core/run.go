@@ -190,26 +190,24 @@ type flow struct {
 	srcRouter, dstRouter netsim.NodeID
 }
 
-// Trace runs a single trial of the experiment and returns both its
+// TraceObserved runs a single trial of the experiment and returns both its
 // measurements and the raw event collector (route changes, path history,
 // every delivery and drop) — the paper's §5.2 "analysis of the routing and
 // forwarding trace files". trial selects which of the experiment's seeds
-// to replay; Trace(cfg, i) reproduces trial i of Run(cfg) exactly.
-func Trace(cfg Config, trial int) (TrialResult, *trace.Collector, error) {
-	return TraceObserved(cfg, trial, nil)
-}
-
-// TraceObserved is Trace with an optional convergence timeline. When tl is
-// non-nil the trial recorder commits its record stream there: trial_start
-// (with the seed); then, instant by instant in canonical order, every
-// link_down/link_up and its link_down_detected/link_up_detected,
-// fib_change and fib_remove (each instant's net effect), withdrawal,
-// route_flap/route_reuse, fluid_demote/fluid_absorb, node_down/node_up,
-// link_loss, cost_out/cost_in and churn_start/churn_end record; and last
-// the summary records fib_first_change/fib_last_change per node and
+// to replay; TraceObserved(cfg, i, nil) reproduces trial i of Run(cfg)
+// exactly.
+//
+// When tl is non-nil the trial recorder also commits its record stream
+// there: trial_start (with the seed); then, instant by instant in
+// canonical order, every link_down/link_up and its
+// link_down_detected/link_up_detected, fib_change and fib_remove (each
+// instant's net effect), withdrawal, route_flap/route_reuse,
+// fluid_demote/fluid_absorb, node_down/node_up, link_loss,
+// cost_out/cost_in and churn_start/churn_end record; and last the summary
+// records fib_first_change/fib_last_change per node and
 // convergence_complete, measured from the configured failure time.
 // OBSERVABILITY.md documents each record's fields. Recording is passive —
-// the trial's results are bit-for-bit those of Trace.
+// the trial's results are bit-for-bit those of a run without tl.
 func TraceObserved(cfg Config, trial int, tl *obs.Timeline) (TrialResult, *trace.Collector, error) {
 	if err := cfg.resolve(); err != nil {
 		return TrialResult{}, nil, err
@@ -274,7 +272,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool, wrap func(
 		if i == 0 {
 			rec = trace.NewCollector(f.srcHost, f.dstHost, trace.Options{
 				Seed: seed, FailAt: cfg.FailAt, Start: cfg.SenderStart, End: cfg.End,
-				Interval: cfg.PacketInterval, RandomSpacing: cfg.Traffic != TrafficCBR,
+				PostFailCap: cfg.packets(cfg.End - cfg.FailAt), DeliveryCap: cfg.packets(cfg.End - cfg.SenderStart),
 				Compact: compact, Timeline: tl,
 			})
 		} else {
@@ -297,13 +295,9 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool, wrap func(
 			Hybrid:      cfg.Mode == ModeHybrid,
 			Flows:       len(fluidPairs),
 		})
-		interval := cfg.PacketInterval
-		if cfg.Traffic == TrafficOnOff {
-			// The fluid evaluator models an on/off class as CBR at its
-			// long-run mean rate: interval scaled by the duty cycle.
-			on, off := cfg.onOffMeans()
-			interval = time.Duration(int64(interval) * int64(on+off) / int64(on))
-		}
+		// The fluid evaluator models an on/off class as CBR at its
+		// long-run mean rate.
+		interval := cfg.meanInterval()
 		for _, p := range fluidPairs {
 			flowSet.Add(p.src, p.dst, interval, cfg.PacketSize, cfg.TTL)
 		}

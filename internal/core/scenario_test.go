@@ -26,7 +26,7 @@ func TestLegacyScriptEquivalence(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			ref, refC, err := Trace(sc.config(), 0)
+			ref, refC, err := TraceObserved(sc.config(), 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,7 +38,7 @@ func TestLegacyScriptEquivalence(t *testing.T) {
 			built.Scenario, built.Script = "", resolved.Script
 			text.Scenario, text.Script = resolved.Script.String(), nil
 			for name, cfg := range map[string]Config{"built": built, "text": text} {
-				tr, c, err := Trace(cfg, 0)
+				tr, c, err := TraceObserved(cfg, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,14 +67,14 @@ func TestLegacyScriptEquivalence(t *testing.T) {
 // as the same schedule composed with a Builder.
 func TestScenarioTextEquivalence(t *testing.T) {
 	text := goldenDampingConfig()
-	ref, refC, err := Trace(text, 0)
+	ref, refC, err := TraceObserved(text, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	built := goldenDampingConfig()
 	built.Scenario = ""
 	built.Script = scenario.NewBuilder().FailPath(built.FailAt, 3*time.Second, 5).Script()
-	tr, c, err := Trace(built, 0)
+	tr, c, err := TraceObserved(built, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestScenarioShardedChurn(t *testing.T) {
 					Script()
 				return cfg
 			}
-			ref, refC, err := Trace(config(), 0)
+			ref, refC, err := TraceObserved(config(), 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,7 +290,7 @@ func TestScenarioShardedChurn(t *testing.T) {
 			for _, shards := range []int{2, 4} {
 				cfg := config()
 				cfg.Shards = shards
-				tr, c, err := Trace(cfg, 0)
+				tr, c, err := TraceObserved(cfg, 0, nil)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}

@@ -29,7 +29,7 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			ref, _, err := Trace(sc.config(), 0)
+			ref, _, err := TraceObserved(sc.config(), 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +260,7 @@ func TestShardedCompactEquivalence(t *testing.T) {
 			t.Parallel()
 			ref, refC := runCompact(t, sc.config())
 			want := fmt.Sprintf("%+v", ref)
-			if full, _, err := Trace(sc.config(), 0); err != nil {
+			if full, _, err := TraceObserved(sc.config(), 0, nil); err != nil {
 				t.Fatal(err)
 			} else if got := fmt.Sprintf("%+v", full); got != want {
 				t.Errorf("compact trial differs from the full-record one:\n full:    %s\n compact: %s", got, want)

@@ -16,7 +16,7 @@ func TestTraceMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < cfg.Trials; trial++ {
-		tr, col, err := Trace(cfg, trial)
+		tr, col, err := TraceObserved(cfg, trial, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,7 +27,7 @@ func TestTraceMatchesRun(t *testing.T) {
 		if tr.Seed != want.Seed || tr.NoRouteDrops != want.NoRouteDrops ||
 			tr.Delivered != want.Delivered || tr.FailedLink != want.FailedLink ||
 			tr.RoutingConvergence != want.RoutingConvergence {
-			t.Errorf("Trace(trial %d) = %+v, differs from Run's %+v", trial, tr, want)
+			t.Errorf("TraceObserved(trial %d, nil) = %+v, differs from Run's %+v", trial, tr, want)
 		}
 		if len(col.Deliveries) != tr.Delivered {
 			t.Errorf("collector deliveries = %d, trial says %d", len(col.Deliveries), tr.Delivered)
@@ -40,14 +40,14 @@ func TestTraceMatchesRun(t *testing.T) {
 
 func TestTraceValidation(t *testing.T) {
 	cfg := shortConfig()
-	if _, _, err := Trace(cfg, -1); err == nil {
+	if _, _, err := TraceObserved(cfg, -1, nil); err == nil {
 		t.Error("negative trial accepted")
 	}
-	if _, _, err := Trace(cfg, cfg.Trials); err == nil {
+	if _, _, err := TraceObserved(cfg, cfg.Trials, nil); err == nil {
 		t.Error("out-of-range trial accepted")
 	}
 	cfg.TTL = 0
-	if _, _, err := Trace(cfg, 0); err == nil {
+	if _, _, err := TraceObserved(cfg, 0, nil); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

@@ -8,7 +8,6 @@ package trace
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"time"
 
@@ -71,14 +70,12 @@ type Options struct {
 	// Start and End bound the primary flow's per-second delivery bins
 	// (Arrivals): ⌊(End−Start)/1 s⌋ bins from Start.
 	Start, End time.Duration
-	// Interval is the primary flow's packet spacing, if known. It sizes
-	// the post-failure delay list (Arrivals.PostFail) and, in full mode,
-	// the primary flow's Deliveries for one packet per Interval up to End.
-	Interval time.Duration
-	// RandomSpacing marks a primary flow whose gaps are random, averaging
-	// Interval or more (Poisson, on/off): the lists then also reserve four
-	// standard deviations of a Poisson count of that mean, n + 4√n.
-	RandomSpacing bool
+	// PostFailCap and DeliveryCap are the initial capacities of the
+	// primary flow's post-failure delay list (Arrivals.PostFail) and, in
+	// full mode, of its Deliveries: the caller knows the traffic process
+	// and so how many packets to expect. Zero leaves a list to grow on
+	// demand.
+	PostFailCap, DeliveryCap int
 	// Compact keeps no record stream and lists no deliveries: route
 	// changes are only counted, with the time of the last one, which is
 	// all RoutingConvergence needs. A converging 10k-node network makes
@@ -166,16 +163,6 @@ type flowDrop struct {
 
 var _ netsim.RouteFilter = (*Collector)(nil)
 
-// packets returns the list capacity for the primary flow's packets over a
-// span of time: one per Interval, plus the random-spacing reserve.
-func (o *Options) packets(span time.Duration) int {
-	n := int(span/o.Interval) + 1
-	if o.RandomSpacing {
-		n += int(4 * math.Sqrt(float64(n)))
-	}
-	return n
-}
-
 // NewCollector returns a collector whose primary flow is src→dst.
 func NewCollector(src, dst netsim.NodeID, opts Options) *Collector {
 	c := &Collector{
@@ -187,11 +174,11 @@ func NewCollector(src, dst netsim.NodeID, opts Options) *Collector {
 		dstLo:    dst,
 	}
 	c.flows = []*Flow{&c.Flow}
-	if opts.Interval > 0 {
-		c.Arrivals.PostFail = make([]float64, 0, opts.packets(opts.End-opts.FailAt))
-		if !c.compact {
-			c.Deliveries = make([]Delivery, 0, opts.packets(opts.End-opts.Start))
-		}
+	if opts.PostFailCap > 0 {
+		c.Arrivals.PostFail = make([]float64, 0, opts.PostFailCap)
+	}
+	if opts.DeliveryCap > 0 && !c.compact {
+		c.Deliveries = make([]Delivery, 0, opts.DeliveryCap)
 	}
 	if !c.compact {
 		c.tl = opts.Timeline

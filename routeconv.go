@@ -7,8 +7,8 @@
 // Bellman-Ford, BGP and the fast-MRAI BGP3) plus a link-state extension,
 // the Baran-style regular mesh topology family plus internet-scale
 // generators (power-law AS graphs, fat-tree/Clos fabrics, edge-list
-// import), and an experiment harness that reproduces every figure of the
-// paper's evaluation.
+// import, all selected by a Config.Topo spec string), and an experiment
+// harness that reproduces every figure of the paper's evaluation.
 //
 // The minimal use is three lines:
 //
@@ -25,7 +25,8 @@
 //
 // RunSweep repeats that across protocols and node degrees and renders the
 // paper's Figures 2–7 as tables. See cmd/sweep (-figures) for the full
-// reproduction driver and the examples directory for runnable scenarios.
+// reproduction driver, and this package's examples for the paper's
+// transient loops, route flap damping and scripted disturbances.
 package routeconv
 
 import (
@@ -38,9 +39,7 @@ import (
 	"routeconv/internal/routing/bgp"
 	"routeconv/internal/routing/ls"
 	"routeconv/internal/scenario"
-	"routeconv/internal/stats"
 	"routeconv/internal/sweep"
-	"routeconv/internal/topology"
 )
 
 // ProtocolKind selects the routing protocol under study.
@@ -63,9 +62,6 @@ const (
 	ProtoLS = core.ProtoLS
 )
 
-// Protocols returns the paper's four protocols in presentation order.
-func Protocols() []ProtocolKind { return core.Protocols() }
-
 // TrafficPattern selects the flow's packet arrival process.
 type TrafficPattern = core.TrafficPattern
 
@@ -84,30 +80,9 @@ const (
 // kind.
 func ParseProtocol(s string) (ProtocolKind, error) { return core.ParseProtocol(s) }
 
-// TrafficMode selects the engine simulating background flows (every flow
-// after the measured probe).
-type TrafficMode = core.TrafficMode
-
-// Traffic engine modes: per-packet simulation for every flow (the paper's
-// setup), pure fluid accounting, or the hybrid that demotes flows to
-// packets around forwarding changes.
-const (
-	ModePacket = core.ModePacket
-	ModeFluid  = core.ModeFluid
-	ModeHybrid = core.ModeHybrid
-)
-
-// ParseTrafficMode converts a name ("packet", "fluid", "hybrid") to its
-// mode.
-func ParseTrafficMode(s string) (TrafficMode, error) { return core.ParseTrafficMode(s) }
-
 // Config describes one experiment; see DefaultConfig for the paper's
 // parameters.
 type Config = core.Config
-
-// NetConfig holds the physical link parameters (rate, delay, detection
-// time, queue length).
-type NetConfig = netsim.Config
 
 // VectorConfig parameterizes the distance-vector protocols (RIP, DBF).
 type VectorConfig = routing.VectorConfig
@@ -130,87 +105,14 @@ type TrialResult = core.TrialResult
 // figures' quantities.
 type Result = core.Result
 
-// SweepResult holds one Result per grid cell and renders the paper's
-// figures as tables.
-type SweepResult = core.SweepResult
-
-// Table is a rendered result table; use WriteText or WriteCSV.
-type Table = stats.Table
-
 // NodeID identifies a node (router or stub host) in a simulated network.
 type NodeID = netsim.NodeID
-
-// Edge is an undirected link between two nodes.
-type Edge = topology.Edge
-
-// Graph is an undirected router topology; set it on Config.Topology (with
-// SenderRouters/ReceiverRouters) to run the experiment on something other
-// than the paper's mesh.
-type Graph = topology.Graph
-
-// Torus returns a rows×cols wrap-around lattice (uniform degree 4).
-func Torus(rows, cols int) *Graph { return topology.Torus(rows, cols) }
-
-// Hypercube returns the dim-dimensional hypercube (2^dim nodes of degree
-// dim).
-func Hypercube(dim int) *Graph { return topology.Hypercube(dim) }
-
-// SmallWorld returns a Watts–Strogatz small-world graph: ring lattice with
-// k neighbors per side, each chord rewired with probability beta.
-func SmallWorld(n, k int, beta float64, seed int64) *Graph {
-	return topology.SmallWorld(n, k, beta, seed)
-}
-
-// RandomTopology returns a connected random graph with roughly the given
-// average degree.
-func RandomTopology(n, avgDegree int, seed int64) *Graph {
-	return topology.Random(n, avgDegree, seed)
-}
-
-// BarabasiAlbert returns an n-node preferential-attachment power-law graph
-// with m links per new node — the classic scale-free AS-graph model.
-func BarabasiAlbert(n, m int, seed int64) *Graph {
-	return topology.BarabasiAlbert(n, m, seed)
-}
-
-// GLP returns an n-node generalized-linear-preference power-law graph
-// (Bu–Towsley), which matches measured AS-graph degree exponents more
-// closely than plain preferential attachment. Use topology.GLPDefaultP and
-// topology.GLPDefaultBeta for the published parameter fit.
-func GLP(n, m int, p, beta float64, seed int64) *Graph {
-	return topology.GLP(n, m, p, beta, seed)
-}
-
-// FatTree is a k-ary fat-tree data-center fabric with layer membership
-// exposed; its Graph field plugs into Config.Topology.
-type FatTree = topology.FatTree
-
-// NewFatTree builds the k-ary fat-tree (k even): (k/2)² cores, k pods of
-// k/2 aggregation and k/2 edge switches, (k/2)² equal-cost paths between
-// edge switches in different pods.
-func NewFatTree(k int) (*FatTree, error) { return topology.NewFatTree(k) }
-
-// LeafSpine returns a two-tier leaf-spine fabric: every leaf connects to
-// every spine.
-func LeafSpine(spines, leaves int) *Graph { return topology.LeafSpine(spines, leaves) }
 
 // DefaultConfig returns the paper's §5 experiment parameters: a 7×7 mesh,
 // 10 Mbps / 1 ms links with 20-packet queues and 50 ms failure detection, a
 // 20 packets-per-second flow starting at 390 s, a single on-path link
 // failure at 400 s, and an 800 s horizon.
 func DefaultConfig() Config { return core.DefaultConfig() }
-
-// DefaultVectorConfig returns the RFC 2453 distance-vector parameters used
-// by the paper (30 s periodic updates, 1–5 s triggered-update damping,
-// split horizon with poisoned reverse, infinity 16).
-func DefaultVectorConfig() VectorConfig { return routing.DefaultVectorConfig() }
-
-// DefaultBGPConfig returns the paper's standard BGP parameters (30 s
-// per-neighbor MRAI).
-func DefaultBGPConfig() BGPConfig { return bgp.DefaultConfig() }
-
-// BGP3Config returns the paper's fast-MRAI variant (3 s).
-func BGP3Config() BGPConfig { return bgp.BGP3Config() }
 
 // DefaultDampingConfig returns the RFC 2439 suggested flap-damping
 // parameters (1000 per withdrawal, suppress at 2000, reuse at 750, 15 min
@@ -250,7 +152,7 @@ func DefaultSweep(trials int) SweepConfig {
 	for d := 3; d <= 16; d++ {
 		degrees = append(degrees, d)
 	}
-	return SweepConfig{Base: base, Degrees: degrees, Protocols: Protocols()}
+	return SweepConfig{Base: base, Degrees: degrees, Protocols: core.Protocols()}
 }
 
 // RunSweep executes a protocol × degree grid on the sweep orchestrator
@@ -263,7 +165,7 @@ func DefaultSweep(trials int) SweepConfig {
 // orchestrator's status lines — one per completed cell
 // ("dbf/d4/base  ran  …"), a periodic summary and a closing total — from
 // several goroutines, possibly at once.
-func RunSweep(sc SweepConfig, progress func(string)) (*SweepResult, error) {
+func RunSweep(sc SweepConfig, progress func(string)) (*core.SweepResult, error) {
 	// A sweep failure mode replaces its cells' schedule, so Base's own
 	// schedule travels as the one mode, in text form.
 	base := sc.Base
@@ -295,13 +197,6 @@ func RunSweep(sc SweepConfig, progress func(string)) (*SweepResult, error) {
 // exact per-event semantics: SCENARIOS.md.
 type ScenarioScript = scenario.Script
 
-// ScenarioBuilder composes a ScenarioScript programmatically; see
-// NewScenario.
-type ScenarioBuilder = scenario.Builder
-
-// ScenarioEvent is one timed disturbance in a ScenarioScript.
-type ScenarioEvent = scenario.Event
-
 // NewScenario returns an empty scenario builder. Chain event methods and
 // call Script() to get the time-sorted script:
 //
@@ -309,7 +204,7 @@ type ScenarioEvent = scenario.Event
 //		FailLink(400*time.Second, 3, 7).
 //		Loss(410*time.Second, 1, 2, 0.01).
 //		Script()
-func NewScenario() *ScenarioBuilder { return scenario.NewBuilder() }
+func NewScenario() *scenario.Builder { return scenario.NewBuilder() }
 
 // ParseScenario parses the compact text grammar, e.g.
 // "fail link 3-7 @400s; loss link 1-2 p=0.01 @410s". See SCENARIOS.md.
