@@ -166,21 +166,21 @@ func TestPublicSweep(t *testing.T) {
 
 // TestRunSweepMatchesRun pins the facade to Run: every cell RunSweep
 // returns is exactly Run of Base at that protocol and degree, whichever
-// disturbance Base carries — none, a text scenario with fast reroute, or a
-// builder script.
+// disturbance Base carries — none, a scenario with fast reroute, or a
+// multi-event scenario.
 func TestRunSweepMatchesRun(t *testing.T) {
 	plain := fastConfig(ProtoDBF)
 	plain.Trials = 1
 	text := plain
 	text.FastReroute = true
 	text.Scenario = "failpath @200s restore=3s flaps=2"
-	built := plain
-	built.Script = NewScenario().FailPath(200*time.Second, 0, 0).FailRandom(203 * time.Second).Script()
+	multi := plain
+	multi.Scenario = "failrandom @203s; failpath @200s"
 
 	for _, tc := range []struct {
 		name string
 		base Config
-	}{{"default", plain}, {"text", text}, {"builder", built}} {
+	}{{"default", plain}, {"text", text}, {"multi-event", multi}} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := SweepConfig{Base: tc.base, Degrees: []int{4, 6}, Protocols: []ProtocolKind{ProtoDBF, ProtoBGP3}}
 			var (
@@ -207,21 +207,14 @@ func TestRunSweepMatchesRun(t *testing.T) {
 					if got == nil {
 						t.Fatalf("%v degree %d: no cell", p, d)
 					}
-					// The facade hands the schedule to the sweep as text, so
-					// the two resolved scripts are compared by their text.
-					if g, w := got.Config.Script.String(), want.Config.Script.String(); g != w {
-						t.Errorf("%v degree %d: schedule %q, want %q", p, d, g, w)
-					}
-					// The rest is compared as printed: %v renders a float
-					// exactly (shortest round-trip form), and the delay
-					// series' NaN bins match where reflect.DeepEqual's
-					// NaN != NaN would not.
-					g, w := *got, *want
-					g.Config.Script, w.Config.Script = nil, nil
-					if gs, ws := fmt.Sprintf("%+v", g), fmt.Sprintf("%+v", w); gs != ws {
+					// Compared as printed: %v renders a float exactly
+					// (shortest round-trip form), and the delay series' NaN
+					// bins match where reflect.DeepEqual's NaN != NaN would
+					// not.
+					if gs, ws := fmt.Sprintf("%+v", *got), fmt.Sprintf("%+v", *want); gs != ws {
 						t.Errorf("%v degree %d: RunSweep's cell differs from Run:\n got %s\nwant %s", p, d, gs, ws)
 					}
-					id := fmt.Sprintf("%v/d%d/", p, d)
+					id := fmt.Sprintf("%v/d%d/single", p, d)
 					if !slices.ContainsFunc(progress, func(line string) bool { return strings.HasPrefix(line, id) }) {
 						t.Errorf("no progress line for cell %s in %q", id, progress)
 					}

@@ -285,8 +285,8 @@ func BenchmarkExtensionMultiFlow(b *testing.B) {
 // on the primary one (§6 future work).
 func BenchmarkExtensionMultiFailure(b *testing.B) {
 	cfg := benchConfig(ProtoDBF, 6)
-	cfg.Script = NewScenario().FailPath(cfg.FailAt, 0, 0).
-		FailRandom(cfg.FailAt + 5*time.Second).FailRandom(cfg.FailAt + 15*time.Second).Script()
+	cfg.Scenario = fmt.Sprintf("failpath @%v; failrandom @%v; failrandom @%v",
+		cfg.FailAt, cfg.FailAt+5*time.Second, cfg.FailAt+15*time.Second)
 	runTrialBench(b, cfg, func(r *Result) map[string]float64 {
 		return map[string]float64{
 			"delivery-ratio": r.DeliveryRatio,
@@ -307,7 +307,7 @@ func BenchmarkExtensionFlapDamping(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			cfg := benchConfig(ProtoBGP3, 4)
-			cfg.Script = NewScenario().FailPath(cfg.FailAt, 3*time.Second, 5).Script()
+			cfg.Scenario = fmt.Sprintf("failpath @%v restore=3s flaps=5", cfg.FailAt)
 			if withDamping {
 				dcfg := DefaultDampingConfig()
 				dcfg.HalfLife = 60 * time.Second

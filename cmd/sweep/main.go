@@ -201,7 +201,9 @@ func (o *options) spec() (sweep.Spec, error) {
 			Seed:      o.seed,
 		}
 	}
-	spec.Scenarios = append(spec.Scenarios, splitList(o.scenarios, "|")...)
+	for i, script := range splitList(o.scenarios, "|") {
+		spec.Failures = append(spec.Failures, sweep.FailureMode{Name: fmt.Sprintf("scn%d", i), Scenario: script})
+	}
 	if o.flows != "" {
 		// Flow counts share the degree-list grammar (lists and ranges).
 		flows, err := sweep.ParseDegrees(o.flows)

@@ -140,32 +140,25 @@ func ExampleDefaultDampingConfig() {
 // A scripted disturbance replaces the paper's single failure. Here BGP3
 // runs two schedules: the paper's on-path failure with 2 % random loss on
 // the seven links into the receivers' row, a cut every delivered packet
-// crosses and one that hits control traffic too (text grammar); and the
-// failure cycled into a five-flap storm (builder). The loss schedule's
-// drops are charged to their own cause; the storm stretches forwarding
-// convergence past the single failure's, each cycle restarting path
-// exploration.
+// crosses and one that hits control traffic too; and the failure cycled
+// into a five-flap storm. The loss schedule's drops are charged to their
+// own cause; the storm stretches forwarding convergence past the single
+// failure's, each cycle restarting path exploration.
 func ExampleRun_scenarios() {
-	lossy, err := routeconv.ParseScenario(`
-		failpath @400s
-		loss link 35-42 p=0.02 @395s; loss link 36-43 p=0.02 @395s
-		loss link 37-44 p=0.02 @395s; loss link 38-45 p=0.02 @395s
-		loss link 39-46 p=0.02 @395s; loss link 40-47 p=0.02 @395s
-		loss link 41-48 p=0.02 @395s`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	storm := routeconv.NewScenario().FailPath(400*time.Second, 3*time.Second, 5).Script()
-
-	for _, v := range []struct {
-		name   string
-		script *routeconv.ScenarioScript
-	}{{"lossy links", lossy}, {"flap storm", storm}} {
+	for _, v := range []struct{ name, script string }{
+		{"lossy links", `
+			failpath @400s
+			loss link 35-42 p=0.02 @395s; loss link 36-43 p=0.02 @395s
+			loss link 37-44 p=0.02 @395s; loss link 38-45 p=0.02 @395s
+			loss link 39-46 p=0.02 @395s; loss link 40-47 p=0.02 @395s
+			loss link 41-48 p=0.02 @395s`},
+		{"flap storm", "failpath @400s restore=3s flaps=5"},
+	} {
 		cfg := routeconv.DefaultConfig()
 		cfg.Protocol = routeconv.ProtoBGP3
 		cfg.Trials = 5
 		cfg.End = cfg.FailAt + 2*time.Minute
-		cfg.Script = v.script
+		cfg.Scenario = v.script
 		res, err := routeconv.Run(cfg)
 		if err != nil {
 			log.Fatal(err)
@@ -178,38 +171,21 @@ func ExampleRun_scenarios() {
 	// flap storm  delivery 0.9515  drops: no-route 24.6, random loss  0.0, dead link 5.0  fwd-conv 31.59s
 }
 
-// The text grammar from SCENARIOS.md; the script round-trips through
-// String with durations in Go's canonical form.
-func ExampleParseScenario() {
-	script, err := routeconv.ParseScenario(
-		"fail link 3-7 @400s; loss link 1-2 p=0.01 @410s; churn links rate=0.1/s @450s..600s")
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, e := range script.Events {
-		fmt.Println(e)
-	}
-	// Output:
-	// fail link 3-7 @6m40s
-	// loss link 1-2 p=0.01 @6m50s
-	// churn links rate=0.1/s down=1s @7m30s..10m0s
-}
-
-// The builder composes the flap-damping schedule programmatically, and the
-// script validates against the topology before any simulation runs.
-func ExampleNewScenario() {
-	script := routeconv.NewScenario().
-		FailPath(400*time.Second, 3*time.Second, 5).
-		Loss(395*time.Second, 21, 22, 0.01).
-		Script()
-	fmt.Println(script)
-
+// Validate checks a config's scenario script — its grammar, and its
+// events against the horizon and the mesh — before any simulation runs,
+// naming the offending event.
+func ExampleConfig_Validate() {
 	cfg := routeconv.DefaultConfig()
-	cfg.Script = script
+	cfg.Scenario = "loss link 21-22 p=0.01 @395s; failpath @400s restore=3s flaps=5"
 	fmt.Println("valid:", cfg.Validate() == nil)
+	cfg.Scenario = "fail link 0-48 @400s" // opposite corners of the 7×7 mesh
+	fmt.Println(cfg.Validate())
+	cfg.Scenario = "fail link 3-7 @soon"
+	fmt.Println(cfg.Validate())
 	// Output:
-	// loss link 21-22 p=0.01 @6m35s; failpath @6m40s restore=3s flaps=5
 	// valid: true
+	// scenario: event 0 (fail link 0-48 @6m40s): no link 0-48 in the topology
+	// scenario: line 1: bad time "@soon"
 }
 
 // Protocol kinds parse from their command-line names.

@@ -32,7 +32,7 @@ const canonVersion = "core.Config/v1"
 // invalid config has no canonical form.
 func (c *Config) CanonicalString() (string, error) {
 	r := *c
-	if err := r.resolve(); err != nil {
+	if _, err := r.resolve(); err != nil {
 		return "", fmt.Errorf("core: canonicalize config: %w", err)
 	}
 	var sb strings.Builder

@@ -169,7 +169,9 @@ type Config struct {
 	// Topology, when non-nil, replaces the mesh entirely: the experiment
 	// runs on this graph (e.g. a torus, hypercube, or small-world network)
 	// and Rows/Cols/Degree are ignored. SenderRouters and ReceiverRouters
-	// must then list the routers the stub hosts may attach to.
+	// must then list the routers the stub hosts may attach to. The graph
+	// type is internal, so callers outside this module select a graph
+	// through Topo.
 	Topology                       *topology.Graph
 	SenderRouters, ReceiverRouters []netsim.NodeID
 	// Trials is the number of independent runs to aggregate (paper: 100).
@@ -218,20 +220,14 @@ type Config struct {
 	// to the backup the instant the primary's link is down, before any
 	// protocol reaction. An extension; off in the paper's setup.
 	FastReroute bool
-	// Scenario, when non-empty, is a disturbance script in the scenario
-	// text grammar ("fail link 3-7 @400s; loss link 1-2 p=0.01 @410s";
-	// full reference in SCENARIOS.md) that replaces the default failure
-	// schedule. ResolveScenario parses it into Script and clears it, so
-	// the canonical config — and thus sweep cache keys — depends only on
-	// the event list, never on the script text. Mutually exclusive with a
-	// non-nil Script.
+	// Scenario is the trial's disturbance script in the scenario text
+	// grammar ("fail link 3-7 @400s; loss link 1-2 p=0.01 @410s"; full
+	// reference in SCENARIOS.md). Empty means the paper's single on-path
+	// failure, "failpath @FailAt". Resolving a config rewrites the script
+	// in its canonical text (Script.String), so the canonical config — and
+	// thus sweep cache keys — depends only on the event list: a default
+	// config and one carrying "failpath @400s" resolve alike.
 	Scenario string
-	// Script, when non-nil, is the trial's disturbance schedule (built
-	// with scenario.NewBuilder or scenario.Parse). When both Scenario and
-	// Script are empty the schedule is the paper's single on-path failure,
-	// "failpath @FailAt". ResolveScenario stores whichever applies here,
-	// so a resolved config carries its whole schedule in Script.
-	Script *scenario.Script
 	// Metrics exports the obs counters: each trial carries a
 	// TrialResult.Metrics snapshot (and the Result sums them). The counters
 	// always run — they are the ledger Sent, Delivered and the control
@@ -334,46 +330,36 @@ func (c *Config) RouterGraph() (g *topology.Graph, senders, receivers []netsim.N
 	return mesh.Graph, mesh.FirstRow(), mesh.LastRow(), nil
 }
 
-// ResolveScenario stores the trial's disturbance schedule in Script and
-// clears Scenario: the resolved config — canonical hash included — depends
-// only on the event list, so a default config and one carrying an explicit
-// "failpath @FailAt" resolve alike. It is an error when both Scenario and
-// Script are set.
-func (c *Config) ResolveScenario() error {
-	sc, err := c.script()
-	if err != nil {
-		return err
-	}
-	c.Script, c.Scenario = sc, ""
-	return nil
-}
-
-// script returns the trial's disturbance schedule: the explicit Script, the
-// parsed Scenario text, or — when both are empty — the paper's single
-// on-path failure, failpath @FailAt.
+// script parses the trial's disturbance schedule: the Scenario text, or —
+// when it is empty — the paper's single on-path failure, failpath @FailAt.
 func (c *Config) script() (*scenario.Script, error) {
-	switch {
-	case c.Scenario != "" && c.Script != nil:
-		return nil, fmt.Errorf("core: Scenario %q and Script are mutually exclusive", c.Scenario)
-	case c.Scenario != "":
+	if c.Scenario != "" {
 		return scenario.Parse(c.Scenario)
-	case c.Script != nil:
-		return c.Script, nil
 	}
-	return scenario.NewBuilder().FailPath(c.FailAt, 0, 0).Script(), nil
+	return &scenario.Script{Events: []scenario.Event{{At: c.FailAt, Kind: scenario.KindFailPath, Node: -1}}}, nil
 }
 
 // resolve is the one preparation step before a config is run or
-// canonicalized: build any Topo spec, move the disturbance schedule into
-// Script, and validate the result.
-func (c *Config) resolve() error {
+// canonicalized: build any Topo spec, parse the disturbance schedule,
+// validate, and store the schedule back as canonical text. It returns the
+// parsed schedule, which is what a trial runs.
+func (c *Config) resolve() (*scenario.Script, error) {
 	if err := c.ResolveTopology(); err != nil {
-		return err
+		return nil, err
 	}
-	if err := c.ResolveScenario(); err != nil {
-		return err
+	sc, err := c.script()
+	if err != nil {
+		return nil, err
 	}
-	return c.Validate()
+	if err := c.validate(sc); err != nil {
+		return nil, err
+	}
+	// A script of comments only has no events and renders as "", which
+	// would read back as the default schedule; its own text keeps it apart.
+	if len(sc.Events) > 0 {
+		c.Scenario = sc.String()
+	}
+	return sc, nil
 }
 
 // onOffMeans returns the on/off burst and silence means with their
@@ -421,8 +407,19 @@ func (c *Config) packets(span time.Duration) int {
 	return n
 }
 
-// Validate reports the first problem with the configuration, or nil.
+// Validate reports the first problem with the configuration, or nil. It
+// is also the check of the Scenario script: its grammar, and its events
+// against the horizon and topology.
 func (c *Config) Validate() error {
+	sc, err := c.script()
+	if err != nil {
+		return err
+	}
+	return c.validate(sc)
+}
+
+// validate is Validate with the schedule already parsed.
+func (c *Config) validate(script *scenario.Script) error {
 	if c.Topo != "" {
 		if c.Topology != nil {
 			return fmt.Errorf("core: Topo %q and Topology are mutually exclusive", c.Topo)
@@ -489,12 +486,8 @@ func (c *Config) Validate() error {
 	// names links or nodes and the topology is known — the actual link and
 	// node set. A resolved Topology has the graph; the default mesh is
 	// cheap to build; an unresolved Topo spec defers reference checks to
-	// the resolve step's post-ResolveTopology Validate (building the spec
-	// here could read files).
-	script, err := c.script()
-	if err != nil {
-		return err
-	}
+	// the resolve step's post-ResolveTopology validation (building the
+	// spec here could read files).
 	g := c.Topology
 	if g == nil && c.Topo == "" && script.NamesTopology() {
 		if mesh, err := topology.NewMesh(c.Rows, c.Cols, c.Degree); err == nil {

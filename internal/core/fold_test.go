@@ -148,7 +148,8 @@ func TestArrivalsMatchDeliveryList(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := cfg.resolve(); err != nil {
+			script, err := cfg.resolve()
+			if err != nil {
 				t.Fatal(err)
 			}
 			want := oracleResult(&cfg, col)
@@ -168,7 +169,7 @@ func TestArrivalsMatchDeliveryList(t *testing.T) {
 				}
 			}
 			check("full", tr)
-			compact, ccol, err := runTrial(&cfg, 0, nil, true, nil)
+			compact, ccol, err := runTrial(&cfg, script, 0, nil, true, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

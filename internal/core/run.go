@@ -12,6 +12,7 @@ import (
 
 	"routeconv/internal/netsim"
 	"routeconv/internal/obs"
+	"routeconv/internal/scenario"
 	"routeconv/internal/sim"
 	"routeconv/internal/stats"
 	"routeconv/internal/topology"
@@ -112,8 +113,9 @@ func Run(cfg Config) (*Result, error) {
 // batch. It returns ctx.Err() when cancelled.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// Resolve once, up front: the workers share cfg, and each trial then
-	// only clones the already-built graph and installs the resolved script.
-	if err := cfg.resolve(); err != nil {
+	// only clones the already-built graph and installs the parsed script.
+	script, err := cfg.resolve()
+	if err != nil {
 		return nil, err
 	}
 	res := &Result{Config: cfg, Trials: make([]TrialResult, cfg.Trials)}
@@ -142,7 +144,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				if ctx.Err() != nil {
 					continue // drain; the error is reported once below
 				}
-				tr, _, err := runTrial(&cfg, i, nil, true, nil)
+				tr, _, err := runTrial(&cfg, script, i, nil, true, nil)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -209,21 +211,23 @@ type flow struct {
 // OBSERVABILITY.md documents each record's fields. Recording is passive —
 // the trial's results are bit-for-bit those of a run without tl.
 func TraceObserved(cfg Config, trial int, tl *obs.Timeline) (TrialResult, *trace.Collector, error) {
-	if err := cfg.resolve(); err != nil {
+	script, err := cfg.resolve()
+	if err != nil {
 		return TrialResult{}, nil, err
 	}
 	if trial < 0 || trial >= cfg.Trials {
 		return TrialResult{}, nil, fmt.Errorf("core: trial %d out of range [0, %d)", trial, cfg.Trials)
 	}
-	return runTrial(&cfg, trial, tl, false, nil)
+	return runTrial(&cfg, script, trial, tl, false, nil)
 }
 
-// runTrial builds and runs one simulation. tl, when non-nil, receives the
+// runTrial builds and runs one simulation of the resolved cfg, disturbed
+// by script, the schedule resolve parsed. tl, when non-nil, receives the
 // trial's convergence timeline. compact makes the recorder keep no record
 // stream (bulk runs never read it; on large graphs it is the dominant
 // memory cost). wrap, when non-nil, wraps the recorder into the observer
 // the network is given; tests use it to see the raw event stream.
-func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool, wrap func(netsim.Observer) netsim.Observer) (TrialResult, *trace.Collector, error) {
+func runTrial(cfg *Config, script *scenario.Script, trial int, tl *obs.Timeline, compact bool, wrap func(netsim.Observer) netsim.Observer) (TrialResult, *trace.Collector, error) {
 	factory, err := cfg.factory()
 	if err != nil {
 		return TrialResult{}, nil, err
@@ -331,8 +335,8 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool, wrap func(
 		}
 	}
 
-	// The disturbance schedule: the resolved script, by default the
-	// failpath event that is the paper's §5 random on-path failure.
+	// The disturbance schedule: the parsed script, by default the failpath
+	// event that is the paper's §5 random on-path failure.
 	primary := flows[0]
 	var failedLink topology.Edge
 	warmedUp := false
@@ -340,7 +344,7 @@ func runTrial(cfg *Config, trial int, tl *obs.Timeline, compact bool, wrap func(
 		cfg: cfg, s: s, net: net, g: g, meshEdges: meshEdges, flows: flows, rec: rec,
 		failedLink: &failedLink, warmedUp: &warmedUp,
 	}
-	runner.install(cfg.Script)
+	runner.install(script)
 
 	if net.Sharded() {
 		net.RunSharded(cfg.End)

@@ -12,7 +12,6 @@ import (
 
 	"routeconv/internal/obs"
 	"routeconv/internal/routing"
-	"routeconv/internal/scenario"
 )
 
 // scaleSmokeConfig is the shared internet-scale trial: one full RIP
@@ -374,15 +373,14 @@ func TestScaleSmoke10k(t *testing.T) {
 				if err := cfg.ResolveTopology(); err != nil {
 					t.Fatal(err)
 				}
-				b := scenario.NewBuilder()
-				b.FailPath(cfg.FailAt, 0, 0) // keep the paper's measured failure
-				b.Churn(16*time.Second, 22*time.Second, 2, 500*time.Millisecond)
+				// Keep the paper's measured failure.
+				script := fmt.Sprintf("failpath @%v; churn links rate=2/s down=500ms @16s..22s", cfg.FailAt)
 				// The low-id end of the sorted edge list includes the hubs;
 				// those links get 5% random loss just before the failure.
 				for _, e := range cfg.Topology.Edges()[:2000] {
-					b.Loss(14*time.Second, e.A, e.B, 0.05)
+					script += fmt.Sprintf("; loss link %d-%d p=0.05 @14s", e.A, e.B)
 				}
-				cfg.Script = b.Script()
+				cfg.Scenario = script
 			},
 			check: func(t *testing.T, res *Result, _ uint64) {
 				m := res.Trials[0].Metrics

@@ -50,7 +50,7 @@ func (r *scenarioRunner) install(sc *scenario.Script) {
 			r.installFailPath(ev)
 		case scenario.KindFailRandom:
 			r.installFailRandom(ev)
-		case scenario.KindFailLink, scenario.KindFailGroup:
+		case scenario.KindFailLink:
 			r.s.ScheduleAt(ev.At, func() {
 				r.event()
 				for _, e := range ev.Links {
@@ -58,7 +58,7 @@ func (r *scenarioRunner) install(sc *scenario.Script) {
 				}
 				r.samplePaths()
 			})
-		case scenario.KindRestoreLink, scenario.KindRestoreGroup:
+		case scenario.KindRestoreLink:
 			r.s.ScheduleAt(ev.At, func() {
 				r.event()
 				for _, e := range ev.Links {

@@ -11,16 +11,15 @@ import (
 	"routeconv/internal/netsim"
 	"routeconv/internal/obs"
 	"routeconv/internal/routing/rip"
-	"routeconv/internal/scenario"
 	"routeconv/internal/topology"
 )
 
 // TestLegacyScriptEquivalence is the scenario engine's compatibility
 // contract: the default schedule — the harness's original hard-coded
-// failure, now "failpath @FailAt" — and the script a config resolves to
-// must produce bit-for-bit identical trials, whether that script is handed
-// over built or as text: same TrialResult, same data-drop, control-drop,
-// record, and path-sample streams, on every golden scenario.
+// failure, now "failpath @FailAt" — and the canonical script text a config
+// resolves to must produce bit-for-bit identical trials: same TrialResult,
+// same data-drop, control-drop, record, and path-sample streams, on every
+// golden scenario.
 func TestLegacyScriptEquivalence(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		sc := sc
@@ -30,62 +29,32 @@ func TestLegacyScriptEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resolved := sc.config()
-			if err := resolved.ResolveScenario(); err != nil {
+			cfg := sc.config()
+			if _, err := cfg.resolve(); err != nil {
 				t.Fatal(err)
 			}
-			built, text := sc.config(), sc.config()
-			built.Scenario, built.Script = "", resolved.Script
-			text.Scenario, text.Script = resolved.Script.String(), nil
-			for name, cfg := range map[string]Config{"built": built, "text": text} {
-				tr, c, err := TraceObserved(cfg, 0, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := fmt.Sprintf("%+v", tr), fmt.Sprintf("%+v", ref); got != want {
-					t.Errorf("%s script trial differs from the golden:\n golden: %s\n %s: %s", name, want, name, got)
-				}
-				if !reflect.DeepEqual(refC.Drops, c.Drops) {
-					t.Errorf("%s script: drop vectors differ", name)
-				}
-				if !reflect.DeepEqual(refC.ControlDrops, c.ControlDrops) {
-					t.Errorf("%s script: control-drop vectors differ", name)
-				}
-				if !reflect.DeepEqual(refC.Timeline(), c.Timeline()) {
-					t.Errorf("%s script: record streams differ", name)
-				}
-				if !reflect.DeepEqual(refC.PathHistory, c.PathHistory) {
-					t.Errorf("%s script: path-sample streams differ", name)
-				}
+			text := sc.config()
+			text.Scenario = cfg.Scenario
+			tr, c, err := TraceObserved(text, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fmt.Sprintf("%+v", tr), fmt.Sprintf("%+v", ref); got != want {
+				t.Errorf("%q trial differs from the golden:\n golden: %s\n script: %s", text.Scenario, want, got)
+			}
+			if !reflect.DeepEqual(refC.Drops, c.Drops) {
+				t.Error("drop vectors differ")
+			}
+			if !reflect.DeepEqual(refC.ControlDrops, c.ControlDrops) {
+				t.Error("control-drop vectors differ")
+			}
+			if !reflect.DeepEqual(refC.Timeline(), c.Timeline()) {
+				t.Error("record streams differ")
+			}
+			if !reflect.DeepEqual(refC.PathHistory, c.PathHistory) {
+				t.Error("path-sample streams differ")
 			}
 		})
-	}
-}
-
-// TestScenarioTextEquivalence checks the text grammar against the builder:
-// the damping golden's schedule, written as text, produces the same trial
-// as the same schedule composed with a Builder.
-func TestScenarioTextEquivalence(t *testing.T) {
-	text := goldenDampingConfig()
-	ref, refC, err := TraceObserved(text, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built := goldenDampingConfig()
-	built.Scenario = ""
-	built.Script = scenario.NewBuilder().FailPath(built.FailAt, 3*time.Second, 5).Script()
-	tr, c, err := TraceObserved(built, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fmt.Sprintf("%+v", tr), fmt.Sprintf("%+v", ref); got != want {
-		t.Errorf("built trial differs from text:\n text:  %s\n built: %s", want, got)
-	}
-	if !reflect.DeepEqual(refC.Drops, c.Drops) {
-		t.Error("drop vectors differ")
-	}
-	if !reflect.DeepEqual(refC.ControlDrops, c.ControlDrops) {
-		t.Error("control-drop vectors differ")
 	}
 }
 
@@ -95,10 +64,7 @@ func TestScenarioTextEquivalence(t *testing.T) {
 func TestScenarioNodeFailureConservation(t *testing.T) {
 	cfg := goldenConfig(ProtoRIP)
 	cfg.Metrics = true
-	cfg.Script = scenario.NewBuilder().
-		FailNode(400*time.Second, 24).
-		RecoverNode(420*time.Second, 24).
-		Script()
+	cfg.Scenario = "fail node 24 @400s; recover node 24 @420s"
 	tr, _, err := TraceObserved(cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -195,11 +161,11 @@ func TestScenarioLossConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := scenario.NewBuilder()
+	var script strings.Builder
 	for _, e := range mesh.Graph.Edges() {
-		b.Loss(time.Second, e.A, e.B, 0.05)
+		fmt.Fprintf(&script, "loss link %d-%d p=0.05 @1s\n", e.A, e.B)
 	}
-	cfg.Script = b.Script()
+	cfg.Scenario = script.String()
 	tr, _, err := TraceObserved(cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -231,8 +197,9 @@ func checkConservation(t *testing.T, m obs.Snapshot) {
 // TestScenarioEventKinds runs one short trial per event kind the other
 // tests leave out and checks, for each, packet conservation and the exact
 // scenario counters: a flap storm counts as one event and one link failure
-// per cycle, a failpath flap likewise, a group as one event per statement
-// and one failure per member link, and a cost-out takes no link down.
+// per cycle, a failpath flap likewise, a link list as one event per
+// statement and one failure per listed link, and a cost-out takes no link
+// down.
 func TestScenarioEventKinds(t *testing.T) {
 	cases := []struct {
 		script            string
@@ -240,7 +207,7 @@ func TestScenarioEventKinds(t *testing.T) {
 	}{
 		{"costout link 24-25 @400s; costin link 24-25 @420s", 2, 0},
 		{"flap link 24-25 every 6s x3 @400s", 1, 3},
-		{"fail group 17-24,24-25 @400s; restore group 17-24,24-25 @420s", 2, 2},
+		{"fail link 17-24,24-25 @400s; restore link 17-24,24-25 @420s", 2, 2},
 		{"failpath @400s restore=3s flaps=5", 1, 5},
 		{"failpath @400s; failrandom @410s", 2, 2},
 	}
@@ -277,9 +244,7 @@ func TestScenarioShardedChurn(t *testing.T) {
 			t.Parallel()
 			config := func() Config {
 				cfg := goldenConfig(proto)
-				cfg.Script = scenario.NewBuilder().
-					Churn(400*time.Second, 440*time.Second, 0.2, 2*time.Second).
-					Script()
+				cfg.Scenario = "churn links rate=0.2/s down=2s @400s..440s"
 				return cfg
 			}
 			ref, refC, err := TraceObserved(config(), 0, nil)
@@ -341,16 +306,12 @@ func TestValidateScenario(t *testing.T) {
 		want string
 	}{
 		{"bad grammar", func(c *Config) { c.Scenario = "explode link 3-7 @400s" }, `unknown keyword "explode"`},
-		{"text and script", func(c *Config) {
-			c.Scenario = "failrandom @400s"
-			c.Script = scenario.NewBuilder().FailRandom(400 * time.Second).Script()
-		}, "mutually exclusive"},
 		{"past horizon", func(c *Config) {
-			c.Script = scenario.NewBuilder().FailRandom(c.End + time.Second).Script()
+			c.Scenario = fmt.Sprintf("failrandom @%v", c.End+time.Second)
 		}, "not before"},
 		{"absent link", func(c *Config) {
 			// The 7×7 mesh has no 0–48 link (opposite corners).
-			c.Script = scenario.NewBuilder().FailLink(400*time.Second, 0, 48).Script()
+			c.Scenario = "fail link 0-48 @400s"
 		}, "no link 0-48 in the topology"},
 		{"restore before fail", func(c *Config) {
 			c.Scenario = "restore link 0-1 @400s"
@@ -369,24 +330,33 @@ func TestValidateScenario(t *testing.T) {
 			}
 		})
 	}
-	// A valid script passes, and ResolveScenario moves text into Script.
+	// A valid script passes, and resolving rewrites it in canonical text:
+	// time order, low endpoint first, Go's duration form.
 	cfg := base()
-	cfg.Scenario = "fail link 0-1 @400s; restore link 0-1 @410s"
+	cfg.Scenario = "restore link 0-1 @410s; fail link 1-0 @400s"
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("valid script rejected: %v", err)
 	}
-	if err := cfg.ResolveScenario(); err != nil {
+	script, err := cfg.resolve()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Scenario != "" || cfg.Script == nil || len(cfg.Script.Events) != 2 {
-		t.Errorf("ResolveScenario left %q / %+v", cfg.Scenario, cfg.Script)
+	if want := "fail link 0-1 @6m40s; restore link 0-1 @6m50s"; cfg.Scenario != want || script.String() != want {
+		t.Errorf("resolved to %q (script %q), want %q", cfg.Scenario, script, want)
 	}
 	// Without a script, the resolved schedule is the paper's failure.
 	cfg = base()
-	if err := cfg.ResolveScenario(); err != nil {
+	if _, err := cfg.resolve(); err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg.Script.String(); got != "failpath @6m40s" {
-		t.Errorf("default schedule resolved to %q, want failpath @FailAt", got)
+	if cfg.Scenario != "failpath @6m40s" {
+		t.Errorf("default schedule resolved to %q, want failpath @FailAt", cfg.Scenario)
+	}
+	// A script of comments only keeps its text: an empty one would read
+	// back as the default schedule.
+	cfg = base()
+	cfg.Scenario = "# no disturbance"
+	if script, err := cfg.resolve(); err != nil || len(script.Events) != 0 || cfg.Scenario != "# no disturbance" {
+		t.Errorf("comment-only script resolved to %q, %v, %v", cfg.Scenario, script, err)
 	}
 }

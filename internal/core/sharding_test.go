@@ -222,10 +222,11 @@ func TestShardedHybridConservation(t *testing.T) {
 // keeps the primary flow's collector for inspection.
 func runCompact(t *testing.T, cfg Config) (TrialResult, *trace.Collector) {
 	t.Helper()
-	if err := cfg.resolve(); err != nil {
+	script, err := cfg.resolve()
+	if err != nil {
 		t.Fatal(err)
 	}
-	tr, c, err := runTrial(&cfg, 0, nil, true, nil)
+	tr, c, err := runTrial(&cfg, script, 0, nil, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,12 +67,13 @@ func TestTimelineNDJSONPinned(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := tc.config()
-			if err := cfg.resolve(); err != nil {
+			script, err := cfg.resolve()
+			if err != nil {
 				t.Fatal(err)
 			}
 			tl := obs.NewTimeline()
 			var tap *routeTap
-			tr, _, err := runTrial(&cfg, 0, tl, false, func(o netsim.Observer) netsim.Observer {
+			tr, _, err := runTrial(&cfg, script, 0, tl, false, func(o netsim.Observer) netsim.Observer {
 				tap = &routeTap{Collector: o.(*trace.Collector)}
 				return tap
 			})

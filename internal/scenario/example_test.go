@@ -22,28 +22,15 @@ func ExampleParse() {
 	// Output: fail link 3-7 @6m40s; loss link 1-2 p=0.01 @6m50s
 }
 
-// ExampleBuilder composes the same kind of script programmatically; Script()
-// returns the events stably sorted by time.
-func ExampleBuilder() {
-	script := scenario.NewBuilder().
-		FailNode(400*time.Second, 12).
-		Churn(450*time.Second, 600*time.Second, 0.1, 2*time.Second).
-		RecoverNode(430*time.Second, 12).
-		Script()
-	for _, e := range script.Events {
-		fmt.Println(e)
-	}
-	// Output:
-	// fail node 12 @6m40s
-	// recover node 12 @7m10s
-	// churn links rate=0.1/s down=2s @7m30s..10m0s
-}
-
 // ExampleScript_Validate rejects scripts that reference links the topology
 // does not have, naming the event.
 func ExampleScript_Validate() {
 	g := topology.Torus(4, 4)
-	script := scenario.NewBuilder().FailLink(400*time.Second, 0, 9).Script()
+	script, err := scenario.Parse("fail link 0-9 @400s")
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Println(script.Validate(800*time.Second, g))
 	// Output: scenario: event 0 (fail link 0-9 @6m40s): no link 0-9 in the topology
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -14,11 +15,10 @@ import (
 // comment running to the end of the line. Each statement is an event:
 //
 //	fail link 3-7 @400s
-//	restore link 3-7 @410s
+//	fail link 3-7,4-8 @400s
+//	restore link 3-7,4-8 @410s
 //	fail node 12 @400s
 //	recover node 12 @430s
-//	fail group 3-7,4-8 @400s
-//	restore group 3-7,4-8 @410s
 //	flap link 3-7 every 6s x5 @400s
 //	loss link 1-2 p=0.01 @410s
 //	costout link 3-7 @400s
@@ -29,11 +29,11 @@ import (
 //	failrandom @430s
 //
 // Errors name the line and the offending token. The resulting script is
-// sorted by event time (stable, like Builder.Script); Parse does not
-// validate cross-event ordering or link existence — that is Script.Validate,
-// which needs the horizon and topology.
+// stably sorted by event time, so same-instant statements keep their
+// order; Parse does not validate cross-event ordering or link existence —
+// that is Script.Validate, which needs the horizon and topology.
 func Parse(text string) (*Script, error) {
-	b := NewBuilder()
+	var events []Event
 	line := 1
 	for _, raw := range splitStatements(text) {
 		stmtLine := line
@@ -46,11 +46,14 @@ func Parse(text string) (*Script, error) {
 		if len(fields) == 0 {
 			continue
 		}
-		if err := parseStatement(b, fields); err != nil {
+		e, err := parseStatement(fields)
+		if err != nil {
 			return nil, fmt.Errorf("scenario: line %d: %w", stmtLine, err)
 		}
+		events = append(events, e)
 	}
-	return b.Script(), nil
+	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
+	return &Script{Events: events}, nil
 }
 
 // splitStatements cuts the text at ";" and newlines, keeping the newlines
@@ -68,189 +71,149 @@ func splitKeepNewlines(text string) string {
 	return strings.ReplaceAll(text, "\n", "\n;")
 }
 
-// parseStatement dispatches one statement's whitespace-split fields.
-func parseStatement(b *Builder, f []string) error {
+// parseStatement parses one statement's whitespace-split fields.
+func parseStatement(f []string) (Event, error) {
+	e := Event{Node: -1}
+	var err error
 	switch f[0] {
-	case "fail":
-		return parseFail(b, f, false)
-	case "restore":
-		return parseFail(b, f, true)
-	case "recover":
-		if len(f) < 2 || f[1] != "node" {
-			return fmt.Errorf("expected %q after %q", "node", "recover")
-		}
-		node, at, err := nodeAndAt(f[2:])
-		if err != nil {
-			return err
-		}
-		b.RecoverNode(at, node)
-		return nil
+	case "fail", "restore", "recover":
+		err = parseFail(&e, f)
 	case "flap":
-		return parseFlap(b, f)
+		err = parseFlap(&e, f)
 	case "loss":
-		return parseLoss(b, f)
+		err = parseLoss(&e, f)
 	case "costout", "costin":
+		e.Kind = KindCostOut
+		if f[0] == "costin" {
+			e.Kind = KindCostIn
+		}
 		if len(f) != 4 || f[1] != "link" {
-			return fmt.Errorf("usage: %s link A-B @T", f[0])
+			return e, fmt.Errorf("usage: %s link A-B @T", f[0])
 		}
-		links, err := parseEdges(f[2])
-		if err != nil || len(links) != 1 {
-			return fmt.Errorf("bad link %q", f[2])
+		if e.Links, err = oneLink(f[2]); err != nil {
+			return e, err
 		}
-		at, err := parseAt(f[3])
-		if err != nil {
-			return err
-		}
-		if f[0] == "costout" {
-			b.CostOut(at, links[0].A, links[0].B)
-		} else {
-			b.CostIn(at, links[0].A, links[0].B)
-		}
-		return nil
+		e.At, err = parseAt(f[3])
 	case "churn":
-		return parseChurn(b, f)
+		err = parseChurn(&e, f)
 	case "failpath":
-		return parseFailPath(b, f)
+		err = parseFailPath(&e, f)
 	case "failrandom":
+		e.Kind = KindFailRandom
 		if len(f) != 2 {
-			return fmt.Errorf("usage: failrandom @T")
+			return e, fmt.Errorf("usage: failrandom @T")
 		}
-		at, err := parseAt(f[1])
-		if err != nil {
-			return err
-		}
-		b.FailRandom(at)
-		return nil
+		e.At, err = parseAt(f[1])
 	default:
-		return fmt.Errorf("unknown keyword %q", f[0])
+		err = fmt.Errorf("unknown keyword %q", f[0])
 	}
+	return e, err
 }
 
-// parseFail handles "fail|restore link|group|node ... @T".
-func parseFail(b *Builder, f []string, restore bool) error {
+// parseFail handles "fail|restore link A-B[,C-D] @T" and
+// "fail|recover node N @T".
+func parseFail(e *Event, f []string) error {
 	verb := f[0]
-	if len(f) < 2 {
-		return fmt.Errorf("%s what? expected link, group, or node", verb)
-	}
-	switch f[1] {
-	case "link", "group":
+	switch {
+	case verb == "recover" && (len(f) < 2 || f[1] != "node"):
+		return fmt.Errorf("expected %q after %q", "node", "recover")
+	case len(f) < 2:
+		return fmt.Errorf("%s what? expected link or node", verb)
+	case f[1] == "link":
+		e.Kind = KindFailLink
+		if verb == "restore" {
+			e.Kind = KindRestoreLink
+		}
 		if len(f) != 4 {
-			return fmt.Errorf("usage: %s %s A-B[,C-D] @T", verb, f[1])
+			return fmt.Errorf("usage: %s link A-B[,C-D] @T", verb)
 		}
-		links, err := parseEdges(f[2])
-		if err != nil {
+		var err error
+		if e.Links, err = parseEdges(f[2]); err != nil {
 			return err
 		}
-		if f[1] == "link" && len(links) != 1 {
-			return fmt.Errorf("%s link takes one link (use %s group for several)", verb, verb)
-		}
-		at, err := parseAt(f[3])
-		if err != nil {
-			return err
-		}
-		switch {
-		case restore && f[1] == "link":
-			b.RestoreLink(at, links[0].A, links[0].B)
-		case restore:
-			b.RestoreGroup(at, links...)
-		case f[1] == "link":
-			b.FailLink(at, links[0].A, links[0].B)
-		default:
-			b.FailGroup(at, links...)
-		}
-		return nil
-	case "node":
-		if restore {
-			return fmt.Errorf("use %q to bring a node back", "recover node")
-		}
-		node, at, err := nodeAndAt(f[2:])
-		if err != nil {
-			return err
-		}
-		b.FailNode(at, node)
-		return nil
-	default:
-		return fmt.Errorf("unknown target %q after %q (expected link, group, or node)", f[1], verb)
+		e.At, err = parseAt(f[3])
+		return err
+	case f[1] != "node":
+		return fmt.Errorf("unknown target %q after %q (expected link or node)", f[1], verb)
+	case verb == "restore":
+		return fmt.Errorf("use %q to bring a node back", "recover node")
 	}
+	e.Kind = KindFailNode
+	if verb == "recover" {
+		e.Kind = KindRecoverNode
+	}
+	if len(f) != 4 {
+		return fmt.Errorf("usage: fail|recover node N @T")
+	}
+	n, err := strconv.ParseInt(f[2], 10, 32)
+	if err != nil || n < 0 {
+		return fmt.Errorf("bad node %q", f[2])
+	}
+	e.Node = topology.NodeID(n)
+	e.At, err = parseAt(f[3])
+	return err
 }
 
 // parseFlap handles "flap link A-B every D xN @T".
-func parseFlap(b *Builder, f []string) error {
+func parseFlap(e *Event, f []string) error {
+	e.Kind = KindFlapLink
 	if len(f) != 7 || f[1] != "link" {
 		return fmt.Errorf("usage: flap link A-B every D xN @T")
 	}
-	links, err := parseEdges(f[2])
-	if err != nil || len(links) != 1 {
-		return fmt.Errorf("bad link %q", f[2])
+	var err error
+	if e.Links, err = oneLink(f[2]); err != nil {
+		return err
 	}
 	if f[3] != "every" {
 		return fmt.Errorf("expected %q, got %q", "every", f[3])
 	}
-	period, err := time.ParseDuration(f[4])
-	if err != nil {
+	if e.Period, err = time.ParseDuration(f[4]); err != nil {
 		return fmt.Errorf("bad flap period %q", f[4])
 	}
-	if !strings.HasPrefix(f[5], "x") {
+	n, ok := strings.CutPrefix(f[5], "x")
+	if e.Cycles, err = strconv.Atoi(n); !ok || err != nil {
 		return fmt.Errorf("bad cycle count %q (expected xN)", f[5])
 	}
-	cycles, err := strconv.Atoi(f[5][1:])
-	if err != nil {
-		return fmt.Errorf("bad cycle count %q (expected xN)", f[5])
-	}
-	at, err := parseAt(f[6])
-	if err != nil {
-		return err
-	}
-	b.FlapLink(at, links[0].A, links[0].B, period, cycles)
-	return nil
+	e.At, err = parseAt(f[6])
+	return err
 }
 
 // parseLoss handles "loss link A-B p=0.01 @T".
-func parseLoss(b *Builder, f []string) error {
+func parseLoss(e *Event, f []string) error {
+	e.Kind = KindSetLoss
 	if len(f) != 5 || f[1] != "link" {
 		return fmt.Errorf("usage: loss link A-B p=P @T")
 	}
-	links, err := parseEdges(f[2])
-	if err != nil || len(links) != 1 {
-		return fmt.Errorf("bad link %q", f[2])
+	var err error
+	if e.Links, err = oneLink(f[2]); err != nil {
+		return err
 	}
 	val, ok := strings.CutPrefix(f[3], "p=")
 	if !ok {
 		return fmt.Errorf("bad loss probability %q (expected p=P)", f[3])
 	}
-	p, err := strconv.ParseFloat(val, 64)
-	if err != nil {
+	if e.Rate, err = strconv.ParseFloat(val, 64); err != nil {
 		return fmt.Errorf("bad loss probability %q", f[3])
 	}
-	at, err := parseAt(f[4])
-	if err != nil {
-		return err
-	}
-	b.Loss(at, links[0].A, links[0].B, p)
-	return nil
+	e.At, err = parseAt(f[4])
+	return err
 }
 
 // parseChurn handles "churn links [A-B,C-D] rate=R/s [down=D] @T1..T2".
-func parseChurn(b *Builder, f []string) error {
+func parseChurn(e *Event, f []string) error {
+	e.Kind = KindChurn
 	if len(f) < 3 || f[1] != "links" {
 		return fmt.Errorf("usage: churn links [A-B,C-D] rate=R/s [down=D] @T1..T2")
 	}
 	rest := f[2:]
-	var links []topology.Edge
 	if !strings.ContainsRune(rest[0], '=') && !strings.HasPrefix(rest[0], "@") {
 		var err error
-		if links, err = parseEdges(rest[0]); err != nil {
+		if e.Links, err = parseEdges(rest[0]); err != nil {
 			return err
 		}
 		rest = rest[1:]
 	}
-	var (
-		rate     float64
-		haveRate bool
-		meanDown time.Duration
-		from, to time.Duration
-		haveAt   bool
-	)
+	var haveRate, haveAt bool
 	for _, tok := range rest {
 		switch {
 		case strings.HasPrefix(tok, "rate="):
@@ -259,22 +222,19 @@ func parseChurn(b *Builder, f []string) error {
 			if err != nil {
 				return fmt.Errorf("bad churn rate %q (expected rate=R/s)", tok)
 			}
-			rate, haveRate = r, true
+			e.Rate, haveRate = r, true
 		case strings.HasPrefix(tok, "down="):
 			d, err := time.ParseDuration(strings.TrimPrefix(tok, "down="))
 			if err != nil {
 				return fmt.Errorf("bad churn downtime %q (expected down=D)", tok)
 			}
-			meanDown = d
+			e.MeanDown = d
 		case strings.HasPrefix(tok, "@"):
 			lo, hi, ok := strings.Cut(tok[1:], "..")
-			if !ok {
-				return fmt.Errorf("bad churn window %q (expected @T1..T2)", tok)
-			}
 			var err1, err2 error
-			from, err1 = time.ParseDuration(lo)
-			to, err2 = time.ParseDuration(hi)
-			if err1 != nil || err2 != nil {
+			e.At, err1 = time.ParseDuration(lo)
+			e.Until, err2 = time.ParseDuration(hi)
+			if !ok || err1 != nil || err2 != nil {
 				return fmt.Errorf("bad churn window %q (expected @T1..T2)", tok)
 			}
 			haveAt = true
@@ -288,46 +248,40 @@ func parseChurn(b *Builder, f []string) error {
 	if !haveAt {
 		return fmt.Errorf("churn needs a window @T1..T2")
 	}
-	b.Churn(from, to, rate, meanDown, links...)
+	if e.MeanDown == 0 {
+		e.MeanDown = time.Second
+	}
 	return nil
 }
 
 // parseFailPath handles "failpath @T [restore=D] [flaps=N]".
-func parseFailPath(b *Builder, f []string) error {
-	var (
-		at      time.Duration
-		haveAt  bool
-		restore time.Duration
-		flaps   int
-	)
+func parseFailPath(e *Event, f []string) error {
+	e.Kind = KindFailPath
+	haveAt := false
 	for _, tok := range f[1:] {
+		var err error
 		switch {
 		case strings.HasPrefix(tok, "@"):
-			v, err := parseAt(tok)
-			if err != nil {
-				return err
-			}
-			at, haveAt = v, true
+			e.At, err = parseAt(tok)
+			haveAt = true
 		case strings.HasPrefix(tok, "restore="):
-			d, err := time.ParseDuration(strings.TrimPrefix(tok, "restore="))
-			if err != nil {
-				return fmt.Errorf("bad restore %q (expected restore=D)", tok)
+			if e.Restore, err = time.ParseDuration(strings.TrimPrefix(tok, "restore=")); err != nil {
+				err = fmt.Errorf("bad restore %q (expected restore=D)", tok)
 			}
-			restore = d
 		case strings.HasPrefix(tok, "flaps="):
-			n, err := strconv.Atoi(strings.TrimPrefix(tok, "flaps="))
-			if err != nil {
-				return fmt.Errorf("bad flaps %q (expected flaps=N)", tok)
+			if e.Flaps, err = strconv.Atoi(strings.TrimPrefix(tok, "flaps=")); err != nil {
+				err = fmt.Errorf("bad flaps %q (expected flaps=N)", tok)
 			}
-			flaps = n
 		default:
-			return fmt.Errorf("unknown failpath parameter %q", tok)
+			err = fmt.Errorf("unknown failpath parameter %q", tok)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	if !haveAt {
 		return fmt.Errorf("failpath needs a time @T")
 	}
-	b.FailPath(at, restore, flaps)
 	return nil
 }
 
@@ -344,20 +298,13 @@ func parseAt(tok string) (time.Duration, error) {
 	return d, nil
 }
 
-// nodeAndAt parses the "N @T" tail of the node statements.
-func nodeAndAt(f []string) (topology.NodeID, time.Duration, error) {
-	if len(f) != 2 {
-		return 0, 0, fmt.Errorf("usage: fail|recover node N @T")
+// oneLink parses the link of a single-link statement.
+func oneLink(tok string) ([]topology.Edge, error) {
+	links, err := parseEdges(tok)
+	if err != nil || len(links) != 1 {
+		return nil, fmt.Errorf("bad link %q", tok)
 	}
-	n, err := strconv.ParseInt(f[0], 10, 32)
-	if err != nil || n < 0 {
-		return 0, 0, fmt.Errorf("bad node %q", f[0])
-	}
-	at, err := parseAt(f[1])
-	if err != nil {
-		return 0, 0, err
-	}
-	return topology.NodeID(n), at, nil
+	return links, nil
 }
 
 // parseEdges parses a comma-separated "A-B,C-D" link list.

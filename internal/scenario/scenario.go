@@ -3,9 +3,8 @@
 // the only representation of a trial's disturbances; the paper's single
 // on-path failure is the one-event script "failpath @FailAt".
 //
-// A Script is built either programmatically (Builder) or from the compact
-// text grammar (Parse; full reference in SCENARIOS.md at the repository
-// root), e.g.
+// A Script is parsed from the compact text grammar (Parse; full reference
+// in SCENARIOS.md at the repository root), e.g.
 //
 //	fail link 3-7 @400s; loss link 1-2 p=0.01 @410s; churn links rate=0.1/s @450s..600s
 //
@@ -21,7 +20,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -33,7 +31,8 @@ type Kind int
 
 // The event kinds. Zero is invalid so an uninitialized Event fails loudly.
 const (
-	// KindFailLink takes every link in Links down at At.
+	// KindFailLink takes every link in Links down at At; several links fail
+	// as one correlated group (a shared-risk link group).
 	KindFailLink Kind = iota + 1
 	// KindRestoreLink brings every link in Links back up at At.
 	KindRestoreLink
@@ -43,11 +42,6 @@ const (
 	// KindRecoverNode recovers Node at At: the links its failure took down
 	// come back up, except those still held down by another failed node.
 	KindRecoverNode
-	// KindFailGroup takes the correlated group Links down at At (a
-	// shared-risk link group failing as one).
-	KindFailGroup
-	// KindRestoreGroup restores the group Links at At.
-	KindRestoreGroup
 	// KindFlapLink flaps Links[0] for Cycles cycles of length Period
 	// starting at At: cycle i fails at At+i·Period and restores half a
 	// period later, so the link ends the storm up.
@@ -80,19 +74,17 @@ const (
 
 // kindNames are the grammar keywords, indexed by Kind.
 var kindNames = map[Kind]string{
-	KindFailLink:     "fail link",
-	KindRestoreLink:  "restore link",
-	KindFailNode:     "fail node",
-	KindRecoverNode:  "recover node",
-	KindFailGroup:    "fail group",
-	KindRestoreGroup: "restore group",
-	KindFlapLink:     "flap link",
-	KindSetLoss:      "loss link",
-	KindCostOut:      "costout link",
-	KindCostIn:       "costin link",
-	KindChurn:        "churn links",
-	KindFailPath:     "failpath",
-	KindFailRandom:   "failrandom",
+	KindFailLink:    "fail link",
+	KindRestoreLink: "restore link",
+	KindFailNode:    "fail node",
+	KindRecoverNode: "recover node",
+	KindFlapLink:    "flap link",
+	KindSetLoss:     "loss link",
+	KindCostOut:     "costout link",
+	KindCostIn:      "costin link",
+	KindChurn:       "churn links",
+	KindFailPath:    "failpath",
+	KindFailRandom:  "failrandom",
 }
 
 // String returns the event kind's grammar keyword.
@@ -140,8 +132,6 @@ func (e Event) String() string {
 		fmt.Fprintf(&sb, "%s %s @%v", e.Kind, edgeList(e.Links), e.At)
 	case KindFailNode, KindRecoverNode:
 		fmt.Fprintf(&sb, "%s %d @%v", e.Kind, e.Node, e.At)
-	case KindFailGroup, KindRestoreGroup:
-		fmt.Fprintf(&sb, "%s %s @%v", e.Kind, edgeList(e.Links), e.At)
 	case KindFlapLink:
 		fmt.Fprintf(&sb, "%s %s every %v x%d @%v", e.Kind, edgeList(e.Links), e.Period, e.Cycles, e.At)
 	case KindSetLoss:
@@ -176,9 +166,9 @@ func edgeList(links []topology.Edge) string {
 }
 
 // Script is a time-ordered list of events — one trial's complete
-// disturbance schedule. Build one with a Builder or Parse; both emit events
-// stably sorted by At (equal-time events keep insertion order, which the
-// executor preserves as scheduling order).
+// disturbance schedule. Parse emits events stably sorted by At (equal-time
+// events keep statement order, which the executor preserves as scheduling
+// order).
 type Script struct {
 	Events []Event
 }
@@ -215,21 +205,21 @@ func (s *Script) Validate(horizon time.Duration, g *topology.Graph) error {
 			return bad("fires at %v, not before the %v horizon", e.At, horizon)
 		}
 		if e.At < prev {
-			return bad("out of time order (previous event at %v); sort the script or use a Builder", prev)
+			return bad("out of time order (previous event at %v); sort the script", prev)
 		}
 		prev = e.At
 		if err := validateRefs(g, e, bad); err != nil {
 			return err
 		}
 		switch e.Kind {
-		case KindFailLink, KindFailGroup:
+		case KindFailLink:
 			if len(e.Links) == 0 {
 				return bad("no target links")
 			}
 			for _, l := range e.Links {
 				failed[l] = true
 			}
-		case KindRestoreLink, KindRestoreGroup:
+		case KindRestoreLink:
 			if len(e.Links) == 0 {
 				return bad("no target links")
 			}
@@ -331,115 +321,4 @@ func validateRefs(g *topology.Graph, e Event, bad func(string, ...any) error) er
 		}
 	}
 	return nil
-}
-
-// Builder accumulates events and emits a Script sorted by time. The
-// zero value is ready to use; every method returns the receiver so calls
-// chain.
-type Builder struct {
-	events []Event
-}
-
-// NewBuilder returns an empty script builder.
-func NewBuilder() *Builder { return &Builder{} }
-
-func (b *Builder) add(e Event) *Builder {
-	b.events = append(b.events, e)
-	return b
-}
-
-// FailLink fails the x–y link at the given time.
-func (b *Builder) FailLink(at time.Duration, x, y topology.NodeID) *Builder {
-	return b.add(Event{At: at, Kind: KindFailLink, Links: []topology.Edge{topology.NewEdge(x, y)}, Node: -1})
-}
-
-// RestoreLink restores the x–y link at the given time.
-func (b *Builder) RestoreLink(at time.Duration, x, y topology.NodeID) *Builder {
-	return b.add(Event{At: at, Kind: KindRestoreLink, Links: []topology.Edge{topology.NewEdge(x, y)}, Node: -1})
-}
-
-// FailNode fails node n (all its up links go down) at the given time.
-func (b *Builder) FailNode(at time.Duration, n topology.NodeID) *Builder {
-	return b.add(Event{At: at, Kind: KindFailNode, Node: n})
-}
-
-// RecoverNode recovers node n at the given time.
-func (b *Builder) RecoverNode(at time.Duration, n topology.NodeID) *Builder {
-	return b.add(Event{At: at, Kind: KindRecoverNode, Node: n})
-}
-
-// FailGroup fails the correlated link group at the given time.
-func (b *Builder) FailGroup(at time.Duration, links ...topology.Edge) *Builder {
-	return b.add(Event{At: at, Kind: KindFailGroup, Links: canonEdges(links), Node: -1})
-}
-
-// RestoreGroup restores the link group at the given time.
-func (b *Builder) RestoreGroup(at time.Duration, links ...topology.Edge) *Builder {
-	return b.add(Event{At: at, Kind: KindRestoreGroup, Links: canonEdges(links), Node: -1})
-}
-
-// FlapLink flaps the x–y link every period for cycles cycles starting at
-// the given time (down at cycle start, up half a period later).
-func (b *Builder) FlapLink(at time.Duration, x, y topology.NodeID, period time.Duration, cycles int) *Builder {
-	return b.add(Event{At: at, Kind: KindFlapLink, Links: []topology.Edge{topology.NewEdge(x, y)},
-		Node: -1, Period: period, Cycles: cycles})
-}
-
-// Loss sets the x–y link's random packet-loss probability to p at the given
-// time; p = 0 clears it.
-func (b *Builder) Loss(at time.Duration, x, y topology.NodeID, p float64) *Builder {
-	return b.add(Event{At: at, Kind: KindSetLoss, Links: []topology.Edge{topology.NewEdge(x, y)},
-		Node: -1, Rate: p})
-}
-
-// CostOut gracefully costs the x–y link out of service at the given time.
-func (b *Builder) CostOut(at time.Duration, x, y topology.NodeID) *Builder {
-	return b.add(Event{At: at, Kind: KindCostOut, Links: []topology.Edge{topology.NewEdge(x, y)}, Node: -1})
-}
-
-// CostIn returns the costed-out x–y link to service at the given time.
-func (b *Builder) CostIn(at time.Duration, x, y topology.NodeID) *Builder {
-	return b.add(Event{At: at, Kind: KindCostIn, Links: []topology.Edge{topology.NewEdge(x, y)}, Node: -1})
-}
-
-// Churn runs continuous churn from from to until: rate link failures per
-// second over the candidate links (all router links when empty), each
-// repaired after an exponential downtime of mean meanDown (zero defaults to
-// one second).
-func (b *Builder) Churn(from, until time.Duration, rate float64, meanDown time.Duration, links ...topology.Edge) *Builder {
-	if meanDown == 0 {
-		meanDown = time.Second
-	}
-	return b.add(Event{At: from, Kind: KindChurn, Links: canonEdges(links), Node: -1,
-		Rate: rate, MeanDown: meanDown, Until: until})
-}
-
-// FailPath schedules the paper's original event: fail one random
-// recoverable link on the measured flow's path at the given time, restoring
-// it restore later (0 = permanent) and flapping flaps times.
-func (b *Builder) FailPath(at, restore time.Duration, flaps int) *Builder {
-	return b.add(Event{At: at, Kind: KindFailPath, Node: -1, Restore: restore, Flaps: flaps})
-}
-
-// FailRandom fails one random currently-up router link at the given time.
-func (b *Builder) FailRandom(at time.Duration) *Builder {
-	return b.add(Event{At: at, Kind: KindFailRandom, Node: -1})
-}
-
-// Script returns the accumulated events as a Script, stably sorted by time.
-func (b *Builder) Script() *Script {
-	events := make([]Event, len(b.events))
-	copy(events, b.events)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	return &Script{Events: events}
-}
-
-// canonEdges normalizes every edge to canonical A ≤ B order (NewEdge's
-// invariant) without touching the caller's slice.
-func canonEdges(links []topology.Edge) []topology.Edge {
-	out := make([]topology.Edge, len(links))
-	for i, e := range links {
-		out[i] = topology.NewEdge(e.A, e.B)
-	}
-	return out
 }

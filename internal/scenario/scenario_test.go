@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,8 +17,8 @@ func TestParseFullGrammar(t *testing.T) {
 		fail link 3-7 @400s
 		restore link 3-7 @410s
 		fail node 12 @400s; recover node 12 @430s
-		fail group 3-7,4-8 @400s
-		restore group 3-7,4-8 @410s
+		fail link 3-7,4-8 @400s
+		restore link 3-7,4-8 @410s
 		flap link 3-7 every 6s x5 @400s
 		loss link 1-2 p=0.01 @410s
 		costout link 3-7 @400s
@@ -63,7 +62,8 @@ func TestParseFullGrammar(t *testing.T) {
 
 // TestParseDiagnostics pins the malformed-input errors: each names the line
 // and the offending token, so a user can fix a long script without
-// guesswork (the same contract topoio's spec parser keeps).
+// guesswork (the same contract topoio's spec parser keeps). The cases
+// reach every error return of the parser.
 func TestParseDiagnostics(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -71,26 +71,52 @@ func TestParseDiagnostics(t *testing.T) {
 	}{
 		{"explode link 3-7 @400s", `line 1: unknown keyword "explode"`},
 		{"fail link 3-7 @400s\nfail widget 3 @9s", `line 2: unknown target "widget"`},
+		{"fail group 3-7,4-8 @400s", `unknown target "group" after "fail"`},
+		{"fail", "fail what? expected link or node"},
 		{"fail link 3-7", "usage: fail link"},
+		{"restore link 3-7,4-8", "usage: restore link A-B[,C-D] @T"},
 		{"fail link 3x7 @400s", `bad link "3x7"`},
-		{"fail link 3-7,4-8 @400s", "fail link takes one link (use fail group for several)"},
+		{"fail link 3-7,4 @400s", `bad link "4" (expected A-B)`},
 		{"fail link 3-7 400s", `expected a time @T, got "400s"`},
 		{"fail link 3-7 @fourhundred", `bad time "@fourhundred"`},
 		{"restore node 12 @400s", `use "recover node" to bring a node back`},
+		{"recover", `expected "node" after "recover"`},
+		{"recover link 3-7 @400s", `expected "node" after "recover"`},
+		{"recover node 12", "usage: fail|recover node N @T"},
 		{"fail node twelve @400s", `bad node "twelve"`},
 		{"fail node 2147483648 @400s", `bad node "2147483648"`}, // NodeID is 32-bit
+		{"fail node 12 @soon", `bad time "@soon"`},
 		{"fail link 0-4294967296 @400s", `bad link "0-4294967296"`},
 		{"flap link 3-7 every 6s @400s", "usage: flap link A-B every D xN @T"},
+		{"flap link 3-7,4-8 every 6s x5 @400s", `bad link "3-7,4-8"`},
+		{"flap link 3-7 each 6s x5 @400s", `expected "every", got "each"`},
+		{"flap link 3-7 every often x5 @400s", `bad flap period "often"`},
 		{"flap link 3-7 every 6s five @400s", `bad cycle count "five"`},
+		{"flap link 3-7 every 6s 5 @400s", `bad cycle count "5" (expected xN)`},
+		{"flap link 3-7 every 6s x5 @later", `bad time "@later"`},
+		{"loss link 1-2 p=0.01", "usage: loss link A-B p=P @T"},
+		{"loss link 1x2 p=0.01 @410s", `bad link "1x2"`},
 		{"loss link 1-2 0.01 @410s", `bad loss probability "0.01" (expected p=P)`},
 		{"loss link 1-2 p=lots @410s", `bad loss probability "p=lots"`},
+		{"loss link 1-2 p=0.01 410s", `expected a time @T, got "410s"`},
+		{"costout link 3-7", "usage: costout link A-B @T"},
+		{"costin link 3-7,4-8 @500s", `bad link "3-7,4-8"`},
+		{"costin link 3-7 @never", `bad time "@never"`},
+		{"churn nodes rate=0.1/s @450s..600s", "usage: churn links [A-B,C-D] rate=R/s [down=D] @T1..T2"},
+		{"churn links 3x7 rate=0.1/s @450s..600s", `bad link "3x7"`},
+		{"churn links rate=fast/s @450s..600s", `bad churn rate "rate=fast/s"`},
+		{"churn links rate=0.1/s down=long @450s..600s", `bad churn downtime "down=long"`},
 		{"churn links down=2s @450s..600s", "churn needs rate=R/s"},
 		{"churn links rate=0.1/s", "churn needs a window @T1..T2"},
 		{"churn links rate=0.1/s @450s", `bad churn window "@450s"`},
 		{"churn links rate=0.1/s speed=9 @450s..600s", `unknown churn parameter "speed=9"`},
 		{"failpath restore=3s", "failpath needs a time @T"},
+		{"failpath @now", `bad time "@now"`},
+		{"failpath @400s restore=soon", `bad restore "restore=soon" (expected restore=D)`},
+		{"failpath @400s flaps=many", `bad flaps "flaps=many" (expected flaps=N)`},
 		{"failpath @400s knobs=3", `unknown failpath parameter "knobs=3"`},
 		{"failrandom @430s now", "usage: failrandom @T"},
+		{"failrandom @whenever", `bad time "@whenever"`},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.in)
@@ -116,22 +142,35 @@ func TestParseLineNumbers(t *testing.T) {
 	}
 }
 
+// mustParse parses a script the test knows to be well formed.
+func mustParse(t *testing.T, text string) *Script {
+	t.Helper()
+	s, err := Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestStringRoundTrip(t *testing.T) {
-	orig := NewBuilder().
-		FailLink(400*time.Second, 3, 7).
-		RestoreLink(410*time.Second, 7, 3). // reversed endpoints canonicalize
-		FailNode(400*time.Second, 12).
-		RecoverNode(430*time.Second, 12).
-		FailGroup(400*time.Second, edge(3, 7), edge(8, 4)).
-		RestoreGroup(410*time.Second, edge(3, 7), edge(4, 8)).
-		FlapLink(400*time.Second, 3, 7, 6*time.Second, 5).
-		Loss(410*time.Second, 1, 2, 0.01).
-		CostOut(400*time.Second, 3, 7).
-		CostIn(500*time.Second, 3, 7).
-		Churn(450*time.Second, 600*time.Second, 0.1, 2*time.Second).
-		FailPath(400*time.Second, 3*time.Second, 5).
-		FailRandom(430 * time.Second).
-		Script()
+	orig := mustParse(t, `
+		fail link 3-7 @400s
+		restore link 7-3 @410s
+		fail node 12 @400s; recover node 12 @430s
+		fail link 3-7,8-4 @400s; restore link 3-7,4-8 @410s
+		flap link 3-7 every 6s x5 @400s
+		loss link 1-2 p=0.01 @410s
+		costout link 3-7 @400s; costin link 3-7 @500s
+		churn links rate=0.1/s down=2s @450s..600s
+		failpath @400s restore=3s flaps=5
+		failrandom @430s`)
+	// Reversed endpoints canonicalize.
+	if got := orig.Events[0].String(); got != "fail link 3-7 @6m40s" {
+		t.Errorf("first event renders as %q", got)
+	}
+	if got := orig.Events[6].String(); got != "restore link 3-7 @6m50s" {
+		t.Errorf("reversed restore renders as %q", got)
+	}
 	reparsed, err := Parse(orig.String())
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", orig.String(), err)
@@ -141,12 +180,9 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBuilderSortsStable(t *testing.T) {
-	s := NewBuilder().
-		FailRandom(430*time.Second).
-		FailLink(400*time.Second, 3, 7).
-		Loss(400*time.Second, 1, 2, 0.5). // same instant: must stay after the fail
-		Script()
+func TestParseSortsStable(t *testing.T) {
+	// Same instant: the loss must stay after the fail.
+	s := mustParse(t, "failrandom @430s; fail link 3-7 @400s; loss link 1-2 p=0.5 @400s")
 	if s.Events[0].Kind != KindFailLink || s.Events[1].Kind != KindSetLoss || s.Events[2].Kind != KindFailRandom {
 		t.Errorf("sorted order = %s", s)
 	}
@@ -155,39 +191,38 @@ func TestBuilderSortsStable(t *testing.T) {
 func TestValidate(t *testing.T) {
 	g := topology.Torus(4, 4) // nodes 0..15, edge 0-1 exists
 	horizon := 800 * time.Second
-	ok := func(b *Builder) *Script { return b.Script() }
 	cases := []struct {
 		name   string
-		script *Script
+		script string
 		want   string // "" = valid
 	}{
-		{"valid", ok(NewBuilder().FailLink(400*time.Second, 0, 1).RestoreLink(410*time.Second, 0, 1)), ""},
-		{"negative time", ok(NewBuilder().FailLink(-time.Second, 0, 1)), "before the start"},
-		{"past horizon", ok(NewBuilder().FailLink(900*time.Second, 0, 1)), "not before the 13m20s horizon"},
-		{"unknown link", ok(NewBuilder().FailLink(400*time.Second, 0, 9)), "no link 0-9 in the topology"},
-		{"unknown node", ok(NewBuilder().FailNode(400*time.Second, 99)), "node 99 outside the topology"},
-		{"restore before fail", ok(NewBuilder().RestoreLink(410*time.Second, 0, 1)), "before any event fails it"},
-		{"recover before fail", ok(NewBuilder().RecoverNode(410*time.Second, 3)), "before any event fails it"},
-		{"costin before costout", ok(NewBuilder().CostIn(410*time.Second, 0, 1)), "before any event costs it out"},
-		{"loss out of range", ok(NewBuilder().Loss(400*time.Second, 0, 1, 1.5)), "outside [0, 1]"},
-		{"flap zero period", ok(NewBuilder().FlapLink(400*time.Second, 0, 1, 0, 5)), "period must be positive"},
-		{"flap zero cycles", ok(NewBuilder().FlapLink(400*time.Second, 0, 1, time.Second, 0)), "at least one cycle"},
-		{"churn empty window", ok(NewBuilder().Churn(450*time.Second, 450*time.Second, 0.1, 0)), "window @7m30s..7m30s is empty"},
-		{"churn past horizon", ok(NewBuilder().Churn(450*time.Second, 900*time.Second, 0.1, 0)), "after the 13m20s horizon"},
-		{"churn zero rate", ok(NewBuilder().Churn(450*time.Second, 600*time.Second, 0, 0)), "rate must be positive"},
-		{"churn infinite rate", ok(NewBuilder().Churn(450*time.Second, 600*time.Second, math.Inf(1), 0)), "rate must be positive and finite"},
-		{"churn NaN rate", ok(NewBuilder().Churn(450*time.Second, 600*time.Second, math.NaN(), 0)), "rate must be positive and finite"},
-		{"loss NaN", ok(NewBuilder().Loss(400*time.Second, 0, 1, math.NaN())), "loss probability NaN outside [0, 1]"},
-		{"loss infinite", ok(NewBuilder().Loss(400*time.Second, 0, 1, math.Inf(1))), "outside [0, 1]"},
-		{"failpath flaps need restore", ok(NewBuilder().FailPath(400*time.Second, 0, 5)), "requires restore > 0"},
-		{"out of order", &Script{Events: []Event{
-			{At: 410 * time.Second, Kind: KindFailLink, Links: []topology.Edge{edge(0, 1)}},
-			{At: 400 * time.Second, Kind: KindFailRandom},
-		}}, "out of time order"},
-		{"zero kind", &Script{Events: []Event{{At: time.Second}}}, "unknown event kind"},
+		{"valid", "fail link 0-1 @400s; restore link 0-1 @410s", ""},
+		{"valid group", "fail link 0-1,1-2 @400s; restore link 1-2 @410s; restore link 0-1 @420s", ""},
+		{"negative time", "fail link 0-1 @-1s", "before the start"},
+		{"past horizon", "fail link 0-1 @900s", "not before the 13m20s horizon"},
+		{"unknown link", "fail link 0-9 @400s", "no link 0-9 in the topology"},
+		{"unknown group member", "fail link 0-1,0-9 @400s", "no link 0-9 in the topology"},
+		{"unknown node", "fail node 99 @400s", "node 99 outside the topology"},
+		{"restore before fail", "restore link 0-1 @410s", "before any event fails it"},
+		{"restore group member before fail", "fail link 0-1 @400s; restore link 0-1,1-2 @410s", "restores link 1-2 before any event fails it"},
+		{"recover before fail", "recover node 3 @410s", "before any event fails it"},
+		{"costin before costout", "costin link 0-1 @410s", "before any event costs it out"},
+		{"loss out of range", "loss link 0-1 p=1.5 @400s", "outside [0, 1]"},
+		{"flap zero period", "flap link 0-1 every 0s x5 @400s", "period must be positive"},
+		{"flap zero cycles", "flap link 0-1 every 1s x0 @400s", "at least one cycle"},
+		{"churn empty window", "churn links rate=0.1/s @450s..450s", "window @7m30s..7m30s is empty"},
+		{"churn past horizon", "churn links rate=0.1/s @450s..900s", "after the 13m20s horizon"},
+		{"churn zero rate", "churn links rate=0/s @450s..600s", "rate must be positive"},
+		{"churn infinite rate", "churn links rate=inf/s @450s..600s", "rate must be positive and finite"},
+		{"churn NaN rate", "churn links rate=NaN/s @450s..600s", "rate must be positive and finite"},
+		{"churn negative downtime", "churn links rate=0.1/s down=-1s @450s..600s", "mean downtime must not be negative"},
+		{"loss NaN", "loss link 0-1 p=NaN @400s", "loss probability NaN outside [0, 1]"},
+		{"loss infinite", "loss link 0-1 p=inf @400s", "outside [0, 1]"},
+		{"failpath flaps need restore", "failpath @400s flaps=5", "requires restore > 0"},
+		{"failpath negative restore", "failpath @400s restore=-1s", "restore must not be negative"},
 	}
 	for _, c := range cases {
-		err := c.script.Validate(horizon, g)
+		err := mustParse(t, c.script).Validate(horizon, g)
 		if c.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", c.name, err)
@@ -205,9 +240,21 @@ func TestValidate(t *testing.T) {
 			t.Errorf("%s: error %q does not name the event", c.name, err)
 		}
 	}
+	// Scripts that Parse cannot produce: events out of time order, and an
+	// uninitialized event.
+	for want, script := range map[string]*Script{
+		"out of time order": {Events: []Event{
+			{At: 410 * time.Second, Kind: KindFailLink, Links: []topology.Edge{edge(0, 1)}},
+			{At: 400 * time.Second, Kind: KindFailRandom},
+		}},
+		"unknown event kind": {Events: []Event{{At: time.Second}}},
+	} {
+		if err := script.Validate(horizon, g); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Validate(%s) = %v, want %q", script, err, want)
+		}
+	}
 	// Reference checks are deferred when the graph is unknown.
-	deferred := NewBuilder().FailLink(400*time.Second, 0, 9).Script()
-	if err := deferred.Validate(horizon, nil); err != nil {
+	if err := mustParse(t, "fail link 0-9 @400s").Validate(horizon, nil); err != nil {
 		t.Errorf("nil-graph Validate rejected link refs: %v", err)
 	}
 }

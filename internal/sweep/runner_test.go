@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -70,6 +71,36 @@ func TestRunColdThenCached(t *testing.T) {
 			if pair[0] != pair[1] && !(math.IsNaN(pair[0]) && math.IsNaN(pair[1])) {
 				t.Errorf("cell %s: cached aggregate %v != fresh %v", cold.Cells[i].Cell.ID(), pair[1], pair[0])
 			}
+		}
+	}
+}
+
+// TestRunInheritsBaseSchedule: a failure mode without a script runs the
+// base config's own schedule and fast reroute, exactly as core.Run does;
+// a mode with a script replaces the schedule and keeps fast reroute.
+func TestRunInheritsBaseSchedule(t *testing.T) {
+	spec := testSpec([]string{"dbf"}, []int{4}, 1)
+	spec.Base.Scenario = "failpath @40s restore=2s flaps=2"
+	spec.Base.FastReroute = true
+	spec.Failures = []FailureMode{SingleFailure(), {Name: "random", Scenario: "failrandom @40s"}}
+	out, err := Run(context.Background(), spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, script := range []string{spec.Base.Scenario, "failrandom @40s"} {
+		cfg := *spec.Base
+		cfg.Protocol, cfg.Degree, cfg.Trials, cfg.Seed = core.ProtoDBF, 4, 1, 1
+		cfg.Scenario = script
+		want, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := out.Cells[i]
+		if !got.Cell.Config.FastReroute {
+			t.Errorf("cell %s lost the base config's fast reroute", got.Cell.ID())
+		}
+		if gs, ws := fmt.Sprintf("%+v", *got.Result), fmt.Sprintf("%+v", *want); gs != ws {
+			t.Errorf("cell %s differs from core.Run with %q:\n got %s\nwant %s", got.Cell.ID(), script, gs, ws)
 		}
 	}
 }

@@ -54,29 +54,29 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// FailureMode names one failure schedule of the grid: the paper's single
-// permanent on-path failure by default, or any scenario script — repair,
-// flaps, multiple failures (the §6 extensions) and the rest of SCENARIOS.md.
+// FailureMode names one failure schedule of the grid: the base config's
+// schedule by default — the paper's single permanent on-path failure —
+// or any scenario script: repair, flaps, multiple failures (the §6
+// extensions) and the rest of SCENARIOS.md.
 type FailureMode struct {
 	// Name labels the mode in cell IDs, journals and manifests.
 	Name string `json:"name"`
-	// FastReroute precomputes loop-free-alternate protection.
-	FastReroute bool `json:"fast_reroute,omitempty"`
 	// Scenario, when non-empty, is a scenario script in the text grammar
-	// (SCENARIOS.md) replacing the default schedule, "failpath @FailAt";
-	// e.g. "failpath @400s restore=3s flaps=5" for a flapping link.
+	// (SCENARIOS.md) replacing the base config's schedule, e.g.
+	// "failpath @400s restore=3s flaps=5" for a flapping link.
 	Scenario string `json:"scenario,omitempty"`
 }
 
-// SingleFailure is the paper's failure model: one permanent on-path link
-// failure. It is the default when a spec lists no failure modes.
+// SingleFailure is the mode that runs the base config's schedule: for
+// core.DefaultConfig, the paper's one permanent on-path link failure. It
+// is the default when a spec lists no failure modes.
 func SingleFailure() FailureMode { return FailureMode{Name: "single"} }
 
 // apply overlays the failure mode on a config.
 func (f FailureMode) apply(cfg *core.Config) {
-	cfg.FastReroute = f.FastReroute
-	cfg.Scenario = f.Scenario
-	cfg.Script = nil
+	if f.Scenario != "" {
+		cfg.Scenario = f.Scenario
+	}
 }
 
 // Spec declares a sweep: the full grid is Protocols × (Degrees ∪ Topos) ×
@@ -110,14 +110,9 @@ type Spec struct {
 	// the runner divides its default worker count by the largest shard
 	// count so a sweep never oversubscribes the machine.
 	Shards int `json:"shards,omitempty"`
-	// Failures lists the failure models; empty means the paper's single
-	// permanent failure.
+	// Failures lists the failure models, a grid axis next to protocol and
+	// degree; empty means SingleFailure, the base config's own schedule.
 	Failures []FailureMode `json:"failures,omitempty"`
-	// Scenarios lists scenario scripts (text grammar, SCENARIOS.md) swept
-	// as additional failure modes alongside Failures: script i becomes a
-	// mode named "scn<i>". Scenario becomes a grid axis next to protocol
-	// and degree.
-	Scenarios []string `json:"scenarios,omitempty"`
 	// End shortens or extends the simulation horizon (default: the
 	// paper's 800 s).
 	End Duration `json:"end,omitempty"`
@@ -126,8 +121,9 @@ type Spec struct {
 	// cache keys change (metered and unmetered results are distinct).
 	Metrics bool `json:"metrics,omitempty"`
 	// Base, when non-nil, replaces core.DefaultConfig() as the per-cell
-	// template (Go callers only; its Protocol, Degree, Trials, Seed and
-	// failure fields are overwritten by the grid).
+	// template (Go callers only; the grid sets its Protocol and Degree or
+	// Topo, the spec's other set fields override theirs, and a failure
+	// mode with a script replaces its Scenario).
 	Base *core.Config `json:"-"`
 }
 
@@ -222,9 +218,6 @@ func (s *Spec) Expand() ([]Cell, error) {
 		return nil, fmt.Errorf("sweep: spec lists no degrees and no topos")
 	}
 	failures := s.Failures
-	for i, script := range s.Scenarios {
-		failures = append(failures, FailureMode{Name: fmt.Sprintf("scn%d", i), Scenario: script})
-	}
 	if len(failures) == 0 {
 		failures = []FailureMode{SingleFailure()}
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"routeconv/internal/core"
-	"routeconv/internal/scenario"
 )
 
 func TestParseSpecJSON(t *testing.T) {
@@ -156,12 +155,18 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseSpec([]byte(`{"protocols":["rip"],"degrees":[3],"trials":1,"bogus":true}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	// The failure knobs a scenario script replaced are unknown fields too.
-	for _, knob := range []string{`"restore_after":"3s"`, `"flaps":5`, `"extra_fail_ats":["405s"]`} {
+	// The failure knobs a scenario script replaced are unknown fields too,
+	// and so are fast reroute, which the base config carries, and the
+	// second failure axis, a list of bare scripts.
+	for _, knob := range []string{`"restore_after":"3s"`, `"flaps":5`, `"extra_fail_ats":["405s"]`, `"fast_reroute":true`} {
 		spec := `{"protocols":["rip"],"degrees":[3],"trials":1,"failures":[{"name":"f",` + knob + `}]}`
 		if _, err := ParseSpec([]byte(spec)); err == nil || !strings.Contains(err.Error(), "unknown field") {
 			t.Errorf("%s: err = %v, want an unknown-field error", knob, err)
 		}
+	}
+	spec := `{"protocols":["rip"],"degrees":[3],"trials":1,"scenarios":["failpath @400s"]}`
+	if _, err := ParseSpec([]byte(spec)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Errorf("scenarios: err = %v, want an unknown-field error", err)
 	}
 }
 
@@ -197,8 +202,9 @@ func TestCellKeysGolden(t *testing.T) {
 	// Mode/GuardWindow fields, and the Scenario/Script fields; and once
 	// more when Config lost its RestoreAfter/Flaps/ExtraFailAts failure
 	// knobs and a default config began to carry its resolved
-	// "failpath @FailAt" script.
-	const want = "7b274570a0ca15dd6ff401fff016b10445b8a8625451485380be2b85cde6f719"
+	// "failpath @FailAt" script; and once more when the Script field went
+	// and the resolved schedule became the canonical Scenario text.
+	const want = "9b26c48cf89bb2fbe1f65244932a125b4d28bc1cd197b9a60df7875d3a5468e2"
 	if key != want {
 		t.Errorf("golden dbf key changed:\n got %s\nwant %s\n(an intentional Config or encoding change must update this golden)", key, want)
 	}
@@ -207,20 +213,17 @@ func TestCellKeysGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantRIP = "8b1d890598478ea4074b9224693c39e9de5e33a1639f6ee2a8f980664c5bcc28"
+	const wantRIP = "332f1012bdc0a1e52a63a2061e998e46433c5dac99f7457cd5972fdbffc02a68"
 	if key2 != wantRIP {
 		t.Errorf("golden rip key changed:\n got %s\nwant %s", key2, wantRIP)
 	}
-	// The default schedule is "failpath @FailAt": spelling it out, as text
-	// or as a built script, is the same experiment and the same key.
-	for _, explicit := range []func(*core.Config){
-		func(c *core.Config) { c.Scenario = "failpath @400s" },
-		func(c *core.Config) { c.Script = scenario.NewBuilder().FailPath(c.FailAt, 0, 0).Script() },
-	} {
+	// The default schedule is "failpath @FailAt": spelling it out, in any
+	// duration form, is the same experiment and the same key.
+	for _, explicit := range []string{"failpath @400s", "failpath @6m40s # the paper's failure"} {
 		same := cfg
-		explicit(&same)
+		same.Scenario = explicit
 		if k, err := CellKeyAt(&same, "golden-v1"); err != nil || k != wantRIP {
-			t.Errorf("explicit failpath @FailAt key = %s, %v; want the default's %s", k, err, wantRIP)
+			t.Errorf("%q key = %s, %v; want the default's %s", explicit, k, err, wantRIP)
 		}
 	}
 	// Version participates in the key: a new module version invalidates.

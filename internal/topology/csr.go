@@ -36,42 +36,12 @@ func NewCSR(g *Graph) *CSR {
 // Len returns the number of nodes.
 func (c *CSR) Len() int { return len(c.rowPtr) - 1 }
 
-// NumEdges returns the number of undirected edges.
-func (c *CSR) NumEdges() int { return len(c.col) / 2 }
-
 // Degree returns the number of neighbors of u.
 func (c *CSR) Degree(u NodeID) int { return int(c.rowPtr[u+1] - c.rowPtr[u]) }
 
 // Neighbors returns u's neighbors in ascending order. The slice aliases the
 // CSR's storage and must not be modified.
 func (c *CSR) Neighbors(u NodeID) []NodeID { return c.col[c.rowPtr[u]:c.rowPtr[u+1]] }
-
-// HasEdge reports whether the undirected edge {a, b} exists, by binary
-// search over the smaller endpoint row.
-func (c *CSR) HasEdge(a, b NodeID) bool {
-	if a < 0 || b < 0 || int(a) >= c.Len() || int(b) >= c.Len() {
-		return false
-	}
-	if c.Degree(b) < c.Degree(a) {
-		a, b = b, a
-	}
-	row := c.Neighbors(a)
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= b })
-	return i < len(row) && row[i] == b
-}
-
-// Edges returns all edges sorted by (A, B).
-func (c *CSR) Edges() []Edge {
-	out := make([]Edge, 0, c.NumEdges())
-	for u := 0; u < c.Len(); u++ {
-		for _, v := range c.Neighbors(NodeID(u)) {
-			if v > NodeID(u) {
-				out = append(out, Edge{A: NodeID(u), B: v})
-			}
-		}
-	}
-	return out
-}
 
 // BFSScratch holds reusable breadth-first-search state so repeated
 // traversals of the same-size graph allocate nothing.

@@ -38,7 +38,6 @@ import (
 	"routeconv/internal/routing"
 	"routeconv/internal/routing/bgp"
 	"routeconv/internal/routing/ls"
-	"routeconv/internal/scenario"
 	"routeconv/internal/sweep"
 )
 
@@ -81,8 +80,19 @@ const (
 func ParseProtocol(s string) (ProtocolKind, error) { return core.ParseProtocol(s) }
 
 // Config describes one experiment; see DefaultConfig for the paper's
-// parameters.
+// parameters. Its disturbance schedule is the Scenario script, in the
+// text grammar of SCENARIOS.md ("failpath @400s restore=3s flaps=5;
+// failrandom @405s"); empty means the paper's single on-path failure.
+// Validate checks the script, like every other field, before any
+// simulation runs.
 type Config = core.Config
+
+// ModeHybrid, set on Config.Mode, runs every flow after the first,
+// measured probe through the fluid engine: analytically while the network
+// is quiescent, demoted to packet simulation for Config.GuardWindow after
+// a forwarding change on its path. It makes millions of flows per trial
+// tractable. Packet simulation of every flow is Mode's zero value.
+const ModeHybrid = core.ModeHybrid
 
 // VectorConfig parameterizes the distance-vector protocols (RIP, DBF).
 type VectorConfig = routing.VectorConfig
@@ -159,24 +169,14 @@ func DefaultSweep(trials int) SweepConfig {
 // (the engine behind cmd/sweep), uncached: cells run in
 // parallel on GOMAXPROCS workers, and each cell's Result is exactly what
 // Run returns for Base with that protocol and degree. Base's disturbance
-// schedule (Scenario or Script) and FastReroute apply to every cell; a
-// Base with a Factory override is rejected, because cells are keyed by
-// their configuration's content. progress (optional) receives the
+// schedule (Scenario) and FastReroute apply to every cell; a Base with a
+// Factory override is rejected, because cells are keyed by their
+// configuration's content. progress (optional) receives the
 // orchestrator's status lines — one per completed cell
-// ("dbf/d4/base  ran  …"), a periodic summary and a closing total — from
+// ("dbf/d4/single  ran  …"), a periodic summary and a closing total — from
 // several goroutines, possibly at once.
 func RunSweep(sc SweepConfig, progress func(string)) (*core.SweepResult, error) {
-	// A sweep failure mode replaces its cells' schedule, so Base's own
-	// schedule travels as the one mode, in text form.
-	base := sc.Base
-	if err := base.ResolveScenario(); err != nil {
-		return nil, err
-	}
-	spec := sweep.Spec{
-		Base:     &sc.Base,
-		Degrees:  sc.Degrees,
-		Failures: []sweep.FailureMode{{Name: "base", FastReroute: base.FastReroute, Scenario: base.Script.String()}},
-	}
+	spec := sweep.Spec{Base: &sc.Base, Degrees: sc.Degrees}
 	for _, p := range sc.Protocols {
 		spec.Protocols = append(spec.Protocols, p.String())
 	}
@@ -186,29 +186,6 @@ func RunSweep(sc SweepConfig, progress func(string)) (*core.SweepResult, error) 
 	}
 	return out.SweepResult(), nil
 }
-
-// ScenarioScript is a parsed disturbance script: a time-ordered list of
-// failure, repair, flap, loss, cost-out and churn events. It is the only
-// form a trial's disturbances take: set it on Config.Script, or set the
-// text form on Config.Scenario; a config with neither runs the paper's
-// single on-path failure, "failpath @FailAt". Repairs, flaps and extra
-// failures of that link are script options too
-// ("failpath @400s restore=3s flaps=5; failrandom @405s"). Grammar and
-// exact per-event semantics: SCENARIOS.md.
-type ScenarioScript = scenario.Script
-
-// NewScenario returns an empty scenario builder. Chain event methods and
-// call Script() to get the time-sorted script:
-//
-//	s := routeconv.NewScenario().
-//		FailLink(400*time.Second, 3, 7).
-//		Loss(410*time.Second, 1, 2, 0.01).
-//		Script()
-func NewScenario() *scenario.Builder { return scenario.NewBuilder() }
-
-// ParseScenario parses the compact text grammar, e.g.
-// "fail link 3-7 @400s; loss link 1-2 p=0.01 @410s". See SCENARIOS.md.
-func ParseScenario(text string) (*ScenarioScript, error) { return scenario.Parse(text) }
 
 // MetricsSnapshot is a flat metric-name → value map of the observability
 // counters one trial accumulated (set Config.Metrics to collect it; see
