@@ -195,29 +195,31 @@ func TestRunSweepMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range sc.Protocols {
-				for _, d := range sc.Degrees {
-					cfg := tc.base
-					cfg.Protocol, cfg.Degree = p, d
-					want, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := sr.Cells[p][d]
-					if got == nil {
-						t.Fatalf("%v degree %d: no cell", p, d)
-					}
-					// Compared as printed: %v renders a float exactly
-					// (shortest round-trip form), and the delay series' NaN
-					// bins match where reflect.DeepEqual's NaN != NaN would
-					// not.
-					if gs, ws := fmt.Sprintf("%+v", *got), fmt.Sprintf("%+v", *want); gs != ws {
-						t.Errorf("%v degree %d: RunSweep's cell differs from Run:\n got %s\nwant %s", p, d, gs, ws)
-					}
-					id := fmt.Sprintf("%v/d%d/single", p, d)
-					if !slices.ContainsFunc(progress, func(line string) bool { return strings.HasPrefix(line, id) }) {
-						t.Errorf("no progress line for cell %s in %q", id, progress)
-					}
+			if len(sr.Cells) != len(sc.Protocols)*len(sc.Degrees) {
+				t.Fatalf("%d cells, want %d", len(sr.Cells), len(sc.Protocols)*len(sc.Degrees))
+			}
+			for i, c := range sr.Cells {
+				// Plan order: protocol-major, then degree.
+				p, d := sc.Protocols[i/len(sc.Degrees)], sc.Degrees[i%len(sc.Degrees)]
+				if c.Cell.Protocol != p || c.Cell.Degree != d {
+					t.Fatalf("cell %d is %s, want %v degree %d", i, c.Cell.ID(), p, d)
+				}
+				cfg := tc.base
+				cfg.Protocol, cfg.Degree = p, d
+				want, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Compared as printed: %v renders a float exactly
+				// (shortest round-trip form), and the delay series' NaN
+				// bins match where reflect.DeepEqual's NaN != NaN would
+				// not.
+				if gs, ws := fmt.Sprintf("%+v", *c.Result), fmt.Sprintf("%+v", *want); gs != ws {
+					t.Errorf("%v degree %d: RunSweep's cell differs from Run:\n got %s\nwant %s", p, d, gs, ws)
+				}
+				id := fmt.Sprintf("%v/d%d/single", p, d)
+				if !slices.ContainsFunc(progress, func(line string) bool { return strings.HasPrefix(line, id) }) {
+					t.Errorf("no progress line for cell %s in %q", id, progress)
 				}
 			}
 		})

@@ -17,13 +17,14 @@
 //	      [-force] [-plan] [-q] [-figures] [-report FILE]
 //	      [-cpuprofile FILE] [-memprofile FILE]
 //
-// Outputs, written atomically under -out: summary.{txt,csv} (the per-cell
-// headline metrics) and manifest.json (spec, module version, per-cell keys,
-// seeds, wall times and cache provenance). -figures adds every table and
-// figure of the paper's evaluation (Figures 2–7 of Pei et al., DSN 2003)
-// as aligned text and CSV files; -report writes a self-contained markdown
-// report. A full paper-scale run is `sweep -figures -trials 100 -degrees
-// 3-16 -out results`.
+// Outputs, written atomically under -out: summary.{txt,csv} (one row of
+// headline metrics per cell, with topo, failure and flows columns for the
+// axes swept) and manifest.json (spec, module version, per-cell keys,
+// seeds, wall times and cache provenance). -figures adds the paper's
+// Figures 2–7 (Pei et al., DSN 2003) as text and CSV files, degree-indexed
+// over the mesh cells of the first failure mode and flow count; -report
+// writes a markdown report. A full paper-scale run is `sweep -figures
+// -trials 100 -degrees 3-16 -out results`.
 package main
 
 import (
@@ -145,8 +146,7 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 		return err
 	}
 
-	sr := out.SweepResult()
-	txt, err := writeTable(sr.SummaryTable(), filepath.Join(o.outDir, "summary"))
+	txt, err := writeTable(out.SummaryTable(), filepath.Join(o.outDir, "summary"))
 	if err != nil {
 		return err
 	}
@@ -154,13 +154,13 @@ func run(ctx context.Context, args []string, w io.Writer) (err error) {
 		return err
 	}
 	if o.figures {
-		if err := writeFigures(w, sr, o.outDir); err != nil {
+		if err := writeFigures(w, out, o.outDir); err != nil {
 			return err
 		}
 	}
 	if o.report != "" {
 		var buf bytes.Buffer
-		if err := sr.WriteReport(&buf); err != nil {
+		if err := out.WriteReport(&buf); err != nil {
 			return err
 		}
 		if err := sweep.WriteFileAtomic(o.report, buf.Bytes(), 0o644); err != nil {
@@ -231,23 +231,27 @@ func splitList(s, sep string) []string {
 
 // writeFigures writes the paper's figures into dir: Figures 2, 3, 4 and 6
 // as degree-indexed tables, and Figures 5 and 7 as time-series tables plus
-// one ASCII plot file per series degree.
-func writeFigures(w io.Writer, sr *core.SweepResult, dir string) error {
+// one ASCII plot file per series degree, after a line naming what they
+// leave out (FigureScope).
+func writeFigures(w io.Writer, out *sweep.Outcome, dir string) error {
+	if scope := out.FigureScope(); scope != "" {
+		fmt.Fprintln(w, scope)
+	}
 	type output struct {
 		name  string
 		table *stats.Table
 	}
 	tables := []output{
-		{"fig2_topology_family", sr.Figure2Table()},
-		{"fig3_drops_no_route", sr.Figure3Table()},
-		{"fig4_ttl_expirations", sr.Figure4Table()},
-		{"fig6a_forwarding_convergence", sr.Figure6aTable()},
-		{"fig6b_routing_convergence", sr.Figure6bTable()},
+		{"fig2_topology_family", out.Figure2Table()},
+		{"fig3_drops_no_route", out.Figure3Table()},
+		{"fig4_ttl_expirations", out.Figure4Table()},
+		{"fig6a_forwarding_convergence", out.Figure6aTable()},
+		{"fig6b_routing_convergence", out.Figure6bTable()},
 	}
-	for _, d := range sr.SeriesDegrees() {
+	for _, d := range out.SeriesDegrees() {
 		tables = append(tables,
-			output{fmt.Sprintf("fig5_throughput_deg%d", d), sr.Figure5Table(d)},
-			output{fmt.Sprintf("fig7_delay_deg%d", d), sr.Figure7Table(d)})
+			output{fmt.Sprintf("fig5_throughput_deg%d", d), out.Figure5Table(d)},
+			output{fmt.Sprintf("fig7_delay_deg%d", d), out.Figure7Table(d)})
 	}
 	for _, t := range tables {
 		if _, err := writeTable(t.table, filepath.Join(dir, t.name)); err != nil {
@@ -255,17 +259,9 @@ func writeFigures(w io.Writer, sr *core.SweepResult, dir string) error {
 		}
 		fmt.Fprintf(w, "wrote %s.{txt,csv}\n", filepath.Join(dir, t.name))
 	}
-	for _, d := range sr.SeriesDegrees() {
-		var buf bytes.Buffer
-		if err := sr.Figure5Plot(d).Write(&buf); err != nil {
-			return err
-		}
-		buf.WriteString("\n")
-		if err := sr.Figure7Plot(d).Write(&buf); err != nil {
-			return err
-		}
+	for _, d := range out.SeriesDegrees() {
 		path := filepath.Join(dir, fmt.Sprintf("fig5_fig7_deg%d.plot.txt", d))
-		if err := sweep.WriteFileAtomic(path, buf.Bytes(), 0o644); err != nil {
+		if err := sweep.WriteFileAtomic(path, out.SeriesPlots(d), 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", path)
@@ -277,13 +273,9 @@ func writeFigures(w io.Writer, sr *core.SweepResult, dir string) error {
 // so an interrupted run never leaves a truncated output. It returns the
 // text rendering.
 func writeTable(t *stats.Table, base string) ([]byte, error) {
-	var txt, csv bytes.Buffer
-	if err := t.WriteText(&txt); err != nil {
-		return nil, err
-	}
-	if err := t.WriteCSV(&csv); err != nil {
-		return nil, err
-	}
+	var txt, csv bytes.Buffer // a bytes.Buffer write does not fail
+	t.WriteText(&txt)
+	t.WriteCSV(&csv)
 	if err := sweep.WriteFileAtomic(base+".txt", txt.Bytes(), 0o644); err != nil {
 		return nil, err
 	}

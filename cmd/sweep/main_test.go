@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -281,4 +282,48 @@ func TestFigures(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestResultsSlice regenerates a slice of the committed results/ — degrees
+// 3 and 6 of the paper's four protocols at EXPERIMENTS.md's 30 trials,
+// uncached — and compares it with the committed files: every summary and
+// degree-table row must appear verbatim in its committed file, and the
+// Figure 5/7 series of both degrees must match byte for byte. It is the
+// fast local check; CI regenerates and compares all of results/.
+func TestResultsSlice(t *testing.T) {
+	dir := t.TempDir()
+	if err := runQuiet("-figures", "-trials", "30", "-degrees", "3,6", "-protocols", "rip,dbf,bgp,bgp3",
+		"-cache", "off", "-out", dir, "-q"); err != nil {
+		t.Fatal(err)
+	}
+	committed := filepath.Join("..", "..", "results")
+	read := func(dir, name string) string {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for _, name := range []string{
+		"summary.csv", "fig3_drops_no_route.csv", "fig4_ttl_expirations.csv",
+		"fig6a_forwarding_convergence.csv", "fig6b_routing_convergence.csv",
+	} {
+		want := strings.Split(read(committed, name), "\n")
+		for _, row := range strings.Split(strings.TrimSpace(read(dir, name)), "\n") {
+			if !slices.Contains(want, row) {
+				t.Errorf("%s: row %q is not in the committed file", name, row)
+			}
+		}
+	}
+	for _, d := range []int{3, 6} {
+		for _, name := range []string{
+			fmt.Sprintf("fig5_throughput_deg%d.txt", d), fmt.Sprintf("fig5_throughput_deg%d.csv", d),
+			fmt.Sprintf("fig7_delay_deg%d.txt", d), fmt.Sprintf("fig7_delay_deg%d.csv", d),
+			fmt.Sprintf("fig5_fig7_deg%d.plot.txt", d),
+		} {
+			if read(dir, name) != read(committed, name) {
+				t.Errorf("%s differs from the committed file", name)
+			}
+		}
+	}
 }

@@ -49,7 +49,7 @@ func ExampleRunSweep() {
 	}
 	table := sr.Figure3Table() // drops due to no route vs degree
 	_ = table                  // render with table.WriteText(os.Stdout)
-	fmt.Println("cells:", len(sr.Cells[routeconv.ProtoDBF]))
+	fmt.Println("cells:", len(sr.Cells))
 	// Output:
 	// cells: 1
 }

@@ -310,73 +310,6 @@ func TestLinkStateProtocol(t *testing.T) {
 	}
 }
 
-// sweepOf runs every (protocol, degree) cell of base with Run and
-// assembles the figure renderer's input from the results.
-func sweepOf(t *testing.T, base Config, protocols []ProtocolKind, degrees []int) *SweepResult {
-	t.Helper()
-	sr := &SweepResult{Base: base, Degrees: degrees, Protocols: protocols, Cells: map[ProtocolKind]map[int]*Result{}}
-	for _, p := range protocols {
-		sr.Cells[p] = map[int]*Result{}
-		for _, d := range degrees {
-			cfg := base
-			cfg.Protocol, cfg.Degree = p, d
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sr.Cells[p][d] = res
-		}
-	}
-	return sr
-}
-
-func TestSweepAndTables(t *testing.T) {
-	base := shortConfig()
-	base.Trials = 1
-	sr := sweepOf(t, base, []ProtocolKind{ProtoDBF, ProtoBGP3}, []int{4, 6})
-	var sb strings.Builder
-	if err := sr.Figure3Table().WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"degree", "dbf_drops", "bgp3_drops"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("figure 3 table missing %q:\n%s", want, out)
-		}
-	}
-	if !strings.Contains(out, "4") || !strings.Contains(out, "6") {
-		t.Error("figure 3 table missing degree rows")
-	}
-
-	sb.Reset()
-	if err := sr.Figure5Table(4).WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	nBins, _ := sr.seriesWindow()
-	if len(lines) != nBins+1 {
-		t.Errorf("figure 5 CSV has %d lines, want %d", len(lines), nBins+1)
-	}
-
-	for _, tab := range []*struct {
-		name string
-		fn   func() error
-	}{
-		{"fig4", func() error { sb.Reset(); return sr.Figure4Table().WriteText(&sb) }},
-		{"fig6a", func() error { sb.Reset(); return sr.Figure6aTable().WriteText(&sb) }},
-		{"fig6b", func() error { sb.Reset(); return sr.Figure6bTable().WriteText(&sb) }},
-		{"fig7", func() error { sb.Reset(); return sr.Figure7Table(6).WriteText(&sb) }},
-		{"summary", func() error { sb.Reset(); return sr.SummaryTable().WriteText(&sb) }},
-	} {
-		if err := tab.fn(); err != nil {
-			t.Errorf("%s: %v", tab.name, err)
-		}
-		if sb.Len() == 0 {
-			t.Errorf("%s rendered empty", tab.name)
-		}
-	}
-}
-
 func TestCustomFactoryOverride(t *testing.T) {
 	cfg := shortConfig()
 	cfg.Trials = 1

@@ -70,49 +70,6 @@ func TestDefaultSweepShape(t *testing.T) {
 	}
 }
 
-func TestWriteReportAndPlots(t *testing.T) {
-	base := shortConfig()
-	base.Trials = 1
-	sr := sweepOf(t, base, []ProtocolKind{ProtoDBF, ProtoLS}, []int{4})
-	var sb strings.Builder
-	if err := sr.WriteReport(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"# Reproduction report",
-		"Figure 3", "Figure 4", "Figure 6(a)", "Figure 6(b)",
-		"Figures 5 and 7 — degree 4",
-		"Per-cell summary",
-		"dbf", "ls",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q", want)
-		}
-	}
-
-	// Plots render standalone too.
-	sb.Reset()
-	if err := sr.Figure5Plot(4).Write(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "throughput") {
-		t.Error("figure 5 plot missing title")
-	}
-	sb.Reset()
-	if err := sr.Figure7Plot(4).Write(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "delay") {
-		t.Error("figure 7 plot missing title")
-	}
-
-	// Missing cells render as dashes, not panics.
-	if tab := sr.Figure5Table(99); tab == nil {
-		t.Error("Figure5Table(missing degree) returned nil")
-	}
-}
-
 func TestPathLinksHelper(t *testing.T) {
 	if links := pathLinks(nil, false); links != nil {
 		t.Errorf("pathLinks(nil) = %v", links)

@@ -213,16 +213,10 @@ func (s *Script) Validate(horizon time.Duration, g *topology.Graph) error {
 		}
 		switch e.Kind {
 		case KindFailLink:
-			if len(e.Links) == 0 {
-				return bad("no target links")
-			}
 			for _, l := range e.Links {
 				failed[l] = true
 			}
 		case KindRestoreLink:
-			if len(e.Links) == 0 {
-				return bad("no target links")
-			}
 			for _, l := range e.Links {
 				if !failed[l] {
 					return bad("restores link %d-%d before any event fails it", l.A, l.B)
@@ -238,29 +232,18 @@ func (s *Script) Validate(horizon time.Duration, g *topology.Graph) error {
 			delete(failedNodes, e.Node)
 		case KindFlapLink:
 			switch {
-			case len(e.Links) != 1:
-				return bad("flap needs exactly one link")
 			case e.Period <= 0:
 				return bad("flap period must be positive")
 			case e.Cycles < 1:
 				return bad("flap needs at least one cycle")
 			}
 		case KindSetLoss:
-			if len(e.Links) != 1 {
-				return bad("loss needs exactly one link")
-			}
 			if math.IsNaN(e.Rate) || e.Rate < 0 || e.Rate > 1 {
 				return bad("loss probability %g outside [0, 1]", e.Rate)
 			}
 		case KindCostOut:
-			if len(e.Links) != 1 {
-				return bad("costout needs exactly one link")
-			}
 			costed[e.Links[0]] = true
 		case KindCostIn:
-			if len(e.Links) != 1 {
-				return bad("costin needs exactly one link")
-			}
 			if !costed[e.Links[0]] {
 				return bad("costs link %d-%d in before any event costs it out", e.Links[0].A, e.Links[0].B)
 			}

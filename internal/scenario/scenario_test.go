@@ -257,4 +257,14 @@ func TestValidate(t *testing.T) {
 	if err := mustParse(t, "fail link 0-9 @400s").Validate(horizon, nil); err != nil {
 		t.Errorf("nil-graph Validate rejected link refs: %v", err)
 	}
+	// Only a script that names a link or a node has references to check.
+	for script, want := range map[string]bool{
+		"loss link 0-1 p=0.5 @400s":        true,
+		"recover node 3 @410s":             true,
+		"failpath @400s; failrandom @410s": false,
+	} {
+		if got := mustParse(t, script).NamesTopology(); got != want {
+			t.Errorf("NamesTopology(%q) = %v, want %v", script, got, want)
+		}
+	}
 }

@@ -229,6 +229,15 @@ func TestTableCSV(t *testing.T) {
 	if got := sb.String(); got != "a,b\n1,2.5\n" {
 		t.Errorf("CSV = %q", got)
 	}
+	// A cell holding the separator is quoted, so the row keeps its width.
+	tb.AddRow("torus:rows=5,cols=5", `say "hi"`)
+	sb.Reset()
+	if err := tb.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sb.String(), "a,b\n1,2.5\n\"torus:rows=5,cols=5\",\"say \"\"hi\"\"\"\n"; got != want {
+		t.Errorf("CSV = %q, want %q", got, want)
+	}
 }
 
 func TestTableFloatFormatting(t *testing.T) {

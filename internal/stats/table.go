@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
@@ -79,16 +80,9 @@ func (t *Table) WriteText(w io.Writer) error {
 	return nil
 }
 
-// WriteCSV renders the table as simple CSV (cells contain no commas or
-// quotes in this harness).
+// WriteCSV renders the table as CSV, quoting a cell only where it holds a
+// comma, quote or line break (a topology spec such as
+// "torus:rows=5,cols=5").
 func (t *Table) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(t.header, ",")); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
+	return csv.NewWriter(w).WriteAll(append([][]string{t.header}, t.rows...))
 }

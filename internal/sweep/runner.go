@@ -56,7 +56,8 @@ type CellOutcome struct {
 }
 
 // Outcome is a completed sweep: every cell's result in plan order, plus
-// run-level accounting.
+// run-level accounting. It is the sweep's only result: the summary, the
+// paper's figures and the markdown report render from its cells.
 type Outcome struct {
 	Spec  Spec
 	Cells []CellOutcome
@@ -268,48 +269,4 @@ func progressLine(done, total, hits int, elapsed time.Duration) string {
 	}
 	return fmt.Sprintf("sweep: %d/%d cells (%.0f%%)  %.2f cells/s  ETA %s  cache hit %.0f%%",
 		done, total, 100*float64(done)/float64(total), rate, eta, hitRate)
-}
-
-// SweepResult assembles the outcome's single-failure cells into the figure
-// renderer's shape (core.SweepResult), so figure generation runs on top of
-// the orchestrator. Cells of failure modes other than the first are
-// ignored — the paper's figures describe one failure model at a time —
-// and so are topo-spec cells, which have no degree axis to plot along.
-func (o *Outcome) SweepResult() *core.SweepResult {
-	var protocols []core.ProtocolKind
-	var degrees []int
-	seenProto := map[core.ProtocolKind]bool{}
-	seenDeg := map[int]bool{}
-	failure := ""
-	cells := make(map[core.ProtocolKind]map[int]*core.Result)
-	for i := range o.Cells {
-		c := &o.Cells[i]
-		if c.Result == nil || c.Cell.Topo != "" {
-			continue
-		}
-		if failure == "" {
-			failure = c.Cell.Failure.Name
-		}
-		if c.Cell.Failure.Name != failure {
-			continue
-		}
-		if !seenProto[c.Cell.Protocol] {
-			seenProto[c.Cell.Protocol] = true
-			protocols = append(protocols, c.Cell.Protocol)
-		}
-		if !seenDeg[c.Cell.Degree] {
-			seenDeg[c.Cell.Degree] = true
-			degrees = append(degrees, c.Cell.Degree)
-		}
-		if cells[c.Cell.Protocol] == nil {
-			cells[c.Cell.Protocol] = make(map[int]*core.Result)
-		}
-		cells[c.Cell.Protocol][c.Cell.Degree] = c.Result
-	}
-	return &core.SweepResult{
-		Base:      o.Spec.base(),
-		Degrees:   degrees,
-		Protocols: protocols,
-		Cells:     cells,
-	}
 }

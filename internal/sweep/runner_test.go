@@ -329,27 +329,3 @@ func TestRunProgressReporting(t *testing.T) {
 		t.Errorf("progress lines missing (cell=%v summary=%v done=%v):\n%s", sawCell, sawSummary, sawDone, strings.Join(lines, "\n"))
 	}
 }
-
-func TestOutcomeSweepResult(t *testing.T) {
-	dir := t.TempDir()
-	spec := testSpec([]string{"dbf", "rip"}, []int{3, 4}, 2)
-	out, err := Run(context.Background(), spec, Options{CacheDir: filepath.Join(dir, "cache")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := out.SweepResult()
-	if len(sr.Protocols) != 2 || len(sr.Degrees) != 2 {
-		t.Fatalf("sweep result shape: %v × %v", sr.Protocols, sr.Degrees)
-	}
-	for _, p := range sr.Protocols {
-		for _, d := range sr.Degrees {
-			if sr.Cells[p][d] == nil {
-				t.Errorf("missing cell %v/%d", p, d)
-			}
-		}
-	}
-	// The figure tables render from it.
-	if got := sr.Figure3Table(); got == nil {
-		t.Error("Figure3Table nil")
-	}
-}

@@ -23,10 +23,11 @@
 // and instantaneous throughput and delay — over cfg.Trials independent
 // trials.
 //
-// RunSweep repeats that across protocols and node degrees and renders the
-// paper's Figures 2–7 as tables. See cmd/sweep (-figures) for the full
-// reproduction driver, and this package's examples for the paper's
-// transient loops, route flap damping and scripted disturbances.
+// RunSweep repeats that across protocols and node degrees, and its
+// SweepResult renders the paper's Figures 2–7 as tables. See cmd/sweep
+// (-figures) for the full reproduction driver, and this package's examples
+// for the paper's transient loops, route flap damping and scripted
+// disturbances.
 package routeconv
 
 import (
@@ -165,6 +166,10 @@ func DefaultSweep(trials int) SweepConfig {
 	return SweepConfig{Base: base, Degrees: degrees, Protocols: core.Protocols()}
 }
 
+// SweepResult is a completed sweep: Cells holds every cell's Result in
+// plan order, and its methods render the summary and Figures 2–7.
+type SweepResult = sweep.Outcome
+
 // RunSweep executes a protocol × degree grid on the sweep orchestrator
 // (the engine behind cmd/sweep), uncached: cells run in
 // parallel on GOMAXPROCS workers, and each cell's Result is exactly what
@@ -175,16 +180,12 @@ func DefaultSweep(trials int) SweepConfig {
 // orchestrator's status lines — one per completed cell
 // ("dbf/d4/single  ran  …"), a periodic summary and a closing total — from
 // several goroutines, possibly at once.
-func RunSweep(sc SweepConfig, progress func(string)) (*core.SweepResult, error) {
+func RunSweep(sc SweepConfig, progress func(string)) (*SweepResult, error) {
 	spec := sweep.Spec{Base: &sc.Base, Degrees: sc.Degrees}
 	for _, p := range sc.Protocols {
 		spec.Protocols = append(spec.Protocols, p.String())
 	}
-	out, err := sweep.Run(context.Background(), spec, sweep.Options{Progress: progress})
-	if err != nil {
-		return nil, err
-	}
-	return out.SweepResult(), nil
+	return sweep.Run(context.Background(), spec, sweep.Options{Progress: progress})
 }
 
 // MetricsSnapshot is a flat metric-name → value map of the observability
