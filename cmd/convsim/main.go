@@ -283,7 +283,9 @@ func traceTrial(w io.Writer, cfg core.Config, o *options) error {
 
 	fmt.Fprintln(w, "\nroute changes (node → destination):")
 	count := 0
-	for _, r := range *col.Timeline() {
+	tl := col.Timeline()
+	for i := range tl.Len() {
+		r := tl.At(i)
 		if (r.Kind != obs.KindFIBChange && r.Kind != obs.KindFIBRemove) || r.At < from || r.At > to {
 			continue
 		}

@@ -237,6 +237,9 @@ func writeFigures(w io.Writer, out *sweep.Outcome, dir string) error {
 	if scope := out.FigureScope(); scope != "" {
 		fmt.Fprintln(w, scope)
 	}
+	if !out.HasFigures() {
+		return nil
+	}
 	type output struct {
 		name  string
 		table *stats.Table

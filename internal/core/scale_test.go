@@ -235,30 +235,32 @@ func TestTracedTrialAllocCeiling(t *testing.T) {
 // tracedAllocCeiling is the most a full-record trial on the paper's mesh
 // may allocate, in bytes, given the number of records its timeline holds:
 //
-//   - The timeline: 40 bytes per record, four times over. The stream
-//     doubles when full, so its final capacity is under twice its length
-//     and the capacities it passed through sum to under twice the final
-//     one. Rendering allocates nothing per record.
+//   - The timeline: 24 bytes per record, the stored form, and one
+//     4096-record block of slack. The stream never copies a record, so a
+//     stream that doubled its storage (three times what it holds, at any
+//     record width) does not fit. Rendering allocates nothing per record.
 //   - Results: per packet the primary flow sends, a 32-byte delivery and
 //     an 8-byte post-failure delay (both lists are sized once), and 16
 //     bytes per second of bins.
-//   - Per node, the 49 routers and the probe's two hosts: 15 kB of
-//     network, engine, protocol and recorder state, and for BGP 15 kB more,
-//     as in meshAllocCeiling.
+//   - Per node, the 49 routers and the probe's two hosts: 18 kB of
+//     network, engine, protocol and recorder state, and for BGP 32 kB
+//     more: its dense RIBs and its share of the path table, which the
+//     storm fills with far more paths than one failure does (a third of
+//     what the BGP trial allocates).
 //
 // At degree 4 and seed 1, RIP's timeline holds 43 066 records and the trial
-// allocates 6.4 MB against 8.0 MB; BGP's holds 27 964 and the trial 5.3 MB
-// against 6.4 MB. Growing the stream by append with 56-byte records and
-// rendering through fmt costs 16.7 and 12.3 MB.
+// allocates 2.1 MB against 2.4 MB; BGP's holds 27 964 and the trial 3.3 MB
+// against 3.7 MB. Storing the same 24-byte records in a stream that doubles
+// when full costs 4.1 and 4.2 MB.
 func tracedAllocCeiling(cfg Config, records int) uint64 {
 	const kB = 1 << 10
 	seconds := uint64((cfg.End - cfg.SenderStart) / time.Second)
 	packets := uint64((cfg.End - cfg.SenderStart) / cfg.PacketInterval)
-	timeline := 4 * 40 * uint64(records)
+	timeline := 24*uint64(records) + 24*4096
 	results := (32+8)*packets + 2*8*seconds
-	perNode := uint64(15 * kB)
+	perNode := uint64(18 * kB)
 	if cfg.Protocol == ProtoBGP || cfg.Protocol == ProtoBGP3 {
-		perNode += 15 * kB
+		perNode += 32 * kB
 	}
 	return timeline + results + perNode*uint64(cfg.Rows*cfg.Cols+2)
 }

@@ -128,7 +128,7 @@ func (r *scenarioRunner) installFailPath(ev scenario.Event) {
 	net, s := r.net, r.s
 	r.s.ScheduleAt(ev.At, func() {
 		r.event()
-		path, ok := net.WalkPath(primary.srcHost, primary.dstHost)
+		path, ok := net.WalkPath(nil, primary.srcHost, primary.dstHost)
 		*r.warmedUp = ok
 		candidates := pathMeshLinks(path, ok)
 		if len(candidates) == 0 {

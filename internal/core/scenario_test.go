@@ -128,7 +128,7 @@ func TestScenarioOverlappingHolds(t *testing.T) {
 			// failed node, and the node's recovery must.
 			var ups []time.Duration
 			heldAtOutage := false
-			for _, r := range *tl {
+			for _, r := range records(tl) {
 				if topology.NewEdge(topology.NodeID(r.Node), topology.NodeID(r.Peer)) != e {
 					continue
 				}

@@ -118,10 +118,19 @@ func ndjson(t *testing.T, tl *obs.Timeline) []byte {
 	return buf.Bytes()
 }
 
+// records returns a timeline's records in order.
+func records(tl *obs.Timeline) []obs.Record {
+	out := make([]obs.Record, tl.Len())
+	for i := range out {
+		out[i] = tl.At(i)
+	}
+	return out
+}
+
 // fibRecords returns the FIB records of a collector's committed stream.
 func fibRecords(c *trace.Collector) []obs.Record {
 	var out []obs.Record
-	for _, r := range *c.Timeline() {
+	for _, r := range records(c.Timeline()) {
 		if r.Kind == obs.KindFIBChange || r.Kind == obs.KindFIBRemove {
 			out = append(out, r)
 		}

@@ -108,7 +108,7 @@ func TestTimelineNDJSONPinned(t *testing.T) {
 			}
 			var gotFirst, gotLast []obs.Record
 			complete := 0
-			for _, r := range *tl {
+			for _, r := range records(tl) {
 				switch r.Kind {
 				case obs.KindFirstFIBChange:
 					gotFirst = append(gotFirst, r)

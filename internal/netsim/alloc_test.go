@@ -47,6 +47,39 @@ func (p *sinkProto) HandleMessage(NodeID, Message) { p.received++ }
 func (p *sinkProto) LinkDown(NodeID)               {}
 func (p *sinkProto) LinkUp(NodeID)                 {}
 
+// flipProto counts the link notifications it receives.
+type flipProto struct {
+	sinkProto
+	down, up int
+}
+
+func (p *flipProto) LinkDown(NodeID) { p.down++ }
+func (p *flipProto) LinkUp(NodeID)   { p.up++ }
+
+// A link flip's detection is a typed event on the Link, not a closure: a
+// steady-state failure and repair, each detected at both ends, allocates
+// nothing.
+func TestLinkFlipAllocs(t *testing.T) {
+	s, net := benchLine(2)
+	p := &flipProto{}
+	net.nodes[0].proto, net.nodes[1].proto = p, p
+	cycle := func() {
+		net.FailLink(0, 1)
+		s.Run()
+		net.RestoreLink(0, 1)
+		s.Run()
+	}
+	cycle()
+	const runs = 100
+	if avg := testing.AllocsPerRun(runs, cycle); avg != 0 {
+		t.Errorf("a detected failure and repair allocates %.1f objects, want 0", avg)
+	}
+	// AllocsPerRun runs the cycle once more to warm up.
+	if want := 2 * (runs + 2); p.down != want || p.up != want {
+		t.Errorf("%d down and %d up notifications, want %d of each", p.down, p.up, want)
+	}
+}
+
 // The control path must not allocate either: a pooled message rides a
 // recycled packet to the neighbor's HandleMessage, is released exactly once,
 // and the packet returns to the free list. The same holds when the flight

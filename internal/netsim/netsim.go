@@ -260,19 +260,12 @@ func (n *Network) syncLink(l *Link) bool {
 		n.flows.linkChanged(a, b)
 	}
 	l.down = down
-	kind, detected := obs.KindLinkUp, obs.KindLinkUpDetected
+	kind, detect := obs.KindLinkUp, detectUp
 	if down {
-		kind, detected = obs.KindLinkDown, obs.KindLinkDownDetected
+		kind, detect = obs.KindLinkDown, detectDown
 	}
 	n.note(kind, a, b, -1)
-	n.sim.Schedule(n.cfg.DetectDelay, func() {
-		if l.down != down || l.detectedDown == down {
-			return // flipped back before detection, or nothing to report
-		}
-		l.detectedDown = down
-		n.note(detected, a, b, -1)
-		n.notifyLink(l, !down)
-	})
+	n.sim.ScheduleHandler(n.cfg.DetectDelay, l, detect, nil)
 	return true
 }
 
@@ -383,9 +376,12 @@ func (n *Network) notifyLink(l *Link, up bool) {
 }
 
 // WalkPath follows forwarding tables from src toward dst and returns the
-// nodes visited, starting with src. ok is true only when the walk reaches
-// dst without encountering a missing route, a loop, or a down link.
-func (n *Network) WalkPath(src, dst NodeID) (path []NodeID, ok bool) {
+// nodes visited, starting with src, in buf's storage: the walk overwrites
+// buf from its start and grows it only when it is too short, so a caller
+// that walks again with the returned path allocates nothing. ok is true
+// only when the walk reaches dst without encountering a missing route, a
+// loop, or a down link.
+func (n *Network) WalkPath(buf []NodeID, src, dst NodeID) (path []NodeID, ok bool) {
 	if len(n.walkSeen) < len(n.nodes) {
 		n.walkSeen = make([]uint32, len(n.nodes))
 		n.walkEpoch = 0
@@ -397,6 +393,7 @@ func (n *Network) WalkPath(src, dst NodeID) (path []NodeID, ok bool) {
 	}
 	epoch := n.walkEpoch
 	cur := src
+	path = buf[:0]
 	for {
 		path = append(path, cur)
 		if cur == dst {
@@ -466,6 +463,32 @@ type Link struct {
 
 // Edge returns the canonical node pair the link connects.
 func (l *Link) Edge() topology.Edge { return l.edge }
+
+// Typed link event kinds: a flip's detection, scheduled by syncLink
+// DetectDelay after it.
+const (
+	detectUp int32 = iota
+	detectDown
+)
+
+var _ sim.Handler = (*Link)(nil)
+
+// HandleEvent implements sim.Handler: the detection of a flip to the state
+// kind names reaches the protocols, unless the link flipped back before
+// detection or they already hold that view.
+func (l *Link) HandleEvent(kind int32, _ any) {
+	down := kind == detectDown
+	if l.down != down || l.detectedDown == down {
+		return
+	}
+	l.detectedDown = down
+	detected := obs.KindLinkUpDetected
+	if down {
+		detected = obs.KindLinkDownDetected
+	}
+	l.net.note(detected, l.edge.A, l.edge.B, -1)
+	l.net.notifyLink(l, !down)
+}
 
 // Up reports whether the link is currently up.
 func (l *Link) Up() bool { return !l.down }

@@ -291,27 +291,31 @@ func TestFailBeforeDetectSuppressed(t *testing.T) {
 func TestWalkPath(t *testing.T) {
 	s, n := lineNet(t, DefaultConfig(), nil)
 	_ = s
-	path, ok := n.WalkPath(0, 2)
+	path, ok := n.WalkPath(nil, 0, 2)
 	if !ok || len(path) != 3 {
 		t.Fatalf("WalkPath = %v, %v; want 0-1-2", path, ok)
+	}
+	// A walk into the last walk's path reuses its storage.
+	if avg := testing.AllocsPerRun(100, func() { path, ok = n.WalkPath(path, 0, 2) }); avg != 0 || !ok || len(path) != 3 {
+		t.Errorf("WalkPath into its last path: %v allocs, path %v, %v; want 0 allocs and 0-1-2", avg, path, ok)
 	}
 
 	// Loop case.
 	n.Node(1).SetRoute(2, 0)
-	if _, ok := n.WalkPath(0, 2); ok {
+	if _, ok := n.WalkPath(nil, 0, 2); ok {
 		t.Error("WalkPath reported ok through a loop")
 	}
 
 	// Missing route case.
 	n.Node(1).ClearRoute(2)
-	if _, ok := n.WalkPath(0, 2); ok {
+	if _, ok := n.WalkPath(nil, 0, 2); ok {
 		t.Error("WalkPath reported ok with missing route")
 	}
 
 	// Down-link case.
 	n.Node(1).SetRoute(2, 2)
 	n.FailLink(1, 2)
-	if _, ok := n.WalkPath(0, 2); ok {
+	if _, ok := n.WalkPath(nil, 0, 2); ok {
 		t.Error("WalkPath reported ok across a failed link")
 	}
 }

@@ -90,7 +90,7 @@ func TestPortTableEdgeCases(t *testing.T) {
 			if len(rec.delivered) != 4 || len(rec.drops) != 0 {
 				t.Errorf("delivered %d of 4 packets, drops %v", len(rec.delivered), rec.drops)
 			}
-			if path, ok := net.WalkPath(0, 7); ok || !reflect.DeepEqual(path, []NodeID{0, 8}) {
+			if path, ok := net.WalkPath(nil, 0, 7); ok || !reflect.DeepEqual(path, []NodeID{0, 8}) {
 				t.Errorf("WalkPath(0,7) = %v,%v, want [0 8],false (8 has no route on)", path, ok)
 			}
 		})

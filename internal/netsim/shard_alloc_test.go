@@ -224,7 +224,7 @@ type routeLog struct {
 
 func (r *routeLog) RouteChanged(at time.Duration, node, dst, nh NodeID, removed bool) {
 	cur, ok := r.net.Node(node).NextHop(dst)
-	path, walkOK := r.net.WalkPath(0, 3)
+	path, walkOK := r.net.WalkPath(nil, 0, 3)
 	r.log = append(r.log, fmt.Sprintf("%v route %d->%d via %d removed=%v fib=(%d,%v) walk=%v/%v",
 		at, node, dst, nh, removed, cur, ok, path, walkOK))
 }

@@ -28,14 +28,15 @@ func ExampleMetrics() {
 func ExampleTimeline() {
 	failAt := 10 * time.Second
 	fibAt := failAt + 52*time.Millisecond
-	tl := obs.Timeline{
-		{Kind: obs.KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: 1},
-		{At: failAt, Kind: obs.KindLinkDown, Node: 24, Peer: 25, Dst: -1},
-		{At: fibAt, Kind: obs.KindFIBChange, Node: 24, Peer: 17, Dst: 48},
-		{At: fibAt, Kind: obs.KindFirstFIBChange, Node: 24, Peer: -1, Dst: -1},
-		{At: fibAt, Kind: obs.KindLastFIBChange, Node: 24, Peer: -1, Dst: -1},
-		{At: fibAt, Kind: obs.KindConvergenceComplete, Node: -1, Peer: -1, Dst: -1},
-	}
+	tl := obs.NewTimeline()
+	tl.Append(
+		obs.Record{Kind: obs.KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: 1},
+		obs.Record{At: failAt, Kind: obs.KindLinkDown, Node: 24, Peer: 25, Dst: -1},
+		obs.Record{At: fibAt, Kind: obs.KindFIBChange, Node: 24, Peer: 17, Dst: 48},
+		obs.Record{At: fibAt, Kind: obs.KindFirstFIBChange, Node: 24, Peer: -1, Dst: -1},
+		obs.Record{At: fibAt, Kind: obs.KindLastFIBChange, Node: 24, Peer: -1, Dst: -1},
+		obs.Record{At: fibAt, Kind: obs.KindConvergenceComplete, Node: -1, Peer: -1, Dst: -1},
+	)
 	tl.WriteNDJSON(os.Stdout)
 	// Output:
 	// {"t_ns":0,"event":"trial_start","seed":1}

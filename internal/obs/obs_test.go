@@ -143,7 +143,7 @@ func TestTimelineNDJSON(t *testing.T) {
 	var want strings.Builder
 	seen := make(map[Kind]bool)
 	for _, c := range cases {
-		tl = append(tl, c.r)
+		tl.Append(c.r)
 		want.WriteString(c.line + "\n")
 		seen[c.r.Kind] = true
 		if ev := `"event":"` + c.r.Kind.String() + `"`; !strings.Contains(c.line, ev) {

@@ -47,13 +47,15 @@ func AssertShortestPaths(t *testing.T, net *netsim.Network, g *topology.Graph) {
 			ref.AddEdge(e.A, e.B)
 		}
 	}
+	var path []netsim.NodeID
 	for src := 0; src < g.Len(); src++ {
 		dist := ref.BFS(topology.NodeID(src))
 		for dst := 0; dst < g.Len(); dst++ {
 			if src == dst {
 				continue
 			}
-			path, ok := net.WalkPath(netsim.NodeID(src), netsim.NodeID(dst))
+			var ok bool
+			path, ok = net.WalkPath(path, netsim.NodeID(src), netsim.NodeID(dst))
 			if dist[dst] < 0 {
 				if ok {
 					t.Errorf("walk %d→%d succeeded (%v) but dst is unreachable", src, dst, path)

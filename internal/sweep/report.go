@@ -22,7 +22,7 @@ func (o *Outcome) WriteReport(w io.Writer) error {
 		"Protocols: %v. Node degrees: %v. %d trials per cell, base seed %d.\n"+
 		"Mesh %d×%d; flow of %d-byte packets every %v; failure at %v; horizon %v.\n\n",
 		g.protocols, g.degrees, base.Trials, base.Seed,
-		base.Rows, base.Cols, base.PacketSize, base.PacketInterval, base.FailAt, base.End)
+		base.Rows, base.Cols, base.PacketSize, base.PacketInterval, g.failAt, base.End)
 	if g.scope != "" {
 		fmt.Fprintf(&b, "%s\n\n", g.scope)
 	}

@@ -132,3 +132,45 @@ func TestCompactDeliveryAllocs(t *testing.T) {
 		t.Errorf("recorder kept %d deliveries and %d post-failure delays, want none", len(c.Deliveries), len(c.Arrivals.PostFail))
 	}
 }
+
+// A route change toward the traced flow's receiver re-walks the flow's
+// path into the flow's own walk buffer. Once the recorder has seen the
+// entry and the path, a change that leaves both as they were allocates
+// nothing: the walk, the instant's commit and its net-zero FIB record
+// reuse what the last change left.
+func TestRouteChangeTowardFlowAllocs(t *testing.T) {
+	s := sim.New(1)
+	tl := obs.NewTimeline()
+	c := NewCollector(0, 3, Options{Timeline: tl})
+	net := netsim.New(s, netsim.DefaultConfig(), c)
+	for i := 0; i < 4; i++ {
+		net.AddNode()
+	}
+	for i := netsim.NodeID(0); i < 3; i++ {
+		net.Connect(i, i+1)
+	}
+	c.SetNetwork(net)
+	for i := netsim.NodeID(0); i < 3; i++ {
+		net.Node(i).SetRoute(3, i+1)
+	}
+	at := time.Second
+	change := func() {
+		at += time.Millisecond
+		c.RouteChanged(at, 1, 3, 2, false)
+	}
+	for range 4 {
+		change()
+	}
+	samples, records := len(c.PathHistory), tl.Len()
+	if avg := testing.AllocsPerRun(1000, change); avg != 0 {
+		t.Errorf("a route change toward the flow's receiver allocates %.1f objects, want 0", avg)
+	}
+	c.flush()
+	if got := c.PathHistory[len(c.PathHistory)-1]; !got.OK || len(got.Path) != 4 {
+		t.Errorf("last path sample %+v, want the complete walk 0-1-2-3", got)
+	}
+	if len(c.PathHistory) != samples || tl.Len() != records {
+		t.Errorf("unchanged route changes added %d path samples and %d records, want none",
+			len(c.PathHistory)-samples, tl.Len()-records)
+	}
+}

@@ -53,7 +53,8 @@ type Flow struct {
 	Drops       []Drop
 
 	// The open instant's last walk toward Dst, if a route change toward
-	// Dst raised one; it becomes a path sample when the instant ends.
+	// Dst raised one; it becomes a path sample when the instant ends. Every
+	// walk of the flow's path is taken into walk's storage.
 	walk   []netsim.NodeID
 	walkOK bool
 	walked bool
@@ -293,9 +294,8 @@ func (c *Collector) RouteChanged(at time.Duration, node, dst, nextHop netsim.Nod
 		// (node, dst) entry keep their order, so the instant's final walk
 		// is independent of how same-instant changes interleaved.
 		f := c.flows[i]
-		path, ok := c.net.WalkPath(f.Src, f.Dst)
-		f.walk = append(f.walk[:0], path...)
-		f.walkOK, f.walked = ok, true
+		f.walk, f.walkOK = c.net.WalkPath(f.walk, f.Src, f.Dst)
+		f.walked = true
 	}
 }
 
@@ -479,8 +479,8 @@ func (c *Collector) SamplePath() {
 	c.advance(now)
 	for _, f := range c.flows {
 		f.commitWalk(now)
-		path, ok := c.net.WalkPath(f.Src, f.Dst)
-		f.commitSample(now, path, ok)
+		f.walk, f.walkOK = c.net.WalkPath(f.walk, f.Src, f.Dst)
+		f.commitSample(now, f.walk, f.walkOK)
 	}
 }
 

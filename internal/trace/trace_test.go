@@ -27,7 +27,7 @@ func buildLine(t *testing.T) (*sim.Simulator, *netsim.Network, *Collector) {
 func TestRouteChangesRecorded(t *testing.T) {
 	_, _, c := buildLine(t)
 	c.flush()
-	recs := *c.Timeline()
+	recs := records(c.Timeline())
 	if len(recs) != 3 || recs[0].Kind != obs.KindTrialStart {
 		t.Fatalf("stream = %+v, want trial_start and 2 FIB changes", recs)
 	}
@@ -211,10 +211,19 @@ func TestRouteFilterAndElidedFold(t *testing.T) {
 	}
 }
 
+// records returns the stream's records in order.
+func records(tl *obs.Timeline) []obs.Record {
+	out := make([]obs.Record, tl.Len())
+	for i := range out {
+		out[i] = tl.At(i)
+	}
+	return out
+}
+
 // summaryOf returns the stream's convergence summary records.
 func summaryOf(c *Collector) []obs.Record {
 	var out []obs.Record
-	for _, r := range *c.Timeline() {
+	for _, r := range records(c.Timeline()) {
 		switch r.Kind {
 		case obs.KindFirstFIBChange, obs.KindLastFIBChange, obs.KindConvergenceComplete:
 			out = append(out, r)
@@ -259,7 +268,7 @@ func TestConvergenceSummary(t *testing.T) {
 	if got := c.RoutingConvergence(failAt); got != 20*time.Second {
 		t.Errorf("RoutingConvergence = %v, want 20s, the summary's convergence_complete", got)
 	}
-	recs := *c.Timeline()
+	recs := records(c.Timeline())
 	if recs[0] != (obs.Record{Kind: obs.KindTrialStart, Node: -1, Peer: -1, Dst: -1, Seed: 7}) {
 		t.Errorf("stream opens with %+v, want trial_start with the seed", recs[0])
 	}
@@ -307,7 +316,7 @@ func TestInstantCommittedCanonically(t *testing.T) {
 			}
 		}
 		c.flush()
-		return (*c.Timeline())[1:]
+		return records(c.Timeline())[1:]
 	}
 	want := []obs.Record{
 		{At: at, Kind: obs.KindLinkDownDetected, Node: 2, Peer: 3},
