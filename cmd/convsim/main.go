@@ -19,7 +19,8 @@
 //	convsim -inspect [-export FILE] [-topo SPEC | -rows 7 -cols 7 -degree 4]
 //
 // With -scenario, the default single-link failure schedule is replaced by
-// the given disturbance script (grammar and semantics: SCENARIOS.md).
+// the given disturbance script (grammar and semantics: SCENARIOS.md),
+// measured from its first failure; -failat is then an error.
 // With -timeline, trial -trial (default 0) is replayed with the
 // convergence timeline attached and the records are written as NDJSON
 // (schema: OBSERVABILITY.md); both modes replay it the same way.
@@ -85,7 +86,7 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	fs.IntVar(&o.flows, "flows", 1, "concurrent sender/receiver pairs")
 	fs.IntVar(&o.rate, "rate", 20, "packets per second per flow")
 	fs.DurationVar(&o.senderStart, "senderstart", 0, "override when the probe flow starts (default: paper's 390s)")
-	fs.DurationVar(&o.failAt, "failat", 0, "override the failure time (default: paper's 400s)")
+	fs.DurationVar(&o.failAt, "failat", 0, "override the default failure's time (default: paper's 400s); not with -scenario")
 	fs.DurationVar(&o.end, "end", 0, "override the simulation horizon (default: paper's 800s)")
 	fs.BoolVar(&o.ecmp, "ecmp", false, "install equal-cost multipath sets (dbf and ls)")
 	fs.BoolVar(&o.detail, "detail", false, "print per-trial detail")
@@ -113,6 +114,8 @@ func run(args []string, w io.Writer) (err error) {
 		return fmt.Errorf("-window %v: need a positive duration", o.window)
 	case o.trial < 0:
 		return fmt.Errorf("-trial %d: need a trial index ≥ 0", o.trial)
+	case o.failAt > 0 && o.ef.Scenario != "":
+		return errors.New("-failat times the default failure, which -scenario replaces: set the failure's time in the script")
 	}
 	cfg, err := o.config()
 	if err != nil {
@@ -191,6 +194,7 @@ func runExperiment(w io.Writer, cfg core.Config, o *options) error {
 	if err != nil {
 		return err
 	}
+	anchor := cfg.Anchor()
 
 	if cfg.Topo != "" {
 		fmt.Fprintf(w, "protocol=%s topo=%s trials=%d flows=%d rate=%d pps\n",
@@ -199,7 +203,7 @@ func runExperiment(w io.Writer, cfg core.Config, o *options) error {
 		fmt.Fprintf(w, "protocol=%s degree=%d mesh=%dx%d trials=%d flows=%d rate=%d pps\n",
 			cfg.Protocol, o.ef.Degree, o.ef.Rows, o.ef.Cols, o.trials, o.flows, o.rate)
 	}
-	fmt.Fprintf(w, "failure at %v on the flow's forwarding path; run ends at %v\n\n", cfg.FailAt, cfg.End)
+	fmt.Fprintf(w, "failure at %v; run ends at %v\n\n", anchor, cfg.End)
 	fmt.Fprintf(w, "warmed-up trials:            %d/%d\n", res.WarmedUpTrials, o.trials)
 	fmt.Fprintf(w, "mean drops (no route):       %.1f\n", res.MeanNoRouteDrops)
 	fmt.Fprintf(w, "mean drops (TTL expired):    %.1f\n", res.MeanTTLDrops)
@@ -224,7 +228,7 @@ func runExperiment(w io.Writer, cfg core.Config, o *options) error {
 	}
 
 	// Print the throughput/delay window around the failure.
-	failBin := int((cfg.FailAt - cfg.SenderStart) / time.Second)
+	failBin := int((anchor - cfg.SenderStart) / time.Second)
 	lo, hi := max(failBin-5, 0), min(failBin+45, len(res.MeanThroughput))
 	fmt.Fprintf(w, "\ninstantaneous throughput and delay (t in seconds since sender start; failure at t=%d):\n", failBin)
 	fmt.Fprintf(w, "%6s  %12s  %10s\n", "t_s", "pps", "delay_s")
@@ -254,20 +258,21 @@ func traceTrial(w io.Writer, cfg core.Config, o *options) error {
 	if err != nil {
 		return err
 	}
+	anchor := cfg.Anchor()
 
 	rel := func(at time.Duration) string {
-		return fmt.Sprintf("%+9.3fs", (at - cfg.FailAt).Seconds())
+		return fmt.Sprintf("%+9.3fs", (at - anchor).Seconds())
 	}
 
 	fmt.Fprintf(w, "trial %d of %s at degree %d (seed %d)\n", o.trial, cfg.Protocol, o.ef.Degree, tr.Seed)
 	fmt.Fprintf(w, "flow: host→router %d ... router %d→host; failed link %d-%d at t=%v\n",
-		tr.SenderRouter, tr.ReceiverRouter, tr.FailedLink.A, tr.FailedLink.B, cfg.FailAt)
+		tr.SenderRouter, tr.ReceiverRouter, tr.FailedLink.A, tr.FailedLink.B, anchor)
 	fmt.Fprintf(w, "outcome: delivered %d/%d, drops noroute=%d ttl=%d linkfail=%d queue=%d, loop escapes=%d\n",
 		tr.Delivered, tr.Sent, tr.NoRouteDrops, tr.TTLDrops, tr.LinkFailureDrops, tr.QueueDrops, tr.LoopEscapes)
 	fmt.Fprintf(w, "convergence: forwarding %.3fs, routing %.3fs, %d transient paths\n\n",
 		tr.ForwardingConvergence.Seconds(), tr.RoutingConvergence.Seconds(), tr.TransientPaths)
 
-	from, to := cfg.FailAt-5*time.Second, cfg.FailAt+o.window
+	from, to := anchor-5*time.Second, anchor+o.window
 
 	fmt.Fprintln(w, "forwarding path timeline (times relative to the failure):")
 	for _, ps := range col.PathHistory {
@@ -305,7 +310,7 @@ func traceTrial(w io.Writer, cfg core.Config, o *options) error {
 	}
 
 	fmt.Fprintln(w, "\ndrop timeline (packets per second after the failure, by cause):")
-	printDropBins(w, col.Drops, cfg.FailAt, to)
+	printDropBins(w, col.Drops, anchor, to)
 	return nil
 }
 

@@ -79,6 +79,7 @@ func TestFlags(t *testing.T) {
 		{"rate", "10", []string{"-rate", "0"}},
 		{"senderstart", "395s", []string{"-senderstart", "401s"}},
 		{"failat", "410s", []string{"-failat", "900s"}},
+		{"failat", "410s", []string{"-failat", "410s", "-scenario", "failpath @400s"}},
 		{"end", "500s", []string{"-end", "300s"}},
 		{"ecmp", "true", []string{"-ecmp=maybe"}},
 		{"detail", "true", []string{"-detail=maybe"}},

@@ -284,29 +284,41 @@ func TestFigures(t *testing.T) {
 	})
 }
 
-// The figures and the report place the failure where the plotted failure
-// mode's script first fails something, not at the base config's FailAt: a
-// path failure at 450 s is reported at 7m30s, labelled 60 s after the
-// sender starts (390 s), and the Figure 5/7 window ends 60 s after it. An
-// earlier loss or cost-out event does not move the failure, and a failure
-// before the sender starts is placed at the window's first bin.
+// The figures and the report place the failure at the plotted failure
+// mode's measurement anchor, not at the base config's FailAt: a path
+// failure at 450 s is reported at 7m30s, labelled 60 s after the sender
+// starts (390 s), and the Figure 5/7 window ends 60 s after it. An earlier
+// loss or cost-out event does not move the failure; a churn window anchors
+// at its start, and a script that only costs a link out anchors at the
+// cost-out. A failure before the sender starts is a configuration error
+// that names the anchor and SenderStart.
 func TestFiguresFollowScriptedFailure(t *testing.T) {
 	for _, tc := range []struct {
 		script  string
 		failure string // the report header's failure time
 		failBin string // the chart label's failure bin
 		lastBin string // the last bin of the Figure 5/7 series
+		err     string // when set, the sweep fails with this error
 	}{
-		{"failpath @450s", "7m30s", "60", "119"},
-		{"loss link 3-4 p=0.1 @100s; failpath @450s", "7m30s", "60", "119"},
-		{"costout link 3-4 @100s; failpath @400s", "6m40s", "10", "69"},
-		{"failpath @100s", "1m40s", "0", "59"},
+		{"failpath @450s", "7m30s", "60", "119", ""},
+		{"loss link 3-4 p=0.1 @100s; failpath @450s", "7m30s", "60", "119", ""},
+		{"costout link 3-4 @100s; failpath @400s", "6m40s", "10", "69", ""},
+		{"churn links rate=0.5/s down=2s @420s..460s", "7m0s", "30", "89", ""},
+		{"costout link 3-4 @410s", "6m50s", "20", "79", ""},
+		{"failpath @100s", "", "", "", "measurement anchor 1m40s (the script's first failure) before SenderStart 6m30s"},
 	} {
 		t.Run(tc.script, func(t *testing.T) {
 			dir := t.TempDir()
 			report := filepath.Join(dir, "report.md")
-			if err := runQuiet("-scenarios", tc.script, "-degrees", "4", "-protocols", "dbf", "-trials", "1",
-				"-figures", "-report", report, "-out", dir, "-q"); err != nil {
+			err := runQuiet("-scenarios", tc.script, "-degrees", "4", "-protocols", "dbf", "-trials", "1",
+				"-figures", "-report", report, "-out", dir, "-q")
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Errorf("error %v, want one containing %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			data, err := os.ReadFile(report)

@@ -181,10 +181,10 @@ type Config struct {
 	Seed int64
 	// SenderStart is when the constant-rate flow begins (paper: 390 s).
 	SenderStart time.Duration
-	// FailAt is when the default schedule fails one link on the flow's
-	// forwarding path (paper: 400 s), and the measurement anchor of every
-	// trial, scripted or not: post-failure drop windows, convergence times
-	// and timeline summaries count from it.
+	// FailAt is the time of the default schedule, "failpath @FailAt": when
+	// it fails one link on the flow's forwarding path (paper: 400 s). A
+	// Scenario script replaces it; measurements count from the script's
+	// own failure (Anchor).
 	FailAt time.Duration
 	// End is the end of the simulation (paper: 800 s).
 	End time.Duration
@@ -339,6 +339,18 @@ func (c *Config) script() (*scenario.Script, error) {
 	return &scenario.Script{Events: []scenario.Event{{At: c.FailAt, Kind: scenario.KindFailPath, Node: -1}}}, nil
 }
 
+// Anchor returns the instant every measurement of a trial counts from: the
+// script's anchor (scenario.Script.Anchor), FailAt for the default one, or
+// SenderStart for a script that neither fails nor costs out anything (and
+// for one that does not parse, which Validate reports).
+func (c *Config) Anchor() time.Duration {
+	sc, err := c.script()
+	if err != nil {
+		return c.SenderStart
+	}
+	return sc.Anchor(c.SenderStart)
+}
+
 // resolve is the one preparation step before a config is run or
 // canonicalized: build any Topo spec, parse the disturbance schedule,
 // validate, and store the schedule back as canonical text. It returns the
@@ -429,17 +441,17 @@ func (c *Config) validate(script *scenario.Script) error {
 			return err
 		}
 	}
-	switch {
+	switch at := script.Anchor(c.SenderStart); {
 	case c.Trials < 1:
 		return fmt.Errorf("core: Trials = %d, need ≥ 1", c.Trials)
 	case c.Flows < 1:
 		return fmt.Errorf("core: Flows = %d, need ≥ 1", c.Flows)
 	case c.Topology == nil && c.Topo == "" && (c.Rows < 2 || c.Cols < 2):
 		return fmt.Errorf("core: mesh %d×%d too small", c.Rows, c.Cols)
-	case c.SenderStart > c.FailAt:
-		return fmt.Errorf("core: SenderStart %v after FailAt %v", c.SenderStart, c.FailAt)
-	case c.FailAt >= c.End:
-		return fmt.Errorf("core: FailAt %v not before End %v", c.FailAt, c.End)
+	case at < c.SenderStart:
+		return fmt.Errorf("core: measurement anchor %v (the script's first failure) before SenderStart %v", at, c.SenderStart)
+	case c.SenderStart >= c.End:
+		return fmt.Errorf("core: SenderStart %v not before End %v", c.SenderStart, c.End)
 	case c.PacketInterval <= 0:
 		return fmt.Errorf("core: PacketInterval must be positive")
 	case c.Traffic < TrafficCBR || c.Traffic > TrafficOnOff:

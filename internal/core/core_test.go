@@ -27,6 +27,8 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.Flows = 0 },
 		func(c *Config) { c.Rows = 1 },
 		func(c *Config) { c.SenderStart = c.FailAt + time.Second },
+		func(c *Config) { c.Scenario = "failrandom @100s" },
+		func(c *Config) { c.Scenario, c.SenderStart = "# no disturbance", c.End },
 		func(c *Config) { c.End = c.FailAt },
 		func(c *Config) { c.PacketInterval = 0 },
 		func(c *Config) { c.TTL = 0 },

@@ -60,8 +60,8 @@ func binMeans(samples []sample, origin, width time.Duration, nBins int) []float6
 
 // oracleResult recomputes the delivery-derived fields of a trial from the
 // full-record delivery list, the way runTrial computed them when it kept
-// one.
-func oracleResult(cfg *Config, col *trace.Collector) TrialResult {
+// one, counting post-failure deliveries from anchor.
+func oracleResult(cfg *Config, col *trace.Collector, anchor time.Duration) TrialResult {
 	nBins := int((cfg.End - cfg.SenderStart) / time.Second)
 	throughput := make([]sample, len(col.Deliveries))
 	delay := make([]sample, len(col.Deliveries))
@@ -69,13 +69,13 @@ func oracleResult(cfg *Config, col *trace.Collector) TrialResult {
 	for i, d := range col.Deliveries {
 		throughput[i] = sample{at: d.At}
 		delay[i] = sample{at: d.At, value: d.Delay.Seconds()}
-		if d.At >= cfg.FailAt {
+		if d.At >= anchor {
 			post = append(post, d.Delay.Seconds())
 		}
 	}
 	summary := stats.Summarize(post)
 	return TrialResult{
-		LoopEscapes: col.LoopEscapes(cfg.FailAt),
+		LoopEscapes: col.LoopEscapes(anchor),
 		Throughput:  binCounts(throughput, cfg.SenderStart, time.Second, nBins),
 		Delay:       binMeans(delay, cfg.SenderStart, time.Second, nBins),
 		DelayP50:    summary.Median,
@@ -105,7 +105,8 @@ func sameBits(a, b []float64) bool {
 // catch an off-by-one: on "grid" a hop takes exactly one 50 ms send
 // interval, so every twentieth delivery lands on a bin edge, and on
 // "escapes" packets escape BGP3's transient loops between SenderStart and
-// FailAt, which the count must leave out. A compact recorder's results
+// the anchor — the cost-out and cost-in cycles before the path failure
+// fail nothing — which the count must leave out. A compact recorder's results
 // are the same, with no per-packet list kept.
 func TestArrivalsMatchDeliveryList(t *testing.T) {
 	configFor := func(k ProtocolKind) func() Config {
@@ -132,9 +133,10 @@ func TestArrivalsMatchDeliveryList(t *testing.T) {
 			return cfg
 		}},
 		{"escapes", func() Config {
-			cfg := goldenDampingConfig() // its script fails the link at 400 s
-			cfg.FailAt = 410 * time.Second
-			cfg.End = cfg.FailAt + 60*time.Second
+			cfg := goldenDampingConfig() // its failpath fails link 23-30
+			cfg.Scenario = "costout link 23-30 @400s; costin link 23-30 @403s; " +
+				"costout link 23-30 @406s; costin link 23-30 @409s; failpath @410s"
+			cfg.End = 470 * time.Second
 			cfg.Net.RecordHops = true
 			return cfg
 		}},
@@ -152,7 +154,8 @@ func TestArrivalsMatchDeliveryList(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := oracleResult(&cfg, col)
+			anchor := script.Anchor(cfg.SenderStart)
+			want := oracleResult(&cfg, col, anchor)
 			check := func(mode string, got TrialResult) {
 				t.Helper()
 				if got.LoopEscapes != want.LoopEscapes {
@@ -182,7 +185,7 @@ func TestArrivalsMatchDeliveryList(t *testing.T) {
 				if (d.At-cfg.SenderStart)%time.Second == 0 {
 					edges++
 				}
-				if d.Looped && d.At >= cfg.SenderStart && d.At < cfg.FailAt {
+				if d.Looped && d.At >= cfg.SenderStart && d.At < anchor {
 					early++
 				}
 			}
@@ -190,7 +193,7 @@ func TestArrivalsMatchDeliveryList(t *testing.T) {
 				t.Error("no delivery on a bin edge: the case no longer exercises the binning")
 			}
 			if tc.name == "escapes" && early == 0 {
-				t.Error("no loop escape before FailAt: the case no longer exercises the count")
+				t.Error("no loop escape before the anchor: the case no longer exercises the count")
 			}
 		})
 	}

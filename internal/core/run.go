@@ -30,7 +30,7 @@ type TrialResult struct {
 	// SenderRouter and ReceiverRouter are the mesh routers the stub hosts
 	// of the first flow attached to.
 	SenderRouter, ReceiverRouter netsim.NodeID
-	// FailedLink is the on-path link failed at FailAt.
+	// FailedLink is the on-path link the failpath event failed, if any.
 	FailedLink topology.Edge
 	// WarmedUp reports whether the flow had a working forwarding path at
 	// the failure instant (i.e. warm-up converged).
@@ -96,7 +96,7 @@ type Result struct {
 	// trials (Figures 5 and 7).
 	MeanThroughput []float64
 	MeanDelay      []float64
-	// WarmedUpTrials counts trials whose flow was converged at FailAt.
+	// WarmedUpTrials counts trials whose flow was converged at failpath.
 	WarmedUpTrials int
 	// Metrics sums the trials' obs snapshots; nil unless Config.Metrics.
 	Metrics obs.Snapshot `json:",omitempty"`
@@ -207,7 +207,7 @@ type flow struct {
 // fluid_demote/fluid_absorb, node_down/node_up, link_loss,
 // cost_out/cost_in and churn_start/churn_end record; and last the summary
 // records fib_first_change/fib_last_change per node and
-// convergence_complete, measured from the configured failure time.
+// convergence_complete, measured from the config's Anchor.
 // OBSERVABILITY.md documents each record's fields. Recording is passive —
 // the trial's results are bit-for-bit those of a run without tl.
 func TraceObserved(cfg Config, trial int, tl *obs.Timeline) (TrialResult, *trace.Collector, error) {
@@ -234,6 +234,7 @@ func runTrial(cfg *Config, script *scenario.Script, trial int, tl *obs.Timeline,
 	}
 	seed := cfg.Seed + int64(trial)*seedStride
 	s := sim.New(seed)
+	anchor := script.Anchor(cfg.SenderStart) // every post-failure measure counts from it
 
 	g, senderRouters, receiverRouters, err := cfg.RouterGraph()
 	if err != nil {
@@ -275,8 +276,8 @@ func runTrial(cfg *Config, script *scenario.Script, trial int, tl *obs.Timeline,
 		g.AddEdge(f.dstHost, f.dstRouter)
 		if i == 0 {
 			rec = trace.NewCollector(f.srcHost, f.dstHost, trace.Options{
-				Seed: seed, FailAt: cfg.FailAt, Start: cfg.SenderStart, End: cfg.End,
-				PostFailCap: cfg.packets(cfg.End - cfg.FailAt), DeliveryCap: cfg.packets(cfg.End - cfg.SenderStart),
+				Seed: seed, FailAt: anchor, Start: cfg.SenderStart, End: cfg.End,
+				PostFailCap: cfg.packets(cfg.End - anchor), DeliveryCap: cfg.packets(cfg.End - cfg.SenderStart),
 				Compact: compact, Timeline: tl,
 			})
 		} else {
@@ -377,14 +378,14 @@ func runTrial(cfg *Config, script *scenario.Script, trial int, tl *obs.Timeline,
 		WarmedUp:              warmedUp,
 		Sent:                  int(met.Get(obs.PacketsSent)),
 		Delivered:             int(met.Get(obs.PacketsDelivered)),
-		NoRouteDrops:          sumFlows(rec, cfg.FailAt, netsim.DropNoRoute),
-		TTLDrops:              sumFlows(rec, cfg.FailAt, netsim.DropTTLExpired),
-		LinkFailureDrops:      sumFlows(rec, cfg.FailAt, netsim.DropLinkFailure),
-		QueueDrops:            sumFlows(rec, cfg.FailAt, netsim.DropQueueOverflow),
-		RandomLossDrops:       sumFlows(rec, cfg.FailAt, netsim.DropRandomLoss),
-		RoutingConvergence:    rec.RoutingConvergence(cfg.FailAt),
-		ForwardingConvergence: rec.ForwardingConvergence(cfg.FailAt),
-		TransientPaths:        rec.TransientPaths(cfg.FailAt),
+		NoRouteDrops:          sumFlows(rec, anchor, netsim.DropNoRoute),
+		TTLDrops:              sumFlows(rec, anchor, netsim.DropTTLExpired),
+		LinkFailureDrops:      sumFlows(rec, anchor, netsim.DropLinkFailure),
+		QueueDrops:            sumFlows(rec, anchor, netsim.DropQueueOverflow),
+		RandomLossDrops:       sumFlows(rec, anchor, netsim.DropRandomLoss),
+		RoutingConvergence:    rec.RoutingConvergence(anchor),
+		ForwardingConvergence: rec.ForwardingConvergence(anchor),
+		TransientPaths:        rec.TransientPaths(anchor),
 		LoopEscapes:           arr.LoopEscapes,
 		Throughput:            arr.PerSecond.Count,
 		Delay:                 arr.PerSecond.Means(),

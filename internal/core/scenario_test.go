@@ -295,6 +295,36 @@ func TestRunRejectsNonFiniteChurn(t *testing.T) {
 	}
 }
 
+// A scripted failure is measured from the failure itself, not from
+// FailAt: "failpath @450s" under the default FailAt (400 s) gives the same
+// trials, every post-failure drop count and both convergence times
+// included, as the default schedule with FailAt moved to 450 s.
+func TestScriptedFailureAnchorsMeasurement(t *testing.T) {
+	for _, k := range []ProtocolKind{ProtoDBF, ProtoBGP3} {
+		t.Run(k.String(), func(t *testing.T) {
+			t.Parallel()
+			scripted := goldenConfig(k)
+			scripted.Trials = 2
+			scripted.End = 520 * time.Second
+			scripted.Scenario = "failpath @450s"
+			moved := scripted
+			moved.Scenario = ""
+			moved.FailAt = 450 * time.Second
+			var got [2]string
+			for i, cfg := range []Config{scripted, moved} {
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = fmt.Sprintf("%+v", res.Trials)
+			}
+			if got[0] != got[1] {
+				t.Errorf("scripted failure at 450 s measures differently from FailAt = 450 s:\n scripted: %s\n  FailAt: %s", got[0], got[1])
+			}
+		})
+	}
+}
+
 // TestValidateScenario pins the config-level script validation added with
 // the engine (the original Validate cross-checked only FailAt, so a script
 // could reference absent links or fire after the horizon without complaint).

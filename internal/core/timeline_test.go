@@ -43,9 +43,11 @@ func timelineHybridConfig() Config {
 //
 // Each trial also checks the convergence summary against the raw event
 // stream, as a test observer between netsim and the recorder sees it:
-// convergence_complete is FailAt + RoutingConvergence, and every node's
-// fib_first_change and fib_last_change are its first and last raw route
-// change at or after FailAt, found by a plain scan.
+// convergence_complete is the anchor plus RoutingConvergence, and every
+// node's fib_first_change and fib_last_change are its first and last raw
+// route change at or after the anchor, found by a plain scan. The anchor
+// is the script's first failure: FailAt for the goldens, the node failure
+// at 420 s for the script (its cost-out at 400 s fails nothing).
 func TestTimelineNDJSONPinned(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -59,7 +61,7 @@ func TestTimelineNDJSONPinned(t *testing.T) {
 		{"bgp3", func() Config { return goldenConfig(ProtoBGP3) }, nil, "2d8675985e6e87c84a0ff1082d504abb59a0d92fe03e868f9a035fb514541e74"},
 		{"ls", func() Config { return goldenConfig(ProtoLS) }, nil, "5a0f17d8457afbf00bc4ae510a14688c9c0b3e1e7a1099721f9a84a9a4802be3"},
 		{"bgp3-damping", goldenDampingConfig, []string{"route_flap", "route_reuse"}, "0dfa79988fb30973b9f3ff189192615bb9b2c63ccda5ff15af13e2a7ac408b39"},
-		{"script", timelineScriptConfig, []string{"cost_out", "cost_in", "link_loss", "node_down", "node_up", "churn_start", "churn_end"}, "737a6dd802c9c866d39d9b91ca325e70a459abac26aef00aa83b5c782e11179f"},
+		{"script", timelineScriptConfig, []string{"cost_out", "cost_in", "link_loss", "node_down", "node_up", "churn_start", "churn_end"}, "bbb997125ff11f8c1ff757f779107d9b2e604859714919c4505c2dcf304e6cdf"},
 		{"hybrid", timelineHybridConfig, []string{"fluid_demote", "fluid_absorb"}, "0238150d249f32da3b73337179bd8afa988989189fe30e1eefc2889da0eb5f21"},
 	}
 	for _, tc := range cases {
@@ -71,6 +73,7 @@ func TestTimelineNDJSONPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			anchor := script.Anchor(cfg.SenderStart)
 			tl := obs.NewTimeline()
 			var tap *routeTap
 			tr, _, err := runTrial(&cfg, script, 0, tl, false, func(o netsim.Observer) netsim.Observer {
@@ -98,7 +101,7 @@ func TestTimelineNDJSONPinned(t *testing.T) {
 			// The summary the recorder wrote, against the brute-force scan.
 			first, last := map[int32]time.Duration{}, map[int32]time.Duration{}
 			for _, rc := range tap.calls {
-				if rc.at < cfg.FailAt {
+				if rc.at < anchor {
 					continue
 				}
 				if _, ok := first[rc.node]; !ok {
@@ -116,8 +119,8 @@ func TestTimelineNDJSONPinned(t *testing.T) {
 					gotLast = append(gotLast, r)
 				case obs.KindConvergenceComplete:
 					complete++
-					if want := cfg.FailAt + tr.RoutingConvergence; r.At != want {
-						t.Errorf("convergence_complete at %v, want FailAt + RoutingConvergence = %v", r.At, want)
+					if want := anchor + tr.RoutingConvergence; r.At != want {
+						t.Errorf("convergence_complete at %v, want anchor + RoutingConvergence = %v", r.At, want)
 					}
 				}
 			}
@@ -125,7 +128,7 @@ func TestTimelineNDJSONPinned(t *testing.T) {
 				t.Errorf("%d convergence_complete records, want 1", complete)
 			}
 			if len(gotFirst) != len(first) || len(gotLast) != len(last) {
-				t.Fatalf("%d fib_first_change and %d fib_last_change records; %d nodes changed at or after FailAt",
+				t.Fatalf("%d fib_first_change and %d fib_last_change records; %d nodes changed at or after the anchor",
 					len(gotFirst), len(gotLast), len(first))
 			}
 			for i := range gotFirst {

@@ -164,9 +164,6 @@ func (n *Network) AttachFlows(cfg FlowSetConfig) *FlowSet {
 	return fs
 }
 
-// Flows returns the attached FlowSet, or nil.
-func (n *Network) Flows() *FlowSet { return n.flows }
-
 // Add registers one flow class emitting size-byte packets with the given
 // TTL from src to dst every interval, over the set's [Start, Stop)
 // window. Every flow must be added before Network.Start: indexing moves
@@ -272,9 +269,6 @@ func (fs *FlowSet) swap(i, j int32) {
 func (fs *FlowSet) bps(i int32) float64 {
 	return float64(fs.size[i]) * 8e9 / float64(fs.intervalNs[i])
 }
-
-// Len returns the number of registered flow classes.
-func (fs *FlowSet) Len() int { return len(fs.src) }
 
 // tickTime returns the emission time of flow i's k-th tick.
 func (fs *FlowSet) tickTime(i int32, k uint32) time.Duration {

@@ -160,9 +160,6 @@ var counterNames = [numCounters]string{
 	ScenarioChurnCycles:  "scenario.churn_cycles",
 }
 
-// Name returns the counter's dotted metric name.
-func (c Counter) Name() string { return counterNames[c] }
-
 // queueBuckets are the upper bounds of the queue-depth histogram buckets;
 // depths above the last bound land in the overflow bucket. The paper's
 // default data-queue limit is 20 packets, so the overflow bucket covers

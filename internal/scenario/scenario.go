@@ -275,6 +275,25 @@ func (s *Script) Validate(horizon time.Duration, g *topology.Graph) error {
 	return nil
 }
 
+// Anchor returns the instant a trial's measurements count from: the first
+// event that takes a link or a node down (failpath, fail link, fail node,
+// failrandom, flap link or churn links), or, in a script with none, its
+// first costout, or else none.
+func (s *Script) Anchor(none time.Duration) time.Duration {
+	for _, e := range s.Events {
+		switch e.Kind {
+		case KindFailPath, KindFailLink, KindFailNode, KindFailRandom, KindFlapLink, KindChurn:
+			return e.At
+		}
+	}
+	for _, e := range s.Events {
+		if e.Kind == KindCostOut {
+			return e.At
+		}
+	}
+	return none
+}
+
 // NamesTopology reports whether any event names a link or a node, that is,
 // whether Validate has references to check against a graph.
 func (s *Script) NamesTopology() bool {

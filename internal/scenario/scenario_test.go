@@ -268,3 +268,33 @@ func TestValidate(t *testing.T) {
 		}
 	}
 }
+
+// The anchor is the first event that takes a link or a node down, of any
+// of the six failing kinds; a loss, cost-in or restore before it does not
+// count. A script that fails nothing anchors at its first cost-out, and one
+// that does neither at the caller's fallback.
+func TestAnchor(t *testing.T) {
+	for _, tc := range []struct {
+		script string
+		at     time.Duration
+	}{
+		{"failpath @400s", 400 * time.Second},
+		{"loss link 1-2 p=0.1 @100s; fail link 3-7 @420s", 420 * time.Second},
+		{"fail node 12 @430s", 430 * time.Second},
+		{"failrandom @440s", 440 * time.Second},
+		{"flap link 3-7 every 4s x2 @450s", 450 * time.Second},
+		{"churn links rate=1/s @460s..500s", 460 * time.Second},
+		{"costout link 3-7 @100s; costin link 3-7 @200s; fail link 1-2 @300s", 300 * time.Second},
+		{"costout link 3-7 @100s; costout link 1-2 @200s", 100 * time.Second},
+		{"loss link 1-2 p=0.1 @100s", -time.Second},
+		{"# nothing", -time.Second},
+	} {
+		sc, err := Parse(tc.script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at := sc.Anchor(-time.Second); at != tc.at {
+			t.Errorf("%q: Anchor = %v, want %v", tc.script, at, tc.at)
+		}
+	}
+}

@@ -74,12 +74,3 @@ func (c *Cache) Put(key string, res *core.Result) error {
 	}
 	return nil
 }
-
-// Len counts the cache's entries.
-func (c *Cache) Len() int {
-	matches, err := filepath.Glob(filepath.Join(c.dir, "*.gob"))
-	if err != nil {
-		return 0
-	}
-	return len(matches)
-}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"routeconv/internal/core"
-	"routeconv/internal/scenario"
 	"routeconv/internal/stats"
 	"routeconv/internal/topology"
 )
@@ -21,8 +20,7 @@ type figureGrid struct {
 	// base is the per-cell template; the renderer reads its mesh size,
 	// flow and horizon parameters.
 	base core.Config
-	// failAt is when the plotted failure mode's script first fails a link
-	// or a node.
+	// failAt is the plotted failure mode's measurement anchor.
 	failAt    time.Duration
 	protocols []core.ProtocolKind
 	degrees   []int
@@ -55,33 +53,15 @@ func (o *Outcome) figures() *figureGrid {
 		}
 		g.cells = append(g.cells, c)
 	}
-	// The failure is the first failure event of the plotted mode's script,
-	// or the base's FailAt for the default script and for a script that
-	// fails nothing. A cell's script was validated before the cell ran, so
-	// it parses.
-	g.failAt = g.base.FailAt
+	// The failure is the instant the plotted mode's trials measure from.
+	cfg := g.base
 	if first == nil {
 		g.scope = "No cell is a mesh cell, so there are no figures: they plot mesh degrees. The per-cell summary lists every cell."
-	} else if sc, err := scenario.Parse(first.Config.Scenario); err == nil {
-		if at, ok := firstFailure(sc); ok {
-			g.failAt = at
-		}
+	} else {
+		cfg = first.Config
 	}
+	g.failAt = cfg.Anchor()
 	return g
-}
-
-// firstFailure returns when the script first takes a link or a node down.
-// Events are sorted by time, so it is the first failing event; a loss,
-// cost or restore event before it does not count.
-func firstFailure(sc *scenario.Script) (time.Duration, bool) {
-	for _, e := range sc.Events {
-		switch e.Kind {
-		case scenario.KindFailPath, scenario.KindFailLink, scenario.KindFailNode,
-			scenario.KindFailRandom, scenario.KindFlapLink:
-			return e.At, true
-		}
-	}
-	return 0, false
 }
 
 // HasFigures reports whether the sweep has a mesh cell for the figures to
@@ -168,11 +148,10 @@ func (o *Outcome) Figure6bTable() *stats.Table {
 }
 
 // seriesWindow bounds the Figure 5/7 time series: the paper plots from the
-// sender start through one minute past the plotted failure. A failure
-// before the sender starts is placed at bin 0.
+// sender start through one minute past the plotted failure.
 func (g *figureGrid) seriesWindow() (nBins int, failBin int) {
 	base := g.base
-	failBin = max(0, int((g.failAt-base.SenderStart)/time.Second))
+	failBin = int((g.failAt - base.SenderStart) / time.Second)
 	nBins = min(failBin+60, int((base.End-base.SenderStart)/time.Second))
 	return nBins, failBin
 }

@@ -18,7 +18,7 @@ func handSweep(base core.Config, degrees ...int) *Outcome {
 	out := &Outcome{Spec: Spec{Protocols: []string{"dbf"}, Degrees: degrees, Base: &base}}
 	for _, d := range degrees {
 		out.Cells = append(out.Cells, CellOutcome{
-			Cell:   Cell{Protocol: core.ProtoDBF, Degree: d, Failure: SingleFailure()},
+			Cell:   Cell{Protocol: core.ProtoDBF, Degree: d, Failure: SingleFailure(), Config: base},
 			Result: res,
 		})
 	}

@@ -65,8 +65,8 @@ type Options struct {
 	// Seed is the trial seed, written into the stream's trial_start record.
 	Seed int64
 	// FailAt is the failure time the stream's convergence summary
-	// (fib_first_change, fib_last_change, convergence_complete) is measured
-	// from.
+	// (fib_first_change, fib_last_change, convergence_complete) and the
+	// post-failure Arrivals are measured from: the trial's Config.Anchor.
 	FailAt time.Duration
 	// Start and End bound the primary flow's per-second delivery bins
 	// (Arrivals): ⌊(End−Start)/1 s⌋ bins from Start.
